@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, NonFiniteError, OriginError
-from .functions import TestFunction
+from .functions import TestFunction, _polar_of_point
 from .geometry import GrushinGeometry, Point, grad_rho, rho
 
 __all__ = [
@@ -128,23 +128,11 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 # Gradients of test functions
 # ---------------------------------------------------------------------------
 
-def _polar_at(f: TestFunction, p: Point):
-    if p.x.shape[0] == 2:
-        r = math.hypot(p.x[0], p.x[1])
-        phi = math.atan2(p.x[1], p.x[0])
-    else:
-        if not f.is_radial:
-            raise DomainError("mode functions need m = 2 points")
-        r = float(np.linalg.norm(p.x))
-        phi = 0.0
-    if r == 0.0:
-        raise OriginError("gradient components undefined at |x| = 0")
-    return r, phi
-
-
 def _cartesian_partials(f: TestFunction, p: Point):
     """(grad_x f, grad_y f, f) at p from the polar analytic partials."""
-    r, phi = _polar_at(f, p)
+    r, phi, _ = _polar_of_point(f, p)
+    if r == 0.0:
+        raise OriginError("gradient components undefined at |x| = 0")
     y = p.y[None, :]
     fr, fphi, fy = f.partials_polar(np.asarray(r), phi, y)
     fr, fphi = complex(np.asarray(fr).item()), complex(np.asarray(fphi).item())
@@ -183,7 +171,7 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
         pot = ab_potential(geom, p)
     else:
         raise DomainError(f"unknown grad_kind {grad_kind!r}")
-    r, phi = _polar_at(f, p)
+    r, phi, _ = _polar_of_point(f, p)
     val = complex(np.asarray(f.value_polar(np.asarray(r), phi, p.y[None, :])).item())
     return g + 1j * flux.beta * pot * val
 

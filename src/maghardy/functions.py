@@ -539,10 +539,8 @@ def angular_average(f: TestFunction) -> TestFunction:
 # Constructors
 # ---------------------------------------------------------------------------
 
-def make_bump(r_lo: float, r_hi: float, y_box=(), smoothness: str = "exp") -> TestFunction:
+def make_bump(r_lo: float, r_hi: float, y_box=()) -> TestFunction:
     """Smooth radial plateau bump: 1 on the middle half (log scale) of the annulus."""
-    if smoothness != "exp":
-        raise DomainError(f"unknown smoothness {smoothness!r}")
     radial = PlateauLogBump(r_lo, r_hi)
     profile = ProductProfile(radial, tuple(PlateauBumpY(lo, hi) for lo, hi in y_box))
     return TestFunction([AngularMode(0, profile)])

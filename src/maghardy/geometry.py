@@ -93,11 +93,6 @@ class Point:
         return not (np.any(self.x != 0.0) or np.any(self.y != 0.0))
 
 
-def hom_dim(geom: GrushinGeometry) -> float:
-    """Q = m + (1+gamma)*k."""
-    return geom.hom_dim
-
-
 # ---------------------------------------------------------------------------
 # Vectorized closed forms in (r, y).  These accept numpy arrays of any
 # broadcastable shape; `s` always denotes |y|.  The pointwise API below is a

@@ -11,6 +11,10 @@ with Jacobian r dr dphi dy:
     of degree < n_phi/2;
   * y: tensor Gauss-Legendre per dimension on the support box.
 
+Each reference Gauss-Legendre rule on [-1, 1] is built once per node count
+and cached read-only; every panel rule here and in the sharpness engine is an
+affine image of it (`gauss_legendre`, `gauss_panels`).
+
 General m >= 2 never needs angular quadrature in x here: every integrand the
 verifiers produce for that case is radial in x, and the sphere factor is the
 closed-form area of S^(m-1).
@@ -30,6 +34,7 @@ bit-stable across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -106,11 +111,26 @@ class Domain:
         return self.r_lo, hi
 
 
+@functools.lru_cache(maxsize=64)
+def _reference_rule(n: int):
+    """Read-only Gauss-Legendre nodes/weights on [-1, 1], built once per n."""
+    t, w = np.polynomial.legendre.leggauss(n)
+    t.flags.writeable = False
+    w.flags.writeable = False
+    return t, w
+
+
 def gauss_legendre(a: float, b: float, n: int):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    t, w = np.polynomial.legendre.leggauss(n)
+    t, w = _reference_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * t, half * w
+
+
+def gauss_panels(edges: Sequence[float], n: int):
+    """n-node Gauss-Legendre nodes/weights over panels [e0,e1], [e1,e2], ..."""
+    ts, ws = zip(*(gauss_legendre(a, b, n) for a, b in zip(edges[:-1], edges[1:])))
+    return np.concatenate(ts), np.concatenate(ws)
 
 
 def log_radial_rule(r_lo: float, r_hi: float, n_r: int, breaks: Sequence[float] = ()):
@@ -123,13 +143,9 @@ def log_radial_rule(r_lo: float, r_hi: float, n_r: int, breaks: Sequence[float] 
     us = [math.log(r_lo)] + sorted(
         math.log(b) for b in breaks if r_lo < b < r_hi
     ) + [math.log(r_hi)]
-    rs, ws = [], []
-    for a, b in zip(us[:-1], us[1:]):
-        u, w = gauss_legendre(a, b, n_r)
-        r = np.exp(u)
-        rs.append(r)
-        ws.append(w * r)  # dr = r du
-    return np.concatenate(rs), np.concatenate(ws)
+    u, w = gauss_panels(us, n_r)
+    r = np.exp(u)
+    return r, w * r  # dr = r du
 
 
 def phi_rule(n_phi: int):
@@ -151,13 +167,9 @@ def y_box_rule(y_box, n_y: int):
     axes, weights = [], []
     for lo, hi in y_box:
         q = 0.25 * (hi - lo)
-        ts, ws = [], []
-        for a, b in ((lo, lo + q), (lo + q, hi - q), (hi - q, hi)):
-            t, w = gauss_legendre(a, b, n_y)
-            ts.append(t)
-            ws.append(w)
-        axes.append(np.concatenate(ts))
-        weights.append(np.concatenate(ws))
+        t, w = gauss_panels((lo, lo + q, hi - q, hi), n_y)
+        axes.append(t)
+        weights.append(w)
     grids = np.meshgrid(*axes, indexing="ij")
     Y = np.stack([g.reshape(-1) for g in grids], axis=-1)
     W = weights[0]

@@ -10,7 +10,8 @@ exactly (the cross term integrates to zero over compact supports), and the
 analogous substitutions handle the logarithmic and composite weights.  The
 engine evaluates these reduced functionals by panelled Gauss-Legendre
 quadrature for a window family w and drives the window toward the
-extremizing regime along a schedule of widths.
+extremizing regime along a schedule of widths.  The panels come from
+`quadrature.gauss_panels`, whose reference rule is built once per node count.
 
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
@@ -26,6 +27,7 @@ import numpy as np
 
 from ..errors import AdmissibilityError, DomainError
 from ..functions import TrialFamily, _plateau, _plateau_d, plateau_breaks
+from ..quadrature import gauss_panels
 from ..reports import SharpnessResult, SuperweightParams
 
 __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE"]
@@ -41,17 +43,6 @@ _FAMILY_FOR = {
 }
 
 _PANEL_N = 240
-
-
-def _gl_panels(edges, n=_PANEL_N):
-    """Gauss-Legendre nodes/weights over consecutive panels [e0,e1],[e1,e2],..."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _gauss_window(eps: float, center: float = 0.0):
@@ -86,7 +77,7 @@ def _plain_window(eps: float, u_lo: float, u_hi: float):
 
 
 def _power_quotient(base: float, val, der, edges) -> float:
-    u, w = _gl_panels(edges)
+    u, w = gauss_panels(edges, _PANEL_N)
     num = float(np.sum(w * der(u) ** 2))
     den = float(np.sum(w * val(u) ** 2))
     return base + num / den
@@ -95,7 +86,7 @@ def _power_quotient(base: float, val, der, edges) -> float:
 def _log_quotient(val, der, edges) -> float:
     # w is log(-log r); the plane measure contributes exp(-2 e^w) on the
     # norm side, which is what confines the sharp regime to the unit disc.
-    u, w = _gl_panels(edges)
+    u, w = gauss_panels(edges, _PANEL_N)
     v, d = val(u), der(u)
     num = float(np.sum(w * (d - 0.5 * v) ** 2))
     den = float(np.sum(w * v * v * np.exp(-2.0 * np.exp(u))))
@@ -111,7 +102,7 @@ def _superweight_quotient(sw: SuperweightParams, c: float, val, der,
         # (a e^(-theta2 u) + b)^theta3 without overflowing the inner power
         return np.exp(t3 * np.logaddexp(log_a - t2 * u, log_b))
 
-    u, w = _gl_panels(edges)
+    u, w = gauss_panels(edges, _PANEL_N)
     g = G(u)
     num = float(np.sum(w * g * (der(u) - c * val(u)) ** 2))
     den = float(np.sum(w * g * val(u) ** 2))

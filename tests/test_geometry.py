@@ -16,7 +16,6 @@ from maghardy.geometry import (
     grad_y_rho_over_rho,
     grushin_grad_rho_norm_rs,
     hardy_density_rs,
-    hom_dim,
     rho,
     rho_rs,
     sphere_area,
@@ -103,9 +102,9 @@ def test_rho_dominates_r(g, r, s):
 
 
 def test_hom_dim_values():
-    assert hom_dim(GrushinGeometry(2, 1, 1.0)) == 4.0
-    assert hom_dim(GrushinGeometry(2, 1, 0.0)) == 3.0
-    assert math.isclose(hom_dim(GrushinGeometry(3, 2, 0.5)), 6.0)
+    assert GrushinGeometry(2, 1, 1.0).hom_dim == 4.0
+    assert GrushinGeometry(2, 1, 0.0).hom_dim == 3.0
+    assert math.isclose(GrushinGeometry(3, 2, 0.5).hom_dim, 6.0)
 
 
 def test_sphere_area_frozen():

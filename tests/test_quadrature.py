@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from maghardy.errors import DomainError, NonFiniteError
 from maghardy.quadrature import (
     Domain,
+    _reference_rule,
     QuadratureSpec,
     convergence_study,
     gauss_legendre,
@@ -78,6 +79,90 @@ def test_y_box_rule_shapes_and_polynomial_exactness():
 
     Y0, W0 = y_box_rule((), 8)
     assert Y0.shape == (1, 0) and W0.tolist() == [1.0]
+
+
+# ---------------------------------------------------------------------------
+# cached reference rule against the per-call build it replaces
+# ---------------------------------------------------------------------------
+
+def _fresh_gauss_legendre(a, b, n):
+    t, w = np.polynomial.legendre.leggauss(n)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    return mid + half * t, half * w
+
+
+def _fresh_y_box_rule(y_box, n_y):
+    if not y_box:
+        return np.zeros((1, 0)), np.ones(1)
+    axes, weights = [], []
+    for lo, hi in y_box:
+        q = 0.25 * (hi - lo)
+        ts, ws = [], []
+        for a, b in ((lo, lo + q), (lo + q, hi - q), (hi - q, hi)):
+            t, w = _fresh_gauss_legendre(a, b, n_y)
+            ts.append(t)
+            ws.append(w)
+        axes.append(np.concatenate(ts))
+        weights.append(np.concatenate(ws))
+    grids = np.meshgrid(*axes, indexing="ij")
+    Y = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    W = weights[0]
+    for w in weights[1:]:
+        W = np.multiply.outer(W, w)
+    return Y, W.reshape(-1)
+
+
+def test_rules_of_one_n_build_leggauss_once(monkeypatch):
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or real(n))
+    _reference_rule.cache_clear()
+    for _ in range(3):
+        gauss_legendre(-1.5, 2.5, 11)
+        log_radial_rule(0.1, 3.0, 11, breaks=(0.5, 1.0))
+        y_box_rule(((-1.0, 2.0), (0.0, 1.0)), 11)
+        integrate_radial(np.ones_like, 3.0, 0.0, QuadratureSpec(n_r=11), 0.5, 2.0)
+    assert calls == [11]
+    y_box_rule(((-1.0, 2.0),), 7)
+    assert calls == [11, 7]
+
+
+def test_cached_reference_rule_rejects_writes():
+    t, w = _reference_rule(9)
+    assert _reference_rule(9)[0] is t
+    with pytest.raises(ValueError):
+        t[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
+@pytest.mark.parametrize("a, b, n", [(-1.5, 2.5, 8), (0.0, 1e-3, 64), (-7.25, -3.0, 240)])
+def test_gauss_legendre_matches_fresh_rule_bitwise(a, b, n):
+    x, w = gauss_legendre(a, b, n)
+    x0, w0 = _fresh_gauss_legendre(a, b, n)
+    assert np.array_equal(x, x0) and np.array_equal(w, w0)
+
+
+def test_log_radial_rule_matches_fresh_panels_bitwise():
+    r_lo, r_hi, n = 0.03, 12.0, 24
+    us = [math.log(r_lo), math.log(0.1), math.log(2.0), math.log(r_hi)]
+    rs, ws = [], []
+    for a, b in zip(us[:-1], us[1:]):
+        u, w = _fresh_gauss_legendre(a, b, n)
+        r = np.exp(u)
+        rs.append(r)
+        ws.append(w * r)
+    r, w = log_radial_rule(r_lo, r_hi, n, breaks=(2.0, 0.1, 50.0))
+    assert np.array_equal(r, np.concatenate(rs))
+    assert np.array_equal(w, np.concatenate(ws))
+
+
+@pytest.mark.parametrize("y_box", [(), ((-1.0, 2.0),), ((-1.0, 1.0), (0.25, 3.5))])
+def test_y_box_rule_matches_fresh_panels_bitwise(y_box):
+    Y, W = y_box_rule(y_box, 12)
+    Y0, W0 = _fresh_y_box_rule(y_box, 12)
+    assert np.array_equal(Y, Y0) and np.array_equal(W, W0)
 
 
 def _gauss_density(r, phi, y):

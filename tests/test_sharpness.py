@@ -4,13 +4,14 @@ matching plain-window trial functions."""
 
 import math
 
+import numpy as np
 import pytest
 
 from maghardy.errors import AdmissibilityError, DomainError
 from maghardy.fields import FluxParam, RadialPotential
 from maghardy.functions import TrialFamily, make_trial
 from maghardy.geometry import GrushinGeometry, WeightExponents
-from maghardy.quadrature import QuadratureSpec
+from maghardy.quadrature import QuadratureSpec, _reference_rule, gauss_panels
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
     DEFAULT_SCHEDULE,
@@ -18,6 +19,7 @@ from maghardy.verifiers import (
     verify_landau,
     verify_radial_hardy,
 )
+from maghardy.verifiers.sharpness import _PANEL_N, _gauss_window
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
 FLAT = WeightExponents(alpha1=0.0, alpha2=0.0)
@@ -105,6 +107,36 @@ def test_superweight_growing_weight_branch():
     assert res.sharp_constant == pytest.approx(c * c)
     assert res.best_quotient >= res.sharp_constant - 1e-12
     assert res.gap <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# panel rules: built once, bitwise equal to a fresh per-call build
+# ---------------------------------------------------------------------------
+
+def test_panels_match_fresh_leggauss_loop_bitwise():
+    edges = _gauss_window(0.05, center=-3.0)[2]
+    x, w = np.polynomial.legendre.leggauss(_PANEL_N)
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        nodes.append(mid + half * x)
+        weights.append(half * w)
+    u, wu = gauss_panels(edges, _PANEL_N)
+    assert np.array_equal(u, np.concatenate(nodes))
+    assert np.array_equal(wu, np.concatenate(weights))
+
+
+def test_schedule_builds_the_panel_rule_once(monkeypatch):
+    calls = []
+    real = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda n: calls.append(n) or real(n))
+    _reference_rule.cache_clear()
+    fam = TrialFamily("rho_power", 0.02, (0.5, 2.0))
+    for window in ("gauss", "plain"):
+        estimate_sharpness("radial_hardy", {"geom": GEOM, "exps": FLAT}, fam,
+                           window=window)
+    assert calls == [_PANEL_N]
 
 
 # ---------------------------------------------------------------------------
