@@ -8,12 +8,11 @@ JSON report on stdout.
 Usage:
   python3 scripts/run_demo.py
   python3 scripts/run_demo.py --out-dir /tmp/maghardy_demo --sweep
-  python3 scripts/run_demo.py --config scripts/default_suite.json --threads 4
+  python3 scripts/run_demo.py --config scripts/default_suite.json --timings
 """
 
 import argparse
 import json
-import os
 from pathlib import Path
 
 from maghardy import cli
@@ -50,14 +49,9 @@ def main(argv=None):
                         help="where the report JSON / sweep CSVs go")
     parser.add_argument("--sweep", action="store_true",
                         help="also run the sharpness sweep and print the CSVs")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (sets MAGHARDY_THREADS)")
     parser.add_argument("--timings", action="store_true",
                         help="record wall-clock time per run")
     args = parser.parse_args(argv)
-
-    if args.threads is not None:
-        os.environ["MAGHARDY_THREADS"] = str(args.threads)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

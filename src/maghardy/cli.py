@@ -17,20 +17,19 @@ carrying a "family" block is a sharpness run.  Example run:
      "quadrature": {"n_r": 128, "n_y": 32}}
 
 `verify` writes a JSON report and exits 0 only if every run passed; run
-errors are recorded in the report, not raised.  `sweep` writes one CSV per
-run (columns theorem_id,epsilon,quotient,sharp_constant,gap) plus a
-combined sweep.json.  Reports are byte-identical for a fixed config and
-seed on a single thread; set MAGHARDY_THREADS to run suite entries in
-parallel (default 1), and pass --timings to record wall-clock times (this
+errors, malformed runs included, are recorded in the report, not raised.
+`sweep` writes one CSV per run (columns theorem_id,epsilon,quotient,
+sharp_constant,gap) plus a combined sweep.json.  Reports are byte-identical
+for a fixed config and seed; pass --timings to record wall-clock times (this
 breaks byte-reproducibility, so it is off by default).
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -79,6 +78,14 @@ _RUN_KEYS = {
     "family", "schedule", "window",
 }
 
+# theorem ids whose runs need a "geometry" block
+_GRUSHIN_IDS = {
+    "radial_hardy", "grushin_ibp", "magnetic_grushin", "ab_hardy",
+    "uncertainty_grushin", "uncertainty_ab", "constant_field",
+}
+
+_REQUIRED = object()
+
 
 def _check_keys(obj: dict, allowed, where: str) -> None:
     if not isinstance(obj, dict):
@@ -89,30 +96,57 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
 
 
 def _need(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
     if key not in obj:
         raise ConfigError(f"{where}: missing required key {key!r}")
     return obj[key]
 
 
+def _number(value, field: str, kind=float):
+    """value as a finite float (an int for kind=int); ConfigError naming field."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{field}: must be finite, got {value!r}")
+    return out
+
+
+def _num(obj: dict, key: str, where: str, kind=float, default=_REQUIRED):
+    """obj[key], or default when the key is absent, through _number."""
+    value = _need(obj, key, where) if default is _REQUIRED else obj.get(key, default)
+    return _number(value, f"{where}.{key}", kind)
+
+
+def _numbers(value, field: str, kind=float, length=None):
+    """A list of finite numbers through _number, of the given length if set."""
+    if not (isinstance(value, (list, tuple)) and length in (None, len(value))):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ConfigError(f"{field}: expected {size} numbers, got {value!r}")
+    return tuple(_number(v, f"{field}[{j}]", kind) for j, v in enumerate(value))
+
+
 def _parse_geometry(obj, where) -> GrushinGeometry:
     _check_keys(obj, {"m", "k", "gamma"}, where)
-    return GrushinGeometry(int(_need(obj, "m", where)), int(_need(obj, "k", where)),
-                           float(_need(obj, "gamma", where)))
+    return GrushinGeometry(_num(obj, "m", where, int), _num(obj, "k", where, int),
+                           _num(obj, "gamma", where))
 
 
 def _parse_weights(obj, where) -> WeightExponents:
     if obj is None:
         return WeightExponents(0.0, 0.0)
     _check_keys(obj, {"alpha1", "alpha2"}, where)
-    return WeightExponents(float(obj.get("alpha1", 0.0)),
-                           float(obj.get("alpha2", 0.0)))
+    return WeightExponents(_num(obj, "alpha1", where, default=0.0),
+                           _num(obj, "alpha2", where, default=0.0))
 
 
 def _parse_flux(obj, where) -> FluxParam:
     if obj is None:
         return FluxParam(0.0)
     _check_keys(obj, {"beta"}, where)
-    return FluxParam(float(obj.get("beta", 0.0)))
+    return FluxParam(_num(obj, "beta", where, default=0.0))
 
 
 def _parse_radial_potential(obj, where) -> RadialPotential:
@@ -123,10 +157,9 @@ def _parse_radial_potential(obj, where) -> RadialPotential:
     if kind == "zero":
         return RadialPotential.constant(0.0)
     if kind == "constant":
-        return RadialPotential.constant(float(_need(obj, "c", where)))
+        return RadialPotential.constant(_num(obj, "c", where))
     if kind == "power":
-        return RadialPotential.power(float(_need(obj, "c", where)),
-                                     float(_need(obj, "s", where)))
+        return RadialPotential.power(_num(obj, "c", where), _num(obj, "s", where))
     raise ConfigError(f"{where}: unknown potential kind {kind!r}")
 
 
@@ -134,11 +167,10 @@ def _parse_superweight(obj, where) -> SuperweightParams:
     _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p", "theta1"},
                 where)
     return SuperweightParams(
-        a=float(_need(obj, "a", where)), b=float(_need(obj, "b", where)),
-        theta2=float(_need(obj, "theta2", where)),
-        theta3=float(_need(obj, "theta3", where)),
-        theta4=float(_need(obj, "theta4", where)),
-        p=float(obj.get("p", 2.0)), theta1=float(obj.get("theta1", 0.0)))
+        a=_num(obj, "a", where), b=_num(obj, "b", where),
+        theta2=_num(obj, "theta2", where), theta3=_num(obj, "theta3", where),
+        theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0),
+        theta1=_num(obj, "theta1", where, default=0.0))
 
 
 def _parse_quadrature(obj, where) -> QuadratureSpec:
@@ -146,38 +178,40 @@ def _parse_quadrature(obj, where) -> QuadratureSpec:
         return QuadratureSpec()
     _check_keys(obj, {"n_r", "r_map", "n_phi", "n_y", "oracle"}, where)
     return QuadratureSpec(
-        n_r=int(obj.get("n_r", 256)), r_map=obj.get("r_map", "log"),
-        n_phi=int(obj.get("n_phi", 32)), n_y=int(obj.get("n_y", 64)),
+        n_r=_num(obj, "n_r", where, int, 256), r_map=obj.get("r_map", "log"),
+        n_phi=_num(obj, "n_phi", where, int, 32),
+        n_y=_num(obj, "n_y", where, int, 64),
         oracle=bool(obj.get("oracle", False)))
 
 
 def _parse_domain(obj, where) -> Domain:
     _check_keys(obj, {"kind", "R"}, where)
-    R = float(_need(obj, "R", where))
+    R = _num(obj, "R", where)
     kind = obj.get("kind", "ball")
     return Domain(r_lo=R * 1e-9, r_hi=R, y_box=(), kind=kind, R_Omega=R)
 
 
 def _parse_family(obj, where) -> TrialFamily:
     _check_keys(obj, {"base", "epsilon", "cutoff", "exponent"}, where)
-    cutoff = _need(obj, "cutoff", where)
-    if not (isinstance(cutoff, (list, tuple)) and len(cutoff) == 2):
-        raise ConfigError(f"{where}: cutoff must be [inner, outer]")
     exponent = obj.get("exponent")
     return TrialFamily(base=str(_need(obj, "base", where)),
-                       epsilon=float(_need(obj, "epsilon", where)),
-                       cutoff=(float(cutoff[0]), float(cutoff[1])),
-                       exponent=None if exponent is None else float(exponent))
+                       epsilon=_num(obj, "epsilon", where),
+                       cutoff=_numbers(_need(obj, "cutoff", where),
+                                       f"{where}.cutoff", length=2),
+                       exponent=None if exponent is None
+                       else _num(obj, "exponent", where))
 
 
 def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
     kind = _need(obj, "kind", where)
     if kind == "bump":
         _check_keys(obj, {"kind", "r_lo", "r_hi", "y_box"}, where)
-        y_box = tuple((float(lo), float(hi))
-                      for lo, hi in obj.get("y_box", []))
-        return make_bump(float(_need(obj, "r_lo", where)),
-                         float(_need(obj, "r_hi", where)), y_box)
+        y_box = obj.get("y_box", [])
+        if not isinstance(y_box, list):
+            raise ConfigError(f"{where}.y_box: expected a list of [lo, hi] pairs")
+        y_box = tuple(_numbers(v, f"{where}.y_box[{j}]", length=2)
+                      for j, v in enumerate(y_box))
+        return make_bump(_num(obj, "r_lo", where), _num(obj, "r_hi", where), y_box)
     if kind == "random":
         _check_keys(obj, {"kind", "k", "modes", "real", "r_lo_range",
                           "ratio_range", "y_half_range", "gaussian_y"}, where)
@@ -185,12 +219,12 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
         kwargs = {}
         for name in ("r_lo_range", "ratio_range", "y_half_range"):
             if name in obj:
-                kwargs[name] = tuple(float(v) for v in obj[name])
+                kwargs[name] = _numbers(obj[name], f"{where}.{name}", length=2)
         if "gaussian_y" in obj:
             kwargs["gaussian_y"] = bool(obj["gaussian_y"])
         return random_test_function(
-            rng, k=int(obj.get("k", 0)),
-            modes=tuple(int(m) for m in obj.get("modes", (0,))),
+            rng, k=_num(obj, "k", where, int, 0),
+            modes=_numbers(obj.get("modes", [0]), f"{where}.modes", int),
             real=bool(obj.get("real", False)), **kwargs)
     if kind == "trial":
         _check_keys(obj, {"kind", "base", "epsilon", "cutoff", "exponent"}, where)
@@ -198,10 +232,10 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
         return make_trial(fam, geom, exps)
     if kind == "gauss_tail":
         _check_keys(obj, {"kind", "a", "fall", "r_hi", "r_lo"}, where)
-        tail = GaussTail(a=float(obj.get("a", 0.5)),
-                         fall=float(obj.get("fall", 6.0)),
-                         r_hi=float(obj.get("r_hi", 8.0)),
-                         r_lo=float(obj.get("r_lo", 1e-8)))
+        tail = GaussTail(a=_num(obj, "a", where, default=0.5),
+                         fall=_num(obj, "fall", where, default=6.0),
+                         r_hi=_num(obj, "r_hi", where, default=8.0),
+                         r_lo=_num(obj, "r_lo", where, default=1e-8))
         return TestFunction([AngularMode(0, ProductProfile(tail))])
     if kind == "zero":
         _check_keys(obj, {"kind"}, where)
@@ -214,7 +248,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     where = f"runs[{index}]"
     _check_keys(run, _RUN_KEYS, where)
     tid = str(_need(run, "theorem_id", where))
-    seed = int(run.get("seed", suite_seed + index))
+    seed = _num(run, "seed", where, int, suite_seed + index)
     spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
     admissibility = run.get("admissibility", admissibility_default)
     if admissibility not in ("thm2", "corollary"):
@@ -224,19 +258,21 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     if "geometry" in run:
         geom = _parse_geometry(run["geometry"], f"{where}.geometry")
         exps = _parse_weights(run.get("weights"), f"{where}.weights")
+    elif tid in _GRUSHIN_IDS:
+        raise ConfigError(f"{where}: {tid} needs geometry")
 
     if "family" in run:
         family = _parse_family(run["family"], f"{where}.family")
         schedule = run.get("schedule")
+        if schedule is not None:
+            schedule = _numbers(schedule, f"{where}.schedule")
         window = run.get("window", "gauss")
         if tid in ("radial_hardy", "magnetic_grushin"):
-            if geom is None:
-                raise ConfigError(f"{where}: {tid} sharpness needs geometry")
             params = {"geom": geom, "exps": exps}
             if tid == "magnetic_grushin":
                 params["flux"] = _parse_flux(run.get("flux"), f"{where}.flux")
         elif tid == "landau_hardy_sobolev":
-            params = {"theta1": float(_need(run, "theta1", where))}
+            params = {"theta1": _num(run, "theta1", where)}
         elif tid == "landau_superweight":
             params = _parse_superweight(_need(run, "superweight", where),
                                         f"{where}.superweight")
@@ -266,15 +302,11 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
         _check_keys(pots_cfg, {"kind", "slope"}, f"{where}.potentials")
         if pots_cfg.get("kind", "linear") != "linear":
             raise ConfigError(f"{where}: only linear potentials are configurable")
-        if geom is None:
-            raise ConfigError(f"{where}: constant_field needs geometry")
         pots = ConstantFieldPotentials.linear(
-            geom.m, float(pots_cfg.get("slope", 0.5)))
+            geom.m, _num(pots_cfg, "slope", f"{where}.potentials", default=0.5))
         return verify_constant_field(geom, exps, pots, f, spec)
     if tid == "grushin_ibp":
-        if geom is None:
-            raise ConfigError(f"{where}: grushin_ibp needs geometry")
-        alpha = float(run.get("alpha", 0.7))
+        alpha = _num(run, "alpha", where, default=0.7)
         return check_grushin_ibp_identity(geom, exps, f, alpha, spec)
     if tid == "twisted_polar":
         psi = _parse_radial_potential(run.get("psi"), f"{where}.psi")
@@ -290,7 +322,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
                 params = _parse_superweight(run["superweight"],
                                             f"{where}.superweight")
             else:
-                params = float(_need(run, "theta1", where))
+                params = _num(run, "theta1", where)
         elif variant == "superweight":
             params = _parse_superweight(_need(run, "superweight", where),
                                         f"{where}.superweight")
@@ -299,24 +331,23 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
             domain = _parse_domain(run["domain"], f"{where}.domain")
         return verify_landau(variant, psi, params, f, spec, domain=domain)
     if tid == "real_landau_identity":
-        return verify_real_landau("identity", int(run.get("n", 1)), f, spec)
+        return verify_real_landau("identity", _num(run, "n", where, int, 1), f, spec)
     if tid.startswith("real_landau_"):
         variant = tid[len("real_landau_"):]
-        n = int(run.get("n", 1))
+        n = _num(run, "n", where, int, 1)
         Omega = None
         if "domain" in run:
             Omega = _parse_domain(run["domain"], f"{where}.domain")
-        R = run.get("R")
-        return verify_real_landau(variant, n, f, spec, Omega=Omega,
-                                  R=None if R is None else float(R))
+        R = None if run.get("R") is None else _num(run, "R", where)
+        return verify_real_landau(variant, n, f, spec, Omega=Omega, R=R)
     if tid.startswith("radial_p_"):
         variant = tid[len("radial_p_"):]
-        Q = float(_need(run, "Q", where))
-        p = float(_need(run, "p", where))
+        Q = _num(run, "Q", where)
+        p = _num(run, "p", where)
         if variant == "weighted":
-            params = {"theta": float(_need(run, "theta", where))}
+            params = {"theta": _num(run, "theta", where)}
         elif variant == "poincare":
-            params = {"R": float(run["R"])} if "R" in run else {}
+            params = {"R": _num(run, "R", where)} if "R" in run else {}
         elif variant == "superweight":
             params = _parse_superweight(_need(run, "superweight", where),
                                         f"{where}.superweight")
@@ -355,29 +386,20 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("MAGHARDY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"MAGHARDY_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
-
-
 def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
               timings: bool = False) -> int:
     cfg = _load_config(config_path)
     runs = cfg.get("runs", [])
-    suite_seed = int(cfg.get("seed", 0))
-    threads = _thread_count()
+    suite_seed = _num(cfg, "seed", "config", int, 0)
 
-    def execute(i_run):
-        i, run = i_run
+    def execute(i, run):
         t0 = time.perf_counter()
         record = {"index": i, "label": str(run.get("label", "")) if isinstance(run, dict) else "",
                   "theorem_id": run.get("theorem_id") if isinstance(run, dict) else None,
-                  "seed": int(run.get("seed", suite_seed + i)) if isinstance(run, dict) else None}
+                  "seed": None}
         try:
+            if isinstance(run, dict):
+                record["seed"] = _num(run, "seed", f"runs[{i}]", int, suite_seed + i)
             report = _run_one(run, i, suite_seed, admissibility)
             record["status"] = "ok"
             record["passed"] = _passes(report)
@@ -391,11 +413,7 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
         record["wall_clock_s"] = time.perf_counter() - t0 if timings else None
         return record
 
-    if threads > 1 and len(runs) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(execute, enumerate(runs)))
-    else:
-        records = [execute(ir) for ir in enumerate(runs)]
+    records = [execute(i, run) for i, run in enumerate(runs)]
 
     n_pass = sum(1 for r in records if r["passed"])
     n_err = sum(1 for r in records if r["status"] == "error")
@@ -418,7 +436,7 @@ def sweep_sharpness(config_path: str, out_dir: str,
                     admissibility: str = "thm2") -> int:
     cfg = _load_config(config_path)
     runs = cfg.get("runs", [])
-    suite_seed = int(cfg.get("seed", 0))
+    suite_seed = _num(cfg, "seed", "config", int, 0)
     os.makedirs(out_dir, exist_ok=True)
     results, failures = [], 0
     for i, run in enumerate(runs):

@@ -1,12 +1,17 @@
-"""Magnetic vector potentials and magnetic/twisted gradients, pointwise.
+"""Magnetic vector potentials and magnetic/twisted gradients.
 
 Potentials come from the closed forms of the gauge-distance gradient — never
 from numerical differentiation — so the pointwise identities they satisfy
-(norm formulas, real-function splits) hold to machine precision.  Gradients
-of test functions are assembled from the functions' analytic polar partials
-via the chain rule; all outputs are complex vectors.
+(norm formulas, real-function splits) hold to machine precision.
 
-Component layout conventions:
+Each magnetic gradient is written once, vectorised on grid arrays in the
+integrate_polar convention (r (n_r, 1), phi a float, y (1, n_flat, k), plus
+rho on that grid) from the analytic polar partials of the test function:
+grushin_components and tilde_components return polar-frame components,
+twisted_components Cartesian ones.  The verifiers integrate sums of their
+squared moduli.  The pointwise API is a one-node call into the same
+functions that rotates the polar frame to Cartesian, so the finite-difference
+tests check the code the integrals run.  Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
     twisted (Landau)    two components on R^2 (z = (x, y))
@@ -24,7 +29,14 @@ import numpy as np
 
 from .errors import DomainError, NonFiniteError, OriginError
 from .functions import TestFunction, _polar_of_point
-from .geometry import GrushinGeometry, Point, grad_rho, rho
+from .geometry import (
+    GrushinGeometry,
+    Point,
+    drho_dr_over_rho,
+    grad_rho,
+    grad_y_rho_over_rho,
+    rho,
+)
 
 __all__ = [
     "FluxParam",
@@ -32,6 +44,9 @@ __all__ = [
     "ConstantFieldPotentials",
     "grushin_potential",
     "ab_potential",
+    "grushin_components",
+    "tilde_components",
+    "twisted_components",
     "tilde_grad",
     "magnetic_grad",
     "twisted_grad_psi",
@@ -125,55 +140,97 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gradients of test functions
+# Magnetic gradients on grid arrays
 # ---------------------------------------------------------------------------
 
-def _cartesian_partials(f: TestFunction, p: Point):
-    """(grad_x f, grad_y f, f) at p from the polar analytic partials."""
+def grushin_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rho_val):
+    """Polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f on a grid.
+
+    c_y carries the trailing y axis.
+    """
+    fr, fphi, fy = f.partials_polar(r, phi, y)
+    val = f.value_polar(r, phi, y)
+    cr = fr + 1j * beta * drho_dr_over_rho(gamma, r, rho_val) * val
+    cphi = fphi / r
+    ay = r[..., None] ** gamma * grad_y_rho_over_rho(gamma, y, rho_val[..., None])
+    cy = r[..., None] ** gamma * fy + 1j * beta * ay * val[..., None]
+    return cr, cphi, cy
+
+
+def tilde_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rho_val):
+    """Polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde_grad + i beta Atilde) f, m = 2.
+
+    The rotated potential is purely angular in x; its y part enters the two
+    1/sqrt2 blocks with opposite signs.
+    """
+    fr, fphi, fy = f.partials_polar(r, phi, y)
+    val = f.value_polar(r, phi, y)
+    aphi = r ** (2.0 * gamma + 1.0) / rho_val ** (2.0 * gamma + 2.0)
+    cphi = fphi / r + 1j * beta * aphi * val
+    ay = (r[..., None] ** gamma * (1.0 + gamma) * y
+          / rho_val[..., None] ** (2.0 * gamma + 2.0)) * math.sqrt(0.5)
+    uy = r[..., None] ** gamma * fy * math.sqrt(0.5)
+    minus = uy - 1j * beta * ay * val[..., None]
+    plus = uy + 1j * beta * ay * val[..., None]
+    return fr, cphi, minus, plus
+
+
+def twisted_components(psi, f: TestFunction, r, phi, y):
+    """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid."""
+    fr, fphi, _ = f.partials_polar(r, phi, y)
+    val = f.value_polar(r, phi, y)
+    c, s = math.cos(phi), math.sin(phi)
+    fx = c * fr - s * fphi / r
+    fy = s * fr + c * fphi / r
+    pv = np.asarray(psi(r))
+    return fx - 1j * pv * (r * s) * val, fy + 1j * pv * (r * c) * val
+
+
+# ---------------------------------------------------------------------------
+# Pointwise API: one-node calls into the grid functions
+# ---------------------------------------------------------------------------
+
+def _node(f: TestFunction, p: Point):
+    """p as a one-node grid (r (1,1), phi, y (1,1,k)); refuses |x| = 0."""
     r, phi, _ = _polar_of_point(f, p)
     if r == 0.0:
         raise OriginError("gradient components undefined at |x| = 0")
-    y = p.y[None, :]
-    fr, fphi, fy = f.partials_polar(np.asarray(r), phi, y)
-    fr, fphi = complex(np.asarray(fr).item()), complex(np.asarray(fphi).item())
-    fy = np.asarray(fy).reshape(-1)
+    return np.full((1, 1), r), phi, p.y[None, None, :]
+
+
+def _cartesian_x(p: Point, r, phi: float, cr, cphi) -> np.ndarray:
+    """x block at p of a polar-frame gradient (c_phi is zero unless m = 2)."""
+    cr, cphi = complex(cr.item()), complex(cphi.item())
     if p.x.shape[0] == 2:
         c, s = math.cos(phi), math.sin(phi)
-        gx = np.array([c * fr - s * fphi / r, s * fr + c * fphi / r])
-    else:
-        gx = (p.x / r) * fr
-    val = complex(np.asarray(f.value_polar(np.asarray(r), phi, y)).item())
-    return gx, fy, val
-
-
-def _grushin_grad(geom: GrushinGeometry, f: TestFunction, p: Point) -> np.ndarray:
-    gx, gy, _ = _cartesian_partials(f, p)
-    return np.concatenate((gx, p.r**geom.gamma * gy)).astype(complex)
-
-
-def tilde_grad(geom: GrushinGeometry, f: TestFunction, p: Point) -> np.ndarray:
-    """(d_x1 f, d_x2 f, |x|^g/sqrt2 grad_y f, |x|^g/sqrt2 grad_y f), length 2+2k."""
-    if geom.m != 2:
-        raise DomainError("tilde_grad needs m = 2")
-    gx, gy, _ = _cartesian_partials(f, p)
-    yblock = (p.r**geom.gamma / math.sqrt(2.0)) * gy
-    return np.concatenate((gx, yblock, yblock)).astype(complex)
+        return np.array([c * cr - s * cphi, s * cr + c * cphi])
+    return (p.x / r.item()) * cr
 
 
 def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
                   f: TestFunction, p: Point) -> np.ndarray:
-    """(grad + i*beta*potential) f with gradient and potential matched by kind."""
+    """(grad + i*beta*potential) f with gradient and potential matched by kind.
+
+    grushin: length m+k; tilde (m = 2): length 2+2k, see the module docstring.
+    """
     if grad_kind == "grushin":
-        g = _grushin_grad(geom, f, p)
-        pot = grushin_potential(geom, p)
+        components = grushin_components
     elif grad_kind == "tilde":
-        g = tilde_grad(geom, f, p)
-        pot = ab_potential(geom, p)
+        if geom.m != 2:
+            raise DomainError("tilde gradient needs m = 2")
+        components = tilde_components
     else:
         raise DomainError(f"unknown grad_kind {grad_kind!r}")
-    r, phi, _ = _polar_of_point(f, p)
-    val = complex(np.asarray(f.value_polar(np.asarray(r), phi, p.y[None, :])).item())
-    return g + 1j * flux.beta * pot * val
+    rho_val = np.full((1, 1), rho(geom, p))  # also checks the point's dimensions
+    r, phi, y = _node(f, p)
+    cr, cphi, *yblocks = components(f, flux.beta, geom.gamma, r, phi, y, rho_val)
+    blocks = [_cartesian_x(p, r, phi, cr, cphi)] + [b.reshape(-1) for b in yblocks]
+    return np.concatenate(blocks).astype(complex)
+
+
+def tilde_grad(geom: GrushinGeometry, f: TestFunction, p: Point) -> np.ndarray:
+    """(d_x1 f, d_x2 f, |x|^g/sqrt2 grad_y f, |x|^g/sqrt2 grad_y f), length 2+2k."""
+    return magnetic_grad("tilde", FluxParam(0.0), geom, f, p)
 
 
 def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndarray:
@@ -187,10 +244,9 @@ def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndar
             raise OriginError("potential undefined at the origin") from exc
         if not math.isfinite(pval):
             raise OriginError("potential singular at the origin")
-    gx, _, val = _cartesian_partials(f, p) if p.r > 0 else (np.zeros(2, complex), None, 0j)
-    pv = float(np.asarray(psi(np.asarray(p.r))))
-    x1, x2 = p.x
-    return np.array([gx[0] - 1j * pv * x2 * val, gx[1] + 1j * pv * x1 * val])
+        return np.zeros(2, complex)
+    tx, ty = twisted_components(psi, f, *_node(f, p))
+    return np.array([tx.item(), ty.item()], dtype=complex)
 
 
 def constant_field_grad(pots: ConstantFieldPotentials, geom: GrushinGeometry,
@@ -199,10 +255,8 @@ def constant_field_grad(pots: ConstantFieldPotentials, geom: GrushinGeometry,
     n = pots.n
     if geom.m != n or geom.k != n:
         raise DomainError("constant-field gradient needs m = k = n")
-    if p.is_origin():
-        raise OriginError("constant-field gradient undefined at the origin")
-    gx, gy, val = _cartesian_partials(f, p)
-    rg = p.r**geom.gamma
-    xs = [1j * gx[j] + float(pots.psi1[j](p.y[j])) * val for j in range(n)]
-    ys = [1j * rg * gy[j] + float(pots.psi2[j](p.x[j])) * val for j in range(n)]
-    return np.array(xs + ys, dtype=complex)
+    grad = 1j * magnetic_grad("grushin", FluxParam(0.0), geom, f, p)
+    val = complex(f.value_polar(*_node(f, p)).item())
+    pot = [float(pots.psi1[j](p.y[j])) for j in range(n)] \
+        + [float(pots.psi2[j](p.x[j])) for j in range(n)]
+    return grad + np.array(pot) * val

@@ -40,7 +40,6 @@ __all__ = [
     "PlateauBumpY",
     "GaussBumpY",
     "evaluate",
-    "partials",
     "angular_average",
     "make_bump",
     "make_trial",
@@ -424,12 +423,6 @@ class TestFunction:
         breaks = sorted({b for m in self.modes for b in m.profile.r_breaks})
         return r_lo, r_hi, tuple(box), tuple(breaks)
 
-    def mode_profile(self, mode: int):
-        for m in self.modes:
-            if m.mode == mode:
-                return m.profile
-        return None
-
     # --- evaluation -------------------------------------------------------
 
     def value_polar(self, r, phi, y):
@@ -516,17 +509,6 @@ def evaluate(f: TestFunction, p) -> complex:
         if not (lo <= y[j] <= hi):
             return 0.0 + 0.0j
     return complex(np.asarray(f.value_polar(np.asarray(r), phi, y[None, :])).item())
-
-
-def partials(f: TestFunction, p) -> tuple:
-    """(df/dr, df/dphi, grad_y f) at a Point or an (r, phi, y) triple."""
-    if isinstance(p, Point):
-        r, phi, y = _polar_of_point(f, p)
-    else:
-        r, phi, y = p
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-    dr, dphi, dy = f.partials_polar(np.asarray(r), phi, y[None, :])
-    return complex(np.asarray(dr).item()), complex(np.asarray(dphi).item()), np.asarray(dy).reshape(-1)
 
 
 def angular_average(f: TestFunction) -> TestFunction:

@@ -324,39 +324,3 @@ def oracle_integrate_radial(
         raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
     return float(np.sum(w_r * vals))
 
-
-def convergence_study(
-    density: Callable,
-    spec: QuadratureSpec,
-    domain: Domain,
-    factors: Sequence[int] = (1, 2, 4),
-) -> dict:
-    """Refine n_r by the given factors and tabulate successive differences.
-
-    Returns {"rows": [(n_r, value), ...], "deltas": [...], "observed_order":
-    float or None, "converged": bool}.  Non-shrinking deltas above the noise
-    floor flag non-convergence.
-    """
-    if len(factors) < 3:
-        raise DomainError("convergence_study needs at least 3 resolutions")
-    rows = []
-    for f in factors:
-        sub = QuadratureSpec(
-            n_r=spec.n_r * int(f), r_map=spec.r_map, n_phi=spec.n_phi, n_y=spec.n_y
-        )
-        rows.append((sub.n_r, integrate_polar(density, sub, domain)))
-    deltas = [abs(b[1] - a[1]) for a, b in zip(rows[:-1], rows[1:])]
-    scale = max(abs(v) for _, v in rows) or 1.0
-    floor = 1e-13 * scale
-    order = None
-    if deltas[-1] > floor and deltas[-2] > floor:
-        order = math.log2(deltas[-2] / deltas[-1]) if deltas[-1] > 0 else None
-    converged = all(
-        d2 <= 0.75 * d1 or d2 <= floor for d1, d2 in zip(deltas[:-1], deltas[1:])
-    )
-    return {
-        "rows": [(n, complex(v)) for n, v in rows],
-        "deltas": deltas,
-        "observed_order": order,
-        "converged": converged,
-    }

@@ -8,9 +8,9 @@ spec.oracle is set:
   * radial-x path (any m): functions radial in x reduce to an (r, y) tensor
     integral times the closed-form sphere area; no angular nodes are spent.
 
-Densities on the polar path follow the integrate_polar convention
-(r of shape (n_r,1), phi float, y of shape (1,n_flat,k)); densities on the
-radial-x path take (r, y) with the same shapes and no phi.
+Densities on both paths follow the integrate_polar convention (r of shape
+(n_r,1), phi float, y of shape (1,n_flat,k)); the radial-x path calls them
+with phi = 0.0.
 """
 
 from __future__ import annotations
@@ -65,15 +65,15 @@ def polar_integral(density, spec: QuadratureSpec, domain: Domain) -> float:
 
 
 def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> float:
-    """sphere_area(m) * integral of density(r, y) r^(m-1) dr dy, oracle-dispatched.
+    """sphere_area(m) * integral of density(r, 0.0, y) r^(m-1) dr dy, oracle-dispatched.
 
-    density takes (r, y) shaped (n_r, 1) and (1, n_flat, k).
+    density takes (r, phi, y) like a polar density and is evaluated at phi = 0.0.
     """
     if spec.oracle:
         fold = sphere_area(m) / (2.0 * np.pi)
 
         def wrapped(r, phi, y):
-            return density(r, y) * r ** (m - 2) * fold
+            return density(r, 0.0, y) * r ** (m - 2) * fold
 
         val = oracle_integrate(wrapped, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))
         return float(np.real(val))
@@ -81,7 +81,7 @@ def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> float:
     r_lo, r_hi = domain.radial_interval()
     r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, domain.r_breaks)
     Y, w_y = y_box_rule(domain.y_box, spec.n_y)
-    vals = np.asarray(density(r[:, None], Y[None, :, :]))
+    vals = np.asarray(density(r[:, None], 0.0, Y[None, :, :]))
     vals = np.broadcast_to(vals, (r.size, w_y.size))
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")

@@ -3,12 +3,14 @@
 Each operation evaluates both sides of one inequality or identity on a test
 function and returns a report.  Left-hand sides are always assembled from the
 magnetic gradient COMPONENTWISE in complex arithmetic (the honest reading of
-the displayed integrand); the real-function splits used by the proofs are
-recomputed separately and reported as identities, never substituted.
+the displayed integrand), from the grid components in fields that the
+pointwise magnetic_grad also runs; the real-function splits used by the
+proofs are recomputed separately and reported as identities, never
+substituted.
 
-Conventions: x-radial functions use the reduced (r, y) tensor path with the
-closed-form sphere factor; genuinely angular functions require m = 2 and run
-through the full polar engine.
+Conventions: every density takes (r, phi, y).  x-radial functions use the
+reduced tensor path at phi = 0 with the closed-form sphere factor; genuinely
+angular functions require m = 2 and run through the full polar engine.
 """
 
 from __future__ import annotations
@@ -18,7 +20,12 @@ import math
 import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, RealnessError
-from ..fields import ConstantFieldPotentials, FluxParam
+from ..fields import (
+    ConstantFieldPotentials,
+    FluxParam,
+    grushin_components,
+    tilde_components,
+)
 from ..functions import TestFunction
 from ..geometry import (
     GrushinGeometry,
@@ -88,6 +95,77 @@ def _weights(geom: GrushinGeometry, exps: WeightExponents):
     return at
 
 
+def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
+    """Check Q + alpha1 - 2 > 0 and m + gamma*alpha2 > 0; return Q + alpha1 - 2."""
+    s_hom = geom.hom_dim + exps.alpha1 - 2.0
+    if not (s_hom > 0.0):
+        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
+    if not (geom.m + geom.gamma * exps.alpha2 > 0.0):
+        raise AdmissibilityError("need m + gamma*alpha2 > 0")
+    return s_hom
+
+
+def _hardy_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
+    """Density B w |f|^2 of the weighted Hardy integral."""
+    wts = _weights(geom, exps)
+
+    def density(r, phi, y):
+        B, w, _ = wts(r, y)
+        return B * w * abs2(f.value_polar(r, phi, y))
+
+    return density
+
+
+def _plain_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
+    """Density B |grad_g f|^2 of the plain anisotropic gradient."""
+    wts = _weights(geom, exps)
+    g = geom.gamma
+
+    def density(r, phi, y):
+        fr, fphi, fy = f.partials_polar(r, phi, y)
+        B, _, _ = wts(r, y)
+        return B * (abs2(fr) + abs2(fphi / r) + r ** (2.0 * g) * grad_y_sq(fy))
+
+    return density
+
+
+def _defect_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
+    """Density B (|f|^2 - |f0|^2) / r^2 of the angular-mode defect."""
+    wts = _weights(geom, exps)
+    f0_sq = mode_zero_sq(f)
+
+    def density(r, phi, y):
+        B, _, _ = wts(r, y)
+        return B * (abs2(f.value_polar(r, phi, y)) - f0_sq(r, y)) / r**2
+
+    return density
+
+
+def _magnetic_density(components, geom: GrushinGeometry, exps: WeightExponents,
+                      beta: float, f: TestFunction):
+    """B times the sum of |component|^2 of a magnetic gradient from fields."""
+    wts = _weights(geom, exps)
+
+    def density(r, phi, y):
+        B, _, rho = wts(r, y)
+        cr, cphi, *yblocks = components(f, beta, geom.gamma, r, phi, y, rho)
+        out = abs2(cr) + abs2(cphi)
+        for block in yblocks:
+            out = out + grad_y_sq(block)
+        return B * out
+
+    return density
+
+
+def _integrals(geom: GrushinGeometry, f: TestFunction, spec: QuadratureSpec,
+               dom, *densities) -> list:
+    """Each density integrated on the polar path (m = 2) or the x-radial path."""
+    if geom.m == 2:
+        require_phi_resolution(f, spec)
+        return [polar_integral(d, spec, dom) for d in densities]
+    return [rx_integral(d, spec, dom, geom.m) for d in densities]
+
+
 # ---------------------------------------------------------------------------
 # Radial Hardy and its integration-by-parts identity
 # ---------------------------------------------------------------------------
@@ -95,11 +173,7 @@ def _weights(geom: GrushinGeometry, exps: WeightExponents):
 def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
                         f: TestFunction, spec: QuadratureSpec) -> InequalityReport:
     """Weighted Hardy bound for x-radial functions of the anisotropic gradient."""
-    s_hom = geom.hom_dim + exps.alpha1 - 2.0
-    if not (s_hom > 0.0):
-        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
-    if not (geom.m + geom.gamma * exps.alpha2 > 0.0):
-        raise AdmissibilityError("need m + gamma*alpha2 > 0")
+    s_hom = _first_kind(geom, exps)
     if not f.is_radial:
         raise AdmissibilityError("this bound applies to x-radial functions")
     _require_shape(geom, f)
@@ -110,21 +184,9 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
         return InequalityReport("radial_hardy", 0.0, {"main": 0.0}, C,
                                 params, _resolution(spec))
 
-    wts = _weights(geom, exps)
     dom = support_domain(f)
-    g = geom.gamma
-
-    def lhs_density(r, y):
-        fr, _, fy = f.partials_polar(r, 0.0, y)
-        B, _, _ = wts(r, y)
-        return B * (abs2(fr) + r ** (2.0 * g) * grad_y_sq(fy))
-
-    def rhs_density(r, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, 0.0, y))
-
-    lhs = rx_integral(lhs_density, spec, dom, geom.m)
-    main = C * rx_integral(rhs_density, spec, dom, geom.m)
+    lhs = rx_integral(_plain_density(geom, exps, f), spec, dom, geom.m)
+    main = C * rx_integral(_hardy_density(geom, exps, f), spec, dom, geom.m)
     return InequalityReport("radial_hardy", lhs, {"main": main}, C,
                             params, _resolution(spec))
 
@@ -138,11 +200,7 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     exactly -((Q+a1-2)*alpha - alpha^2) times the Hardy integral; this holds
     for any real alpha, by integration by parts against the weight.
     """
-    s_hom = geom.hom_dim + exps.alpha1 - 2.0
-    if not (s_hom > 0.0):
-        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
-    if not (geom.m + geom.gamma * exps.alpha2 > 0.0):
-        raise AdmissibilityError("need m + gamma*alpha2 > 0")
+    s_hom = _first_kind(geom, exps)
     if not f.is_radial:
         raise AdmissibilityError("identity stated for x-radial functions")
     _require_shape(geom, f)
@@ -156,50 +214,24 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     g = geom.gamma
     a = float(alpha)
 
-    def shifted_density(r, y):
-        fr, _, fy = f.partials_polar(r, 0.0, y)
-        val = f.value_polar(r, 0.0, y)
+    def shifted_density(r, phi, y):
+        fr, _, fy = f.partials_polar(r, phi, y)
+        val = f.value_polar(r, phi, y)
         B, _, rho = wts(r, y)
         cr = fr + a * drho_dr_over_rho(g, r, rho) * val
         cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
         return B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
 
-    def plain_density(r, y):
-        fr, _, fy = f.partials_polar(r, 0.0, y)
-        B, _, _ = wts(r, y)
-        return B * (abs2(fr) + r ** (2.0 * g) * grad_y_sq(fy))
-
-    def hardy_density(r, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, 0.0, y))
-
     lhs = rx_integral(shifted_density, spec, dom, geom.m)
-    rhs = (rx_integral(plain_density, spec, dom, geom.m)
-           - (s_hom * a - a * a) * rx_integral(hardy_density, spec, dom, geom.m))
+    rhs = (rx_integral(_plain_density(geom, exps, f), spec, dom, geom.m)
+           - (s_hom * a - a * a)
+           * rx_integral(_hardy_density(geom, exps, f), spec, dom, geom.m))
     return IdentityReport("grushin_ibp", lhs, rhs, params, _resolution(spec))
 
 
 # ---------------------------------------------------------------------------
 # Magnetic inequality with the gradient-field potential
 # ---------------------------------------------------------------------------
-
-def _magnetic_lhs_density(geom, exps, beta, f):
-    """Componentwise |(grad_g + i beta A) f|^2 times the weight, polar path."""
-    wts = _weights(geom, exps)
-    g = geom.gamma
-
-    def density(r, phi, y):
-        fr, fphi, fy = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        B, _, rho = wts(r, y)
-        cr = fr + 1j * beta * drho_dr_over_rho(g, r, rho) * val
-        cphi = fphi / r
-        ay = r[..., None] ** g * grad_y_rho_over_rho(g, y, rho[..., None])
-        cy = r[..., None] ** g * fy + 1j * beta * ay * val[..., None]
-        return B * (abs2(cr) + abs2(cphi) + grad_y_sq(cy))
-
-    return density
-
 
 def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
                             flux: FluxParam, f: TestFunction,
@@ -209,11 +241,7 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     Stated for real functions; the report's params carry the split identity
     (gradient part + beta^2 potential part = lhs) with its relative error.
     """
-    s_hom = geom.hom_dim + exps.alpha1 - 2.0
-    if not (s_hom > 0.0):
-        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
-    if not (geom.m + exps.alpha2 * geom.gamma > 0.0):
-        raise AdmissibilityError("need m + alpha2*gamma > 0")
+    s_hom = _first_kind(geom, exps)
     _require_shape(geom, f)
     _require_real(f, "the magnetic Hardy bound")
 
@@ -225,29 +253,10 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
         params.update(gradient_part=0.0, potential_part=0.0, split_rel_err=0.0)
         return InequalityReport("magnetic_grushin", 0.0, {"main": 0.0}, C, params, res)
 
-    wts = _weights(geom, exps)
-    dom = support_domain(f)
-    g = geom.gamma
-
-    def hardy_density(r, phi, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, phi, y))
-
-    def grad_density(r, phi, y):
-        fr, fphi, fy = f.partials_polar(r, phi, y)
-        B, _, _ = wts(r, y)
-        return B * (abs2(fr) + abs2(fphi / r) + r ** (2.0 * g) * grad_y_sq(fy))
-
-    if geom.m == 2:
-        require_phi_resolution(f, spec)
-        lhs = polar_integral(_magnetic_lhs_density(geom, exps, beta, f), spec, dom)
-        grad_part = polar_integral(grad_density, spec, dom)
-        hardy_int = polar_integral(hardy_density, spec, dom)
-    else:
-        mag = _magnetic_lhs_density(geom, exps, beta, f)
-        lhs = rx_integral(lambda r, y: mag(r, 0.0, y), spec, dom, geom.m)
-        grad_part = rx_integral(lambda r, y: grad_density(r, 0.0, y), spec, dom, geom.m)
-        hardy_int = rx_integral(lambda r, y: hardy_density(r, 0.0, y), spec, dom, geom.m)
+    lhs, grad_part, hardy_int = _integrals(
+        geom, f, spec, support_domain(f),
+        _magnetic_density(grushin_components, geom, exps, beta, f),
+        _plain_density(geom, exps, f), _hardy_density(geom, exps, f))
 
     pot_part = beta * beta * hardy_int
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
@@ -272,28 +281,6 @@ def _second_condition(exps: WeightExponents, gamma: float, admissibility: str) -
         raise DomainError(f"unknown admissibility flag {admissibility!r}")
 
 
-def _ab_lhs_density(geom, exps, beta, f):
-    """Componentwise |(tilde_grad + i beta Atilde) f|^2 times the weight."""
-    wts = _weights(geom, exps)
-    g = geom.gamma
-    half = 0.5  # the two 1/sqrt2 y-blocks contribute twice |.|^2 each
-
-    def density(r, phi, y):
-        fr, fphi, fy = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        B, _, rho = wts(r, y)
-        aphi = r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 2.0)
-        cphi = fphi / r + 1j * beta * aphi * val
-        ay = (r[..., None] ** g * (1.0 + g) * y
-              / rho[..., None] ** (2.0 * g + 2.0)) * math.sqrt(half)
-        uy = r[..., None] ** g * fy * math.sqrt(half)
-        minus = uy - 1j * beta * ay * val[..., None]
-        plus = uy + 1j * beta * ay * val[..., None]
-        return B * (abs2(fr) + abs2(cphi) + grad_y_sq(minus) + grad_y_sq(plus))
-
-    return density
-
-
 def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxParam,
                     f: TestFunction, spec: QuadratureSpec,
                     admissibility: str = "thm2") -> InequalityReport:
@@ -316,21 +303,11 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
                                 C, params, res)
     require_phi_resolution(f, spec)
 
-    wts = _weights(geom, exps)
     dom = support_domain(f)
-    f0_sq = mode_zero_sq(f)
-
-    def hardy_density(r, phi, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, phi, y))
-
-    def defect_density(r, phi, y):
-        B, _, _ = wts(r, y)
-        return B * (abs2(f.value_polar(r, phi, y)) - f0_sq(r, y)) / r**2
-
-    lhs = polar_integral(_ab_lhs_density(geom, exps, beta, f), spec, dom)
-    main = C * polar_integral(hardy_density, spec, dom)
-    defect = polar_integral(defect_density, spec, dom)
+    lhs = polar_integral(_magnetic_density(tilde_components, geom, exps, beta, f),
+                         spec, dom)
+    main = C * polar_integral(_hardy_density(geom, exps, f), spec, dom)
+    defect = polar_integral(_defect_density(geom, exps, f), spec, dom)
     return InequalityReport("ab_hardy", lhs, {"main": main, "mode_defect": defect},
                             C, params, res)
 
@@ -351,19 +328,14 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     require_phi_resolution(f, spec)
     wts = _weights(geom, exps)
     dom = support_domain(f)
-    f0_sq = mode_zero_sq(f)
 
     def angular_density(r, phi, y):
         _, fphi, _ = f.partials_polar(r, phi, y)
         B, _, _ = wts(r, y)
         return B * abs2(fphi) / r**2
 
-    def defect_density(r, phi, y):
-        B, _, _ = wts(r, y)
-        return B * (abs2(f.value_polar(r, phi, y)) - f0_sq(r, y)) / r**2
-
     return {"angular": polar_integral(angular_density, spec, dom),
-            "defect": polar_integral(defect_density, spec, dom)}
+            "defect": polar_integral(_defect_density(geom, exps, f), spec, dom)}
 
 
 # ---------------------------------------------------------------------------
@@ -377,13 +349,10 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     """Norm-product uncertainty bound: ||weighted magnetic grad f|| ||f|| vs C^(1/2)."""
     beta = flux.beta
     if variant == "uncer1":
-        s_hom = geom.hom_dim + exps.alpha1 - 2.0
-        if not (s_hom > 0.0):
-            raise AdmissibilityError("need Q + alpha1 - 2 > 0")
-        if not (geom.m + exps.alpha2 * geom.gamma > 0.0):
-            raise AdmissibilityError("need m + alpha2*gamma > 0")
+        s_hom = _first_kind(geom, exps)
         _require_real(f, "the gradient-field uncertainty bound")
         theorem_id = "uncertainty_grushin"
+        components = grushin_components
     elif variant == "uncer21":
         if geom.m != 2:
             raise DomainError("the rotated-potential variant needs m = 2")
@@ -393,6 +362,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         if not (exps.alpha2 * geom.gamma + 2.0 > 0.0):
             raise AdmissibilityError("need alpha2*gamma + 2 > 0")
         theorem_id = "uncertainty_ab"
+        components = tilde_components
     else:
         raise DomainError(f"unknown variant {variant!r}")
     _require_shape(geom, f)
@@ -405,14 +375,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         return InequalityReport(theorem_id, 0.0, {"main": 0.0}, math.sqrt(C),
                                 params, res)
 
-    wts = _weights(geom, exps)
-    dom = support_domain(f)
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
-
-    if variant == "uncer1":
-        mag = _magnetic_lhs_density(geom, exps, beta, f)
-    else:
-        mag = _ab_lhs_density(geom, exps, beta, f)
 
     def f_sq(r, phi, y):
         return abs2(f.value_polar(r, phi, y))
@@ -424,17 +387,9 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         half_w = r**g / rho ** (g + 1.0)
         return half_B * half_w * abs2(f.value_polar(r, phi, y))
 
-    if geom.m == 2:
-        require_phi_resolution(f, spec)
-        grad_sq = polar_integral(mag, spec, dom)
-        norm_sq = polar_integral(f_sq, spec, dom)
-        cross = polar_integral(cross_density, spec, dom)
-    else:
-        if not f.is_radial:
-            raise AdmissibilityError("angular modes need m = 2")
-        grad_sq = rx_integral(lambda r, y: mag(r, 0.0, y), spec, dom, geom.m)
-        norm_sq = rx_integral(lambda r, y: f_sq(r, 0.0, y), spec, dom, geom.m)
-        cross = rx_integral(lambda r, y: cross_density(r, 0.0, y), spec, dom, geom.m)
+    grad_sq, norm_sq, cross = _integrals(
+        geom, f, spec, support_domain(f),
+        _magnetic_density(components, geom, exps, beta, f), f_sq, cross_density)
 
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
     rhs = math.sqrt(C) * cross
@@ -497,31 +452,24 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
             out = out + np.asarray(pots.psi1[j](y[..., j])) ** 2
         return out
 
-    def lhs_density(r, y):
-        # componentwise complex assembly of (i d_x + psi1, i r^g d_y + psi2)
-        fr, _, fy = f.partials_polar(r, 0.0, y)
-        val = f.value_polar(r, 0.0, y)
+    def lhs_density(r, phi, y):
+        # x-sphere reduction of |(i d_x + psi1) f|^2 + |(i r^g d_y + psi2) f|^2:
+        # the cross terms vanish for real f, and sum_j psi2_j(x_j)^2 is
+        # replaced by its x-sphere mean vx_sq(r)
+        fr, _, fy = f.partials_polar(r, phi, y)
+        val = f.value_polar(r, phi, y)
         xblock = abs2(1j * fr) + vy_sq(y) * abs2(val)
         yblock = r ** (2.0 * g) * grad_y_sq(1j * fy) + vx_sq(r) * abs2(val)
         return wts(r, y)[0] * (xblock + yblock)
 
-    def grad_density(r, y):
-        fr, _, fy = f.partials_polar(r, 0.0, y)
+    def pot_density(r, phi, y):
         B, _, _ = wts(r, y)
-        return B * (abs2(fr) + r ** (2.0 * g) * grad_y_sq(fy))
-
-    def pot_density(r, y):
-        B, _, _ = wts(r, y)
-        return B * (vx_sq(r) + vy_sq(y)) * abs2(f.value_polar(r, 0.0, y))
-
-    def hardy_density(r, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, 0.0, y))
+        return B * (vx_sq(r) + vy_sq(y)) * abs2(f.value_polar(r, phi, y))
 
     lhs = rx_integral(lhs_density, spec, dom, n)
-    grad_part = rx_integral(grad_density, spec, dom, n)
+    grad_part = rx_integral(_plain_density(geom, exps, f), spec, dom, n)
     pot_part = rx_integral(pot_density, spec, dom, n)
-    hardy_int = rx_integral(hardy_density, spec, dom, n)
+    hardy_int = rx_integral(_hardy_density(geom, exps, f), spec, dom, n)
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
 
     main = C_lin * hardy_int

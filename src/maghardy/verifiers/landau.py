@@ -2,8 +2,9 @@
 
 The twisted gradient carries a radial profile psi(|z|) multiplying the
 rotation field (-y, x); its squared norm is always assembled componentwise
-in Cartesian form from the analytic polar partials, so left-hand sides are
-the displayed integrands and nothing is simplified away.  Plane functions
+from the Cartesian components of fields.twisted_components (the same code
+as the pointwise twisted_grad_psi), so left-hand sides are the displayed
+integrands and nothing is simplified away.  Plane functions
 are TestFunctions with k = 0; the x-radial real case generalizes to any
 even dimension 2n through the sphere-factor reduction.
 """
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from ..errors import AdmissibilityError, DomainError
-from ..fields import RadialPotential
+from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import Domain, QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
@@ -45,14 +46,7 @@ def _twisted_sq(psi, f: TestFunction):
     """Density (r, phi, y) -> |twisted gradient of f|^2, componentwise."""
 
     def density(r, phi, y):
-        fr, fphi, _ = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        c, s = math.cos(phi), math.sin(phi)
-        fx = c * fr - s * fphi / r
-        fy = s * fr + c * fphi / r
-        pv = np.asarray(psi(r))
-        tx = fx - 1j * pv * (r * s) * val
-        ty = fy + 1j * pv * (r * c) * val
+        tx, ty = twisted_components(psi, f, r, phi, y)
         return abs2(tx) + abs2(ty)
 
     return density
@@ -224,11 +218,11 @@ def verify_landau(variant: str, psi: RadialPotential,
 # ---------------------------------------------------------------------------
 
 def _landau_radial_sq(f: TestFunction):
-    """(r, y) -> |grad f|^2 + (r^2/4)|f|^2 for x-radial f (any even dim)."""
+    """(r, phi, y) -> |grad f|^2 + (r^2/4)|f|^2 for x-radial f (any even dim)."""
 
-    def density(r, y):
-        fr, _, _ = f.partials_polar(r, 0.0, y)
-        val = f.value_polar(r, 0.0, y)
+    def density(r, phi, y):
+        fr, _, _ = f.partials_polar(r, phi, y)
+        val = f.value_polar(r, phi, y)
         return abs2(fr) + 0.25 * r**2 * abs2(val)
 
     return density
@@ -268,21 +262,34 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     if R is not None:
         params["R"] = R
 
+    dom = support_domain(f)
+    lhs_density = _twisted_sq(half, f) if n == 1 else _landau_radial_sq(f)
+
+    def integral(density):
+        # n = 1 runs on the plane; n >= 2 through the radial reduction
+        if n == 1:
+            require_phi_resolution(f, spec)
+            return polar_integral(density, spec, dom)
+        return rx_integral(density, spec, dom, dim)
+
+    def sq_density(r, phi, y):
+        return abs2(f.value_polar(r, phi, y))
+
+    def pot_density(r, phi, y):
+        return 0.25 * r**2 * abs2(f.value_polar(r, phi, y))
+
     if variant == "identity":
         if n != 1:
             raise DomainError("the split identity check runs on the plane (n=1)")
         if not f.modes:
             return IdentityReport("real_landau_identity", 0.0, 0.0, params, res)
-        require_phi_resolution(f, spec)
-        dom = support_domain(f)
-        lhs = polar_integral(_twisted_sq(half, f), spec, dom)
 
         def plain_density(r, phi, y):
             fr, fphi, _ = f.partials_polar(r, phi, y)
             return abs2(fr) + abs2(fphi) / r**2
 
-        rhs = polar_integral(plain_density, spec, dom) + polar_integral(
-            lambda r, p_, y: 0.25 * r**2 * abs2(f.value_polar(r, p_, y)), spec, dom)
+        lhs = integral(lhs_density)
+        rhs = integral(plain_density) + integral(pot_density)
         return IdentityReport("real_landau_identity", lhs, rhs, params, res)
 
     if variant == "hardy":
@@ -291,23 +298,9 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
             return InequalityReport("real_landau_hardy", 0.0,
                                     {"main": 0.0, "psi_potential": 0.0},
                                     sharp, params, res)
-        if n == 1:
-            require_phi_resolution(f, spec)
-            dom = support_domain(f)
-            lhs = polar_integral(_twisted_sq(half, f), spec, dom)
-            main = sharp * polar_integral(
-                lambda r, p_, y: abs2(f.value_polar(r, p_, y)) / r**2, spec, dom)
-            pot = polar_integral(
-                lambda r, p_, y: 0.25 * r**2 * abs2(f.value_polar(r, p_, y)),
-                spec, dom)
-        else:
-            dom = support_domain(f)
-            lhs = rx_integral(_landau_radial_sq(f), spec, dom, dim)
-            main = sharp * rx_integral(
-                lambda r, y: abs2(f.value_polar(r, 0.0, y)) / r**2, spec, dom, dim)
-            pot = rx_integral(
-                lambda r, y: 0.25 * r**2 * abs2(f.value_polar(r, 0.0, y)),
-                spec, dom, dim)
+        lhs = integral(lhs_density)
+        main = sharp * integral(lambda r, p_, y: sq_density(r, p_, y) / r**2)
+        pot = integral(pot_density)
         return InequalityReport("real_landau_hardy", lhs,
                                 {"main": main, "psi_potential": pot},
                                 sharp, params, res)
@@ -320,14 +313,10 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
             return InequalityReport("real_landau_critical", 0.0,
                                     {"main": 0.0, "psi_potential": 0.0},
                                     sharp, params, res)
-        require_phi_resolution(f, spec)
-        dom = support_domain(f)
-        lhs = polar_integral(_twisted_sq(half, f), spec, dom)
-        main = sharp * polar_integral(
-            lambda r, p_, y: abs2(f.value_polar(r, p_, y))
-            / (r**2 * np.log(R / r) ** 2), spec, dom)
-        pot = polar_integral(
-            lambda r, p_, y: 0.25 * r**2 * abs2(f.value_polar(r, p_, y)), spec, dom)
+        lhs = integral(lhs_density)
+        main = sharp * integral(
+            lambda r, p_, y: sq_density(r, p_, y) / (r**2 * np.log(R / r) ** 2))
+        pot = integral(pot_density)
         return InequalityReport("real_landau_critical", lhs,
                                 {"main": main, "psi_potential": pot},
                                 sharp, params, res)
@@ -337,28 +326,17 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         if not f.modes:
             return InequalityReport("real_landau_uncertainty", 0.0, {"main": 0.0},
                                     sharp, params, res)
-        dom = support_domain(f)
-        if n == 1:
-            require_phi_resolution(f, spec)
-            grad_sq = polar_integral(_twisted_sq(half, f), spec, dom)
-            norm_sq = polar_integral(
-                lambda r, p_, y: abs2(f.value_polar(r, p_, y)), spec, dom)
+        grad_sq = integral(lhs_density)
+        norm_sq = integral(sq_density)
 
-            def bound_density(r, phi, y):
+        def bound_density(r, phi, y):
+            if n == 1:
                 root = np.sqrt(0.25 / (r**2 * np.log(R / r) ** 2) + 0.25 * r**2)
-                return root * abs2(f.value_polar(r, phi, y))
-
-            main = polar_integral(bound_density, spec, dom)
-        else:
-            grad_sq = rx_integral(_landau_radial_sq(f), spec, dom, dim)
-            norm_sq = rx_integral(
-                lambda r, y: abs2(f.value_polar(r, 0.0, y)), spec, dom, dim)
-
-            def bound_density(r, y):
+            else:
                 root = np.sqrt((n - 1) ** 2 / r**2 + 0.25 * r**2)
-                return root * abs2(f.value_polar(r, 0.0, y))
+            return root * abs2(f.value_polar(r, phi, y))
 
-            main = rx_integral(bound_density, spec, dom, dim)
+        main = integral(bound_density)
         lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
         return InequalityReport("real_landau_uncertainty", lhs, {"main": main},
                                 sharp, params, res)

@@ -686,8 +686,7 @@ def test_10_main_engine_vs_oracle():
 
 # --- 11: bytewise reproducibility of suite reports ----------------------------
 
-def test_11_report_bytes_reproducible(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_11_report_bytes_reproducible(tmp_path):
     cfg = {
         "suite": "acceptance-repro",
         "seed": 20260819,

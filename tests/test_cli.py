@@ -3,10 +3,14 @@ sweep CSVs, and byte-level reproducibility."""
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
 from maghardy.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED = REPO / "perfbench" / "reference" / "shipped"
 
 GEOM = {"m": 2, "k": 1, "gamma": 1.0}
 BUMP = {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0, "y_box": [[-1.0, 1.0]]}
@@ -45,8 +49,7 @@ def _passing_suite():
     }
 
 
-def test_verify_passes_and_report_shape(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_verify_passes_and_report_shape(tmp_path):
     cfg = _write(tmp_path / "suite.json", _passing_suite())
     out = tmp_path / "report.json"
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -60,26 +63,12 @@ def test_verify_passes_and_report_shape(tmp_path, monkeypatch):
     assert all(r["wall_clock_s"] is None for r in rep["runs"])
 
 
-def test_verify_is_byte_identical_across_runs(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_verify_is_byte_identical_across_runs(tmp_path):
     cfg = _write(tmp_path / "suite.json", _passing_suite())
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["verify", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["verify", "--config", cfg, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_verify_parallel_matches_serial_summary(tmp_path, monkeypatch):
-    cfg = _write(tmp_path / "suite.json", _passing_suite())
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
-    serial = tmp_path / "serial.json"
-    assert main(["verify", "--config", cfg, "--out", str(serial)]) == 0
-    monkeypatch.setenv("MAGHARDY_THREADS", "3")
-    parallel = tmp_path / "parallel.json"
-    assert main(["verify", "--config", cfg, "--out", str(parallel)]) == 0
-    a, b = json.loads(serial.read_text()), json.loads(parallel.read_text())
-    assert a["summary"] == b["summary"]
-    assert [r["report"] for r in a["runs"]] == [r["report"] for r in b["runs"]]
 
 
 def _ab_split_suite():
@@ -99,8 +88,7 @@ def _ab_split_suite():
     }
 
 
-def test_admissibility_flag_switches_outcome(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_admissibility_flag_switches_outcome(tmp_path):
     cfg = _write(tmp_path / "flag.json", _ab_split_suite())
 
     strict = tmp_path / "strict.json"
@@ -116,8 +104,7 @@ def test_admissibility_flag_switches_outcome(tmp_path, monkeypatch):
     assert rec["status"] == "ok" and rec["passed"]
 
 
-def test_run_level_errors_are_recorded_not_raised(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_run_level_errors_are_recorded_not_raised(tmp_path):
     cfg = _write(tmp_path / "suite.json", {
         "suite": "mixed", "seed": 1,
         "runs": [
@@ -140,8 +127,53 @@ def test_run_level_errors_are_recorded_not_raised(tmp_path, monkeypatch):
     assert types == ["AdmissibilityError", "ConfigError"]
 
 
-def test_config_problems_exit_two(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+_GOOD_RUN = {"theorem_id": "radial_hardy", "geometry": GEOM,
+             "weights": {"alpha1": 0.0, "alpha2": 0.0},
+             "function": BUMP, "quadrature": FAST}
+
+_MALFORMED_RUNS = {
+    "non-integer m": {**_GOOD_RUN, "geometry": {**GEOM, "m": "x"}},
+    "y_box entry not a pair": {**_GOOD_RUN,
+                               "function": {**BUMP, "y_box": [[1]]}},
+    "grushin run without geometry": {
+        k: v for k, v in _GOOD_RUN.items() if k not in ("geometry", "weights")},
+    "null theta": {"theorem_id": "radial_p_weighted", "Q": 3.0, "p": 2.0,
+                   "theta": None,
+                   "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    "non-finite theta1": {"theorem_id": "landau_hardy_sobolev", "theta1": "nan",
+                          "function": {"kind": "random", "k": 0,
+                                       "modes": [0, 1]},
+                          "quadrature": {"n_r": 64, "n_phi": 12}},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_MALFORMED_RUNS))
+def test_malformed_run_is_recorded_and_the_suite_goes_on(tmp_path, bad):
+    cfg = _write(tmp_path / "suite.json", {
+        "suite": "malformed", "seed": 0,
+        "runs": [_MALFORMED_RUNS[bad], _GOOD_RUN]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["runs"]
+    assert first["status"] == "error"
+    assert first["error"]["type"] == "ConfigError"
+    assert first["error"]["message"].startswith("runs[0]")
+    assert second["status"] == "ok" and second["passed"]
+
+
+def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
+    assert main(["verify", "--config", str(REPO / "scripts" / "default_suite.json"),
+                 "--out", str(tmp_path / "default_suite.report.json")]) == 0
+    assert main(["sweep", "--config", str(REPO / "scripts" / "sharpness_sweep.json"),
+                 "--out-dir", str(tmp_path / "sweep")]) == 0
+    want = sorted(p.relative_to(SHIPPED) for p in SHIPPED.rglob("*") if p.is_file())
+    got = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert got == want
+    for rel in want:
+        assert (tmp_path / rel).read_bytes() == (SHIPPED / rel).read_bytes(), rel
+
+
+def test_config_problems_exit_two(tmp_path, capsys):
     out = str(tmp_path / "r.json")
 
     rc = main(["verify", "--config", str(tmp_path / "missing.json"),
@@ -157,13 +189,9 @@ def test_config_problems_exit_two(tmp_path, monkeypatch, capsys):
                          {"suite": "x", "seed": 0, "runs": [], "extra": 1})
     assert main(["verify", "--config", unknown_top, "--out", out]) == 2
 
-    ok = _write(tmp_path / "ok.json", {"suite": "x", "seed": 0, "runs": []})
-    monkeypatch.setenv("MAGHARDY_THREADS", "two")
-    assert main(["verify", "--config", ok, "--out", out]) == 2
 
 
-def test_timings_flag_records_wall_clock(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_timings_flag_records_wall_clock(tmp_path):
     cfg = _write(tmp_path / "suite.json", {
         "suite": "t", "seed": 0,
         "runs": [{"theorem_id": "radial_hardy", "geometry": GEOM,
@@ -176,8 +204,7 @@ def test_timings_flag_records_wall_clock(tmp_path, monkeypatch):
     assert isinstance(rec["wall_clock_s"], float) and rec["wall_clock_s"] >= 0.0
 
 
-def test_sweep_writes_csv_per_run(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_sweep_writes_csv_per_run(tmp_path):
     cfg = _write(tmp_path / "sweep.json", {
         "suite": "sweep", "seed": 0,
         "runs": [
@@ -217,8 +244,7 @@ def test_sweep_writes_csv_per_run(tmp_path, monkeypatch):
         ["radial_hardy_0.csv", "landau_log_1.csv"]
 
 
-def test_sweep_rejects_runs_without_a_family(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_sweep_rejects_runs_without_a_family(tmp_path, capsys):
     cfg = _write(tmp_path / "sweep.json", {
         "suite": "s", "seed": 0,
         "runs": [{"theorem_id": "radial_hardy", "geometry": GEOM,
@@ -239,8 +265,7 @@ def test_sweep_rejects_runs_without_a_family(tmp_path, monkeypatch, capsys):
                  str(tmp_path / "out2")]) == 2
 
 
-def test_sweep_records_engine_errors(tmp_path, monkeypatch):
-    monkeypatch.setenv("MAGHARDY_THREADS", "1")
+def test_sweep_records_engine_errors(tmp_path):
     cfg = _write(tmp_path / "sweep.json", {
         "suite": "s", "seed": 0,
         "runs": [{"theorem_id": "radial_hardy", "geometry": GEOM,

@@ -13,13 +13,17 @@ from maghardy.fields import (
     RadialPotential,
     ab_potential,
     constant_field_grad,
+    grushin_components,
     grushin_potential,
     magnetic_grad,
+    tilde_components,
     tilde_grad,
     twisted_grad_psi,
 )
 from maghardy.functions import evaluate, random_test_function
-from maghardy.geometry import grad_rho, rho
+from maghardy.geometry import grad_rho, rho, weight_B
+from maghardy.verifiers.grushin import _magnetic_density
+from maghardy.verifiers.landau import _twisted_sq
 
 
 def draw_point(rng, f, m=2):
@@ -223,6 +227,48 @@ def test_real_function_magnetic_split_pointwise():
         pot = float(np.sum(grushin_potential(geom, p) ** 2))
         split = plain + flux.beta ** 2 * pot * val
         assert abs(total - split) <= 1e-12 * max(total, 1e-30)
+
+
+# --- the verifiers integrate the pointwise gradients -------------------------
+
+def _node(p):
+    """p as the one-node grid (r, phi, y) the verifiers' densities take."""
+    phi = math.atan2(p.x[1], p.x[0]) if len(p.x) == 2 else 0.0
+    return np.full((1, 1), p.r), phi, p.y[None, None, :]
+
+
+@pytest.mark.parametrize("kind,components,m", [
+    ("grushin", grushin_components, 2),
+    ("grushin", grushin_components, 3),   # x-radial path
+    ("tilde", tilde_components, 2),
+])
+def test_magnetic_integrand_is_weighted_pointwise_gradient(kind, components, m):
+    rng = np.random.default_rng(46 + m)
+    for _ in range(20):
+        geom = GrushinGeometry(m, int(rng.integers(1, 3)), float(rng.uniform(0.0, 2.0)))
+        exps = WeightExponents(float(rng.uniform(-0.5, 1.0)),
+                               float(rng.uniform(-0.5, 0.5)))
+        flux = FluxParam(float(rng.uniform(-1.0, 1.0)))
+        modes = (-1, 0, 2) if m == 2 else (0,)
+        f = random_test_function(rng, k=geom.k, modes=modes)
+        p = draw_point(rng, f, m=m)
+        density = _magnetic_density(components, geom, exps, flux.beta, f)
+        got = float(density(*_node(p)).item())
+        grad = magnetic_grad(kind, flux, geom, f, p)
+        want = weight_B(geom, exps, p) * float(np.sum(np.abs(grad) ** 2))
+        assert abs(got - want) <= 1e-12 * want
+
+
+def test_twisted_integrand_is_pointwise_gradient():
+    rng = np.random.default_rng(49)
+    for _ in range(20):
+        psi = RadialPotential.power(float(rng.uniform(-1.0, 1.0)),
+                                    float(rng.uniform(0.5, 1.5)))
+        f = random_test_function(rng, k=0, modes=(-1, 0, 2))
+        p = draw_point(rng, f)
+        got = float(_twisted_sq(psi, f)(*_node(p)).item())
+        want = float(np.sum(np.abs(twisted_grad_psi(psi, f, p)) ** 2))
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_gradient_error_paths():

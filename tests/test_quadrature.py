@@ -12,7 +12,6 @@ from maghardy.quadrature import (
     Domain,
     _reference_rule,
     QuadratureSpec,
-    convergence_study,
     gauss_legendre,
     integrate_polar,
     integrate_radial,
@@ -228,16 +227,6 @@ def test_nonfinite_integrand_raises():
         integrate_polar(bad, QuadratureSpec(n_r=16, n_phi=4, n_y=4), dom)
     with pytest.raises(NonFiniteError):
         oracle_integrate(bad, dom, (101, 4, 11))
-
-
-def test_convergence_study_reports_convergence():
-    dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
-    out = convergence_study(_gauss_density, QuadratureSpec(n_r=8, n_phi=8, n_y=24), dom,
-                            factors=(1, 2, 4))
-    assert out["converged"]
-    assert len(out["rows"]) == 3 and len(out["deltas"]) == 2
-    with pytest.raises(DomainError):
-        convergence_study(_gauss_density, QuadratureSpec(), dom, factors=(1, 2))
 
 
 def test_domain_validation():
