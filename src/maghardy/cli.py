@@ -104,7 +104,15 @@ def _need(obj: dict, key: str, where: str):
 
 
 def _number(value, field: str, kind=float):
-    """value as a finite float (an int for kind=int); ConfigError naming field."""
+    """value as a finite float (an int for kind=int); ConfigError naming field.
+
+    A bool is not a number, and an int field refuses a non-integral value
+    instead of truncating it.
+    """
+    if isinstance(value, bool):
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{field}: expected an integer, got {value!r}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -118,6 +126,14 @@ def _num(obj: dict, key: str, where: str, kind=float, default=_REQUIRED):
     """obj[key], or default when the key is absent, through _number."""
     value = _need(obj, key, where) if default is _REQUIRED else obj.get(key, default)
     return _number(value, f"{where}.{key}", kind)
+
+
+def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
+    """obj[key] as a JSON true or false, or default when the key is absent."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
 
 
 def _numbers(value, field: str, kind=float, length=None):
@@ -181,7 +197,7 @@ def _parse_quadrature(obj, where) -> QuadratureSpec:
         n_r=_num(obj, "n_r", where, int, 256), r_map=obj.get("r_map", "log"),
         n_phi=_num(obj, "n_phi", where, int, 32),
         n_y=_num(obj, "n_y", where, int, 64),
-        oracle=bool(obj.get("oracle", False)))
+        oracle=_flag(obj, "oracle", where, False))
 
 
 def _parse_domain(obj, where) -> Domain:
@@ -215,17 +231,22 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
     if kind == "random":
         _check_keys(obj, {"kind", "k", "modes", "real", "r_lo_range",
                           "ratio_range", "y_half_range", "gaussian_y"}, where)
+        if seed < 0:
+            raise ConfigError(f"{where}: a random function needs a nonnegative "
+                              f"seed, got {seed}")
         rng = np.random.default_rng(seed)
         kwargs = {}
         for name in ("r_lo_range", "ratio_range", "y_half_range"):
             if name in obj:
                 kwargs[name] = _numbers(obj[name], f"{where}.{name}", length=2)
-        if "gaussian_y" in obj:
-            kwargs["gaussian_y"] = bool(obj["gaussian_y"])
+                if not kwargs[name][0] <= kwargs[name][1]:
+                    raise ConfigError(f"{where}.{name}: need lo <= hi, "
+                                      f"got {obj[name]!r}")
         return random_test_function(
             rng, k=_num(obj, "k", where, int, 0),
             modes=_numbers(obj.get("modes", [0]), f"{where}.modes", int),
-            real=bool(obj.get("real", False)), **kwargs)
+            real=_flag(obj, "real", where, False),
+            gaussian_y=_flag(obj, "gaussian_y", where, True), **kwargs)
     if kind == "trial":
         _check_keys(obj, {"kind", "base", "epsilon", "cutoff", "exponent"}, where)
         fam = _parse_family({k: v for k, v in obj.items() if k != "kind"}, where)

@@ -15,6 +15,11 @@ and falls back to 0 on the last quarter.  Edges use the standard smoothstep
 built from exp(-1/t), which is C-infinity with all derivatives vanishing at
 the junctions, keeping every profile in the compactly-supported smooth class
 required by the inequalities.
+
+Quadrature calls a density once per phi slice, always on the same r and y
+grids.  A ProductProfile keeps the 1-D factors R(r), R'(r), Y_j(y_j) and
+Y_j'(y_j) of the last grid it saw, so they are computed once per grid; val,
+dr and dy form their products from those factors on every call.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
+from .quadrature import GridMemo
 
 __all__ = [
     "AngularMode",
@@ -266,39 +272,48 @@ class ProductProfile:
         self.r_lo, self.r_hi = radial.r_lo, radial.r_hi
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
+        self._memo = GridMemo()
 
     @property
     def k(self):
         return len(self.y_factors)
 
-    def _yvals(self, y):
-        return [yf.v(y[..., j]) for j, yf in enumerate(self.y_factors)]
+    def _factors(self, r, y):
+        """(R(r), R'(r), [Y_j(y_j)], [Y_j'(y_j)]), computed once per grid."""
+        return self._memo(r, y, self._compute_factors)
+
+    def _compute_factors(self, r, y):
+        ys = [y[..., j] for j in range(self.k)]
+        return (self.radial.v(r), self.radial.dv(r),
+                [yf.v(t) for yf, t in zip(self.y_factors, ys)],
+                [yf.dv(t) for yf, t in zip(self.y_factors, ys)])
 
     def val(self, r, y):
-        out = self.amplitude * self.radial.v(r)
-        for v in self._yvals(y):
+        rv, _, vals, _ = self._factors(r, y)
+        out = self.amplitude * rv
+        for v in vals:
             out = out * v
         return out
 
     def dr(self, r, y):
-        out = self.amplitude * self.radial.dv(r)
-        for v in self._yvals(y):
+        _, drv, vals, _ = self._factors(r, y)
+        out = self.amplitude * drv
+        for v in vals:
             out = out * v
         return out
 
     def dy(self, r, y):
-        vals = self._yvals(y)
-        base = self.amplitude * self.radial.v(r)
+        rv, _, vals, dvals = self._factors(r, y)
+        if not vals:
+            return np.zeros(np.shape(r) + (0,), dtype=complex)
+        base = self.amplitude * rv
         comps = []
-        for j, yf in enumerate(self.y_factors):
-            term = base * yf.dv(y[..., j])
+        for j, dv in enumerate(dvals):
+            term = base * dv
             for i, v in enumerate(vals):
                 if i != j:
                     term = term * v
             comps.append(term)
-        if not comps:
-            shape = np.broadcast(np.asarray(r), *(y[..., j] for j in range(0))).shape
-            return np.zeros(shape + (0,), dtype=complex)
         return np.stack(comps, axis=-1)
 
 

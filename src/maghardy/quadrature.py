@@ -30,6 +30,11 @@ broadcastable arrays: r of shape (n_r, 1), phi a float, y of shape
 (1, n_y_flat, k) whose trailing axis indexes the y components.  Radial
 densities take a bare r array.  Evaluation order is fixed, so results are
 bit-stable across runs.
+
+A density runs once per phi slice, on the same r and y arrays every time.
+Factors that do not depend on phi (profile factors, the weights B, w, rho)
+are computed once per grid through `GridMemo` and reused across the slices
+and across the integrals of a check, which build equal grids.
 """
 
 from __future__ import annotations
@@ -176,6 +181,28 @@ def y_box_rule(y_box, n_y: int):
     for w in weights[1:]:
         W = np.multiply.outer(W, w)
     return Y, W.reshape(-1)
+
+
+class GridMemo:
+    """compute(r, y) for the last (r, y) grid seen, keyed by the grid's values.
+
+    The key holds copies of r and y, so a grid changed in place after a call
+    is a miss, never a stale hit.  The entry is one tuple, replaced whole.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self):
+        self._entry = None
+
+    def __call__(self, r, y, compute):
+        entry = self._entry
+        if (entry is not None and np.array_equal(entry[0], r)
+                and np.array_equal(entry[1], y)):
+            return entry[2]
+        out = compute(r, y)
+        self._entry = (np.array(r), np.array(y), out)
+        return out
 
 
 def _check_finite(values: np.ndarray) -> None:

@@ -36,7 +36,7 @@ from ..geometry import (
     rho_rs,
     weight_B_rs,
 )
-from ..quadrature import QuadratureSpec
+from ..quadrature import GridMemo, QuadratureSpec
 from ..reports import IdentityReport, InequalityReport
 from ._grids import (
     abs2,
@@ -84,13 +84,17 @@ def _require_real(f: TestFunction, what: str) -> None:
 
 
 def _weights(geom: GrushinGeometry, exps: WeightExponents):
-    """Closures B(r,s), w(r,s), rho(r,s) on grid arrays."""
+    """Closure (r, y) -> (B, w, rho) on grid arrays, computed once per grid."""
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
+    memo = GridMemo()
 
-    def at(r, y):
+    def compute(r, y):
         s = s_of(y)
         rho = rho_rs(g, r, s)
         return weight_B_rs(g, a1, a2, r, rho), hardy_density_rs(g, r, rho), rho
+
+    def at(r, y):
+        return memo(r, y, compute)
 
     return at
 
@@ -376,16 +380,19 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
                                 params, res)
 
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
+    memo = GridMemo()
+
+    def cross_weight(r, y):
+        rho = rho_rs(g, r, s_of(y))
+        half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
+        half_w = r**g / rho ** (g + 1.0)
+        return half_B * half_w
 
     def f_sq(r, phi, y):
         return abs2(f.value_polar(r, phi, y))
 
     def cross_density(r, phi, y):
-        s = s_of(y)
-        rho = rho_rs(g, r, s)
-        half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
-        half_w = r**g / rho ** (g + 1.0)
-        return half_B * half_w * abs2(f.value_polar(r, phi, y))
+        return memo(r, y, cross_weight) * abs2(f.value_polar(r, phi, y))
 
     grad_sq, norm_sq, cross = _integrals(
         geom, f, spec, support_domain(f),

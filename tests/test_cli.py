@@ -1,11 +1,15 @@
 """End-to-end checks of the maghardy command line: exit codes, report files,
 sweep CSVs, and byte-level reproducibility."""
 
+import copy
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maghardy.cli import main
 
@@ -144,6 +148,29 @@ _MALFORMED_RUNS = {
                           "function": {"kind": "random", "k": 0,
                                        "modes": [0, 1]},
                           "quadrature": {"n_r": 64, "n_phi": 12}},
+    "string oracle flag": {**_GOOD_RUN, "quadrature": {**FAST, "oracle": "false"}},
+    "numeric real flag": {**_GOOD_RUN, "theorem_id": "magnetic_grushin",
+                          "function": {"kind": "random", "k": 1, "modes": [0],
+                                       "real": 0}},
+    "string gaussian_y flag": {**_GOOD_RUN, "function": {
+        "kind": "random", "k": 1, "modes": [0], "gaussian_y": "yes"}},
+    "fractional m": {**_GOOD_RUN, "geometry": {**GEOM, "m": 2.7}},
+    "boolean k": {**_GOOD_RUN, "geometry": {**GEOM, "k": True}},
+    "fractional n_r": {**_GOOD_RUN, "quadrature": {**FAST, "n_r": 64.5}},
+    "boolean n_phi": {**_GOOD_RUN, "quadrature": {**FAST, "n_phi": True}},
+    "fractional n_y": {**_GOOD_RUN, "quadrature": {**FAST, "n_y": 12.25}},
+    "fractional mode": {**_GOOD_RUN, "function": {"kind": "random", "k": 1,
+                                                  "modes": [0, 0.5]}},
+    "fractional seed": {**_GOOD_RUN, "seed": 2.5},
+    "boolean seed": {**_GOOD_RUN, "seed": False},
+    "fractional n": {"theorem_id": "real_landau_hardy", "n": 1.5,
+                     "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    "descending range of a random function": {
+        **_GOOD_RUN, "function": {"kind": "random", "k": 1, "modes": [0],
+                                  "r_lo_range": [1.0, 0.5]}},
+    "negative seed of a random function": {
+        **_GOOD_RUN, "seed": -3,
+        "function": {"kind": "random", "k": 1, "modes": [0]}},
 }
 
 
@@ -159,6 +186,60 @@ def test_malformed_run_is_recorded_and_the_suite_goes_on(tmp_path, bad):
     assert first["error"]["type"] == "ConfigError"
     assert first["error"]["message"].startswith("runs[0]")
     assert second["status"] == "ok" and second["passed"]
+
+
+# Tiny-resolution runs whose every field, at any depth, the fuzz may replace.
+_FUZZ_RUNS = [
+    {**_GOOD_RUN, "seed": 4, "quadrature": {"n_r": 8, "n_phi": 4, "n_y": 4,
+                                            "oracle": False}},
+    {"theorem_id": "magnetic_grushin", "geometry": GEOM,
+     "weights": {"alpha1": 0.5, "alpha2": 0.2}, "flux": {"beta": 0.5},
+     "function": {"kind": "random", "k": 1, "modes": [0, 1], "real": True,
+                  "gaussian_y": False, "r_lo_range": [0.4, 0.8]},
+     "quadrature": {"n_r": 8, "n_phi": 8, "n_y": 4}},
+    {"theorem_id": "landau_superweight", "psi": {"kind": "power", "c": 0.5, "s": 1.0},
+     "superweight": {"a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0,
+                     "theta4": -2.0},
+     "function": {"kind": "random", "k": 0, "modes": [-1, 0]},
+     "quadrature": {"n_r": 8, "n_phi": 8}},
+    {"theorem_id": "radial_p_weighted", "Q": 3.0, "p": 2.0, "theta": 0.5,
+     "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0},
+     "quadrature": {"n_r": 8}},
+]
+
+
+def _field_paths(obj, prefix=()):
+    """Key/index paths to every field of a run, nested ones included."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_FUZZ_CASES = [(i, path) for i, run in enumerate(_FUZZ_RUNS)
+               for path in _field_paths(run)]
+
+_FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.floats(-4.0, 4.0), st.just(float("nan")),
+    st.lists(st.lists(st.floats(-2.0, 2.0), max_size=2), max_size=2))
+
+
+@given(case=st.sampled_from(_FUZZ_CASES), value=_FUZZ_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_field_never_raises(case, value):
+    index, path = case
+    run = copy.deepcopy(_FUZZ_RUNS[index])
+    owner = run
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _write(Path(tmp) / "suite.json",
+                     {"suite": "fuzz", "seed": 0, "runs": [run]})
+        assert main(["verify", "--config", cfg,
+                     "--out", str(Path(tmp) / "report.json")]) in (0, 1, 2)
 
 
 def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):

@@ -216,6 +216,53 @@ def test_angular_average_of_no_zero_mode_is_empty():
     assert f0.value_polar(np.array([1.0]), 0.3, np.zeros((1, 0)))[0] == 0.0
 
 
+# --- per-grid factor memo -----------------------------------------------------
+
+def _grid(f, n_r=7, n_y=5, shift=0.0):
+    """An integrate_polar-shaped grid (r (n_r, 1), y (1, n_y**k, k)) inside f's support."""
+    r_lo, r_hi, box, _ = f.support()
+    r = np.geomspace(r_lo * 1.05, r_hi / 1.05, n_r)[:, None] * (1.0 + shift)
+    axes = [np.linspace(0.9 * lo, 0.9 * hi, n_y) + shift for lo, hi in box]
+    if not axes:
+        return r, np.zeros((1, 1, 0))
+    grids = np.meshgrid(*axes, indexing="ij")
+    return r, np.stack([g.reshape(-1) for g in grids], axis=-1)[None]
+
+
+def _assert_same_evaluation(f, fresh, r, phi, y):
+    assert np.array_equal(f.value_polar(r, phi, y), fresh().value_polar(r, phi, y))
+    for got, want in zip(f.partials_polar(r, phi, y),
+                         fresh().partials_polar(r, phi, y)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("modes", [(0,), (-1, 2), (-1, 0, 1)])
+def test_memoised_profiles_equal_freshly_built_ones(k, modes):
+    def fresh():
+        return random_test_function(np.random.default_rng(31 + k), k=k, modes=modes)
+
+    f = fresh()
+    grid_a, grid_b = _grid(f), _grid(f, n_r=9, shift=0.01)
+    for r, y in (grid_a, grid_b, grid_a):
+        for phi in (0.0, 0.4, 2.9):
+            _assert_same_evaluation(f, fresh, r, phi, y)
+
+
+def test_mutating_the_grid_in_place_gives_the_new_values():
+    def fresh():
+        return random_test_function(np.random.default_rng(5), k=1, modes=(0, 1))
+
+    f = fresh()
+    r, y = _grid(f)
+    before = f.value_polar(r, 0.3, y)
+    r *= 1.02
+    assert not np.array_equal(f.value_polar(r, 0.3, y), before)
+    _assert_same_evaluation(f, fresh, r, 0.3, y)
+    y += 0.05
+    _assert_same_evaluation(f, fresh, r, 0.3, y)
+
+
 # --- realness detection -----------------------------------------------------
 
 def test_is_real_valued_detects_cosine_pairs():

@@ -22,6 +22,7 @@ from maghardy.functions import (
     make_bump,
     random_test_function,
 )
+from maghardy.quadrature import Domain, integrate_polar
 from maghardy.verifiers import (
     check_grushin_ibp_identity,
     fourier_defect_terms,
@@ -301,3 +302,68 @@ def test_constant_field_rejects_complex():
         pytest.skip("draw happened to be real")
     with pytest.raises(RealnessError):
         verify_constant_field(GrushinGeometry(1, 1, 1.0), WeightExponents(0, 0), pots, f, SPEC)
+
+
+# --- per-grid memo of profile factors and weights -------------------------------
+
+class _CountingBump(PlateauLogBump):
+    """Plateau bump that counts the calls of its value factor."""
+
+    calls = 0
+
+    def v(self, r):
+        self.calls += 1
+        return super().v(r)
+
+
+def _real_cos_pair(radial):
+    shared = ProductProfile(radial, (GaussBumpY(-1.0, 1.0),), amplitude=0.5)
+    return TestFunction([AngularMode(-1, shared), AngularMode(1, shared)])
+
+
+def test_radial_factor_runs_once_per_grid_across_phi_slices():
+    radial = _CountingBump(0.5, 2.0)
+    f = _real_cos_pair(radial)
+    dom = Domain(0.5, 2.0, y_box=((-1.0, 1.0),), r_breaks=f.support()[3])
+    spec = QuadratureSpec(n_r=16, n_phi=12, n_y=6)
+    integrate_polar(lambda r, phi, y: f.partials_polar(r, phi, y)[0], spec, dom)
+    assert radial.calls == 1
+
+
+def test_radial_factor_runs_once_across_the_integrals_of_a_check():
+    radial = _CountingBump(0.5, 2.0)
+    f = _real_cos_pair(radial)
+    assert f.is_real_valued()  # cached; samples its own grid
+    radial.calls = 0
+    rep = verify_magnetic_grushin(GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
+                                  FluxParam(0.5), f, QuadratureSpec(n_r=16, n_phi=12, n_y=6))
+    assert rep.margin >= -rep.tolerance()
+    assert radial.calls == 1
+
+
+@pytest.mark.parametrize("check", ["magnetic", "ab_hardy"])
+def test_weights_run_once_per_integral_not_per_phi_slice(monkeypatch, check):
+    import maghardy.verifiers.grushin as grushin
+
+    counts = {"rho": 0, "integrals": 0}
+    rho_rs, polar_integral = grushin.rho_rs, grushin.polar_integral
+
+    def counting_rho(*args):
+        counts["rho"] += 1
+        return rho_rs(*args)
+
+    def counting_integral(*args):
+        counts["integrals"] += 1
+        return polar_integral(*args)
+
+    monkeypatch.setattr(grushin, "rho_rs", counting_rho)
+    monkeypatch.setattr(grushin, "polar_integral", counting_integral)
+    geom, exps, flux = GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2), FluxParam(0.5)
+    f = _real_cos_pair(PlateauLogBump(0.5, 2.0))
+    spec = QuadratureSpec(n_r=16, n_phi=12, n_y=6)
+    if check == "magnetic":
+        verify_magnetic_grushin(geom, exps, flux, f, spec)
+    else:
+        verify_ab_hardy(geom, exps, flux, f, spec)
+    assert counts["integrals"] == 3
+    assert counts["rho"] == counts["integrals"]
