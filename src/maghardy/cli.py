@@ -6,8 +6,9 @@ usage: maghardy verify --config suite.json --out report.json [--admissibility th
 
 A suite config is a JSON object {"suite": name, "seed": int, "runs": [...]}.
 Each run names a theorem_id plus whatever that check needs (geometry,
-weights, flux, psi, variant numbers, a function spec, quadrature).  A run
-carrying a "family" block is a sharpness run.  Example run:
+weights, flux, psi, variant numbers, a function spec, quadrature); a key
+the named check does not read is an error.  A run carrying a "family" block
+is a sharpness run.  Example run:
 
     {"theorem_id": "radial_hardy",
      "geometry": {"m": 2, "k": 1, "gamma": 1.0},
@@ -33,11 +34,11 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .catalog import list_theorems
 from .errors import ConfigError, MagHardyError
 from .fields import ConstantFieldPotentials, FluxParam, RadialPotential
 from .functions import (
@@ -71,18 +72,16 @@ from .verifiers.sharpness import _FAMILY_FOR
 REPORT_VERSION = "maghardy-report/1"
 SWEEP_VERSION = "maghardy-sweep/1"
 
-_RUN_KEYS = {
-    "theorem_id", "label", "seed", "geometry", "weights", "flux", "psi",
-    "kappa", "superweight", "theta1", "theta", "Q", "p", "R", "n", "alpha",
-    "potentials", "domain", "function", "quadrature", "admissibility",
-    "family", "schedule", "window",
+# run keys every theorem accepts; each registry record lists the rest it reads
+_COMMON_KEYS = {
+    "theorem_id", "label", "seed", "quadrature", "admissibility", "function",
+    "geometry", "weights", "family", "schedule", "window",
 }
 
-# theorem ids whose runs need a "geometry" block
-_GRUSHIN_IDS = {
-    "radial_hardy", "grushin_ibp", "magnetic_grushin", "ab_hardy",
-    "uncertainty_grushin", "uncertainty_ab", "constant_field",
-}
+# Ceilings on the counts a run sets, far above any configured value: a huge
+# count becomes a ConfigError instead of an OverflowError or an endless loop.
+_MAX_NODES = 4096   # quadrature nodes per axis
+_MAX_DIM = 8        # the dimensions m, k and n
 
 _REQUIRED = object()
 
@@ -128,6 +127,15 @@ def _num(obj: dict, key: str, where: str, kind=float, default=_REQUIRED):
     return _number(value, f"{where}.{key}", kind)
 
 
+def _size(obj: dict, key: str, where: str, ceiling: int, default=_REQUIRED) -> int:
+    """obj[key] as an integer no larger than ceiling, checked before anything
+    of that size is built."""
+    value = _num(obj, key, where, int, default)
+    if value > ceiling:
+        raise ConfigError(f"{where}.{key}: at most {ceiling}, got {obj[key]!r}")
+    return value
+
+
 def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
     """obj[key] as a JSON true or false, or default when the key is absent."""
     value = obj.get(key, default)
@@ -146,7 +154,8 @@ def _numbers(value, field: str, kind=float, length=None):
 
 def _parse_geometry(obj, where) -> GrushinGeometry:
     _check_keys(obj, {"m", "k", "gamma"}, where)
-    return GrushinGeometry(_num(obj, "m", where, int), _num(obj, "k", where, int),
+    return GrushinGeometry(_size(obj, "m", where, _MAX_DIM),
+                           _size(obj, "k", where, _MAX_DIM),
                            _num(obj, "gamma", where))
 
 
@@ -156,13 +165,6 @@ def _parse_weights(obj, where) -> WeightExponents:
     _check_keys(obj, {"alpha1", "alpha2"}, where)
     return WeightExponents(_num(obj, "alpha1", where, default=0.0),
                            _num(obj, "alpha2", where, default=0.0))
-
-
-def _parse_flux(obj, where) -> FluxParam:
-    if obj is None:
-        return FluxParam(0.0)
-    _check_keys(obj, {"beta"}, where)
-    return FluxParam(_num(obj, "beta", where, default=0.0))
 
 
 def _parse_radial_potential(obj, where) -> RadialPotential:
@@ -179,32 +181,15 @@ def _parse_radial_potential(obj, where) -> RadialPotential:
     raise ConfigError(f"{where}: unknown potential kind {kind!r}")
 
 
-def _parse_superweight(obj, where) -> SuperweightParams:
-    _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p", "theta1"},
-                where)
-    return SuperweightParams(
-        a=_num(obj, "a", where), b=_num(obj, "b", where),
-        theta2=_num(obj, "theta2", where), theta3=_num(obj, "theta3", where),
-        theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0),
-        theta1=_num(obj, "theta1", where, default=0.0))
-
-
 def _parse_quadrature(obj, where) -> QuadratureSpec:
     if obj is None:
         return QuadratureSpec()
-    _check_keys(obj, {"n_r", "r_map", "n_phi", "n_y", "oracle"}, where)
+    _check_keys(obj, {"n_r", "n_phi", "n_y", "oracle"}, where)
     return QuadratureSpec(
-        n_r=_num(obj, "n_r", where, int, 256), r_map=obj.get("r_map", "log"),
-        n_phi=_num(obj, "n_phi", where, int, 32),
-        n_y=_num(obj, "n_y", where, int, 64),
+        n_r=_size(obj, "n_r", where, _MAX_NODES, 256),
+        n_phi=_size(obj, "n_phi", where, _MAX_NODES, 32),
+        n_y=_size(obj, "n_y", where, _MAX_NODES, 64),
         oracle=_flag(obj, "oracle", where, False))
-
-
-def _parse_domain(obj, where) -> Domain:
-    _check_keys(obj, {"kind", "R"}, where)
-    R = _num(obj, "R", where)
-    kind = obj.get("kind", "ball")
-    return Domain(r_lo=R * 1e-9, r_hi=R, y_box=(), kind=kind, R_Omega=R)
 
 
 def _parse_family(obj, where) -> TrialFamily:
@@ -243,7 +228,7 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
                     raise ConfigError(f"{where}.{name}: need lo <= hi, "
                                       f"got {obj[name]!r}")
         return random_test_function(
-            rng, k=_num(obj, "k", where, int, 0),
+            rng, k=_size(obj, "k", where, _MAX_DIM, 0),
             modes=_numbers(obj.get("modes", [0]), f"{where}.modes", int),
             real=_flag(obj, "real", where, False),
             gaussian_y=_flag(obj, "gaussian_y", where, True), **kwargs)
@@ -264,22 +249,228 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
     raise ConfigError(f"{where}: unknown function kind {kind!r}")
 
 
+class _Fields:
+    """The fields of one run.
+
+    The common fields are parsed on construction.  Each theorem-specific
+    field is parsed, with its default, by one method (`num` for a plain
+    number), which the verify and the sharpness path of every check share.
+    """
+
+    def __init__(self, run: dict, where: str, seed: int, admissibility: str):
+        self.run, self.where = run, where
+        self.seed = _num(run, "seed", where, int, seed)
+        self.spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
+        self.admissibility = run.get("admissibility", admissibility)
+        if self.admissibility not in ("thm2", "corollary"):
+            raise ConfigError(f"{where}: admissibility must be thm2 or corollary")
+        self.geom = self.exps = None
+        if "geometry" in run:
+            self.geom = _parse_geometry(run["geometry"], f"{where}.geometry")
+            self.exps = _parse_weights(run.get("weights"), f"{where}.weights")
+
+    def num(self, key: str, default=_REQUIRED) -> float:
+        return _num(self.run, key, self.where, default=default)
+
+    def n(self) -> int:
+        return _size(self.run, "n", self.where, _MAX_DIM, 1)
+
+    def R(self) -> float | None:
+        return None if self.run.get("R") is None else self.num("R")
+
+    def flux(self) -> FluxParam:
+        obj, where = self.run.get("flux"), f"{self.where}.flux"
+        if obj is None:
+            return FluxParam(0.0)
+        _check_keys(obj, {"beta"}, where)
+        return FluxParam(_num(obj, "beta", where, default=0.0))
+
+    def psi(self) -> RadialPotential:
+        return _parse_radial_potential(self.run.get("psi"), f"{self.where}.psi")
+
+    def kappa(self) -> RadialPotential:
+        return _parse_radial_potential(
+            self.run.get("kappa", {"kind": "constant", "c": 1.0}),
+            f"{self.where}.kappa")
+
+    def superweight(self) -> SuperweightParams:
+        obj = _need(self.run, "superweight", self.where)
+        where = f"{self.where}.superweight"
+        _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p", "theta1"},
+                    where)
+        return SuperweightParams(
+            a=_num(obj, "a", where), b=_num(obj, "b", where),
+            theta2=_num(obj, "theta2", where), theta3=_num(obj, "theta3", where),
+            theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0),
+            theta1=_num(obj, "theta1", where, default=0.0))
+
+    def domain(self) -> Domain | None:
+        if "domain" not in self.run:
+            return None
+        obj, where = self.run["domain"], f"{self.where}.domain"
+        _check_keys(obj, {"kind", "R"}, where)
+        R = _num(obj, "R", where)
+        kind = obj.get("kind", "ball")
+        return Domain(r_lo=R * 1e-9, r_hi=R, y_box=(), kind=kind, R_Omega=R)
+
+    def potentials(self) -> ConstantFieldPotentials:
+        where = f"{self.where}.potentials"
+        obj = self.run.get("potentials", {"kind": "linear", "slope": 0.5})
+        _check_keys(obj, {"kind", "slope"}, where)
+        if obj.get("kind", "linear") != "linear":
+            raise ConfigError(f"{self.where}: only linear potentials are configurable")
+        return ConstantFieldPotentials.linear(
+            self.geom.m, _num(obj, "slope", where, default=0.5))
+
+
+class _Check(NamedTuple):
+    """One catalogued statement.
+
+    constant and text are its `list` entry: the sharp constant and the
+    conditions of a margin check, or (constant None) what an identity
+    states.  keys are the run fields it reads beyond _COMMON_KEYS; a check
+    that reads "geometry" needs it.  verify(fields, f) calls the verifier;
+    sharpness(fields) builds the `estimate_sharpness` params where the
+    engine takes any.
+    """
+
+    constant: str | None
+    text: str
+    keys: set
+    verify: Callable
+    sharpness: Callable | None = None
+
+
+# The dispatch closures look each verifier up in this module's globals when
+# they run, so a verifier patched here is the one called.
+
+def _landau(variant: str, params=lambda r: None):
+    return lambda r, f: verify_landau(variant, r.psi(), params(r), f, r.spec,
+                                      domain=r.domain())
+
+
+def _real_landau(variant: str):
+    return lambda r, f: verify_real_landau(variant, r.n(), f, r.spec,
+                                           Omega=r.domain(), R=r.R())
+
+
+def _radial_p(variant: str, params=lambda r: {}):
+    return lambda r, f: verify_radial_p(variant, r.num("Q"), r.num("p"),
+                                        params(r), f, r.spec)
+
+
+_CHECKS = {
+    "radial_hardy": _Check(
+        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", {"geometry"},
+        lambda r, f: verify_radial_hardy(r.geom, r.exps, f, r.spec),
+        lambda r: {"geom": r.geom, "exps": r.exps}),
+    "magnetic_grushin": _Check(
+        "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f",
+        {"geometry", "flux"},
+        lambda r, f: verify_magnetic_grushin(r.geom, r.exps, r.flux(), f, r.spec),
+        lambda r: {"geom": r.geom, "exps": r.exps, "flux": r.flux()}),
+    "ab_hardy": _Check(
+        "((a1+k(g+1))/2)^2 + b^2",
+        "m = 2, a1+k(g+1) > 0, and a2+2g > 0 (thm2) or a2*g+2 > 0 (corollary)",
+        {"geometry", "flux"},
+        lambda r, f: verify_ab_hardy(r.geom, r.exps, r.flux(), f, r.spec,
+                                     admissibility=r.admissibility)),
+    "uncertainty_grushin": _Check(
+        "(((Q+a1-2)/2)^2 + b^2)^(1/2)",
+        "as magnetic_grushin; norms halve the weight exponents",
+        {"geometry", "flux"},
+        lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
+                                                r.spec, variant="uncer1")),
+    "uncertainty_ab": _Check(
+        "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0",
+        {"geometry", "flux"},
+        lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
+                                                r.spec, variant="uncer21")),
+    "landau_hardy_sobolev": _Check(
+        "theta1^2", "theta1 != 0", {"psi", "domain", "theta1", "superweight"},
+        _landau("hardy_sobolev",
+                lambda r: r.superweight() if "superweight" in r.run
+                else r.num("theta1")),
+        lambda r: {"theta1": r.num("theta1")}),
+    "landau_log": _Check(
+        "1/4", "support inside the closed unit disc", {"psi", "domain"},
+        _landau("log")),
+    "landau_poincare": _Check(
+        "1/R^2", "bounded ball of radius R containing the support",
+        {"psi", "domain"}, _landau("poincare")),
+    "landau_superweight": _Check(
+        "(t2*t3 - 2*t4)/2", "a, b > 0, t2*t3 < 0, 2*t4 <= t2*t3",
+        {"psi", "domain", "superweight"},
+        _landau("superweight", lambda r: r.superweight()),
+        lambda r: r.superweight()),
+    "radial_p_weighted": _Check(
+        "|p/(Q - theta*p)|", "p > 1, theta*p != Q; radial f", {"Q", "p", "theta"},
+        _radial_p("weighted", lambda r: {"theta": r.num("theta")})),
+    "radial_p_log": _Check("p", "p > 1; radial f", {"Q", "p"}, _radial_p("log")),
+    "radial_p_poincare": _Check(
+        "R*p/Q", "p > 1, support inside [0, R]; radial f", {"Q", "p", "R"},
+        _radial_p("poincare", lambda r: {"R": r.R()})),
+    "radial_p_superweight": _Check(
+        "(Q - p*t4 + t2*t3 - p)/p",
+        "p > 1, a, b > 0, t2*t3 < 0, p*t4 - t2*t3 <= Q - p; radial f",
+        {"Q", "p", "superweight"},
+        _radial_p("superweight", lambda r: r.superweight())),
+    "real_landau_hardy": _Check(
+        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", {"n", "domain", "R"},
+        _real_landau("hardy")),
+    "real_landau_critical": _Check(
+        "1/4", "n = 1, R >= e * sup|z| over the domain; real f",
+        {"n", "domain", "R"}, _real_landau("critical")),
+    "real_landau_uncertainty": _Check(
+        "1 (norm product vs pointwise bound)",
+        "n >= 1; real f; R as in real_landau_critical when n = 1",
+        {"n", "domain", "R"}, _real_landau("uncertainty")),
+    "constant_field": _Check(
+        "(n(2+g)+a1-2)/2 as printed; squared reading also evaluated",
+        "m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f",
+        {"geometry", "potentials"},
+        lambda r, f: verify_constant_field(r.geom, r.exps, r.potentials(), f,
+                                           r.spec)),
+    "grushin_ibp": _Check(
+        None, "shifted-gradient expansion of the anisotropic Dirichlet form",
+        {"geometry", "alpha"},
+        lambda r, f: check_grushin_ibp_identity(r.geom, r.exps, f,
+                                                r.num("alpha", 0.7), r.spec)),
+    "twisted_polar": _Check(
+        None, "polar split of the twisted Dirichlet integral over kappa",
+        {"psi", "kappa"},
+        lambda r, f: check_twisted_polar_identity(r.psi(), r.kappa(), f, r.spec)),
+    "real_landau_identity": _Check(
+        None, "Dirichlet + harmonic-potential split on the plane", {"n"},
+        lambda r, f: verify_real_landau("identity", r.n(), f, r.spec)),
+}
+
+
+def list_theorems() -> str:
+    """Stable text table of every checkable statement."""
+    width = max(len(tid) for tid in _CHECKS)
+    lines = ["margin checks:"]
+    for tid, check in _CHECKS.items():
+        if check.constant is not None:
+            lines.append(f"  {tid:<{width}}  constant: {check.constant}")
+            lines.append(f"  {'':<{width}}  requires: {check.text}")
+    lines.append("identity checks:")
+    for tid, check in _CHECKS.items():
+        if check.constant is None:
+            lines.append(f"  {tid:<{width}}  {check.text}")
+    return "\n".join(lines)
+
+
 def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str):
     """Execute a single suite entry; returns the report object."""
     where = f"runs[{index}]"
-    _check_keys(run, _RUN_KEYS, where)
     tid = str(_need(run, "theorem_id", where))
-    seed = _num(run, "seed", where, int, suite_seed + index)
-    spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
-    admissibility = run.get("admissibility", admissibility_default)
-    if admissibility not in ("thm2", "corollary"):
-        raise ConfigError(f"{where}: admissibility must be thm2 or corollary")
-
-    geom = exps = None
-    if "geometry" in run:
-        geom = _parse_geometry(run["geometry"], f"{where}.geometry")
-        exps = _parse_weights(run.get("weights"), f"{where}.weights")
-    elif tid in _GRUSHIN_IDS:
+    if tid not in _CHECKS:
+        raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
+    check = _CHECKS[tid]
+    _check_keys(run, _COMMON_KEYS | check.keys, where)
+    fields = _Fields(run, where, suite_seed + index, admissibility_default)
+    if "geometry" in check.keys and fields.geom is None:
         raise ConfigError(f"{where}: {tid} needs geometry")
 
     if "family" in run:
@@ -287,95 +478,13 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
         schedule = run.get("schedule")
         if schedule is not None:
             schedule = _numbers(schedule, f"{where}.schedule")
-        window = run.get("window", "gauss")
-        if tid in ("radial_hardy", "magnetic_grushin"):
-            params = {"geom": geom, "exps": exps}
-            if tid == "magnetic_grushin":
-                params["flux"] = _parse_flux(run.get("flux"), f"{where}.flux")
-        elif tid == "landau_hardy_sobolev":
-            params = {"theta1": _num(run, "theta1", where)}
-        elif tid == "landau_superweight":
-            params = _parse_superweight(_need(run, "superweight", where),
-                                        f"{where}.superweight")
-        else:
-            params = None
-        return estimate_sharpness(tid, params, family, schedule, window=window)
+        params = None if check.sharpness is None else check.sharpness(fields)
+        return estimate_sharpness(tid, params, family, schedule,
+                                  window=run.get("window", "gauss"))
 
     f = _parse_function(_need(run, "function", where), f"{where}.function",
-                        seed, geom=geom, exps=exps)
-
-    if tid == "radial_hardy":
-        return verify_radial_hardy(geom, exps, f, spec)
-    if tid == "magnetic_grushin":
-        flux = _parse_flux(run.get("flux"), f"{where}.flux")
-        return verify_magnetic_grushin(geom, exps, flux, f, spec)
-    if tid == "ab_hardy":
-        flux = _parse_flux(run.get("flux"), f"{where}.flux")
-        return verify_ab_hardy(geom, exps, flux, f, spec,
-                               admissibility=admissibility)
-    if tid in ("uncertainty_grushin", "uncertainty_ab"):
-        flux = _parse_flux(run.get("flux"), f"{where}.flux")
-        variant = "uncer1" if tid == "uncertainty_grushin" else "uncer21"
-        return verify_uncertainty_grushin(geom, exps, flux, f, spec,
-                                          variant=variant)
-    if tid == "constant_field":
-        pots_cfg = run.get("potentials", {"kind": "linear", "slope": 0.5})
-        _check_keys(pots_cfg, {"kind", "slope"}, f"{where}.potentials")
-        if pots_cfg.get("kind", "linear") != "linear":
-            raise ConfigError(f"{where}: only linear potentials are configurable")
-        pots = ConstantFieldPotentials.linear(
-            geom.m, _num(pots_cfg, "slope", f"{where}.potentials", default=0.5))
-        return verify_constant_field(geom, exps, pots, f, spec)
-    if tid == "grushin_ibp":
-        alpha = _num(run, "alpha", where, default=0.7)
-        return check_grushin_ibp_identity(geom, exps, f, alpha, spec)
-    if tid == "twisted_polar":
-        psi = _parse_radial_potential(run.get("psi"), f"{where}.psi")
-        kappa = _parse_radial_potential(
-            run.get("kappa", {"kind": "constant", "c": 1.0}), f"{where}.kappa")
-        return check_twisted_polar_identity(psi, kappa, f, spec)
-    if tid.startswith("landau_"):
-        variant = tid[len("landau_"):]
-        psi = _parse_radial_potential(run.get("psi"), f"{where}.psi")
-        params = None
-        if variant == "hardy_sobolev":
-            if "superweight" in run:
-                params = _parse_superweight(run["superweight"],
-                                            f"{where}.superweight")
-            else:
-                params = _num(run, "theta1", where)
-        elif variant == "superweight":
-            params = _parse_superweight(_need(run, "superweight", where),
-                                        f"{where}.superweight")
-        domain = None
-        if "domain" in run:
-            domain = _parse_domain(run["domain"], f"{where}.domain")
-        return verify_landau(variant, psi, params, f, spec, domain=domain)
-    if tid == "real_landau_identity":
-        return verify_real_landau("identity", _num(run, "n", where, int, 1), f, spec)
-    if tid.startswith("real_landau_"):
-        variant = tid[len("real_landau_"):]
-        n = _num(run, "n", where, int, 1)
-        Omega = None
-        if "domain" in run:
-            Omega = _parse_domain(run["domain"], f"{where}.domain")
-        R = None if run.get("R") is None else _num(run, "R", where)
-        return verify_real_landau(variant, n, f, spec, Omega=Omega, R=R)
-    if tid.startswith("radial_p_"):
-        variant = tid[len("radial_p_"):]
-        Q = _num(run, "Q", where)
-        p = _num(run, "p", where)
-        if variant == "weighted":
-            params = {"theta": _num(run, "theta", where)}
-        elif variant == "poincare":
-            params = {"R": _num(run, "R", where)} if "R" in run else {}
-        elif variant == "superweight":
-            params = _parse_superweight(_need(run, "superweight", where),
-                                        f"{where}.superweight")
-        else:
-            params = {}
-        return verify_radial_p(variant, Q, p, params, f, spec)
-    raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
+                        fields.seed, geom=fields.geom, exps=fields.exps)
+    return check.verify(fields, f)
 
 
 def _passes(report) -> bool:

@@ -61,7 +61,6 @@ class QuadratureSpec:
     """
 
     n_r: int = 256
-    r_map: str = "log"
     n_phi: int = 32
     n_y: int = 64
     oracle: bool = False
@@ -69,8 +68,6 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.n_r < 2 or self.n_phi < 1 or self.n_y < 1:
             raise DomainError("quadrature resolutions must be positive (n_r >= 2)")
-        if self.r_map != "log":
-            raise DomainError(f"unsupported r_map {self.r_map!r}")
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,8 @@ __all__ = [
 
 
 def _resolution(spec: QuadratureSpec) -> dict:
-    return {"n_r": spec.n_r, "r_map": spec.r_map, "n_phi": spec.n_phi,
+    # every radial rule maps u = log r; the report still names the map
+    return {"n_r": spec.n_r, "r_map": "log", "n_phi": spec.n_phi,
             "n_y": spec.n_y, "oracle": spec.oracle}
 
 

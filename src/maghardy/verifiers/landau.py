@@ -88,14 +88,6 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
 # The four weighted inequalities for the twisted gradient
 # ---------------------------------------------------------------------------
 
-_LANDAU_IDS = {
-    "hardy_sobolev": "landau_hardy_sobolev",
-    "log": "landau_log",
-    "poincare": "landau_poincare",
-    "superweight": "landau_superweight",
-}
-
-
 def verify_landau(variant: str, psi: RadialPotential,
                   params: SuperweightParams | None, f: TestFunction,
                   spec: QuadratureSpec,
@@ -110,12 +102,19 @@ def verify_landau(variant: str, psi: RadialPotential,
     Every right-hand term of the corresponding display is evaluated,
     including the psi^2 term and the angular-defect remainder.
     """
-    if variant not in _LANDAU_IDS:
-        raise DomainError(f"unknown variant {variant!r}")
-    theorem_id = _LANDAU_IDS[variant]
+    theorem_id = f"landau_{variant}"
     _require_plane(f)
 
-    # weight setup and admissibility per variant
+    run_params = {"variant": variant,
+                  "psi_kind": getattr(psi, "kind", "user"),
+                  "psi_params": list(getattr(psi, "params", ()))}
+
+    def psi_sq(r):
+        return np.asarray(psi(r)) ** 2
+
+    # per variant: admissibility, the constant, its parameters in the report,
+    # and the weights of the gradient side (wv), the main term, the psi term
+    # and the mode defect
     if variant == "hardy_sobolev":
         if params is None:
             raise AdmissibilityError("power-weight variant needs theta1")
@@ -123,11 +122,19 @@ def verify_landau(variant: str, psi: RadialPotential,
         if t1 == 0.0:
             raise AdmissibilityError("power-weight variant needs theta1 != 0")
         sharp = t1 * t1
+        run_params["theta1"] = t1
+        wv = lambda r: r ** (-2.0 * t1)
+        main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)
+        psi_weight = lambda r: psi_sq(r) * r ** (-2.0 * t1 + 2.0)
     elif variant == "log":
         if f.modes and f.support()[1] > 1.0 + 1e-12:
             raise AdmissibilityError(
                 "log-weighted bound needs support inside the closed unit disc")
         sharp = 0.25
+        wv = lambda r: np.log(r) ** 2
+        main_weight = np.ones_like
+        psi_weight = lambda r: psi_sq(r) * r**2 * np.log(r) ** 2
+        defect_weight = lambda r: np.log(r) ** 2 / r**2
     elif variant == "poincare":
         if domain is None or domain.kind != "ball":
             raise AdmissibilityError("bounded variant needs a ball domain")
@@ -135,7 +142,9 @@ def verify_landau(variant: str, psi: RadialPotential,
         if f.modes and f.support()[1] > R * (1.0 + 1e-12):
             raise AdmissibilityError("function must be supported inside the ball")
         sharp = 1.0 / (R * R)
-    else:
+        wv = main_weight = defect_weight = np.ones_like
+        psi_weight = lambda r: psi_sq(r) * r**2
+    elif variant == "superweight":
         if params is None:
             raise AdmissibilityError("superweight variant needs its parameters")
         if not (2.0 * params.theta4 <= params.theta2 * params.theta3):
@@ -143,14 +152,14 @@ def verify_landau(variant: str, psi: RadialPotential,
         a, b = params.a, params.b
         t2, t3, t4 = params.theta2, params.theta3, params.theta4
         sharp = 0.5 * (t2 * t3 - 2.0 * t4)
-
-    run_params = {"variant": variant,
-                  "psi_kind": getattr(psi, "kind", "user"),
-                  "psi_params": list(getattr(psi, "params", ()))}
-    if variant == "hardy_sobolev":
-        run_params["theta1"] = t1
-    elif isinstance(params, SuperweightParams):
         run_params["weights"] = params.to_dict()
+        W = lambda r: (a + b * r**t2) ** t3
+        wv = lambda r: W(r) * r ** (-2.0 * t4)
+        main_weight = defect_weight = lambda r: W(r) * r ** (-2.0 * t4 - 2.0)
+        psi_weight = lambda r: psi_sq(r) * W(r) * r ** (-2.0 * t4 + 2.0)
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
+
     if domain is not None and domain.kind == "ball":
         run_params["R"] = float(domain.R_Omega)
     res = _resolution(spec)
@@ -165,40 +174,6 @@ def verify_landau(variant: str, psi: RadialPotential,
         r_breaks=f.support()[3])
     tw = _twisted_sq(psi, f)
     f0_sq = mode_zero_sq(f)
-
-    def wv(r):
-        # the variant's base weight, gradient-side
-        if variant == "hardy_sobolev":
-            return r ** (-2.0 * t1)
-        if variant == "log":
-            return np.log(r) ** 2
-        if variant == "poincare":
-            return np.ones_like(r)
-        return (a + b * r**t2) ** t3 * r ** (-2.0 * t4)
-
-    def main_weight(r):
-        if variant == "hardy_sobolev":
-            return r ** (-2.0 * t1 - 2.0)
-        if variant == "log":
-            return np.ones_like(r)
-        if variant == "poincare":
-            return np.ones_like(r)
-        return (a + b * r**t2) ** t3 * r ** (-2.0 * t4 - 2.0)
-
-    def psi_weight(r):
-        pv = np.asarray(psi(r)) ** 2
-        if variant == "hardy_sobolev":
-            return pv * r ** (-2.0 * t1 + 2.0)
-        if variant == "log":
-            return pv * r**2 * np.log(r) ** 2
-        if variant == "poincare":
-            return pv * r**2
-        return pv * (a + b * r**t2) ** t3 * r ** (-2.0 * t4 + 2.0)
-
-    def defect_weight(r):
-        if variant == "log":
-            return np.log(r) ** 2 / r**2
-        return main_weight(r)
 
     lhs = polar_integral(lambda r, p_, y: wv(r) * tw(r, p_, y), spec, dom)
     main = sharp * polar_integral(
@@ -243,6 +218,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     _require_real(f, "the classical-field statement")
     if n >= 2 and f.modes and not f.is_radial:
         raise AdmissibilityError("n >= 2 runs through the radial reduction")
+    theorem_id = f"real_landau_{variant}"
     half = RadialPotential.constant(0.5)
     res = _resolution(spec)
     dim = 2 * n
@@ -282,7 +258,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         if n != 1:
             raise DomainError("the split identity check runs on the plane (n=1)")
         if not f.modes:
-            return IdentityReport("real_landau_identity", 0.0, 0.0, params, res)
+            return IdentityReport(theorem_id, 0.0, 0.0, params, res)
 
         def plain_density(r, phi, y):
             fr, fphi, _ = f.partials_polar(r, phi, y)
@@ -290,55 +266,43 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
         lhs = integral(lhs_density)
         rhs = integral(plain_density) + integral(pot_density)
-        return IdentityReport("real_landau_identity", lhs, rhs, params, res)
+        return IdentityReport(theorem_id, lhs, rhs, params, res)
 
+    # per variant: the constant and the density of the main term
     if variant == "hardy":
         sharp = float((n - 1) ** 2)
-        if not f.modes:
-            return InequalityReport("real_landau_hardy", 0.0,
-                                    {"main": 0.0, "psi_potential": 0.0},
-                                    sharp, params, res)
-        lhs = integral(lhs_density)
-        main = sharp * integral(lambda r, p_, y: sq_density(r, p_, y) / r**2)
-        pot = integral(pot_density)
-        return InequalityReport("real_landau_hardy", lhs,
-                                {"main": main, "psi_potential": pot},
-                                sharp, params, res)
-
-    if variant == "critical":
+        main_density = lambda r, p_, y: sq_density(r, p_, y) / r**2
+    elif variant == "critical":
         if n != 1:
             raise DomainError("the log-weighted bound is stated on the plane")
         sharp = 0.25
-        if not f.modes:
-            return InequalityReport("real_landau_critical", 0.0,
-                                    {"main": 0.0, "psi_potential": 0.0},
-                                    sharp, params, res)
-        lhs = integral(lhs_density)
-        main = sharp * integral(
-            lambda r, p_, y: sq_density(r, p_, y) / (r**2 * np.log(R / r) ** 2))
-        pot = integral(pot_density)
-        return InequalityReport("real_landau_critical", lhs,
-                                {"main": main, "psi_potential": pot},
-                                sharp, params, res)
 
-    if variant == "uncertainty":
+        def main_density(r, phi, y):
+            return sq_density(r, phi, y) / (r**2 * np.log(R / r) ** 2)
+    elif variant == "uncertainty":
+        # the norm product against the pointwise square-root bound
         sharp = 1.0
-        if not f.modes:
-            return InequalityReport("real_landau_uncertainty", 0.0, {"main": 0.0},
-                                    sharp, params, res)
-        grad_sq = integral(lhs_density)
-        norm_sq = integral(sq_density)
 
-        def bound_density(r, phi, y):
+        def main_density(r, phi, y):
             if n == 1:
                 root = np.sqrt(0.25 / (r**2 * np.log(R / r) ** 2) + 0.25 * r**2)
             else:
                 root = np.sqrt((n - 1) ** 2 / r**2 + 0.25 * r**2)
             return root * abs2(f.value_polar(r, phi, y))
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
 
-        main = integral(bound_density)
-        lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
-        return InequalityReport("real_landau_uncertainty", lhs, {"main": main},
+    names = ("main",) if variant == "uncertainty" else ("main", "psi_potential")
+    if not f.modes:
+        return InequalityReport(theorem_id, 0.0, dict.fromkeys(names, 0.0),
                                 sharp, params, res)
-
-    raise DomainError(f"unknown variant {variant!r}")
+    if variant == "uncertainty":
+        grad_sq = integral(lhs_density)
+        norm_sq = integral(sq_density)
+        lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
+        terms = {"main": integral(main_density)}
+    else:
+        lhs = integral(lhs_density)
+        terms = {"main": sharp * integral(main_density),
+                 "psi_potential": integral(pot_density)}
+    return InequalityReport(theorem_id, lhs, terms, sharp, params, res)

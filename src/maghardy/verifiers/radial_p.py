@@ -18,14 +18,6 @@ from .grushin import _resolution
 
 __all__ = ["verify_radial_p"]
 
-_RADIAL_P_IDS = {
-    "weighted": "radial_p_weighted",
-    "log": "radial_p_log",
-    "poincare": "radial_p_poincare",
-    "superweight": "radial_p_superweight",
-}
-
-
 def _rint(density, Q: float, w: float, spec: QuadratureSpec,
           r_lo: float, r_hi: float, breaks) -> float:
     if spec.oracle:
@@ -44,9 +36,7 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     SuperweightParams.  The reported lhs is whichever side the inequality
     bounds from below, so margin >= 0 is the assertion in every variant.
     """
-    if variant not in _RADIAL_P_IDS:
-        raise DomainError(f"unknown variant {variant!r}")
-    theorem_id = _RADIAL_P_IDS[variant]
+    theorem_id = f"radial_p_{variant}"
     if not (p > 1.0):
         raise AdmissibilityError("need p > 1")
     if not (Q > 0.0):
@@ -56,6 +46,15 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
 
     run_params: dict = {"variant": variant, "Q": Q, "p": p}
 
+    def fval(r):
+        return f.value_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))
+
+    def fder(r):
+        return f.partials_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))[0]
+
+    # per variant: admissibility, the constant C, the radial weight exponents
+    # and the densities of the gradient and (where weighted) the function side
+    func_dens = lambda r: np.abs(fval(r)) ** p
     if variant == "weighted":
         theta = float(params["theta"])
         if abs(theta * p - Q) < 1e-12:
@@ -63,9 +62,11 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         C = abs(p / (Q - theta * p))
         w_grad = w_func = theta * p
         run_params["theta"] = theta
+        grad_dens = lambda r: np.abs(r * fder(r)) ** p
     elif variant == "log":
         C = p
         w_grad = w_func = Q
+        grad_dens = lambda r: np.abs(np.log(r) * r * fder(r)) ** p
     elif variant == "poincare":
         R = None if params is None else params.get("R")
         if R is None:
@@ -76,56 +77,41 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         C = R * p / Q
         w_grad = w_func = 0.0
         run_params["R"] = R
-    else:
+        grad_dens = lambda r: np.abs(fder(r)) ** p
+    elif variant == "superweight":
         if not isinstance(params, SuperweightParams):
             raise AdmissibilityError("composite-weight variant needs its parameters")
         a, b = params.a, params.b
         t2, t3, t4 = params.theta2, params.theta3, params.theta4
-        c_p = (Q - p * t4 + t2 * t3 - p) / p
-        if c_p < 0.0:
+        C = (Q - p * t4 + t2 * t3 - p) / p
+        if C < 0.0:
             raise AdmissibilityError("need p*theta4 - theta2*theta3 <= Q - p")
         w_grad, w_func = p * t4, p * (t4 + 1.0)
         run_params["weights"] = params.to_dict()
+        W = lambda r: (a + b * r**t2) ** t3
+        grad_dens = lambda r: W(r) * np.abs(fder(r)) ** p
+        func_dens = lambda r: W(r) * np.abs(fval(r)) ** p
+    else:
+        raise DomainError(f"unknown variant {variant!r}")
 
     res = _resolution(spec)
     if not f.modes:
         if variant == "superweight":
-            return InequalityReport(theorem_id, 0.0, {"main": 0.0}, c_p,
+            return InequalityReport(theorem_id, 0.0, {"main": 0.0}, C,
                                     run_params, res)
         return InequalityReport(theorem_id, 0.0, {"main": 0.0}, C,
                                 run_params, res, ratio_override=float("nan"))
 
     r_lo, r_hi, _, breaks = f.support()
-
-    def fval(r):
-        return f.value_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))
-
-    def fder(r):
-        return f.partials_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))[0]
-
-    if variant == "weighted":
-        grad_dens = lambda r: np.abs(r * fder(r)) ** p
-        func_dens = lambda r: np.abs(fval(r)) ** p
-    elif variant == "log":
-        grad_dens = lambda r: np.abs(np.log(r) * r * fder(r)) ** p
-        func_dens = lambda r: np.abs(fval(r)) ** p
-    elif variant == "poincare":
-        grad_dens = lambda r: np.abs(fder(r)) ** p
-        func_dens = lambda r: np.abs(fval(r)) ** p
-    else:
-        W = lambda r: (a + b * r**t2) ** t3
-        grad_dens = lambda r: W(r) * np.abs(fder(r)) ** p
-        func_dens = lambda r: W(r) * np.abs(fval(r)) ** p
-
     grad_int = _rint(grad_dens, Q, w_grad, spec, r_lo, r_hi, breaks)
     func_int = _rint(func_dens, Q, w_func, spec, r_lo, r_hi, breaks)
     grad_norm = max(grad_int, 0.0) ** (1.0 / p)
     func_norm = max(func_int, 0.0) ** (1.0 / p)
 
     if variant == "superweight":
-        # printed as  c_p * ||W^(1/p) f / r^(theta4+1)|| <= ||W^(1/p) f' / r^theta4||
+        # printed as  C * ||W^(1/p) f / r^(theta4+1)|| <= ||W^(1/p) f' / r^theta4||
         return InequalityReport(theorem_id, grad_norm,
-                                {"main": c_p * func_norm}, c_p, run_params, res)
+                                {"main": C * func_norm}, C, run_params, res)
 
     # printed as  ||f-side|| <= C * ||gradient-side||; the constant rides
     # on the lhs here, so the attained-constant ratio needs the override.

@@ -171,6 +171,23 @@ _MALFORMED_RUNS = {
     "negative seed of a random function": {
         **_GOOD_RUN, "seed": -3,
         "function": {"kind": "random", "k": 1, "modes": [0]}},
+    # keys another theorem reads
+    "domain on radial_p_poincare": {
+        "theorem_id": "radial_p_poincare", "Q": 3.0, "p": 2.0,
+        "domain": {"kind": "ball", "R": 0.5},
+        "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    "theta1 and flux on landau_log": {
+        "theorem_id": "landau_log", "theta1": 1.0, "flux": {"beta": 0.5},
+        "function": {"kind": "random", "k": 0, "modes": [0, 1]},
+        "quadrature": {"n_r": 64, "n_phi": 12}},
+    "flux on radial_hardy": {**_GOOD_RUN, "flux": {"beta": 5}},
+    # sizes far past the ceilings, refused before anything is allocated
+    "huge n_r": {**_GOOD_RUN, "quadrature": {"n_r": 1e300}},
+    "huge m": {**_GOOD_RUN, "geometry": {**GEOM, "m": 1e300}},
+    "huge n": {"theorem_id": "real_landau_hardy", "n": 1e300,
+               "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    "huge k of a random function": {
+        **_GOOD_RUN, "function": {"kind": "random", "k": 1e300, "modes": [0]}},
 }
 
 
@@ -361,12 +378,59 @@ def test_sweep_records_engine_errors(tmp_path):
     assert combined["results"][0]["error"]["type"] == "AdmissibilityError"
 
 
+_LIST_TEXT = """\
+margin checks:
+  radial_hardy             constant: ((Q+a1-2)/2)^2
+                           requires: Q+a1-2 > 0, m+g*a2 > 0; radial f
+  magnetic_grushin         constant: ((Q+a1-2)/2)^2 + b^2
+                           requires: Q+a1-2 > 0, m+g*a2 > 0; real f
+  ab_hardy                 constant: ((a1+k(g+1))/2)^2 + b^2
+                           requires: m = 2, a1+k(g+1) > 0, and a2+2g > 0 (thm2) or a2*g+2 > 0 (corollary)
+  uncertainty_grushin      constant: (((Q+a1-2)/2)^2 + b^2)^(1/2)
+                           requires: as magnetic_grushin; norms halve the weight exponents
+  uncertainty_ab           constant: (((a1+k(g+1))/2)^2 + b^2)^(1/2)
+                           requires: m = 2, a1+k(g+1) > 0, a2*g+2 > 0
+  landau_hardy_sobolev     constant: theta1^2
+                           requires: theta1 != 0
+  landau_log               constant: 1/4
+                           requires: support inside the closed unit disc
+  landau_poincare          constant: 1/R^2
+                           requires: bounded ball of radius R containing the support
+  landau_superweight       constant: (t2*t3 - 2*t4)/2
+                           requires: a, b > 0, t2*t3 < 0, 2*t4 <= t2*t3
+  radial_p_weighted        constant: |p/(Q - theta*p)|
+                           requires: p > 1, theta*p != Q; radial f
+  radial_p_log             constant: p
+                           requires: p > 1; radial f
+  radial_p_poincare        constant: R*p/Q
+                           requires: p > 1, support inside [0, R]; radial f
+  radial_p_superweight     constant: (Q - p*t4 + t2*t3 - p)/p
+                           requires: p > 1, a, b > 0, t2*t3 < 0, p*t4 - t2*t3 <= Q - p; radial f
+  real_landau_hardy        constant: (n-1)^2
+                           requires: n >= 1; real f (radial for n >= 2)
+  real_landau_critical     constant: 1/4
+                           requires: n = 1, R >= e * sup|z| over the domain; real f
+  real_landau_uncertainty  constant: 1 (norm product vs pointwise bound)
+                           requires: n >= 1; real f; R as in real_landau_critical when n = 1
+  constant_field           constant: (n(2+g)+a1-2)/2 as printed; squared reading also evaluated
+                           requires: m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f
+identity checks:
+  grushin_ibp              shifted-gradient expansion of the anisotropic Dirichlet form
+  twisted_polar            polar split of the twisted Dirichlet integral over kappa
+  real_landau_identity     Dirichlet + harmonic-potential split on the plane
+"""
+
+
 def test_list_is_informative_and_stable(capsys):
     assert main(["list"]) == 0
-    first = capsys.readouterr().out
-    assert "ab_hardy" in first
-    assert "((a1+k(g+1))/2)^2 + b^2" in first
-    assert "landau_log" in first
-    assert "1/4" in first
+    assert capsys.readouterr().out == _LIST_TEXT
     assert main(["list"]) == 0
-    assert capsys.readouterr().out == first
+    assert capsys.readouterr().out == _LIST_TEXT
+
+
+def test_default_suite_runs_every_listed_check():
+    listed = {line.split()[0] for line in _LIST_TEXT.splitlines()
+              if line.startswith("  ") and not line.startswith("   ")}
+    cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
+    assert {run["theorem_id"] for run in cfg["runs"]} == listed
+    assert len(listed) == 20

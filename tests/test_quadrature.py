@@ -245,8 +245,6 @@ def test_domain_validation():
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(n_r=1)
-    with pytest.raises(DomainError):
-        QuadratureSpec(r_map="linear")
 
 
 def test_determinism_bitwise():
