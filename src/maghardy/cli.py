@@ -72,11 +72,11 @@ from .verifiers.sharpness import _FAMILY_FOR
 REPORT_VERSION = "maghardy-report/1"
 SWEEP_VERSION = "maghardy-sweep/1"
 
-# run keys every theorem accepts; each registry record lists the rest it reads
-_COMMON_KEYS = {
-    "theorem_id", "label", "seed", "quadrature", "admissibility", "function",
-    "geometry", "weights", "family", "schedule", "window",
-}
+# run keys every theorem accepts; each registry record lists the rest it
+# reads, and the ids with a sharpness engine also read _SHARPNESS_KEYS
+_COMMON_KEYS = {"theorem_id", "label", "seed", "quadrature", "function"}
+_SHARPNESS_KEYS = {"family", "schedule", "window"}
+_GRUSHIN_KEYS = {"geometry", "weights"}
 
 # Ceilings on the counts a run sets, far above any configured value: a huge
 # count becomes a ConfigError instead of an OverflowError or an endless loop.
@@ -361,29 +361,29 @@ def _radial_p(variant: str, params=lambda r: {}):
 
 _CHECKS = {
     "radial_hardy": _Check(
-        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", {"geometry"},
+        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", _GRUSHIN_KEYS,
         lambda r, f: verify_radial_hardy(r.geom, r.exps, f, r.spec),
         lambda r: {"geom": r.geom, "exps": r.exps}),
     "magnetic_grushin": _Check(
         "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f",
-        {"geometry", "flux"},
+        _GRUSHIN_KEYS | {"flux"},
         lambda r, f: verify_magnetic_grushin(r.geom, r.exps, r.flux(), f, r.spec),
         lambda r: {"geom": r.geom, "exps": r.exps, "flux": r.flux()}),
     "ab_hardy": _Check(
         "((a1+k(g+1))/2)^2 + b^2",
         "m = 2, a1+k(g+1) > 0, and a2+2g > 0 (thm2) or a2*g+2 > 0 (corollary)",
-        {"geometry", "flux"},
+        _GRUSHIN_KEYS | {"flux", "admissibility"},
         lambda r, f: verify_ab_hardy(r.geom, r.exps, r.flux(), f, r.spec,
                                      admissibility=r.admissibility)),
     "uncertainty_grushin": _Check(
         "(((Q+a1-2)/2)^2 + b^2)^(1/2)",
         "as magnetic_grushin; norms halve the weight exponents",
-        {"geometry", "flux"},
+        _GRUSHIN_KEYS | {"flux"},
         lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
                                                 r.spec, variant="uncer1")),
     "uncertainty_ab": _Check(
         "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0",
-        {"geometry", "flux"},
+        _GRUSHIN_KEYS | {"flux"},
         lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
                                                 r.spec, variant="uncer21")),
     "landau_hardy_sobolev": _Check(
@@ -428,12 +428,12 @@ _CHECKS = {
     "constant_field": _Check(
         "(n(2+g)+a1-2)/2 as printed; squared reading also evaluated",
         "m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f",
-        {"geometry", "potentials"},
+        _GRUSHIN_KEYS | {"potentials"},
         lambda r, f: verify_constant_field(r.geom, r.exps, r.potentials(), f,
                                            r.spec)),
     "grushin_ibp": _Check(
         None, "shifted-gradient expansion of the anisotropic Dirichlet form",
-        {"geometry", "alpha"},
+        _GRUSHIN_KEYS | {"alpha"},
         lambda r, f: check_grushin_ibp_identity(r.geom, r.exps, f,
                                                 r.num("alpha", 0.7), r.spec)),
     "twisted_polar": _Check(
@@ -468,7 +468,8 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     if tid not in _CHECKS:
         raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
     check = _CHECKS[tid]
-    _check_keys(run, _COMMON_KEYS | check.keys, where)
+    engine_keys = _SHARPNESS_KEYS if tid in _FAMILY_FOR else set()
+    _check_keys(run, _COMMON_KEYS | check.keys | engine_keys, where)
     fields = _Fields(run, where, suite_seed + index, admissibility_default)
     if "geometry" in check.keys and fields.geom is None:
         raise ConfigError(f"{where}: {tid} needs geometry")
@@ -562,8 +563,7 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
     return 0 if n_pass == len(records) else 1
 
 
-def sweep_sharpness(config_path: str, out_dir: str,
-                    admissibility: str = "thm2") -> int:
+def sweep_sharpness(config_path: str, out_dir: str) -> int:
     cfg = _load_config(config_path)
     runs = cfg.get("runs", [])
     suite_seed = _num(cfg, "seed", "config", int, 0)
@@ -577,7 +577,7 @@ def sweep_sharpness(config_path: str, out_dir: str,
         if tid not in _FAMILY_FOR:
             raise ConfigError(f"{where}: {tid!r} has no sharpness engine")
         try:
-            res = _run_one(run, i, suite_seed, admissibility)
+            res = _run_one(run, i, suite_seed, "thm2")
         except MagHardyError as exc:
             results.append({"index": i, "theorem_id": tid, "status": "error",
                             "error": {"type": type(exc).__name__,
@@ -631,8 +631,6 @@ def main(argv=None) -> int:
     p_sweep = sub.add_parser("sweep", help="run sharpness sweeps to CSV")
     p_sweep.add_argument("--config", required=True, help="sweep JSON path")
     p_sweep.add_argument("--out-dir", required=True, help="output directory")
-    p_sweep.add_argument("--admissibility", choices=("thm2", "corollary"),
-                         default="thm2")
 
     sub.add_parser("list", help="list checkable statements")
 
@@ -643,8 +641,7 @@ def main(argv=None) -> int:
                              admissibility=args.admissibility,
                              timings=args.timings)
         if args.command == "sweep":
-            return sweep_sharpness(args.config, args.out_dir,
-                                   admissibility=args.admissibility)
+            return sweep_sharpness(args.config, args.out_dir)
         print(list_theorems())
         return 0
     except ConfigError as exc:

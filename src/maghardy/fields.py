@@ -5,13 +5,14 @@ from numerical differentiation — so the pointwise identities they satisfy
 (norm formulas, real-function splits) hold to machine precision.
 
 Each magnetic gradient is written once, vectorised on grid arrays in the
-integrate_polar convention (r (n_r, 1), phi a float, y (1, n_flat, k), plus
-rho on that grid) from the analytic polar partials of the test function:
-grushin_components and tilde_components return polar-frame components,
-twisted_components Cartesian ones.  The verifiers integrate sums of their
-squared moduli.  The pointwise API is a one-node call into the same
-functions that rotates the polar frame to Cartesian, so the finite-difference
-tests check the code the integrals run.  Its outputs are complex vectors:
+quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
+from the values and polar partials of the test function at one angular node
+(TestFunction.on_grid): grushin_components and tilde_components return
+polar-frame components, twisted_components Cartesian ones.  The verifiers
+integrate sums of their squared moduli.  The pointwise API is a one-node
+call into the same functions that rotates the polar frame to Cartesian, so
+the finite-difference tests check the code the integrals run.
+Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
     twisted (Landau)    two components on R^2 (z = (x, y))
@@ -143,13 +144,13 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 # Magnetic gradients on grid arrays
 # ---------------------------------------------------------------------------
 
-def grushin_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rho_val):
+def grushin_components(beta: float, gamma: float, r, y, rho_val, parts):
     """Polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f on a grid.
 
-    c_y carries the trailing y axis.
+    parts is (f, df/dr, df/dphi, grad_y f) on the grid (r, y), as
+    TestFunction.on_grid gives them; c_y carries the trailing y axis.
     """
-    fr, fphi, fy = f.partials_polar(r, phi, y)
-    val = f.value_polar(r, phi, y)
+    val, fr, fphi, fy = parts
     cr = fr + 1j * beta * drho_dr_over_rho(gamma, r, rho_val) * val
     cphi = fphi / r
     ay = r[..., None] ** gamma * grad_y_rho_over_rho(gamma, y, rho_val[..., None])
@@ -157,14 +158,13 @@ def grushin_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rh
     return cr, cphi, cy
 
 
-def tilde_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rho_val):
+def tilde_components(beta: float, gamma: float, r, y, rho_val, parts):
     """Polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde_grad + i beta Atilde) f, m = 2.
 
     The rotated potential is purely angular in x; its y part enters the two
     1/sqrt2 blocks with opposite signs.
     """
-    fr, fphi, fy = f.partials_polar(r, phi, y)
-    val = f.value_polar(r, phi, y)
+    val, fr, fphi, fy = parts
     aphi = r ** (2.0 * gamma + 1.0) / rho_val ** (2.0 * gamma + 2.0)
     cphi = fphi / r + 1j * beta * aphi * val
     ay = (r[..., None] ** gamma * (1.0 + gamma) * y
@@ -175,15 +175,17 @@ def tilde_components(f: TestFunction, beta: float, gamma: float, r, phi, y, rho_
     return fr, cphi, minus, plus
 
 
-def twisted_components(psi, f: TestFunction, r, phi, y):
-    """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid."""
-    fr, fphi, _ = f.partials_polar(r, phi, y)
-    val = f.value_polar(r, phi, y)
+def twisted_components(psi_r, r, phi: float, parts):
+    """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid.
+
+    psi_r holds psi on the radii r; parts is f and its polar partials there
+    at the angular node phi.
+    """
+    val, fr, fphi, _ = parts
     c, s = math.cos(phi), math.sin(phi)
     fx = c * fr - s * fphi / r
     fy = s * fr + c * fphi / r
-    pv = np.asarray(psi(r))
-    return fx - 1j * pv * (r * s) * val, fy + 1j * pv * (r * c) * val
+    return fx - 1j * psi_r * (r * s) * val, fy + 1j * psi_r * (r * c) * val
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,8 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
         raise DomainError(f"unknown grad_kind {grad_kind!r}")
     rho_val = np.full((1, 1), rho(geom, p))  # also checks the point's dimensions
     r, phi, y = _node(f, p)
-    cr, cphi, *yblocks = components(f, flux.beta, geom.gamma, r, phi, y, rho_val)
+    parts = f.on_grid(r, y)(phi)
+    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_val, parts)
     blocks = [_cartesian_x(p, r, phi, cr, cphi)] + [b.reshape(-1) for b in yblocks]
     return np.concatenate(blocks).astype(complex)
 
@@ -245,7 +248,8 @@ def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndar
         if not math.isfinite(pval):
             raise OriginError("potential singular at the origin")
         return np.zeros(2, complex)
-    tx, ty = twisted_components(psi, f, *_node(f, p))
+    r, phi, y = _node(f, p)
+    tx, ty = twisted_components(np.asarray(psi(r)), r, phi, f.on_grid(r, y)(phi))
     return np.array([tx.item(), ty.item()], dtype=complex)
 
 

@@ -16,10 +16,12 @@ built from exp(-1/t), which is C-infinity with all derivatives vanishing at
 the junctions, keeping every profile in the compactly-supported smooth class
 required by the inequalities.
 
-Quadrature calls a density once per phi slice, always on the same r and y
-grids.  A ProductProfile keeps the 1-D factors R(r), R'(r), Y_j(y_j) and
-Y_j'(y_j) of the last grid it saw, so they are computed once per grid; val,
-dr and dy form their products from those factors on every call.
+Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
+profile computes its phi-independent factors once per grid (for a
+ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j)), and the
+returned closure gives f and its polar partials at any angular node, forming
+the full-grid products afresh on every call.  The pointwise value_polar and
+partials_polar are one call of that closure.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
-from .quadrature import GridMemo
 
 __all__ = [
     "AngularMode",
@@ -272,49 +273,36 @@ class ProductProfile:
         self.r_lo, self.r_hi = radial.r_lo, radial.r_hi
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
-        self._memo = GridMemo()
 
     @property
     def k(self):
         return len(self.y_factors)
 
-    def _factors(self, r, y):
-        """(R(r), R'(r), [Y_j(y_j)], [Y_j'(y_j)]), computed once per grid."""
-        return self._memo(r, y, self._compute_factors)
+    def on_grid(self, r, y):
+        """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
 
-    def _compute_factors(self, r, y):
-        ys = [y[..., j] for j in range(self.k)]
-        return (self.radial.v(r), self.radial.dv(r),
-                [yf.v(t) for yf, t in zip(self.y_factors, ys)],
-                [yf.dv(t) for yf, t in zip(self.y_factors, ys)])
+        The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
+        here, once; each call forms their products afresh, so the full-grid
+        arrays live only as long as the caller keeps them.
+        """
+        amp = self.amplitude
+        rv, drv = self.radial.v(r), self.radial.dv(r)
+        vals = [yf.v(y[..., j]) for j, yf in enumerate(self.y_factors)]
+        dvals = [yf.dv(y[..., j]) for j, yf in enumerate(self.y_factors)]
 
-    def val(self, r, y):
-        rv, _, vals, _ = self._factors(r, y)
-        out = self.amplitude * rv
-        for v in vals:
-            out = out * v
-        return out
-
-    def dr(self, r, y):
-        _, drv, vals, _ = self._factors(r, y)
-        out = self.amplitude * drv
-        for v in vals:
-            out = out * v
-        return out
-
-    def dy(self, r, y):
-        rv, _, vals, dvals = self._factors(r, y)
-        if not vals:
-            return np.zeros(np.shape(r) + (0,), dtype=complex)
-        base = self.amplitude * rv
-        comps = []
-        for j, dv in enumerate(dvals):
-            term = base * dv
+        def times(out, skip=-1):
             for i, v in enumerate(vals):
-                if i != j:
-                    term = term * v
-            comps.append(term)
-        return np.stack(comps, axis=-1)
+                if i != skip:
+                    out = out * v
+            return out
+
+        def parts():
+            base = amp * rv
+            gy = [times(base * dv, j) for j, dv in enumerate(dvals)]
+            gy = np.stack(gy, axis=-1) if gy else np.zeros(np.shape(r) + (0,), complex)
+            return times(base), times(amp * drv), gy
+
+        return parts
 
 
 class RhoShellProfile:
@@ -359,22 +347,22 @@ class RhoShellProfile:
         s = np.sqrt(np.sum(y * y, axis=-1)) if self.geom.k else np.zeros(np.shape(r))
         return rho_rs(self.geom.gamma, r, s)
 
-    def val(self, r, y):
-        h, _ = self._h_and_dh(self._rho(r, y))
-        return self.amplitude * h
+    def on_grid(self, r, y):
+        """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
 
-    def dr(self, r, y):
-        g = self.geom.gamma
-        rho = self._rho(r, y)
-        _, dh = self._h_and_dh(rho)
-        return self.amplitude * dh * r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 1.0)
+        Every factor depends on rho, a full-grid array, so each call forms
+        them all afresh.
+        """
+        g, amp = self.geom.gamma, self.amplitude
 
-    def dy(self, r, y):
-        g = self.geom.gamma
-        rho = self._rho(r, y)
-        _, dh = self._h_and_dh(rho)
-        grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
-        return self.amplitude * dh[..., None] * grad
+        def parts():
+            rho = self._rho(r, y)
+            h, dh = self._h_and_dh(rho)
+            dr = amp * dh * r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 1.0)
+            grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
+            return amp * h, dr, amp * dh[..., None] * grad
+
+        return parts
 
 
 # ---------------------------------------------------------------------------
@@ -440,34 +428,48 @@ class TestFunction:
 
     # --- evaluation -------------------------------------------------------
 
-    def value_polar(self, r, phi, y):
-        out = None
+    def on_grid(self, r, y):
+        """Closure phi -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
+
+        Each distinct profile computes its phi-independent factors here, once
+        (modes +l and -l may share one); each call forms every mode's g,
+        dg/dr and grad_y g in turn and adds its terms at the angular node phi.
+        r and y must not change while the closure is in use.
+        """
+        parts_of, terms = {}, []
         for m in self.modes:
-            term = m.profile.val(r, y) * np.exp(1j * m.mode * np.asarray(phi))
-            out = term if out is None else out + term
-        if out is None:
-            return np.zeros(np.broadcast(np.asarray(r), np.asarray(phi)).shape, complex)
-        return out
+            if id(m.profile) not in parts_of:
+                parts_of[id(m.profile)] = m.profile.on_grid(r, y)
+            terms.append((m.mode, parts_of[id(m.profile)]))
+
+        def at(phi):
+            if not terms:
+                shape = np.broadcast(np.asarray(r), np.asarray(phi)).shape
+                return (np.zeros(shape, complex), np.zeros(shape, complex),
+                        np.zeros(shape, complex), np.zeros(shape + (self.k,), complex))
+            out = None
+            for mode, parts in terms:
+                g, gr, gy = parts()
+                e = np.exp(1j * mode * np.asarray(phi))
+                ey = e[..., None] if np.ndim(e) else e
+                if out is None:
+                    out = [g * e, gr * e, 1j * mode * g * e, gy * ey]
+                else:  # in place, so no second full-grid sum is formed
+                    out[0] += g * e
+                    out[1] += gr * e
+                    out[2] += 1j * mode * g * e
+                    out[3] += gy * ey
+                del g, gr, gy  # free this mode's products before the next
+            return tuple(out)
+
+        return at
+
+    def value_polar(self, r, phi, y):
+        return self.on_grid(r, y)(phi)[0]
 
     def partials_polar(self, r, phi, y):
         """(df/dr, df/dphi, grad_y f) at polar coordinates."""
-        dr = dphi = None
-        dy = None
-        for m in self.modes:
-            e = np.exp(1j * m.mode * np.asarray(phi))
-            g = m.profile.val(r, y)
-            gr = m.profile.dr(r, y)
-            gy = m.profile.dy(r, y)
-            dr = gr * e if dr is None else dr + gr * e
-            t = 1j * m.mode * g * e
-            dphi = t if dphi is None else dphi + t
-            t2 = gy * e[..., None] if np.ndim(e) else gy * e
-            dy = t2 if dy is None else dy + t2
-        if dr is None:
-            shape = np.broadcast(np.asarray(r), np.asarray(phi)).shape
-            return (np.zeros(shape, complex), np.zeros(shape, complex),
-                    np.zeros(shape + (self.k,), complex))
-        return dr, dphi, dy
+        return self.on_grid(r, y)(phi)[1:]
 
     def is_real_valued(self, samples: int = 7) -> bool:
         """Numerically checked realness on a deterministic sample grid."""
@@ -486,8 +488,9 @@ class TestFunction:
         else:
             ys = np.zeros((samples, 0))
         vmax, imax = 0.0, 0.0
+        at = self.on_grid(rs[:, None], ys[None, :, :])
         for phi in phis:
-            vals = self.value_polar(rs[:, None], phi, ys[None, :, :])
+            vals = at(phi)[0]
             vmax = max(vmax, float(np.max(np.abs(vals))))
             imax = max(imax, float(np.max(np.abs(vals.imag))))
         self._real = imax <= 1e-12 * max(vmax, 1e-300)

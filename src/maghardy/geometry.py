@@ -115,11 +115,6 @@ def grad_y_rho_over_rho(gamma, y, rho_val):
     return (1.0 + gamma) * y / rho_val ** (2.0 * gamma + 2.0)
 
 
-def grushin_grad_rho_norm_rs(gamma, r, rho_val):
-    """|grad_g rho| = r^g / rho^g."""
-    return (r / rho_val) ** gamma
-
-
 def hardy_density_rs(gamma, r, rho_val):
     """w = |grad_g rho|^2 / rho^2 = r^(2g) / rho^(2g+2), the Hardy weight."""
     return r ** (2.0 * gamma) / rho_val ** (2.0 * gamma + 2.0)

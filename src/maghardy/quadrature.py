@@ -22,19 +22,24 @@ closed-form area of S^(m-1).
 Oracle
 ------
 `oracle_integrate` / `oracle_integrate_radial` are a deliberately separate
-code path (uniform nodes, composite Simpson or midpoint, no substitutions, no
-shared helpers) used to certify values produced by the main engine.
+code path (uniform nodes, composite Simpson, no substitutions, no shared
+integration helpers) used to certify values produced by the main engine.
 
-Densities are callables density(r, phi, y) -> array, evaluated with
-broadcastable arrays: r of shape (n_r, 1), phi a float, y of shape
-(1, n_y_flat, k) whose trailing axis indexes the y components.  Radial
-densities take a bare r array.  Evaluation order is fixed, so results are
-bit-stable across runs.
+Density protocol
+----------------
+A polar density is a callable density(r, y) -> at, called once per
+integration with broadcastable grid arrays: r of shape (n_r, 1) and y of
+shape (1, n_y_flat, k), whose trailing axis indexes the y components.  It
+does the phi-independent work of its check there, once.  at(phi) then
+yields, for one angular node phi (a float), every integrand of the check in
+a fixed order, one array at a time; the engine reduces each as it arrives
+and returns one integral per integrand.  Each integral is accumulated slice
+by slice in phi order, so results are bit-stable across runs and do not
+depend on how many integrands share the pass.  Radial densities
+(integrate_radial) take a bare r array and return one array.
 
-A density runs once per phi slice, on the same r and y arrays every time.
-Factors that do not depend on phi (profile factors, the weights B, w, rho)
-are computed once per grid through `GridMemo` and reused across the slices
-and across the integrals of a check, which build equal grids.
+No (r, y) slice holds more than MAX_SLICE_NODES nodes: both engines refuse a
+larger grid with a DomainError before building it.
 """
 
 from __future__ import annotations
@@ -49,6 +54,17 @@ import numpy as np
 from .errors import DomainError, NonFiniteError
 
 TWO_PI = 2.0 * math.pi
+
+# Ceiling on the (r, y) nodes of one angular slice, checked before a grid is
+# built: about 8.4 million nodes, 134 MB per complex grid array.  It admits
+# the largest grids in use (a k = 2 identity check at n_r = 128, n_y = 40:
+# 384 x 120^2 = 5.5 million nodes; the oracle k = 1 grid, 2403 x 163) and
+# turns a request far past them (k = 4 at n_y = 64: 10^12 nodes) into a
+# DomainError instead of a failed allocation.
+MAX_SLICE_NODES = 1 << 23
+
+# Simpson nodes of the radial oracle (oracle_integrate_radial).
+ORACLE_N_RADIAL = 8001
 
 
 @dataclass(frozen=True)
@@ -180,26 +196,26 @@ def y_box_rule(y_box, n_y: int):
     return Y, W.reshape(-1)
 
 
-class GridMemo:
-    """compute(r, y) for the last (r, y) grid seen, keyed by the grid's values.
+def _require_slice_nodes(n_r: int, n_flat: int) -> None:
+    """Refuse a slice of more than MAX_SLICE_NODES (r, y) nodes, before it is built."""
+    nodes = n_r * n_flat
+    if nodes > MAX_SLICE_NODES:
+        raise DomainError(
+            f"a slice of {n_r} radial x {n_flat} y nodes ({nodes}) exceeds the "
+            f"ceiling of {MAX_SLICE_NODES} nodes; lower n_r, n_y or k")
 
-    The key holds copies of r and y, so a grid changed in place after a call
-    is a miss, never a stale hit.  The entry is one tuple, replaced whole.
+
+def tensor_grid(spec: QuadratureSpec, domain: Domain):
+    """(r, w_r, Y, w_y): the log-radial and y-box rules of the main engine.
+
+    The slice size is checked against MAX_SLICE_NODES between the radial
+    rule, which fixes the panel count, and the y tensor, the large one.
     """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self):
-        self._entry = None
-
-    def __call__(self, r, y, compute):
-        entry = self._entry
-        if (entry is not None and np.array_equal(entry[0], r)
-                and np.array_equal(entry[1], y)):
-            return entry[2]
-        out = compute(r, y)
-        self._entry = (np.array(r), np.array(y), out)
-        return out
+    r_lo, r_hi = domain.radial_interval()
+    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, domain.r_breaks)
+    _require_slice_nodes(r.size, (3 * spec.n_y) ** domain.k)  # 3 panels per y axis
+    Y, w_y = y_box_rule(domain.y_box, spec.n_y)
+    return r, w_r, Y, w_y
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -207,29 +223,29 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
 
 
-def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> complex:
-    """Integrate density(r, phi, y) * r dr dphi dy over the domain.
+def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
+    """Integrals of every integrand of density over r dr dphi dy on the domain.
 
-    The angular sum runs as an explicit loop over the n_phi trapezoid nodes so
-    memory stays at O(n_r * n_y_flat) however many modes the density carries.
+    density(r, y) runs once; the angular sum is an explicit loop over the
+    n_phi trapezoid nodes, and each integrand is reduced as soon as it is
+    yielded, so memory stays at O(n_r * n_y_flat) however many modes and
+    integrands the check carries.  Returns one complex value per integrand.
     """
-    r_lo, r_hi = domain.radial_interval()
-    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, domain.r_breaks)
+    r, w_r, Y, w_y = tensor_grid(spec, domain)
     phis, w_phi = phi_rule(spec.n_phi)
-    Y, w_y = y_box_rule(domain.y_box, spec.n_y)
 
-    r_col = r[:, None]
-    y_arg = Y[None, :, :]
     base = (w_r * r)[:, None] * w_y[None, :]  # Jacobian r folded in
+    at = density(r[:, None], Y[None, :, :])
 
-    total = 0.0 + 0.0j
+    totals = []
     for phi in phis:
-        vals = np.asarray(density(r_col, float(phi), y_arg))
-        vals = np.broadcast_to(vals, base.shape)
-        _check_finite(vals)
-        total += np.sum(base * vals)
-    out = total * w_phi
-    return complex(out)
+        for i, vals in enumerate(at(float(phi))):
+            vals = np.broadcast_to(np.asarray(vals), base.shape)
+            _check_finite(vals)
+            if i == len(totals):
+                totals.append(0.0 + 0.0j)
+            totals[i] += np.sum(base * vals)
+    return [complex(total * w_phi) for total in totals]
 
 
 def integrate_radial(
@@ -255,8 +271,8 @@ def integrate_radial(
 
 
 # ---------------------------------------------------------------------------
-# Oracle: uniform grids, composite Simpson (default) or midpoint.  No code
-# above this line is reused, on purpose.
+# Oracle: uniform grids, composite Simpson.  No integration code above this
+# line is reused, on purpose; only the slice ceiling is shared.
 # ---------------------------------------------------------------------------
 
 def _simpson_rule(a, b, n):
@@ -272,39 +288,24 @@ def _simpson_rule(a, b, n):
     return x, w * (h / 3.0)
 
 
-def _midpoint_rule(a, b, n):
-    n = int(n)
-    h = (b - a) / n
-    x = a + (np.arange(n) + 0.5) * h
-    return x, np.full(n, h)
+def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> list:
+    """Brute-force check values for integrate_polar on the same domain.
 
-
-_ORACLE_RULES = {"simpson": _simpson_rule, "midpoint": _midpoint_rule}
-
-
-def oracle_integrate(
-    density: Callable,
-    domain: Domain,
-    resolution: tuple,
-    rule: str = "simpson",
-) -> complex:
-    """Brute-force check value for integrate_polar on the same domain.
-
-    resolution = (n_r, n_phi, n_y): uniform nodes in plain r and in each y
-    dimension with the chosen composite rule, uniform midpoint in phi (exact
-    for the trigonometric content).  Shares no code with the main engine.
+    resolution = (n_r, n_phi, n_y): uniform composite Simpson nodes in plain
+    r and in each y dimension, uniform midpoint in phi (exact for the
+    trigonometric content).  density follows the integrate_polar protocol;
+    returns one complex value per integrand.  Shares no code with the main
+    engine.
     """
-    if rule not in _ORACLE_RULES:
-        raise DomainError(f"unknown oracle rule {rule!r}")
-    rule_1d = _ORACLE_RULES[rule]
     n_r, n_phi, n_y = resolution
     r_lo, r_hi = domain.radial_interval()
 
-    r, w_r = rule_1d(r_lo, r_hi, n_r)
+    r, w_r = _simpson_rule(r_lo, r_hi, n_r)
     phis = (np.arange(int(n_phi)) + 0.5) * (TWO_PI / int(n_phi))
     w_phi = TWO_PI / int(n_phi)
 
-    y_axes = [rule_1d(lo, hi, n_y) for (lo, hi) in domain.y_box]
+    y_axes = [_simpson_rule(lo, hi, n_y) for (lo, hi) in domain.y_box]
+    _require_slice_nodes(r.size, math.prod(ax.size for ax, _ in y_axes))
     if y_axes:
         grids = np.meshgrid(*[ax for ax, _ in y_axes], indexing="ij")
         Y = np.stack([g.reshape(-1) for g in grids], axis=-1)
@@ -316,18 +317,19 @@ def oracle_integrate(
         Y = np.zeros((1, 0))
         w_y = np.ones(1)
 
-    r_col = r[:, None]
-    y_arg = Y[None, :, :]
     base = (w_r * r)[:, None] * w_y[None, :]
+    at = density(r[:, None], Y[None, :, :])
 
-    total = 0.0 + 0.0j
+    totals = []
     for phi in phis:
-        vals = np.asarray(density(r_col, float(phi), y_arg))
-        vals = np.broadcast_to(vals, base.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
-        total += np.sum(base * vals)
-    return complex(total * w_phi)
+        for i, vals in enumerate(at(float(phi))):
+            vals = np.broadcast_to(np.asarray(vals), base.shape)
+            if not np.all(np.isfinite(vals)):
+                raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
+            if i == len(totals):
+                totals.append(0.0 + 0.0j)
+            totals[i] += np.sum(base * vals)
+    return [complex(total * w_phi) for total in totals]
 
 
 def oracle_integrate_radial(
@@ -336,15 +338,10 @@ def oracle_integrate_radial(
     w: float,
     r_lo: float,
     r_hi: float,
-    n: int = 4001,
-    rule: str = "simpson",
 ) -> float:
     """Uniform-grid check value for integrate_radial (plain r, no substitution)."""
-    if rule not in _ORACLE_RULES:
-        raise DomainError(f"unknown oracle rule {rule!r}")
-    r, w_r = _ORACLE_RULES[rule](r_lo, r_hi, n)
+    r, w_r = _simpson_rule(r_lo, r_hi, ORACLE_N_RADIAL)
     vals = np.asarray(density(r)) * r ** (Q - 1.0 - w)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
     return float(np.sum(w_r * vals))
-

@@ -8,9 +8,13 @@ spec.oracle is set:
   * radial-x path (any m): functions radial in x reduce to an (r, y) tensor
     integral times the closed-form sphere area; no angular nodes are spent.
 
-Densities on both paths follow the integrate_polar convention (r of shape
-(n_r,1), phi float, y of shape (1,n_flat,k)); the radial-x path calls them
-with phi = 0.0.
+Both paths take a density in the quadrature protocol: density(r, y) runs
+once per check on the grid (r of shape (n_r, 1), y of shape (1, n_flat, k))
+and returns at(phi), which yields every integrand of the check in order.
+polar_integral and rx_integral return one integral per integrand; the
+radial-x path takes the integrands at phi = 0.0 only.  So each check makes
+one integration call: its weights are formed once, and its test function
+once per angular node, for all its integrals.
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ from ..quadrature import (
     Domain,
     QuadratureSpec,
     integrate_polar,
-    log_radial_rule,
     oracle_integrate,
-    y_box_rule,
+    tensor_grid,
 )
 
 # Oracle resolutions: uniform Simpson needs enough nodes to beat 1e-7 against
@@ -53,40 +56,42 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
         )
 
 
-def polar_integral(density, spec: QuadratureSpec, domain: Domain) -> float:
-    """Real part of the (r, phi, y) integral, oracle-dispatched."""
+def polar_integral(density, spec: QuadratureSpec, domain: Domain) -> list:
+    """Real parts of the (r, phi, y) integrals of density, oracle-dispatched."""
     if spec.oracle:
-        val = oracle_integrate(
+        vals = oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
         )
     else:
-        val = integrate_polar(density, spec, domain)
-    return float(np.real(val))
+        vals = integrate_polar(density, spec, domain)
+    return [float(np.real(v)) for v in vals]
 
 
-def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> float:
-    """sphere_area(m) * integral of density(r, 0.0, y) r^(m-1) dr dy, oracle-dispatched.
+def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> list:
+    """sphere_area(m) * integral of each integrand at phi = 0.0 times r^(m-1) dr dy.
 
-    density takes (r, phi, y) like a polar density and is evaluated at phi = 0.0.
+    density follows the polar protocol; its integrands are taken at
+    phi = 0.0 only.  Oracle-dispatched.
     """
     if spec.oracle:
         fold = sphere_area(m) / (2.0 * np.pi)
 
-        def wrapped(r, phi, y):
-            return density(r, 0.0, y) * r ** (m - 2) * fold
+        def wrapped(r, y):
+            at = density(r, y)
+            return lambda phi: (vals * r ** (m - 2) * fold for vals in at(0.0))
 
-        val = oracle_integrate(wrapped, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))
-        return float(np.real(val))
+        return [float(np.real(v)) for v in oracle_integrate(
+            wrapped, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))]
 
-    r_lo, r_hi = domain.radial_interval()
-    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, domain.r_breaks)
-    Y, w_y = y_box_rule(domain.y_box, spec.n_y)
-    vals = np.asarray(density(r[:, None], 0.0, Y[None, :, :]))
-    vals = np.broadcast_to(vals, (r.size, w_y.size))
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
+    r, w_r, Y, w_y = tensor_grid(spec, domain)
     base = (w_r * r ** (m - 1))[:, None] * w_y[None, :]
-    return sphere_area(m) * float(np.real(np.sum(base * vals)))
+    out = []
+    for vals in density(r[:, None], Y[None, :, :])(0.0):
+        vals = np.broadcast_to(np.asarray(vals), base.shape)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
+        out.append(sphere_area(m) * float(np.real(np.sum(base * vals))))
+    return out
 
 
 def s_of(y: np.ndarray) -> np.ndarray:
@@ -107,13 +112,9 @@ def grad_y_sq(dy: np.ndarray) -> np.ndarray:
     return np.sum(abs2(dy), axis=-1)
 
 
-def mode_zero_sq(f: TestFunction):
-    """Density (r, y) -> |f0|^2 for the zeroth angular mode of f."""
+def mode_zero_sq(f: TestFunction, r, y) -> np.ndarray:
+    """|f0|^2 on the grid (r, y), for the zeroth angular mode f0 of f."""
     f0 = angular_average(f)
-
-    def density(r, y):
-        if not f0.modes:
-            return np.zeros(np.broadcast_shapes(np.shape(r), y.shape[:-1]))
-        return abs2(f0.value_polar(r, 0.0, y))
-
-    return density
+    if not f0.modes:
+        return np.zeros(np.broadcast_shapes(np.shape(r), y.shape[:-1]))
+    return abs2(f0.value_polar(r, 0.0, y))

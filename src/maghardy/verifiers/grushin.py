@@ -8,9 +8,14 @@ pointwise magnetic_grad also runs; the real-function splits used by the
 proofs are recomputed separately and reported as identities, never
 substituted.
 
-Conventions: every density takes (r, phi, y).  x-radial functions use the
-reduced tensor path at phi = 0 with the closed-form sphere factor; genuinely
-angular functions require m = 2 and run through the full polar engine.
+Each check writes one density in the quadrature protocol: density(r, y)
+forms the phi-independent quantities of the check once (the test function's
+factors through TestFunction.on_grid, the weights B, w and rho, the field
+closure), and at(phi) yields the integrand of every term of the displayed
+inequality in turn, so the check makes one integration call.  x-radial
+functions use the reduced tensor path at phi = 0 with the closed-form sphere
+factor; genuinely angular functions require m = 2 and run through the full
+polar engine.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from ..geometry import (
     rho_rs,
     weight_B_rs,
 )
-from ..quadrature import GridMemo, QuadratureSpec
+from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport
 from ._grids import (
     abs2,
@@ -84,20 +89,12 @@ def _require_real(f: TestFunction, what: str) -> None:
         raise RealnessError(f"{what} is stated for real-valued functions only")
 
 
-def _weights(geom: GrushinGeometry, exps: WeightExponents):
-    """Closure (r, y) -> (B, w, rho) on grid arrays, computed once per grid."""
-    g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
-    memo = GridMemo()
-
-    def compute(r, y):
-        s = s_of(y)
-        rho = rho_rs(g, r, s)
-        return weight_B_rs(g, a1, a2, r, rho), hardy_density_rs(g, r, rho), rho
-
-    def at(r, y):
-        return memo(r, y, compute)
-
-    return at
+def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
+    """(B, w, rho) on the grid (r, y)."""
+    g = geom.gamma
+    rho = rho_rs(g, r, s_of(y))
+    return (weight_B_rs(g, exps.alpha1, exps.alpha2, r, rho),
+            hardy_density_rs(g, r, rho), rho)
 
 
 def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
@@ -110,65 +107,28 @@ def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
     return s_hom
 
 
-def _hardy_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
-    """Density B w |f|^2 of the weighted Hardy integral."""
-    wts = _weights(geom, exps)
-
-    def density(r, phi, y):
-        B, w, _ = wts(r, y)
-        return B * w * abs2(f.value_polar(r, phi, y))
-
-    return density
+def _plain_sq(gamma: float, r, parts):
+    """|grad_g f|^2 from the polar partials of f: the plain anisotropic gradient."""
+    _, fr, fphi, fy = parts
+    return abs2(fr) + abs2(fphi / r) + r ** (2.0 * gamma) * grad_y_sq(fy)
 
 
-def _plain_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
-    """Density B |grad_g f|^2 of the plain anisotropic gradient."""
-    wts = _weights(geom, exps)
-    g = geom.gamma
-
-    def density(r, phi, y):
-        fr, fphi, fy = f.partials_polar(r, phi, y)
-        B, _, _ = wts(r, y)
-        return B * (abs2(fr) + abs2(fphi / r) + r ** (2.0 * g) * grad_y_sq(fy))
-
-    return density
+def _components_sq(components) -> np.ndarray:
+    """Sum of |component|^2 of a magnetic gradient from fields."""
+    cr, cphi, *yblocks = components
+    out = abs2(cr) + abs2(cphi)
+    for block in yblocks:
+        out = out + grad_y_sq(block)
+    return out
 
 
-def _defect_density(geom: GrushinGeometry, exps: WeightExponents, f: TestFunction):
-    """Density B (|f|^2 - |f0|^2) / r^2 of the angular-mode defect."""
-    wts = _weights(geom, exps)
-    f0_sq = mode_zero_sq(f)
-
-    def density(r, phi, y):
-        B, _, _ = wts(r, y)
-        return B * (abs2(f.value_polar(r, phi, y)) - f0_sq(r, y)) / r**2
-
-    return density
-
-
-def _magnetic_density(components, geom: GrushinGeometry, exps: WeightExponents,
-                      beta: float, f: TestFunction):
-    """B times the sum of |component|^2 of a magnetic gradient from fields."""
-    wts = _weights(geom, exps)
-
-    def density(r, phi, y):
-        B, _, rho = wts(r, y)
-        cr, cphi, *yblocks = components(f, beta, geom.gamma, r, phi, y, rho)
-        out = abs2(cr) + abs2(cphi)
-        for block in yblocks:
-            out = out + grad_y_sq(block)
-        return B * out
-
-    return density
-
-
-def _integrals(geom: GrushinGeometry, f: TestFunction, spec: QuadratureSpec,
-               dom, *densities) -> list:
-    """Each density integrated on the polar path (m = 2) or the x-radial path."""
+def _integrate(geom: GrushinGeometry, f: TestFunction, spec: QuadratureSpec,
+               dom, density) -> list:
+    """The integrals of density on the polar path (m = 2) or the x-radial path."""
     if geom.m == 2:
         require_phi_resolution(f, spec)
-        return [polar_integral(d, spec, dom) for d in densities]
-    return [rx_integral(d, spec, dom, geom.m) for d in densities]
+        return polar_integral(density, spec, dom)
+    return rx_integral(density, spec, dom, geom.m)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +149,19 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
         return InequalityReport("radial_hardy", 0.0, {"main": 0.0}, C,
                                 params, _resolution(spec))
 
-    dom = support_domain(f)
-    lhs = rx_integral(_plain_density(geom, exps, f), spec, dom, geom.m)
-    main = C * rx_integral(_hardy_density(geom, exps, f), spec, dom, geom.m)
-    return InequalityReport("radial_hardy", lhs, {"main": main}, C,
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, w, _ = _weights(geom, exps, r, y)
+
+        def at(phi):
+            parts = on(phi)
+            yield B * _plain_sq(geom.gamma, r, parts)
+            yield B * w * abs2(parts[0])
+
+        return at
+
+    lhs, hardy_int = rx_integral(density, spec, support_domain(f), geom.m)
+    return InequalityReport("radial_hardy", lhs, {"main": C * hardy_int}, C,
                             params, _resolution(spec))
 
 
@@ -214,23 +183,26 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     if not f.modes:
         return IdentityReport("grushin_ibp", 0.0, 0.0, params, _resolution(spec))
 
-    wts = _weights(geom, exps)
-    dom = support_domain(f)
     g = geom.gamma
     a = float(alpha)
 
-    def shifted_density(r, phi, y):
-        fr, _, fy = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        B, _, rho = wts(r, y)
-        cr = fr + a * drho_dr_over_rho(g, r, rho) * val
-        cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
-        return B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, w, rho = _weights(geom, exps, r, y)
 
-    lhs = rx_integral(shifted_density, spec, dom, geom.m)
-    rhs = (rx_integral(_plain_density(geom, exps, f), spec, dom, geom.m)
-           - (s_hom * a - a * a)
-           * rx_integral(_hardy_density(geom, exps, f), spec, dom, geom.m))
+        def at(phi):
+            parts = on(phi)
+            val, fr, _, fy = parts
+            cr = fr + a * drho_dr_over_rho(g, r, rho) * val
+            cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
+            yield B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
+            yield B * _plain_sq(g, r, parts)
+            yield B * w * abs2(val)
+
+        return at
+
+    lhs, grad_int, hardy_int = rx_integral(density, spec, support_domain(f), geom.m)
+    rhs = grad_int - (s_hom * a - a * a) * hardy_int
     return IdentityReport("grushin_ibp", lhs, rhs, params, _resolution(spec))
 
 
@@ -258,11 +230,19 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
         params.update(gradient_part=0.0, potential_part=0.0, split_rel_err=0.0)
         return InequalityReport("magnetic_grushin", 0.0, {"main": 0.0}, C, params, res)
 
-    lhs, grad_part, hardy_int = _integrals(
-        geom, f, spec, support_domain(f),
-        _magnetic_density(grushin_components, geom, exps, beta, f),
-        _plain_density(geom, exps, f), _hardy_density(geom, exps, f))
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, w, rho = _weights(geom, exps, r, y)
 
+        def at(phi):
+            parts = on(phi)
+            yield B * _components_sq(grushin_components(beta, geom.gamma, r, y, rho, parts))
+            yield B * _plain_sq(geom.gamma, r, parts)
+            yield B * w * abs2(parts[0])
+
+        return at
+
+    lhs, grad_part, hardy_int = _integrate(geom, f, spec, support_domain(f), density)
     pot_part = beta * beta * hardy_int
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
     params.update(gradient_part=grad_part, potential_part=pot_part,
@@ -308,12 +288,22 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
                                 C, params, res)
     require_phi_resolution(f, spec)
 
-    dom = support_domain(f)
-    lhs = polar_integral(_magnetic_density(tilde_components, geom, exps, beta, f),
-                         spec, dom)
-    main = C * polar_integral(_hardy_density(geom, exps, f), spec, dom)
-    defect = polar_integral(_defect_density(geom, exps, f), spec, dom)
-    return InequalityReport("ab_hardy", lhs, {"main": main, "mode_defect": defect},
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, w, rho = _weights(geom, exps, r, y)
+        f0_sq = mode_zero_sq(f, r, y)
+
+        def at(phi):
+            parts = on(phi)
+            yield B * _components_sq(tilde_components(beta, geom.gamma, r, y, rho, parts))
+            f_sq = abs2(parts[0])
+            yield B * w * f_sq
+            yield B * (f_sq - f0_sq) / r**2
+
+        return at
+
+    lhs, hardy_int, defect = polar_integral(density, spec, support_domain(f))
+    return InequalityReport("ab_hardy", lhs, {"main": C * hardy_int, "mode_defect": defect},
                             C, params, res)
 
 
@@ -331,16 +321,21 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     if not f.modes:
         return {"angular": 0.0, "defect": 0.0}
     require_phi_resolution(f, spec)
-    wts = _weights(geom, exps)
-    dom = support_domain(f)
 
-    def angular_density(r, phi, y):
-        _, fphi, _ = f.partials_polar(r, phi, y)
-        B, _, _ = wts(r, y)
-        return B * abs2(fphi) / r**2
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, _, _ = _weights(geom, exps, r, y)
+        f0_sq = mode_zero_sq(f, r, y)
 
-    return {"angular": polar_integral(angular_density, spec, dom),
-            "defect": polar_integral(_defect_density(geom, exps, f), spec, dom)}
+        def at(phi):
+            val, _, fphi, _ = on(phi)
+            yield B * abs2(fphi) / r**2
+            yield B * (abs2(val) - f0_sq) / r**2
+
+        return at
+
+    angular, defect = polar_integral(density, spec, support_domain(f))
+    return {"angular": angular, "defect": defect}
 
 
 # ---------------------------------------------------------------------------
@@ -381,24 +376,25 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
                                 params, res)
 
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
-    memo = GridMemo()
 
-    def cross_weight(r, y):
-        rho = rho_rs(g, r, s_of(y))
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, _, rho = _weights(geom, exps, r, y)
+        # the half-exponent weight of the cross norm
         half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
         half_w = r**g / rho ** (g + 1.0)
-        return half_B * half_w
+        cross_weight = half_B * half_w
 
-    def f_sq(r, phi, y):
-        return abs2(f.value_polar(r, phi, y))
+        def at(phi):
+            parts = on(phi)
+            yield B * _components_sq(components(beta, g, r, y, rho, parts))
+            f_sq = abs2(parts[0])
+            yield f_sq
+            yield cross_weight * f_sq
 
-    def cross_density(r, phi, y):
-        return memo(r, y, cross_weight) * abs2(f.value_polar(r, phi, y))
+        return at
 
-    grad_sq, norm_sq, cross = _integrals(
-        geom, f, spec, support_domain(f),
-        _magnetic_density(components, geom, exps, beta, f), f_sq, cross_density)
-
+    grad_sq, norm_sq, cross = _integrate(geom, f, spec, support_domain(f), density)
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
     rhs = math.sqrt(C) * cross
     return InequalityReport(theorem_id, lhs, {"main": rhs}, math.sqrt(C),
@@ -443,41 +439,39 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
                                 {"main": 0.0, "field_potential": 0.0},
                                 C_lin, params, res)
 
-    wts = _weights(geom, exps)
-    dom = support_domain(f)
     g = geom.gamma
 
-    def vx_sq(r):
-        # sum_j psi2_j(x_j)^2 reduced over the x-sphere
+    def density(r, y):
+        on = f.on_grid(r, y)
+        B, w, _ = _weights(geom, exps, r, y)
+        # sum_j psi2_j(x_j)^2 reduced over the x-sphere, and sum_j psi1_j(y_j)^2
         if n == 1:
-            return 0.5 * (np.asarray(pots.psi2[0](r)) ** 2
-                          + np.asarray(pots.psi2[0](-r)) ** 2)
-        return (pots.slope * r) ** 2
-
-    def vy_sq(y):
-        out = np.zeros(y.shape[:-1])
+            vx_sq = 0.5 * (np.asarray(pots.psi2[0](r)) ** 2
+                           + np.asarray(pots.psi2[0](-r)) ** 2)
+        else:
+            vx_sq = (pots.slope * r) ** 2
+        vy_sq = np.zeros(y.shape[:-1])
         for j in range(n):
-            out = out + np.asarray(pots.psi1[j](y[..., j])) ** 2
-        return out
+            vy_sq = vy_sq + np.asarray(pots.psi1[j](y[..., j])) ** 2
 
-    def lhs_density(r, phi, y):
-        # x-sphere reduction of |(i d_x + psi1) f|^2 + |(i r^g d_y + psi2) f|^2:
-        # the cross terms vanish for real f, and sum_j psi2_j(x_j)^2 is
-        # replaced by its x-sphere mean vx_sq(r)
-        fr, _, fy = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        xblock = abs2(1j * fr) + vy_sq(y) * abs2(val)
-        yblock = r ** (2.0 * g) * grad_y_sq(1j * fy) + vx_sq(r) * abs2(val)
-        return wts(r, y)[0] * (xblock + yblock)
+        def at(phi):
+            parts = on(phi)
+            val, fr, _, fy = parts
+            f_sq = abs2(val)
+            # x-sphere reduction of |(i d_x + psi1) f|^2 + |(i r^g d_y + psi2) f|^2:
+            # the cross terms vanish for real f, and sum_j psi2_j(x_j)^2 is
+            # replaced by its x-sphere mean vx_sq
+            xblock = abs2(1j * fr) + vy_sq * f_sq
+            yblock = r ** (2.0 * g) * grad_y_sq(1j * fy) + vx_sq * f_sq
+            yield B * (xblock + yblock)
+            yield B * _plain_sq(g, r, parts)
+            yield B * (vx_sq + vy_sq) * f_sq
+            yield B * w * f_sq
 
-    def pot_density(r, phi, y):
-        B, _, _ = wts(r, y)
-        return B * (vx_sq(r) + vy_sq(y)) * abs2(f.value_polar(r, phi, y))
+        return at
 
-    lhs = rx_integral(lhs_density, spec, dom, n)
-    grad_part = rx_integral(_plain_density(geom, exps, f), spec, dom, n)
-    pot_part = rx_integral(pot_density, spec, dom, n)
-    hardy_int = rx_integral(_hardy_density(geom, exps, f), spec, dom, n)
+    lhs, grad_part, pot_part, hardy_int = rx_integral(
+        density, spec, support_domain(f), n)
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
 
     main = C_lin * hardy_int

@@ -4,7 +4,8 @@ The twisted gradient carries a radial profile psi(|z|) multiplying the
 rotation field (-y, x); its squared norm is always assembled componentwise
 from the Cartesian components of fields.twisted_components (the same code
 as the pointwise twisted_grad_psi), so left-hand sides are the displayed
-integrands and nothing is simplified away.  Plane functions
+integrands and nothing is simplified away.  Each check writes one density
+in the quadrature protocol and makes one integration call.  Plane functions
 are TestFunctions with k = 0; the x-radial real case generalizes to any
 even dimension 2n through the sphere-factor reduction.
 """
@@ -42,14 +43,9 @@ def _require_plane(f: TestFunction) -> None:
         raise DomainError("plane functions carry no y-block (k = 0)")
 
 
-def _twisted_sq(psi, f: TestFunction):
-    """Density (r, phi, y) -> |twisted gradient of f|^2, componentwise."""
-
-    def density(r, phi, y):
-        tx, ty = twisted_components(psi, f, r, phi, y)
-        return abs2(tx) + abs2(ty)
-
-    return density
+def _twisted_sq(tx, ty):
+    """|twisted gradient|^2 from its Cartesian components."""
+    return abs2(tx) + abs2(ty)
 
 
 def check_twisted_polar_identity(psi, kappa, f: TestFunction,
@@ -66,21 +62,20 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
     if not f.modes:
         return IdentityReport("twisted_polar", 0.0, 0.0, params, _resolution(spec))
     require_phi_resolution(f, spec)
-    dom = support_domain(f)
-    tw = _twisted_sq(psi, f)
 
-    def lhs_density(r, phi, y):
-        return tw(r, phi, y) / np.asarray(kappa(r))
+    def density(r, y):
+        on = f.on_grid(r, y)
+        pv, kv = np.asarray(psi(r)), np.asarray(kappa(r))
 
-    def rhs_density(r, phi, y):
-        fr, fphi, _ = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        pv = np.asarray(psi(r))
-        return (abs2(fr) + abs2(fphi) / r**2 + pv**2 * r**2 * abs2(val)) \
-            / np.asarray(kappa(r))
+        def at(phi):
+            parts = on(phi)
+            yield _twisted_sq(*twisted_components(pv, r, phi, parts)) / kv
+            val, fr, fphi, _ = parts
+            yield (abs2(fr) + abs2(fphi) / r**2 + pv**2 * r**2 * abs2(val)) / kv
 
-    lhs = polar_integral(lhs_density, spec, dom)
-    rhs = polar_integral(rhs_density, spec, dom)
+        return at
+
+    lhs, rhs = polar_integral(density, spec, support_domain(f))
     return IdentityReport("twisted_polar", lhs, rhs, params, _resolution(spec))
 
 
@@ -172,18 +167,26 @@ def verify_landau(variant: str, psi: RadialPotential,
         r_lo=f.support()[0], r_hi=f.support()[1], y_box=(),
         kind=domain.kind, R_Omega=domain.R_Omega,
         r_breaks=f.support()[3])
-    tw = _twisted_sq(psi, f)
-    f0_sq = mode_zero_sq(f)
 
-    lhs = polar_integral(lambda r, p_, y: wv(r) * tw(r, p_, y), spec, dom)
-    main = sharp * polar_integral(
-        lambda r, p_, y: main_weight(r) * abs2(f.value_polar(r, p_, y)), spec, dom)
-    psi_term = polar_integral(
-        lambda r, p_, y: psi_weight(r) * abs2(f.value_polar(r, p_, y)), spec, dom)
-    defect = polar_integral(
-        lambda r, p_, y: defect_weight(r)
-        * (abs2(f.value_polar(r, p_, y)) - f0_sq(r, y)), spec, dom)
+    def density(r, y):
+        on = f.on_grid(r, y)
+        pv = np.asarray(psi(r))
+        f0_sq = mode_zero_sq(f, r, y)
+        w_grad, w_main, w_psi, w_defect = (
+            wv(r), main_weight(r), psi_weight(r), defect_weight(r))
 
+        def at(phi):
+            parts = on(phi)
+            yield w_grad * _twisted_sq(*twisted_components(pv, r, phi, parts))
+            f_sq = abs2(parts[0])
+            yield w_main * f_sq
+            yield w_psi * f_sq
+            yield w_defect * (f_sq - f0_sq)
+
+        return at
+
+    lhs, main_int, psi_term, defect = polar_integral(density, spec, dom)
+    main = sharp * main_int
     terms = {"main": main, "psi_potential": psi_term, "mode_defect": defect}
     return InequalityReport(theorem_id, lhs, terms, sharp, run_params, res)
 
@@ -191,17 +194,6 @@ def verify_landau(variant: str, psi: RadialPotential,
 # ---------------------------------------------------------------------------
 # Classical-field (psi = 1/2) statements for real functions
 # ---------------------------------------------------------------------------
-
-def _landau_radial_sq(f: TestFunction):
-    """(r, phi, y) -> |grad f|^2 + (r^2/4)|f|^2 for x-radial f (any even dim)."""
-
-    def density(r, phi, y):
-        fr, _, _ = f.partials_polar(r, phi, y)
-        val = f.value_polar(r, phi, y)
-        return abs2(fr) + 0.25 * r**2 * abs2(val)
-
-    return density
-
 
 def verify_real_landau(variant: str, n: int, f: TestFunction,
                        spec: QuadratureSpec, Omega: Domain | None = None,
@@ -238,71 +230,76 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     if R is not None:
         params["R"] = R
 
-    dom = support_domain(f)
-    lhs_density = _twisted_sq(half, f) if n == 1 else _landau_radial_sq(f)
+    def pot(r, parts):
+        return 0.25 * r**2 * abs2(parts[0])
 
-    def integral(density):
-        # n = 1 runs on the plane; n >= 2 through the radial reduction
-        if n == 1:
-            require_phi_resolution(f, spec)
-            return polar_integral(density, spec, dom)
-        return rx_integral(density, spec, dom, dim)
-
-    def sq_density(r, phi, y):
-        return abs2(f.value_polar(r, phi, y))
-
-    def pot_density(r, phi, y):
-        return 0.25 * r**2 * abs2(f.value_polar(r, phi, y))
-
+    # per variant: the constant and the integrands after the gradient side
     if variant == "identity":
         if n != 1:
             raise DomainError("the split identity check runs on the plane (n=1)")
         if not f.modes:
             return IdentityReport(theorem_id, 0.0, 0.0, params, res)
 
-        def plain_density(r, phi, y):
-            fr, fphi, _ = f.partials_polar(r, phi, y)
+        def plain(r, parts):
+            _, fr, fphi, _ = parts
             return abs2(fr) + abs2(fphi) / r**2
 
-        lhs = integral(lhs_density)
-        rhs = integral(plain_density) + integral(pot_density)
-        return IdentityReport(theorem_id, lhs, rhs, params, res)
-
-    # per variant: the constant and the density of the main term
-    if variant == "hardy":
+        terms = (plain, pot)
+    elif variant == "hardy":
         sharp = float((n - 1) ** 2)
-        main_density = lambda r, p_, y: sq_density(r, p_, y) / r**2
+        terms = (lambda r, parts: abs2(parts[0]) / r**2, pot)
     elif variant == "critical":
         if n != 1:
             raise DomainError("the log-weighted bound is stated on the plane")
         sharp = 0.25
-
-        def main_density(r, phi, y):
-            return sq_density(r, phi, y) / (r**2 * np.log(R / r) ** 2)
+        terms = (lambda r, parts: abs2(parts[0]) / (r**2 * np.log(R / r) ** 2), pot)
     elif variant == "uncertainty":
         # the norm product against the pointwise square-root bound
         sharp = 1.0
 
-        def main_density(r, phi, y):
+        def root_bound(r, parts):
             if n == 1:
                 root = np.sqrt(0.25 / (r**2 * np.log(R / r) ** 2) + 0.25 * r**2)
             else:
                 root = np.sqrt((n - 1) ** 2 / r**2 + 0.25 * r**2)
-            return root * abs2(f.value_polar(r, phi, y))
+            return root * abs2(parts[0])
+
+        terms = (lambda r, parts: abs2(parts[0]), root_bound)
     else:
         raise DomainError(f"unknown variant {variant!r}")
 
-    names = ("main",) if variant == "uncertainty" else ("main", "psi_potential")
-    if not f.modes:
+    if variant != "identity" and not f.modes:
+        names = ("main",) if variant == "uncertainty" else ("main", "psi_potential")
         return InequalityReport(theorem_id, 0.0, dict.fromkeys(names, 0.0),
                                 sharp, params, res)
-    if variant == "uncertainty":
-        grad_sq = integral(lhs_density)
-        norm_sq = integral(sq_density)
-        lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
-        terms = {"main": integral(main_density)}
+
+    def density(r, y):
+        on = f.on_grid(r, y)
+        # n = 1 runs on the plane; n >= 2 through the radial reduction
+        pv = np.asarray(half(r)) if n == 1 else None
+
+        def at(phi):
+            parts = on(phi)
+            if n == 1:
+                yield _twisted_sq(*twisted_components(pv, r, phi, parts))
+            else:
+                yield abs2(parts[1]) + 0.25 * r**2 * abs2(parts[0])
+            for term in terms:
+                yield term(r, parts)
+
+        return at
+
+    dom = support_domain(f)
+    if n == 1:
+        require_phi_resolution(f, spec)
+        lhs, first, second = polar_integral(density, spec, dom)
     else:
-        lhs = integral(lhs_density)
-        terms = {"main": sharp * integral(main_density),
-                 "psi_potential": integral(pot_density)}
-    return InequalityReport(theorem_id, lhs, terms, sharp, params, res)
+        lhs, first, second = rx_integral(density, spec, dom, dim)
+
+    if variant == "identity":
+        return IdentityReport(theorem_id, lhs, first + second, params, res)
+    if variant == "uncertainty":
+        lhs = math.sqrt(max(lhs, 0.0)) * math.sqrt(max(first, 0.0))
+        return InequalityReport(theorem_id, lhs, {"main": second}, sharp, params, res)
+    return InequalityReport(theorem_id, lhs, {"main": sharp * first, "psi_potential": second},
+                            sharp, params, res)

@@ -21,7 +21,7 @@ __all__ = ["verify_radial_p"]
 def _rint(density, Q: float, w: float, spec: QuadratureSpec,
           r_lo: float, r_hi: float, breaks) -> float:
     if spec.oracle:
-        return oracle_integrate_radial(density, Q, w, r_lo, r_hi, n=8001)
+        return oracle_integrate_radial(density, Q, w, r_lo, r_hi)
     return integrate_radial(density, Q, w, spec, r_lo, r_hi, breaks)
 
 

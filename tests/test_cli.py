@@ -181,6 +181,18 @@ _MALFORMED_RUNS = {
         "function": {"kind": "random", "k": 0, "modes": [0, 1]},
         "quadrature": {"n_r": 64, "n_phi": 12}},
     "flux on radial_hardy": {**_GOOD_RUN, "flux": {"beta": 5}},
+    "geometry, weights and admissibility on landau_log": {
+        "theorem_id": "landau_log", "geometry": GEOM,
+        "weights": {"alpha1": 0.0, "alpha2": 0.0}, "admissibility": "corollary",
+        "function": {"kind": "random", "k": 0, "modes": [0, 1]},
+        "quadrature": {"n_r": 64, "n_phi": 12}},
+    "admissibility on magnetic_grushin": {
+        **_GOOD_RUN, "theorem_id": "magnetic_grushin", "admissibility": "thm2",
+        "function": {"kind": "random", "k": 1, "modes": [0], "real": True}},
+    "schedule and window on radial_p_log": {
+        "theorem_id": "radial_p_log", "Q": 3.0, "p": 2.0,
+        "schedule": [0.5, 0.2], "window": "plain",
+        "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
     # sizes far past the ceilings, refused before anything is allocated
     "huge n_r": {**_GOOD_RUN, "quadrature": {"n_r": 1e300}},
     "huge m": {**_GOOD_RUN, "geometry": {**GEOM, "m": 1e300}},
@@ -202,6 +214,33 @@ def test_malformed_run_is_recorded_and_the_suite_goes_on(tmp_path, bad):
     assert first["status"] == "error"
     assert first["error"]["type"] == "ConfigError"
     assert first["error"]["message"].startswith("runs[0]")
+    assert second["status"] == "ok" and second["passed"]
+
+
+# Grids past quadrature.MAX_SLICE_NODES, refused where the grid is built.
+_OVERSIZED_RUNS = {
+    "k 8 at n_y 64": {
+        **_GOOD_RUN, "geometry": {**GEOM, "k": 8},
+        "function": {"kind": "random", "k": 8, "modes": [0]},
+        "quadrature": {"n_r": 64, "n_y": 64}},
+    "k 4 at n_y 64 and n_r 256": {
+        **_GOOD_RUN, "geometry": {**GEOM, "k": 4},
+        "function": {"kind": "random", "k": 4, "modes": [0]},
+        "quadrature": {"n_r": 256, "n_y": 64}},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_OVERSIZED_RUNS))
+def test_oversized_grid_is_recorded_and_the_suite_goes_on(tmp_path, bad):
+    cfg = _write(tmp_path / "suite.json", {
+        "suite": "oversized", "seed": 0,
+        "runs": [_OVERSIZED_RUNS[bad], _GOOD_RUN]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["runs"]
+    assert first["status"] == "error"
+    assert first["error"]["type"] == "DomainError"
+    assert "ceiling" in first["error"]["message"]
     assert second["status"] == "ok" and second["passed"]
 
 
@@ -361,6 +400,16 @@ def test_sweep_rejects_runs_without_a_family(tmp_path, capsys):
     })
     assert main(["sweep", "--config", no_engine, "--out-dir",
                  str(tmp_path / "out2")]) == 2
+
+
+def test_sweep_has_no_admissibility_flag(tmp_path, capsys):
+    cfg = str(REPO / "scripts" / "sharpness_sweep.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"),
+              "--admissibility", "corollary"])
+    assert exc.value.code == 2
+    assert "--admissibility" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_records_engine_errors(tmp_path):

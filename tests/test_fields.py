@@ -13,17 +13,16 @@ from maghardy.fields import (
     RadialPotential,
     ab_potential,
     constant_field_grad,
-    grushin_components,
     grushin_potential,
     magnetic_grad,
-    tilde_components,
     tilde_grad,
     twisted_grad_psi,
 )
 from maghardy.functions import evaluate, random_test_function
 from maghardy.geometry import grad_rho, rho, weight_B
-from maghardy.verifiers.grushin import _magnetic_density
-from maghardy.verifiers.landau import _twisted_sq
+from maghardy.quadrature import Domain, QuadratureSpec
+from maghardy.verifiers import grushin, landau, verify_ab_hardy, verify_landau
+from maghardy.verifiers import verify_magnetic_grushin
 
 
 def draw_point(rng, f, m=2):
@@ -231,18 +230,40 @@ def test_real_function_magnetic_split_pointwise():
 
 # --- the verifiers integrate the pointwise gradients -------------------------
 
+_TINY = QuadratureSpec(n_r=4, n_phi=12, n_y=2)
+
+
 def _node(p):
-    """p as the one-node grid (r, phi, y) the verifiers' densities take."""
+    """p as the one-node grid (r, y) and the angle phi the verifiers' densities take."""
     phi = math.atan2(p.x[1], p.x[0]) if len(p.x) == 2 else 0.0
-    return np.full((1, 1), p.r), phi, p.y[None, None, :]
+    return np.full((1, 1), p.r), p.y[None, None, :], phi
 
 
-@pytest.mark.parametrize("kind,components,m", [
-    ("grushin", grushin_components, 2),
-    ("grushin", grushin_components, 3),   # x-radial path
-    ("tilde", tilde_components, 2),
-])
-def test_magnetic_integrand_is_weighted_pointwise_gradient(kind, components, m):
+def _first_integrand(monkeypatch, module, integral, run, p):
+    """The first integrand (the gradient side) of the density a check integrates, at p."""
+    densities = []
+    original = getattr(module, integral)
+
+    def capture(density, *args):
+        densities.append(density)
+        return original(density, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, integral, capture)
+        run()
+    [density] = densities  # one integration call per check
+    r, y, phi = _node(p)
+    return float(next(iter(density(r, y)(phi))).item())
+
+
+# ids name the fields function each check's gradient side runs
+@pytest.mark.parametrize("kind,m", [
+    ("grushin", 2),
+    ("grushin", 3),   # x-radial path
+    ("tilde", 2),
+], ids=["grushin-grushin_components-2", "grushin-grushin_components-3",
+        "tilde-tilde_components-2"])
+def test_magnetic_integrand_is_weighted_pointwise_gradient(monkeypatch, kind, m):
     rng = np.random.default_rng(46 + m)
     for _ in range(20):
         geom = GrushinGeometry(m, int(rng.integers(1, 3)), float(rng.uniform(0.0, 2.0)))
@@ -250,23 +271,34 @@ def test_magnetic_integrand_is_weighted_pointwise_gradient(kind, components, m):
                                float(rng.uniform(-0.5, 0.5)))
         flux = FluxParam(float(rng.uniform(-1.0, 1.0)))
         modes = (-1, 0, 2) if m == 2 else (0,)
-        f = random_test_function(rng, k=geom.k, modes=modes)
+        if kind == "grushin":
+            # the gradient-field bound is stated for real functions
+            f = random_test_function(rng, k=geom.k, modes=modes, real=True)
+            integral = "polar_integral" if m == 2 else "rx_integral"
+            run = lambda: verify_magnetic_grushin(geom, exps, flux, f, _TINY)
+        else:
+            f = random_test_function(rng, k=geom.k, modes=modes)
+            integral = "polar_integral"
+            run = lambda: verify_ab_hardy(geom, exps, flux, f, _TINY,
+                                          admissibility="corollary")
         p = draw_point(rng, f, m=m)
-        density = _magnetic_density(components, geom, exps, flux.beta, f)
-        got = float(density(*_node(p)).item())
+        got = _first_integrand(monkeypatch, grushin, integral, run, p)
         grad = magnetic_grad(kind, flux, geom, f, p)
         want = weight_B(geom, exps, p) * float(np.sum(np.abs(grad) ** 2))
         assert abs(got - want) <= 1e-12 * want
 
 
-def test_twisted_integrand_is_pointwise_gradient():
+def test_twisted_integrand_is_pointwise_gradient(monkeypatch):
     rng = np.random.default_rng(49)
     for _ in range(20):
         psi = RadialPotential.power(float(rng.uniform(-1.0, 1.0)),
                                     float(rng.uniform(0.5, 1.5)))
         f = random_test_function(rng, k=0, modes=(-1, 0, 2))
         p = draw_point(rng, f)
-        got = float(_twisted_sq(psi, f)(*_node(p)).item())
+        # the bounded-ball variant weights the gradient side by exactly 1
+        ball = Domain(1e-9, 10.0, kind="ball", R_Omega=10.0)
+        run = lambda: verify_landau("poincare", psi, None, f, _TINY, domain=ball)
+        got = _first_integrand(monkeypatch, landau, "polar_integral", run, p)
         want = float(np.sum(np.abs(twisted_grad_psi(psi, f, p)) ** 2))
         assert abs(got - want) <= 1e-12 * want
 

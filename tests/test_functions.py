@@ -95,6 +95,10 @@ def test_y_bumps_vanish_at_endpoints():
         assert yf.v(np.array([0.5]))[0] > 0.0
 
 
+def _val(prof, r, y):
+    return prof.on_grid(r, y)()[0]
+
+
 def test_product_profile_partials_match_fd():
     prof = ProductProfile(PlateauLogBump(0.5, 2.0),
                           (GaussBumpY(-1.0, 1.0), PlateauBumpY(0.0, 2.0)),
@@ -103,13 +107,14 @@ def test_product_profile_partials_match_fd():
     r = rng.uniform(0.8, 1.6, size=40)
     y = np.stack([rng.uniform(-0.5, 0.5, 40), rng.uniform(0.6, 1.4, 40)], axis=-1)
     h = 1e-6
-    fd_r = (prof.val(r + h, y) - prof.val(r - h, y)) / (2 * h)
-    np.testing.assert_allclose(prof.dr(r, y), fd_r, atol=1e-7)
+    _, g_r, g_y = prof.on_grid(r, y)()
+    fd_r = (_val(prof, r + h, y) - _val(prof, r - h, y)) / (2 * h)
+    np.testing.assert_allclose(g_r, fd_r, atol=1e-7)
     for j in range(2):
         dy = np.zeros_like(y)
         dy[:, j] = h
-        fd_y = (prof.val(r, y + dy) - prof.val(r, y - dy)) / (2 * h)
-        np.testing.assert_allclose(prof.dy(r, y)[:, j], fd_y, atol=1e-7)
+        fd_y = (_val(prof, r, y + dy) - _val(prof, r, y - dy)) / (2 * h)
+        np.testing.assert_allclose(g_y[:, j], fd_y, atol=1e-7)
 
 
 def test_rho_shell_profile_constant_on_shell():
@@ -121,8 +126,8 @@ def test_rho_shell_profile_constant_on_shell():
     rho1 = (r1 ** 4) ** 0.25
     y2 = np.array([[rho1 ** 2 / 2.0 * 0.8]])
     r2 = (rho1 ** 4 - 4.0 * y2[0, 0] ** 2) ** 0.25
-    v1 = prof.val(np.array([r1]), y1)
-    v2 = prof.val(np.array([r2]), y2)
+    v1 = _val(prof, np.array([r1]), y1)
+    v2 = _val(prof, np.array([r2]), y2)
     assert abs(v1[0] - v2[0]) <= 1e-12 * abs(v1[0])
 
 
@@ -133,11 +138,12 @@ def test_rho_shell_partials_match_fd():
     r = rng.uniform(0.7, 1.2, size=30)
     y = rng.uniform(-0.3, 0.3, size=(30, 1))
     h = 1e-6
-    fd_r = (prof.val(r + h, y) - prof.val(r - h, y)) / (2 * h)
-    np.testing.assert_allclose(prof.dr(r, y), fd_r, rtol=1e-6, atol=1e-8)
+    _, g_r, g_y = prof.on_grid(r, y)()
+    fd_r = (_val(prof, r + h, y) - _val(prof, r - h, y)) / (2 * h)
+    np.testing.assert_allclose(g_r, fd_r, rtol=1e-6, atol=1e-8)
     dy = np.full_like(y, h)
-    fd_y = (prof.val(r, y + dy) - prof.val(r, y - dy)) / (2 * h)
-    np.testing.assert_allclose(prof.dy(r, y)[:, 0], fd_y, rtol=1e-6, atol=1e-8)
+    fd_y = (_val(prof, r, y + dy) - _val(prof, r, y - dy)) / (2 * h)
+    np.testing.assert_allclose(g_y[:, 0], fd_y, rtol=1e-6, atol=1e-8)
 
 
 # --- mode sums --------------------------------------------------------------
@@ -172,7 +178,7 @@ def test_mode_sum_value_is_fourier_sum():
     r = np.array([1.1])
     y = np.zeros((1, 0))
     for phi in (0.0, 1.0, 2.5):
-        want = p0.val(r, y) + p1.val(r, y) * np.exp(2j * phi)
+        want = _val(p0, r, y) + _val(p1, r, y) * np.exp(2j * phi)
         got = f.value_polar(r, phi, y)
         assert abs(got[0] - want[0]) <= 1e-14 * abs(want[0])
 
@@ -216,7 +222,7 @@ def test_angular_average_of_no_zero_mode_is_empty():
     assert f0.value_polar(np.array([1.0]), 0.3, np.zeros((1, 0)))[0] == 0.0
 
 
-# --- per-grid factor memo -----------------------------------------------------
+# --- evaluation on a grid equals a fresh function's ---------------------------
 
 def _grid(f, n_r=7, n_y=5, shift=0.0):
     """An integrate_polar-shaped grid (r (n_r, 1), y (1, n_y**k, k)) inside f's support."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maghardy.errors import DomainError, NonFiniteError
 from maghardy.quadrature import (
+    MAX_SLICE_NODES,
     Domain,
     _reference_rule,
     QuadratureSpec,
@@ -19,6 +20,7 @@ from maghardy.quadrature import (
     oracle_integrate,
     oracle_integrate_radial,
     phi_rule,
+    tensor_grid,
     y_box_rule,
 )
 
@@ -164,8 +166,13 @@ def test_y_box_rule_matches_fresh_panels_bitwise(y_box):
     assert np.array_equal(Y, Y0) and np.array_equal(W, W0)
 
 
-def _gauss_density(r, phi, y):
+def _gauss_integrand(r, phi, y):
     return np.exp(-r * r) * (1.0 + np.cos(phi)) * np.exp(-y[..., 0] ** 2)
+
+
+def _gauss_density(r, y):
+    """One integrand, in the density(r, y) -> at(phi) protocol."""
+    return lambda phi: (_gauss_integrand(r, phi, y),)
 
 
 def _gauss_closed_form(r_lo, r_hi, L):
@@ -176,7 +183,7 @@ def _gauss_closed_form(r_lo, r_hi, L):
 def test_integrate_polar_against_closed_form():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
     spec = QuadratureSpec(n_r=64, n_phi=8, n_y=24)
-    got = integrate_polar(_gauss_density, spec, dom)
+    [got] = integrate_polar(_gauss_density, spec, dom)
     want = _gauss_closed_form(0.05, 4.0, 2.0)
     assert abs(got.imag) <= 1e-14 * abs(want)
     assert abs(got.real - want) <= 1e-10 * abs(want)
@@ -185,25 +192,49 @@ def test_integrate_polar_against_closed_form():
 def test_integrate_polar_ball_domain_clips_radius():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),), kind="ball", R_Omega=1.0)
     spec = QuadratureSpec(n_r=64, n_phi=8, n_y=24)
-    got = integrate_polar(_gauss_density, spec, dom)
+    [got] = integrate_polar(_gauss_density, spec, dom)
     want = _gauss_closed_form(0.05, 1.0, 2.0)
     assert abs(got.real - want) <= 1e-10 * abs(want)
 
 
 def test_oracle_agrees_with_main_engine():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
-    main = integrate_polar(_gauss_density, QuadratureSpec(n_r=64, n_phi=8, n_y=24), dom)
-    check = oracle_integrate(_gauss_density, dom, (2401, 16, 161))
+    [main] = integrate_polar(_gauss_density, QuadratureSpec(n_r=64, n_phi=8, n_y=24), dom)
+    [check] = oracle_integrate(_gauss_density, dom, (2401, 16, 161))
     assert abs(main - check) <= 1e-7 * abs(check)
 
 
-def test_oracle_midpoint_rule_also_converges():
+def test_every_integrand_of_a_pass_equals_its_own_integral():
+    # several integrands in one phi pass give, bit for bit, what each gives alone
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
-    want = _gauss_closed_form(0.05, 4.0, 2.0)
-    got = oracle_integrate(_gauss_density, dom, (4001, 16, 401), rule="midpoint")
-    assert abs(got.real - want) <= 1e-5 * abs(want)
-    with pytest.raises(DomainError):
-        oracle_integrate(_gauss_density, dom, (101, 8, 41), rule="trapezoid")
+    spec = QuadratureSpec(n_r=32, n_phi=8, n_y=16)
+    integrands = (
+        _gauss_integrand,
+        lambda r, phi, y: np.sin(phi) * r * (1.0 + 0.0 * y[..., 0]),
+        lambda r, phi, y: np.exp(1j * phi) * np.exp(-r) * (1.0 + y[..., 0] ** 2),
+    )
+
+    def together(r, y):
+        return lambda phi: (h(r, phi, y) for h in integrands)
+
+    for engine in (lambda d: integrate_polar(d, spec, dom),
+                   lambda d: oracle_integrate(d, dom, (101, 8, 41))):
+        alone = [engine(lambda r, y, h=h: lambda phi: (h(r, phi, y),))[0]
+                 for h in integrands]
+        assert engine(together) == alone
+
+
+def test_density_runs_once_per_integration():
+    calls = []
+
+    def density(r, y):
+        calls.append((r.shape, y.shape))
+        return _gauss_density(r, y)
+
+    dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
+    integrate_polar(density, QuadratureSpec(n_r=16, n_phi=12, n_y=4), dom)
+    oracle_integrate(density, dom, (101, 12, 41))
+    assert len(calls) == 2
 
 
 def test_integrate_radial_weighted_power():
@@ -211,7 +242,7 @@ def test_integrate_radial_weighted_power():
     got = integrate_radial(lambda r: r ** 2, 4.0, 1.0, QuadratureSpec(n_r=48), 0.5, 2.0)
     want = (2.0 ** 5 - 0.5 ** 5) / 5.0
     assert abs(got - want) <= 1e-11 * want
-    check = oracle_integrate_radial(lambda r: r ** 2, 4.0, 1.0, 0.5, 2.0, n=8001)
+    check = oracle_integrate_radial(lambda r: r ** 2, 4.0, 1.0, 0.5, 2.0)
     assert abs(got - check) <= 1e-7 * want
 
 
@@ -222,11 +253,40 @@ def test_integrate_radial_rejects_bad_interval():
 
 def test_nonfinite_integrand_raises():
     dom = Domain(0.5, 2.0)
-    bad = lambda r, phi, y: np.where(r > 1.0, np.nan, 1.0)
+    bad = lambda r, y: lambda phi: (np.ones_like(r), np.where(r > 1.0, np.nan, 1.0))
     with pytest.raises(NonFiniteError):
         integrate_polar(bad, QuadratureSpec(n_r=16, n_phi=4, n_y=4), dom)
     with pytest.raises(NonFiniteError):
         oracle_integrate(bad, dom, (101, 4, 11))
+
+
+def test_slice_ceiling_refuses_oversized_grids_before_building_them():
+    def never(r, y):
+        raise AssertionError("density called on a refused grid")
+
+    box4 = ((-1.0, 1.0),) * 4
+    with pytest.raises(DomainError, match="ceiling"):
+        integrate_polar(never, QuadratureSpec(n_r=256, n_phi=4, n_y=64), Domain(0.5, 2.0, box4))
+    with pytest.raises(DomainError, match="ceiling"):
+        tensor_grid(QuadratureSpec(n_r=256, n_y=64), Domain(0.5, 2.0, ((-1.0, 1.0),) * 8))
+    # the oracle's k = 2 grid (2403 x 163^2 nodes) is far past it
+    with pytest.raises(DomainError, match="ceiling"):
+        oracle_integrate(never, Domain(0.5, 2.0, box4[:2]), (2401, 4, 161))
+
+
+def test_slice_ceiling_admits_the_largest_grids_in_use():
+    # the heavy k = 2 benchmark draw: 48 nodes on 3 radial panels, 36^2 y nodes
+    dom = Domain(0.5, 2.0, ((-1.0, 1.0),) * 2, r_breaks=(0.8, 1.4))
+    r, _, Y, _ = tensor_grid(QuadratureSpec(n_r=48, n_y=12), dom)
+    assert (r.size, len(Y)) == (144, 1296)
+    # a k = 2 identity check at n_r = 128, n_y = 40: 384 x 120^2 nodes
+    r, _, Y, _ = tensor_grid(QuadratureSpec(n_r=128, n_y=40), dom)
+    assert r.size * len(Y) == 5_529_600 <= MAX_SLICE_NODES
+    # the oracle's k = 1 grid: 2403 x 163 nodes
+    assert 2403 * 163 <= MAX_SLICE_NODES
+    [val] = oracle_integrate(lambda r, y: lambda phi: (np.ones(r.shape),),
+                             Domain(0.5, 2.0, ((-1.0, 1.0),)), (2401, 1, 161))
+    assert abs(val - 2.0 * math.pi * 1.875 * 2.0) <= 1e-9  # int r dr dphi dy
 
 
 def test_domain_validation():
@@ -252,7 +312,7 @@ def test_determinism_bitwise():
     spec = QuadratureSpec(n_r=32, n_phi=8, n_y=16)
     a = integrate_polar(_gauss_density, spec, dom)
     b = integrate_polar(_gauss_density, spec, dom)
-    assert a == b
+    assert a == b and len(a) == 1
 
 
 @given(p=st.floats(-1.8, 2.5), n=st.integers(16, 48))
