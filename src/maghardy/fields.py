@@ -8,10 +8,13 @@ Each magnetic gradient is written once, vectorised on grid arrays in the
 quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
 from the values and polar partials of the test function at one angular node
 (TestFunction.on_grid): grushin_components and tilde_components return
-polar-frame components, twisted_components Cartesian ones.  The verifiers
-integrate sums of their squared moduli.  The pointwise API is a one-node
-call into the same functions that rotates the polar frame to Cartesian, so
-the finite-difference tests check the code the integrals run.
+polar-frame components, twisted_components Cartesian ones.  The first two
+work in two steps, like the densities that call them: given the grid they
+form the phi-independent field factors once and return a closure that maps
+the test function's parts at one angular node to the components.  The
+verifiers integrate sums of their squared moduli.  The pointwise API is a
+one-node call into the same functions that rotates the polar frame to
+Cartesian, so the finite-difference tests check the code the integrals run.
 Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
@@ -144,35 +147,52 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 # Magnetic gradients on grid arrays
 # ---------------------------------------------------------------------------
 
-def grushin_components(beta: float, gamma: float, r, y, rho_val, parts):
-    """Polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f on a grid.
+def grushin_components(beta: float, gamma: float, r, y, rho_val):
+    """Closure parts -> polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f.
 
-    parts is (f, df/dr, df/dphi, grad_y f) on the grid (r, y), as
-    TestFunction.on_grid gives them; c_y carries the trailing y axis.
+    The real field factors d(rho)/dr / rho, r^gamma and r^gamma grad_y(rho)/rho
+    are formed here, once for the grid (r, y).  parts is (f, df/dr, df/dphi,
+    grad_y f) on that grid at one angular node, as TestFunction.on_grid gives
+    them; c_y carries the trailing y axis.
     """
-    val, fr, fphi, fy = parts
-    cr = fr + 1j * beta * drho_dr_over_rho(gamma, r, rho_val) * val
-    cphi = fphi / r
-    ay = r[..., None] ** gamma * grad_y_rho_over_rho(gamma, y, rho_val[..., None])
-    cy = r[..., None] ** gamma * fy + 1j * beta * ay * val[..., None]
-    return cr, cphi, cy
+    ar = drho_dr_over_rho(gamma, r, rho_val)
+    rg = r[..., None] ** gamma
+    ay = rg * grad_y_rho_over_rho(gamma, y, rho_val[..., None])
+
+    def components(parts):
+        val, fr, fphi, fy = parts
+        cy = rg * fy
+        cy += 1j * beta * ay * val[..., None]  # in place: one y-block array fewer
+        return fr + 1j * beta * ar * val, fphi / r, cy
+
+    return components
 
 
-def tilde_components(beta: float, gamma: float, r, y, rho_val, parts):
-    """Polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde_grad + i beta Atilde) f, m = 2.
+def tilde_components(beta: float, gamma: float, r, y, rho_val):
+    """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde_grad + i beta Atilde) f.
 
-    The rotated potential is purely angular in x; its y part enters the two
-    1/sqrt2 blocks with opposite signs.
+    Lives on m = 2.  The rotated potential is purely angular in x; its y part
+    enters the two 1/sqrt2 blocks with opposite signs.  Its real factors and
+    r^gamma are formed here, once for the grid (r, y); parts is as for
+    grushin_components.  The factors are kept real, so the grid holds half
+    the bytes of their complex products, and i beta A val is formed once per
+    node for both y blocks.
     """
-    val, fr, fphi, fy = parts
-    aphi = r ** (2.0 * gamma + 1.0) / rho_val ** (2.0 * gamma + 2.0)
-    cphi = fphi / r + 1j * beta * aphi * val
-    ay = (r[..., None] ** gamma * (1.0 + gamma) * y
-          / rho_val[..., None] ** (2.0 * gamma + 2.0)) * math.sqrt(0.5)
-    uy = r[..., None] ** gamma * fy * math.sqrt(0.5)
-    minus = uy - 1j * beta * ay * val[..., None]
-    plus = uy + 1j * beta * ay * val[..., None]
-    return fr, cphi, minus, plus
+    rho_pow = rho_val ** (2.0 * gamma + 2.0)
+    aphi = r ** (2.0 * gamma + 1.0) / rho_pow
+    rg = r[..., None] ** gamma
+    ay = (rg * (1.0 + gamma) * y / rho_pow[..., None]) * math.sqrt(0.5)
+
+    def components(parts):
+        val, fr, fphi, fy = parts
+        cphi = fphi / r + 1j * beta * aphi * val
+        uy = rg * fy * math.sqrt(0.5)
+        a = 1j * beta * ay * val[..., None]
+        minus = uy - a
+        uy += a  # in place: one y-block array fewer
+        return fr, cphi, minus, uy
+
+    return components
 
 
 def twisted_components(psi_r, r, phi: float, parts):
@@ -226,7 +246,7 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
     rho_val = np.full((1, 1), rho(geom, p))  # also checks the point's dimensions
     r, phi, y = _node(f, p)
     parts = f.on_grid(r, y)(phi)
-    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_val, parts)
+    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_val)(parts)
     blocks = [_cartesian_x(p, r, phi, cr, cphi)] + [b.reshape(-1) for b in yblocks]
     return np.concatenate(blocks).astype(complex)
 

@@ -14,7 +14,10 @@ The plateau bump rises from 0 to 1 over the first quarter of its interval
 and falls back to 0 on the last quarter.  Edges use the standard smoothstep
 built from exp(-1/t), which is C-infinity with all derivatives vanishing at
 the junctions, keeping every profile in the compactly-supported smooth class
-required by the inequalities.
+required by the inequalities.  Every consumer wants an edge's value and its
+derivative at the same nodes, so _step gives both from one clip and one
+pair of exponentials, _plateau gives the bump and its derivative from its
+two edges, and each factor's both(t) returns (value, derivative) together.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
 profile computes its phi-independent factors once per grid (for a
@@ -62,37 +65,29 @@ _EDGE_EPS = 1e-9
 
 
 def _step(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, exp(-1/t)-smooth between."""
-    t = np.asarray(t, dtype=float)
-    tc = np.clip(t, _EDGE_EPS, 1.0 - _EDGE_EPS)
-    a = np.exp(-1.0 / tc)
-    b = np.exp(-1.0 / (1.0 - tc))
-    s = a / (a + b)
-    return np.where(t <= _EDGE_EPS, 0.0, np.where(t >= 1.0 - _EDGE_EPS, 1.0, s))
+    """C-infinity step and its derivative, (s, ds/dt).
 
-
-def _step_d(t):
-    """Derivative of _step (zero outside (0, 1))."""
+    s is 0 for t <= 0, 1 for t >= 1 and exp(-1/t)-smooth between; ds/dt is
+    zero outside (0, 1).  Both come from one clip (the ufuncs, not the
+    slower np.clip wrapper) and one pair of exponentials.
+    """
     t = np.asarray(t, dtype=float)
-    tc = np.clip(t, _EDGE_EPS, 1.0 - _EDGE_EPS)
+    tc = np.minimum(np.maximum(t, _EDGE_EPS), 1.0 - _EDGE_EPS)
+    tm = 1.0 - tc
     a = np.exp(-1.0 / tc)
-    b = np.exp(-1.0 / (1.0 - tc))
-    d = a * b * (1.0 / tc**2 + 1.0 / (1.0 - tc) ** 2) / (a + b) ** 2
-    inside = (t > _EDGE_EPS) & (t < 1.0 - _EDGE_EPS)
-    return np.where(inside, d, 0.0)
+    b = np.exp(-1.0 / tm)
+    ab = a + b
+    d = a * b * (1.0 / tc**2 + 1.0 / tm**2) / ab**2
+    low, high = t <= _EDGE_EPS, t >= 1.0 - _EDGE_EPS
+    return np.where(low, 0.0, np.where(high, 1.0, a / ab)), np.where(low | high, 0.0, d)
 
 
 def _plateau(u, lo, hi):
-    """Plateau bump in coordinate u on [lo, hi]: 1 on the middle half."""
+    """Plateau bump in coordinate u on [lo, hi] (1 on the middle half) and its u-derivative."""
     q = 0.25 * (hi - lo)
-    return _step((u - lo) / q) * _step((hi - u) / q)
-
-
-def _plateau_d(u, lo, hi):
-    q = 0.25 * (hi - lo)
-    up = _step((u - lo) / q)
-    dn = _step((hi - u) / q)
-    return (_step_d((u - lo) / q) * dn - up * _step_d((hi - u) / q)) / q
+    up, dup = _step((u - lo) / q)
+    dn, ddn = _step((hi - u) / q)
+    return up * dn, (dup * dn - up * ddn) / q
 
 
 def plateau_breaks(lo, hi):
@@ -102,7 +97,7 @@ def plateau_breaks(lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Radial factors: value v(r) and derivative dv/dr, plus panel breakpoints
+# Radial factors: both(r) -> (value, d/dr), plus panel breakpoints
 # ---------------------------------------------------------------------------
 
 class PlateauLogBump:
@@ -114,11 +109,9 @@ class PlateauLogBump:
         self.r_lo, self.r_hi = float(r_lo), float(r_hi)
         self._a, self._b = math.log(r_lo), math.log(r_hi)
 
-    def v(self, r):
-        return _plateau(np.log(r), self._a, self._b)
-
-    def dv(self, r):
-        return _plateau_d(np.log(r), self._a, self._b) / r
+    def both(self, r):
+        p, dp = _plateau(np.log(r), self._a, self._b)
+        return p, dp / r
 
     @property
     def breaks(self):
@@ -133,13 +126,9 @@ class PowerLogWindow:
         self.window = PlateauLogBump(r_lo, r_hi)
         self.r_lo, self.r_hi = self.window.r_lo, self.window.r_hi
 
-    def v(self, r):
-        return r**self.sigma * self.window.v(r)
-
-    def dv(self, r):
-        return r ** (self.sigma - 1.0) * (
-            self.sigma * self.window.v(r) + r * self.window.dv(r)
-        )
+    def both(self, r):
+        wv, wd = self.window.both(r)
+        return r**self.sigma * wv, r ** (self.sigma - 1.0) * (self.sigma * wv + r * wd)
 
     @property
     def breaks(self):
@@ -162,18 +151,12 @@ class GaussTail:
         self.a = float(a)
         self.fall, self.r_hi, self.r_lo = float(fall), float(r_hi), float(r_lo)
 
-    def _cut(self, r):
-        return _step((self.r_hi - r) / (self.r_hi - self.fall))
-
-    def v(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(-self.a * r * r) * self._cut(r)
-
-    def dv(self, r):
+    def both(self, r):
         r = np.asarray(r, dtype=float)
         span = self.r_hi - self.fall
-        dcut = -_step_d((self.r_hi - r) / span) / span
-        return np.exp(-self.a * r * r) * (-2.0 * self.a * r * self._cut(r) + dcut)
+        cut, dcut = _step((self.r_hi - r) / span)
+        g = np.exp(-self.a * r * r)
+        return g * cut, g * (-2.0 * self.a * r * cut - dcut / span)
 
     @property
     def breaks(self):
@@ -199,18 +182,11 @@ class AbsLogPowerWindow:
         if not (self._w_lo < self._w_hi):
             raise DomainError("degenerate log-log window")
 
-    def v(self, r):
+    def both(self, r):
         t = -np.log(r)
-        return t**self.c * _plateau(np.log(t), self._w_lo, self._w_hi)
-
-    def dv(self, r):
-        t = -np.log(r)
-        w = np.log(t)
-        core = self.c * _plateau(w, self._w_lo, self._w_hi) + _plateau_d(
-            w, self._w_lo, self._w_hi
-        )
+        p, dp = _plateau(np.log(t), self._w_lo, self._w_hi)
         # d/dr = -(1/r) d/dt applied to t^c * window(log t)
-        return -(t ** (self.c - 1.0)) * core / r
+        return t**self.c * p, -(t ** (self.c - 1.0)) * (self.c * p + dp) / r
 
     @property
     def breaks(self):
@@ -220,7 +196,7 @@ class AbsLogPowerWindow:
 
 
 # ---------------------------------------------------------------------------
-# y-direction factors: value/derivative in one y coordinate
+# y-direction factors: both(t) -> (value, d/dt) in one y coordinate
 # ---------------------------------------------------------------------------
 
 class PlateauBumpY:
@@ -231,11 +207,8 @@ class PlateauBumpY:
             raise DomainError(f"bad y interval ({lo}, {hi})")
         self.lo, self.hi = float(lo), float(hi)
 
-    def v(self, t):
+    def both(self, t):
         return _plateau(t, self.lo, self.hi)
-
-    def dv(self, t):
-        return _plateau_d(t, self.lo, self.hi)
 
 
 class GaussBumpY:
@@ -248,15 +221,10 @@ class GaussBumpY:
         self.a = float(a)
         self.c = 0.5 * (lo + hi) if center is None else float(center)
 
-    def v(self, t):
-        return np.exp(-self.a * (t - self.c) ** 2) * _plateau(t, self.lo, self.hi)
-
-    def dv(self, t):
+    def both(self, t):
         g = np.exp(-self.a * (t - self.c) ** 2)
-        return g * (
-            _plateau_d(t, self.lo, self.hi)
-            - 2.0 * self.a * (t - self.c) * _plateau(t, self.lo, self.hi)
-        )
+        p, dp = _plateau(t, self.lo, self.hi)
+        return g * p, g * (dp - 2.0 * self.a * (t - self.c) * p)
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +254,18 @@ class ProductProfile:
         arrays live only as long as the caller keeps them.
         """
         amp = self.amplitude
-        rv, drv = self.radial.v(r), self.radial.dv(r)
-        vals = [yf.v(y[..., j]) for j, yf in enumerate(self.y_factors)]
-        dvals = [yf.dv(y[..., j]) for j, yf in enumerate(self.y_factors)]
+        rv, drv = self.radial.both(r)
+        ys = [yf.both(y[..., j]) for j, yf in enumerate(self.y_factors)]
 
         def times(out, skip=-1):
-            for i, v in enumerate(vals):
+            for i, (v, _) in enumerate(ys):
                 if i != skip:
                     out = out * v
             return out
 
         def parts():
             base = amp * rv
-            gy = [times(base * dv, j) for j, dv in enumerate(dvals)]
+            gy = [times(base * dv, j) for j, (_, dv) in enumerate(ys)]
             gy = np.stack(gy, axis=-1) if gy else np.zeros(np.shape(r) + (0,), complex)
             return times(base), times(amp * drv), gy
 
@@ -336,9 +303,7 @@ class RhoShellProfile:
         return self.geom.k
 
     def _h_and_dh(self, rho):
-        lg = np.log(rho)
-        win = _plateau(lg, self._a, self._b)
-        dwin = _plateau_d(lg, self._a, self._b)
+        win, dwin = _plateau(np.log(rho), self._a, self._b)
         h = rho**self.sigma * win
         dh = rho ** (self.sigma - 1.0) * (self.sigma * win + dwin)
         return h, dh
@@ -434,6 +399,8 @@ class TestFunction:
         Each distinct profile computes its phi-independent factors here, once
         (modes +l and -l may share one); each call forms every mode's g,
         dg/dr and grad_y g in turn and adds its terms at the angular node phi.
+        The closure's mode_zero() gives f0, the zeroth angular mode of f, on
+        the grid from the same factors (zeros if f has no mode 0).
         r and y must not change while the closure is in use.
         """
         parts_of, terms = {}, []
@@ -462,6 +429,13 @@ class TestFunction:
                 del g, gr, gy  # free this mode's products before the next
             return tuple(out)
 
+        def mode_zero():
+            for mode, parts in terms:
+                if mode == 0:
+                    return parts()[0]
+            return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]))
+
+        at.mode_zero = mode_zero
         return at
 
     def value_polar(self, r, phi, y):

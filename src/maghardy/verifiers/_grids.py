@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DomainError, NonFiniteError
-from ..functions import TestFunction, angular_average
+from ..functions import TestFunction
 from ..geometry import sphere_area
 from ..quadrature import (
     Domain,
@@ -111,10 +111,3 @@ def grad_y_sq(dy: np.ndarray) -> np.ndarray:
         return np.zeros(dy.shape[:-1])
     return np.sum(abs2(dy), axis=-1)
 
-
-def mode_zero_sq(f: TestFunction, r, y) -> np.ndarray:
-    """|f0|^2 on the grid (r, y), for the zeroth angular mode f0 of f."""
-    f0 = angular_average(f)
-    if not f0.modes:
-        return np.zeros(np.broadcast_shapes(np.shape(r), y.shape[:-1]))
-    return abs2(f0.value_polar(r, 0.0, y))

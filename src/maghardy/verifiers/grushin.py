@@ -10,12 +10,12 @@ substituted.
 
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once (the test function's
-factors through TestFunction.on_grid, the weights B, w and rho, the field
-closure), and at(phi) yields the integrand of every term of the displayed
-inequality in turn, so the check makes one integration call.  x-radial
-functions use the reduced tensor path at phi = 0 with the closed-form sphere
-factor; genuinely angular functions require m = 2 and run through the full
-polar engine.
+factors through TestFunction.on_grid, the weights B, B*w and rho, the field
+factors of the fields components), and at(phi) yields the integrand of every
+term of the displayed inequality in turn, so the check makes one integration
+call.  x-radial functions use the reduced tensor path at phi = 0 with the
+closed-form sphere factor; genuinely angular functions require m = 2 and run
+through the full polar engine.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from ..reports import IdentityReport, InequalityReport
 from ._grids import (
     abs2,
     grad_y_sq,
-    mode_zero_sq,
     polar_integral,
     require_phi_resolution,
     rx_integral,
@@ -90,11 +89,11 @@ def _require_real(f: TestFunction, what: str) -> None:
 
 
 def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
-    """(B, w, rho) on the grid (r, y)."""
+    """(B, B*w, rho) on the grid (r, y), w the Hardy weight."""
     g = geom.gamma
     rho = rho_rs(g, r, s_of(y))
-    return (weight_B_rs(g, exps.alpha1, exps.alpha2, r, rho),
-            hardy_density_rs(g, r, rho), rho)
+    B = weight_B_rs(g, exps.alpha1, exps.alpha2, r, rho)
+    return B, B * hardy_density_rs(g, r, rho), rho
 
 
 def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
@@ -151,12 +150,12 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, w, _ = _weights(geom, exps, r, y)
+        B, Bw, _ = _weights(geom, exps, r, y)
 
         def at(phi):
             parts = on(phi)
             yield B * _plain_sq(geom.gamma, r, parts)
-            yield B * w * abs2(parts[0])
+            yield Bw * abs2(parts[0])
 
         return at
 
@@ -188,7 +187,7 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, w, rho = _weights(geom, exps, r, y)
+        B, Bw, rho = _weights(geom, exps, r, y)
 
         def at(phi):
             parts = on(phi)
@@ -197,7 +196,7 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
             cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
             yield B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
             yield B * _plain_sq(g, r, parts)
-            yield B * w * abs2(val)
+            yield Bw * abs2(val)
 
         return at
 
@@ -232,13 +231,14 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, w, rho = _weights(geom, exps, r, y)
+        B, Bw, rho = _weights(geom, exps, r, y)
+        components = grushin_components(beta, geom.gamma, r, y, rho)
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(grushin_components(beta, geom.gamma, r, y, rho, parts))
+            yield B * _components_sq(components(parts))
             yield B * _plain_sq(geom.gamma, r, parts)
-            yield B * w * abs2(parts[0])
+            yield Bw * abs2(parts[0])
 
         return at
 
@@ -290,14 +290,15 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, w, rho = _weights(geom, exps, r, y)
-        f0_sq = mode_zero_sq(f, r, y)
+        B, Bw, rho = _weights(geom, exps, r, y)
+        components = tilde_components(beta, geom.gamma, r, y, rho)
+        f0_sq = abs2(on.mode_zero())
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(tilde_components(beta, geom.gamma, r, y, rho, parts))
+            yield B * _components_sq(components(parts))
             f_sq = abs2(parts[0])
-            yield B * w * f_sq
+            yield Bw * f_sq
             yield B * (f_sq - f0_sq) / r**2
 
         return at
@@ -325,7 +326,7 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     def density(r, y):
         on = f.on_grid(r, y)
         B, _, _ = _weights(geom, exps, r, y)
-        f0_sq = mode_zero_sq(f, r, y)
+        f0_sq = abs2(on.mode_zero())
 
         def at(phi):
             val, _, fphi, _ = on(phi)
@@ -384,10 +385,11 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
         half_w = r**g / rho ** (g + 1.0)
         cross_weight = half_B * half_w
+        field = components(beta, g, r, y, rho)
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(components(beta, g, r, y, rho, parts))
+            yield B * _components_sq(field(parts))
             f_sq = abs2(parts[0])
             yield f_sq
             yield cross_weight * f_sq
@@ -443,7 +445,7 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, w, _ = _weights(geom, exps, r, y)
+        B, Bw, _ = _weights(geom, exps, r, y)
         # sum_j psi2_j(x_j)^2 reduced over the x-sphere, and sum_j psi1_j(y_j)^2
         if n == 1:
             vx_sq = 0.5 * (np.asarray(pots.psi2[0](r)) ** 2
@@ -466,7 +468,7 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
             yield B * (xblock + yblock)
             yield B * _plain_sq(g, r, parts)
             yield B * (vx_sq + vy_sq) * f_sq
-            yield B * w * f_sq
+            yield Bw * f_sq
 
         return at
 

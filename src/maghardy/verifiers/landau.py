@@ -23,7 +23,6 @@ from ..quadrature import Domain, QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import (
     abs2,
-    mode_zero_sq,
     polar_integral,
     require_phi_resolution,
     rx_integral,
@@ -171,7 +170,7 @@ def verify_landau(variant: str, psi: RadialPotential,
     def density(r, y):
         on = f.on_grid(r, y)
         pv = np.asarray(psi(r))
-        f0_sq = mode_zero_sq(f, r, y)
+        f0_sq = abs2(on.mode_zero())
         w_grad, w_main, w_psi, w_defect = (
             wv(r), main_weight(r), psi_weight(r), defect_weight(r))
 

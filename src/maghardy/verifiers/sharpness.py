@@ -16,7 +16,10 @@ extremizing regime along a schedule of widths.  The panels come from
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
 "plain" (e^(eps u) on the family's own cutoff window, matching make_trial
-exactly so full tensor quadrature can cross-check the reduction).
+exactly so full tensor quadrature can cross-check the reduction).  Each
+window is a closure both(u) -> (w, w') with its panel edges; a quotient calls
+it once on its nodes, so every schedule point evaluates the plateau's two
+smoothstep edges once, value and derivative together.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 import numpy as np
 
 from ..errors import AdmissibilityError, DomainError
-from ..functions import TrialFamily, _plateau, _plateau_d, plateau_breaks
+from ..functions import TrialFamily, _plateau, plateau_breaks
 from ..quadrature import gauss_panels
 from ..reports import SharpnessResult, SuperweightParams
 
@@ -51,49 +54,45 @@ def _gauss_window(eps: float, center: float = 0.0):
     lo, hi = center - U, center + U
     b1, b2 = plateau_breaks(lo, hi)
 
-    def val(u):
-        return np.exp(-0.5 * (eps * (u - center)) ** 2) * _plateau(u, lo, hi)
-
-    def der(u):
+    def both(u):
         g = np.exp(-0.5 * (eps * (u - center)) ** 2)
-        return g * (_plateau_d(u, lo, hi)
-                    - eps * eps * (u - center) * _plateau(u, lo, hi))
+        p, dp = _plateau(u, lo, hi)
+        return g * p, g * (dp - eps * eps * (u - center) * p)
 
-    return val, der, (lo, b1, b2, hi)
+    return both, (lo, b1, b2, hi)
 
 
 def _plain_window(eps: float, u_lo: float, u_hi: float):
     """e^(eps u) on the plateau window [u_lo, u_hi] — the make_trial shape."""
     b1, b2 = plateau_breaks(u_lo, u_hi)
 
-    def val(u):
-        return np.exp(eps * u) * _plateau(u, u_lo, u_hi)
+    def both(u):
+        e = np.exp(eps * u)
+        p, dp = _plateau(u, u_lo, u_hi)
+        return e * p, e * (eps * p + dp)
 
-    def der(u):
-        return np.exp(eps * u) * (eps * _plateau(u, u_lo, u_hi)
-                                  + _plateau_d(u, u_lo, u_hi))
-
-    return val, der, (u_lo, b1, b2, u_hi)
+    return both, (u_lo, b1, b2, u_hi)
 
 
-def _power_quotient(base: float, val, der, edges) -> float:
+def _power_quotient(base: float, both, edges) -> float:
     u, w = gauss_panels(edges, _PANEL_N)
-    num = float(np.sum(w * der(u) ** 2))
-    den = float(np.sum(w * val(u) ** 2))
+    v, d = both(u)
+    num = float(np.sum(w * d**2))
+    den = float(np.sum(w * v**2))
     return base + num / den
 
 
-def _log_quotient(val, der, edges) -> float:
+def _log_quotient(both, edges) -> float:
     # w is log(-log r); the plane measure contributes exp(-2 e^w) on the
     # norm side, which is what confines the sharp regime to the unit disc.
     u, w = gauss_panels(edges, _PANEL_N)
-    v, d = val(u), der(u)
+    v, d = both(u)
     num = float(np.sum(w * (d - 0.5 * v) ** 2))
     den = float(np.sum(w * v * v * np.exp(-2.0 * np.exp(u))))
     return num / den
 
 
-def _superweight_quotient(sw: SuperweightParams, c: float, val, der,
+def _superweight_quotient(sw: SuperweightParams, c: float, both,
                           edges) -> float:
     log_a, log_b = math.log(sw.a), math.log(sw.b)
     t2, t3 = sw.theta2, sw.theta3
@@ -104,8 +103,9 @@ def _superweight_quotient(sw: SuperweightParams, c: float, val, der,
 
     u, w = gauss_panels(edges, _PANEL_N)
     g = G(u)
-    num = float(np.sum(w * g * (der(u) - c * val(u)) ** 2))
-    den = float(np.sum(w * g * val(u) ** 2))
+    v, d = both(u)
+    num = float(np.sum(w * g * (d - c * v) ** 2))
+    den = float(np.sum(w * g * v**2))
     return num / den
 
 
@@ -153,10 +153,10 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         points = []
         for eps in schedule:
             if window == "gauss":
-                valdereg = _gauss_window(eps)
+                win = _gauss_window(eps)
             else:
-                valdereg = _plain_window(eps, math.log(lo), math.log(hi))
-            points.append((eps, _power_quotient(base, *valdereg)))
+                win = _plain_window(eps, math.log(lo), math.log(hi))
+            points.append((eps, _power_quotient(base, *win)))
         return SharpnessResult(theorem_id, points, sharp, run_params)
 
     if theorem_id == "landau_hardy_sobolev":
@@ -168,11 +168,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         points = []
         for eps in schedule:
             if window == "gauss":
-                valdereg = _gauss_window(eps)
+                win = _gauss_window(eps)
             else:
                 # trials r^(theta1 - eps) tilt the reduced window by -eps
-                valdereg = _plain_window(-eps, math.log(lo), math.log(hi))
-            points.append((eps, _power_quotient(base, *valdereg)))
+                win = _plain_window(-eps, math.log(lo), math.log(hi))
+            points.append((eps, _power_quotient(base, *win)))
         return SharpnessResult(theorem_id, points, base, run_params)
 
     if theorem_id == "landau_log":
@@ -181,14 +181,14 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
             if window == "gauss":
                 U = 6.0 / eps
                 W = 2.0 + 0.08 / eps
-                valdereg = _gauss_window(eps, center=-(U + W))
+                win = _gauss_window(eps, center=-(U + W))
             else:
                 if not (0.0 < lo < hi < 1.0):
                     raise AdmissibilityError(
                         "logarithmic trials live inside the unit disc")
                 w_lo, w_hi = math.log(-math.log(hi)), math.log(-math.log(lo))
-                valdereg = _plain_window(eps, w_lo, w_hi)
-            points.append((eps, _log_quotient(*valdereg)))
+                win = _plain_window(eps, w_lo, w_hi)
+            points.append((eps, _log_quotient(*win)))
         return SharpnessResult(theorem_id, points, 0.25, run_params)
 
     # landau_superweight
@@ -208,8 +208,8 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
                 center = math.log(0.05) - U   # push toward the origin
             else:
                 center = math.log(20.0) + U   # push toward infinity
-            valdereg = _gauss_window(eps, center=center)
+            win = _gauss_window(eps, center=center)
         else:
-            valdereg = _plain_window(eps, math.log(lo), math.log(hi))
-        points.append((eps, _superweight_quotient(sw, c, *valdereg)))
+            win = _plain_window(eps, math.log(lo), math.log(hi))
+        points.append((eps, _superweight_quotient(sw, c, *win)))
     return SharpnessResult(theorem_id, points, sharp, run_params)

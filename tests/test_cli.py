@@ -4,6 +4,7 @@ sweep CSVs, and byte-level reproducibility."""
 import copy
 import csv
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -308,6 +309,20 @@ def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
     assert got == want
     for rel in want:
         assert (tmp_path / rel).read_bytes() == (SHIPPED / rel).read_bytes(), rel
+
+
+@pytest.mark.parametrize("workload", ["margins", "sharpness"])
+def test_benchmark_reference_pass_matches_its_recorded_report(tmp_path, workload):
+    # the benchmark's seed-42 reference pass, checked as the benchmark checks it
+    if str(REPO / "perfbench") not in sys.path:
+        sys.path.insert(0, str(REPO / "perfbench"))
+    import worker
+    cfg, out = tmp_path / "config.json", tmp_path / "report.json"
+    cfg.write_text(json.dumps(worker.workloads.CONFIGS[workload](worker.REFERENCE_SEED, 0)))
+    assert main(["verify", "--config", str(cfg), "--out", str(out), "--timings"]) in (0, 1)
+    ref = json.loads((worker.REFERENCE_DIR / f"{workload}.json").read_text())
+    drift, where, bad = worker.compare(ref, worker.strip_timings(json.loads(out.read_text())))
+    assert bad == [], (drift, where)
 
 
 def test_config_problems_exit_two(tmp_path, capsys):

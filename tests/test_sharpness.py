@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from maghardy import functions
 from maghardy.errors import AdmissibilityError, DomainError
 from maghardy.fields import FluxParam, RadialPotential
 from maghardy.functions import TrialFamily, make_trial
@@ -114,7 +115,7 @@ def test_superweight_growing_weight_branch():
 # ---------------------------------------------------------------------------
 
 def test_panels_match_fresh_leggauss_loop_bitwise():
-    edges = _gauss_window(0.05, center=-3.0)[2]
+    edges = _gauss_window(0.05, center=-3.0)[1]
     x, w = np.polynomial.legendre.leggauss(_PANEL_N)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -137,6 +138,30 @@ def test_schedule_builds_the_panel_rule_once(monkeypatch):
         estimate_sharpness("radial_hardy", {"geom": GEOM, "exps": FLAT}, fam,
                            window=window)
     assert calls == [_PANEL_N]
+
+
+# one (value, derivative) evaluation of each plateau edge per schedule point
+_ENGINES = [
+    ("radial_hardy", {"geom": GEOM, "exps": FLAT}, TrialFamily("rho_power", 0.02, (0.5, 2.0))),
+    ("magnetic_grushin", {"geom": GEOM, "exps": FLAT, "flux": FluxParam(0.5)},
+     TrialFamily("rho_power", 0.02, (0.5, 2.0))),
+    ("landau_hardy_sobolev", {"theta1": 1.2}, TrialFamily("inverse_power", 0.02, (0.5, 2.0))),
+    ("landau_log", None, TrialFamily("log_power", 0.02, (0.05, 0.9))),
+    ("landau_superweight", SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0),
+     TrialFamily("power", 0.02, (0.002, 0.04))),
+]
+
+
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_each_schedule_point_steps_each_plateau_edge_once(monkeypatch, theorem_id, params,
+                                                          family, window):
+    calls = []
+    step = functions._step
+    monkeypatch.setattr(functions, "_step", lambda t: calls.append(1) or step(t))
+    res = estimate_sharpness(theorem_id, params, family, window=window)
+    assert len(res.schedule) == len(DEFAULT_SCHEDULE)
+    assert len(calls) == 2 * len(DEFAULT_SCHEDULE)
 
 
 # ---------------------------------------------------------------------------

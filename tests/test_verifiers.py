@@ -307,13 +307,13 @@ def test_constant_field_rejects_complex():
 # --- phi-independent work once per check ---------------------------------------
 
 class _CountingBump(PlateauLogBump):
-    """Plateau bump that counts the calls of its value factor."""
+    """Plateau bump that counts the calls of its (value, derivative) factor."""
 
     calls = 0
 
-    def v(self, r):
+    def both(self, r):
         self.calls += 1
-        return super().v(r)
+        return super().both(r)
 
 
 def _real_cos_pair(radial):
@@ -344,6 +344,20 @@ def test_radial_factor_runs_once_across_the_integrals_of_a_check():
     rep = verify_magnetic_grushin(GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
                                   FluxParam(0.5), f, QuadratureSpec(n_r=16, n_phi=12, n_y=6))
     assert rep.margin >= -rep.tolerance()
+    assert radial.calls == 1
+
+
+def test_mode_zero_factor_runs_once_per_ab_hardy_check():
+    # |f0|^2 of the mode defect comes from the factors f's own closure computed
+    radial = _CountingBump(0.5, 2.0)
+    f = TestFunction([
+        AngularMode(0, ProductProfile(radial, (GaussBumpY(-1.0, 1.0),))),
+        AngularMode(2, ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),),
+                                      amplitude=0.5j)),
+    ])
+    rep = verify_ab_hardy(GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
+                          FluxParam(0.5), f, QuadratureSpec(n_r=16, n_phi=12, n_y=6))
+    assert rep.rhs_terms["mode_defect"] > 0.0
     assert radial.calls == 1
 
 
