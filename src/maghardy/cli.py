@@ -488,21 +488,6 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     return check.verify(fields, f)
 
 
-def _passes(report) -> bool:
-    kind = report.to_dict().get("kind")
-    if kind == "inequality":
-        return report.passes(report.tolerance(1e-9))
-    if kind == "identity":
-        return report.rel_err <= 1e-8
-    if kind == "sharpness":
-        qs = [q for _, q in report.schedule]
-        tol = 1e-9 * max(1.0, abs(report.sharp_constant))
-        one_sided = report.best_quotient >= report.sharp_constant - tol
-        monotone = all(q2 <= q1 + tol for q1, q2 in zip(qs, qs[1:]))
-        return one_sided and monotone
-    return False
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -515,6 +500,19 @@ def _load_config(path: str) -> dict:
     if not isinstance(cfg.get("runs", []), list):
         raise ConfigError("config: runs must be a list")
     return cfg
+
+
+def _write_json(obj, path: str) -> None:
+    """obj as sorted, indented JSON plus a newline; jsonable converts the records."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable)
+        fh.write("\n")
+
+
+def _error(exc: MagHardyError) -> dict:
+    """The fields of the record of a run that raised exc."""
+    return {"status": "error",
+            "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
 def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
@@ -532,15 +530,9 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
             if isinstance(run, dict):
                 record["seed"] = _num(run, "seed", f"runs[{i}]", int, suite_seed + i)
             report = _run_one(run, i, suite_seed, admissibility)
-            record["status"] = "ok"
-            record["passed"] = _passes(report)
-            record["report"] = report.to_dict()
-            record["error"] = None
+            record.update(status="ok", passed=report.passed(), report=report, error=None)
         except MagHardyError as exc:
-            record["status"] = "error"
-            record["passed"] = False
-            record["report"] = None
-            record["error"] = {"type": type(exc).__name__, "message": str(exc)}
+            record.update(_error(exc), passed=False, report=None)
         record["wall_clock_s"] = time.perf_counter() - t0 if timings else None
         return record
 
@@ -553,13 +545,11 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
         "tool": {"name": "maghardy", "version": __version__},
         "suite": str(cfg.get("suite", "")),
         "seed": suite_seed,
-        "runs": jsonable(records),
+        "runs": records,
         "summary": {"n_runs": len(records), "n_passed": n_pass,
                     "n_failed": len(records) - n_pass, "n_errors": n_err},
     }
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, out_path)
     return 0 if n_pass == len(records) else 1
 
 
@@ -567,8 +557,6 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
     cfg = _load_config(config_path)
     runs = cfg.get("runs", [])
     suite_seed = _num(cfg, "seed", "config", int, 0)
-    os.makedirs(out_dir, exist_ok=True)
-    results, failures = [], 0
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
         if not isinstance(run, dict) or "family" not in run:
@@ -576,12 +564,14 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
         tid = str(run.get("theorem_id", ""))
         if tid not in _FAMILY_FOR:
             raise ConfigError(f"{where}: {tid!r} has no sharpness engine")
+    os.makedirs(out_dir, exist_ok=True)
+    results, failures = [], 0
+    for i, run in enumerate(runs):
+        tid = run["theorem_id"]
         try:
             res = _run_one(run, i, suite_seed, "thm2")
         except MagHardyError as exc:
-            results.append({"index": i, "theorem_id": tid, "status": "error",
-                            "error": {"type": type(exc).__name__,
-                                      "message": str(exc)}})
+            results.append({"index": i, "theorem_id": tid, **_error(exc)})
             failures += 1
             continue
         path = os.path.join(out_dir, f"{tid}_{i}.csv")
@@ -597,16 +587,14 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
                                  repr(float(gap))])
         results.append({"index": i, "theorem_id": tid, "status": "ok",
                         "csv": os.path.basename(path),
-                        "result": res.to_dict()})
+                        "result": res})
     combined = {
         "version": SWEEP_VERSION,
         "tool": {"name": "maghardy", "version": __version__},
         "seed": suite_seed,
-        "results": jsonable(results),
+        "results": results,
     }
-    with open(os.path.join(out_dir, "sweep.json"), "w", encoding="utf-8") as fh:
-        json.dump(combined, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(combined, os.path.join(out_dir, "sweep.json"))
     return 0 if failures == 0 else 1
 
 

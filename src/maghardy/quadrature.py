@@ -223,20 +223,11 @@ def _check_finite(values: np.ndarray) -> None:
         raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
 
 
-def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
-    """Integrals of every integrand of density over r dr dphi dy on the domain.
+def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
+    """Per integrand that at(phi) yields, the sum of base * integrand over phis.
 
-    density(r, y) runs once; the angular sum is an explicit loop over the
-    n_phi trapezoid nodes, and each integrand is reduced as soon as it is
-    yielded, so memory stays at O(n_r * n_y_flat) however many modes and
-    integrands the check carries.  Returns one complex value per integrand.
+    Each integrand is checked finite and reduced as soon as it is yielded.
     """
-    r, w_r, Y, w_y = tensor_grid(spec, domain)
-    phis, w_phi = phi_rule(spec.n_phi)
-
-    base = (w_r * r)[:, None] * w_y[None, :]  # Jacobian r folded in
-    at = density(r[:, None], Y[None, :, :])
-
     totals = []
     for phi in phis:
         for i, vals in enumerate(at(float(phi))):
@@ -245,7 +236,23 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
             totals[i] += np.sum(base * vals)
-    return [complex(total * w_phi) for total in totals]
+    return totals
+
+
+def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
+    """Integrals of every integrand of density over r dr dphi dy on the domain.
+
+    density(r, y) runs once; the angular sum is an explicit loop over the
+    n_phi trapezoid nodes (reduce_slices), so memory stays at
+    O(n_r * n_y_flat) however many modes and integrands the check carries.
+    Returns one complex value per integrand.
+    """
+    r, w_r, Y, w_y = tensor_grid(spec, domain)
+    phis, w_phi = phi_rule(spec.n_phi)
+
+    base = (w_r * r)[:, None] * w_y[None, :]  # Jacobian r folded in
+    at = density(r[:, None], Y[None, :, :])
+    return [complex(total * w_phi) for total in reduce_slices(at, base, phis)]
 
 
 def integrate_radial(

@@ -1,13 +1,17 @@
-"""Result records for inequality, identity, and sharpness runs.
+"""Report records for inequality, identity, and sharpness runs, their
+verdicts and their JSON form.
 
-Every record serializes to plain JSON-compatible dicts with deterministic
-key order and no environment-dependent content, so that two runs with the
-same configuration and seed produce byte-identical report files.
+Each record's `passed()` is its verdict and its `to_dict()` lists its fields
+as they are.  `jsonable` is the `default=` hook of `json.dump`: it converts
+only what json cannot encode itself, so a report becomes JSON once, as it is
+written.  Reports hold no environment-dependent content and are written with
+sorted keys, so two runs with the same configuration and seed produce
+byte-identical report files.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -21,22 +25,19 @@ __all__ = [
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and dataclass records to JSON types."""
+    """json.dump's default= hook: records, complex numbers, numpy scalars and arrays.
+
+    np.float64 never reaches it: it is a float, which json writes itself.
+    """
     if isinstance(obj, (InequalityReport, IdentityReport, SharpnessResult, SuperweightParams)):
         return obj.to_dict()
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     if isinstance(obj, complex):
         if obj.imag == 0.0:
             return obj.real
         return {"re": obj.real, "im": obj.imag}
-    return obj
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -76,17 +77,16 @@ class InequalityReport:
     def tolerance(self, rel: float = 1e-9) -> float:
         return rel * (abs(self.lhs) + sum(abs(v) for v in self.rhs_terms.values()))
 
+    def passed(self) -> bool:
+        """The margin is nonnegative up to the 1e-9 relative tolerance."""
+        return self.passes(self.tolerance())
+
     def to_dict(self) -> dict:
         return {
-            "kind": "inequality",
-            "theorem_id": self.theorem_id,
-            "lhs": jsonable(self.lhs),
-            "rhs_terms": jsonable(self.rhs_terms),
-            "margin": jsonable(self.margin),
-            "sharp_constant": jsonable(self.sharp_constant),
-            "ratio": jsonable(self.ratio),
-            "params": jsonable(self.params),
-            "resolution": jsonable(self.resolution),
+            "kind": "inequality", "theorem_id": self.theorem_id,
+            "lhs": self.lhs, "rhs_terms": self.rhs_terms, "margin": self.margin,
+            "sharp_constant": self.sharp_constant, "ratio": self.ratio,
+            "params": self.params, "resolution": self.resolution,
         }
 
 
@@ -105,15 +105,14 @@ class IdentityReport:
         scale = max(abs(self.lhs), abs(self.rhs), 1e-300)
         return abs(self.lhs - self.rhs) / scale
 
+    def passed(self) -> bool:
+        return self.rel_err <= 1e-8
+
     def to_dict(self) -> dict:
         return {
-            "kind": "identity",
-            "identity_id": self.identity_id,
-            "lhs": jsonable(self.lhs),
-            "rhs": jsonable(self.rhs),
-            "rel_err": jsonable(self.rel_err),
-            "params": jsonable(self.params),
-            "resolution": jsonable(self.resolution),
+            "kind": "identity", "identity_id": self.identity_id,
+            "lhs": self.lhs, "rhs": self.rhs, "rel_err": self.rel_err,
+            "params": self.params, "resolution": self.resolution,
         }
 
 
@@ -132,17 +131,26 @@ class SharpnessResult:
 
     @property
     def gap(self) -> float:
+        """Relative excess of the best quotient; inf for a zero constant."""
+        if self.sharp_constant == 0.0:
+            return float("inf")
         return (self.best_quotient - self.sharp_constant) / self.sharp_constant
+
+    def passed(self) -> bool:
+        """No quotient below the constant and none rising along the schedule,
+        both to a 1e-9 relative tolerance."""
+        qs = [q for _, q in self.schedule]
+        tol = 1e-9 * max(1.0, abs(self.sharp_constant))
+        one_sided = self.best_quotient >= self.sharp_constant - tol
+        monotone = all(q2 <= q1 + tol for q1, q2 in zip(qs, qs[1:]))
+        return one_sided and monotone
 
     def to_dict(self) -> dict:
         return {
-            "kind": "sharpness",
-            "theorem_id": self.theorem_id,
-            "schedule": [[jsonable(e), jsonable(q)] for e, q in self.schedule],
-            "best_quotient": jsonable(self.best_quotient),
-            "sharp_constant": jsonable(self.sharp_constant),
-            "gap": jsonable(self.gap),
-            "params": jsonable(self.params),
+            "kind": "sharpness", "theorem_id": self.theorem_id,
+            "schedule": self.schedule, "best_quotient": self.best_quotient,
+            "sharp_constant": self.sharp_constant, "gap": self.gap,
+            "params": self.params,
         }
 
 
@@ -167,8 +175,4 @@ class SuperweightParams:
             raise AdmissibilityError("superweight needs theta2*theta3 < 0")
 
     def to_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "theta2": self.theta2,
-            "theta3": self.theta3, "theta4": self.theta4,
-            "p": self.p, "theta1": self.theta1,
-        }
+        return asdict(self)

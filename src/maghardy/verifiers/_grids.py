@@ -11,7 +11,8 @@ spec.oracle is set:
 Both paths take a density in the quadrature protocol: density(r, y) runs
 once per check on the grid (r of shape (n_r, 1), y of shape (1, n_flat, k))
 and returns at(phi), which yields every integrand of the check in order.
-polar_integral and rx_integral return one integral per integrand; the
+polar_integral and rx_integral return one integral per integrand over the
+support of the test function f, through the same slice reduction; the
 radial-x path takes the integrands at phi = 0.0 only.  So each check makes
 one integration call: its weights are formed once, and its test function
 once per angular node, for all its integrals.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DomainError, NonFiniteError
+from ..errors import DomainError
 from ..functions import TestFunction
 from ..geometry import sphere_area
 from ..quadrature import (
@@ -29,6 +30,7 @@ from ..quadrature import (
     QuadratureSpec,
     integrate_polar,
     oracle_integrate,
+    reduce_slices,
     tensor_grid,
 )
 
@@ -56,8 +58,15 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
         )
 
 
-def polar_integral(density, spec: QuadratureSpec, domain: Domain) -> list:
-    """Real parts of the (r, phi, y) integrals of density, oracle-dispatched."""
+def polar_integral(density, f: TestFunction, spec: QuadratureSpec,
+                   domain: Domain | None = None) -> list:
+    """Real parts of the (r, phi, y) integrals of density, oracle-dispatched.
+
+    domain defaults to the support of f, whose modes n_phi must resolve.
+    """
+    require_phi_resolution(f, spec)
+    if domain is None:
+        domain = support_domain(f)
     if spec.oracle:
         vals = oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
@@ -67,12 +76,13 @@ def polar_integral(density, spec: QuadratureSpec, domain: Domain) -> list:
     return [float(np.real(v)) for v in vals]
 
 
-def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> list:
+def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
     """sphere_area(m) * integral of each integrand at phi = 0.0 times r^(m-1) dr dy.
 
     density follows the polar protocol; its integrands are taken at
-    phi = 0.0 only.  Oracle-dispatched.
+    phi = 0.0 only, over the support of f.  Oracle-dispatched.
     """
+    domain = support_domain(f)
     if spec.oracle:
         fold = sphere_area(m) / (2.0 * np.pi)
 
@@ -85,13 +95,9 @@ def rx_integral(density, spec: QuadratureSpec, domain: Domain, m: int) -> list:
 
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     base = (w_r * r ** (m - 1))[:, None] * w_y[None, :]
-    out = []
-    for vals in density(r[:, None], Y[None, :, :])(0.0):
-        vals = np.broadcast_to(np.asarray(vals), base.shape)
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
-        out.append(sphere_area(m) * float(np.real(np.sum(base * vals))))
-    return out
+    at = density(r[:, None], Y[None, :, :])
+    return [sphere_area(m) * float(np.real(total))
+            for total in reduce_slices(at, base, (0.0,))]
 
 
 def s_of(y: np.ndarray) -> np.ndarray:

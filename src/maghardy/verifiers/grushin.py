@@ -47,10 +47,8 @@ from ._grids import (
     abs2,
     grad_y_sq,
     polar_integral,
-    require_phi_resolution,
     rx_integral,
     s_of,
-    support_domain,
 )
 
 __all__ = [
@@ -122,12 +120,11 @@ def _components_sq(components) -> np.ndarray:
 
 
 def _integrate(geom: GrushinGeometry, f: TestFunction, spec: QuadratureSpec,
-               dom, density) -> list:
+               density) -> list:
     """The integrals of density on the polar path (m = 2) or the x-radial path."""
     if geom.m == 2:
-        require_phi_resolution(f, spec)
-        return polar_integral(density, spec, dom)
-    return rx_integral(density, spec, dom, geom.m)
+        return polar_integral(density, f, spec)
+    return rx_integral(density, f, spec, geom.m)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +156,7 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    lhs, hardy_int = rx_integral(density, spec, support_domain(f), geom.m)
+    lhs, hardy_int = rx_integral(density, f, spec, geom.m)
     return InequalityReport("radial_hardy", lhs, {"main": C * hardy_int}, C,
                             params, _resolution(spec))
 
@@ -200,7 +197,7 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    lhs, grad_int, hardy_int = rx_integral(density, spec, support_domain(f), geom.m)
+    lhs, grad_int, hardy_int = rx_integral(density, f, spec, geom.m)
     rhs = grad_int - (s_hom * a - a * a) * hardy_int
     return IdentityReport("grushin_ibp", lhs, rhs, params, _resolution(spec))
 
@@ -242,7 +239,7 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    lhs, grad_part, hardy_int = _integrate(geom, f, spec, support_domain(f), density)
+    lhs, grad_part, hardy_int = _integrate(geom, f, spec, density)
     pot_part = beta * beta * hardy_int
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
     params.update(gradient_part=grad_part, potential_part=pot_part,
@@ -286,7 +283,6 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
     if not f.modes:
         return InequalityReport("ab_hardy", 0.0, {"main": 0.0, "mode_defect": 0.0},
                                 C, params, res)
-    require_phi_resolution(f, spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -303,7 +299,7 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
 
         return at
 
-    lhs, hardy_int, defect = polar_integral(density, spec, support_domain(f))
+    lhs, hardy_int, defect = polar_integral(density, f, spec)
     return InequalityReport("ab_hardy", lhs, {"main": C * hardy_int, "mode_defect": defect},
                             C, params, res)
 
@@ -321,7 +317,6 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     _require_shape(geom, f)
     if not f.modes:
         return {"angular": 0.0, "defect": 0.0}
-    require_phi_resolution(f, spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -335,7 +330,7 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    angular, defect = polar_integral(density, spec, support_domain(f))
+    angular, defect = polar_integral(density, f, spec)
     return {"angular": angular, "defect": defect}
 
 
@@ -396,7 +391,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    grad_sq, norm_sq, cross = _integrate(geom, f, spec, support_domain(f), density)
+    grad_sq, norm_sq, cross = _integrate(geom, f, spec, density)
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
     rhs = math.sqrt(C) * cross
     return InequalityReport(theorem_id, lhs, {"main": rhs}, math.sqrt(C),
@@ -472,8 +467,7 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    lhs, grad_part, pot_part, hardy_int = rx_integral(
-        density, spec, support_domain(f), n)
+    lhs, grad_part, pot_part, hardy_int = rx_integral(density, f, spec, n)
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
 
     main = C_lin * hardy_int

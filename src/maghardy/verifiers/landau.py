@@ -24,9 +24,7 @@ from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import (
     abs2,
     polar_integral,
-    require_phi_resolution,
     rx_integral,
-    support_domain,
 )
 from .grushin import _require_real, _resolution
 
@@ -60,7 +58,6 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
               "psi_params": list(getattr(psi, "params", ()))}
     if not f.modes:
         return IdentityReport("twisted_polar", 0.0, 0.0, params, _resolution(spec))
-    require_phi_resolution(f, spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -74,7 +71,7 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
 
         return at
 
-    lhs, rhs = polar_integral(density, spec, support_domain(f))
+    lhs, rhs = polar_integral(density, f, spec)
     return IdentityReport("twisted_polar", lhs, rhs, params, _resolution(spec))
 
 
@@ -160,9 +157,8 @@ def verify_landau(variant: str, psi: RadialPotential,
     if not f.modes:
         terms = {"main": 0.0, "psi_potential": 0.0, "mode_defect": 0.0}
         return InequalityReport(theorem_id, 0.0, terms, sharp, run_params, res)
-    require_phi_resolution(f, spec)
 
-    dom = support_domain(f) if domain is None else Domain(
+    dom = None if domain is None else Domain(
         r_lo=f.support()[0], r_hi=f.support()[1], y_box=(),
         kind=domain.kind, R_Omega=domain.R_Omega,
         r_breaks=f.support()[3])
@@ -184,7 +180,7 @@ def verify_landau(variant: str, psi: RadialPotential,
 
         return at
 
-    lhs, main_int, psi_term, defect = polar_integral(density, spec, dom)
+    lhs, main_int, psi_term, defect = polar_integral(density, f, spec, dom)
     main = sharp * main_int
     terms = {"main": main, "psi_potential": psi_term, "mode_defect": defect}
     return InequalityReport(theorem_id, lhs, terms, sharp, run_params, res)
@@ -288,12 +284,10 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
         return at
 
-    dom = support_domain(f)
     if n == 1:
-        require_phi_resolution(f, spec)
-        lhs, first, second = polar_integral(density, spec, dom)
+        lhs, first, second = polar_integral(density, f, spec)
     else:
-        lhs, first, second = rx_integral(density, spec, dom, dim)
+        lhs, first, second = rx_integral(density, f, spec, dim)
 
     if variant == "identity":
         return IdentityReport(theorem_id, lhs, first + second, params, res)

@@ -25,6 +25,7 @@ smoothstep edges once, value and derivative together.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -48,7 +49,7 @@ _FAMILY_FOR = {
 _PANEL_N = 240
 
 
-def _gauss_window(eps: float, center: float = 0.0):
+def _gauss_window(eps: float, center: float):
     """Gaussian of scale 1/eps under a plateau of half-width 6/eps."""
     U = 6.0 / eps
     lo, hi = center - U, center + U
@@ -136,80 +137,59 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
 
     run_params: dict = {"window": window, "family": family.base}
     lo, hi = family.cutoff
+    # each engine sets its constant and quotient, the centre of its gauss
+    # window and the tilt and bounds of its plain window (in its own variable)
+    center = lambda eps: 0.0
+    tilt = 1.0
+    bounds = (math.log(lo), math.log(hi))
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
         geom, exps = params["geom"], params["exps"]
         s = geom.hom_dim + exps.alpha1 - 2.0
         if s <= 0.0:
             raise AdmissibilityError("need Q + alpha1 - 2 > 0")
-        base = 0.25 * s * s
+        sharp = 0.25 * s * s
         run_params.update(m=geom.m, k=geom.k, gamma=geom.gamma,
                           alpha1=exps.alpha1, alpha2=exps.alpha2)
         if theorem_id == "magnetic_grushin":
             beta = params["flux"].beta
-            base += beta * beta
+            sharp += beta * beta
             run_params["beta"] = beta
-        sharp = base
-        points = []
-        for eps in schedule:
-            if window == "gauss":
-                win = _gauss_window(eps)
-            else:
-                win = _plain_window(eps, math.log(lo), math.log(hi))
-            points.append((eps, _power_quotient(base, *win)))
-        return SharpnessResult(theorem_id, points, sharp, run_params)
-
-    if theorem_id == "landau_hardy_sobolev":
+        quotient = partial(_power_quotient, sharp)
+    elif theorem_id == "landau_hardy_sobolev":
         t1 = float(params["theta1"])
         if t1 == 0.0:
             raise AdmissibilityError("need theta1 != 0")
-        base = t1 * t1
+        sharp = t1 * t1
         run_params["theta1"] = t1
-        points = []
-        for eps in schedule:
-            if window == "gauss":
-                win = _gauss_window(eps)
-            else:
-                # trials r^(theta1 - eps) tilt the reduced window by -eps
-                win = _plain_window(-eps, math.log(lo), math.log(hi))
-            points.append((eps, _power_quotient(base, *win)))
-        return SharpnessResult(theorem_id, points, base, run_params)
+        quotient = partial(_power_quotient, sharp)
+        tilt = -1.0   # trials r^(theta1 - eps) tilt the reduced window by -eps
+    elif theorem_id == "landau_log":
+        sharp, quotient = 0.25, _log_quotient
+        center = lambda eps: -(6.0 / eps + (2.0 + 0.08 / eps))
+        if window == "plain":
+            if not (0.0 < lo < hi < 1.0):
+                raise AdmissibilityError(
+                    "logarithmic trials live inside the unit disc")
+            bounds = (math.log(-math.log(hi)), math.log(-math.log(lo)))
+    else:   # landau_superweight
+        sw = params if isinstance(params, SuperweightParams) else None
+        if sw is None:
+            raise AdmissibilityError("composite-weight sharpness needs its parameters")
+        c = 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
+        if c < 0.0:
+            raise AdmissibilityError("need a nonnegative main constant")
+        sharp = c * c
+        run_params.update(weights=sw.to_dict(), constant_reading="squared")
+        quotient = partial(_superweight_quotient, sw, c)
+        if sw.theta2 < 0.0:
+            center = lambda eps: math.log(0.05) - 6.0 / eps   # push toward the origin
+        else:
+            center = lambda eps: math.log(20.0) + 6.0 / eps   # push toward infinity
 
-    if theorem_id == "landau_log":
-        points = []
-        for eps in schedule:
-            if window == "gauss":
-                U = 6.0 / eps
-                W = 2.0 + 0.08 / eps
-                win = _gauss_window(eps, center=-(U + W))
-            else:
-                if not (0.0 < lo < hi < 1.0):
-                    raise AdmissibilityError(
-                        "logarithmic trials live inside the unit disc")
-                w_lo, w_hi = math.log(-math.log(hi)), math.log(-math.log(lo))
-                win = _plain_window(eps, w_lo, w_hi)
-            points.append((eps, _log_quotient(*win)))
-        return SharpnessResult(theorem_id, points, 0.25, run_params)
-
-    # landau_superweight
-    sw = params if isinstance(params, SuperweightParams) else None
-    if sw is None:
-        raise AdmissibilityError("composite-weight sharpness needs its parameters")
-    c = 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
-    if c < 0.0:
-        raise AdmissibilityError("need a nonnegative main constant")
-    sharp = c * c
-    run_params.update(weights=sw.to_dict(), constant_reading="squared")
     points = []
     for eps in schedule:
-        if window == "gauss":
-            U = 6.0 / eps
-            if sw.theta2 < 0.0:
-                center = math.log(0.05) - U   # push toward the origin
-            else:
-                center = math.log(20.0) + U   # push toward infinity
-            win = _gauss_window(eps, center=center)
-        else:
-            win = _plain_window(eps, math.log(lo), math.log(hi))
-        points.append((eps, _superweight_quotient(sw, c, *win)))
+        win = (_gauss_window(eps, center(eps)) if window == "gauss"
+               else _plain_window(tilt * eps, *bounds))
+        points.append((eps, quotient(*win)))
     return SharpnessResult(theorem_id, points, sharp, run_params)

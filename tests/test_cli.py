@@ -8,11 +8,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghardy.cli import main
+from maghardy.cli import _write_json, main
+from maghardy.reports import IdentityReport, InequalityReport, SharpnessResult
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"
@@ -66,6 +68,43 @@ def test_verify_passes_and_report_shape(tmp_path):
     assert kinds == ["inequality", "inequality", "inequality", "sharpness"]
     assert rep["runs"][1]["label"] == "seeded draw"
     assert all(r["wall_clock_s"] is None for r in rep["runs"])
+
+
+def test_verify_converts_each_report_once(tmp_path, monkeypatch):
+    calls = []
+    for cls in (InequalityReport, IdentityReport, SharpnessResult):
+        def counting(self, to_dict=cls.to_dict):
+            calls.append(type(self).__name__)
+            return to_dict(self)
+        monkeypatch.setattr(cls, "to_dict", counting)
+    suite = _passing_suite()
+    suite["runs"].append({"theorem_id": "twisted_polar",
+                          "psi": {"kind": "power", "c": 0.5, "s": 1.0},
+                          "function": {"kind": "random", "modes": [0, 1, 2],
+                                       "real": True},
+                          "quadrature": {"n_r": 96, "n_phi": 16}})
+    cfg = _write(tmp_path / "suite.json", suite)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
+    assert sorted(calls) == ["IdentityReport"] + ["InequalityReport"] * 3 \
+        + ["SharpnessResult"]
+
+
+def test_report_json_converts_numpy_and_complex_values(tmp_path):
+    params = {"count": np.int64(3), "single": np.float32(0.1),
+              "nodes": np.array([0.5, 2.0]), "pair": (1, 2.5),
+              "z": 1.0 - 2.0j, "real_z": 3.0 + 0.0j, "flag": np.bool_(True)}
+    out = tmp_path / "r.json"
+    _write_json({"report": IdentityReport("demo", np.float64(0.1), 0.1, params)},
+                str(out))
+    # the same values as plain Python ones, written by json itself
+    plain = {"count": 3, "single": 0.10000000149011612, "nodes": [0.5, 2.0],
+             "pair": [1, 2.5], "z": {"re": 1.0, "im": -2.0}, "real_z": 3.0,
+             "flag": True}
+    want = {"report": {"kind": "identity", "identity_id": "demo", "lhs": 0.1,
+                       "rhs": 0.1, "rel_err": 0.0, "params": plain,
+                       "resolution": {}}}
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert '"flag": true' in out.read_text()
 
 
 def test_verify_is_byte_identical_across_runs(tmp_path):
@@ -415,6 +454,53 @@ def test_sweep_rejects_runs_without_a_family(tmp_path, capsys):
     })
     assert main(["sweep", "--config", no_engine, "--out-dir",
                  str(tmp_path / "out2")]) == 2
+
+
+def test_sweep_checks_every_run_before_running_any(tmp_path, capsys):
+    cfg = _write(tmp_path / "sweep.json", {
+        "suite": "s", "seed": 0,
+        "runs": [{"theorem_id": "landau_log",
+                  "family": {"base": "log_power", "epsilon": 0.5,
+                             "cutoff": [0.05, 0.9]},
+                  "schedule": [0.5]},
+                 {"theorem_id": "grushin_ibp", "geometry": GEOM,
+                  "family": {"base": "rho_power", "epsilon": 0.5,
+                             "cutoff": [0.5, 2.0]}}],
+    })
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out_dir)]) == 2
+    assert "runs[1]: 'grushin_ibp' has no sharpness engine" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+
+# 2*theta4 = theta2*theta3: the composite-weight sharp constant is zero
+_ZERO_CONSTANT_RUN = {
+    "theorem_id": "landau_superweight",
+    "superweight": {"a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0,
+                    "theta4": -1.0},
+    "family": {"base": "power", "epsilon": 0.5, "cutoff": [0.5, 2.0]},
+    "schedule": [0.5, 0.2],
+}
+
+
+def test_zero_sharp_constant_gives_an_infinite_gap(tmp_path):
+    cfg = _write(tmp_path / "zero.json", {"suite": "zero", "seed": 0,
+                                          "runs": [_ZERO_CONSTANT_RUN]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    [run] = json.loads(out.read_text())["runs"]
+    assert run["status"] == "ok" and run["passed"]
+    assert run["report"]["sharp_constant"] == 0.0
+    assert run["report"]["gap"] == float("inf")
+
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out_dir)]) == 0
+    [result] = json.loads((out_dir / "sweep.json").read_text())["results"]
+    assert result["status"] == "ok"
+    assert result["result"]["gap"] == float("inf")
+    with open(out_dir / "landau_superweight_0.csv", newline="") as fh:
+        assert [r["gap"] for r in csv.DictReader(fh)] == ["inf", "inf"]
 
 
 def test_sweep_has_no_admissibility_flag(tmp_path, capsys):
