@@ -52,8 +52,8 @@ from .functions import (
     random_test_function,
 )
 from .geometry import GrushinGeometry, WeightExponents
-from .quadrature import Domain, QuadratureSpec
-from .reports import SuperweightParams, jsonable
+from .quadrature import QuadratureSpec
+from .reports import SuperweightParams, jsonable, relative_gap
 from .verifiers import (
     check_grushin_ibp_identity,
     check_twisted_polar_identity,
@@ -304,14 +304,15 @@ class _Fields:
             theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0),
             theta1=_num(obj, "theta1", where, default=0.0))
 
-    def domain(self) -> Domain | None:
+    def radius(self) -> float | None:
         if "domain" not in self.run:
             return None
         obj, where = self.run["domain"], f"{self.where}.domain"
         _check_keys(obj, {"kind", "R"}, where)
         R = _num(obj, "R", where)
-        kind = obj.get("kind", "ball")
-        return Domain(r_lo=R * 1e-9, r_hi=R, y_box=(), kind=kind, R_Omega=R)
+        if obj.get("kind", "ball") != "ball":
+            raise ConfigError(f"{where}: the domain is a ball, not {obj['kind']!r}")
+        return R
 
     def potentials(self) -> ConstantFieldPotentials:
         where = f"{self.where}.potentials"
@@ -346,12 +347,12 @@ class _Check(NamedTuple):
 
 def _landau(variant: str, params=lambda r: None):
     return lambda r, f: verify_landau(variant, r.psi(), params(r), f, r.spec,
-                                      domain=r.domain())
+                                      radius=r.radius())
 
 
 def _real_landau(variant: str):
     return lambda r, f: verify_real_landau(variant, r.n(), f, r.spec,
-                                           Omega=r.domain(), R=r.R())
+                                           radius=r.radius(), R=r.R())
 
 
 def _radial_p(variant: str, params=lambda r: {}):
@@ -580,11 +581,9 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
             writer.writerow(["theorem_id", "epsilon", "quotient",
                              "sharp_constant", "gap"])
             for eps, q in res.schedule:
-                gap = (q - res.sharp_constant) / res.sharp_constant \
-                    if res.sharp_constant != 0.0 else float("inf")
                 writer.writerow([tid, repr(float(eps)), repr(float(q)),
                                  repr(float(res.sharp_constant)),
-                                 repr(float(gap))])
+                                 repr(float(relative_gap(q, res.sharp_constant)))])
         results.append({"index": i, "theorem_id": tid, "status": "ok",
                         "csv": os.path.basename(path),
                         "result": res})

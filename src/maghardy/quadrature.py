@@ -2,8 +2,8 @@
 
 Main engine
 -----------
-All 2+k dimensional integrals use polar-cylindrical coordinates (r, phi, y)
-with Jacobian r dr dphi dy:
+All 2+k dimensional integrals run over their domain as given, never clipped,
+in polar-cylindrical coordinates (r, phi, y) with Jacobian r dr dphi dy:
 
   * r: Gauss-Legendre after the substitution u = log r, so wide power-law
     supports are resolved with uniform effort per decade;
@@ -90,28 +90,19 @@ class QuadratureSpec:
 class Domain:
     """Integration region: an annulus [r_lo, r_hi] times a y-box.
 
-    kind "support" integrates over the test function's own support;
-    kind "ball" additionally clips the radius at R_Omega (bounded domains of
-    Poincare-type statements, where R = sup |z| over the domain is recorded).
-    `r_breaks` lists interior radii where the integrand is only piecewise
-    smooth (e.g. plateau-bump edges); panels split there.
+    Both engines cover [r_lo, r_hi] as given, normally the support hull of the
+    integrand.  `r_breaks` lists interior radii where the integrand is only
+    piecewise smooth (e.g. plateau-bump edges); panels split there.
     """
 
     r_lo: float
     r_hi: float
     y_box: tuple = ()
-    kind: str = "support"
-    R_Omega: float | None = None
     r_breaks: tuple = field(default=())
 
     def __post_init__(self):
         if not (0.0 < self.r_lo < self.r_hi) or not math.isfinite(self.r_hi):
             raise DomainError(f"need 0 < r_lo < r_hi, got [{self.r_lo}, {self.r_hi}]")
-        if self.kind not in ("support", "ball"):
-            raise DomainError(f"unknown domain kind {self.kind!r}")
-        if self.kind == "ball":
-            if self.R_Omega is None or self.R_Omega <= 0.0:
-                raise DomainError("ball domain needs a positive R_Omega")
         for lo, hi in self.y_box:
             if not (lo < hi):
                 raise DomainError(f"bad y-box interval ({lo}, {hi})")
@@ -121,12 +112,6 @@ class Domain:
     @property
     def k(self) -> int:
         return len(self.y_box)
-
-    def radial_interval(self) -> tuple:
-        hi = self.r_hi if self.kind == "support" else min(self.r_hi, float(self.R_Omega))
-        if hi <= self.r_lo:
-            raise DomainError("domain clips to an empty radial interval")
-        return self.r_lo, hi
 
 
 @functools.lru_cache(maxsize=64)
@@ -211,8 +196,7 @@ def tensor_grid(spec: QuadratureSpec, domain: Domain):
     The slice size is checked against MAX_SLICE_NODES between the radial
     rule, which fixes the panel count, and the y tensor, the large one.
     """
-    r_lo, r_hi = domain.radial_interval()
-    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, domain.r_breaks)
+    r, w_r = log_radial_rule(domain.r_lo, domain.r_hi, spec.n_r, domain.r_breaks)
     _require_slice_nodes(r.size, (3 * spec.n_y) ** domain.k)  # 3 panels per y axis
     Y, w_y = y_box_rule(domain.y_box, spec.n_y)
     return r, w_r, Y, w_y
@@ -305,9 +289,7 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
     engine.
     """
     n_r, n_phi, n_y = resolution
-    r_lo, r_hi = domain.radial_interval()
-
-    r, w_r = _simpson_rule(r_lo, r_hi, n_r)
+    r, w_r = _simpson_rule(domain.r_lo, domain.r_hi, n_r)
     phis = (np.arange(int(n_phi)) + 0.5) * (TWO_PI / int(n_phi))
     w_phi = TWO_PI / int(n_phi)
 

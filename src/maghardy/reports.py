@@ -21,7 +21,13 @@ __all__ = [
     "SharpnessResult",
     "SuperweightParams",
     "jsonable",
+    "relative_gap",
 ]
+
+
+def relative_gap(q: float, c: float) -> float:
+    """The relative excess (q - c) / c of a quotient over a constant; inf for c = 0."""
+    return (q - c) / c if c != 0.0 else float("inf")
 
 
 def jsonable(obj):
@@ -132,9 +138,7 @@ class SharpnessResult:
     @property
     def gap(self) -> float:
         """Relative excess of the best quotient; inf for a zero constant."""
-        if self.sharp_constant == 0.0:
-            return float("inf")
-        return (self.best_quotient - self.sharp_constant) / self.sharp_constant
+        return relative_gap(self.best_quotient, self.sharp_constant)
 
     def passed(self) -> bool:
         """No quotient below the constant and none rising along the schedule,

@@ -40,12 +40,10 @@ ORACLE_N_R = 2401
 ORACLE_N_Y = 161
 
 
-def support_domain(f: TestFunction, kind: str = "support",
-                   R_Omega: float | None = None) -> Domain:
+def support_domain(f: TestFunction) -> Domain:
     """Integration domain covering the support hull of f."""
     r_lo, r_hi, y_box, breaks = f.support()
-    return Domain(r_lo=r_lo, r_hi=r_hi, y_box=y_box, kind=kind,
-                  R_Omega=R_Omega, r_breaks=breaks)
+    return Domain(r_lo=r_lo, r_hi=r_hi, y_box=y_box, r_breaks=breaks)
 
 
 def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
@@ -58,15 +56,13 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
         )
 
 
-def polar_integral(density, f: TestFunction, spec: QuadratureSpec,
-                   domain: Domain | None = None) -> list:
-    """Real parts of the (r, phi, y) integrals of density, oracle-dispatched.
+def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
+    """Real parts of the (r, phi, y) integrals of density over the support of f.
 
-    domain defaults to the support of f, whose modes n_phi must resolve.
+    n_phi must resolve the modes of f.  Oracle-dispatched.
     """
     require_phi_resolution(f, spec)
-    if domain is None:
-        domain = support_domain(f)
+    domain = support_domain(f)
     if spec.oracle:
         vals = oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import AdmissibilityError, DomainError
 from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
-from ..quadrature import Domain, QuadratureSpec
+from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import (
     abs2,
@@ -38,6 +38,14 @@ __all__ = [
 def _require_plane(f: TestFunction) -> None:
     if f.modes and f.k != 0:
         raise DomainError("plane functions carry no y-block (k = 0)")
+
+
+def _require_in_ball(f: TestFunction, radius: float | None) -> None:
+    """Refuse a support reaching beyond the ball |z| <= radius, if one is given."""
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise DomainError(f"the ball needs a finite positive radius, got {radius}")
+    if radius is not None and f.modes and f.support()[1] > radius * (1.0 + 1e-12):
+        raise AdmissibilityError("function must be supported inside the ball")
 
 
 def _twisted_sq(tx, ty):
@@ -82,19 +90,21 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
 def verify_landau(variant: str, psi: RadialPotential,
                   params: SuperweightParams | None, f: TestFunction,
                   spec: QuadratureSpec,
-                  domain: Domain | None = None) -> InequalityReport:
+                  radius: float | None = None) -> InequalityReport:
     """Weighted Hardy/Poincare bounds for the twisted gradient on the plane.
 
     variant selects the weight family:
       hardy_sobolev  power weights 1/|z|^(2 theta1), theta1 != 0
       log            log^2|z| against the constant 1/4
-      poincare       bounded ball, constant 1/R^2
+      poincare       the ball |z| <= radius, constant 1/radius^2
       superweight    (a + b|z|^theta2)^theta3 / |z|^(2 theta4) weights
     Every right-hand term of the corresponding display is evaluated,
-    including the psi^2 term and the angular-defect remainder.
+    including the psi^2 term and the angular-defect remainder.  A radius
+    (poincare needs one) confines f to the ball |z| <= radius, recorded as R.
     """
     theorem_id = f"landau_{variant}"
     _require_plane(f)
+    _require_in_ball(f, radius)
 
     run_params = {"variant": variant,
                   "psi_kind": getattr(psi, "kind", "user"),
@@ -127,12 +137,9 @@ def verify_landau(variant: str, psi: RadialPotential,
         psi_weight = lambda r: psi_sq(r) * r**2 * np.log(r) ** 2
         defect_weight = lambda r: np.log(r) ** 2 / r**2
     elif variant == "poincare":
-        if domain is None or domain.kind != "ball":
+        if radius is None:
             raise AdmissibilityError("bounded variant needs a ball domain")
-        R = float(domain.R_Omega)
-        if f.modes and f.support()[1] > R * (1.0 + 1e-12):
-            raise AdmissibilityError("function must be supported inside the ball")
-        sharp = 1.0 / (R * R)
+        sharp = 1.0 / (radius * radius)
         wv = main_weight = defect_weight = np.ones_like
         psi_weight = lambda r: psi_sq(r) * r**2
     elif variant == "superweight":
@@ -151,17 +158,12 @@ def verify_landau(variant: str, psi: RadialPotential,
     else:
         raise DomainError(f"unknown variant {variant!r}")
 
-    if domain is not None and domain.kind == "ball":
-        run_params["R"] = float(domain.R_Omega)
+    if radius is not None:
+        run_params["R"] = float(radius)
     res = _resolution(spec)
     if not f.modes:
         terms = {"main": 0.0, "psi_potential": 0.0, "mode_defect": 0.0}
         return InequalityReport(theorem_id, 0.0, terms, sharp, run_params, res)
-
-    dom = None if domain is None else Domain(
-        r_lo=f.support()[0], r_hi=f.support()[1], y_box=(),
-        kind=domain.kind, R_Omega=domain.R_Omega,
-        r_breaks=f.support()[3])
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -180,7 +182,7 @@ def verify_landau(variant: str, psi: RadialPotential,
 
         return at
 
-    lhs, main_int, psi_term, defect = polar_integral(density, f, spec, dom)
+    lhs, main_int, psi_term, defect = polar_integral(density, f, spec)
     main = sharp * main_int
     terms = {"main": main, "psi_potential": psi_term, "mode_defect": defect}
     return InequalityReport(theorem_id, lhs, terms, sharp, run_params, res)
@@ -191,13 +193,14 @@ def verify_landau(variant: str, psi: RadialPotential,
 # ---------------------------------------------------------------------------
 
 def verify_real_landau(variant: str, n: int, f: TestFunction,
-                       spec: QuadratureSpec, Omega: Domain | None = None,
+                       spec: QuadratureSpec, radius: float | None = None,
                        R: float | None = None):
     """Classical constant-field statements (psi = 1/2) for real functions.
 
     variant: identity (the Dirichlet + harmonic-potential split, n = 1),
     hardy ((n-1)^2 constant), critical (log-weighted, n = 1, needs
     R >= e * sup|z|), uncertainty (norm product vs the pointwise sqrt bound).
+    A radius confines f to the ball |z| <= radius and stands for sup|z|.
     """
     if n < 1:
         raise DomainError("need n >= 1")
@@ -210,16 +213,12 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     res = _resolution(spec)
     dim = 2 * n
 
-    if variant == "critical" or (variant == "uncertainty" and n == 1):
-        if f.modes:
-            sup_z = f.support()[1]
-            if Omega is not None:
-                sup_z = float(Omega.R_Omega)
-                if f.support()[1] > sup_z * (1.0 + 1e-12):
-                    raise AdmissibilityError("function must be supported in Omega")
-            R = math.e * sup_z if R is None else float(R)
-            if R < math.e * sup_z * (1.0 - 1e-12):
-                raise AdmissibilityError("need R >= e * sup|z| over the domain")
+    _require_in_ball(f, radius)
+    if f.modes and (variant == "critical" or (variant == "uncertainty" and n == 1)):
+        sup_z = f.support()[1] if radius is None else float(radius)
+        R = math.e * sup_z if R is None else float(R)
+        if R < math.e * sup_z * (1.0 - 1e-12):
+            raise AdmissibilityError("need R >= e * sup|z| over the domain")
 
     params = {"n": n, "variant": variant}
     if R is not None:

@@ -33,6 +33,7 @@ from ..errors import AdmissibilityError, DomainError
 from ..functions import TrialFamily, _plateau, plateau_breaks
 from ..quadrature import gauss_panels
 from ..reports import SharpnessResult, SuperweightParams
+from .grushin import _first_kind, _geom_params
 
 __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE"]
 
@@ -144,13 +145,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     bounds = (math.log(lo), math.log(hi))
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
-        geom, exps = params["geom"], params["exps"]
-        s = geom.hom_dim + exps.alpha1 - 2.0
-        if s <= 0.0:
-            raise AdmissibilityError("need Q + alpha1 - 2 > 0")
+        # the verifier's admissibility; 0.25*s*s keeps the sweep's bytes, where
+        # its (0.5*s)**2 differs in the last bit for some s
+        s = _first_kind(params["geom"], params["exps"])
         sharp = 0.25 * s * s
-        run_params.update(m=geom.m, k=geom.k, gamma=geom.gamma,
-                          alpha1=exps.alpha1, alpha2=exps.alpha2)
+        run_params.update(_geom_params(params["geom"], params["exps"]))
         if theorem_id == "magnetic_grushin":
             beta = params["flux"].beta
             sharp += beta * beta

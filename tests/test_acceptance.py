@@ -39,7 +39,7 @@ from maghardy.geometry import (
     rho,
     rho_rs,
 )
-from maghardy.quadrature import Domain, QuadratureSpec
+from maghardy.quadrature import QuadratureSpec
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
     check_grushin_ibp_identity,
@@ -315,9 +315,7 @@ def _draw_landau_poincare(rng):
     f = random_test_function(rng, k=0, modes=_mode_subset(rng, real=True),
                              real=True)
     R = f.support()[1] * float(rng.uniform(1.05, 2.0))
-    ball = Domain(R * 1e-9, R, kind="ball", R_Omega=R)
-    return verify_landau("poincare", _random_psi(rng), None, f, POLAR,
-                         domain=ball)
+    return verify_landau("poincare", _random_psi(rng), None, f, POLAR, radius=R)
 
 
 def _draw_landau_superweight(rng):

@@ -216,6 +216,11 @@ _MALFORMED_RUNS = {
         "theorem_id": "radial_p_poincare", "Q": 3.0, "p": 2.0,
         "domain": {"kind": "ball", "R": 0.5},
         "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    "non-ball domain kind": {
+        "theorem_id": "landau_hardy_sobolev", "theta1": 1.0,
+        "domain": {"kind": "support", "R": 0.5},
+        "function": {"kind": "random", "k": 0, "modes": [0, 1]},
+        "quadrature": {"n_r": 64, "n_phi": 12}},
     "theta1 and flux on landau_log": {
         "theorem_id": "landau_log", "theta1": 1.0, "flux": {"beta": 0.5},
         "function": {"kind": "random", "k": 0, "modes": [0, 1]},
@@ -584,3 +589,21 @@ def test_default_suite_runs_every_listed_check():
     cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
     assert {run["theorem_id"] for run in cfg["runs"]} == listed
     assert len(listed) == 20
+
+
+def test_zero_function_gives_zero_on_every_check(tmp_path):
+    # every margin and identity run of the default suite, on f = 0
+    cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
+    cfg["runs"] = [{**run, "function": {"kind": "zero"}}
+                   for run in cfg["runs"] if "family" not in run]
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", _write(tmp_path / "zero.json", cfg),
+                 "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["runs"]
+    assert len({r["theorem_id"] for r in records}) == 20
+    for record in records:
+        assert record["status"] == "ok" and record["passed"], record
+        report = record["report"]
+        values = [report["lhs"]] + (list(report["rhs_terms"].values())
+                                    if "rhs_terms" in report else [report["rhs"]])
+        assert values == [0.0] * len(values), record["theorem_id"]

@@ -20,7 +20,7 @@ from maghardy.fields import (
 )
 from maghardy.functions import evaluate, random_test_function
 from maghardy.geometry import grad_rho, rho, weight_B
-from maghardy.quadrature import Domain, QuadratureSpec
+from maghardy.quadrature import QuadratureSpec
 from maghardy.verifiers import grushin, landau, verify_ab_hardy, verify_landau
 from maghardy.verifiers import verify_magnetic_grushin
 
@@ -296,8 +296,7 @@ def test_twisted_integrand_is_pointwise_gradient(monkeypatch):
         f = random_test_function(rng, k=0, modes=(-1, 0, 2))
         p = draw_point(rng, f)
         # the bounded-ball variant weights the gradient side by exactly 1
-        ball = Domain(1e-9, 10.0, kind="ball", R_Omega=10.0)
-        run = lambda: verify_landau("poincare", psi, None, f, _TINY, domain=ball)
+        run = lambda: verify_landau("poincare", psi, None, f, _TINY, radius=10.0)
         got = _first_integrand(monkeypatch, landau, "polar_integral", run, p)
         want = float(np.sum(np.abs(twisted_grad_psi(psi, f, p)) ** 2))
         assert abs(got - want) <= 1e-12 * want

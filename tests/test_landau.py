@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from maghardy import Domain, QuadratureSpec
+from maghardy import QuadratureSpec
 from maghardy.errors import AdmissibilityError, DomainError, RealnessError
 from maghardy.fields import RadialPotential
 from maghardy.functions import (
@@ -15,6 +15,7 @@ from maghardy.functions import (
     PowerLogWindow,
     ProductProfile,
     TestFunction,
+    make_bump,
     random_test_function,
 )
 from maghardy.reports import SuperweightParams
@@ -150,16 +151,13 @@ def test_poincare_variant_on_a_ball():
     psi = RadialPotential.power(0.4, 1.0)
     f = plane_function(rng, modes=(0, 1), real=True)
     R = f.support()[1] * 1.5
-    ball = Domain(R * 1e-9, R, kind="ball", R_Omega=R)
-    rep = verify_landau("poincare", psi, None, f, SPEC, domain=ball)
+    rep = verify_landau("poincare", psi, None, f, SPEC, radius=R)
     assert rep.sharp_constant == pytest.approx(1.0 / R ** 2)
     assert rep.margin >= -rep.tolerance()
     with pytest.raises(AdmissibilityError):
         verify_landau("poincare", psi, None, f, SPEC)  # no ball given
-    small = Domain(1e-9, f.support()[1] * 0.5, kind="ball",
-                   R_Omega=f.support()[1] * 0.5)
     with pytest.raises(AdmissibilityError):
-        verify_landau("poincare", psi, None, f, SPEC, domain=small)
+        verify_landau("poincare", psi, None, f, SPEC, radius=f.support()[1] * 0.5)
 
 
 def test_superweight_margin_and_zero_constant_case():
@@ -232,12 +230,10 @@ def test_real_landau_critical_radius_handling():
     assert rep2.margin >= -rep2.tolerance()
     with pytest.raises(AdmissibilityError):
         verify_real_landau("critical", 1, f, SPEC, R=2.0 * sup)  # < e * sup
-    ball = Domain(1e-9, 2.0 * sup, kind="ball", R_Omega=2.0 * sup)
-    rep3 = verify_real_landau("critical", 1, f, SPEC, Omega=ball)
+    rep3 = verify_real_landau("critical", 1, f, SPEC, radius=2.0 * sup)
     assert rep3.params["R"] == pytest.approx(math.e * 2.0 * sup)
-    tight = Domain(1e-9, 0.5 * sup, kind="ball", R_Omega=0.5 * sup)
     with pytest.raises(AdmissibilityError):
-        verify_real_landau("critical", 1, f, SPEC, Omega=tight)
+        verify_real_landau("critical", 1, f, SPEC, radius=0.5 * sup)
 
 
 def test_real_landau_uncertainty():
@@ -263,3 +259,45 @@ def test_real_landau_rejects_complex_and_bad_variant():
         verify_real_landau("identity", 2, fr, SPEC)
     with pytest.raises(DomainError):
         verify_real_landau("hardy", 0, fr, SPEC)
+
+
+# --- the ball: a radius confines the support, it never clips it --------------
+
+_BUMP = make_bump(0.3, 0.9)   # inside the closed unit disc, as landau_log needs
+_PSI = RadialPotential.power(0.4, 1.0)
+_BALL_RUNS = {
+    "landau_hardy_sobolev": lambda radius: verify_landau(
+        "hardy_sobolev", _PSI, 0.5, _BUMP, SPEC, radius=radius),
+    "landau_log": lambda radius: verify_landau(
+        "log", _PSI, None, _BUMP, SPEC, radius=radius),
+    "landau_poincare": lambda radius: verify_landau(
+        "poincare", _PSI, None, _BUMP, SPEC, radius=radius),
+    "landau_superweight": lambda radius: verify_landau(
+        "superweight", _PSI, SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0), _BUMP,
+        SPEC, radius=radius),
+    "real_landau_hardy": lambda radius: verify_real_landau(
+        "hardy", 1, _BUMP, SPEC, radius=radius),
+    "real_landau_critical": lambda radius: verify_real_landau(
+        "critical", 1, _BUMP, SPEC, radius=radius),
+    "real_landau_uncertainty": lambda radius: verify_real_landau(
+        "uncertainty", 1, _BUMP, SPEC, radius=radius),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_BALL_RUNS))
+def test_a_support_past_the_radius_is_refused(tid):
+    with pytest.raises(AdmissibilityError, match="inside the ball"):
+        _BALL_RUNS[tid](0.6)
+    for radius in (0.0, -1.0, math.inf):
+        with pytest.raises(DomainError, match="radius"):
+            _BALL_RUNS[tid](radius)
+    assert _BALL_RUNS[tid](0.9).passed()   # the support's own edge is inside
+
+
+@pytest.mark.parametrize("tid", ["landau_hardy_sobolev", "landau_log",
+                                 "landau_superweight", "real_landau_hardy"])
+def test_a_radius_past_the_support_changes_no_integral(tid):
+    inside, free = _BALL_RUNS[tid](2.0), _BALL_RUNS[tid](None)
+    assert inside.lhs == free.lhs
+    assert inside.rhs_terms == free.rhs_terms
+    assert inside.params.get("R") == (2.0 if tid.startswith("landau") else None)

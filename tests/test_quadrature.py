@@ -189,14 +189,6 @@ def test_integrate_polar_against_closed_form():
     assert abs(got.real - want) <= 1e-10 * abs(want)
 
 
-def test_integrate_polar_ball_domain_clips_radius():
-    dom = Domain(0.05, 4.0, ((-2.0, 2.0),), kind="ball", R_Omega=1.0)
-    spec = QuadratureSpec(n_r=64, n_phi=8, n_y=24)
-    [got] = integrate_polar(_gauss_density, spec, dom)
-    want = _gauss_closed_form(0.05, 1.0, 2.0)
-    assert abs(got.real - want) <= 1e-10 * abs(want)
-
-
 def test_oracle_agrees_with_main_engine():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
     [main] = integrate_polar(_gauss_density, QuadratureSpec(n_r=64, n_phi=8, n_y=24), dom)
@@ -295,11 +287,7 @@ def test_domain_validation():
     with pytest.raises(DomainError):
         Domain(0.0, 1.0)
     with pytest.raises(DomainError):
-        Domain(0.5, 1.0, kind="ball")  # needs R_Omega
-    with pytest.raises(DomainError):
         Domain(0.5, 1.0, ((1.0, 0.0),))
-    with pytest.raises(DomainError):
-        Domain(2.0, 3.0, kind="ball", R_Omega=1.0).radial_interval()
 
 
 def test_spec_validation():

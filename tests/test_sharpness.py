@@ -267,6 +267,13 @@ def test_inadmissible_parameters_are_rejected():
     with pytest.raises(AdmissibilityError):
         estimate_sharpness("radial_hardy", {"geom": thin, "exps": bad},
                            TrialFamily("rho_power", 0.1, (0.5, 2.0)))
+    # m + gamma*alpha2 = -1, which verify_radial_hardy refuses too
+    low = WeightExponents(alpha1=0.0, alpha2=-3.0)
+    for tid, params in (("radial_hardy", {"geom": thin, "exps": low}),
+                        ("magnetic_grushin", {"geom": thin, "exps": low,
+                                              "flux": FluxParam(0.5)})):
+        with pytest.raises(AdmissibilityError, match=r"m \+ gamma\*alpha2"):
+            estimate_sharpness(tid, params, TrialFamily("rho_power", 0.1, (0.5, 2.0)))
     with pytest.raises(AdmissibilityError):
         estimate_sharpness("landau_hardy_sobolev", {"theta1": 0.0},
                            TrialFamily("inverse_power", 0.1, (0.5, 2.0)))
