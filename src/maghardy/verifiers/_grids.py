@@ -9,13 +9,15 @@ spec.oracle is set:
     integral times the closed-form sphere area; no angular nodes are spent.
 
 Both paths take a density in the quadrature protocol: density(r, y) runs
-once per check on the grid (r of shape (n_r, 1), y of shape (1, n_flat, k))
-and returns at(phi), which yields every integrand of the check in order.
-polar_integral and rx_integral return one integral per integrand over the
-support of the test function f, through the same slice reduction; the
-radial-x path takes the integrands at phi = 0.0 only.  So each check makes
-one integration call: its weights are formed once, and its test function
-once per angular node, for all its integrals.
+once per row block of the grid (r of shape (n_rows, 1), y of shape
+(1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block)
+and returns at(phi), which yields every integrand of the check on that block
+in order.  polar_integral and rx_integral return one integral per integrand
+over the support of the test function f, through the same row blocks and
+slice reduction; the radial-x path takes the integrands at phi = 0.0 only.
+So each check makes one integration call: its weights are formed once per
+block, and its test function once per block and angular node, for all its
+integrals.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ..quadrature import (
     integrate_polar,
     oracle_integrate,
     reduce_slices,
+    row_blocks,
     tensor_grid,
 )
 
@@ -91,7 +94,7 @@ def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
 
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     base = (w_r * r ** (m - 1))[:, None] * w_y[None, :]
-    at = density(r[:, None], Y[None, :, :])
+    at = row_blocks(density, r, Y)
     return [sphere_area(m) * float(np.real(total))
             for total in reduce_slices(at, base, (0.0,))]
 

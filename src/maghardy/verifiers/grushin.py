@@ -9,13 +9,13 @@ proofs are recomputed separately and reported as identities, never
 substituted.
 
 Each check writes one density in the quadrature protocol: density(r, y)
-forms the phi-independent quantities of the check once (the test function's
-factors through TestFunction.on_grid, the weights B, B*w and rho, the field
-factors of the fields components), and at(phi) yields the integrand of every
-term of the displayed inequality in turn, so the check makes one integration
-call.  x-radial functions use the reduced tensor path at phi = 0 with the
-closed-form sphere factor; genuinely angular functions require m = 2 and run
-through the full polar engine.
+forms the phi-independent quantities of the check once per row block of the
+grid (the test function's factors through TestFunction.on_grid, the weights
+B, B*w and rho, the field factors of the fields components), and at(phi)
+yields the integrand of every term of the displayed inequality in turn, so
+the check makes one integration call.  x-radial functions use the reduced
+tensor path at phi = 0 with the closed-form sphere factor; genuinely angular
+functions require m = 2 and run through the full polar engine.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghardy.cli import _write_json, main
+from maghardy.cli import _CHECKS, _run_one, _write_json, main
+from maghardy.errors import AdmissibilityError
 from maghardy.reports import IdentityReport, InequalityReport, SharpnessResult
 
 REPO = Path(__file__).resolve().parents[1]
@@ -607,3 +608,69 @@ def test_zero_function_gives_zero_on_every_check(tmp_path):
         values = [report["lhs"]] + (list(report["rhs_terms"].values())
                                     if "rhs_terms" in report else [report["rhs"]])
         assert values == [0.0] * len(values), record["theorem_id"]
+
+
+# --- admissibility boundaries of the Grushin-family registry records -----------
+
+# gamma = 0.5 throughout; m = 2, k = 1 (Q = 3.5), and m = k = n = 1 (Q = 2.5)
+# for constant_field.  Each point moves one exponent so that its condition
+# reads eps while every other condition of the record stays 0.5 or more clear.
+# A condition is named as the record's list text states it.
+_G = 0.5
+
+
+def _first_kind(m, k, names=("Q+a1-2 > 0", "m+g*a2 > 0")):
+    Q = m + (1.0 + _G) * k
+    return {names[0]: lambda eps: (2.0 - Q + eps, 0.0),
+            names[1]: lambda eps: (0.0, (eps - m) / _G)}
+
+
+_ROTATED = {"a1+k(g+1) > 0": lambda eps: (eps - (_G + 1.0), 0.0),
+            "a2+2g > 0 (thm2)": lambda eps: (0.0, eps - 2.0 * _G),
+            "a2*g+2 > 0": lambda eps: (0.0, (eps - 2.0) / _G)}
+_ROTATED["a2*g+2 > 0 (corollary)"] = _ROTATED["a2*g+2 > 0"]
+
+# record -> (the record whose list text states its conditions, the conditions);
+# grushin_ibp is an identity and states none, but its verifier applies the
+# radial_hardy conditions
+_GRUSHIN_BOUNDARIES = {
+    "radial_hardy": ("radial_hardy", _first_kind(2, 1)),
+    "magnetic_grushin": ("magnetic_grushin", _first_kind(2, 1)),
+    "uncertainty_grushin": ("magnetic_grushin", _first_kind(2, 1)),
+    "grushin_ibp": (None, _first_kind(2, 1)),
+    "constant_field": ("constant_field",
+                       _first_kind(1, 1, ("n(2+g)+a1-2 > 0", "n+a2*g > 0"))),
+    "ab_hardy": ("ab_hardy", {c: _ROTATED[c] for c in (
+        "a1+k(g+1) > 0", "a2+2g > 0 (thm2)", "a2*g+2 > 0 (corollary)")}),
+    "uncertainty_ab": ("uncertainty_ab", {c: _ROTATED[c] for c in (
+        "a1+k(g+1) > 0", "a2*g+2 > 0")}),
+}
+_BOUNDARY_CASES = [(tid, cond) for tid, (_, conds) in _GRUSHIN_BOUNDARIES.items()
+                   for cond in conds]
+
+
+def _boundary_run(tid, cond, eps):
+    a1, a2 = _GRUSHIN_BOUNDARIES[tid][1][cond](eps)
+    m = 1 if tid == "constant_field" else 2
+    run = {"theorem_id": tid,
+           "geometry": {"m": m, "k": 1, "gamma": _G},
+           "weights": {"alpha1": a1, "alpha2": a2},
+           "function": {"kind": "random", "k": 1, "modes": [0], "real": True},
+           "quadrature": {"n_r": 8, "n_phi": 4, "n_y": 4}}
+    if tid == "ab_hardy":
+        run["admissibility"] = "corollary" if "corollary" in cond else "thm2"
+    return run
+
+
+def test_boundary_conditions_are_the_listed_ones():
+    assert len(_GRUSHIN_BOUNDARIES) == 7 and len(_BOUNDARY_CASES) == 15
+    for tid, (text_of, conds) in _GRUSHIN_BOUNDARIES.items():
+        for cond in conds if text_of else ():
+            assert cond in _CHECKS[text_of].text, (tid, cond)
+
+
+@pytest.mark.parametrize("tid, cond", _BOUNDARY_CASES)
+def test_admissibility_boundary_is_sharp(tid, cond):
+    _run_one(_boundary_run(tid, cond, 1e-6), 0, 3, "thm2")  # accepted
+    with pytest.raises(AdmissibilityError):
+        _run_one(_boundary_run(tid, cond, -1e-6), 0, 3, "thm2")

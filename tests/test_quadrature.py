@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maghardy import quadrature
 from maghardy.errors import DomainError, NonFiniteError
+from maghardy.functions import make_bump
 from maghardy.quadrature import (
     MAX_SLICE_NODES,
     Domain,
@@ -23,6 +25,7 @@ from maghardy.quadrature import (
     tensor_grid,
     y_box_rule,
 )
+from maghardy.verifiers._grids import rx_integral, support_domain
 
 
 def test_gauss_legendre_exact_on_polynomials():
@@ -227,6 +230,52 @@ def test_density_runs_once_per_integration():
     integrate_polar(density, QuadratureSpec(n_r=16, n_phi=12, n_y=4), dom)
     oracle_integrate(density, dom, (101, 12, 41))
     assert len(calls) == 2
+
+
+# --- row blocks: a large grid is evaluated in blocks of radial rows ----------
+
+# 3 radial panels of 40 nodes x 18 y nodes; a block of 200 nodes holds 11
+# rows, so the 120 rows make 10 full blocks and a ragged block of 10
+BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.0),))
+BLOCKED_SPEC = QuadratureSpec(n_r=40, n_phi=8, n_y=6)
+SMALL_BLOCK = 200
+
+
+def _mixed_shape_density(r, y):
+    """Integrands of shape (n_r, n_flat), (n_r, 1) and scalar, real and complex."""
+    def at(phi):
+        yield _gauss_integrand(r, phi, y)
+        yield np.exp(1j * phi) * np.exp(-r) * np.sqrt(r)
+        yield math.cos(phi) + 2.0
+
+    return at
+
+
+def _both_engines(density):
+    return (integrate_polar(density, BLOCKED_SPEC, support_domain(BLOCKED_F)),
+            rx_integral(density, BLOCKED_F, BLOCKED_SPEC, 3))
+
+
+def test_blocked_grid_is_bitwise_one_block(monkeypatch):
+    r, _, Y, _ = tensor_grid(BLOCKED_SPEC, support_domain(BLOCKED_F))
+    assert (r.size, len(Y)) == (120, 18)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", SMALL_BLOCK)
+    blocked = _both_engines(_mixed_shape_density)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", MAX_SLICE_NODES)
+    assert _both_engines(_mixed_shape_density) == blocked
+
+
+def test_density_runs_once_per_row_block(monkeypatch):
+    calls = []
+
+    def density(r, y):
+        calls.append((r.shape, y.shape))
+        return _mixed_shape_density(r, y)
+
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", SMALL_BLOCK)
+    _both_engines(density)
+    blocks = [((11, 1), (1, 18, 1))] * 10 + [((10, 1), (1, 18, 1))]
+    assert calls == blocks * 2  # polar, then x-radial; not once per phi slice
 
 
 def test_integrate_radial_weighted_power():
