@@ -7,12 +7,12 @@ from numerical differentiation — so the pointwise identities they satisfy
 Each magnetic gradient is written once, vectorised on grid arrays in the
 quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
 from the values and polar partials of the test function at one angular node
-(TestFunction.on_grid): grushin_components and tilde_components return
-polar-frame components, twisted_components Cartesian ones.  The first two
-work in two steps, like the densities that call them: given the grid they
-form the phi-independent field factors once and return a closure that maps
-the test function's parts at one angular node to the components.  The
-verifiers integrate sums of their squared moduli.  The pointwise API is a
+or a column of them (TestFunction.on_grid): grushin_components and
+tilde_components return polar-frame components, twisted_components
+Cartesian ones.  The first two work in two steps, like the densities that
+call them: given the grid they form the phi-independent field factors once
+and return a closure that maps the test function's parts at those nodes to
+the components.  The verifiers integrate sums of their squared moduli.  The pointwise API is a
 one-node call into the same functions that rotates the polar frame to
 Cartesian, so the finite-difference tests check the code the integrals run.
 Its outputs are complex vectors:
@@ -152,8 +152,8 @@ def grushin_components(beta: float, gamma: float, r, y, rho_val):
 
     The real field factors d(rho)/dr / rho, r^gamma and r^gamma grad_y(rho)/rho
     are formed here, once for the grid (r, y).  parts is (f, df/dr, df/dphi,
-    grad_y f) on that grid at one angular node, as TestFunction.on_grid gives
-    them; c_y carries the trailing y axis.
+    grad_y f) on that grid at one angular node or a column of them, as
+    TestFunction.on_grid gives them; c_y carries the trailing y axis.
     """
     ar = drho_dr_over_rho(gamma, r, rho_val)
     rg = r[..., None] ** gamma
@@ -195,14 +195,30 @@ def tilde_components(beta: float, gamma: float, r, y, rho_val):
     return components
 
 
-def twisted_components(psi_r, r, phi: float, parts):
+def _cos_sin(phi):
+    """(cos phi, sin phi) from math.cos and math.sin, node by node.
+
+    phi is a float or an array of angular nodes.  numpy's vectorised cos and
+    sin need not round like libm's, so every node keeps the values of a
+    one-node call.
+    """
+    if np.ndim(phi) == 0:
+        return math.cos(phi), math.sin(phi)
+    nodes = np.ravel(phi)
+    c = np.array([math.cos(t) for t in nodes]).reshape(np.shape(phi))
+    s = np.array([math.sin(t) for t in nodes]).reshape(np.shape(phi))
+    return c, s
+
+
+def twisted_components(psi_r, r, phi: float | np.ndarray, parts):
     """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid.
 
     psi_r holds psi on the radii r; parts is f and its polar partials there
-    at the angular node phi.
+    at phi, one angular node (a float) or a column of them (n_c, 1, 1) as
+    TestFunction.on_grid gives them.
     """
     val, fr, fphi, _ = parts
-    c, s = math.cos(phi), math.sin(phi)
+    c, s = _cos_sin(phi)
     fx = c * fr - s * fphi / r
     fy = s * fr + c * fphi / r
     return fx - 1j * psi_r * (r * s) * val, fy + 1j * psi_r * (r * c) * val

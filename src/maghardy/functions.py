@@ -22,9 +22,12 @@ two edges, and each factor's both(t) returns (value, derivative) together.
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
 profile computes its phi-independent factors once per grid (for a
 ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j)), and the
-returned closure gives f and its polar partials at any angular node, forming
-the full-grid products afresh on every call.  The pointwise value_polar and
-partials_polar are one call of that closure.
+returned closure gives f and its polar partials at an angular node or at a
+column of them (shape (n_c, 1, 1)).  Each call forms every mode's full-grid
+products once and spreads them over all the nodes of its column, so the
+quadrature engine, which passes a column of nodes per call on small grids,
+pays for the products once per column, not once per node.  The pointwise
+value_polar and partials_polar are one call of that closure.
 """
 
 from __future__ import annotations
@@ -250,8 +253,10 @@ class ProductProfile:
         """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
-        here, once; each call forms their products afresh, so the full-grid
-        arrays live only as long as the caller keeps them.
+        here, once; each call forms their products, grad_y g in one (..., k)
+        array, so the full-grid arrays live only as long as the caller keeps
+        them.  TestFunction.on_grid calls it once per column of angular
+        nodes.
         """
         amp = self.amplitude
         rv, drv = self.radial.both(r)
@@ -263,10 +268,13 @@ class ProductProfile:
                     out = out * v
             return out
 
+        shape = np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]) + (len(ys),)
+
         def parts():
             base = amp * rv
-            gy = [times(base * dv, j) for j, (_, dv) in enumerate(ys)]
-            gy = np.stack(gy, axis=-1) if gy else np.zeros(np.shape(r) + (0,), complex)
+            gy = np.empty(shape, complex)
+            for j, (_, dv) in enumerate(ys):
+                gy[..., j] = times(base * dv, j)
             return times(base), times(amp * drv), gy
 
         return parts
@@ -398,7 +406,9 @@ class TestFunction:
 
         Each distinct profile computes its phi-independent factors here, once
         (modes +l and -l may share one); each call forms every mode's g,
-        dg/dr and grad_y g in turn and adds its terms at the angular node phi.
+        dg/dr and grad_y g in turn, once, and adds its terms at phi: a float
+        (one angular node) or a column of nodes of shape (n_c, 1, 1), which
+        gives every output that leading axis.
         The closure's mode_zero() gives f0, the zeroth angular mode of f, on
         the grid from the same factors (zeros if f has no mode 0).
         r and y must not change while the closure is in use.

@@ -31,22 +31,29 @@ A polar density is a callable density(r, y) -> at, called once per row
 block of the grid with broadcastable arrays: r of shape (n_rows, 1), a run
 of consecutive radial nodes, and y of shape (1, n_y_flat, k), whose trailing
 axis indexes the y components.  It does the phi-independent work of its
-check there, once per block.  at(phi) then yields, for one angular node phi
-(a float), every integrand of the check on that block in a fixed order, one
-array at a time.  A grid of at most BLOCK_NODES nodes is one block; a larger
-one is cut into blocks of at most BLOCK_NODES nodes (or one radial row), and
-each integrand is gathered into one full-grid array per slice (row_blocks).
-Every density must be elementwise per node, so a node's value does not
-depend on the block it sits in.  The engine reduces each integrand over the
-full grid in phi order and returns one integral per integrand, so results
-are bit-stable across runs and do not depend on how many integrands share
-the pass or how the grid is blocked.  Radial densities (integrate_radial)
-take a bare r array and return one array.
+check there, once per block.  at(phi) then yields every integrand of the
+check on that block in a fixed order, one array at a time, for phi either a
+float (one angular node, as the oracle passes it) or a column of angular
+nodes of shape (n_c, 1, 1), as the main engine passes it; on a column each
+integrand carries that leading axis (or broadcasts against it).  A grid of
+at most BLOCK_NODES nodes is one block; a larger one is cut into blocks of
+at most BLOCK_NODES nodes (or one radial row), and each integrand is
+gathered into one full-grid array per slice (row_blocks).  The angular
+nodes go to at in tiles of at most BLOCK_NODES (phi, r, y) nodes
+(reduce_slices), so a single-block grid runs several nodes per call and a
+grid of several blocks one.  Every density must be elementwise per node, so
+a node's value depends neither on the block nor on the tile it sits in.
+The engine reduces each integrand over the full grid, slice by slice in phi
+order, and returns one integral per integrand, so results are bit-stable
+across runs and do not depend on how many integrands share the pass or how
+the grid is blocked and tiled.  Radial densities (integrate_radial) take a
+bare r array and return one array.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: both engines refuse a
 larger grid with a DomainError before building it.  That ceiling bounds the
 full-grid arrays (the reduction weights and one array per integrand); the
-temporaries a density forms on each slice are bounded by BLOCK_NODES.
+temporaries a density forms on each block and tile are bounded by
+BLOCK_NODES.
 """
 
 from __future__ import annotations
@@ -70,11 +77,12 @@ TWO_PI = 2.0 * math.pi
 # DomainError instead of a failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
-# Nodes of one row block (row_blocks): the per-slice temporaries of a block,
-# 128 KB per real array, stay in a 2 MB L2 cache and are reused from the heap
-# instead of streaming full-grid arrays through the allocator.  2^13 and 2^14
-# measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy check (144 x 1296
-# nodes) on a 2-core Xeon.
+# Nodes of one row block (row_blocks) and of one tile of angular nodes on it
+# (reduce_slices): the temporaries of a block or tile, 128 KB per real
+# array, stay in a 2 MB L2 cache and are reused from the heap instead of
+# streaming full-grid arrays through the allocator.  2^13 and 2^14 measured
+# fastest of 2^12 to 2^16 on a k = 2 ab_hardy check (144 x 1296 nodes) on a
+# 2-core Xeon.
 BLOCK_NODES = 1 << 14
 
 # Simpson nodes of the radial oracle (oracle_integrate_radial).
@@ -216,24 +224,45 @@ def tensor_grid(spec: QuadratureSpec, domain: Domain):
     return r, w_r, Y, w_y
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteError("integrand evaluated to NaN or infinity at a quadrature node")
+def _check_finite(values) -> None:
+    """Raise NonFiniteError unless every entry of values is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteError("an integrand or its weighted sum is NaN or infinite")
 
 
 def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
-    """Per integrand that at(phi) yields, the sum of base * integrand over phis.
+    """Per integrand that at yields, the sum of base * integrand over phis.
 
-    Each integrand is checked finite and reduced as soon as it is yielded.
+    The angular nodes reach at in tiles: columns of shape (n_c, 1, 1) with
+    n_c = max(1, BLOCK_NODES // base.size), so one call serves n_c slices
+    of a small grid, and a grid of more than BLOCK_NODES nodes (several row
+    blocks) gets one node per call.  Each integrand is weighted by base once
+    per tile, and each slice of the product is summed on its own with
+    np.add.reduce(..., axis=None), in phi order: the same full-grid sums as
+    one slice at a time.
+
+    Finiteness is checked on each slice's weighted sum, not node by node.
+    base is finite and positive, so a NaN or infinite node, in either part,
+    makes its weighted term non-finite, and a sum over a non-finite term is
+    non-finite (+inf and -inf together give NaN).  A sum that overflows
+    although every node is finite raises too.  The NonFiniteError stands in
+    for numpy's overflow and invalid-value warnings of the weighting and
+    the sums, which are silenced; a density's own warnings are not.
     """
+    phis = np.asarray(phis, dtype=float)
+    n_c = max(1, BLOCK_NODES // base.size)
     totals = []
-    for phi in phis:
-        for i, vals in enumerate(at(float(phi))):
-            vals = np.broadcast_to(np.asarray(vals), base.shape)
-            _check_finite(vals)
+    for a in range(0, phis.size, n_c):
+        col = phis[a:a + n_c, None, None]
+        for i, vals in enumerate(at(col)):
+            vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                sums = [np.add.reduce(one, axis=None) for one in base * vals]
+            _check_finite(sums)
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
-            totals[i] += np.sum(base * vals)
+            for total in sums:
+                totals[i] += total
     return totals
 
 
@@ -244,11 +273,12 @@ def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
     it is and its own at is returned.  A larger grid runs
     density(r[a:b, None], Y[None, :, :]) once per block of consecutive
     radial rows, each of at most BLOCK_NODES nodes (one row if a row is
-    larger).  The returned at(phi) writes every integrand that the blocks
-    yield into that integrand's full (n_r, n_y_flat) array, of the dtype the
-    first block yields, and returns those arrays in order.  They are
-    allocated once and overwritten on the next call, so each must be
-    consumed before at is called again, as reduce_slices does.
+    larger).  The returned at(phi), for a column phi of n_c angular nodes,
+    writes every integrand that the blocks yield into that integrand's full
+    (n_c, n_r, n_y_flat) array, of the dtype the first block yields, and
+    returns those arrays in order.  They are allocated on the first call and
+    overwritten on the next, so each must be consumed before at is called
+    again, as reduce_slices does; it passes such a grid one node per call.
     """
     n_r, n_flat = r.size, len(Y)
     rows = max(1, BLOCK_NODES // n_flat)
@@ -263,8 +293,8 @@ def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
             for i, vals in enumerate(block_at(phi)):
                 vals = np.asarray(vals)
                 if i == len(full):
-                    full.append(np.empty((n_r, n_flat), vals.dtype))
-                full[i][rows_of] = vals
+                    full.append(np.empty((len(phi), n_r, n_flat), vals.dtype))
+                full[i][:, rows_of] = vals
         return full
 
     return at
@@ -274,8 +304,9 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
     """Integrals of every integrand of density over r dr dphi dy on the domain.
 
     density(r, y) runs once per row block (row_blocks); the angular sum is
-    an explicit loop over the n_phi trapezoid nodes (reduce_slices), so
-    memory stays at O(n_r * n_y_flat) however many modes and integrands the
+    an explicit loop over tiles of the n_phi trapezoid nodes, each slice
+    reduced on its own (reduce_slices), so memory stays at
+    O(n_r * n_y_flat + BLOCK_NODES) however many modes and integrands the
     check carries.  Returns one complex value per integrand.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)

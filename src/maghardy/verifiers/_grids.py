@@ -12,12 +12,13 @@ Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
 (1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block)
 and returns at(phi), which yields every integrand of the check on that block
-in order.  polar_integral and rx_integral return one integral per integrand
-over the support of the test function f, through the same row blocks and
-slice reduction; the radial-x path takes the integrands at phi = 0.0 only.
-So each check makes one integration call: its weights are formed once per
-block, and its test function once per block and angular node, for all its
-integrals.
+in order, for phi a float or a column of angular nodes (n_c, 1, 1).
+polar_integral and rx_integral return one integral per integrand over the
+support of the test function f, through the same row blocks and tiled slice
+reduction; the radial-x path takes the integrands at phi = 0.0 only.  So
+each check makes one integration call: its weights are formed once per
+block, and its test function once per block and tile of angular nodes, for
+all its integrals.
 """
 
 from __future__ import annotations
@@ -114,5 +115,11 @@ def grad_y_sq(dy: np.ndarray) -> np.ndarray:
     """Squared norm of the y-gradient block (sum over trailing axis)."""
     if dy.shape[-1] == 0:
         return np.zeros(dy.shape[:-1])
-    return np.sum(abs2(dy), axis=-1)
+    # component by component, not a ufunc reduce over the short trailing
+    # axis; bitwise equal to np.sum(abs2(dy), axis=-1) for k < 8 (numpy's
+    # unrolled pairwise sum adds in another order from k = 8)
+    out = abs2(dy[..., 0])
+    for j in range(1, dy.shape[-1]):
+        out = out + abs2(dy[..., j])
+    return out
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from maghardy.cli import _CHECKS, _run_one, _write_json, main
 from maghardy.errors import AdmissibilityError
-from maghardy.reports import IdentityReport, InequalityReport, SharpnessResult
+from maghardy.reports import IdentityReport, InequalityReport, SharpnessResult, jsonable
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"
@@ -608,6 +608,53 @@ def test_zero_function_gives_zero_on_every_check(tmp_path):
         values = [report["lhs"]] + (list(report["rhs_terms"].values())
                                     if "rhs_terms" in report else [report["rhs"]])
         assert values == [0.0] * len(values), record["theorem_id"]
+
+
+# --- phi tiles: a polar check gives the same bits one angular node per call -----
+
+POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty_ab",
+             "landau_hardy_sobolev", "landau_log", "landau_poincare",
+             "landau_superweight", "twisted_polar", "real_landau_identity",
+             "real_landau_critical", "real_landau_uncertainty"}
+
+
+def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
+    import maghardy.quadrature as quadrature
+
+    cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
+    runs = [(i, run) for i, run in enumerate(cfg["runs"])
+            if run["theorem_id"] in POLAR_IDS and run.get("n", 1) == 1]
+    assert {run["theorem_id"] for _, run in runs} == POLAR_IDS
+    reduce_slices, widths = quadrature.reduce_slices, []
+
+    def spy(at, base, phis):  # records the angular nodes of each call
+        def seen(phi):
+            widths[-1].append(len(phi))
+            return at(phi)
+        return reduce_slices(seen, base, phis)
+
+    monkeypatch.setattr(quadrature, "reduce_slices", spy)
+
+    def reports():
+        out = []
+        for i, run in runs:
+            widths.append([])
+            report = _run_one(run, i, cfg["seed"], "thm2")
+            out.append(json.dumps(report, default=jsonable, sort_keys=True))
+        return out
+
+    tiled = reports()
+    assert all(max(seen) > 1 for seen in widths)  # every check runs tiles
+    widths.clear()
+    row_blocks = quadrature.row_blocks
+
+    def one_block(density, r, Y):  # the grid one block, one angular node per tile
+        monkeypatch.setattr(quadrature, "BLOCK_NODES", r.size * len(Y))
+        return row_blocks(density, r, Y)
+
+    monkeypatch.setattr(quadrature, "row_blocks", one_block)
+    assert reports() == tiled
+    assert {w for seen in widths for w in seen} == {1}
 
 
 # --- admissibility boundaries of the Grushin-family registry records -----------

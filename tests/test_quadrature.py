@@ -242,11 +242,11 @@ SMALL_BLOCK = 200
 
 
 def _mixed_shape_density(r, y):
-    """Integrands of shape (n_r, n_flat), (n_r, 1) and scalar, real and complex."""
+    """Integrands of shape (n_r, n_flat), (n_r, 1) and one per phi, real and complex."""
     def at(phi):
         yield _gauss_integrand(r, phi, y)
         yield np.exp(1j * phi) * np.exp(-r) * np.sqrt(r)
-        yield math.cos(phi) + 2.0
+        yield np.cos(phi) + 2.0
 
     return at
 
@@ -292,13 +292,53 @@ def test_integrate_radial_rejects_bad_interval():
         integrate_radial(lambda r: r, 2.0, 0.0, QuadratureSpec(), 2.0, 1.0)
 
 
+# values of the bad nodes, on r > 1: each makes the weighted sum of its slice
+# non-finite, since the weights are finite and positive
+NONFINITE_NODES = {
+    "nan": lambda r: np.nan,
+    "+inf": lambda r: np.inf,
+    "-inf": lambda r: -np.inf,
+    "+inf and -inf in one slice": lambda r: np.where(r > 1.5, np.inf, -np.inf),
+    "nan imaginary part": lambda r: complex(1.0, np.nan),
+    "infinite imaginary part": lambda r: complex(1.0, np.inf),
+}
+
+
+def _bad_density(bad, phi_from):
+    """A finite integrand, then one with bad nodes on r > 1 at phi >= phi_from."""
+    def density(r, y):
+        def at(phi):
+            yield np.ones_like(r)
+            yield np.where((r > 1.0) & (np.asarray(phi) >= phi_from), bad(r), 1.0)
+
+        return at
+
+    return density
+
+
 def test_nonfinite_integrand_raises():
-    dom = Domain(0.5, 2.0)
-    bad = lambda r, y: lambda phi: (np.ones_like(r), np.where(r > 1.0, np.nan, 1.0))
+    f = make_bump(0.5, 2.0)
+    dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
+    # polar: the 4 angular nodes are one tile, bad only on its last two
+    engines = ((lambda d: integrate_polar(d, spec, dom), math.pi),
+               (lambda d: rx_integral(d, f, spec, 3), 0.0),
+               (lambda d: oracle_integrate(d, dom, (101, 4, 11)), math.pi))
+    for name, bad in NONFINITE_NODES.items():
+        for integrate, phi_from in engines:
+            with pytest.raises(NonFiniteError):
+                integrate(_bad_density(bad, phi_from))
+                pytest.fail(name)
+
+
+def test_overflowing_slice_sum_raises():
+    # every node finite, but the weights sum to more than 1 on r > 1
+    f = make_bump(0.5, 2.0)
+    dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
+    huge = _bad_density(lambda r: np.finfo(float).max, 0.0)
     with pytest.raises(NonFiniteError):
-        integrate_polar(bad, QuadratureSpec(n_r=16, n_phi=4, n_y=4), dom)
+        integrate_polar(huge, spec, dom)
     with pytest.raises(NonFiniteError):
-        oracle_integrate(bad, dom, (101, 4, 11))
+        rx_integral(huge, f, spec, 3)
 
 
 def test_slice_ceiling_refuses_oversized_grids_before_building_them():

@@ -32,6 +32,7 @@ from maghardy.verifiers import (
     verify_radial_hardy,
     verify_uncertainty_grushin,
 )
+from maghardy.verifiers._grids import abs2, grad_y_sq
 
 SPEC = QuadratureSpec(n_r=96, n_phi=16, n_y=24)
 
@@ -418,7 +419,8 @@ def test_blocked_reports_are_bitwise_single_block(monkeypatch):
                 verify_radial_hardy(HEAVY_GEOM, HEAVY_EXPS, real, HEAVY).to_dict())
 
     blocked = reports()
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", quadrature.MAX_SLICE_NODES)
+    # one block of the whole grid (144 x 1296 nodes), one angular node per tile
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 144 * 1296)
     assert reports() == blocked
 
 
@@ -448,3 +450,13 @@ def test_heavy_ab_hardy_peak_memory():
         tracemalloc.stop()
     # 50.0 MB when every slice formed full-grid temporaries; 20.4 MB in blocks
     assert peak < 42 * 2**20
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_grad_y_sq_is_bitwise_the_trailing_axis_sum(k):
+    # a row block (n_rows, n_flat, k) and a tile of 3 angular nodes on it
+    rng = np.random.default_rng(k)
+    for shape in [(12, 36, k), (3, 12, 36, k)]:
+        dy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.uniform(-4.0, 4.0, shape)
+        assert np.array_equal(grad_y_sq(dy), np.sum(abs2(dy), axis=-1))
