@@ -44,6 +44,8 @@ from .fields import ConstantFieldPotentials, FluxParam, RadialPotential
 from .functions import (
     AngularMode,
     GaussTail,
+    PlateauBumpY,
+    PlateauLogBump,
     ProductProfile,
     TestFunction,
     TrialFamily,
@@ -244,8 +246,13 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
                          r_lo=_num(obj, "r_lo", where, default=1e-8))
         return TestFunction([AngularMode(0, ProductProfile(tail))])
     if kind == "zero":
+        # a zero-amplitude bump on an annulus inside the unit disc, so that
+        # every check, landau_log included, integrates it like any other f
         _check_keys(obj, {"kind"}, where)
-        return TestFunction([])
+        k = 0 if geom is None else geom.k
+        zero = ProductProfile(PlateauLogBump(0.25, 0.5), [PlateauBumpY(-1.0, 1.0)] * k,
+                              amplitude=0.0)
+        return TestFunction([AngularMode(0, zero)])
     raise ConfigError(f"{where}: unknown function kind {kind!r}")
 
 
@@ -296,13 +303,11 @@ class _Fields:
     def superweight(self) -> SuperweightParams:
         obj = _need(self.run, "superweight", self.where)
         where = f"{self.where}.superweight"
-        _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p", "theta1"},
-                    where)
+        _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p"}, where)
         return SuperweightParams(
             a=_num(obj, "a", where), b=_num(obj, "b", where),
             theta2=_num(obj, "theta2", where), theta3=_num(obj, "theta3", where),
-            theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0),
-            theta1=_num(obj, "theta1", where, default=0.0))
+            theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0))
 
     def radius(self) -> float | None:
         if "domain" not in self.run:
@@ -320,7 +325,7 @@ class _Fields:
         _check_keys(obj, {"kind", "slope"}, where)
         if obj.get("kind", "linear") != "linear":
             raise ConfigError(f"{self.where}: only linear potentials are configurable")
-        return ConstantFieldPotentials.linear(
+        return ConstantFieldPotentials(
             self.geom.m, _num(obj, "slope", where, default=0.5))
 
 
@@ -388,10 +393,8 @@ _CHECKS = {
         lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
                                                 r.spec, variant="uncer21")),
     "landau_hardy_sobolev": _Check(
-        "theta1^2", "theta1 != 0", {"psi", "domain", "theta1", "superweight"},
-        _landau("hardy_sobolev",
-                lambda r: r.superweight() if "superweight" in r.run
-                else r.num("theta1")),
+        "theta1^2", "theta1 != 0", {"psi", "domain", "theta1"},
+        _landau("hardy_sobolev", lambda r: r.num("theta1")),
         lambda r: {"theta1": r.num("theta1")}),
     "landau_log": _Check(
         "1/4", "support inside the closed unit disc", {"psi", "domain"},

@@ -19,7 +19,7 @@ Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
     twisted (Landau)    two components on R^2 (z = (x, y))
-    constant field      (i d/dx_j + psi1_j(y_j), i|x|^g d/dy_j + psi2_j(x_j))
+    constant field      (i d/dx_j + slope*y_j, i|x|^g d/dy_j + slope*x_j)   2n
 The sqrt2-duplicated y blocks are kept literal (not collapsed) so that every
 component can be compared against its defining formula.
 """
@@ -94,30 +94,17 @@ class RadialPotential:
 
 @dataclass(frozen=True)
 class ConstantFieldPotentials:
-    """Separable potentials psi1_j(y_j), psi2_j(x_j) for the constant-field case.
+    """The constant-field potentials on m = k = n: psi(t) = slope * t in every slot.
 
-    `slope` is set when every slot is the same linear map t -> slope*t (the
-    constant-field choice); the x-radial verifier path for n >= 2 requires it.
+    They enter as slope * y_j beside d/dx_j and slope * x_j beside d/dy_j.
     """
 
-    psi1: tuple
-    psi2: tuple
-    slope: float | None = None
+    n: int
+    slope: float = 0.5
 
     def __post_init__(self):
-        if len(self.psi1) != len(self.psi2) or not self.psi1:
-            raise DomainError("need equal nonempty psi1/psi2 lists")
-
-    @property
-    def n(self) -> int:
-        return len(self.psi1)
-
-    @staticmethod
-    def linear(n: int, slope: float = 0.5) -> "ConstantFieldPotentials":
-        """The constant-magnetic-field choice psi(t) = slope * t in every slot."""
-        mk = lambda: (lambda t: slope * np.asarray(t, float))
-        return ConstantFieldPotentials(tuple(mk() for _ in range(n)),
-                                       tuple(mk() for _ in range(n)), slope=slope)
+        if self.n < 1:
+            raise DomainError(f"need n >= 1 slots, got {self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +278,9 @@ def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndar
 
 def constant_field_grad(pots: ConstantFieldPotentials, geom: GrushinGeometry,
                         f: TestFunction, p: Point) -> np.ndarray:
-    """(i d/dx_j f + psi1_j(y_j) f, i |x|^g d/dy_j f + psi2_j(x_j) f), length 2n."""
-    n = pots.n
-    if geom.m != n or geom.k != n:
+    """(i d/dx_j f + slope*y_j f, i |x|^g d/dy_j f + slope*x_j f), length 2n."""
+    if geom.m != pots.n or geom.k != pots.n:
         raise DomainError("constant-field gradient needs m = k = n")
     grad = 1j * magnetic_grad("grushin", FluxParam(0.0), geom, f, p)
     val = complex(f.value_polar(*_node(f, p)).item())
-    pot = [float(pots.psi1[j](p.y[j])) for j in range(n)] \
-        + [float(pots.psi2[j](p.x[j])) for j in range(n)]
-    return grad + np.array(pot) * val
+    return grad + pots.slope * np.concatenate((p.y, p.x)) * val

@@ -5,9 +5,11 @@ stored in polar-separated form
 
     f(r, phi, y) = sum_k  g_k(r, y) * exp(i k phi),
 
-a finite sum of angular modes with smooth profiles g_k.  Profiles are built
-from closed-form factors (plateau bumps, powers, Gaussians), so radial and
-y partial derivatives are exact — finite differences appear only in tests.
+a finite, nonempty sum of angular modes with smooth profiles g_k.  Profiles
+are built from closed-form factors (plateau bumps, powers, Gaussians), so
+radial and y partial derivatives are exact — finite differences appear only
+in tests.  The zero function is one mode of amplitude 0 on a fixed support,
+so it is evaluated and integrated like any other f.
 
 The plateau bump rises from 0 to 1 over the first quarter of its interval
 (in log r for the radial direction), is identically 1 on the middle half,
@@ -53,7 +55,6 @@ __all__ = [
     "PlateauBumpY",
     "GaussBumpY",
     "evaluate",
-    "angular_average",
     "make_bump",
     "make_trial",
     "random_test_function",
@@ -215,14 +216,17 @@ class PlateauBumpY:
 
 
 class GaussBumpY:
-    """Gaussian times plateau bump: exp(-a (t-c)^2) * plateau(t) on [lo, hi]."""
+    """Gaussian times plateau bump: exp(-a (t-c)^2) * plateau(t) on [lo, hi].
 
-    def __init__(self, lo: float, hi: float, a: float = 1.0, center: float | None = None):
+    The Gaussian is centred at the midpoint c = (lo + hi) / 2.
+    """
+
+    def __init__(self, lo: float, hi: float, a: float = 1.0):
         if not (lo < hi) or a < 0.0:
             raise DomainError("bad Gaussian-bump parameters")
         self.lo, self.hi = float(lo), float(hi)
         self.a = float(a)
-        self.c = 0.5 * (lo + hi) if center is None else float(center)
+        self.c = 0.5 * (lo + hi)
 
     def both(self, t):
         g = np.exp(-self.a * (t - self.c) ** 2)
@@ -286,12 +290,12 @@ class RhoShellProfile:
     The support is the shell rho in [rho_lo, rho_hi]; its bounding box in
     (r, y) is r <= rho_hi, |y_j| <= rho_hi^(1+gamma)/(1+gamma).  The profile
     does not vanish as r -> 0 inside the shell, so the declared inner radius
-    r_lo is an integration cutoff far below any shell mass, not a support
-    boundary.
+    r_lo = 1e-8 * rho_lo is an integration cutoff far below any shell mass,
+    not a support boundary.
     """
 
     def __init__(self, geom: GrushinGeometry, sigma: float, rho_lo: float, rho_hi: float,
-                 amplitude=1.0, r_cut_factor: float = 1e-8):
+                 amplitude=1.0):
         if not (0.0 < rho_lo < rho_hi):
             raise DomainError("need 0 < rho_lo < rho_hi")
         self.geom = geom
@@ -299,7 +303,7 @@ class RhoShellProfile:
         self.rho_lo, self.rho_hi = float(rho_lo), float(rho_hi)
         self.amplitude = complex(amplitude)
         self._a, self._b = math.log(rho_lo), math.log(rho_hi)
-        self.r_lo = rho_lo * r_cut_factor
+        self.r_lo = rho_lo * 1e-8
         self.r_hi = rho_hi
         g = geom.gamma
         ymax = rho_hi ** (1.0 + g) / (1.0 + g)
@@ -357,12 +361,19 @@ class AngularMode:
 
 
 class TestFunction:
-    """Finite angular-mode sum f(r, phi, y) = sum g_k(r, y) e^(i k phi)."""
+    """Finite angular-mode sum f(r, phi, y) = sum g_k(r, y) e^(i k phi).
+
+    At least one mode is required; f = 0 is a mode whose profile has
+    amplitude 0 (ProductProfile(..., amplitude=0.0)), with a support like
+    any other.
+    """
 
     __test__ = False  # calculus-of-variations naming; not a pytest class
 
     def __init__(self, modes):
         modes = tuple(modes)
+        if not modes:
+            raise DomainError("a test function needs at least one angular mode")
         tags = [m.mode for m in modes]
         if len(set(tags)) != len(tags):
             raise DomainError("angular modes must be distinct")
@@ -374,11 +385,11 @@ class TestFunction:
 
     @property
     def k(self) -> int:
-        return self.modes[0].profile.k if self.modes else 0
+        return self.modes[0].profile.k
 
     @property
     def max_abs_mode(self) -> int:
-        return max((abs(m.mode) for m in self.modes), default=0)
+        return max(abs(m.mode) for m in self.modes)
 
     @property
     def is_radial(self) -> bool:
@@ -386,8 +397,6 @@ class TestFunction:
 
     def support(self):
         """Hull of the mode supports: (r_lo, r_hi, y_box, r_breaks)."""
-        if not self.modes:
-            return 1.0, 2.0, (), ()
         r_lo = min(m.profile.r_lo for m in self.modes)
         r_hi = max(m.profile.r_hi for m in self.modes)
         k = self.k
@@ -420,10 +429,6 @@ class TestFunction:
             terms.append((m.mode, parts_of[id(m.profile)]))
 
         def at(phi):
-            if not terms:
-                shape = np.broadcast(np.asarray(r), np.asarray(phi)).shape
-                return (np.zeros(shape, complex), np.zeros(shape, complex),
-                        np.zeros(shape, complex), np.zeros(shape + (self.k,), complex))
             out = None
             for mode, parts in terms:
                 g, gr, gy = parts()
@@ -459,9 +464,6 @@ class TestFunction:
         """Numerically checked realness on a deterministic sample grid."""
         if self._real is not None:
             return self._real
-        if not self.modes:
-            self._real = True
-            return True
         r_lo, r_hi, box, _ = self.support()
         rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), samples))
         phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
@@ -511,12 +513,6 @@ def evaluate(f: TestFunction, p) -> complex:
         if not (lo <= y[j] <= hi):
             return 0.0 + 0.0j
     return complex(np.asarray(f.value_polar(np.asarray(r), phi, y[None, :])).item())
-
-
-def angular_average(f: TestFunction) -> TestFunction:
-    """The zeroth Fourier mode of f, exactly (no quadrature)."""
-    zero = [m for m in f.modes if m.mode == 0]
-    return TestFunction(zero)
 
 
 # ---------------------------------------------------------------------------

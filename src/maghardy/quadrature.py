@@ -272,8 +272,10 @@ def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
     A grid of at most BLOCK_NODES nodes is one block: density runs on it as
     it is and its own at is returned.  A larger grid runs
     density(r[a:b, None], Y[None, :, :]) once per block of consecutive
-    radial rows, each of at most BLOCK_NODES nodes (one row if a row is
-    larger).  The returned at(phi), for a column phi of n_c angular nodes,
+    radial rows: as few blocks as hold at most BLOCK_NODES nodes each (one
+    row if a row is larger), their sizes differing by at most one row, so
+    a k = 0 grid has no block of one node (for BLOCK_NODES >= 3).  The
+    returned at(phi), for a column phi of n_c angular nodes,
     writes every integrand that the blocks yield into that integrand's full
     (n_c, n_r, n_y_flat) array, of the dtype the first block yields, and
     returns those arrays in order.  They are allocated on the first call and
@@ -284,8 +286,10 @@ def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
     rows = max(1, BLOCK_NODES // n_flat)
     if rows >= n_r:
         return density(r[:, None], Y[None, :, :])
-    blocks = [(slice(a, a + rows), density(r[a:a + rows, None], Y[None, :, :]))
-              for a in range(0, n_r, rows)]
+    n_blocks = -(-n_r // rows)
+    edges = [-(-i * n_r // n_blocks) for i in range(n_blocks + 1)]  # ceil(i n_r / n_blocks)
+    blocks = [(slice(a, b), density(r[a:b, None], Y[None, :, :]))
+              for a, b in zip(edges, edges[1:])]
     full = []
 
     def at(phi):

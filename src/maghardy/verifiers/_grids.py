@@ -8,6 +8,10 @@ spec.oracle is set:
   * radial-x path (any m): functions radial in x reduce to an (r, y) tensor
     integral times the closed-form sphere area; no angular nodes are spent.
 
+integrate(density, f, spec, m) holds the one rule for a check that admits
+both: the polar path on m = 2, the radial-x path otherwise.  Checks stated
+for x-radial functions only call rx_integral directly, on m = 2 too.
+
 Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
 (1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block)
@@ -98,6 +102,13 @@ def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
     at = row_blocks(density, r, Y)
     return [sphere_area(m) * float(np.real(total))
             for total in reduce_slices(at, base, (0.0,))]
+
+
+def integrate(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
+    """The integrals of density on the polar path (m = 2) or the radial-x path."""
+    if m == 2:
+        return polar_integral(density, f, spec)
+    return rx_integral(density, f, spec, m)
 
 
 def s_of(y: np.ndarray) -> np.ndarray:

@@ -46,6 +46,7 @@ from ..reports import IdentityReport, InequalityReport
 from ._grids import (
     abs2,
     grad_y_sq,
+    integrate,
     polar_integral,
     rx_integral,
     s_of,
@@ -74,7 +75,7 @@ def _geom_params(geom: GrushinGeometry, exps: WeightExponents) -> dict:
 
 
 def _require_shape(geom: GrushinGeometry, f: TestFunction) -> None:
-    if f.modes and f.k != geom.k:
+    if f.k != geom.k:
         raise DomainError(f"function has k={f.k} but geometry has k={geom.k}")
     if geom.m != 2 and not f.is_radial:
         raise AdmissibilityError("angular modes need m = 2; this geometry has "
@@ -119,14 +120,6 @@ def _components_sq(components) -> np.ndarray:
     return out
 
 
-def _integrate(geom: GrushinGeometry, f: TestFunction, spec: QuadratureSpec,
-               density) -> list:
-    """The integrals of density on the polar path (m = 2) or the x-radial path."""
-    if geom.m == 2:
-        return polar_integral(density, f, spec)
-    return rx_integral(density, f, spec, geom.m)
-
-
 # ---------------------------------------------------------------------------
 # Radial Hardy and its integration-by-parts identity
 # ---------------------------------------------------------------------------
@@ -141,9 +134,6 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
 
     C = (0.5 * s_hom) ** 2
     params = {**_geom_params(geom, exps), "sharp_constant": C}
-    if not f.modes:
-        return InequalityReport("radial_hardy", 0.0, {"main": 0.0}, C,
-                                params, _resolution(spec))
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -176,9 +166,6 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     _require_shape(geom, f)
 
     params = {**_geom_params(geom, exps), "alpha": float(alpha)}
-    if not f.modes:
-        return IdentityReport("grushin_ibp", 0.0, 0.0, params, _resolution(spec))
-
     g = geom.gamma
     a = float(alpha)
 
@@ -222,9 +209,6 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     C = (0.5 * s_hom) ** 2 + beta * beta
     params = {**_geom_params(geom, exps), "beta": beta}
     res = _resolution(spec)
-    if not f.modes:
-        params.update(gradient_part=0.0, potential_part=0.0, split_rel_err=0.0)
-        return InequalityReport("magnetic_grushin", 0.0, {"main": 0.0}, C, params, res)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -239,7 +223,7 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    lhs, grad_part, hardy_int = _integrate(geom, f, spec, density)
+    lhs, grad_part, hardy_int = integrate(density, f, spec, geom.m)
     pot_part = beta * beta * hardy_int
     split = abs(lhs - (grad_part + pot_part)) / max(abs(lhs), 1e-300)
     params.update(gradient_part=grad_part, potential_part=pot_part,
@@ -280,9 +264,6 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
     params = {**_geom_params(geom, exps), "beta": beta,
               "admissibility": admissibility}
     res = _resolution(spec)
-    if not f.modes:
-        return InequalityReport("ab_hardy", 0.0, {"main": 0.0, "mode_defect": 0.0},
-                                C, params, res)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -315,8 +296,6 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     if geom.m != 2:
         raise DomainError("mode decomposition needs m = 2")
     _require_shape(geom, f)
-    if not f.modes:
-        return {"angular": 0.0, "defect": 0.0}
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -367,10 +346,6 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     params = {**_geom_params(geom, exps), "beta": beta, "variant": variant,
               "sqrt_constant": math.sqrt(C)}
     res = _resolution(spec)
-    if not f.modes:
-        return InequalityReport(theorem_id, 0.0, {"main": 0.0}, math.sqrt(C),
-                                params, res)
-
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
 
     def density(r, y):
@@ -391,7 +366,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         return at
 
-    grad_sq, norm_sq, cross = _integrate(geom, f, spec, density)
+    grad_sq, norm_sq, cross = integrate(density, f, spec, geom.m)
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
     rhs = math.sqrt(C) * cross
     return InequalityReport(theorem_id, lhs, {"main": rhs}, math.sqrt(C),
@@ -399,13 +374,13 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
 
 # ---------------------------------------------------------------------------
-# Constant-field case (m = k = n), separable potentials
+# Constant-field case (m = k = n), linear potentials
 # ---------------------------------------------------------------------------
 
 def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
                           pots: ConstantFieldPotentials, f: TestFunction,
                           spec: QuadratureSpec) -> InequalityReport:
-    """Hardy bound for the separable-potential magnetic gradient on m = k = n.
+    """Hardy bound for the constant-field magnetic gradient on m = k = n.
 
     The main constant is applied as printed (linear); the squared reading is
     evaluated alongside and reported in params as main_squared/margin_squared.
@@ -422,42 +397,28 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
         raise AdmissibilityError("stated here for x-radial functions")
     _require_shape(geom, f)
     _require_real(f, "the constant-field bound")
-    if n >= 2 and getattr(pots, "slope", None) is None:
-        raise DomainError("n >= 2 needs the linear separable potentials "
-                          "(x-angular quadrature is out of scope)")
 
     C_lin = 0.5 * s_hom
     params = {**_geom_params(geom, exps), "n": n,
               "constant_printed": C_lin, "constant_squared": C_lin**2}
     res = _resolution(spec)
-    if not f.modes:
-        params.update(main_squared=0.0, margin_squared=0.0, split_rel_err=0.0)
-        return InequalityReport("constant_field", 0.0,
-                                {"main": 0.0, "field_potential": 0.0},
-                                C_lin, params, res)
-
-    g = geom.gamma
+    g, slope = geom.gamma, pots.slope
 
     def density(r, y):
         on = f.on_grid(r, y)
         B, Bw, _ = _weights(geom, exps, r, y)
-        # sum_j psi2_j(x_j)^2 reduced over the x-sphere, and sum_j psi1_j(y_j)^2
-        if n == 1:
-            vx_sq = 0.5 * (np.asarray(pots.psi2[0](r)) ** 2
-                           + np.asarray(pots.psi2[0](-r)) ** 2)
-        else:
-            vx_sq = (pots.slope * r) ** 2
+        # sum_j (slope x_j)^2 = (slope r)^2 on the x-sphere, and sum_j (slope y_j)^2
+        vx_sq = (slope * r) ** 2
         vy_sq = np.zeros(y.shape[:-1])
         for j in range(n):
-            vy_sq = vy_sq + np.asarray(pots.psi1[j](y[..., j])) ** 2
+            vy_sq = vy_sq + (slope * y[..., j]) ** 2
 
         def at(phi):
             parts = on(phi)
             val, fr, _, fy = parts
             f_sq = abs2(val)
-            # x-sphere reduction of |(i d_x + psi1) f|^2 + |(i r^g d_y + psi2) f|^2:
-            # the cross terms vanish for real f, and sum_j psi2_j(x_j)^2 is
-            # replaced by its x-sphere mean vx_sq
+            # x-sphere reduction of |(i d_x + slope y) f|^2 + |(i r^g d_y + slope x) f|^2:
+            # the cross terms vanish for real f
             xblock = abs2(1j * fr) + vy_sq * f_sq
             yblock = r ** (2.0 * g) * grad_y_sq(1j * fy) + vx_sq * f_sq
             yield B * (xblock + yblock)

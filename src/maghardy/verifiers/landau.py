@@ -21,11 +21,7 @@ from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
-from ._grids import (
-    abs2,
-    polar_integral,
-    rx_integral,
-)
+from ._grids import abs2, integrate, polar_integral
 from .grushin import _require_real, _resolution
 
 __all__ = [
@@ -36,7 +32,7 @@ __all__ = [
 
 
 def _require_plane(f: TestFunction) -> None:
-    if f.modes and f.k != 0:
+    if f.k != 0:
         raise DomainError("plane functions carry no y-block (k = 0)")
 
 
@@ -44,7 +40,7 @@ def _require_in_ball(f: TestFunction, radius: float | None) -> None:
     """Refuse a support reaching beyond the ball |z| <= radius, if one is given."""
     if radius is not None and not 0.0 < radius < math.inf:
         raise DomainError(f"the ball needs a finite positive radius, got {radius}")
-    if radius is not None and f.modes and f.support()[1] > radius * (1.0 + 1e-12):
+    if radius is not None and f.support()[1] > radius * (1.0 + 1e-12):
         raise AdmissibilityError("function must be supported inside the ball")
 
 
@@ -64,8 +60,6 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
     _require_plane(f)
     params = {"psi_kind": getattr(psi, "kind", "user"),
               "psi_params": list(getattr(psi, "params", ()))}
-    if not f.modes:
-        return IdentityReport("twisted_polar", 0.0, 0.0, params, _resolution(spec))
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -88,16 +82,17 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
 # ---------------------------------------------------------------------------
 
 def verify_landau(variant: str, psi: RadialPotential,
-                  params: SuperweightParams | None, f: TestFunction,
+                  params: float | SuperweightParams | None, f: TestFunction,
                   spec: QuadratureSpec,
                   radius: float | None = None) -> InequalityReport:
     """Weighted Hardy/Poincare bounds for the twisted gradient on the plane.
 
-    variant selects the weight family:
-      hardy_sobolev  power weights 1/|z|^(2 theta1), theta1 != 0
+    variant selects the weight family, and params its numbers:
+      hardy_sobolev  power weights 1/|z|^(2 theta1), theta1 != 0 (params)
       log            log^2|z| against the constant 1/4
       poincare       the ball |z| <= radius, constant 1/radius^2
       superweight    (a + b|z|^theta2)^theta3 / |z|^(2 theta4) weights
+                     (params a SuperweightParams)
     Every right-hand term of the corresponding display is evaluated,
     including the psi^2 term and the angular-defect remainder.  A radius
     (poincare needs one) confines f to the ball |z| <= radius, recorded as R.
@@ -119,7 +114,7 @@ def verify_landau(variant: str, psi: RadialPotential,
     if variant == "hardy_sobolev":
         if params is None:
             raise AdmissibilityError("power-weight variant needs theta1")
-        t1 = params.theta1 if isinstance(params, SuperweightParams) else float(params)
+        t1 = float(params)
         if t1 == 0.0:
             raise AdmissibilityError("power-weight variant needs theta1 != 0")
         sharp = t1 * t1
@@ -128,7 +123,7 @@ def verify_landau(variant: str, psi: RadialPotential,
         main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)
         psi_weight = lambda r: psi_sq(r) * r ** (-2.0 * t1 + 2.0)
     elif variant == "log":
-        if f.modes and f.support()[1] > 1.0 + 1e-12:
+        if f.support()[1] > 1.0 + 1e-12:
             raise AdmissibilityError(
                 "log-weighted bound needs support inside the closed unit disc")
         sharp = 0.25
@@ -161,9 +156,6 @@ def verify_landau(variant: str, psi: RadialPotential,
     if radius is not None:
         run_params["R"] = float(radius)
     res = _resolution(spec)
-    if not f.modes:
-        terms = {"main": 0.0, "psi_potential": 0.0, "mode_defect": 0.0}
-        return InequalityReport(theorem_id, 0.0, terms, sharp, run_params, res)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -206,15 +198,14 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         raise DomainError("need n >= 1")
     _require_plane(f)
     _require_real(f, "the classical-field statement")
-    if n >= 2 and f.modes and not f.is_radial:
+    if n >= 2 and not f.is_radial:
         raise AdmissibilityError("n >= 2 runs through the radial reduction")
     theorem_id = f"real_landau_{variant}"
     half = RadialPotential.constant(0.5)
     res = _resolution(spec)
-    dim = 2 * n
 
     _require_in_ball(f, radius)
-    if f.modes and (variant == "critical" or (variant == "uncertainty" and n == 1)):
+    if variant == "critical" or (variant == "uncertainty" and n == 1):
         sup_z = f.support()[1] if radius is None else float(radius)
         R = math.e * sup_z if R is None else float(R)
         if R < math.e * sup_z * (1.0 - 1e-12):
@@ -231,8 +222,6 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     if variant == "identity":
         if n != 1:
             raise DomainError("the split identity check runs on the plane (n=1)")
-        if not f.modes:
-            return IdentityReport(theorem_id, 0.0, 0.0, params, res)
 
         def plain(r, parts):
             _, fr, fphi, _ = parts
@@ -262,11 +251,6 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     else:
         raise DomainError(f"unknown variant {variant!r}")
 
-    if variant != "identity" and not f.modes:
-        names = ("main",) if variant == "uncertainty" else ("main", "psi_potential")
-        return InequalityReport(theorem_id, 0.0, dict.fromkeys(names, 0.0),
-                                sharp, params, res)
-
     def density(r, y):
         on = f.on_grid(r, y)
         # n = 1 runs on the plane; n >= 2 through the radial reduction
@@ -283,10 +267,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
         return at
 
-    if n == 1:
-        lhs, first, second = polar_integral(density, f, spec)
-    else:
-        lhs, first, second = rx_integral(density, f, spec, dim)
+    lhs, first, second = integrate(density, f, spec, 2 * n)
 
     if variant == "identity":
         return IdentityReport(theorem_id, lhs, first + second, params, res)

@@ -41,7 +41,7 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         raise AdmissibilityError("need p > 1")
     if not (Q > 0.0):
         raise AdmissibilityError("need Q > 0")
-    if f.modes and not (f.is_radial and f.k == 0):
+    if not (f.is_radial and f.k == 0):
         raise DomainError("the one-dimensional checks take radial profiles")
 
     run_params: dict = {"variant": variant, "Q": Q, "p": p}
@@ -69,10 +69,8 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         grad_dens = lambda r: np.abs(np.log(r) * r * fder(r)) ** p
     elif variant == "poincare":
         R = None if params is None else params.get("R")
-        if R is None:
-            R = f.support()[1] if f.modes else 1.0
-        R = float(R)
-        if f.modes and f.support()[1] > R * (1.0 + 1e-12):
+        R = f.support()[1] if R is None else float(R)
+        if f.support()[1] > R * (1.0 + 1e-12):
             raise AdmissibilityError("support must sit inside [0, R]")
         C = R * p / Q
         w_grad = w_func = 0.0
@@ -95,13 +93,6 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         raise DomainError(f"unknown variant {variant!r}")
 
     res = _resolution(spec)
-    if not f.modes:
-        if variant == "superweight":
-            return InequalityReport(theorem_id, 0.0, {"main": 0.0}, C,
-                                    run_params, res)
-        return InequalityReport(theorem_id, 0.0, {"main": 0.0}, C,
-                                run_params, res, ratio_override=float("nan"))
-
     r_lo, r_hi, _, breaks = f.support()
     grad_int = _rint(grad_dens, Q, w_grad, spec, r_lo, r_hi, breaks)
     func_int = _rint(func_dens, Q, w_func, spec, r_lo, r_hi, breaks)

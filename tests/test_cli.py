@@ -227,6 +227,18 @@ _MALFORMED_RUNS = {
         "function": {"kind": "random", "k": 0, "modes": [0, 1]},
         "quadrature": {"n_r": 64, "n_phi": 12}},
     "flux on radial_hardy": {**_GOOD_RUN, "flux": {"beta": 5}},
+    "superweight record on landau_hardy_sobolev": {
+        "theorem_id": "landau_hardy_sobolev",
+        "superweight": {"a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0,
+                        "theta4": -2.0, "theta1": 0.8},
+        "function": {"kind": "random", "k": 0, "modes": [0, 1]},
+        "quadrature": {"n_r": 64, "n_phi": 12}},
+    "theta1 in a superweight record": {
+        "theorem_id": "landau_superweight",
+        "superweight": {"a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0,
+                        "theta4": -2.0, "theta1": 0.8},
+        "function": {"kind": "random", "k": 0, "modes": [0, 1]},
+        "quadrature": {"n_r": 64, "n_phi": 12}},
     "geometry, weights and admissibility on landau_log": {
         "theorem_id": "landau_log", "geometry": GEOM,
         "weights": {"alpha1": 0.0, "alpha2": 0.0}, "admissibility": "corollary",
@@ -261,6 +273,21 @@ def test_malformed_run_is_recorded_and_the_suite_goes_on(tmp_path, bad):
     assert first["error"]["type"] == "ConfigError"
     assert first["error"]["message"].startswith("runs[0]")
     assert second["status"] == "ok" and second["passed"]
+
+
+def test_empty_mode_list_and_a_ball_inside_the_zero_function_are_run_errors(tmp_path):
+    # f = 0 is a zero-amplitude bump on 0.25 <= r <= 0.5, never an empty mode list
+    cfg = _write(tmp_path / "suite.json", {"suite": "empty", "seed": 0, "runs": [
+        {**_GOOD_RUN, "function": {"kind": "random", "k": 1, "modes": []}},
+        {"theorem_id": "landau_poincare", "domain": {"R": 0.4},
+         "function": {"kind": "zero"}, "quadrature": {"n_r": 64, "n_phi": 12}},
+        _GOOD_RUN]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    empty, small_ball, good = json.loads(out.read_text())["runs"]
+    assert empty["status"] == "error" and empty["error"]["type"] == "DomainError"
+    assert small_ball["error"]["type"] == "AdmissibilityError"
+    assert good["status"] == "ok" and good["passed"]
 
 
 # Grids past quadrature.MAX_SLICE_NODES, refused where the grid is built.

@@ -21,7 +21,7 @@ from maghardy.fields import (
 from maghardy.functions import evaluate, random_test_function
 from maghardy.geometry import grad_rho, rho, weight_B
 from maghardy.quadrature import QuadratureSpec
-from maghardy.verifiers import grushin, landau, verify_ab_hardy, verify_landau
+from maghardy.verifiers import _grids, grushin, landau, verify_ab_hardy, verify_landau
 from maghardy.verifiers import verify_magnetic_grushin
 
 
@@ -112,10 +112,10 @@ def test_radial_potential_constructors():
 
 def test_constant_field_potentials_validation():
     with pytest.raises(DomainError):
-        ConstantFieldPotentials((), ())
-    pots = ConstantFieldPotentials.linear(2, 0.7)
+        ConstantFieldPotentials(0)
+    pots = ConstantFieldPotentials(2, 0.7)
     assert pots.n == 2 and pots.slope == 0.7
-    assert pots.psi1[0](2.0) == pytest.approx(1.4)
+    assert ConstantFieldPotentials(1).slope == 0.5
 
 
 # --- gradient assemblies vs finite differences ------------------------------
@@ -199,13 +199,13 @@ def test_constant_field_gradient_matches_fd():
     worst = 0.0
     for _ in range(15):
         geom = GrushinGeometry(1, 1, float(rng.uniform(0.0, 2.0)))
-        pots = ConstantFieldPotentials.linear(1, float(rng.uniform(0.1, 1.0)))
+        pots = ConstantFieldPotentials(1, float(rng.uniform(0.1, 1.0)))
         f = random_test_function(rng, k=1, modes=(0,), real=True)
         p = draw_point(rng, f, m=1)
         gx, gy = fd_plain_gradient(f, p, 1e-5 * p.r, 1e-5)
         val = evaluate(f, p)
-        expected = np.array([1j * gx[0] + pots.psi1[0](p.y[0]) * val,
-                             1j * p.r ** geom.gamma * gy[0] + pots.psi2[0](p.x[0]) * val])
+        expected = np.array([1j * gx[0] + pots.slope * p.y[0] * val,
+                             1j * p.r ** geom.gamma * gy[0] + pots.slope * p.x[0] * val])
         worst = max(worst, rel_vec_err(constant_field_grad(pots, geom, f, p), expected))
     assert worst <= 1e-6
 
@@ -273,16 +273,17 @@ def test_magnetic_integrand_is_weighted_pointwise_gradient(monkeypatch, kind, m)
         modes = (-1, 0, 2) if m == 2 else (0,)
         if kind == "grushin":
             # the gradient-field bound is stated for real functions
+            # through _grids.integrate, which picks the path by m
             f = random_test_function(rng, k=geom.k, modes=modes, real=True)
-            integral = "polar_integral" if m == 2 else "rx_integral"
+            module, integral = _grids, "polar_integral" if m == 2 else "rx_integral"
             run = lambda: verify_magnetic_grushin(geom, exps, flux, f, _TINY)
         else:
             f = random_test_function(rng, k=geom.k, modes=modes)
-            integral = "polar_integral"
+            module, integral = grushin, "polar_integral"
             run = lambda: verify_ab_hardy(geom, exps, flux, f, _TINY,
                                           admissibility="corollary")
         p = draw_point(rng, f, m=m)
-        got = _first_integrand(monkeypatch, grushin, integral, run, p)
+        got = _first_integrand(monkeypatch, module, integral, run, p)
         grad = magnetic_grad(kind, flux, geom, f, p)
         want = weight_B(geom, exps, p) * float(np.sum(np.abs(grad) ** 2))
         assert abs(got - want) <= 1e-12 * want
@@ -316,4 +317,4 @@ def test_gradient_error_paths():
     with pytest.raises(DomainError):
         twisted_grad_psi(RadialPotential.constant(1.0), fp, p)  # k must be 0
     with pytest.raises(DomainError):
-        constant_field_grad(ConstantFieldPotentials.linear(2, 0.5), geom, f, p)
+        constant_field_grad(ConstantFieldPotentials(2, 0.5), geom, f, p)

@@ -20,7 +20,6 @@ from maghardy.functions import (
     ProductProfile,
     RhoShellProfile,
     TestFunction,
-    angular_average,
     evaluate,
     make_bump,
     make_trial,
@@ -208,23 +207,24 @@ def test_partials_polar_match_fd_in_r_and_phi():
 
 
 def test_angular_average_is_mode_zero():
+    # the zeroth angular mode that ab_hardy and the Landau checks subtract
     rng = np.random.default_rng(21)
     f = random_test_function(rng, k=0, modes=(-1, 0, 1))
-    f0 = angular_average(f)
-    assert f0.is_radial
     r = np.array([1.0])
     y = np.zeros((1, 0))
     phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     mean = np.mean([f.value_polar(r, p, y)[0] for p in phis])
-    got = f0.value_polar(r, 0.0, y)[0]
+    got = f.on_grid(r, y).mode_zero()[0]
     assert abs(got - mean) <= 1e-12 * max(1.0, abs(mean))
+    # no mode 0: the zeroth mode is zero
+    f1 = TestFunction([AngularMode(1, ProductProfile(PlateauLogBump(0.5, 2.0)))])
+    assert f1.on_grid(r, y).mode_zero()[0] == 0.0
 
 
-def test_angular_average_of_no_zero_mode_is_empty():
-    prof = ProductProfile(PlateauLogBump(0.5, 2.0))
-    f = TestFunction([AngularMode(1, prof)])
-    f0 = angular_average(f)
-    assert f0.value_polar(np.array([1.0]), 0.3, np.zeros((1, 0)))[0] == 0.0
+def test_function_needs_a_mode():
+    # f = 0 is a mode of zero amplitude, never an empty mode list
+    with pytest.raises(DomainError):
+        TestFunction([])
 
 
 # --- evaluation on a grid equals a fresh function's ---------------------------

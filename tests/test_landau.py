@@ -1,5 +1,6 @@
 """Twisted-gradient identities and weighted bounds on the plane."""
 
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from maghardy.functions import (
     make_bump,
     random_test_function,
 )
-from maghardy.reports import SuperweightParams
+from maghardy.reports import SuperweightParams, jsonable
 from maghardy.verifiers import check_twisted_polar_identity, verify_landau, verify_real_landau
 
 SPEC = QuadratureSpec(n_r=128, n_phi=16)
@@ -108,14 +109,11 @@ def test_hardy_sobolev_margin_and_terms():
     assert rep.rhs_terms["psi_potential"] >= -rep.tolerance()
 
 
-def test_hardy_sobolev_accepts_weight_record_for_theta1():
+def test_hardy_sobolev_refuses_zero_or_missing_theta1():
+    # theta1 is a number; a zero or missing one is refused
     rng = np.random.default_rng(2005)
     psi = RadialPotential.constant(0.3)
     f = plane_function(rng, modes=(0,), real=True)
-    w = SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0, theta1=0.8)
-    rep = verify_landau("hardy_sobolev", psi, w, f, SPEC)
-    assert rep.sharp_constant == pytest.approx(0.64)
-    assert rep.margin >= -rep.tolerance()
     with pytest.raises(AdmissibilityError):
         verify_landau("hardy_sobolev", psi, 0.0, f, SPEC)
     with pytest.raises(AdmissibilityError):
@@ -301,3 +299,49 @@ def test_a_radius_past_the_support_changes_no_integral(tid):
     assert inside.lhs == free.lhs
     assert inside.rhs_terms == free.rhs_terms
     assert inside.params.get("R") == (2.0 if tid.startswith("landau") else None)
+
+
+# --- row blocks of a k = 0 grid: no block of one node ------------------------
+
+def _outer_heavy(rng, r_lo_range):
+    """Three complex modes of r^sigma in a log window, sigma in [80, 160].
+
+    The mass sits at the outer edge, on the last radial node, so a rounding
+    change in that node's products shows in the integrals.
+    """
+    r_lo = float(rng.uniform(*r_lo_range))
+    r_hi = r_lo * float(rng.uniform(1.8, 3.5))
+    sigma = float(rng.uniform(80.0, 160.0))
+    return TestFunction([
+        AngularMode(int(m), ProductProfile(
+            PowerLogWindow(sigma, r_lo, r_hi),
+            amplitude=r_hi ** -sigma * np.exp(2j * math.pi * rng.random())))
+        for m in rng.choice(range(-2, 3), size=3, replace=False)])
+
+
+def test_k0_row_blocks_give_the_bits_of_one_block(monkeypatch):
+    import maghardy.quadrature as quadrature
+
+    # 3 panels x 3 = 9 radial nodes of one y node each; BLOCK_NODES = 4 cuts
+    # them into blocks of 3 + 3 + 3 rows.  Blocks of 4 + 4 + 1 would leave a
+    # one-node block, whose complex products round unlike a larger block's.
+    spec = QuadratureSpec(n_r=3, n_phi=12)
+    rng = np.random.default_rng(2031)
+    runs = []
+    for i in range(20):
+        variant = ("hardy_sobolev", "log", "poincare", "superweight")[i % 4]
+        f = _outer_heavy(rng, (0.05, 0.2) if variant == "log" else (0.3, 1.0))
+        psi = RadialPotential.power(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.5, 1.5)))
+        params = {"hardy_sobolev": float(rng.uniform(0.3, 1.8)),
+                  "superweight": SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0)}.get(variant)
+        radius = 2.0 * f.support()[1] if variant == "poincare" else None
+        runs.append((variant, psi, params, f, radius))
+
+    def reports():
+        return [json.dumps(verify_landau(v, psi, params, f, spec, radius=radius),
+                           default=jsonable, sort_keys=True)
+                for v, psi, params, f, radius in runs]
+
+    one_block = reports()
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 4)
+    assert reports() == one_block

@@ -279,7 +279,7 @@ def test_constant_field_margins_both_readings():
     rng = np.random.default_rng(1009)
     for n, gamma in ((1, 1.0), (2, 0.8)):
         geom = GrushinGeometry(n, n, gamma)
-        pots = ConstantFieldPotentials.linear(n, 0.5)
+        pots = ConstantFieldPotentials(n, 0.5)
         exps = WeightExponents(0.3, 0.1)
         f = random_test_function(rng, k=n, modes=(0,), real=True)
         rep = verify_constant_field(geom, exps, pots, f, SPEC)
@@ -289,14 +289,14 @@ def test_constant_field_margins_both_readings():
 
 
 def test_constant_field_shape_guard():
-    pots = ConstantFieldPotentials.linear(1, 0.5)
+    pots = ConstantFieldPotentials(1, 0.5)
     f = random_test_function(np.random.default_rng(3), k=1, modes=(0,), real=True)
     with pytest.raises(DomainError):
         verify_constant_field(GrushinGeometry(2, 1, 1.0), WeightExponents(0, 0), pots, f, SPEC)
 
 
 def test_constant_field_rejects_complex():
-    pots = ConstantFieldPotentials.linear(1, 0.5)
+    pots = ConstantFieldPotentials(1, 0.5)
     f = random_test_function(np.random.default_rng(4), k=1, modes=(0,), real=False)
     # a lone mode-0 profile with complex amplitude is still complex-valued
     if f.is_real_valued():
@@ -364,6 +364,7 @@ def test_mode_zero_factor_runs_once_per_ab_hardy_check():
 
 @pytest.mark.parametrize("check", ["magnetic", "ab_hardy"])
 def test_weights_run_once_per_check(monkeypatch, check):
+    import maghardy.verifiers._grids as grids
     import maghardy.verifiers.grushin as grushin
 
     counts = {"rho": 0, "integrals": 0}
@@ -378,6 +379,8 @@ def test_weights_run_once_per_check(monkeypatch, check):
         return polar_integral(*args)
 
     monkeypatch.setattr(grushin, "rho_rs", counting_rho)
+    # magnetic_grushin reaches it through _grids.integrate, ab_hardy directly
+    monkeypatch.setattr(grids, "polar_integral", counting_integral)
     monkeypatch.setattr(grushin, "polar_integral", counting_integral)
     geom, exps, flux = GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2), FluxParam(0.5)
     f = _real_cos_pair(PlateauLogBump(0.5, 2.0))
