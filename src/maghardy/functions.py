@@ -148,6 +148,8 @@ class GaussTail:
     (~r_lo^2) sit far below 1e-6 relative accuracy.
     """
 
+    reaches_origin = True
+
     def __init__(self, a: float = 0.5, fall: float = 6.0, r_hi: float = 8.0,
                  r_lo: float = 1e-8):
         if not (0.0 < r_lo < fall < r_hi):
@@ -248,6 +250,7 @@ class ProductProfile:
         self.r_lo, self.r_hi = radial.r_lo, radial.r_hi
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
+        self.reaches_origin = getattr(radial, "reaches_origin", False)
 
     @property
     def k(self):
@@ -293,6 +296,8 @@ class RhoShellProfile:
     r_lo = 1e-8 * rho_lo is an integration cutoff far below any shell mass,
     not a support boundary.
     """
+
+    reaches_origin = True
 
     def __init__(self, geom: GrushinGeometry, sigma: float, rho_lo: float, rho_hi: float,
                  amplitude=1.0):
@@ -365,7 +370,9 @@ class TestFunction:
 
     At least one mode is required; f = 0 is a mode whose profile has
     amplitude 0 (ProductProfile(..., amplitude=0.0)), with a support like
-    any other.
+    any other.  A profile that does not vanish as r -> 0 (reaches_origin:
+    RhoShellProfile, a ProductProfile over GaussTail) carries mode 0 only,
+    since |df/dphi|^2 / r^2 of any other mode is not integrable there.
     """
 
     __test__ = False  # calculus-of-variations naming; not a pytest class
@@ -377,6 +384,10 @@ class TestFunction:
         tags = [m.mode for m in modes]
         if len(set(tags)) != len(tags):
             raise DomainError("angular modes must be distinct")
+        if any(m.mode != 0 and m.profile.reaches_origin for m in modes):
+            raise DomainError("a profile that does not vanish as r -> 0 carries "
+                              "mode 0 only: |df/dphi|^2 / r^2 of another mode "
+                              "is not integrable there")
         ks = {m.profile.k for m in modes}
         if len(ks) > 1:
             raise DomainError("all mode profiles must share the y dimension")

@@ -152,10 +152,15 @@ def gauss_legendre(a: float, b: float, n: int):
     return mid + half * t, half * w
 
 
-def gauss_panels(edges: Sequence[float], n: int):
-    """n-node Gauss-Legendre nodes/weights over panels [e0,e1], [e1,e2], ..."""
+def gauss_panels(edges: Sequence, n: int):
+    """n-node Gauss-Legendre nodes/weights over panels [e0,e1], [e1,e2], ...
+
+    Edges are floats, giving nodes and weights of shape (panels*n,), or
+    columns of shape (n_rows, 1), one panel set per row, giving shape
+    (n_rows, panels*n); each row is bitwise the rule of its own float edges.
+    """
     ts, ws = zip(*(gauss_legendre(a, b, n) for a, b in zip(edges[:-1], edges[1:])))
-    return np.concatenate(ts), np.concatenate(ws)
+    return np.concatenate(ts, axis=-1), np.concatenate(ws, axis=-1)
 
 
 def log_radial_rule(r_lo: float, r_hi: float, n_r: int, breaks: Sequence[float] = ()):

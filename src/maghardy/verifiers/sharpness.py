@@ -17,9 +17,17 @@ Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
 "plain" (e^(eps u) on the family's own cutoff window, matching make_trial
 exactly so full tensor quadrature can cross-check the reduction).  Each
-window is a closure both(u) -> (w, w') with its panel edges; a quotient calls
-it once on its nodes, so every schedule point evaluates the plateau's two
-smoothstep edges once, value and derivative together.
+window is a closure both(u) -> (w, w') with its panel edges.
+
+The schedule runs in chunks of _CHUNK points, the most whose
+(points, 3 * _PANEL_N) node arrays hold at most quadrature.BLOCK_NODES
+nodes, so memory stays bounded for a schedule of any length.  A chunk's
+epsilons go to its window as one column, so a quotient calls both once on
+the chunk's (points, nodes) array, evaluating the plateau's two smoothstep
+edges once per chunk, value and derivative together.  Every node sees the
+operations of a lone schedule point and each row is summed on its own, so a
+point's quotient does not depend on the chunk it runs in.  A non-finite
+epsilon is a DomainError and a non-finite quotient a NonFiniteError.
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError
+from ..errors import AdmissibilityError, DomainError, NonFiniteError
 from ..functions import TrialFamily, _plateau, plateau_breaks
-from ..quadrature import gauss_panels
+from ..quadrature import BLOCK_NODES, gauss_panels
 from ..reports import SharpnessResult, SuperweightParams
 from .grushin import _first_kind, _geom_params
 
@@ -48,10 +56,14 @@ _FAMILY_FOR = {
 }
 
 _PANEL_N = 240
+_CHUNK = max(1, BLOCK_NODES // (3 * _PANEL_N))
 
 
-def _gauss_window(eps: float, center: float):
-    """Gaussian of scale 1/eps under a plateau of half-width 6/eps."""
+def _gauss_window(eps, center):
+    """Gaussian of scale 1/eps under a plateau of half-width 6/eps.
+
+    eps and center are floats or columns of shape (n, 1), one window per row.
+    """
     U = 6.0 / eps
     lo, hi = center - U, center + U
     b1, b2 = plateau_breaks(lo, hi)
@@ -64,8 +76,11 @@ def _gauss_window(eps: float, center: float):
     return both, (lo, b1, b2, hi)
 
 
-def _plain_window(eps: float, u_lo: float, u_hi: float):
-    """e^(eps u) on the plateau window [u_lo, u_hi] — the make_trial shape."""
+def _plain_window(eps, u_lo: float, u_hi: float):
+    """e^(eps u) on the plateau window [u_lo, u_hi] — the make_trial shape.
+
+    eps is a float or a column of shape (n, 1), one window per row.
+    """
     b1, b2 = plateau_breaks(u_lo, u_hi)
 
     def both(u):
@@ -76,26 +91,34 @@ def _plain_window(eps: float, u_lo: float, u_hi: float):
     return both, (u_lo, b1, b2, u_hi)
 
 
-def _power_quotient(base: float, both, edges) -> float:
+def _row_sums(a) -> np.ndarray:
+    """Each row of a summed on its own, the 1-D sum of a lone point.
+
+    np.add.reduce is the reduction np.sum runs, without its wrapper.
+    """
+    return np.array([np.add.reduce(row) for row in a])
+
+
+def _power_quotient(base: float, both, edges) -> np.ndarray:
     u, w = gauss_panels(edges, _PANEL_N)
     v, d = both(u)
-    num = float(np.sum(w * d**2))
-    den = float(np.sum(w * v**2))
+    num = _row_sums(w * d**2)
+    den = _row_sums(w * v**2)
     return base + num / den
 
 
-def _log_quotient(both, edges) -> float:
+def _log_quotient(both, edges) -> np.ndarray:
     # w is log(-log r); the plane measure contributes exp(-2 e^w) on the
     # norm side, which is what confines the sharp regime to the unit disc.
     u, w = gauss_panels(edges, _PANEL_N)
     v, d = both(u)
-    num = float(np.sum(w * (d - 0.5 * v) ** 2))
-    den = float(np.sum(w * v * v * np.exp(-2.0 * np.exp(u))))
+    num = _row_sums(w * (d - 0.5 * v) ** 2)
+    den = _row_sums(w * v * v * np.exp(-2.0 * np.exp(u)))
     return num / den
 
 
 def _superweight_quotient(sw: SuperweightParams, c: float, both,
-                          edges) -> float:
+                          edges) -> np.ndarray:
     log_a, log_b = math.log(sw.a), math.log(sw.b)
     t2, t3 = sw.theta2, sw.theta3
 
@@ -106,8 +129,8 @@ def _superweight_quotient(sw: SuperweightParams, c: float, both,
     u, w = gauss_panels(edges, _PANEL_N)
     g = G(u)
     v, d = both(u)
-    num = float(np.sum(w * g * (d - c * v) ** 2))
-    den = float(np.sum(w * g * v**2))
+    num = _row_sums(w * g * (d - c * v) ** 2)
+    den = _row_sums(w * g * v**2)
     return num / den
 
 
@@ -133,8 +156,8 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     if schedule is None:
         schedule = DEFAULT_SCHEDULE
     schedule = tuple(float(e) for e in schedule)
-    if not schedule or any(e <= 0.0 for e in schedule):
-        raise DomainError("schedule must be positive epsilons")
+    if not schedule or not all(0.0 < e < math.inf for e in schedule):
+        raise DomainError("schedule must be finite positive epsilons")
 
     run_params: dict = {"window": window, "family": family.base}
     lo, hi = family.cutoff
@@ -186,9 +209,17 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         else:
             center = lambda eps: math.log(20.0) + 6.0 / eps   # push toward infinity
 
-    points = []
-    for eps in schedule:
-        win = (_gauss_window(eps, center(eps)) if window == "gauss"
-               else _plain_window(tilt * eps, *bounds))
-        points.append((eps, quotient(*win)))
-    return SharpnessResult(theorem_id, points, sharp, run_params)
+    eps = np.array(schedule)[:, None]
+    quotients = []
+    with np.errstate(all="ignore"):   # a window that overflows is checked below
+        for i in range(0, len(schedule), _CHUNK):
+            e = eps[i:i + _CHUNK]
+            win = (_gauss_window(e, center(e)) if window == "gauss"
+                   else _plain_window(tilt * e, *bounds))
+            quotients += quotient(*win).tolist()
+    for e, q in zip(schedule, quotients):
+        if not math.isfinite(q):
+            raise NonFiniteError(f"{theorem_id}: the {window} window at "
+                                 f"epsilon {e!r} gives the quotient {q!r}")
+    return SharpnessResult(theorem_id, list(zip(schedule, quotients)), sharp,
+                           run_params)

@@ -561,6 +561,43 @@ def test_sweep_records_engine_errors(tmp_path):
     assert combined["results"][0]["error"]["type"] == "AdmissibilityError"
 
 
+def _strict_json(text):
+    """text parsed as JSON that holds no NaN or infinity."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a report")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_non_finite_schedule_point_is_a_run_error(tmp_path):
+    # NaN and Infinity are refused with the config; 1e-320 is finite, but
+    # 6/eps overflows the gauss window, so its quotient is not finite
+    def run(schedule):
+        return {"theorem_id": "landau_hardy_sobolev", "theta1": 1.2,
+                "family": {"base": "inverse_power", "epsilon": 0.5,
+                           "cutoff": [0.5, 2.0]},
+                "schedule": schedule}
+
+    bad = [[0.5, float("nan")], [0.5, float("inf")], [0.5, 1e-320]]
+    cfg = _write(tmp_path / "bad.json", {
+        "suite": "s", "seed": 0, "runs": [run(s) for s in bad] + [run([0.5, 0.2])]})
+    errors = ["ConfigError", "ConfigError", "NonFiniteError"]
+
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    runs = _strict_json(out.read_text())["runs"]
+    assert [r["status"] for r in runs] == ["error"] * 3 + ["ok"]
+    assert [r["error"]["type"] for r in runs[:3]] == errors
+    assert "1e-320" in runs[2]["error"]["message"]
+
+    out_dir = tmp_path / "sweep"
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out_dir)]) == 1
+    results = _strict_json((out_dir / "sweep.json").read_text())["results"]
+    assert [r["status"] for r in results] == ["error"] * 3 + ["ok"]
+    assert [r["error"]["type"] for r in results[:3]] == errors
+    assert sorted(p.name for p in out_dir.iterdir()) == \
+        ["landau_hardy_sobolev_3.csv", "sweep.json"]
+
+
 _LIST_TEXT = """\
 margin checks:
   radial_hardy             constant: ((Q+a1-2)/2)^2

@@ -227,6 +227,24 @@ def test_function_needs_a_mode():
         TestFunction([])
 
 
+def test_a_profile_reaching_the_origin_carries_mode_zero_only():
+    # |df/dphi|^2 / r^2 of mode l != 0 is not integrable where g(0, y) != 0
+    geom = GrushinGeometry(2, 1, 1.0)
+    shell = RhoShellProfile(geom, 0.0, 0.5, 2.0)
+    tail = ProductProfile(GaussTail())
+    bump = ProductProfile(PlateauLogBump(0.5, 2.0))
+    for prof in (shell, tail):
+        assert prof.reaches_origin
+        TestFunction([AngularMode(0, prof)])
+        for mode in (1, -2):
+            with pytest.raises(DomainError, match="mode 0 only"):
+                TestFunction([AngularMode(mode, prof)])
+    assert not bump.reaches_origin
+    with pytest.raises(DomainError, match="mode 0 only"):
+        TestFunction([AngularMode(0, bump), AngularMode(1, tail)])
+    TestFunction([AngularMode(0, tail), AngularMode(1, bump)])
+
+
 # --- evaluation on a grid equals a fresh function's ---------------------------
 
 def _grid(f, n_r=7, n_y=5, shift=0.0):

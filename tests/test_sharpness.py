@@ -3,12 +3,14 @@ above, and the reduced 1-D engines agree with the full quadrature pipeline on
 matching plain-window trial functions."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from maghardy import functions
-from maghardy.errors import AdmissibilityError, DomainError
+from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError
 from maghardy.fields import FluxParam, RadialPotential
 from maghardy.functions import TrialFamily, make_trial
 from maghardy.geometry import GrushinGeometry, WeightExponents
@@ -20,7 +22,7 @@ from maghardy.verifiers import (
     verify_landau,
     verify_radial_hardy,
 )
-from maghardy.verifiers.sharpness import _PANEL_N, _gauss_window
+from maghardy.verifiers.sharpness import _CHUNK, _PANEL_N, _gauss_window
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
 FLAT = WeightExponents(alpha1=0.0, alpha2=0.0)
@@ -140,7 +142,8 @@ def test_schedule_builds_the_panel_rule_once(monkeypatch):
     assert calls == [_PANEL_N]
 
 
-# one (value, derivative) evaluation of each plateau edge per schedule point
+# one (value, derivative) evaluation of each plateau edge per chunk of the
+# schedule, which carries every point of the chunk
 _ENGINES = [
     ("radial_hardy", {"geom": GEOM, "exps": FLAT}, TrialFamily("rho_power", 0.02, (0.5, 2.0))),
     ("magnetic_grushin", {"geom": GEOM, "exps": FLAT, "flux": FluxParam(0.5)},
@@ -160,8 +163,69 @@ def test_each_schedule_point_steps_each_plateau_edge_once(monkeypatch, theorem_i
     step = functions._step
     monkeypatch.setattr(functions, "_step", lambda t: calls.append(1) or step(t))
     res = estimate_sharpness(theorem_id, params, family, window=window)
-    assert len(res.schedule) == len(DEFAULT_SCHEDULE)
-    assert len(calls) == 2 * len(DEFAULT_SCHEDULE)
+    assert len(res.schedule) == len(DEFAULT_SCHEDULE) <= _CHUNK
+    assert len(calls) == 2
+
+
+# 50 points run as chunks of 22, 22 and 6
+_LONG = tuple(float(e) for e in np.geomspace(0.5, 0.005, 50))
+
+
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_batched_schedule_equals_one_point_at_a_time_bitwise(monkeypatch, theorem_id,
+                                                            params, family, window):
+    calls = []
+    step = functions._step
+    monkeypatch.setattr(functions, "_step", lambda t: calls.append(1) or step(t))
+    res = estimate_sharpness(theorem_id, params, family, _LONG, window)
+    assert _CHUNK == 22 and len(calls) == 2 * 3
+    assert [e for e, _ in res.schedule] == list(_LONG)
+    for eps, q in res.schedule:
+        [(_, alone)] = estimate_sharpness(theorem_id, params, family, (eps,),
+                                          window).schedule
+        assert q.hex() == alone.hex()
+
+
+def test_column_edges_give_the_rows_of_scalar_edges_bitwise():
+    eps = np.array(_LONG)[:, None]
+    u, w = gauss_panels(_gauss_window(eps, -3.0 + eps)[1], _PANEL_N)
+    assert u.shape == w.shape == (len(_LONG), 3 * _PANEL_N)
+    for i, e in enumerate(_LONG):
+        ui, wi = gauss_panels(_gauss_window(e, -3.0 + e)[1], _PANEL_N)
+        assert np.array_equal(u[i], ui) and np.array_equal(w[i], wi)
+
+
+def test_a_long_schedule_peaks_like_one_chunk():
+    theorem_id, params, family = _ENGINES[-1]
+
+    def peak(n):
+        schedule = tuple(float(e) for e in np.geomspace(0.5, 0.005, n))
+        tracemalloc.start()
+        try:
+            estimate_sharpness(theorem_id, params, family, schedule)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)   # builds the panel rule, which the cache keeps
+    assert peak(1000) <= 2 * peak(22)
+
+
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+def test_non_finite_epsilons_are_refused(window):
+    theorem_id, params, family = _ENGINES[2]
+    for eps in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite positive"):
+            estimate_sharpness(theorem_id, params, family, (0.5, eps), window)
+
+
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_a_window_that_overflows_is_a_non_finite_error(theorem_id, params, family):
+    # 6/eps overflows the gauss plateau; e^(eps u) overflows the plain window
+    for eps, window in ((1e-320, "gauss"), (1e300, "plain")):
+        with pytest.raises(NonFiniteError, match=re.escape(f"epsilon {eps!r}")):
+            estimate_sharpness(theorem_id, params, family, (0.5, eps), window)
 
 
 # ---------------------------------------------------------------------------
