@@ -22,7 +22,7 @@ from maghardy.verifiers import (
     verify_landau,
     verify_radial_hardy,
 )
-from maghardy.verifiers.sharpness import _CHUNK, _PANEL_N, _gauss_window
+from maghardy.verifiers.sharpness import _CHUNK, _PANEL_N, _gauss_window, _plain_window
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
 FLAT = WeightExponents(alpha1=0.0, alpha2=0.0)
@@ -185,6 +185,21 @@ def test_batched_schedule_equals_one_point_at_a_time_bitwise(monkeypatch, theore
         [(_, alone)] = estimate_sharpness(theorem_id, params, family, (eps,),
                                           window).schedule
         assert q.hex() == alone.hex()
+
+
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+def test_batched_schedule_equals_a_loop_over_float_windows_bitwise(window):
+    # the per-epsilon loop: a float window, its 1-D rule and two 1-D sums
+    theorem_id, params, family = _ENGINES[0]
+    lo, hi = family.cutoff
+    res = estimate_sharpness(theorem_id, params, family, _LONG, window)
+    for eps, q in res.schedule:
+        both, edges = (_gauss_window(eps, 0.0) if window == "gauss"
+                       else _plain_window(eps, math.log(lo), math.log(hi)))
+        u, w = gauss_panels(edges, _PANEL_N)
+        v, d = both(u)
+        loop = res.sharp_constant + float(np.sum(w * d**2)) / float(np.sum(w * v**2))
+        assert q.hex() == loop.hex()
 
 
 def test_column_edges_give_the_rows_of_scalar_edges_bitwise():
