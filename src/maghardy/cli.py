@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -55,7 +56,7 @@ from .functions import (
 )
 from .geometry import GrushinGeometry, WeightExponents
 from .quadrature import QuadratureSpec
-from .reports import SuperweightParams, jsonable, relative_gap
+from .reports import ReportEncoder, SuperweightParams, jsonable, relative_gap
 from .verifiers import (
     check_grushin_ibp_identity,
     check_twisted_polar_identity,
@@ -507,9 +508,14 @@ def _load_config(path: str) -> dict:
 
 
 def _write_json(obj, path: str) -> None:
-    """obj as sorted, indented JSON plus a newline; jsonable converts the records."""
+    """obj as sorted, indented JSON plus a newline.
+
+    jsonable converts the records, and ReportEncoder writes the stdlib's
+    indent=2 text in one pass instead of its pure-Python chunk stream.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable)
+        json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable,
+                  cls=ReportEncoder)
         fh.write("\n")
 
 
@@ -600,7 +606,9 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
     return 0 if failures == 0 else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; main only parses with it."""
     parser = argparse.ArgumentParser(
         prog="maghardy",
         description="numerical checks for anisotropic magnetic Hardy-type "
@@ -623,8 +631,11 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--out-dir", required=True, help="output directory")
 
     sub.add_parser("list", help="list checkable statements")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
             return run_suite(args.config, args.out,

@@ -17,9 +17,10 @@ and falls back to 0 on the last quarter.  Edges use the standard smoothstep
 built from exp(-1/t), which is C-infinity with all derivatives vanishing at
 the junctions, keeping every profile in the compactly-supported smooth class
 required by the inequalities.  Every consumer wants an edge's value and its
-derivative at the same nodes, so _step gives both from one clip and one
-pair of exponentials, _plateau gives the bump and its derivative from its
-two edges, and each factor's both(t) returns (value, derivative) together.
+derivative at the same nodes, so _step gives both from one pair of
+exponentials, taken only on the nodes of its ramp, _plateau gives the bump
+and its derivative from its two edges, and each factor's both(t) returns
+(value, derivative) together.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
 profile computes its phi-independent factors once per grid (for a
@@ -72,18 +73,26 @@ def _step(t):
     """C-infinity step and its derivative, (s, ds/dt).
 
     s is 0 for t <= 0, 1 for t >= 1 and exp(-1/t)-smooth between; ds/dt is
-    zero outside (0, 1).  Both come from one clip (the ufuncs, not the
-    slower np.clip wrapper) and one pair of exponentials.
+    zero outside (0, 1).  Both come from one pair of exponentials, taken
+    only on the ramp _EDGE_EPS < t < 1 - _EDGE_EPS: s is 0.0 at or below it
+    and 1.0 at or above it, with ds/dt 0.0 on both sides.  A panel of the
+    plateau bump lies wholly on one side of each edge or on its ramp, so on
+    a grid split at the plateau breaks each edge's exponentials run on one
+    panel in three.  A NaN t is on neither side and gives NaN.
     """
     t = np.asarray(t, dtype=float)
-    tc = np.minimum(np.maximum(t, _EDGE_EPS), 1.0 - _EDGE_EPS)
+    low, high = t <= _EDGE_EPS, t >= 1.0 - _EDGE_EPS
+    s = np.array(high, dtype=float)
+    d = np.zeros(t.shape)
+    ramp = ~(low | high)
+    tc = t[ramp]
     tm = 1.0 - tc
     a = np.exp(-1.0 / tc)
     b = np.exp(-1.0 / tm)
     ab = a + b
-    d = a * b * (1.0 / tc**2 + 1.0 / tm**2) / ab**2
-    low, high = t <= _EDGE_EPS, t >= 1.0 - _EDGE_EPS
-    return np.where(low, 0.0, np.where(high, 1.0, a / ab)), np.where(low | high, 0.0, d)
+    s[ramp] = a / ab
+    d[ramp] = a * b * (1.0 / tc**2 + 1.0 / tm**2) / ab**2
+    return s, d
 
 
 def _plateau(u, lo, hi):

@@ -4,20 +4,26 @@ verdicts and their JSON form.
 Each record's `passed()` is its verdict and its `to_dict()` lists its fields
 as they are.  `jsonable` is the `default=` hook of `json.dump`: it converts
 only what json cannot encode itself, so a report becomes JSON once, as it is
-written.  Reports hold no environment-dependent content and are written with
-sorted keys, so two runs with the same configuration and seed produce
-byte-identical report files.
+written.  `ReportEncoder` is the `cls=` of that call: it writes the text of
+`json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable)` in one
+recursive pass, where the stdlib's indenting encoder is pure Python and
+yields one chunk per token.  Reports hold no environment-dependent content
+and are written with sorted keys, so two runs with the same configuration and
+seed produce byte-identical report files.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 __all__ = [
     "InequalityReport",
     "IdentityReport",
+    "ReportEncoder",
     "SharpnessResult",
     "SuperweightParams",
     "jsonable",
@@ -44,6 +50,95 @@ def jsonable(obj):
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+# json's text, with allow_nan, for the floats whose repr is no JSON number
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+class ReportEncoder(JSONEncoder):
+    """json.dump's cls= for reports: the whole text in one pass.
+
+    It writes exactly what the stdlib encoder writes for indent=2,
+    sort_keys=True, ensure_ascii and allow_nan (NaN and Infinity tokens
+    included), and refuses any other settings.  Values are tested in the
+    stdlib's order (str, None, bool, int, float, list or tuple, dict, then
+    the default= hook); keys must be str.  Reports are trees, so there is no
+    cycle check.
+    """
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        settings = (self.indent, self.sort_keys, self.ensure_ascii, self.allow_nan,
+                    self.skipkeys, self.item_separator, self.key_separator)
+        if settings != (2, True, True, True, False, ",", ": "):
+            raise ValueError("ReportEncoder writes indent=2, sort_keys=True, "
+                             "ASCII, NaN-allowing JSON only")
+
+    def iterencode(self, o, _one_shot=False):
+        out = []
+        put = out.append
+        default = self.default
+
+        # Exact floats and strs, most of a report's items, are written inside
+        # the container loops: a call per item would double the time.
+        def write(o, pad):
+            if isinstance(o, str):
+                put(encode_basestring_ascii(o))
+            elif o is None:
+                put("null")
+            elif o is True:
+                put("true")
+            elif o is False:
+                put("false")
+            elif isinstance(o, int):
+                put(int.__repr__(o))
+            elif isinstance(o, float):
+                text = float.__repr__(o)
+                put(_NON_FINITE.get(text, text))
+            elif isinstance(o, (list, tuple)):
+                if not o:
+                    put("[]")
+                    return
+                inner = pad + "  "
+                sep = "[\n" + inner
+                for v in o:
+                    put(sep)
+                    sep = ",\n" + inner
+                    if type(v) is float:
+                        text = float.__repr__(v)
+                        put(_NON_FINITE.get(text, text))
+                    elif type(v) is str:
+                        put(encode_basestring_ascii(v))
+                    else:
+                        write(v, inner)
+                put("\n" + pad + "]")
+            elif isinstance(o, dict):
+                if not o:
+                    put("{}")
+                    return
+                inner = pad + "  "
+                sep = "{\n" + inner
+                for k in sorted(o):
+                    if not isinstance(k, str):
+                        raise TypeError(f"report keys must be str, not "
+                                        f"{type(k).__name__}")
+                    put(sep + encode_basestring_ascii(k) + ": ")
+                    sep = ",\n" + inner
+                    v = o[k]
+                    if type(v) is float:
+                        text = float.__repr__(v)
+                        put(_NON_FINITE.get(text, text))
+                    elif type(v) is str:
+                        put(encode_basestring_ascii(v))
+                    else:
+                        write(v, inner)
+                put("\n" + pad + "}")
+            else:
+                write(default(o), pad)
+
+        write(o, "")
+        return ("".join(out),)
 
 
 @dataclass

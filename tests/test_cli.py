@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 
 from maghardy.cli import _CHECKS, _run_one, _write_json, main
 from maghardy.errors import AdmissibilityError
-from maghardy.reports import IdentityReport, InequalityReport, SharpnessResult, jsonable
+from maghardy.reports import (
+    IdentityReport,
+    InequalityReport,
+    ReportEncoder,
+    SharpnessResult,
+    jsonable,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"
@@ -106,6 +112,88 @@ def test_report_json_converts_numpy_and_complex_values(tmp_path):
                        "resolution": {}}}
     assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
     assert '"flag": true' in out.read_text()
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, float("nan"),
+                     float("inf"), float("-inf")]))
+_TEXT = st.one_of(st.text(), st.sampled_from(['"', "\\", "\n\t\r\x00\x1f\x7f",
+                                              "\u00e9\u2028\u03b8", "\U0001d4d7"]))
+_RECORDS = st.one_of(
+    st.builds(InequalityReport, _TEXT, _FLOATS, st.dictionaries(_TEXT, _FLOATS),
+              _FLOATS, st.dictionaries(_TEXT, _FLOATS)),
+    st.builds(IdentityReport, _TEXT, _FLOATS, _FLOATS),
+    st.builds(SharpnessResult, _TEXT, st.lists(st.tuples(_FLOATS, _FLOATS), min_size=1),
+              _FLOATS))
+_LEAVES = st.one_of(
+    _TEXT, st.booleans(), st.none(),
+    st.integers(), st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n),
+    st.integers(min_value=2**64, max_value=2**200),
+    _FLOATS, _FLOATS.map(np.float64),
+    st.complex_numbers(allow_nan=True, allow_infinity=True),
+    st.just([]), st.just(()), st.just({}), _RECORDS)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_TREES)
+@settings(max_examples=200, deadline=None)
+def test_report_encoder_writes_the_stdlib_text(obj):
+    want = json.dumps(obj, indent=2, sort_keys=True, default=jsonable)
+    assert json.dumps(obj, indent=2, sort_keys=True, default=jsonable,
+                      cls=ReportEncoder) == want
+
+
+@pytest.mark.parametrize("key", [1, 2.5, None, True, (1, 2)])
+def test_report_encoder_refuses_a_key_that_is_not_a_string(key):
+    with pytest.raises(TypeError):
+        json.dumps({"runs": [{key: 1.0}]}, indent=2, sort_keys=True,
+                   default=jsonable, cls=ReportEncoder)
+
+
+@pytest.mark.parametrize("kw", [{}, {"indent": 2}, {"indent": 4, "sort_keys": True},
+                                {"indent": 2, "sort_keys": True, "allow_nan": False},
+                                {"indent": 2, "sort_keys": True, "ensure_ascii": False}])
+def test_report_encoder_refuses_other_settings(kw):
+    with pytest.raises(ValueError, match="indent=2"):
+        json.dumps({"a": 1}, cls=ReportEncoder, **kw)
+
+
+def test_report_file_carries_the_non_finite_tokens(tmp_path):
+    out = tmp_path / "r.json"
+    _write_json({"gap": float("inf"), "ratio": float("nan"), "low": -np.inf}, str(out))
+    assert out.read_text() == '{\n  "gap": Infinity,\n  "low": -Infinity,\n  "ratio": NaN\n}\n'
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    cfg = _write(tmp_path / "ab.json", {
+        "suite": "reuse", "seed": 5,
+        "runs": [{"theorem_id": "ab_hardy", "geometry": GEOM,
+                  "weights": {"alpha1": 0.0, "alpha2": 0.0}, "flux": {"beta": 0.5},
+                  "function": {"kind": "random", "k": 1, "modes": [0, 1]},
+                  "quadrature": {"n_r": 32, "n_phi": 8, "n_y": 8}}]})
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+
+    assert main(["verify", "--config", cfg, "--out", str(first),
+                 "--admissibility", "corollary", "--timings"]) == 0
+    assert main(["list"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", cfg])
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert main(["verify", "--config", cfg, "--out", str(last)]) == 0
+
+    [run] = json.loads(first.read_text())["runs"]
+    assert run["report"]["params"]["admissibility"] == "corollary"
+    assert isinstance(run["wall_clock_s"], float)
+    [run] = json.loads(last.read_text())["runs"]
+    assert run["report"]["params"]["admissibility"] == "thm2"
+    assert run["wall_clock_s"] is None
 
 
 def test_verify_is_byte_identical_across_runs(tmp_path):

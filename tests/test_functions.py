@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from maghardy import GrushinGeometry, Point, TrialFamily, WeightExponents
 from maghardy.errors import DomainError
 from maghardy.functions import (
+    _EDGE_EPS,
+    _step,
     AbsLogPowerWindow,
     AngularMode,
     GaussBumpY,
@@ -23,8 +25,11 @@ from maghardy.functions import (
     evaluate,
     make_bump,
     make_trial,
+    plateau_breaks,
     random_test_function,
 )
+from maghardy.quadrature import gauss_panels, log_radial_rule
+from maghardy.verifiers.sharpness import DEFAULT_SCHEDULE, _PANEL_N
 
 
 def central_diff(fn, t, h):
@@ -34,6 +39,79 @@ def central_diff(fn, t, h):
 def value(factor, t):
     """The value half of a factor's (value, derivative) pair."""
     return factor.both(t)[0]
+
+
+# --- smoothstep edge --------------------------------------------------------
+
+def _step_reference(t):
+    """_step as it was before it ran on the ramp only: every node, one clip."""
+    t = np.asarray(t, dtype=float)
+    tc = np.minimum(np.maximum(t, _EDGE_EPS), 1.0 - _EDGE_EPS)
+    tm = 1.0 - tc
+    a = np.exp(-1.0 / tc)
+    b = np.exp(-1.0 / tm)
+    ab = a + b
+    d = a * b * (1.0 / tc**2 + 1.0 / tm**2) / ab**2
+    low, high = t <= _EDGE_EPS, t >= 1.0 - _EDGE_EPS
+    return np.where(low, 0.0, np.where(high, 1.0, a / ab)), np.where(low | high, 0.0, d)
+
+
+def _assert_step_bits(t):
+    for new, ref in zip(_step(t), _step_reference(t)):
+        assert new.shape == ref.shape and new.dtype == ref.dtype == np.float64
+        assert np.array_equal(new.view(np.uint64), ref.view(np.uint64))
+
+
+def _edge_arguments(u, lo, hi):
+    """The t of the rising and the falling edge of a plateau on [lo, hi]."""
+    q = 0.25 * (hi - lo)
+    return (u - lo) / q, (hi - u) / q
+
+
+def test_step_matches_its_reference_bitwise_at_the_junctions():
+    t = np.array([0.0, -0.0, _EDGE_EPS, 1.0 - _EDGE_EPS, 1.0, np.nextafter(_EDGE_EPS, 1.0),
+                  np.nextafter(1.0 - _EDGE_EPS, 0.0), 0.5, -1e-300, -0.25, -7.0,
+                  1.0 + 1e-16, 1.5, 1e300, np.nan, np.inf, -np.inf])
+    _assert_step_bits(t)
+    s, d = _step(t)
+    assert np.isnan(s[-3]) and np.isnan(d[-3])
+    assert list(s[[0, 2, 4, -1]]) == [0.0, 0.0, 1.0, 0.0]
+    assert not np.any(d[[0, 1, 2, 3, 4, -2, -1]])
+    _assert_step_bits(np.float64(0.3))
+
+
+def _margins_grids():
+    # radial nodes as a column in u = log r, y nodes as a row, each split at
+    # the plateau breaks like the margins grids
+    r_lo, r_hi = 0.5, 2.0
+    lo, hi = math.log(r_lo), math.log(r_hi)
+    r, _ = log_radial_rule(r_lo, r_hi, 48, PlateauLogBump(r_lo, r_hi).breaks)
+    yield from _edge_arguments(np.log(r)[:, None], lo, hi)
+    y, _ = gauss_panels((-1.0, *plateau_breaks(-1.0, 1.0), 1.0), 12)
+    yield from _edge_arguments(y[None, :], -1.0, 1.0)
+
+
+def _sharpness_grids():
+    # the (points, 3 * _PANEL_N) node array of a gauss-window chunk
+    eps = np.array(DEFAULT_SCHEDULE + (0.01,))[:, None]
+    lo, hi = -6.0 / eps, 6.0 / eps
+    u, _ = gauss_panels((lo, *plateau_breaks(lo, hi), hi), _PANEL_N)
+    assert u.shape == (6, 720)
+    yield from _edge_arguments(u, lo, hi)
+
+
+@pytest.mark.parametrize("t", [*_margins_grids(), *_sharpness_grids()],
+                         ids=["r_up", "r_down", "y_up", "y_down", "chunk_up", "chunk_down"])
+def test_step_matches_its_reference_bitwise_on_the_grids(t):
+    _assert_step_bits(t)
+    ramp = (t > _EDGE_EPS) & (t < 1.0 - _EDGE_EPS)
+    assert 0 < ramp.sum() < t.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, width=64), max_size=40))
+def test_step_matches_its_reference_bitwise_on_any_floats(values):
+    _assert_step_bits(np.array(values, dtype=float))
 
 
 # --- radial windows ---------------------------------------------------------
