@@ -4,6 +4,8 @@ Every failure mode callers are expected to handle gets its own class so suite
 runners can record errors as data instead of aborting.
 """
 
+import math
+
 
 class MagHardyError(Exception):
     """Base class for all package-specific errors."""
@@ -35,3 +37,10 @@ class RealnessError(MagHardyError, TypeError):
 
 class ConfigError(MagHardyError, ValueError):
     """Malformed suite configuration (unknown keys, missing fields, bad types)."""
+
+
+def require_finite(**values) -> None:
+    """Raise DomainError naming the first of values that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")

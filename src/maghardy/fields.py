@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, OriginError
+from .errors import DomainError, NonFiniteError, OriginError, require_finite
 from .functions import TestFunction, _polar_of_point
 from .geometry import (
     GrushinGeometry,
@@ -60,9 +60,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FluxParam:
-    """Magnetic flux strength; any real value is admitted."""
+    """Magnetic flux strength; any finite real value is admitted."""
 
     beta: float
+
+    def __post_init__(self):
+        require_finite(beta=self.beta)
 
 
 @dataclass(frozen=True)

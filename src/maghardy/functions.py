@@ -480,10 +480,11 @@ class TestFunction:
         """(df/dr, df/dphi, grad_y f) at polar coordinates."""
         return self.on_grid(r, y)(phi)[1:]
 
-    def is_real_valued(self, samples: int = 7) -> bool:
+    def is_real_valued(self) -> bool:
         """Numerically checked realness on a deterministic sample grid."""
         if self._real is not None:
             return self._real
+        samples = 7
         r_lo, r_hi, box, _ = self.support()
         rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), samples))
         phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OriginError, SingularWeightError
+from .errors import DomainError, OriginError, SingularWeightError, require_finite
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ class WeightExponents:
 
     def __post_init__(self):
         a1, a2 = float(self.alpha1), float(self.alpha2)
-        if not (np.isfinite(a1) and np.isfinite(a2)):
-            raise DomainError("weight exponents must be finite reals")
+        require_finite(alpha1=a1, alpha2=a2)
         object.__setattr__(self, "alpha1", a1)
         object.__setattr__(self, "alpha2", a2)
 

@@ -15,45 +15,47 @@ Each reference Gauss-Legendre rule on [-1, 1] is built once per node count
 and cached read-only; every panel rule here and in the sharpness engine is an
 affine image of it (`gauss_legendre`, `gauss_panels`).
 
-General m >= 2 never needs angular quadrature in x here: every integrand the
-verifiers produce for that case is radial in x, and the sphere factor is the
-closed-form area of S^(m-1).
+integrate_radial is the phi = 0 case of integrate_polar: one angular node of
+weight 1 over r^power dr dy (on k = 0 a plain radial integral); both run one
+tensor pass (_tensor_sums).  General m >= 2 never needs angular quadrature
+in x here: every integrand the verifiers produce for that case is radial in
+x, and the sphere factor is the closed-form area of S^(m-1).
 
 Oracle
 ------
-`oracle_integrate` / `oracle_integrate_radial` are a deliberately separate
-code path (uniform nodes, composite Simpson, no substitutions, no shared
-integration helpers) used to certify values produced by the main engine.
+`oracle_integrate` is a deliberately separate code path (uniform nodes,
+composite Simpson, no substitutions, no shared integration helpers) used to
+certify values produced by the main engine.
 
 Density protocol
 ----------------
-A polar density is a callable density(r, y) -> at, called once per row
-block of the grid with broadcastable arrays: r of shape (n_rows, 1), a run
-of consecutive radial nodes, and y of shape (1, n_y_flat, k), whose trailing
-axis indexes the y components.  It does the phi-independent work of its
-check there, once per block.  at(phi) then yields every integrand of the
-check on that block in a fixed order, one array at a time, for phi either a
-float (one angular node, as the oracle passes it) or a column of angular
-nodes of shape (n_c, 1, 1), as the main engine passes it; on a column each
-integrand carries that leading axis (or broadcasts against it).  A grid of
-at most BLOCK_NODES nodes is one block; a larger one is cut into blocks of
-at most BLOCK_NODES nodes (or one radial row), and each integrand is
-gathered into one full-grid array per slice (row_blocks).  The angular
-nodes go to at in tiles of at most BLOCK_NODES (phi, r, y) nodes
-(reduce_slices), so a single-block grid runs several nodes per call and a
-grid of several blocks one.  Every density must be elementwise per node, so
-a node's value depends neither on the block nor on the tile it sits in.
-The engine reduces each integrand over the full grid, slice by slice in phi
-order, and returns one integral per integrand, so results are bit-stable
-across runs and do not depend on how many integrands share the pass or how
-the grid is blocked and tiled.  Radial densities (integrate_radial) take a
-bare r array and return one array.
+integrate_polar, integrate_radial and the oracle take one kind of density: a
+callable density(r, y) -> at, called once per row block of the grid with
+broadcastable arrays: r of shape (n_rows, 1), a run of consecutive radial
+nodes, and y of shape (1, n_y_flat, k), whose trailing axis indexes the y
+components.  It does the phi-independent work of its check there, once per
+block.  at(phi) then yields every integrand of the check on that block in a
+fixed order, one array at a time, for phi either a float (one angular node,
+as the oracle passes it) or a column of angular nodes of shape (n_c, 1, 1),
+as the main engine passes it; on a column each integrand carries that
+leading axis (or broadcasts against it).  A grid of at most BLOCK_NODES
+nodes is one block; a larger one is cut into blocks of at most BLOCK_NODES
+nodes (or one radial row), and each integrand is gathered into one
+full-grid array per slice (row_blocks).  The angular nodes go to at in
+tiles of at most BLOCK_NODES (phi, r, y) nodes (reduce_slices), so a
+single-block grid runs several nodes per call and a grid of several blocks
+one.  Every density must be elementwise per node, so a node's value depends
+neither on the block nor on the tile it sits in.  The engine reduces each
+integrand over the full grid, slice by slice in phi order, and returns one
+integral per integrand, so results are bit-stable across runs and do not
+depend on how many integrands share the pass or how the grid is blocked and
+tiled.
 
-No (r, y) slice holds more than MAX_SLICE_NODES nodes: both engines refuse a
-larger grid with a DomainError before building it.  That ceiling bounds the
-full-grid arrays (the reduction weights and one array per integrand); the
-temporaries a density forms on each block and tile are bounded by
-BLOCK_NODES.
+No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
+the oracle refuse a larger grid with a DomainError before building it.
+That ceiling bounds the full-grid arrays (the reduction weights and one
+array per integrand); the temporaries a density forms on each block and
+tile are bounded by BLOCK_NODES.
 """
 
 from __future__ import annotations
@@ -84,9 +86,6 @@ MAX_SLICE_NODES = 1 << 23
 # fastest of 2^12 to 2^16 on a k = 2 ab_hardy check (144 x 1296 nodes) on a
 # 2-core Xeon.
 BLOCK_NODES = 1 << 14
-
-# Simpson nodes of the radial oracle (oracle_integrate_radial).
-ORACLE_N_RADIAL = 8001
 
 
 @dataclass(frozen=True)
@@ -309,6 +308,16 @@ def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
     return at
 
 
+def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
+                 power, phis) -> list:
+    """Per integrand of density, its sum over phis on the (r, y) grid of the
+    domain, weighted by w_r * r^power * w_y: the one tensor pass, shared by
+    integrate_polar and integrate_radial."""
+    r, w_r, Y, w_y = tensor_grid(spec, domain)
+    base = (w_r * r ** power)[:, None] * w_y[None, :]
+    return reduce_slices(row_blocks(density, r, Y), base, phis)
+
+
 def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
     """Integrals of every integrand of density over r dr dphi dy on the domain.
 
@@ -318,34 +327,22 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
     O(n_r * n_y_flat + BLOCK_NODES) however many modes and integrands the
     check carries.  Returns one complex value per integrand.
     """
-    r, w_r, Y, w_y = tensor_grid(spec, domain)
     phis, w_phi = phi_rule(spec.n_phi)
-
-    base = (w_r * r)[:, None] * w_y[None, :]  # Jacobian r folded in
-    at = row_blocks(density, r, Y)
-    return [complex(total * w_phi) for total in reduce_slices(at, base, phis)]
+    return [complex(total * w_phi)
+            for total in _tensor_sums(density, spec, domain, 1, phis)]  # Jacobian r
 
 
-def integrate_radial(
-    density: Callable,
-    Q: float,
-    w: float,
-    spec: QuadratureSpec,
-    r_lo: float,
-    r_hi: float,
-    breaks: Sequence[float] = (),
-) -> float:
-    """Integral of density(r) * r^(Q-1-w) dr on [r_lo, r_hi], log-substituted.
+def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
+                     power) -> list:
+    """Real parts of the integrals of every integrand of density, taken at
+    phi = 0.0, over r^power dr dy on the domain.
 
-    This is the radial reduction with homogeneous dimension Q and weight power
-    w; density carries everything else.
+    The phi = 0 case of the tensor engine: the same row blocks and slice
+    reduction as integrate_polar, on one angular node with weight 1.  On
+    k = 0 it is a plain radial integral (the y rule is one node of weight 1).
     """
-    if not (0.0 < r_lo < r_hi):
-        raise DomainError(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
-    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, breaks)
-    vals = np.asarray(density(r)) * r ** (Q - 1.0 - w)
-    _check_finite(vals)
-    return float(np.sum(w_r * vals))
+    return [float(np.real(total))
+            for total in _tensor_sums(density, spec, domain, power, (0.0,))]
 
 
 # ---------------------------------------------------------------------------
@@ -406,18 +403,3 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
                 totals.append(0.0 + 0.0j)
             totals[i] += np.sum(base * vals)
     return [complex(total * w_phi) for total in totals]
-
-
-def oracle_integrate_radial(
-    density: Callable,
-    Q: float,
-    w: float,
-    r_lo: float,
-    r_hi: float,
-) -> float:
-    """Uniform-grid check value for integrate_radial (plain r, no substitution)."""
-    r, w_r = _simpson_rule(r_lo, r_hi, ORACLE_N_RADIAL)
-    vals = np.asarray(density(r)) * r ** (Q - 1.0 - w)
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
-    return float(np.sum(w_r * vals))

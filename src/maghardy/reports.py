@@ -172,15 +172,13 @@ class InequalityReport:
         bare = main / self.sharp_constant
         return self.lhs / bare if bare != 0.0 else float("inf")
 
-    def passes(self, tol: float) -> bool:
-        return self.margin >= -tol
-
-    def tolerance(self, rel: float = 1e-9) -> float:
-        return rel * (abs(self.lhs) + sum(abs(v) for v in self.rhs_terms.values()))
+    def tolerance(self) -> float:
+        """1e-9 of the sum of the magnitudes of lhs and every rhs term."""
+        return 1e-9 * (abs(self.lhs) + sum(abs(v) for v in self.rhs_terms.values()))
 
     def passed(self) -> bool:
         """The margin is nonnegative up to the 1e-9 relative tolerance."""
-        return self.passes(self.tolerance())
+        return self.margin >= -self.tolerance()
 
     def to_dict(self) -> dict:
         return {
@@ -266,8 +264,10 @@ class SuperweightParams:
     theta1: float = 0.0
 
     def __post_init__(self):
-        from .errors import AdmissibilityError
+        from .errors import AdmissibilityError, require_finite
 
+        require_finite(a=self.a, b=self.b, theta2=self.theta2, theta3=self.theta3,
+                       theta4=self.theta4, p=self.p, theta1=self.theta1)
         if not (self.a > 0.0 and self.b > 0.0):
             raise AdmissibilityError("superweight needs a > 0 and b > 0")
         if not (self.theta2 * self.theta3 < 0.0):

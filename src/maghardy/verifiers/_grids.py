@@ -5,8 +5,9 @@ spec.oracle is set:
 
   * polar path (m = 2): full (r, phi, y) quadrature through integrate_polar,
     used whenever the function carries angular modes;
-  * radial-x path (any m): functions radial in x reduce to an (r, y) tensor
-    integral times the closed-form sphere area; no angular nodes are spent.
+  * radial-x path (radial_integral): the integrands at phi = 0.0 over
+    r^power dr dy, no angular nodes spent; functions radial in x take power
+    m - 1 times the sphere area (rx_integral), the 1-D Lp checks power 0.
 
 integrate(density, f, spec, m) holds the one rule for a check that admits
 both: the polar path on m = 2, the radial-x path otherwise.  Checks stated
@@ -17,12 +18,11 @@ once per row block of the grid (r of shape (n_rows, 1), y of shape
 (1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block)
 and returns at(phi), which yields every integrand of the check on that block
 in order, for phi a float or a column of angular nodes (n_c, 1, 1).
-polar_integral and rx_integral return one integral per integrand over the
-support of the test function f, through the same row blocks and tiled slice
-reduction; the radial-x path takes the integrands at phi = 0.0 only.  So
-each check makes one integration call: its weights are formed once per
-block, and its test function once per block and tile of angular nodes, for
-all its integrals.
+polar_integral and radial_integral return one integral per integrand over
+the support of the test function f, through the same tensor pass of the
+main engine, or through the oracle.  So each check makes one integration
+call: its weights are formed once per block, and its test function once per
+block and tile of angular nodes, for all its integrals.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from ..errors import DomainError
 from ..functions import TestFunction
 from ..geometry import sphere_area
 from ..quadrature import (
+    TWO_PI,
     Domain,
     QuadratureSpec,
     integrate_polar,
+    integrate_radial,
     oracle_integrate,
-    reduce_slices,
-    row_blocks,
-    tensor_grid,
 )
 
 # Oracle resolutions: uniform Simpson needs enough nodes to beat 1e-7 against
@@ -80,28 +79,29 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
     return [float(np.real(v)) for v in vals]
 
 
-def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
-    """sphere_area(m) * integral of each integrand at phi = 0.0 times r^(m-1) dr dy.
+def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
+    """Real parts of the integrals of each integrand at phi = 0.0 times r^power dr dy.
 
     density follows the polar protocol; its integrands are taken at
-    phi = 0.0 only, over the support of f.  Oracle-dispatched.
+    phi = 0.0 only, over the support of f.  The one oracle dispatch of the
+    x-radial path: the oracle integrates over r dr dphi on one angular node,
+    so each integrand is folded by r^(power-1) / (2 pi).
     """
     domain = support_domain(f)
-    if spec.oracle:
-        fold = sphere_area(m) / (2.0 * np.pi)
+    if not spec.oracle:
+        return integrate_radial(density, spec, domain, power)
 
-        def wrapped(r, y):
-            at = density(r, y)
-            return lambda phi: (vals * r ** (m - 2) * fold for vals in at(0.0))
+    def folded(r, y):
+        at = density(r, y)
+        return lambda phi: (vals * r ** (power - 1) / TWO_PI for vals in at(0.0))
 
-        return [float(np.real(v)) for v in oracle_integrate(
-            wrapped, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))]
+    return [float(np.real(v)) for v in oracle_integrate(
+        folded, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))]
 
-    r, w_r, Y, w_y = tensor_grid(spec, domain)
-    base = (w_r * r ** (m - 1))[:, None] * w_y[None, :]
-    at = row_blocks(density, r, Y)
-    return [sphere_area(m) * float(np.real(total))
-            for total in reduce_slices(at, base, (0.0,))]
+
+def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
+    """sphere_area(m) times the radial_integral of density at power m - 1."""
+    return [sphere_area(m) * v for v in radial_integral(density, f, spec, m - 1)]
 
 
 def integrate(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:

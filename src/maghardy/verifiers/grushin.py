@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, RealnessError
+from ..errors import AdmissibilityError, DomainError, RealnessError, require_finite
 from ..fields import (
     ConstantFieldPotentials,
     FluxParam,
@@ -158,8 +158,9 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
 
     Shifting both gradient blocks by alpha * (gradient of rho)/rho costs
     exactly -((Q+a1-2)*alpha - alpha^2) times the Hardy integral; this holds
-    for any real alpha, by integration by parts against the weight.
+    for any finite real alpha, by integration by parts against the weight.
     """
+    require_finite(alpha=alpha)
     s_hom = _first_kind(geom, exps)
     if not f.is_radial:
         raise AdmissibilityError("identity stated for x-radial functions")

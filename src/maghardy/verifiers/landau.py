@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError
+from ..errors import AdmissibilityError, DomainError, require_finite
 from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
@@ -115,6 +115,7 @@ def verify_landau(variant: str, psi: RadialPotential,
         if params is None:
             raise AdmissibilityError("power-weight variant needs theta1")
         t1 = float(params)
+        require_finite(theta1=t1)
         if t1 == 0.0:
             raise AdmissibilityError("power-weight variant needs theta1 != 0")
         sharp = t1 * t1

@@ -1,28 +1,27 @@
 """One-dimensional Lp inequalities for radial profiles.
 
 Everything here reduces to weighted integrals of |f| and |df/dr| against
-r^(Q-1) dr, evaluated through the radial quadrature (or its oracle).  The
-Euler operator r * df/dr drives the weighted and logarithmic variants; the
-plain derivative drives the bounded-support and composite-weight ones.
+r^(Q-1) dr.  Each check writes one density in the quadrature protocol: on a
+grid block it evaluates f and df/dr once and yields the gradient-side and
+the function-side integrands, each with its own radial weight r^(Q-1-w).
+Both integrals come from one call of the x-radial path at power 0
+(_grids.radial_integral, main engine or oracle).  The Euler operator
+r * df/dr drives the weighted and logarithmic variants; the plain
+derivative drives the bounded-support and composite-weight ones.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError
+from ..errors import AdmissibilityError, DomainError, require_finite
 from ..functions import TestFunction
-from ..quadrature import QuadratureSpec, integrate_radial, oracle_integrate_radial
+from ..quadrature import QuadratureSpec
 from ..reports import InequalityReport, SuperweightParams
+from ._grids import radial_integral
 from .grushin import _resolution
 
 __all__ = ["verify_radial_p"]
-
-def _rint(density, Q: float, w: float, spec: QuadratureSpec,
-          r_lo: float, r_hi: float, breaks) -> float:
-    if spec.oracle:
-        return oracle_integrate_radial(density, Q, w, r_lo, r_hi)
-    return integrate_radial(density, Q, w, spec, r_lo, r_hi, breaks)
 
 
 def verify_radial_p(variant: str, Q: float, p: float, params,
@@ -33,10 +32,12 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     (critical weight with the factor log r), poincare (bounded support,
     constant R*p/Q), superweight ((a + b r^theta2)^theta3 weights).  params
     carries the variant's numbers: {"theta": ...}, {}, {"R": ...} or a
-    SuperweightParams.  The reported lhs is whichever side the inequality
-    bounds from below, so margin >= 0 is the assertion in every variant.
+    SuperweightParams.  Q, p, theta and R must be finite.  The reported lhs
+    is whichever side the inequality bounds from below, so margin >= 0 is
+    the assertion in every variant.
     """
     theorem_id = f"radial_p_{variant}"
+    require_finite(Q=Q, p=p)
     if not (p > 1.0):
         raise AdmissibilityError("need p > 1")
     if not (Q > 0.0):
@@ -46,36 +47,33 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
 
     run_params: dict = {"variant": variant, "Q": Q, "p": p}
 
-    def fval(r):
-        return f.value_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))
-
-    def fder(r):
-        return f.partials_polar(r, 0.0, np.zeros(np.shape(r) + (0,)))[0]
-
     # per variant: admissibility, the constant C, the radial weight exponents
-    # and the densities of the gradient and (where weighted) the function side
-    func_dens = lambda r: np.abs(fval(r)) ** p
+    # and the integrands of the gradient side (of df/dr) and the function
+    # side (of f)
+    func_side = lambda r, fv: np.abs(fv) ** p
     if variant == "weighted":
         theta = float(params["theta"])
+        require_finite(theta=theta)
         if abs(theta * p - Q) < 1e-12:
             raise AdmissibilityError("need theta * p != Q")
         C = abs(p / (Q - theta * p))
         w_grad = w_func = theta * p
         run_params["theta"] = theta
-        grad_dens = lambda r: np.abs(r * fder(r)) ** p
+        grad_side = lambda r, fr: np.abs(r * fr) ** p
     elif variant == "log":
         C = p
         w_grad = w_func = Q
-        grad_dens = lambda r: np.abs(np.log(r) * r * fder(r)) ** p
+        grad_side = lambda r, fr: np.abs(np.log(r) * r * fr) ** p
     elif variant == "poincare":
         R = None if params is None else params.get("R")
         R = f.support()[1] if R is None else float(R)
+        require_finite(R=R)
         if f.support()[1] > R * (1.0 + 1e-12):
             raise AdmissibilityError("support must sit inside [0, R]")
         C = R * p / Q
         w_grad = w_func = 0.0
         run_params["R"] = R
-        grad_dens = lambda r: np.abs(fder(r)) ** p
+        grad_side = lambda r, fr: np.abs(fr) ** p
     elif variant == "superweight":
         if not isinstance(params, SuperweightParams):
             raise AdmissibilityError("composite-weight variant needs its parameters")
@@ -87,17 +85,20 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         w_grad, w_func = p * t4, p * (t4 + 1.0)
         run_params["weights"] = params.to_dict()
         W = lambda r: (a + b * r**t2) ** t3
-        grad_dens = lambda r: W(r) * np.abs(fder(r)) ** p
-        func_dens = lambda r: W(r) * np.abs(fval(r)) ** p
+        grad_side = lambda r, fr: W(r) * np.abs(fr) ** p
+        func_side = lambda r, fv: W(r) * np.abs(fv) ** p
     else:
         raise DomainError(f"unknown variant {variant!r}")
 
+    def density(r, y):
+        fv, fr = f.on_grid(r, y)(0.0)[:2]
+        sides = (grad_side(r, fr) * r ** (Q - 1.0 - w_grad),
+                 func_side(r, fv) * r ** (Q - 1.0 - w_func))
+        return lambda phi: sides
+
     res = _resolution(spec)
-    r_lo, r_hi, _, breaks = f.support()
-    grad_int = _rint(grad_dens, Q, w_grad, spec, r_lo, r_hi, breaks)
-    func_int = _rint(func_dens, Q, w_func, spec, r_lo, r_hi, breaks)
-    grad_norm = max(grad_int, 0.0) ** (1.0 / p)
-    func_norm = max(func_int, 0.0) ** (1.0 / p)
+    grad_norm, func_norm = (max(v, 0.0) ** (1.0 / p)
+                            for v in radial_integral(density, f, spec, 0))
 
     if variant == "superweight":
         # printed as  C * ||W^(1/p) f / r^(theta4+1)|| <= ||W^(1/p) f' / r^theta4||

@@ -20,7 +20,6 @@ from maghardy.quadrature import (
     integrate_radial,
     log_radial_rule,
     oracle_integrate,
-    oracle_integrate_radial,
     phi_rule,
     tensor_grid,
     y_box_rule,
@@ -116,6 +115,10 @@ def _fresh_y_box_rule(y_box, n_y):
     return Y, W.reshape(-1)
 
 
+def _ones_density(r, y):
+    return lambda phi: (np.ones(r.shape),)
+
+
 def test_rules_of_one_n_build_leggauss_once(monkeypatch):
     calls = []
     real = np.polynomial.legendre.leggauss
@@ -126,7 +129,7 @@ def test_rules_of_one_n_build_leggauss_once(monkeypatch):
         gauss_legendre(-1.5, 2.5, 11)
         log_radial_rule(0.1, 3.0, 11, breaks=(0.5, 1.0))
         y_box_rule(((-1.0, 2.0), (0.0, 1.0)), 11)
-        integrate_radial(np.ones_like, 3.0, 0.0, QuadratureSpec(n_r=11), 0.5, 2.0)
+        integrate_radial(_ones_density, QuadratureSpec(n_r=11), Domain(0.5, 2.0), 2)
     assert calls == [11]
     y_box_rule(((-1.0, 2.0),), 7)
     assert calls == [11, 7]
@@ -279,17 +282,21 @@ def test_density_runs_once_per_row_block(monkeypatch):
 
 
 def test_integrate_radial_weighted_power():
-    # density r^2 with Q = 4, w = 1 integrates r^2 * r^(4-1-1) = r^4
-    got = integrate_radial(lambda r: r ** 2, 4.0, 1.0, QuadratureSpec(n_r=48), 0.5, 2.0)
+    # integrand r^2 at power 2 integrates r^4; the oracle folds r^(2-1) / 2pi
+    # into its r dr dphi rule on one angular node
+    dom = Domain(0.5, 2.0)
+    [got] = integrate_radial(lambda r, y: lambda phi: (r ** 2,),
+                             QuadratureSpec(n_r=48), dom, 2)
     want = (2.0 ** 5 - 0.5 ** 5) / 5.0
     assert abs(got - want) <= 1e-11 * want
-    check = oracle_integrate_radial(lambda r: r ** 2, 4.0, 1.0, 0.5, 2.0)
-    assert abs(got - check) <= 1e-7 * want
+    [check] = oracle_integrate(lambda r, y: lambda phi: (r ** 3 / (2.0 * math.pi),),
+                               dom, (2401, 1, 161))
+    assert abs(got - check.real) <= 1e-7 * want
 
 
 def test_integrate_radial_rejects_bad_interval():
     with pytest.raises(DomainError):
-        integrate_radial(lambda r: r, 2.0, 0.0, QuadratureSpec(), 2.0, 1.0)
+        integrate_radial(_ones_density, QuadratureSpec(), Domain(2.0, 1.0), 0)
 
 
 # values of the bad nodes, on r > 1: each makes the weighted sum of its slice
@@ -322,6 +329,7 @@ def test_nonfinite_integrand_raises():
     # polar: the 4 angular nodes are one tile, bad only on its last two
     engines = ((lambda d: integrate_polar(d, spec, dom), math.pi),
                (lambda d: rx_integral(d, f, spec, 3), 0.0),
+               (lambda d: integrate_radial(d, spec, dom, 0), 0.0),
                (lambda d: oracle_integrate(d, dom, (101, 4, 11)), math.pi))
     for name, bad in NONFINITE_NODES.items():
         for integrate, phi_from in engines:

@@ -1,5 +1,7 @@
 """Lp bounds for radial profiles: constants, margins, and admissibility."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,10 @@ from hypothesis import strategies as st
 
 from maghardy import QuadratureSpec
 from maghardy.errors import AdmissibilityError, DomainError
-from maghardy.functions import make_bump, random_test_function
+from maghardy.functions import TestFunction, make_bump, random_test_function
+from maghardy.quadrature import log_radial_rule
 from maghardy.reports import SuperweightParams
-from maghardy.verifiers import verify_radial_p
+from maghardy.verifiers import _grids, radial_p, verify_radial_p
 
 SPEC = QuadratureSpec(n_r=128)
 
@@ -125,3 +128,106 @@ def test_log_margin_property(Q, p):
     f = make_bump(0.5, 1.8)
     rep = verify_radial_p("log", Q, p, None, f, SPEC)
     assert rep.margin >= -rep.tolerance()
+
+
+@pytest.mark.parametrize("variant, Q, p, params", [
+    ("weighted", 2.0, 2.0, {"theta": math.inf}),
+    ("weighted", 2.0, 2.0, {"theta": math.nan}),
+    ("poincare", 3.0, 2.0, {"R": math.inf}),
+    ("poincare", 3.0, 2.0, {"R": math.nan}),
+    ("log", math.inf, 2.0, None),
+    ("log", math.nan, 2.0, None),
+    ("log", 2.0, math.inf, None),
+    ("log", 2.0, -math.inf, None),
+])
+def test_non_finite_inputs_are_refused_before_integrating(monkeypatch, variant, Q, p, params):
+    def never(*args):
+        raise AssertionError("integrated a refused input")
+
+    monkeypatch.setattr(radial_p, "radial_integral", never)
+    with pytest.raises(DomainError, match="must be finite"):
+        verify_radial_p(variant, Q, p, params, make_bump(1.5, 3.0), QuadratureSpec(n_r=64))
+
+
+# --- the tensor path against the two-call 1-D algorithm it replaced ----------
+
+def _reference_radial_p(variant, Q, p, params, f, spec):
+    """(lhs, main term) of a check, each side integrated on its own over
+    the log-radial rule, f and df/dr taken pointwise on 1-D nodes."""
+    r_lo, r_hi, _, breaks = f.support()
+    r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, breaks)
+    no_y = np.zeros(r.shape + (0,))
+    fval = f.value_polar(r, 0.0, no_y)
+    fder = f.partials_polar(r, 0.0, no_y)[0]
+
+    def norm(dens, w):
+        vals = np.asarray(dens) * r ** (Q - 1.0 - w)
+        return max(float(np.sum(w_r * vals)), 0.0) ** (1.0 / p)
+
+    func = np.abs(fval) ** p
+    if variant == "weighted":
+        w = params["theta"] * p
+        C = abs(p / (Q - w))
+        return C * norm(np.abs(r * fder) ** p, w), norm(func, w)
+    if variant == "log":
+        return p * norm(np.abs(np.log(r) * r * fder) ** p, Q), norm(func, Q)
+    if variant == "poincare":
+        C = r_hi * p / Q
+        return C * norm(np.abs(fder) ** p, 0.0), norm(func, 0.0)
+    a, b, t2, t3, t4 = params.a, params.b, params.theta2, params.theta3, params.theta4
+    C = (Q - p * t4 + t2 * t3 - p) / p
+    W = (a + b * r**t2) ** t3
+    return (norm(W * np.abs(fder) ** p, p * t4),
+            C * norm(W * np.abs(fval) ** p, p * (t4 + 1.0)))
+
+
+def _draw_radial_p_case(rng, variant):
+    Q = float(rng.uniform(1.0, 6.0))
+    p = float(rng.uniform(1.2, 3.4))
+    if variant == "weighted":
+        theta = float(rng.uniform(-2.0, 2.0))
+        return Q, p, {"theta": theta + 0.1 if abs(theta * p - Q) < 0.05 else theta}
+    if variant == "superweight":
+        return Q, p, SuperweightParams(
+            float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)),
+            -1.5, 1.0, float(rng.uniform(-2.0, (Q - p - 1.5) / p - 0.05)))
+    return Q, p, None
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("n_r", [16, 64, 128, 256])
+@pytest.mark.parametrize("variant", ["weighted", "log", "poincare", "superweight"])
+def test_tensor_path_is_bitwise_the_two_call_algorithm(variant, n_r, real):
+    rng = np.random.default_rng([n_r, len(variant), real])
+    spec = QuadratureSpec(n_r=n_r)
+    for _ in range(4):
+        f = random_test_function(np.random.default_rng(int(rng.integers(2 ** 31))),
+                                 k=0, modes=(0,), real=real, gaussian_y=False)
+        Q, p, params = _draw_radial_p_case(rng, variant)
+        rep = verify_radial_p(variant, Q, p, params, f, spec)
+        assert (rep.lhs, rep.rhs_terms["main"]) == _reference_radial_p(
+            variant, Q, p, params, f, spec)
+
+
+@pytest.mark.parametrize("oracle", [False, True], ids=["main", "oracle"])
+@pytest.mark.parametrize("variant", ["weighted", "log", "poincare", "superweight"])
+def test_one_integration_and_one_evaluation_per_check(monkeypatch, variant, oracle):
+    counts = {"integrals": 0, "on_grid": 0}
+    engine = "oracle_integrate" if oracle else "integrate_radial"
+    integral, on_grid = getattr(_grids, engine), TestFunction.on_grid
+
+    def counting_integral(*args, **kwargs):
+        counts["integrals"] += 1
+        return integral(*args, **kwargs)
+
+    def counting_on_grid(self, r, y):
+        counts["on_grid"] += 1
+        return on_grid(self, r, y)
+
+    monkeypatch.setattr(_grids, engine, counting_integral)
+    monkeypatch.setattr(TestFunction, "on_grid", counting_on_grid)
+    Q, p, params = _draw_radial_p_case(np.random.default_rng(5), variant)
+    rep = verify_radial_p(variant, Q, p, params, radial_profile(11),
+                          QuadratureSpec(n_r=64, oracle=oracle))
+    assert rep.margin >= -rep.tolerance()
+    assert counts == {"integrals": 1, "on_grid": 1}

@@ -13,6 +13,7 @@ from maghardy import (
     WeightExponents,
 )
 from maghardy.errors import AdmissibilityError, DomainError, RealnessError
+from maghardy.fields import RadialPotential
 from maghardy.functions import (
     AngularMode,
     GaussBumpY,
@@ -23,11 +24,13 @@ from maghardy.functions import (
     random_test_function,
 )
 from maghardy.quadrature import Domain, integrate_polar
+from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
     check_grushin_ibp_identity,
     fourier_defect_terms,
     verify_ab_hardy,
     verify_constant_field,
+    verify_landau,
     verify_magnetic_grushin,
     verify_radial_hardy,
     verify_uncertainty_grushin,
@@ -133,6 +136,35 @@ def test_ibp_identity_rejects_spinning_functions():
     f = TestFunction([AngularMode(2, prof)])
     with pytest.raises(AdmissibilityError):
         check_grushin_ibp_identity(geom, WeightExponents(0.0, 0.0), f, 0.7, SPEC)
+
+
+# --- non-finite parameters ----------------------------------------------------
+
+_SUPERWEIGHT = {"a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0, "theta4": -2.0,
+                "p": 2.0, "theta1": 0.0}
+
+_TAKES_A_PARAMETER = {
+    "flux beta": FluxParam,
+    **{f"superweight {name}": (lambda x, name=name:
+                               SuperweightParams(**{**_SUPERWEIGHT, name: x}))
+       for name in _SUPERWEIGHT},
+    "landau theta1": lambda x: verify_landau(
+        "hardy_sobolev", RadialPotential.constant(0.5), x, make_bump(0.3, 1.0),
+        QuadratureSpec(n_r=16, n_phi=8)),
+    "ibp alpha": lambda x: check_grushin_ibp_identity(
+        GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
+        make_bump(0.5, 2.0, ((-1.0, 1.0),)), x, QuadratureSpec(n_r=16, n_y=8)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", list(_TAKES_A_PARAMETER.values()),
+                         ids=list(_TAKES_A_PARAMETER))
+def test_non_finite_parameters_are_refused_up_front(build, value):
+    # a DomainError naming the parameter, not a RuntimeWarning of the
+    # arithmetic or a NonFiniteError after integrating
+    with pytest.raises(DomainError, match="must be finite"):
+        build(value)
 
 
 # --- magnetic (real-function) inequality ------------------------------------
