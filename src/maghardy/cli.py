@@ -269,9 +269,8 @@ class _Fields:
         self.run, self.where = run, where
         self.seed = _num(run, "seed", where, int, seed)
         self.spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
+        # verify_ab_hardy, its one reader, refuses an unknown flag
         self.admissibility = run.get("admissibility", admissibility)
-        if self.admissibility not in ("thm2", "corollary"):
-            raise ConfigError(f"{where}: admissibility must be thm2 or corollary")
         self.geom = self.exps = None
         if "geometry" in run:
             self.geom = _parse_geometry(run["geometry"], f"{where}.geometry")

@@ -5,6 +5,7 @@ runners can record errors as data instead of aborting.
 """
 
 import math
+import numbers
 
 
 class MagHardyError(Exception):
@@ -39,8 +40,16 @@ class ConfigError(MagHardyError, ValueError):
     """Malformed suite configuration (unknown keys, missing fields, bad types)."""
 
 
-def require_finite(**values) -> None:
-    """Raise DomainError naming the first of values that is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+def require_param(what: str, name: str, value, kind=numbers.Real):
+    """value if it is a kind, by default a finite real (not a bool) as a float.
+
+    AdmissibilityError names a missing or mistyped value, DomainError a non-finite one.
+    """
+    if isinstance(value, bool) or not isinstance(value, kind):
+        got = "" if value is None else f", got {value!r}"
+        raise AdmissibilityError(f"{what} needs {name}{got}")
+    if kind is not numbers.Real:
+        return value
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return float(value)

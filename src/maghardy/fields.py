@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, OriginError, require_finite
+from .errors import DomainError, NonFiniteError, OriginError, require_param
 from .functions import TestFunction, _polar_of_point
 from .geometry import (
     GrushinGeometry,
@@ -65,7 +65,7 @@ class FluxParam:
     beta: float
 
     def __post_init__(self):
-        require_finite(beta=self.beta)
+        require_param("the flux", "beta", self.beta)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OriginError, SingularWeightError, require_finite
+from .errors import DomainError, OriginError, SingularWeightError, require_param
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,8 @@ class GrushinGeometry:
             raise DomainError(f"m must be a positive integer, got {self.m!r}")
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
             raise DomainError(f"k must be a positive integer, got {self.k!r}")
-        g = float(self.gamma)
-        if not np.isfinite(g) or g < 0.0:
+        g = require_param("the geometry", "gamma", self.gamma)
+        if g < 0.0:
             raise DomainError(f"gamma must be a finite nonnegative real, got {self.gamma!r}")
         object.__setattr__(self, "gamma", g)
 
@@ -61,10 +61,9 @@ class WeightExponents:
     alpha2: float
 
     def __post_init__(self):
-        a1, a2 = float(self.alpha1), float(self.alpha2)
-        require_finite(alpha1=a1, alpha2=a2)
-        object.__setattr__(self, "alpha1", a1)
-        object.__setattr__(self, "alpha2", a2)
+        for name in ("alpha1", "alpha2"):
+            value = require_param("the weight", name, getattr(self, name))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .errors import AdmissibilityError, require_param
+
 __all__ = [
     "InequalityReport",
     "IdentityReport",
@@ -264,10 +266,8 @@ class SuperweightParams:
     theta1: float = 0.0
 
     def __post_init__(self):
-        from .errors import AdmissibilityError, require_finite
-
-        require_finite(a=self.a, b=self.b, theta2=self.theta2, theta3=self.theta3,
-                       theta4=self.theta4, p=self.p, theta1=self.theta1)
+        for name in ("a", "b", "theta2", "theta3", "theta4", "p", "theta1"):
+            require_param("superweight", name, getattr(self, name))
         if not (self.a > 0.0 and self.b > 0.0):
             raise AdmissibilityError("superweight needs a > 0 and b > 0")
         if not (self.theta2 * self.theta3 < 0.0):

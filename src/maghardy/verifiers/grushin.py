@@ -1,12 +1,14 @@
 """Verifiers for the anisotropic-gradient (Grushin-type) inequalities.
 
 Each operation evaluates both sides of one inequality or identity on a test
-function and returns a report.  Left-hand sides are always assembled from the
+function and returns a report.  Left-hand sides are assembled from the
 magnetic gradient COMPONENTWISE in complex arithmetic (the honest reading of
 the displayed integrand), from the grid components in fields that the
-pointwise magnetic_grad also runs; the real-function splits used by the
-proofs are recomputed separately and reported as identities, never
-substituted.
+pointwise magnetic_grad also runs, with one exception: verify_constant_field
+uses the real-f split (the cross terms that vanish for real f left out), as
+adopting fields.constant_field_grad (ROADMAP item 9) moves report bytes and
+waits for a re-record of the shipped references.  The real-function splits
+of the proofs are recomputed separately and reported as identities.
 
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
@@ -24,7 +26,7 @@ import math
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, RealnessError, require_finite
+from ..errors import AdmissibilityError, DomainError, RealnessError, require_param
 from ..fields import (
     ConstantFieldPotentials,
     FluxParam,
@@ -87,6 +89,11 @@ def _require_real(f: TestFunction, what: str) -> None:
         raise RealnessError(f"{what} is stated for real-valued functions only")
 
 
+def _require_radial(f: TestFunction, what: str) -> None:
+    if not f.is_radial:
+        raise AdmissibilityError(f"{what} is stated for x-radial functions only")
+
+
 def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
     """(B, B*w, rho) on the grid (r, y), w the Hardy weight."""
     g = geom.gamma
@@ -102,6 +109,25 @@ def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
         raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
     if not (geom.m + geom.gamma * exps.alpha2 > 0.0):
         raise AdmissibilityError("need m + gamma*alpha2 > 0")
+    return s_hom
+
+
+def _rotated_kind(geom: GrushinGeometry, exps: WeightExponents,
+                  admissibility: str) -> float:
+    """Check m = 2, alpha1 + k*(gamma+1) > 0 and the flag's condition; return the former."""
+    if geom.m != 2:
+        raise DomainError("the rotated potential lives on m = 2")
+    s_hom = exps.alpha1 + geom.k * (geom.gamma + 1.0)
+    if not (s_hom > 0.0):
+        raise AdmissibilityError("need alpha1 + k*(gamma+1) > 0")
+    if admissibility == "thm2":
+        if not (exps.alpha2 + 2.0 * geom.gamma > 0.0):
+            raise AdmissibilityError("need alpha2 + 2*gamma > 0 (thm2 flag)")
+    elif admissibility == "corollary":
+        if not (exps.alpha2 * geom.gamma + 2.0 > 0.0):
+            raise AdmissibilityError("need alpha2*gamma + 2 > 0 (corollary flag)")
+    else:
+        raise DomainError(f"unknown admissibility flag {admissibility!r}")
     return s_hom
 
 
@@ -128,8 +154,7 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
                         f: TestFunction, spec: QuadratureSpec) -> InequalityReport:
     """Weighted Hardy bound for x-radial functions of the anisotropic gradient."""
     s_hom = _first_kind(geom, exps)
-    if not f.is_radial:
-        raise AdmissibilityError("this bound applies to x-radial functions")
+    _require_radial(f, "the radial Hardy bound")
     _require_shape(geom, f)
 
     C = (0.5 * s_hom) ** 2
@@ -160,15 +185,13 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     exactly -((Q+a1-2)*alpha - alpha^2) times the Hardy integral; this holds
     for any finite real alpha, by integration by parts against the weight.
     """
-    require_finite(alpha=alpha)
+    a = require_param("the integration-by-parts identity", "alpha", alpha)
     s_hom = _first_kind(geom, exps)
-    if not f.is_radial:
-        raise AdmissibilityError("identity stated for x-radial functions")
+    _require_radial(f, "the integration-by-parts identity")
     _require_shape(geom, f)
 
-    params = {**_geom_params(geom, exps), "alpha": float(alpha)}
+    params = {**_geom_params(geom, exps), "alpha": a}
     g = geom.gamma
-    a = float(alpha)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -209,7 +232,6 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     beta = flux.beta
     C = (0.5 * s_hom) ** 2 + beta * beta
     params = {**_geom_params(geom, exps), "beta": beta}
-    res = _resolution(spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -230,41 +252,24 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     params.update(gradient_part=grad_part, potential_part=pot_part,
                   split_rel_err=split)
     return InequalityReport("magnetic_grushin", lhs, {"main": C * hardy_int},
-                            C, params, res)
+                            C, params, _resolution(spec))
 
 
 # ---------------------------------------------------------------------------
 # Rotated-potential inequality with the angular-mode defect remainder
 # ---------------------------------------------------------------------------
 
-def _second_condition(exps: WeightExponents, gamma: float, admissibility: str) -> None:
-    if admissibility == "thm2":
-        if not (exps.alpha2 + 2.0 * gamma > 0.0):
-            raise AdmissibilityError("need alpha2 + 2*gamma > 0 (thm2 flag)")
-    elif admissibility == "corollary":
-        if not (exps.alpha2 * gamma + 2.0 > 0.0):
-            raise AdmissibilityError("need alpha2*gamma + 2 > 0 (corollary flag)")
-    else:
-        raise DomainError(f"unknown admissibility flag {admissibility!r}")
-
-
 def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxParam,
                     f: TestFunction, spec: QuadratureSpec,
                     admissibility: str = "thm2") -> InequalityReport:
     """Hardy bound for the rotated potential, with the angular-defect remainder."""
-    if geom.m != 2:
-        raise DomainError("the rotated potential lives on m = 2")
-    s_hom = exps.alpha1 + geom.k * (geom.gamma + 1.0)
-    if not (s_hom > 0.0):
-        raise AdmissibilityError("need alpha1 + k*(gamma+1) > 0")
-    _second_condition(exps, geom.gamma, admissibility)
+    s_hom = _rotated_kind(geom, exps, admissibility)
     _require_shape(geom, f)
 
     beta = flux.beta
     C = (0.5 * s_hom) ** 2 + beta * beta
     params = {**_geom_params(geom, exps), "beta": beta,
               "admissibility": admissibility}
-    res = _resolution(spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -283,7 +288,7 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
 
     lhs, hardy_int, defect = polar_integral(density, f, spec)
     return InequalityReport("ab_hardy", lhs, {"main": C * hardy_int, "mode_defect": defect},
-                            C, params, res)
+                            C, params, _resolution(spec))
 
 
 def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
@@ -327,18 +332,10 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     if variant == "uncer1":
         s_hom = _first_kind(geom, exps)
         _require_real(f, "the gradient-field uncertainty bound")
-        theorem_id = "uncertainty_grushin"
-        components = grushin_components
+        theorem_id, components = "uncertainty_grushin", grushin_components
     elif variant == "uncer21":
-        if geom.m != 2:
-            raise DomainError("the rotated-potential variant needs m = 2")
-        s_hom = exps.alpha1 + geom.k * (geom.gamma + 1.0)
-        if not (s_hom > 0.0):
-            raise AdmissibilityError("need alpha1 + k*(gamma+1) > 0")
-        if not (exps.alpha2 * geom.gamma + 2.0 > 0.0):
-            raise AdmissibilityError("need alpha2*gamma + 2 > 0")
-        theorem_id = "uncertainty_ab"
-        components = tilde_components
+        s_hom = _rotated_kind(geom, exps, "corollary")
+        theorem_id, components = "uncertainty_ab", tilde_components
     else:
         raise DomainError(f"unknown variant {variant!r}")
     _require_shape(geom, f)
@@ -346,7 +343,6 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     C = (0.5 * s_hom) ** 2 + beta * beta
     params = {**_geom_params(geom, exps), "beta": beta, "variant": variant,
               "sqrt_constant": math.sqrt(C)}
-    res = _resolution(spec)
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
 
     def density(r, y):
@@ -371,7 +367,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
     rhs = math.sqrt(C) * cross
     return InequalityReport(theorem_id, lhs, {"main": rhs}, math.sqrt(C),
-                            params, res)
+                            params, _resolution(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -389,20 +385,14 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
     n = pots.n
     if geom.m != n or geom.k != n:
         raise DomainError(f"need m = k = n = {n}, got m={geom.m}, k={geom.k}")
-    s_hom = n * (2.0 + geom.gamma) + exps.alpha1 - 2.0
-    if not (s_hom > 0.0):
-        raise AdmissibilityError("need n*(2+gamma) + alpha1 - 2 > 0")
-    if not (n + exps.alpha2 * geom.gamma > 0.0):
-        raise AdmissibilityError("need n + alpha2*gamma > 0")
-    if not f.is_radial:
-        raise AdmissibilityError("stated here for x-radial functions")
+    _first_kind(geom, exps)   # m = k = n: Q = n*(2+gamma), m + gamma*alpha2 = n + alpha2*gamma
+    _require_radial(f, "the constant-field bound")
     _require_shape(geom, f)
     _require_real(f, "the constant-field bound")
 
-    C_lin = 0.5 * s_hom
+    C_lin = 0.5 * (n * (2.0 + geom.gamma) + exps.alpha1 - 2.0)
     params = {**_geom_params(geom, exps), "n": n,
               "constant_printed": C_lin, "constant_squared": C_lin**2}
-    res = _resolution(spec)
     g, slope = geom.gamma, pots.slope
 
     def density(r, y):
@@ -439,4 +429,4 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
                   split_rel_err=split)
     return InequalityReport("constant_field", lhs,
                             {"main": main, "field_potential": pot_part},
-                            C_lin, params, res)
+                            C_lin, params, _resolution(spec))

@@ -16,13 +16,13 @@ import math
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, require_finite
+from ..errors import AdmissibilityError, DomainError, require_param
 from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import abs2, integrate, polar_integral
-from .grushin import _require_real, _resolution
+from .grushin import _require_radial, _require_real, _resolution
 
 __all__ = [
     "check_twisted_polar_identity",
@@ -41,7 +41,24 @@ def _require_in_ball(f: TestFunction, radius: float | None) -> None:
     if radius is not None and not 0.0 < radius < math.inf:
         raise DomainError(f"the ball needs a finite positive radius, got {radius}")
     if radius is not None and f.support()[1] > radius * (1.0 + 1e-12):
-        raise AdmissibilityError("function must be supported inside the ball")
+        raise AdmissibilityError(
+            f"function must be supported inside the ball of radius {radius}")
+
+
+def _theta1(value) -> float:
+    """theta1 of the power weights 1/|z|^(2 theta1): a finite real other than 0."""
+    t1 = require_param("power-weight variant", "theta1", value)
+    if t1 == 0.0:
+        raise AdmissibilityError("power-weight variant needs theta1 != 0")
+    return t1
+
+
+def _superweight_constant(params) -> float:
+    """c = (theta2*theta3 - 2*theta4)/2 of SuperweightParams with 2*theta4 <= theta2*theta3."""
+    sw = require_param("superweight variant", "its parameters", params, SuperweightParams)
+    if not (2.0 * sw.theta4 <= sw.theta2 * sw.theta3):
+        raise AdmissibilityError("need 2*theta4 <= theta2*theta3")
+    return 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
 
 
 def _twisted_sq(tx, ty):
@@ -112,21 +129,14 @@ def verify_landau(variant: str, psi: RadialPotential,
     # and the weights of the gradient side (wv), the main term, the psi term
     # and the mode defect
     if variant == "hardy_sobolev":
-        if params is None:
-            raise AdmissibilityError("power-weight variant needs theta1")
-        t1 = float(params)
-        require_finite(theta1=t1)
-        if t1 == 0.0:
-            raise AdmissibilityError("power-weight variant needs theta1 != 0")
+        t1 = _theta1(params)
         sharp = t1 * t1
         run_params["theta1"] = t1
         wv = lambda r: r ** (-2.0 * t1)
         main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)
         psi_weight = lambda r: psi_sq(r) * r ** (-2.0 * t1 + 2.0)
     elif variant == "log":
-        if f.support()[1] > 1.0 + 1e-12:
-            raise AdmissibilityError(
-                "log-weighted bound needs support inside the closed unit disc")
+        _require_in_ball(f, 1.0)   # the closed unit disc
         sharp = 0.25
         wv = lambda r: np.log(r) ** 2
         main_weight = np.ones_like
@@ -139,13 +149,9 @@ def verify_landau(variant: str, psi: RadialPotential,
         wv = main_weight = defect_weight = np.ones_like
         psi_weight = lambda r: psi_sq(r) * r**2
     elif variant == "superweight":
-        if params is None:
-            raise AdmissibilityError("superweight variant needs its parameters")
-        if not (2.0 * params.theta4 <= params.theta2 * params.theta3):
-            raise AdmissibilityError("need 2*theta4 <= theta2*theta3")
+        sharp = _superweight_constant(params)
         a, b = params.a, params.b
         t2, t3, t4 = params.theta2, params.theta3, params.theta4
-        sharp = 0.5 * (t2 * t3 - 2.0 * t4)
         run_params["weights"] = params.to_dict()
         W = lambda r: (a + b * r**t2) ** t3
         wv = lambda r: W(r) * r ** (-2.0 * t4)
@@ -156,7 +162,6 @@ def verify_landau(variant: str, psi: RadialPotential,
 
     if radius is not None:
         run_params["R"] = float(radius)
-    res = _resolution(spec)
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -178,7 +183,7 @@ def verify_landau(variant: str, psi: RadialPotential,
     lhs, main_int, psi_term, defect = polar_integral(density, f, spec)
     main = sharp * main_int
     terms = {"main": main, "psi_potential": psi_term, "mode_defect": defect}
-    return InequalityReport(theorem_id, lhs, terms, sharp, run_params, res)
+    return InequalityReport(theorem_id, lhs, terms, sharp, run_params, _resolution(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +202,12 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     """
     if n < 1:
         raise DomainError("need n >= 1")
+    if n != 1 and variant in ("identity", "critical"):
+        raise DomainError(f"the {variant} statement runs on the plane (n = 1)")
     _require_plane(f)
     _require_real(f, "the classical-field statement")
-    if n >= 2 and not f.is_radial:
-        raise AdmissibilityError("n >= 2 runs through the radial reduction")
+    if n >= 2:   # through the radial reduction
+        _require_radial(f, "the classical-field statement for n >= 2")
     theorem_id = f"real_landau_{variant}"
     half = RadialPotential.constant(0.5)
     res = _resolution(spec)
@@ -208,7 +215,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     _require_in_ball(f, radius)
     if variant == "critical" or (variant == "uncertainty" and n == 1):
         sup_z = f.support()[1] if radius is None else float(radius)
-        R = math.e * sup_z if R is None else float(R)
+        R = math.e * sup_z if R is None else require_param("the log-weighted bound", "R", R)
         if R < math.e * sup_z * (1.0 - 1e-12):
             raise AdmissibilityError("need R >= e * sup|z| over the domain")
 
@@ -221,9 +228,6 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
     # per variant: the constant and the integrands after the gradient side
     if variant == "identity":
-        if n != 1:
-            raise DomainError("the split identity check runs on the plane (n=1)")
-
         def plain(r, parts):
             _, fr, fphi, _ = parts
             return abs2(fr) + abs2(fphi) / r**2
@@ -233,8 +237,6 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         sharp = float((n - 1) ** 2)
         terms = (lambda r, parts: abs2(parts[0]) / r**2, pot)
     elif variant == "critical":
-        if n != 1:
-            raise DomainError("the log-weighted bound is stated on the plane")
         sharp = 0.25
         terms = (lambda r, parts: abs2(parts[0]) / (r**2 * np.log(R / r) ** 2), pot)
     elif variant == "uncertainty":

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, require_finite
+from ..errors import AdmissibilityError, DomainError, require_param
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import InequalityReport, SuperweightParams
 from ._grids import radial_integral
 from .grushin import _resolution
+from .landau import _require_in_ball
 
 __all__ = ["verify_radial_p"]
 
@@ -37,7 +38,8 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     the assertion in every variant.
     """
     theorem_id = f"radial_p_{variant}"
-    require_finite(Q=Q, p=p)
+    for name, value in (("Q", Q), ("p", p)):
+        require_param("the radial Lp check", name, value)
     if not (p > 1.0):
         raise AdmissibilityError("need p > 1")
     if not (Q > 0.0):
@@ -46,14 +48,14 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         raise DomainError("the one-dimensional checks take radial profiles")
 
     run_params: dict = {"variant": variant, "Q": Q, "p": p}
+    given = params if isinstance(params, dict) else {}
 
     # per variant: admissibility, the constant C, the radial weight exponents
     # and the integrands of the gradient side (of df/dr) and the function
     # side (of f)
     func_side = lambda r, fv: np.abs(fv) ** p
     if variant == "weighted":
-        theta = float(params["theta"])
-        require_finite(theta=theta)
+        theta = require_param("weighted variant", "theta", given.get("theta"))
         if abs(theta * p - Q) < 1e-12:
             raise AdmissibilityError("need theta * p != Q")
         C = abs(p / (Q - theta * p))
@@ -65,18 +67,15 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         w_grad = w_func = Q
         grad_side = lambda r, fr: np.abs(np.log(r) * r * fr) ** p
     elif variant == "poincare":
-        R = None if params is None else params.get("R")
-        R = f.support()[1] if R is None else float(R)
-        require_finite(R=R)
-        if f.support()[1] > R * (1.0 + 1e-12):
-            raise AdmissibilityError("support must sit inside [0, R]")
+        R = given.get("R")
+        R = f.support()[1] if R is None else require_param("poincare variant", "R", R)
+        _require_in_ball(f, R)
         C = R * p / Q
         w_grad = w_func = 0.0
         run_params["R"] = R
         grad_side = lambda r, fr: np.abs(fr) ** p
     elif variant == "superweight":
-        if not isinstance(params, SuperweightParams):
-            raise AdmissibilityError("composite-weight variant needs its parameters")
+        require_param("composite-weight variant", "its parameters", params, SuperweightParams)
         a, b = params.a, params.b
         t2, t3, t4 = params.theta2, params.theta3, params.theta4
         C = (Q - p * t4 + t2 * t3 - p) / p

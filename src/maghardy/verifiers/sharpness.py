@@ -37,11 +37,14 @@ from functools import partial
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, NonFiniteError
+from ..errors import AdmissibilityError, DomainError, NonFiniteError, require_param
+from ..fields import FluxParam
 from ..functions import TrialFamily, _plateau, plateau_breaks
+from ..geometry import GrushinGeometry, WeightExponents
 from ..quadrature import BLOCK_NODES, gauss_panels
 from ..reports import SharpnessResult, SuperweightParams
 from .grushin import _first_kind, _geom_params
+from .landau import _superweight_constant, _theta1
 
 __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE"]
 
@@ -166,22 +169,23 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     center = lambda eps: 0.0
     tilt = 1.0
     bounds = (math.log(lo), math.log(hi))
+    given = params if isinstance(params, dict) else {}
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
         # the verifier's admissibility; 0.25*s*s keeps the sweep's bytes, where
         # its (0.5*s)**2 differs in the last bit for some s
-        s = _first_kind(params["geom"], params["exps"])
+        geom = require_param(theorem_id, "geom", given.get("geom"), GrushinGeometry)
+        exps = require_param(theorem_id, "exps", given.get("exps"), WeightExponents)
+        s = _first_kind(geom, exps)
         sharp = 0.25 * s * s
-        run_params.update(_geom_params(params["geom"], params["exps"]))
+        run_params.update(_geom_params(geom, exps))
         if theorem_id == "magnetic_grushin":
-            beta = params["flux"].beta
+            beta = require_param(theorem_id, "flux", given.get("flux"), FluxParam).beta
             sharp += beta * beta
             run_params["beta"] = beta
         quotient = partial(_power_quotient, sharp)
     elif theorem_id == "landau_hardy_sobolev":
-        t1 = float(params["theta1"])
-        if t1 == 0.0:
-            raise AdmissibilityError("need theta1 != 0")
+        t1 = _theta1(given.get("theta1"))
         sharp = t1 * t1
         run_params["theta1"] = t1
         quotient = partial(_power_quotient, sharp)
@@ -195,16 +199,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
                     "logarithmic trials live inside the unit disc")
             bounds = (math.log(-math.log(hi)), math.log(-math.log(lo)))
     else:   # landau_superweight
-        sw = params if isinstance(params, SuperweightParams) else None
-        if sw is None:
-            raise AdmissibilityError("composite-weight sharpness needs its parameters")
-        c = 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
-        if c < 0.0:
-            raise AdmissibilityError("need a nonnegative main constant")
+        c = _superweight_constant(params)
         sharp = c * c
-        run_params.update(weights=sw.to_dict(), constant_reading="squared")
-        quotient = partial(_superweight_quotient, sw, c)
-        if sw.theta2 < 0.0:
+        run_params.update(weights=params.to_dict(), constant_reading="squared")
+        quotient = partial(_superweight_quotient, params, c)
+        if params.theta2 < 0.0:
             center = lambda eps: math.log(0.05) - 6.0 / eps   # push toward the origin
         else:
             center = lambda eps: math.log(20.0) + 6.0 / eps   # push toward infinity

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghardy.cli import _CHECKS, _run_one, _write_json, main
-from maghardy.errors import AdmissibilityError
+from maghardy.errors import AdmissibilityError, MagHardyError
 from maghardy.reports import (
     IdentityReport,
     InequalityReport,
@@ -22,6 +22,7 @@ from maghardy.reports import (
     SharpnessResult,
     jsonable,
 )
+from maghardy.verifiers.sharpness import _FAMILY_FOR
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"
@@ -809,30 +810,44 @@ def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
     assert {w for seen in widths for w in seen} == {1}
 
 
-# --- admissibility boundaries of the Grushin-family registry records -----------
+# --- admissibility boundaries of the registry records ---------------------------
 
 # gamma = 0.5 throughout; m = 2, k = 1 (Q = 3.5), and m = k = n = 1 (Q = 2.5)
-# for constant_field.  Each point moves one exponent so that its condition
+# for constant_field.  Each point moves one parameter so that its condition
 # reads eps while every other condition of the record stays 0.5 or more clear.
-# A condition is named as the record's list text states it.
+# A condition is named as the record's list text states it, and maps eps to
+# the run fields that put it there.
 _G = 0.5
+
+
+def _weights(a1, a2):
+    return {"weights": {"alpha1": a1, "alpha2": a2}}
 
 
 def _first_kind(m, k, names=("Q+a1-2 > 0", "m+g*a2 > 0")):
     Q = m + (1.0 + _G) * k
-    return {names[0]: lambda eps: (2.0 - Q + eps, 0.0),
-            names[1]: lambda eps: (0.0, (eps - m) / _G)}
+    return {names[0]: lambda eps: _weights(2.0 - Q + eps, 0.0),
+            names[1]: lambda eps: _weights(0.0, (eps - m) / _G)}
 
 
-_ROTATED = {"a1+k(g+1) > 0": lambda eps: (eps - (_G + 1.0), 0.0),
-            "a2+2g > 0 (thm2)": lambda eps: (0.0, eps - 2.0 * _G),
-            "a2*g+2 > 0": lambda eps: (0.0, (eps - 2.0) / _G)}
+_ROTATED = {"a1+k(g+1) > 0": lambda eps: _weights(eps - (_G + 1.0), 0.0),
+            "a2+2g > 0 (thm2)": lambda eps: _weights(0.0, eps - 2.0 * _G),
+            "a2*g+2 > 0": lambda eps: _weights(0.0, (eps - 2.0) / _G)}
 _ROTATED["a2*g+2 > 0 (corollary)"] = _ROTATED["a2*g+2 > 0"]
 
-# record -> (the record whose list text states its conditions, the conditions);
-# grushin_ibp is an identity and states none, but its verifier applies the
-# radial_hardy conditions
-_GRUSHIN_BOUNDARIES = {
+# theta2*theta3 = -2, so theta4 = -(2 + eps)/2
+_COMPOSITE = {"2*t4 <= t2*t3": lambda eps: {"superweight": {
+    "a": 1.0, "b": 1.0, "theta2": -2.0, "theta3": 1.0, "theta4": -0.5 * (2.0 + eps)}}}
+# theta1 != 0 is refused at the boundary point itself and accepted on both
+# sides, so only the parity test below runs it (at eps and -eps, and at 0)
+_THETA1 = "theta1 != 0"
+_POWER = {_THETA1: lambda eps: {"theta1": eps}}
+
+# case -> (the record whose list text states its conditions, the conditions);
+# a case is a theorem id, run through its verifier, or "<id> sharpness",
+# run through its sharpness engine.  grushin_ibp is an identity and states
+# none, but its verifier applies the radial_hardy conditions
+_BOUNDARIES = {
     "radial_hardy": ("radial_hardy", _first_kind(2, 1)),
     "magnetic_grushin": ("magnetic_grushin", _first_kind(2, 1)),
     "uncertainty_grushin": ("magnetic_grushin", _first_kind(2, 1)),
@@ -843,29 +858,38 @@ _GRUSHIN_BOUNDARIES = {
         "a1+k(g+1) > 0", "a2+2g > 0 (thm2)", "a2*g+2 > 0 (corollary)")}),
     "uncertainty_ab": ("uncertainty_ab", {c: _ROTATED[c] for c in (
         "a1+k(g+1) > 0", "a2*g+2 > 0")}),
+    "landau_superweight": ("landau_superweight", _COMPOSITE),
+    "landau_superweight sharpness": ("landau_superweight", _COMPOSITE),
+    "landau_hardy_sobolev": ("landau_hardy_sobolev", _POWER),
+    "landau_hardy_sobolev sharpness": ("landau_hardy_sobolev", _POWER),
 }
-_BOUNDARY_CASES = [(tid, cond) for tid, (_, conds) in _GRUSHIN_BOUNDARIES.items()
-                   for cond in conds]
+_BOUNDARY_CASES = [(case, cond) for case, (_, conds) in _BOUNDARIES.items()
+                   for cond in conds if cond != _THETA1]
 
 
-def _boundary_run(tid, cond, eps):
-    a1, a2 = _GRUSHIN_BOUNDARIES[tid][1][cond](eps)
-    m = 1 if tid == "constant_field" else 2
-    run = {"theorem_id": tid,
-           "geometry": {"m": m, "k": 1, "gamma": _G},
-           "weights": {"alpha1": a1, "alpha2": a2},
-           "function": {"kind": "random", "k": 1, "modes": [0], "real": True},
-           "quadrature": {"n_r": 8, "n_phi": 4, "n_y": 4}}
+def _boundary_run(case, cond, eps):
+    tid, _, engine = case.partition(" ")
+    run = {"theorem_id": tid, **_BOUNDARIES[case][1][cond](eps)}
+    if engine:
+        run.update(family={"base": _FAMILY_FOR[tid], "epsilon": 0.5,
+                           "cutoff": [0.5, 2.0]}, schedule=[0.5])
+        return run
+    run["quadrature"] = {"n_r": 8, "n_phi": 4, "n_y": 4}
+    if "weights" not in run:   # a plane check
+        run["function"] = {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}
+        return run
+    run["geometry"] = {"m": 1 if tid == "constant_field" else 2, "k": 1, "gamma": _G}
+    run["function"] = {"kind": "random", "k": 1, "modes": [0], "real": True}
     if tid == "ab_hardy":
         run["admissibility"] = "corollary" if "corollary" in cond else "thm2"
     return run
 
 
 def test_boundary_conditions_are_the_listed_ones():
-    assert len(_GRUSHIN_BOUNDARIES) == 7 and len(_BOUNDARY_CASES) == 15
-    for tid, (text_of, conds) in _GRUSHIN_BOUNDARIES.items():
+    assert len(_BOUNDARIES) == 11 and len(_BOUNDARY_CASES) == 17
+    for case, (text_of, conds) in _BOUNDARIES.items():
         for cond in conds if text_of else ():
-            assert cond in _CHECKS[text_of].text, (tid, cond)
+            assert cond in _CHECKS[text_of].text, (case, cond)
 
 
 @pytest.mark.parametrize("tid, cond", _BOUNDARY_CASES)
@@ -873,3 +897,31 @@ def test_admissibility_boundary_is_sharp(tid, cond):
     _run_one(_boundary_run(tid, cond, 1e-6), 0, 3, "thm2")  # accepted
     with pytest.raises(AdmissibilityError):
         _run_one(_boundary_run(tid, cond, -1e-6), 0, 3, "thm2")
+
+
+def _outcome(run):
+    """The string "accepted", or the class and message of the error raised."""
+    try:
+        _run_one(run, 0, 3, "thm2")
+    except MagHardyError as exc:
+        return type(exc), str(exc)
+    return "accepted"
+
+
+# (verifier case, its twin, the condition, the points): each pair states the
+# same condition and must draw the same line with the same words
+_TWINS = [
+    ("ab_hardy", "uncertainty_ab", "a2*g+2 > 0", (1e-6, -1e-6)),
+    ("landau_superweight", "landau_superweight sharpness", "2*t4 <= t2*t3",
+     (1e-6, -1e-6)),
+    ("landau_hardy_sobolev", "landau_hardy_sobolev sharpness", _THETA1,
+     (1e-6, -1e-6, 0.0)),
+]
+
+
+@pytest.mark.parametrize("case, twin, cond, points", _TWINS, ids=[t[1] for t in _TWINS])
+def test_a_verifier_and_its_twin_draw_the_same_boundary(case, twin, cond, points):
+    verifier_cond = cond + " (corollary)" if case == "ab_hardy" else cond
+    outcomes = [_outcome(_boundary_run(case, verifier_cond, eps)) for eps in points]
+    assert outcomes == [_outcome(_boundary_run(twin, cond, eps)) for eps in points]
+    assert outcomes[0] == "accepted" and outcomes[-1] != "accepted"

@@ -12,7 +12,7 @@ from maghardy import (
     QuadratureSpec,
     WeightExponents,
 )
-from maghardy.errors import AdmissibilityError, DomainError, RealnessError
+from maghardy.errors import AdmissibilityError, DomainError, MagHardyError, RealnessError
 from maghardy.fields import RadialPotential
 from maghardy.functions import (
     AngularMode,
@@ -20,6 +20,7 @@ from maghardy.functions import (
     PlateauLogBump,
     ProductProfile,
     TestFunction,
+    TrialFamily,
     make_bump,
     random_test_function,
 )
@@ -27,12 +28,19 @@ from maghardy.quadrature import Domain, integrate_polar
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
     check_grushin_ibp_identity,
+    estimate_sharpness,
     fourier_defect_terms,
+    grushin,
+    landau,
+    radial_p,
+    sharpness,
     verify_ab_hardy,
     verify_constant_field,
     verify_landau,
     verify_magnetic_grushin,
     verify_radial_hardy,
+    verify_radial_p,
+    verify_real_landau,
     verify_uncertainty_grushin,
 )
 from maghardy.verifiers._grids import abs2, grad_y_sq
@@ -165,6 +173,78 @@ def test_non_finite_parameters_are_refused_up_front(build, value):
     # arithmetic or a NonFiniteError after integrating
     with pytest.raises(DomainError, match="must be finite"):
         build(value)
+
+
+# --- missing and mistyped parameters ------------------------------------------
+
+_PLANE_BUMP = make_bump(0.5, 2.0)
+_PLANE_SPEC = QuadratureSpec(n_r=16, n_phi=8)
+
+
+def _landau(variant, params):
+    return lambda: verify_landau(variant, RadialPotential.constant(0.0), params,
+                                 _PLANE_BUMP, _PLANE_SPEC)
+
+
+def _engine(theorem_id, params):
+    base = sharpness._FAMILY_FOR[theorem_id]
+    return lambda: estimate_sharpness(theorem_id, params, TrialFamily(base, 0.1, (0.5, 2.0)))
+
+
+def _radial_p(variant, params):
+    return lambda: verify_radial_p(variant, 3.0, 2.0, params, _PLANE_BUMP, _PLANE_SPEC)
+
+
+# case -> (the call, the parameter its error names).  Before each call
+# reached one parameter check, these escaped as a TypeError, KeyError,
+# AttributeError or ValueError, or (a non-finite engine theta1) as a
+# NonFiniteError after the whole schedule had run.
+_MALFORMED = {
+    "landau superweight as a number": (_landau("superweight", 1.0), "superweight"),
+    "landau superweight as a dict": (_landau("superweight", {"a": 1}), "superweight"),
+    "landau theta1 as SuperweightParams": (
+        _landau("hardy_sobolev", SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0)), "theta1"),
+    "landau theta1 as a string": (_landau("hardy_sobolev", "x"), "theta1"),
+    "engine theta1 nan": (_engine("landau_hardy_sobolev", {"theta1": math.nan}), "theta1"),
+    "engine theta1 inf": (_engine("landau_hardy_sobolev", {"theta1": math.inf}), "theta1"),
+    "engine theta1 None": (_engine("landau_hardy_sobolev", {"theta1": None}), "theta1"),
+    "engine radial_hardy empty": (_engine("radial_hardy", {}), "geom"),
+    "engine radial_hardy None": (_engine("radial_hardy", None), "geom"),
+    "engine magnetic_grushin without flux": (_engine("magnetic_grushin", {
+        "geom": GrushinGeometry(2, 1, 1.0), "exps": WeightExponents(0.0, 0.0)}), "flux"),
+    "radial_p theta None": (_radial_p("weighted", None), "theta"),
+    "radial_p theta missing": (_radial_p("weighted", {}), "theta"),
+    # the same reader closes these too
+    "radial_p Q as a string": (
+        lambda: verify_radial_p("log", "x", 2.0, None, _PLANE_BUMP, _PLANE_SPEC), "Q"),
+    "radial_p R as a string": (_radial_p("poincare", {"R": "x"}), "R"),
+    "real_landau R as a string": (lambda: verify_real_landau(
+        "critical", 1, _PLANE_BUMP, _PLANE_SPEC, R="x"), "R"),
+    "real_landau R nan": (lambda: verify_real_landau(
+        "critical", 1, _PLANE_BUMP, _PLANE_SPEC, R=math.nan), "R"),
+    "ibp alpha as a string": (lambda: check_grushin_ibp_identity(
+        GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
+        make_bump(0.5, 2.0, ((-1.0, 1.0),)), "x", SPEC), "alpha"),
+    "weight exponent as a string": (lambda: WeightExponents("x", 0.0), "alpha1"),
+    "geometry gamma as a string": (lambda: GrushinGeometry(2, 1, "x"), "gamma"),
+    "flux beta as a string": (lambda: FluxParam("x"), "beta"),
+    "superweight field as None": (
+        lambda: SuperweightParams(1.0, None, -2.0, 1.0, -2.0), "b"),
+}
+
+
+@pytest.mark.parametrize("call, name", list(_MALFORMED.values()), ids=list(_MALFORMED))
+def test_malformed_parameters_are_refused_before_quadrature(monkeypatch, call, name):
+    def never(*args, **kwargs):
+        raise AssertionError("ran quadrature on a refused input")
+
+    for module in (grushin, landau, radial_p):
+        for stage in ("integrate", "polar_integral", "rx_integral", "radial_integral"):
+            if hasattr(module, stage):
+                monkeypatch.setattr(module, stage, never)
+    monkeypatch.setattr(sharpness, "gauss_panels", never)
+    with pytest.raises(MagHardyError, match=rf"\b{name}\b"):
+        call()
 
 
 # --- magnetic (real-function) inequality ------------------------------------
