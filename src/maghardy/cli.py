@@ -58,6 +58,7 @@ from .geometry import GrushinGeometry, WeightExponents
 from .quadrature import QuadratureSpec
 from .reports import ReportEncoder, SuperweightParams, jsonable, relative_gap
 from .verifiers import (
+    FAMILY_FOR,
     check_grushin_ibp_identity,
     check_twisted_polar_identity,
     estimate_sharpness,
@@ -70,7 +71,6 @@ from .verifiers import (
     verify_real_landau,
     verify_uncertainty_grushin,
 )
-from .verifiers.sharpness import _FAMILY_FOR
 
 REPORT_VERSION = "maghardy-report/1"
 SWEEP_VERSION = "maghardy-sweep/1"
@@ -325,8 +325,7 @@ class _Fields:
         _check_keys(obj, {"kind", "slope"}, where)
         if obj.get("kind", "linear") != "linear":
             raise ConfigError(f"{self.where}: only linear potentials are configurable")
-        return ConstantFieldPotentials(
-            self.geom.m, _num(obj, "slope", where, default=0.5))
+        return ConstantFieldPotentials(_num(obj, "slope", where, default=0.5))
 
 
 class _Check(NamedTuple):
@@ -472,7 +471,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     if tid not in _CHECKS:
         raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
     check = _CHECKS[tid]
-    engine_keys = _SHARPNESS_KEYS if tid in _FAMILY_FOR else set()
+    engine_keys = _SHARPNESS_KEYS if tid in FAMILY_FOR else set()
     _check_keys(run, _COMMON_KEYS | check.keys | engine_keys, where)
     fields = _Fields(run, where, suite_seed + index, admissibility_default)
     if "geometry" in check.keys and fields.geom is None:
@@ -571,7 +570,7 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
         if not isinstance(run, dict) or "family" not in run:
             raise ConfigError(f"{where}: sweep runs need a trial family")
         tid = str(run.get("theorem_id", ""))
-        if tid not in _FAMILY_FOR:
+        if tid not in FAMILY_FOR:
             raise ConfigError(f"{where}: {tid!r} has no sharpness engine")
     os.makedirs(out_dir, exist_ok=True)
     results, failures = [], 0

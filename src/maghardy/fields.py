@@ -51,7 +51,6 @@ __all__ = [
     "grushin_components",
     "tilde_components",
     "twisted_components",
-    "tilde_grad",
     "magnetic_grad",
     "twisted_grad_psi",
     "constant_field_grad",
@@ -99,15 +98,14 @@ class RadialPotential:
 class ConstantFieldPotentials:
     """The constant-field potentials on m = k = n: psi(t) = slope * t in every slot.
 
-    They enter as slope * y_j beside d/dx_j and slope * x_j beside d/dy_j.
+    They enter as slope * y_j beside d/dx_j and slope * x_j beside d/dy_j;
+    the geometry gives the slot count n = m = k.
     """
 
-    n: int
     slope: float = 0.5
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"need n >= 1 slots, got {self.n}")
+        require_param("the constant field", "slope", self.slope)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +157,7 @@ def grushin_components(beta: float, gamma: float, r, y, rho_val):
 
 
 def tilde_components(beta: float, gamma: float, r, y, rho_val):
-    """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde_grad + i beta Atilde) f.
+    """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde grad + i beta Atilde) f.
 
     Lives on m = 2.  The rotated potential is purely angular in x; its y part
     enters the two 1/sqrt2 blocks with opposite signs.  Its real factors and
@@ -257,11 +255,6 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
     return np.concatenate(blocks).astype(complex)
 
 
-def tilde_grad(geom: GrushinGeometry, f: TestFunction, p: Point) -> np.ndarray:
-    """(d_x1 f, d_x2 f, |x|^g/sqrt2 grad_y f, |x|^g/sqrt2 grad_y f), length 2+2k."""
-    return magnetic_grad("tilde", FluxParam(0.0), geom, f, p)
-
-
 def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndarray:
     """Twisted gradient on R^2: (d_x f - i psi(|z|) y f, d_y f + i psi(|z|) x f)."""
     if p.x.shape[0] != 2 or p.y.shape[0] != 0:
@@ -282,7 +275,7 @@ def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndar
 def constant_field_grad(pots: ConstantFieldPotentials, geom: GrushinGeometry,
                         f: TestFunction, p: Point) -> np.ndarray:
     """(i d/dx_j f + slope*y_j f, i |x|^g d/dy_j f + slope*x_j f), length 2n."""
-    if geom.m != pots.n or geom.k != pots.n:
+    if geom.m != geom.k:
         raise DomainError("constant-field gradient needs m = k = n")
     grad = 1j * magnetic_grad("grushin", FluxParam(0.0), geom, f, p)
     val = complex(f.value_polar(*_node(f, p)).item())

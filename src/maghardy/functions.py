@@ -36,11 +36,12 @@ value_polar and partials_polar are one call of that closure.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_param
 from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
 
 __all__ = [
@@ -566,11 +567,15 @@ class TrialFamily:
     def __post_init__(self):
         if self.base not in ("inverse_power", "power", "log_power", "rho_power"):
             raise DomainError(f"unknown trial base {self.base!r}")
-        if not (self.epsilon > 0.0):
+        what = "the trial family"
+        if not (require_param(what, "epsilon", self.epsilon) > 0.0):
             raise DomainError("epsilon must be positive")
-        lo, hi = self.cutoff
-        if not (0.0 < lo < hi):
+        cut = [require_param(what, "cutoff", c)
+               for c in require_param(what, "cutoff", self.cutoff, Sequence)]
+        if not (len(cut) == 2 and 0.0 < cut[0] < cut[1]):
             raise DomainError("cutoff needs 0 < inner < outer")
+        if self.exponent is not None:
+            require_param(what, "exponent", self.exponent)
 
 
 def make_trial(family: TrialFamily, geom: GrushinGeometry | None = None,

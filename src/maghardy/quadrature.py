@@ -62,12 +62,13 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError
+from .errors import DomainError, NonFiniteError, require_param
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,6 +104,8 @@ class QuadratureSpec:
     oracle: bool = False
 
     def __post_init__(self):
+        for name in ("n_r", "n_phi", "n_y"):
+            require_param("the quadrature", name, getattr(self, name), numbers.Integral)
         if self.n_r < 2 or self.n_phi < 1 or self.n_y < 1:
             raise DomainError("quadrature resolutions must be positive (n_r >= 2)")
 

@@ -15,7 +15,7 @@ from .landau import (
     verify_real_landau,
 )
 from .radial_p import verify_radial_p
-from .sharpness import DEFAULT_SCHEDULE, estimate_sharpness
+from .sharpness import DEFAULT_SCHEDULE, FAMILY_FOR, estimate_sharpness
 
 __all__ = [
     "check_grushin_ibp_identity",
@@ -31,4 +31,5 @@ __all__ = [
     "verify_uncertainty_grushin",
     "estimate_sharpness",
     "DEFAULT_SCHEDULE",
+    "FAMILY_FOR",
 ]

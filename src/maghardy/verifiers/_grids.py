@@ -27,11 +27,14 @@ block and tile of angular nodes, for all its integrals.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 import numpy as np
 
-from ..errors import DomainError
+from ..errors import DomainError, require_param
+from ..fields import ConstantFieldPotentials, FluxParam
 from ..functions import TestFunction
-from ..geometry import sphere_area
+from ..geometry import GrushinGeometry, WeightExponents, sphere_area
 from ..quadrature import (
     TWO_PI,
     Domain,
@@ -45,6 +48,17 @@ from ..quadrature import (
 # the Gauss panels; these are deliberate overkill at desk scale.
 ORACLE_N_R = 2401
 ORACLE_N_Y = 161
+
+
+_KINDS = {"geom": GrushinGeometry, "exps": WeightExponents, "flux": FluxParam,
+          "pots": ConstantFieldPotentials, "psi": Callable, "kappa": Callable,
+          "f": TestFunction, "spec": QuadratureSpec}
+
+
+def require_args(what: str, **args) -> None:
+    """require_param on each argument, with the kind _KINDS gives its name."""
+    for name, value in args.items():
+        require_param(what, name, value, _KINDS[name])
 
 
 def support_domain(f: TestFunction) -> Domain:

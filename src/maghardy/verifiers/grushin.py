@@ -5,10 +5,10 @@ function and returns a report.  Left-hand sides are assembled from the
 magnetic gradient COMPONENTWISE in complex arithmetic (the honest reading of
 the displayed integrand), from the grid components in fields that the
 pointwise magnetic_grad also runs, with one exception: verify_constant_field
-uses the real-f split (the cross terms that vanish for real f left out), as
-adopting fields.constant_field_grad (ROADMAP item 9) moves report bytes and
-waits for a re-record of the shipped references.  The real-function splits
-of the proofs are recomputed separately and reported as identities.
+uses the x-sphere reduction of the real-f split (the cross terms vanish for
+real f), which the tests pin node by node to the pointwise
+fields.constant_field_grad.  The real-function splits of the proofs are
+recomputed separately and reported as identities.
 
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
@@ -50,6 +50,7 @@ from ._grids import (
     grad_y_sq,
     integrate,
     polar_integral,
+    require_args,
     rx_integral,
     s_of,
 )
@@ -112,6 +113,11 @@ def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
     return s_hom
 
 
+def _grushin_constant(s_hom: float, beta: float = 0.0) -> float:
+    """(s/2)^2 + beta^2, the constant of the Grushin family for the exponent s of its kind."""
+    return (0.5 * s_hom) ** 2 + beta * beta
+
+
 def _rotated_kind(geom: GrushinGeometry, exps: WeightExponents,
                   admissibility: str) -> float:
     """Check m = 2, alpha1 + k*(gamma+1) > 0 and the flag's condition; return the former."""
@@ -153,11 +159,11 @@ def _components_sq(components) -> np.ndarray:
 def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
                         f: TestFunction, spec: QuadratureSpec) -> InequalityReport:
     """Weighted Hardy bound for x-radial functions of the anisotropic gradient."""
-    s_hom = _first_kind(geom, exps)
+    require_args("radial_hardy", geom=geom, exps=exps, f=f, spec=spec)
+    C = _grushin_constant(_first_kind(geom, exps))
     _require_radial(f, "the radial Hardy bound")
     _require_shape(geom, f)
 
-    C = (0.5 * s_hom) ** 2
     params = {**_geom_params(geom, exps), "sharp_constant": C}
 
     def density(r, y):
@@ -185,6 +191,7 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     exactly -((Q+a1-2)*alpha - alpha^2) times the Hardy integral; this holds
     for any finite real alpha, by integration by parts against the weight.
     """
+    require_args("grushin_ibp", geom=geom, exps=exps, f=f, spec=spec)
     a = require_param("the integration-by-parts identity", "alpha", alpha)
     s_hom = _first_kind(geom, exps)
     _require_radial(f, "the integration-by-parts identity")
@@ -225,12 +232,13 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     Stated for real functions; the report's params carry the split identity
     (gradient part + beta^2 potential part = lhs) with its relative error.
     """
+    require_args("magnetic_grushin", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
     s_hom = _first_kind(geom, exps)
     _require_shape(geom, f)
     _require_real(f, "the magnetic Hardy bound")
 
     beta = flux.beta
-    C = (0.5 * s_hom) ** 2 + beta * beta
+    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta}
 
     def density(r, y):
@@ -263,11 +271,12 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
                     f: TestFunction, spec: QuadratureSpec,
                     admissibility: str = "thm2") -> InequalityReport:
     """Hardy bound for the rotated potential, with the angular-defect remainder."""
+    require_args("ab_hardy", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
     s_hom = _rotated_kind(geom, exps, admissibility)
     _require_shape(geom, f)
 
     beta = flux.beta
-    C = (0.5 * s_hom) ** 2 + beta * beta
+    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta,
               "admissibility": admissibility}
 
@@ -299,6 +308,7 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     The first dominates the second for any mode content; they agree exactly when
     every nonzero mode has |mode| = 1.
     """
+    require_args("the Fourier defect terms", geom=geom, exps=exps, f=f, spec=spec)
     if geom.m != 2:
         raise DomainError("mode decomposition needs m = 2")
     _require_shape(geom, f)
@@ -328,6 +338,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
                                spec: QuadratureSpec,
                                variant: str = "uncer1") -> InequalityReport:
     """Norm-product uncertainty bound: ||weighted magnetic grad f|| ||f|| vs C^(1/2)."""
+    require_args("the uncertainty bound", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
     beta = flux.beta
     if variant == "uncer1":
         s_hom = _first_kind(geom, exps)
@@ -340,7 +351,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         raise DomainError(f"unknown variant {variant!r}")
     _require_shape(geom, f)
 
-    C = (0.5 * s_hom) ** 2 + beta * beta
+    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta, "variant": variant,
               "sqrt_constant": math.sqrt(C)}
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
@@ -382,8 +393,9 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
     The main constant is applied as printed (linear); the squared reading is
     evaluated alongside and reported in params as main_squared/margin_squared.
     """
-    n = pots.n
-    if geom.m != n or geom.k != n:
+    require_args("constant_field", geom=geom, exps=exps, pots=pots, f=f, spec=spec)
+    n = geom.m
+    if geom.k != n:
         raise DomainError(f"need m = k = n = {n}, got m={geom.m}, k={geom.k}")
     _first_kind(geom, exps)   # m = k = n: Q = n*(2+gamma), m + gamma*alpha2 = n + alpha2*gamma
     _require_radial(f, "the constant-field bound")
@@ -400,9 +412,7 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
         B, Bw, _ = _weights(geom, exps, r, y)
         # sum_j (slope x_j)^2 = (slope r)^2 on the x-sphere, and sum_j (slope y_j)^2
         vx_sq = (slope * r) ** 2
-        vy_sq = np.zeros(y.shape[:-1])
-        for j in range(n):
-            vy_sq = vy_sq + (slope * y[..., j]) ** 2
+        vy_sq = grad_y_sq(slope * y)
 
         def at(phi):
             parts = on(phi)

@@ -21,7 +21,7 @@ from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
-from ._grids import abs2, integrate, polar_integral
+from ._grids import abs2, integrate, polar_integral, require_args
 from .grushin import _require_radial, _require_real, _resolution
 
 __all__ = [
@@ -74,6 +74,7 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
     (|df/dr|^2 + |df/dphi|^2/r^2 + psi^2 r^2 |f|^2) / kappa(r), i.e. the
     split without any angular cross contribution.
     """
+    require_args("twisted_polar", psi=psi, kappa=kappa, f=f, spec=spec)
     _require_plane(f)
     params = {"psi_kind": getattr(psi, "kind", "user"),
               "psi_params": list(getattr(psi, "params", ()))}
@@ -115,6 +116,7 @@ def verify_landau(variant: str, psi: RadialPotential,
     (poincare needs one) confines f to the ball |z| <= radius, recorded as R.
     """
     theorem_id = f"landau_{variant}"
+    require_args(theorem_id, psi=psi, f=f, spec=spec)
     _require_plane(f)
     _require_in_ball(f, radius)
 
@@ -200,15 +202,16 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     R >= e * sup|z|), uncertainty (norm product vs the pointwise sqrt bound).
     A radius confines f to the ball |z| <= radius and stands for sup|z|.
     """
+    theorem_id = f"real_landau_{variant}"
     if n < 1:
         raise DomainError("need n >= 1")
     if n != 1 and variant in ("identity", "critical"):
         raise DomainError(f"the {variant} statement runs on the plane (n = 1)")
+    require_args(theorem_id, f=f, spec=spec)
     _require_plane(f)
     _require_real(f, "the classical-field statement")
     if n >= 2:   # through the radial reduction
         _require_radial(f, "the classical-field statement for n >= 2")
-    theorem_id = f"real_landau_{variant}"
     half = RadialPotential.constant(0.5)
     res = _resolution(spec)
 

@@ -18,7 +18,7 @@ from ..errors import AdmissibilityError, DomainError, require_param
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import InequalityReport, SuperweightParams
-from ._grids import radial_integral
+from ._grids import radial_integral, require_args
 from .grushin import _resolution
 from .landau import _require_in_ball
 
@@ -44,6 +44,7 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         raise AdmissibilityError("need p > 1")
     if not (Q > 0.0):
         raise AdmissibilityError("need Q > 0")
+    require_args(theorem_id, f=f, spec=spec)
     if not (f.is_radial and f.k == 0):
         raise DomainError("the one-dimensional checks take radial profiles")
 

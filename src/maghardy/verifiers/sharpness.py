@@ -1,23 +1,33 @@
 """Rayleigh-quotient sharpness estimation for the Hardy-type constants.
 
 Each supported constant admits a one-dimensional reduced quotient in a
-logarithmic variable: substituting f = t^(-s/2) w(log t) into the radial
+logarithmic variable: substituting f = t^(-s/2) v(log t) into the radial
 energy turns the weighted Dirichlet/norm pair into
 
-    quotient = s^2/4 + integral(w'^2) / integral(w^2)
+    quotient = s^2/4 + integral(v'^2) / integral(v^2)
 
 exactly (the cross term integrates to zero over compact supports), and the
 analogous substitutions handle the logarithmic and composite weights.  The
 engine evaluates these reduced functionals by panelled Gauss-Legendre
-quadrature for a window family w and drives the window toward the
+quadrature for a window family v and drives the window toward the
 extremizing regime along a schedule of widths.  The panels come from
 `quadrature.gauss_panels`, whose reference rule is built once per node count.
+
+Two kernels evaluate the quotients, with w the panel weights:
+
+  * _power_quotient, base + sum(w G (v' - c v)^2) / sum(w G v^2).  The power
+    weights (radial_hardy, magnetic_grushin, landau_hardy_sobolev) take
+    their constant as base and G = 1, c = 0, with no array pass spent on
+    either; landau_superweight takes base 0, its composite weight G and the
+    shift c of its constant.
+  * _log_quotient, sum(w (v' - v/2)^2) / sum(w v v e^(-2 e^u)), for the
+    logarithmic weight; its norm side keeps its own order of products.
 
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
 "plain" (e^(eps u) on the family's own cutoff window, matching make_trial
 exactly so full tensor quadrature can cross-check the reduction).  Each
-window is a closure both(u) -> (w, w') with its panel edges.
+window is a closure both(u) -> (v, v') with its panel edges.
 
 The schedule runs in chunks of _CHUNK points, the most whose
 (points, 3 * _PANEL_N) node arrays hold at most quadrature.BLOCK_NODES
@@ -33,24 +43,25 @@ epsilon is a DomainError and a non-finite quotient a NonFiniteError.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from functools import partial
 
 import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, NonFiniteError, require_param
-from ..fields import FluxParam
 from ..functions import TrialFamily, _plateau, plateau_breaks
-from ..geometry import GrushinGeometry, WeightExponents
 from ..quadrature import BLOCK_NODES, gauss_panels
-from ..reports import SharpnessResult, SuperweightParams
-from .grushin import _first_kind, _geom_params
+from ..reports import SharpnessResult
+from ._grids import require_args
+from .grushin import _first_kind, _geom_params, _grushin_constant
 from .landau import _superweight_constant, _theta1
 
-__all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE"]
+__all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE", "FAMILY_FOR"]
 
 DEFAULT_SCHEDULE = (0.5, 0.2, 0.1, 0.05, 0.02)
 
-_FAMILY_FOR = {
+# theorem id -> the trial family its engine takes
+FAMILY_FOR = {
     "radial_hardy": "rho_power",
     "magnetic_grushin": "rho_power",
     "landau_hardy_sobolev": "inverse_power",
@@ -102,12 +113,13 @@ def _row_sums(a) -> np.ndarray:
     return np.array([np.add.reduce(row) for row in a])
 
 
-def _power_quotient(base: float, both, edges) -> np.ndarray:
+def _power_quotient(base: float, both, edges, G=None, c: float = 0.0) -> np.ndarray:
+    """base + sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
     u, w = gauss_panels(edges, _PANEL_N)
     v, d = both(u)
-    num = _row_sums(w * d**2)
-    den = _row_sums(w * v**2)
-    return base + num / den
+    if G is not None:
+        w, d = w * G(u), d - c * v
+    return base + _row_sums(w * d**2) / _row_sums(w * v**2)
 
 
 def _log_quotient(both, edges) -> np.ndarray:
@@ -117,23 +129,6 @@ def _log_quotient(both, edges) -> np.ndarray:
     v, d = both(u)
     num = _row_sums(w * (d - 0.5 * v) ** 2)
     den = _row_sums(w * v * v * np.exp(-2.0 * np.exp(u)))
-    return num / den
-
-
-def _superweight_quotient(sw: SuperweightParams, c: float, both,
-                          edges) -> np.ndarray:
-    log_a, log_b = math.log(sw.a), math.log(sw.b)
-    t2, t3 = sw.theta2, sw.theta3
-
-    def G(u):
-        # (a e^(-theta2 u) + b)^theta3 without overflowing the inner power
-        return np.exp(t3 * np.logaddexp(log_a - t2 * u, log_b))
-
-    u, w = gauss_panels(edges, _PANEL_N)
-    g = G(u)
-    v, d = both(u)
-    num = _row_sums(w * g * (d - c * v) ** 2)
-    den = _row_sums(w * g * v**2)
     return num / den
 
 
@@ -148,18 +143,18 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     window="plain" evaluates the exact make_trial shape on family.cutoff so
     the reduced quotient can be checked against full quadrature.
     """
-    want = _FAMILY_FOR.get(theorem_id)
+    want = FAMILY_FOR.get(theorem_id)
     if want is None:
         raise AdmissibilityError(f"no sharpness engine for {theorem_id!r}")
-    if family.base != want:
+    if require_param(theorem_id, "family", family, TrialFamily).base != want:
         raise AdmissibilityError(
             f"{theorem_id} takes the {want} trial family, not {family.base}")
     if window not in ("gauss", "plain"):
         raise DomainError(f"unknown window {window!r}")
-    if schedule is None:
-        schedule = DEFAULT_SCHEDULE
-    schedule = tuple(float(e) for e in schedule)
-    if not schedule or not all(0.0 < e < math.inf for e in schedule):
+    schedule = DEFAULT_SCHEDULE if schedule is None else tuple(
+        require_param(theorem_id, "schedule", e)
+        for e in require_param(theorem_id, "schedule", schedule, Iterable))
+    if not schedule or not all(e > 0.0 for e in schedule):
         raise DomainError("schedule must be finite positive epsilons")
 
     run_params: dict = {"window": window, "family": family.base}
@@ -172,17 +167,14 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     given = params if isinstance(params, dict) else {}
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
-        # the verifier's admissibility; 0.25*s*s keeps the sweep's bytes, where
-        # its (0.5*s)**2 differs in the last bit for some s
-        geom = require_param(theorem_id, "geom", given.get("geom"), GrushinGeometry)
-        exps = require_param(theorem_id, "exps", given.get("exps"), WeightExponents)
-        s = _first_kind(geom, exps)
-        sharp = 0.25 * s * s
+        geom, exps, flux = given.get("geom"), given.get("exps"), given.get("flux")
+        require_args(theorem_id, geom=geom, exps=exps)
+        s, beta = _first_kind(geom, exps), 0.0
         run_params.update(_geom_params(geom, exps))
         if theorem_id == "magnetic_grushin":
-            beta = require_param(theorem_id, "flux", given.get("flux"), FluxParam).beta
-            sharp += beta * beta
-            run_params["beta"] = beta
+            require_args(theorem_id, flux=flux)
+            beta = run_params["beta"] = flux.beta
+        sharp = _grushin_constant(s, beta)
         quotient = partial(_power_quotient, sharp)
     elif theorem_id == "landau_hardy_sobolev":
         t1 = _theta1(given.get("theta1"))
@@ -202,7 +194,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         c = _superweight_constant(params)
         sharp = c * c
         run_params.update(weights=params.to_dict(), constant_reading="squared")
-        quotient = partial(_superweight_quotient, params, c)
+        log_a, log_b = math.log(params.a), math.log(params.b)
+        t2, t3 = params.theta2, params.theta3
+        # G = (a e^(-theta2 u) + b)^theta3 without overflowing the inner power
+        G = lambda u: np.exp(t3 * np.logaddexp(log_a - t2 * u, log_b))
+        quotient = partial(_power_quotient, 0.0, G=G, c=c)
         if params.theta2 < 0.0:
             center = lambda eps: math.log(0.05) - 6.0 / eps   # push toward the origin
         else:

@@ -369,7 +369,7 @@ def _draw_constant_field(rng):
     a1 = 2.0 - n * (2.0 + gamma) + float(rng.uniform(0.3, 4.0))
     a2_lo = max(-n / gamma + 0.1, -3.0)
     exps = WeightExponents(a1, float(rng.uniform(a2_lo, 2.0)))
-    pots = ConstantFieldPotentials(n, float(rng.uniform(0.2, 1.0)))
+    pots = ConstantFieldPotentials(float(rng.uniform(0.2, 1.0)))
     f = random_test_function(rng, k=n, modes=(0,), real=True)
     return verify_constant_field(geom, exps, pots, f, POLAR)
 
@@ -598,7 +598,7 @@ def test_09_analytic_derivatives_match_fd():
 
     for _ in range(20):  # componentwise constant-field gradient
         geom = GrushinGeometry(1, 1, float(rng.uniform(0.0, 2.0)))
-        pots = ConstantFieldPotentials(1, float(rng.uniform(0.1, 1.0)))
+        pots = ConstantFieldPotentials(float(rng.uniform(0.1, 1.0)))
         f = random_test_function(rng, k=1, modes=(0,), real=True)
         p = _mid_support_point(rng, f, m=1)
         gx, gy = _fd_gradient(f, p, 1e-5 * p.r, 1e-5)
@@ -670,7 +670,7 @@ def test_10_main_engine_vs_oracle():
                         QuadratureSpec(n_r=128, oracle=True)))
 
     cf_geom = GrushinGeometry(1, 1, 1.0)
-    pots = ConstantFieldPotentials(1, 0.5)
+    pots = ConstantFieldPotentials(0.5)
     f_cf = random_test_function(rng, k=1, modes=(0,), real=True)
     worst["constant-field"] = _term_agreement(
         verify_constant_field(cf_geom, WeightExponents(0.3, 0.1), pots, f_cf, spec),

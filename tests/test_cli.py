@@ -22,7 +22,7 @@ from maghardy.reports import (
     SharpnessResult,
     jsonable,
 )
-from maghardy.verifiers.sharpness import _FAMILY_FOR
+from maghardy.verifiers import FAMILY_FOR
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"
@@ -871,7 +871,7 @@ def _boundary_run(case, cond, eps):
     tid, _, engine = case.partition(" ")
     run = {"theorem_id": tid, **_BOUNDARIES[case][1][cond](eps)}
     if engine:
-        run.update(family={"base": _FAMILY_FOR[tid], "epsilon": 0.5,
+        run.update(family={"base": FAMILY_FOR[tid], "epsilon": 0.5,
                            "cutoff": [0.5, 2.0]}, schedule=[0.5])
         return run
     run["quadrature"] = {"n_r": 8, "n_phi": 4, "n_y": 4}

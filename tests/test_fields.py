@@ -15,14 +15,13 @@ from maghardy.fields import (
     constant_field_grad,
     grushin_potential,
     magnetic_grad,
-    tilde_grad,
     twisted_grad_psi,
 )
 from maghardy.functions import evaluate, random_test_function
 from maghardy.geometry import grad_rho, rho, weight_B
 from maghardy.quadrature import QuadratureSpec
 from maghardy.verifiers import _grids, grushin, landau, verify_ab_hardy, verify_landau
-from maghardy.verifiers import verify_magnetic_grushin
+from maghardy.verifiers import verify_constant_field, verify_magnetic_grushin
 
 
 def draw_point(rng, f, m=2):
@@ -112,10 +111,9 @@ def test_radial_potential_constructors():
 
 def test_constant_field_potentials_validation():
     with pytest.raises(DomainError):
-        ConstantFieldPotentials(0)
-    pots = ConstantFieldPotentials(2, 0.7)
-    assert pots.n == 2 and pots.slope == 0.7
-    assert ConstantFieldPotentials(1).slope == 0.5
+        ConstantFieldPotentials(math.nan)
+    assert ConstantFieldPotentials(0.7).slope == 0.7
+    assert ConstantFieldPotentials().slope == 0.5
 
 
 # --- gradient assemblies vs finite differences ------------------------------
@@ -199,7 +197,7 @@ def test_constant_field_gradient_matches_fd():
     worst = 0.0
     for _ in range(15):
         geom = GrushinGeometry(1, 1, float(rng.uniform(0.0, 2.0)))
-        pots = ConstantFieldPotentials(1, float(rng.uniform(0.1, 1.0)))
+        pots = ConstantFieldPotentials(float(rng.uniform(0.1, 1.0)))
         f = random_test_function(rng, k=1, modes=(0,), real=True)
         p = draw_point(rng, f, m=1)
         gx, gy = fd_plain_gradient(f, p, 1e-5 * p.r, 1e-5)
@@ -289,6 +287,26 @@ def test_magnetic_integrand_is_weighted_pointwise_gradient(monkeypatch, kind, m)
         assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("n", [1, 2], ids=["constant_field_grad-1", "constant_field_grad-2"])
+def test_constant_field_integrand_is_weighted_pointwise_gradient(monkeypatch, n):
+    # real x-radial f on m = k = n through the x-radial path: the verifier's
+    # sphere reduction drops only cross terms that vanish for real f
+    rng = np.random.default_rng(50 + n)
+    for _ in range(20):
+        gamma = float(rng.uniform(0.0, 2.0))
+        geom = GrushinGeometry(n, n, gamma)
+        exps = WeightExponents(2.0 - geom.hom_dim + float(rng.uniform(0.3, 2.0)),
+                               float(rng.uniform(-0.4, 0.5)))
+        pots = ConstantFieldPotentials(float(rng.uniform(0.1, 1.0)))
+        f = random_test_function(rng, k=n, modes=(0,), real=True)
+        p = draw_point(rng, f, m=n)
+        run = lambda: verify_constant_field(geom, exps, pots, f, _TINY)
+        got = _first_integrand(monkeypatch, grushin, "rx_integral", run, p)
+        grad = constant_field_grad(pots, geom, f, p)
+        want = weight_B(geom, exps, p) * float(np.sum(np.abs(grad) ** 2))
+        assert abs(got - want) <= 1e-12 * want
+
+
 def test_twisted_integrand_is_pointwise_gradient(monkeypatch):
     rng = np.random.default_rng(49)
     for _ in range(20):
@@ -310,11 +328,12 @@ def test_gradient_error_paths():
     with pytest.raises(DomainError):
         magnetic_grad("unknown", FluxParam(0.0), geom, f, p)
     with pytest.raises(DomainError):
-        tilde_grad(GrushinGeometry(3, 1, 1.0), f, Point(np.ones(3), np.zeros(1)))
+        magnetic_grad("tilde", FluxParam(0.0), GrushinGeometry(3, 1, 1.0), f,
+                      Point(np.ones(3), np.zeros(1)))
     with pytest.raises(OriginError):
         magnetic_grad("grushin", FluxParam(0.0), geom, f, Point(np.zeros(2), np.ones(1)))
     fp = random_test_function(np.random.default_rng(2), k=0, modes=(0,))
     with pytest.raises(DomainError):
         twisted_grad_psi(RadialPotential.constant(1.0), fp, p)  # k must be 0
     with pytest.raises(DomainError):
-        constant_field_grad(ConstantFieldPotentials(2, 0.5), geom, f, p)
+        constant_field_grad(ConstantFieldPotentials(0.5), geom, f, p)

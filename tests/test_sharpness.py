@@ -187,19 +187,35 @@ def test_batched_schedule_equals_one_point_at_a_time_bitwise(monkeypatch, theore
         assert q.hex() == alone.hex()
 
 
+def _power_loop(res, u, w, v, d):
+    return res.sharp_constant + float(np.sum(w * d**2)) / float(np.sum(w * v**2))
+
+
+def _superweight_loop(res, u, w, v, d):
+    # sum(w G (v' - c v)^2) / sum(w G v^2) with the composite weight
+    # G = (a e^(-theta2 u) + b)^theta3 and c = (theta2*theta3 - 2*theta4)/2
+    sw = res.params["weights"]
+    t2, t3 = sw["theta2"], sw["theta3"]
+    g = np.exp(t3 * np.logaddexp(math.log(sw["a"]) - t2 * u, math.log(sw["b"])))
+    c = 0.5 * (t2 * t3 - 2.0 * sw["theta4"])
+    return float(np.sum(w * g * (d - c * v) ** 2)) / float(np.sum(w * g * v**2))
+
+
 @pytest.mark.parametrize("window", ["gauss", "plain"])
 def test_batched_schedule_equals_a_loop_over_float_windows_bitwise(window):
-    # the per-epsilon loop: a float window, its 1-D rule and two 1-D sums
-    theorem_id, params, family = _ENGINES[0]
-    lo, hi = family.cutoff
-    res = estimate_sharpness(theorem_id, params, family, _LONG, window)
-    for eps, q in res.schedule:
-        both, edges = (_gauss_window(eps, 0.0) if window == "gauss"
-                       else _plain_window(eps, math.log(lo), math.log(hi)))
-        u, w = gauss_panels(edges, _PANEL_N)
-        v, d = both(u)
-        loop = res.sharp_constant + float(np.sum(w * d**2)) / float(np.sum(w * v**2))
-        assert q.hex() == loop.hex()
+    # the per-epsilon loop: a float window, its 1-D rule and two 1-D sums,
+    # for the power weight (G = 1, c = 0) and the composite weight
+    for (theorem_id, params, family), center, loop in (
+            (_ENGINES[0], lambda eps: 0.0, _power_loop),
+            (_ENGINES[-1], lambda eps: math.log(0.05) - 6.0 / eps, _superweight_loop)):
+        lo, hi = family.cutoff
+        res = estimate_sharpness(theorem_id, params, family, _LONG, window)
+        for eps, q in res.schedule:
+            both, edges = (_gauss_window(eps, center(eps)) if window == "gauss"
+                           else _plain_window(eps, math.log(lo), math.log(hi)))
+            u, w = gauss_panels(edges, _PANEL_N)
+            v, d = both(u)
+            assert q.hex() == loop(res, u, w, v, d).hex(), (theorem_id, eps)
 
 
 def test_column_edges_give_the_rows_of_scalar_edges_bitwise():
@@ -231,7 +247,7 @@ def test_a_long_schedule_peaks_like_one_chunk():
 def test_non_finite_epsilons_are_refused(window):
     theorem_id, params, family = _ENGINES[2]
     for eps in (math.nan, math.inf):
-        with pytest.raises(DomainError, match="finite positive"):
+        with pytest.raises(DomainError, match="schedule must be finite"):
             estimate_sharpness(theorem_id, params, family, (0.5, eps), window)
 
 

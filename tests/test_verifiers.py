@@ -27,6 +27,7 @@ from maghardy.functions import (
 from maghardy.quadrature import Domain, integrate_polar
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
+    FAMILY_FOR,
     check_grushin_ibp_identity,
     estimate_sharpness,
     fourier_defect_terms,
@@ -187,8 +188,13 @@ def _landau(variant, params):
 
 
 def _engine(theorem_id, params):
-    base = sharpness._FAMILY_FOR[theorem_id]
+    base = FAMILY_FOR[theorem_id]
     return lambda: estimate_sharpness(theorem_id, params, TrialFamily(base, 0.1, (0.5, 2.0)))
+
+
+_GEOM, _EXPS = GrushinGeometry(2, 1, 1.0), WeightExponents(0.0, 0.0)
+_BUMP = make_bump(0.5, 2.0, ((-1.0, 1.0),))
+_FLAT_ENGINE = ("radial_hardy", {"geom": _GEOM, "exps": _EXPS})
 
 
 def _radial_p(variant, params):
@@ -198,7 +204,8 @@ def _radial_p(variant, params):
 # case -> (the call, the parameter its error names).  Before each call
 # reached one parameter check, these escaped as a TypeError, KeyError,
 # AttributeError or ValueError, or (a non-finite engine theta1) as a
-# NonFiniteError after the whole schedule had run.
+# NonFiniteError after the whole schedule had run; a bool quadrature count
+# and a string slope were accepted.
 _MALFORMED = {
     "landau superweight as a number": (_landau("superweight", 1.0), "superweight"),
     "landau superweight as a dict": (_landau("superweight", {"a": 1}), "superweight"),
@@ -230,6 +237,49 @@ _MALFORMED = {
     "flux beta as a string": (lambda: FluxParam("x"), "beta"),
     "superweight field as None": (
         lambda: SuperweightParams(1.0, None, -2.0, 1.0, -2.0), "b"),
+    # the engine's family and schedule, and the trial family's numbers
+    "engine family None": (lambda: estimate_sharpness(*_FLAT_ENGINE, None), "family"),
+    "engine schedule entry as a string": (lambda: estimate_sharpness(
+        *_FLAT_ENGINE, TrialFamily("rho_power", 0.1, (0.5, 2.0)), (0.5, "x")), "schedule"),
+    "engine schedule as a number": (lambda: estimate_sharpness(
+        *_FLAT_ENGINE, TrialFamily("rho_power", 0.1, (0.5, 2.0)), 0.5), "schedule"),
+    "trial epsilon as a string": (
+        lambda: TrialFamily("rho_power", "x", (0.5, 2.0)), "epsilon"),
+    "trial cutoff None": (lambda: TrialFamily("rho_power", 0.1, None), "cutoff"),
+    "trial cutoff of three": (
+        lambda: TrialFamily("rho_power", 0.1, (0.5, 1.0, 2.0)), "cutoff"),
+    "trial cutoff entry as a string": (
+        lambda: TrialFamily("rho_power", 0.1, (0.5, "x")), "cutoff"),
+    "trial exponent nan": (
+        lambda: TrialFamily("power", 0.1, (0.5, 2.0), math.nan), "exponent"),
+    # the verifiers' arguments
+    "radial_hardy geom None": (
+        lambda: verify_radial_hardy(None, _EXPS, _BUMP, SPEC), "geom"),
+    "radial_hardy exps None": (
+        lambda: verify_radial_hardy(_GEOM, None, _BUMP, SPEC), "exps"),
+    "radial_hardy f None": (
+        lambda: verify_radial_hardy(_GEOM, _EXPS, None, SPEC), "f"),
+    "radial_hardy spec None": (
+        lambda: verify_radial_hardy(_GEOM, _EXPS, _BUMP, None), "spec"),
+    "magnetic_grushin flux None": (
+        lambda: verify_magnetic_grushin(_GEOM, _EXPS, None, _BUMP, SPEC), "flux"),
+    "ab_hardy flux as a number": (
+        lambda: verify_ab_hardy(_GEOM, _EXPS, 0.5, _BUMP, SPEC), "flux"),
+    "uncertainty spec None": (
+        lambda: verify_uncertainty_grushin(_GEOM, _EXPS, FluxParam(0.5), _BUMP, None), "spec"),
+    "constant_field pots None": (lambda: verify_constant_field(
+        GrushinGeometry(1, 1, 1.0), _EXPS, None, _BUMP, SPEC), "pots"),
+    "landau psi None": (lambda: verify_landau(
+        "hardy_sobolev", None, 1.0, _PLANE_BUMP, _PLANE_SPEC), "psi"),
+    "real_landau f None": (
+        lambda: verify_real_landau("hardy", 1, None, _PLANE_SPEC), "f"),
+    "radial_p spec None": (lambda: verify_radial_p(
+        "weighted", 3.0, 2.0, {"theta": 0.5}, make_bump(0.5, 2.0), None), "spec"),
+    "quadrature n_r fractional": (lambda: QuadratureSpec(n_r=16.5), "n_r"),
+    "quadrature n_y as a float": (lambda: QuadratureSpec(n_y=8.0), "n_y"),
+    "quadrature n_y as a bool": (lambda: QuadratureSpec(n_y=True), "n_y"),
+    "constant-field slope as a string": (lambda: ConstantFieldPotentials("x"), "slope"),
+    "constant-field slope nan": (lambda: ConstantFieldPotentials(math.nan), "slope"),
 }
 
 
@@ -391,7 +441,7 @@ def test_constant_field_margins_both_readings():
     rng = np.random.default_rng(1009)
     for n, gamma in ((1, 1.0), (2, 0.8)):
         geom = GrushinGeometry(n, n, gamma)
-        pots = ConstantFieldPotentials(n, 0.5)
+        pots = ConstantFieldPotentials(0.5)
         exps = WeightExponents(0.3, 0.1)
         f = random_test_function(rng, k=n, modes=(0,), real=True)
         rep = verify_constant_field(geom, exps, pots, f, SPEC)
@@ -401,14 +451,14 @@ def test_constant_field_margins_both_readings():
 
 
 def test_constant_field_shape_guard():
-    pots = ConstantFieldPotentials(1, 0.5)
+    pots = ConstantFieldPotentials(0.5)
     f = random_test_function(np.random.default_rng(3), k=1, modes=(0,), real=True)
     with pytest.raises(DomainError):
         verify_constant_field(GrushinGeometry(2, 1, 1.0), WeightExponents(0, 0), pots, f, SPEC)
 
 
 def test_constant_field_rejects_complex():
-    pots = ConstantFieldPotentials(1, 0.5)
+    pots = ConstantFieldPotentials(0.5)
     f = random_test_function(np.random.default_rng(4), k=1, modes=(0,), real=False)
     # a lone mode-0 profile with complex amplitude is still complex-valued
     if f.is_real_valued():
