@@ -35,12 +35,13 @@ import math
 import os
 import sys
 import time
+from numbers import Integral, Real
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MagHardyError
+from .errors import ConfigError, MagHardyError, require_param
 from .fields import ConstantFieldPotentials, FluxParam, RadialPotential
 from .functions import (
     AngularMode,
@@ -55,7 +56,7 @@ from .functions import (
     random_test_function,
 )
 from .geometry import GrushinGeometry, WeightExponents
-from .quadrature import QuadratureSpec
+from .quadrature import MAX_AXIS_NODES, QuadratureSpec
 from .reports import ReportEncoder, SuperweightParams, jsonable, relative_gap
 from .verifiers import (
     FAMILY_FOR,
@@ -81,10 +82,9 @@ _COMMON_KEYS = {"theorem_id", "label", "seed", "quadrature", "function"}
 _SHARPNESS_KEYS = {"family", "schedule", "window"}
 _GRUSHIN_KEYS = {"geometry", "weights"}
 
-# Ceilings on the counts a run sets, far above any configured value: a huge
-# count becomes a ConfigError instead of an OverflowError or an endless loop.
-_MAX_NODES = 4096   # quadrature nodes per axis
-_MAX_DIM = 8        # the dimensions m, k and n
+# Ceiling on the dimensions m, k and n, far above any configured value: a huge
+# one becomes a ConfigError instead of an OverflowError or an endless loop.
+_MAX_DIM = 8
 
 _REQUIRED = object()
 
@@ -105,38 +105,26 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, field: str, kind=float):
-    """value as a finite float (an int for kind=int); ConfigError naming field.
-
-    A bool is not a number, and an int field refuses a non-integral value
-    instead of truncating it.
-    """
-    if isinstance(value, bool):
-        raise ConfigError(f"{field}: expected a number, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{field}: expected an integer, got {value!r}")
+def _number(value, field: str, kind=Real):
+    """value through require_param, an integral float as a count; ConfigError naming field."""
+    if kind is Integral and type(value) is float and value.is_integer():
+        value = int(value)
     try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{field}: expected a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{field}: must be finite, got {value!r}")
-    return out
+        return require_param("the field", "an integer" if kind is Integral else "a number",
+                             value, kind)
+    except MagHardyError as exc:
+        raise ConfigError(f"{field}: {exc}") from None
 
 
-def _num(obj: dict, key: str, where: str, kind=float, default=_REQUIRED):
-    """obj[key], or default when the key is absent, through _number."""
+def _num(obj: dict, key: str, where: str, kind=Real, default=_REQUIRED,
+         ceiling=math.inf):
+    """obj[key], or default when the key is absent, through _number and no
+    larger than ceiling, which is checked before anything of that size is built."""
     value = _need(obj, key, where) if default is _REQUIRED else obj.get(key, default)
-    return _number(value, f"{where}.{key}", kind)
-
-
-def _size(obj: dict, key: str, where: str, ceiling: int, default=_REQUIRED) -> int:
-    """obj[key] as an integer no larger than ceiling, checked before anything
-    of that size is built."""
-    value = _num(obj, key, where, int, default)
-    if value > ceiling:
-        raise ConfigError(f"{where}.{key}: at most {ceiling}, got {obj[key]!r}")
-    return value
+    out = _number(value, f"{where}.{key}", kind)
+    if out > ceiling:
+        raise ConfigError(f"{where}.{key}: at most {ceiling}, got {value!r}")
+    return out
 
 
 def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
@@ -147,7 +135,7 @@ def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
     return value
 
 
-def _numbers(value, field: str, kind=float, length=None):
+def _numbers(value, field: str, kind=Real, length=None):
     """A list of finite numbers through _number, of the given length if set."""
     if not (isinstance(value, (list, tuple)) and length in (None, len(value))):
         size = "a list" if length is None else f"a list of {length}"
@@ -157,8 +145,8 @@ def _numbers(value, field: str, kind=float, length=None):
 
 def _parse_geometry(obj, where) -> GrushinGeometry:
     _check_keys(obj, {"m", "k", "gamma"}, where)
-    return GrushinGeometry(_size(obj, "m", where, _MAX_DIM),
-                           _size(obj, "k", where, _MAX_DIM),
+    return GrushinGeometry(_num(obj, "m", where, Integral, ceiling=_MAX_DIM),
+                           _num(obj, "k", where, Integral, ceiling=_MAX_DIM),
                            _num(obj, "gamma", where))
 
 
@@ -189,14 +177,13 @@ def _parse_quadrature(obj, where) -> QuadratureSpec:
         return QuadratureSpec()
     _check_keys(obj, {"n_r", "n_phi", "n_y", "oracle"}, where)
     return QuadratureSpec(
-        n_r=_size(obj, "n_r", where, _MAX_NODES, 256),
-        n_phi=_size(obj, "n_phi", where, _MAX_NODES, 32),
-        n_y=_size(obj, "n_y", where, _MAX_NODES, 64),
+        n_r=_num(obj, "n_r", where, Integral, 256, MAX_AXIS_NODES),
+        n_phi=_num(obj, "n_phi", where, Integral, 32, MAX_AXIS_NODES),
+        n_y=_num(obj, "n_y", where, Integral, 64, MAX_AXIS_NODES),
         oracle=_flag(obj, "oracle", where, False))
 
 
 def _parse_family(obj, where) -> TrialFamily:
-    _check_keys(obj, {"base", "epsilon", "cutoff", "exponent"}, where)
     exponent = obj.get("exponent")
     return TrialFamily(base=str(_need(obj, "base", where)),
                        epsilon=_num(obj, "epsilon", where),
@@ -231,14 +218,13 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
                     raise ConfigError(f"{where}.{name}: need lo <= hi, "
                                       f"got {obj[name]!r}")
         return random_test_function(
-            rng, k=_size(obj, "k", where, _MAX_DIM, 0),
-            modes=_numbers(obj.get("modes", [0]), f"{where}.modes", int),
+            rng, k=_num(obj, "k", where, Integral, 0, _MAX_DIM),
+            modes=_numbers(obj.get("modes", [0]), f"{where}.modes", Integral),
             real=_flag(obj, "real", where, False),
             gaussian_y=_flag(obj, "gaussian_y", where, True), **kwargs)
     if kind == "trial":
         _check_keys(obj, {"kind", "base", "epsilon", "cutoff", "exponent"}, where)
-        fam = _parse_family({k: v for k, v in obj.items() if k != "kind"}, where)
-        return make_trial(fam, geom, exps)
+        return make_trial(_parse_family(obj, where), geom, exps)
     if kind == "gauss_tail":
         _check_keys(obj, {"kind", "a", "fall", "r_hi", "r_lo"}, where)
         tail = GaussTail(a=_num(obj, "a", where, default=0.5),
@@ -267,7 +253,7 @@ class _Fields:
 
     def __init__(self, run: dict, where: str, seed: int, admissibility: str):
         self.run, self.where = run, where
-        self.seed = _num(run, "seed", where, int, seed)
+        self.seed = _num(run, "seed", where, Integral, seed)
         self.spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
         # verify_ab_hardy, its one reader, refuses an unknown flag
         self.admissibility = run.get("admissibility", admissibility)
@@ -280,7 +266,7 @@ class _Fields:
         return _num(self.run, key, self.where, default=default)
 
     def n(self) -> int:
-        return _size(self.run, "n", self.where, _MAX_DIM, 1)
+        return _num(self.run, "n", self.where, Integral, 1, _MAX_DIM)
 
     def R(self) -> float | None:
         return None if self.run.get("R") is None else self.num("R")
@@ -419,7 +405,7 @@ _CHECKS = {
         {"Q", "p", "superweight"},
         _radial_p("superweight", lambda r: r.superweight())),
     "real_landau_hardy": _Check(
-        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", {"n", "domain", "R"},
+        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", {"n", "domain"},
         _real_landau("hardy")),
     "real_landau_critical": _Check(
         "1/4", "n = 1, R >= e * sup|z| over the domain; real f",
@@ -478,6 +464,8 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
         raise ConfigError(f"{where}: {tid} needs geometry")
 
     if "family" in run:
+        # epsilon is unread (the schedule supplies it), but shipped configs send it
+        _check_keys(run["family"], {"base", "epsilon", "cutoff"}, f"{where}.family")
         family = _parse_family(run["family"], f"{where}.family")
         schedule = run.get("schedule")
         if schedule is not None:
@@ -491,7 +479,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     return check.verify(fields, f)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str) -> tuple[dict, list, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -502,7 +490,7 @@ def _load_config(path: str) -> dict:
     _check_keys(cfg, {"suite", "seed", "runs"}, "config")
     if not isinstance(cfg.get("runs", []), list):
         raise ConfigError("config: runs must be a list")
-    return cfg
+    return cfg, cfg.get("runs", []), _num(cfg, "seed", "config", Integral, 0)
 
 
 def _write_json(obj, path: str) -> None:
@@ -525,9 +513,7 @@ def _error(exc: MagHardyError) -> dict:
 
 def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
               timings: bool = False) -> int:
-    cfg = _load_config(config_path)
-    runs = cfg.get("runs", [])
-    suite_seed = _num(cfg, "seed", "config", int, 0)
+    cfg, runs, suite_seed = _load_config(config_path)
 
     def execute(i, run):
         t0 = time.perf_counter()
@@ -536,7 +522,7 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
                   "seed": None}
         try:
             if isinstance(run, dict):
-                record["seed"] = _num(run, "seed", f"runs[{i}]", int, suite_seed + i)
+                record["seed"] = _num(run, "seed", f"runs[{i}]", Integral, suite_seed + i)
             report = _run_one(run, i, suite_seed, admissibility)
             record.update(status="ok", passed=report.passed(), report=report, error=None)
         except MagHardyError as exc:
@@ -562,9 +548,7 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
 
 
 def sweep_sharpness(config_path: str, out_dir: str) -> int:
-    cfg = _load_config(config_path)
-    runs = cfg.get("runs", [])
-    suite_seed = _num(cfg, "seed", "config", int, 0)
+    cfg, runs, suite_seed = _load_config(config_path)
     for i, run in enumerate(runs):
         where = f"runs[{i}]"
         if not isinstance(run, dict) or "family" not in run:

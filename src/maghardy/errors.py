@@ -7,6 +7,9 @@ runners can record errors as data instead of aborting.
 import math
 import numbers
 
+# the exact types that skip a kind's abstract-base-class check, the slow part
+_EXACT = {numbers.Real: (float, int), numbers.Integral: (int,)}
+
 
 class MagHardyError(Exception):
     """Base class for all package-specific errors."""
@@ -45,11 +48,16 @@ def require_param(what: str, name: str, value, kind=numbers.Real):
 
     AdmissibilityError names a missing or mistyped value, DomainError a non-finite one.
     """
-    if isinstance(value, bool) or not isinstance(value, kind):
+    if type(value) not in _EXACT.get(kind, ()) and (
+            isinstance(value, bool) or not isinstance(value, kind)):
         got = "" if value is None else f", got {value!r}"
         raise AdmissibilityError(f"{what} needs {name}{got}")
     if kind is not numbers.Real:
         return value
+    try:
+        value = float(value)
+    except OverflowError:   # an int too large for a float
+        value = math.inf
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
-    return float(value)
+    return value

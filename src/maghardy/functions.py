@@ -36,7 +36,8 @@ value_polar and partials_polar are one call of that closure.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,8 +370,7 @@ class AngularMode:
     profile: object
 
     def __post_init__(self):
-        if not isinstance(self.mode, (int, np.integer)):
-            raise DomainError("mode must be an integer")
+        require_param("an angular mode", "mode", self.mode, numbers.Integral)
         if not (0.0 < self.profile.r_lo < self.profile.r_hi):
             raise DomainError("mode profile needs 0 < r_lo < r_hi")
 
@@ -614,6 +614,10 @@ def random_test_function(
     With real=True the mode list is symmetrized (+l and -l share one real
     amplitude), which makes f real-valued; otherwise amplitudes are complex.
     """
+    if require_param("the random function", "k", k, numbers.Integral) < 0:
+        raise DomainError(f"k must be nonnegative, got {k!r}")
+    modes = [int(require_param("the random function", "modes", m, numbers.Integral))
+             for m in require_param("the random function", "modes", modes, Iterable)]
     r_lo = float(rng.uniform(*r_lo_range))
     r_hi = r_lo * float(rng.uniform(*ratio_range))
     box = []
@@ -633,7 +637,7 @@ def random_test_function(
 
     out = []
     if real:
-        wanted = sorted({abs(int(m)) for m in modes})
+        wanted = sorted({abs(m) for m in modes})
         for ell in wanted:
             amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.random() < 0.8 else -1.0)
             if ell == 0:
@@ -645,7 +649,7 @@ def random_test_function(
                 out.append(AngularMode(ell, shared))
                 out.append(AngularMode(-ell, shared))
     else:
-        for m in sorted({int(m) for m in modes}):
+        for m in sorted(set(modes)):
             amp = float(rng.uniform(0.5, 1.5)) * np.exp(2j * math.pi * rng.random())
             out.append(AngularMode(m, ProductProfile(
                 PlateauLogBump(r_lo, r_hi), y_factors(), amplitude=amp)))

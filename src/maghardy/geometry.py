@@ -22,6 +22,7 @@ vectorized grid evaluations used in quadrature.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +39,10 @@ class GrushinGeometry:
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise DomainError(f"m must be a positive integer, got {self.m!r}")
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise DomainError(f"k must be a positive integer, got {self.k!r}")
+        for name in ("m", "k"):
+            n = require_param("the geometry", name, getattr(self, name), numbers.Integral)
+            if n < 1:
+                raise DomainError(f"{name} must be a positive integer, got {n!r}")
         g = require_param("the geometry", "gamma", self.gamma)
         if g < 0.0:
             raise DomainError(f"gamma must be a finite nonnegative real, got {self.gamma!r}")
@@ -155,8 +156,8 @@ def grad_rho(geom: GrushinGeometry, p: Point) -> np.ndarray:
 
 def dilate(geom: GrushinGeometry, lam: float, p: Point) -> Point:
     """Anisotropic dilation (x, y) -> (lam x, lam^(1+g) y)."""
-    lam = float(lam)
-    if not np.isfinite(lam) or lam <= 0.0:
+    lam = require_param("the dilation", "lam", lam)
+    if lam <= 0.0:
         raise DomainError(f"dilation parameter must be positive, got {lam!r}")
     return Point(lam * p.x, lam ** (1.0 + geom.gamma) * p.y)
 

@@ -88,6 +88,10 @@ MAX_SLICE_NODES = 1 << 23
 # 2-core Xeon.
 BLOCK_NODES = 1 << 14
 
+# Ceiling on n_r, n_phi and n_y, checked on construction: leggauss builds an
+# n x n companion matrix for an n-node rule (20 GB at n = 50000).
+MAX_AXIS_NODES = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -104,10 +108,10 @@ class QuadratureSpec:
     oracle: bool = False
 
     def __post_init__(self):
-        for name in ("n_r", "n_phi", "n_y"):
-            require_param("the quadrature", name, getattr(self, name), numbers.Integral)
-        if self.n_r < 2 or self.n_phi < 1 or self.n_y < 1:
-            raise DomainError("quadrature resolutions must be positive (n_r >= 2)")
+        for name, least in (("n_r", 2), ("n_phi", 1), ("n_y", 1)):
+            n = require_param("the quadrature", name, getattr(self, name), numbers.Integral)
+            if not least <= n <= MAX_AXIS_NODES:
+                raise DomainError(f"{name} must be {least} to {MAX_AXIS_NODES}, got {n}")
 
 
 @dataclass(frozen=True)

@@ -148,3 +148,11 @@ def grad_y_sq(dy: np.ndarray) -> np.ndarray:
         out = out + abs2(dy[..., j])
     return out
 
+
+def components_sq(components) -> np.ndarray:
+    """Sum of |component|^2 of a magnetic or twisted gradient from fields."""
+    cr, cphi, *yblocks = components
+    out = abs2(cr) + abs2(cphi)
+    for block in yblocks:
+        out = out + grad_y_sq(block)
+    return out

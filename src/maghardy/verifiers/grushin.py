@@ -47,6 +47,7 @@ from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport
 from ._grids import (
     abs2,
+    components_sq,
     grad_y_sq,
     integrate,
     polar_integral,
@@ -141,15 +142,6 @@ def _plain_sq(gamma: float, r, parts):
     """|grad_g f|^2 from the polar partials of f: the plain anisotropic gradient."""
     _, fr, fphi, fy = parts
     return abs2(fr) + abs2(fphi / r) + r ** (2.0 * gamma) * grad_y_sq(fy)
-
-
-def _components_sq(components) -> np.ndarray:
-    """Sum of |component|^2 of a magnetic gradient from fields."""
-    cr, cphi, *yblocks = components
-    out = abs2(cr) + abs2(cphi)
-    for block in yblocks:
-        out = out + grad_y_sq(block)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(components(parts))
+            yield B * components_sq(components(parts))
             yield B * _plain_sq(geom.gamma, r, parts)
             yield Bw * abs2(parts[0])
 
@@ -288,7 +280,7 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(components(parts))
+            yield B * components_sq(components(parts))
             f_sq = abs2(parts[0])
             yield Bw * f_sq
             yield B * (f_sq - f0_sq) / r**2
@@ -367,7 +359,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
         def at(phi):
             parts = on(phi)
-            yield B * _components_sq(field(parts))
+            yield B * components_sq(field(parts))
             f_sq = abs2(parts[0])
             yield f_sq
             yield cross_weight * f_sq

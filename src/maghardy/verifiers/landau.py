@@ -13,6 +13,7 @@ even dimension 2n through the sphere-factor reduction.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
-from ._grids import abs2, integrate, polar_integral, require_args
+from ._grids import abs2, components_sq, integrate, polar_integral, require_args
 from .grushin import _require_radial, _require_real, _resolution
 
 __all__ = [
@@ -38,7 +39,7 @@ def _require_plane(f: TestFunction) -> None:
 
 def _require_in_ball(f: TestFunction, radius: float | None) -> None:
     """Refuse a support reaching beyond the ball |z| <= radius, if one is given."""
-    if radius is not None and not 0.0 < radius < math.inf:
+    if radius is not None and not require_param("the ball", "radius", radius) > 0.0:
         raise DomainError(f"the ball needs a finite positive radius, got {radius}")
     if radius is not None and f.support()[1] > radius * (1.0 + 1e-12):
         raise AdmissibilityError(
@@ -61,9 +62,10 @@ def _superweight_constant(params) -> float:
     return 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
 
 
-def _twisted_sq(tx, ty):
-    """|twisted gradient|^2 from its Cartesian components."""
-    return abs2(tx) + abs2(ty)
+def _psi_record(psi) -> dict:
+    """The report's record of the potential psi: its kind and parameters."""
+    return {"psi_kind": getattr(psi, "kind", "user"),
+            "psi_params": list(getattr(psi, "params", ()))}
 
 
 def check_twisted_polar_identity(psi, kappa, f: TestFunction,
@@ -76,8 +78,6 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
     """
     require_args("twisted_polar", psi=psi, kappa=kappa, f=f, spec=spec)
     _require_plane(f)
-    params = {"psi_kind": getattr(psi, "kind", "user"),
-              "psi_params": list(getattr(psi, "params", ()))}
 
     def density(r, y):
         on = f.on_grid(r, y)
@@ -85,14 +85,14 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
 
         def at(phi):
             parts = on(phi)
-            yield _twisted_sq(*twisted_components(pv, r, phi, parts)) / kv
+            yield components_sq(twisted_components(pv, r, phi, parts)) / kv
             val, fr, fphi, _ = parts
             yield (abs2(fr) + abs2(fphi) / r**2 + pv**2 * r**2 * abs2(val)) / kv
 
         return at
 
     lhs, rhs = polar_integral(density, f, spec)
-    return IdentityReport("twisted_polar", lhs, rhs, params, _resolution(spec))
+    return IdentityReport("twisted_polar", lhs, rhs, _psi_record(psi), _resolution(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +119,7 @@ def verify_landau(variant: str, psi: RadialPotential,
     require_args(theorem_id, psi=psi, f=f, spec=spec)
     _require_plane(f)
     _require_in_ball(f, radius)
-
-    run_params = {"variant": variant,
-                  "psi_kind": getattr(psi, "kind", "user"),
-                  "psi_params": list(getattr(psi, "params", ()))}
+    run_params = {"variant": variant, **_psi_record(psi)}
 
     def psi_sq(r):
         return np.asarray(psi(r)) ** 2
@@ -174,7 +171,7 @@ def verify_landau(variant: str, psi: RadialPotential,
 
         def at(phi):
             parts = on(phi)
-            yield w_grad * _twisted_sq(*twisted_components(pv, r, phi, parts))
+            yield w_grad * components_sq(twisted_components(pv, r, phi, parts))
             f_sq = abs2(parts[0])
             yield w_main * f_sq
             yield w_psi * f_sq
@@ -201,9 +198,10 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     hardy ((n-1)^2 constant), critical (log-weighted, n = 1, needs
     R >= e * sup|z|), uncertainty (norm product vs the pointwise sqrt bound).
     A radius confines f to the ball |z| <= radius and stands for sup|z|.
+    Only critical, and uncertainty at n = 1, read R; the others refuse one.
     """
     theorem_id = f"real_landau_{variant}"
-    if n < 1:
+    if require_param(theorem_id, "n", n, numbers.Integral) < 1:
         raise DomainError("need n >= 1")
     if n != 1 and variant in ("identity", "critical"):
         raise DomainError(f"the {variant} statement runs on the plane (n = 1)")
@@ -216,15 +214,15 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     res = _resolution(spec)
 
     _require_in_ball(f, radius)
+    params = {"n": n, "variant": variant}
     if variant == "critical" or (variant == "uncertainty" and n == 1):
         sup_z = f.support()[1] if radius is None else float(radius)
         R = math.e * sup_z if R is None else require_param("the log-weighted bound", "R", R)
         if R < math.e * sup_z * (1.0 - 1e-12):
             raise AdmissibilityError("need R >= e * sup|z| over the domain")
-
-    params = {"n": n, "variant": variant}
-    if R is not None:
         params["R"] = R
+    elif R is not None:
+        raise AdmissibilityError(f"the {variant} statement at n = {n} reads no R")
 
     def pot(r, parts):
         return 0.25 * r**2 * abs2(parts[0])
@@ -265,7 +263,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         def at(phi):
             parts = on(phi)
             if n == 1:
-                yield _twisted_sq(*twisted_components(pv, r, phi, parts))
+                yield components_sq(twisted_components(pv, r, phi, parts))
             else:
                 yield abs2(parts[1]) + 0.25 * r**2 * abs2(parts[0])
             for term in terms:

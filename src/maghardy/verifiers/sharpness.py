@@ -139,7 +139,8 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     params carries the constant's data: {"geom", "exps"} (plus "flux" for
     the magnetic case), {"theta1": ...} for the power-weight twisted bound,
     nothing for the logarithmic one, a SuperweightParams for the composite
-    weights.  window="gauss" uses the engine's own near-extremal windows;
+    weights.  Of the family it reads only base and cutoff; the schedule
+    supplies the epsilons.  window="gauss" uses near-extremal windows;
     window="plain" evaluates the exact make_trial shape on family.cutoff so
     the reduced quotient can be checked against full quadrature.
     """

@@ -301,6 +301,22 @@ _MALFORMED_RUNS = {
     "negative seed of a random function": {
         **_GOOD_RUN, "seed": -3,
         "function": {"kind": "random", "k": 1, "modes": [0]}},
+    # a JSON string is no number, wherever a number is read
+    "string gamma": {**_GOOD_RUN, "geometry": {**GEOM, "gamma": "1.0"}},
+    "string n_r": {**_GOOD_RUN, "quadrature": {**FAST, "n_r": "32"}},
+    "string seed": {**_GOOD_RUN, "seed": "5"},
+    "string mode": {**_GOOD_RUN, "function": {"kind": "random", "k": 1,
+                                              "modes": ["0"]}},
+    "string y_box entry": {**_GOOD_RUN,
+                           "function": {**BUMP, "y_box": [["-1.0", 1.0]]}},
+    # keys no code reads
+    "exponent in a sharpness family": {
+        "theorem_id": "landau_hardy_sobolev", "theta1": 1.0,
+        "family": {"base": "inverse_power", "epsilon": 0.5,
+                   "cutoff": [0.5, 2.0], "exponent": 5.0}},
+    "R on real_landau_hardy": {"theorem_id": "real_landau_hardy", "n": 2, "R": 3.0,
+                               "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0},
+                               "quadrature": {"n_r": 64, "n_phi": 8}},
     # keys another theorem reads
     "domain on radial_p_poincare": {
         "theorem_id": "radial_p_poincare", "Q": 3.0, "p": 2.0,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghardy import GrushinGeometry, Point, TrialFamily, WeightExponents
-from maghardy.errors import DomainError
+from maghardy.errors import AdmissibilityError, DomainError
 from maghardy.functions import (
     _EDGE_EPS,
     _step,
@@ -249,7 +249,7 @@ def test_test_function_rejects_bad_mode_sets():
     prof1 = ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1, 1),))
     with pytest.raises(DomainError):
         TestFunction([AngularMode(0, prof), AngularMode(1, prof1)])
-    with pytest.raises(DomainError):
+    with pytest.raises(AdmissibilityError, match="mode"):
         AngularMode(1.5, prof)
 
 

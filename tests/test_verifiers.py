@@ -1,6 +1,7 @@
 """Margin, identity, and remainder checks for the weighted Grushin inequalities."""
 
 import math
+import numbers
 
 import numpy as np
 import pytest
@@ -12,7 +13,14 @@ from maghardy import (
     QuadratureSpec,
     WeightExponents,
 )
-from maghardy.errors import AdmissibilityError, DomainError, MagHardyError, RealnessError
+from maghardy import errors
+from maghardy.errors import (
+    AdmissibilityError,
+    DomainError,
+    MagHardyError,
+    RealnessError,
+    require_param,
+)
 from maghardy.fields import RadialPotential
 from maghardy.functions import (
     AngularMode,
@@ -24,6 +32,7 @@ from maghardy.functions import (
     make_bump,
     random_test_function,
 )
+from maghardy import quadrature
 from maghardy.quadrature import Domain, integrate_polar
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
@@ -280,6 +289,28 @@ _MALFORMED = {
     "quadrature n_y as a bool": (lambda: QuadratureSpec(n_y=True), "n_y"),
     "constant-field slope as a string": (lambda: ConstantFieldPotentials("x"), "slope"),
     "constant-field slope nan": (lambda: ConstantFieldPotentials(math.nan), "slope"),
+    # integer parameters, read as numbers.Integral, and reals past a float
+    "geometry m as a bool": (lambda: GrushinGeometry(True, 1, 1.0), "m"),
+    "angular mode as a bool": (lambda: AngularMode(
+        True, ProductProfile(PlateauLogBump(0.5, 2.0))), "mode"),
+    "real_landau n None": (
+        lambda: verify_real_landau("hardy", None, _PLANE_BUMP, _PLANE_SPEC), "n"),
+    "real_landau n fractional": (
+        lambda: verify_real_landau("hardy", 1.5, _PLANE_BUMP, _PLANE_SPEC), "n"),
+    "real_landau n as a bool": (
+        lambda: verify_real_landau("hardy", True, _PLANE_BUMP, _PLANE_SPEC), "n"),
+    "landau radius as a bool": (lambda: verify_landau(   # support inside radius 1
+        "poincare", RadialPotential.constant(0.0), None, make_bump(0.3, 0.9),
+        _PLANE_SPEC, radius=True), "radius"),
+    "geometry gamma past a float": (lambda: GrushinGeometry(2, 1, 10**400), "gamma"),
+    "flux beta past a float": (lambda: FluxParam(10**400), "beta"),
+    "random function modes fractional": (lambda: random_test_function(
+        np.random.default_rng(0), modes=(0.5,)), "modes"),
+    "random function k negative": (
+        lambda: random_test_function(np.random.default_rng(0), k=-1), "k"),
+    "quadrature n_r past the ceiling": (lambda: QuadratureSpec(n_r=4097), "n_r"),
+    "real_landau R that hardy does not read": (lambda: verify_real_landau(
+        "hardy", 2, _PLANE_BUMP, _PLANE_SPEC, R=3.0), "R"),
 }
 
 
@@ -293,8 +324,36 @@ def test_malformed_parameters_are_refused_before_quadrature(monkeypatch, call, n
             if hasattr(module, stage):
                 monkeypatch.setattr(module, stage, never)
     monkeypatch.setattr(sharpness, "gauss_panels", never)
+    monkeypatch.setattr(quadrature, "_reference_rule", never)
     with pytest.raises(MagHardyError, match=rf"\b{name}\b"):
         call()
+
+
+# Inputs of require_param, a row's values giving one answer: a value or an
+# error class.  Exact floats and ints take the fast path, everything else
+# the abstract-base-class (ABC) check, which each row also takes with the
+# fast path switched off.
+_READER_ROWS = {"0.5": (0.5, np.float64(0.5)), "3": (3, np.int64(3)), "True": (True,),
+                "'0.5'": ("0.5",), "10**400": (10**400,), "nan": (math.nan,),
+                "inf": (math.inf,), "-inf": (-math.inf,)}
+
+
+@pytest.mark.parametrize("kind", [numbers.Real, numbers.Integral], ids=["Real", "Integral"])
+@pytest.mark.parametrize("row", list(_READER_ROWS.values()), ids=list(_READER_ROWS))
+def test_require_param_fast_path_agrees_with_the_abc_path(monkeypatch, row, kind):
+    def answers():
+        out = []
+        for value in row:
+            try:
+                out.append(require_param("the table", "x", value, kind))
+            except MagHardyError as exc:
+                out.append(type(exc))
+        return out
+
+    fast = answers()
+    monkeypatch.setattr(errors, "_EXACT", {})
+    assert answers() == fast
+    assert all(a == fast[0] for a in fast)
 
 
 # --- magnetic (real-function) inequality ------------------------------------
