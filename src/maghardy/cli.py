@@ -252,8 +252,7 @@ class _Fields:
     """
 
     def __init__(self, run: dict, where: str, seed: int, admissibility: str):
-        self.run, self.where = run, where
-        self.seed = _num(run, "seed", where, Integral, seed)
+        self.run, self.where, self.seed = run, where, seed
         self.spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
         # verify_ab_hardy, its one reader, refuses an unknown flag
         self.admissibility = run.get("admissibility", admissibility)
@@ -450,8 +449,13 @@ def list_theorems() -> str:
     return "\n".join(lines)
 
 
-def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str):
-    """Execute a single suite entry; returns the report object."""
+def _run_seed(run, index: int, suite_seed: int) -> int:
+    """The seed of a run: its own, or the suite's seed plus its index."""
+    return _num(run, "seed", f"runs[{index}]", Integral, suite_seed + index)
+
+
+def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
+    """Execute a single suite entry, its seed read; returns the report object."""
     where = f"runs[{index}]"
     tid = str(_need(run, "theorem_id", where))
     if tid not in _CHECKS:
@@ -459,7 +463,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     check = _CHECKS[tid]
     engine_keys = _SHARPNESS_KEYS if tid in FAMILY_FOR else set()
     _check_keys(run, _COMMON_KEYS | check.keys | engine_keys, where)
-    fields = _Fields(run, where, suite_seed + index, admissibility_default)
+    fields = _Fields(run, where, seed, admissibility_default)
     if "geometry" in check.keys and fields.geom is None:
         raise ConfigError(f"{where}: {tid} needs geometry")
 
@@ -479,7 +483,7 @@ def _run_one(run: dict, index: int, suite_seed: int, admissibility_default: str)
     return check.verify(fields, f)
 
 
-def _load_config(path: str) -> tuple[dict, list, int]:
+def _load_config(path: str) -> tuple[dict, int]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -488,9 +492,9 @@ def _load_config(path: str) -> tuple[dict, list, int]:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, {"suite", "seed", "runs"}, "config")
-    if not isinstance(cfg.get("runs", []), list):
+    if not isinstance(cfg.setdefault("runs", []), list):
         raise ConfigError("config: runs must be a list")
-    return cfg, cfg.get("runs", []), _num(cfg, "seed", "config", Integral, 0)
+    return cfg, _num(cfg, "seed", "config", Integral, 0)
 
 
 def _write_json(obj, path: str) -> None:
@@ -513,7 +517,7 @@ def _error(exc: MagHardyError) -> dict:
 
 def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
               timings: bool = False) -> int:
-    cfg, runs, suite_seed = _load_config(config_path)
+    cfg, suite_seed = _load_config(config_path)
 
     def execute(i, run):
         t0 = time.perf_counter()
@@ -522,15 +526,15 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
                   "seed": None}
         try:
             if isinstance(run, dict):
-                record["seed"] = _num(run, "seed", f"runs[{i}]", Integral, suite_seed + i)
-            report = _run_one(run, i, suite_seed, admissibility)
+                record["seed"] = _run_seed(run, i, suite_seed)
+            report = _run_one(run, i, record["seed"], admissibility)
             record.update(status="ok", passed=report.passed(), report=report, error=None)
         except MagHardyError as exc:
             record.update(_error(exc), passed=False, report=None)
         record["wall_clock_s"] = time.perf_counter() - t0 if timings else None
         return record
 
-    records = [execute(i, run) for i, run in enumerate(runs)]
+    records = [execute(i, run) for i, run in enumerate(cfg["runs"])]
 
     n_pass = sum(1 for r in records if r["passed"])
     n_err = sum(1 for r in records if r["status"] == "error")
@@ -548,8 +552,8 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
 
 
 def sweep_sharpness(config_path: str, out_dir: str) -> int:
-    cfg, runs, suite_seed = _load_config(config_path)
-    for i, run in enumerate(runs):
+    cfg, suite_seed = _load_config(config_path)
+    for i, run in enumerate(cfg["runs"]):
         where = f"runs[{i}]"
         if not isinstance(run, dict) or "family" not in run:
             raise ConfigError(f"{where}: sweep runs need a trial family")
@@ -558,10 +562,10 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
             raise ConfigError(f"{where}: {tid!r} has no sharpness engine")
     os.makedirs(out_dir, exist_ok=True)
     results, failures = [], 0
-    for i, run in enumerate(runs):
+    for i, run in enumerate(cfg["runs"]):
         tid = run["theorem_id"]
         try:
-            res = _run_one(run, i, suite_seed, "thm2")
+            res = _run_one(run, i, _run_seed(run, i, suite_seed), "thm2")
         except MagHardyError as exc:
             results.append({"index": i, "theorem_id": tid, **_error(exc)})
             failures += 1

@@ -7,9 +7,6 @@ runners can record errors as data instead of aborting.
 import math
 import numbers
 
-# the exact types that skip a kind's abstract-base-class check, the slow part
-_EXACT = {numbers.Real: (float, int), numbers.Integral: (int,)}
-
 
 class MagHardyError(Exception):
     """Base class for all package-specific errors."""
@@ -48,8 +45,7 @@ def require_param(what: str, name: str, value, kind=numbers.Real):
 
     AdmissibilityError names a missing or mistyped value, DomainError a non-finite one.
     """
-    if type(value) not in _EXACT.get(kind, ()) and (
-            isinstance(value, bool) or not isinstance(value, kind)):
+    if isinstance(value, bool) or not isinstance(value, kind):
         got = "" if value is None else f", got {value!r}"
         raise AdmissibilityError(f"{what} needs {name}{got}")
     if kind is not numbers.Real:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghardy.cli import _CHECKS, _run_one, _write_json, main
+from maghardy.cli import _CHECKS, _run_one, _run_seed, _write_json, main
 from maghardy.errors import AdmissibilityError, MagHardyError
 from maghardy.reports import (
     IdentityReport,
@@ -808,7 +808,7 @@ def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
         out = []
         for i, run in runs:
             widths.append([])
-            report = _run_one(run, i, cfg["seed"], "thm2")
+            report = _run_one(run, i, _run_seed(run, i, cfg["seed"]), "thm2")
             out.append(json.dumps(report, default=jsonable, sort_keys=True))
         return out
 

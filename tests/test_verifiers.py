@@ -1,7 +1,6 @@
 """Margin, identity, and remainder checks for the weighted Grushin inequalities."""
 
 import math
-import numbers
 
 import numpy as np
 import pytest
@@ -13,14 +12,7 @@ from maghardy import (
     QuadratureSpec,
     WeightExponents,
 )
-from maghardy import errors
-from maghardy.errors import (
-    AdmissibilityError,
-    DomainError,
-    MagHardyError,
-    RealnessError,
-    require_param,
-)
+from maghardy.errors import AdmissibilityError, DomainError, MagHardyError, RealnessError
 from maghardy.fields import RadialPotential
 from maghardy.functions import (
     AngularMode,
@@ -304,6 +296,9 @@ _MALFORMED = {
         _PLANE_SPEC, radius=True), "radius"),
     "geometry gamma past a float": (lambda: GrushinGeometry(2, 1, 10**400), "gamma"),
     "flux beta past a float": (lambda: FluxParam(10**400), "beta"),
+    "weight exponent past a float": (lambda: WeightExponents(10**400, 0.0), "alpha1"),
+    "random function mode as a string": (lambda: random_test_function(
+        np.random.default_rng(0), modes=("1",)), "modes"),
     "random function modes fractional": (lambda: random_test_function(
         np.random.default_rng(0), modes=(0.5,)), "modes"),
     "random function k negative": (
@@ -327,33 +322,6 @@ def test_malformed_parameters_are_refused_before_quadrature(monkeypatch, call, n
     monkeypatch.setattr(quadrature, "_reference_rule", never)
     with pytest.raises(MagHardyError, match=rf"\b{name}\b"):
         call()
-
-
-# Inputs of require_param, a row's values giving one answer: a value or an
-# error class.  Exact floats and ints take the fast path, everything else
-# the abstract-base-class (ABC) check, which each row also takes with the
-# fast path switched off.
-_READER_ROWS = {"0.5": (0.5, np.float64(0.5)), "3": (3, np.int64(3)), "True": (True,),
-                "'0.5'": ("0.5",), "10**400": (10**400,), "nan": (math.nan,),
-                "inf": (math.inf,), "-inf": (-math.inf,)}
-
-
-@pytest.mark.parametrize("kind", [numbers.Real, numbers.Integral], ids=["Real", "Integral"])
-@pytest.mark.parametrize("row", list(_READER_ROWS.values()), ids=list(_READER_ROWS))
-def test_require_param_fast_path_agrees_with_the_abc_path(monkeypatch, row, kind):
-    def answers():
-        out = []
-        for value in row:
-            try:
-                out.append(require_param("the table", "x", value, kind))
-            except MagHardyError as exc:
-                out.append(type(exc))
-        return out
-
-    fast = answers()
-    monkeypatch.setattr(errors, "_EXACT", {})
-    assert answers() == fast
-    assert all(a == fast[0] for a in fast)
 
 
 # --- magnetic (real-function) inequality ------------------------------------
