@@ -5,10 +5,13 @@ usage: maghardy verify --config suite.json --out report.json [--admissibility th
        maghardy list
 
 A suite config is a JSON object {"suite": name, "seed": int, "runs": [...]}.
-Each run names a theorem_id plus whatever that check needs (geometry,
-weights, flux, psi, variant numbers, a function spec, quadrature); a key
-the named check does not read is an error.  A run carrying a "family" block
-is a sharpness run.  Example run:
+Each run names a theorem_id and may carry a "label" and a "seed".  A run
+with a "family" block, on an id with a sharpness engine, is a sharpness run:
+it reads "family", "schedule" and "window" plus the keys that engine reads.
+Any other run is a verify run: it reads "function" and "quadrature" plus
+the keys its verifier reads.  Each _CHECKS record lists both key sets and
+_FIELDS holds each key's one reader; every other key, in a run or in one of
+its blocks, is a ConfigError.  Example run:
 
     {"theorem_id": "radial_hardy",
      "geometry": {"m": 2, "k": 1, "gamma": 1.0},
@@ -76,12 +79,6 @@ from .verifiers import (
 REPORT_VERSION = "maghardy-report/1"
 SWEEP_VERSION = "maghardy-sweep/1"
 
-# run keys every theorem accepts; each registry record lists the rest it
-# reads, and the ids with a sharpness engine also read _SHARPNESS_KEYS
-_COMMON_KEYS = {"theorem_id", "label", "seed", "quadrature", "function"}
-_SHARPNESS_KEYS = {"family", "schedule", "window"}
-_GRUSHIN_KEYS = {"geometry", "weights"}
-
 # Ceiling on the dimensions m, k and n, far above any configured value: a huge
 # one becomes a ConfigError instead of an OverflowError or an endless loop.
 _MAX_DIM = 8
@@ -105,212 +102,196 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, field: str, kind=Real):
-    """value through require_param, an integral float as a count; ConfigError naming field."""
+def _number(value, field: str, kind=Real, ceiling=math.inf):
+    """value through require_param, an integral float as a count, no larger
+    than ceiling (checked before anything of that size is built); a
+    ConfigError naming field."""
+    given = value
     if kind is Integral and type(value) is float and value.is_integer():
         value = int(value)
     try:
-        return require_param("the field", "an integer" if kind is Integral else "a number",
-                             value, kind)
+        value = require_param("the field", "an integer" if kind is Integral else "a number",
+                              value, kind)
     except MagHardyError as exc:
         raise ConfigError(f"{field}: {exc}") from None
-
-
-def _num(obj: dict, key: str, where: str, kind=Real, default=_REQUIRED,
-         ceiling=math.inf):
-    """obj[key], or default when the key is absent, through _number and no
-    larger than ceiling, which is checked before anything of that size is built."""
-    value = _need(obj, key, where) if default is _REQUIRED else obj.get(key, default)
-    out = _number(value, f"{where}.{key}", kind)
-    if out > ceiling:
-        raise ConfigError(f"{where}.{key}: at most {ceiling}, got {value!r}")
-    return out
-
-
-def _flag(obj: dict, key: str, where: str, default: bool) -> bool:
-    """obj[key] as a JSON true or false, or default when the key is absent."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+    if value > ceiling:
+        raise ConfigError(f"{field}: at most {ceiling}, got {given!r}")
     return value
 
 
-def _numbers(value, field: str, kind=Real, length=None):
-    """A list of finite numbers through _number, of the given length if set."""
+def _list(value, field: str, read=_number, length=None) -> tuple:
+    """A list, of the given length if set, with each entry read through read."""
     if not (isinstance(value, (list, tuple)) and length in (None, len(value))):
         size = "a list" if length is None else f"a list of {length}"
-        raise ConfigError(f"{field}: expected {size} numbers, got {value!r}")
-    return tuple(_number(v, f"{field}[{j}]", kind) for j, v in enumerate(value))
+        raise ConfigError(f"{field}: expected {size}, got {value!r}")
+    return tuple(read(v, f"{field}[{j}]") for j, v in enumerate(value))
 
 
-def _parse_geometry(obj, where) -> GrushinGeometry:
-    _check_keys(obj, {"m", "k", "gamma"}, where)
-    return GrushinGeometry(_num(obj, "m", where, Integral, ceiling=_MAX_DIM),
-                           _num(obj, "k", where, Integral, ceiling=_MAX_DIM),
-                           _num(obj, "gamma", where))
+def _flag(value, field: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{field}: expected true or false, got {value!r}")
+    return value
 
 
-def _parse_weights(obj, where) -> WeightExponents:
-    if obj is None:
-        return WeightExponents(0.0, 0.0)
-    _check_keys(obj, {"alpha1", "alpha2"}, where)
-    return WeightExponents(_num(obj, "alpha1", where, default=0.0),
-                           _num(obj, "alpha2", where, default=0.0))
+def _raw(value, field: str):
+    return value   # checked by the verifier or engine it goes to
 
 
-def _parse_radial_potential(obj, where) -> RadialPotential:
-    if obj is None:
-        return RadialPotential.constant(0.0)
-    _check_keys(obj, {"kind", "c", "s"}, where)
-    kind = _need(obj, "kind", where)
-    if kind == "zero":
-        return RadialPotential.constant(0.0)
-    if kind == "constant":
-        return RadialPotential.constant(_num(obj, "c", where))
-    if kind == "power":
-        return RadialPotential.power(_num(obj, "c", where), _num(obj, "s", where))
-    raise ConfigError(f"{where}: unknown potential kind {kind!r}")
+class _Field(NamedTuple):
+    """How a key of a JSON object is read: read(value, field) when present,
+    default when absent (_REQUIRED: a ConfigError) or, if nullable, null.
+    _Field() is a required number."""
+
+    read: Callable = _number
+    default: object = _REQUIRED
+    nullable: bool = False
 
 
-def _parse_quadrature(obj, where) -> QuadratureSpec:
-    if obj is None:
-        return QuadratureSpec()
-    _check_keys(obj, {"n_r", "n_phi", "n_y", "oracle"}, where)
-    return QuadratureSpec(
-        n_r=_num(obj, "n_r", where, Integral, 256, MAX_AXIS_NODES),
-        n_phi=_num(obj, "n_phi", where, Integral, 32, MAX_AXIS_NODES),
-        n_y=_num(obj, "n_y", where, Integral, 64, MAX_AXIS_NODES),
-        oracle=_flag(obj, "oracle", where, False))
+def _read(obj: dict, key: str, where: str, field: _Field):
+    """The value of key in the JSON object obj, read as field says."""
+    value = obj.get(key)
+    if key in obj and not (value is None and field.nullable):
+        return field.read(value, f"{where}.{key}")
+    if field.default is _REQUIRED:
+        raise ConfigError(f"{where}: missing required key {key!r}")
+    return field.default
 
 
-def _parse_family(obj, where) -> TrialFamily:
-    exponent = obj.get("exponent")
-    return TrialFamily(base=str(_need(obj, "base", where)),
-                       epsilon=_num(obj, "epsilon", where),
-                       cutoff=_numbers(_need(obj, "cutoff", where),
-                                       f"{where}.cutoff", length=2),
-                       exponent=None if exponent is None
-                       else _num(obj, "exponent", where))
+def _walk(obj: dict, where: str, fields: dict, also=()) -> dict:
+    """{key: value} for each key of fields in the JSON object obj, read through
+    _read; a key neither in fields nor in also (read by the caller) is refused."""
+    _check_keys(obj, (*fields, *also), where)
+    return {key: _read(obj, key, where, field) for key, field in fields.items()}
+
+
+def _object(make: Callable, default=_REQUIRED, nullable=False, **fields) -> _Field:
+    """The field of a JSON object with the given fields, read as make(**values)."""
+    return _Field(lambda obj, where: make(**_walk(obj, where, fields)), default, nullable)
+
+
+def _count(ceiling=math.inf, default=_REQUIRED) -> _Field:
+    return _Field(functools.partial(_number, kind=Integral, ceiling=ceiling), default)
+
+
+_PAIR = functools.partial(_list, length=2)
+
+
+def _range(value, field: str) -> tuple:
+    lo, hi = _list(value, field, length=2)
+    if not lo <= hi:
+        raise ConfigError(f"{field}: need lo <= hi, got {value!r}")
+    return lo, hi
+
+
+def _kind(obj: dict, where: str, kinds: dict, what: str, default=None):
+    """(kind, kinds[kind]) for the "kind" of the JSON object obj, default if absent."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object")
+    kind = obj.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"{where}: unknown {what} kind {kind!r}")
+    return kind, kinds[kind]
+
+
+def _kinds(kinds: dict, what: str, default=None) -> Callable:
+    """The reader of a JSON object with a "kind" in kinds: make(**values) for
+    kinds[kind] = (make, fields)."""
+    def read(obj, where):
+        _, (make, fields) = _kind(obj, where, kinds, what, default)
+        return make(**_walk(obj, where, fields, also=("kind",)))
+    return read
+
+
+_ZERO = RadialPotential.constant(0.0)
+_POTENTIAL = _kinds({"zero": (lambda: _ZERO, {}),
+                     "constant": (RadialPotential.constant, {"c": _Field()}),
+                     "power": (RadialPotential.power, {"c": _Field(), "s": _Field()})},
+                    "potential")
+
+_FAMILY = {"base": _Field(lambda value, field: str(value)), "epsilon": _Field(),
+           "cutoff": _Field(_PAIR)}
+
+# test function kind -> its fields beside "kind"
+_FUNCTIONS = {
+    "bump": {"r_lo": _Field(), "r_hi": _Field(),
+             "y_box": _Field(functools.partial(_list, read=_PAIR), ())},
+    # a range left out (None) keeps random_test_function's default
+    "random": {"k": _count(_MAX_DIM, 0),
+               "modes": _Field(functools.partial(_list, read=_count().read), (0,)),
+               "real": _Field(_flag, False), "gaussian_y": _Field(_flag, True),
+               "r_lo_range": _Field(_range, None), "ratio_range": _Field(_range, None),
+               "y_half_range": _Field(_range, None)},
+    "trial": {**_FAMILY, "exponent": _Field(default=None, nullable=True)},
+    "gauss_tail": {"a": _Field(default=0.5), "fall": _Field(default=6.0),
+                   "r_hi": _Field(default=8.0), "r_lo": _Field(default=1e-8)},
+    "zero": {},
+}
 
 
 def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
-    kind = _need(obj, "kind", where)
+    kind, fields = _kind(obj, where, _FUNCTIONS, "function")
+    if kind == "random" and seed < 0:
+        raise ConfigError(f"{where}: a random function needs a nonnegative seed, got {seed}")
+    values = _walk(obj, where, fields, also=("kind",))
     if kind == "bump":
-        _check_keys(obj, {"kind", "r_lo", "r_hi", "y_box"}, where)
-        y_box = obj.get("y_box", [])
-        if not isinstance(y_box, list):
-            raise ConfigError(f"{where}.y_box: expected a list of [lo, hi] pairs")
-        y_box = tuple(_numbers(v, f"{where}.y_box[{j}]", length=2)
-                      for j, v in enumerate(y_box))
-        return make_bump(_num(obj, "r_lo", where), _num(obj, "r_hi", where), y_box)
+        return make_bump(**values)
     if kind == "random":
-        _check_keys(obj, {"kind", "k", "modes", "real", "r_lo_range",
-                          "ratio_range", "y_half_range", "gaussian_y"}, where)
-        if seed < 0:
-            raise ConfigError(f"{where}: a random function needs a nonnegative "
-                              f"seed, got {seed}")
-        rng = np.random.default_rng(seed)
-        kwargs = {}
-        for name in ("r_lo_range", "ratio_range", "y_half_range"):
-            if name in obj:
-                kwargs[name] = _numbers(obj[name], f"{where}.{name}", length=2)
-                if not kwargs[name][0] <= kwargs[name][1]:
-                    raise ConfigError(f"{where}.{name}: need lo <= hi, "
-                                      f"got {obj[name]!r}")
-        return random_test_function(
-            rng, k=_num(obj, "k", where, Integral, 0, _MAX_DIM),
-            modes=_numbers(obj.get("modes", [0]), f"{where}.modes", Integral),
-            real=_flag(obj, "real", where, False),
-            gaussian_y=_flag(obj, "gaussian_y", where, True), **kwargs)
+        return random_test_function(np.random.default_rng(seed), **{
+            name: value for name, value in values.items() if value is not None})
     if kind == "trial":
-        _check_keys(obj, {"kind", "base", "epsilon", "cutoff", "exponent"}, where)
-        return make_trial(_parse_family(obj, where), geom, exps)
+        return make_trial(TrialFamily(**values), geom, exps)
     if kind == "gauss_tail":
-        _check_keys(obj, {"kind", "a", "fall", "r_hi", "r_lo"}, where)
-        tail = GaussTail(a=_num(obj, "a", where, default=0.5),
-                         fall=_num(obj, "fall", where, default=6.0),
-                         r_hi=_num(obj, "r_hi", where, default=8.0),
-                         r_lo=_num(obj, "r_lo", where, default=1e-8))
-        return TestFunction([AngularMode(0, ProductProfile(tail))])
-    if kind == "zero":
-        # a zero-amplitude bump on an annulus inside the unit disc, so that
-        # every check, landau_log included, integrates it like any other f
-        _check_keys(obj, {"kind"}, where)
-        k = 0 if geom is None else geom.k
-        zero = ProductProfile(PlateauLogBump(0.25, 0.5), [PlateauBumpY(-1.0, 1.0)] * k,
-                              amplitude=0.0)
-        return TestFunction([AngularMode(0, zero)])
-    raise ConfigError(f"{where}: unknown function kind {kind!r}")
+        return TestFunction([AngularMode(0, ProductProfile(GaussTail(**values)))])
+    # zero: a zero-amplitude bump on an annulus inside the unit disc, so that
+    # every check, landau_log included, integrates it like any other f
+    k = 0 if geom is None else geom.k
+    zero = ProductProfile(PlateauLogBump(0.25, 0.5), [PlateauBumpY(-1.0, 1.0)] * k,
+                          amplitude=0.0)
+    return TestFunction([AngularMode(0, zero)])
 
 
-class _Fields:
-    """The fields of one run.
+# run key -> its reader, for every key a _CHECKS record or a path lists but
+# "function", whose reader (_parse_function) takes the run's seed, geometry
+# and weights
+_FIELDS = {
+    # the Grushin family
+    "geometry": _object(GrushinGeometry, m=_count(_MAX_DIM), k=_count(_MAX_DIM),
+                        gamma=_Field()),
+    "weights": _object(WeightExponents, WeightExponents(0.0, 0.0), True,
+                       alpha1=_Field(default=0.0), alpha2=_Field(default=0.0)),
+    "flux": _object(FluxParam, FluxParam(0.0), True, beta=_Field(default=0.0)),
+    # verify_ab_hardy refuses an unknown flag; absent, it is --admissibility
+    "admissibility": _Field(_raw),
+    "potentials": _Field(_kinds({"linear": (ConstantFieldPotentials,
+                                            {"slope": _Field(default=0.5)})},
+                                "potentials", "linear"), ConstantFieldPotentials(0.5)),
+    "alpha": _Field(default=0.7),
+    # the Landau family
+    "psi": _Field(_POTENTIAL, _ZERO, True),
+    "kappa": _Field(_POTENTIAL, RadialPotential.constant(1.0)),
+    "theta1": _Field(),
+    "superweight": _object(SuperweightParams, a=_Field(), b=_Field(), theta2=_Field(),
+                           theta3=_Field(), theta4=_Field(), p=_Field(default=2.0)),
+    "domain": _Field(_kinds({"ball": (lambda R: R, {"R": _Field()})}, "domain", "ball"), None),
+    "n": _count(_MAX_DIM, 1),
+    "R": _Field(default=None, nullable=True),
+    # the radial Lp bounds
+    "Q": _Field(), "p": _Field(), "theta": _Field(),
+    # the verify path
+    "quadrature": _object(QuadratureSpec, QuadratureSpec(), True,
+                          n_r=_count(MAX_AXIS_NODES, 256), n_phi=_count(MAX_AXIS_NODES, 32),
+                          n_y=_count(MAX_AXIS_NODES, 64), oracle=_Field(_flag, False)),
+    # the sharpness path; the engine reads only base and cutoff of the family
+    "family": _object(TrialFamily, **_FAMILY),
+    "schedule": _Field(_list, None, True),
+    "window": _Field(_raw, "gauss"),
+}
 
-    The common fields are parsed on construction.  Each theorem-specific
-    field is parsed, with its default, by one method (`num` for a plain
-    number), which the verify and the sharpness path of every check share.
-    """
-
-    def __init__(self, run: dict, where: str, seed: int, admissibility: str):
-        self.run, self.where, self.seed = run, where, seed
-        self.spec = _parse_quadrature(run.get("quadrature"), f"{where}.quadrature")
-        # verify_ab_hardy, its one reader, refuses an unknown flag
-        self.admissibility = run.get("admissibility", admissibility)
-        self.geom = self.exps = None
-        if "geometry" in run:
-            self.geom = _parse_geometry(run["geometry"], f"{where}.geometry")
-            self.exps = _parse_weights(run.get("weights"), f"{where}.weights")
-
-    def num(self, key: str, default=_REQUIRED) -> float:
-        return _num(self.run, key, self.where, default=default)
-
-    def n(self) -> int:
-        return _num(self.run, "n", self.where, Integral, 1, _MAX_DIM)
-
-    def R(self) -> float | None:
-        return None if self.run.get("R") is None else self.num("R")
-
-    def flux(self) -> FluxParam:
-        obj, where = self.run.get("flux"), f"{self.where}.flux"
-        if obj is None:
-            return FluxParam(0.0)
-        _check_keys(obj, {"beta"}, where)
-        return FluxParam(_num(obj, "beta", where, default=0.0))
-
-    def psi(self) -> RadialPotential:
-        return _parse_radial_potential(self.run.get("psi"), f"{self.where}.psi")
-
-    def kappa(self) -> RadialPotential:
-        return _parse_radial_potential(
-            self.run.get("kappa", {"kind": "constant", "c": 1.0}),
-            f"{self.where}.kappa")
-
-    def superweight(self) -> SuperweightParams:
-        obj = _need(self.run, "superweight", self.where)
-        where = f"{self.where}.superweight"
-        _check_keys(obj, {"a", "b", "theta2", "theta3", "theta4", "p"}, where)
-        return SuperweightParams(
-            a=_num(obj, "a", where), b=_num(obj, "b", where),
-            theta2=_num(obj, "theta2", where), theta3=_num(obj, "theta3", where),
-            theta4=_num(obj, "theta4", where), p=_num(obj, "p", where, default=2.0))
-
-    def radius(self) -> float | None:
-        if "domain" not in self.run:
-            return None
-        obj, where = self.run["domain"], f"{self.where}.domain"
-        _check_keys(obj, {"kind", "R"}, where)
-        R = _num(obj, "R", where)
-        if obj.get("kind", "ball") != "ball":
-            raise ConfigError(f"{where}: the domain is a ball, not {obj['kind']!r}")
-        return R
-
-    def potentials(self) -> ConstantFieldPotentials:
-        where = f"{self.where}.potentials"
-        obj = self.run.get("potentials", {"kind": "linear", "slope": 0.5})
-        _check_keys(obj, {"kind", "slope"}, where)
-        if obj.get("kind", "linear") != "linear":
-            raise ConfigError(f"{self.where}: only linear potentials are configurable")
-        return ConstantFieldPotentials(_num(obj, "slope", where, default=0.5))
+# run keys beside a check's own: read by run_suite, by every verify run, and
+# by every sharpness run
+_RUN_KEYS = ("theorem_id", "label", "seed")
+_VERIFY_KEYS = ("function", "quadrature")
+_ENGINE_KEYS = ("family", "schedule", "window")
 
 
 class _Check(NamedTuple):
@@ -318,119 +299,118 @@ class _Check(NamedTuple):
 
     constant and text are its `list` entry: the sharp constant and the
     conditions of a margin check, or (constant None) what an identity
-    states.  keys are the run fields it reads beyond _COMMON_KEYS; a check
-    that reads "geometry" needs it.  verify(fields, f) calls the verifier;
-    sharpness(fields) builds the `estimate_sharpness` params where the
-    engine takes any.
-    """
+    states.  keys are the run keys its verifier reads, and verify(f, spec,
+    *values) calls it on their values, in that order.  On an id with a
+    sharpness engine (FAMILY_FOR), engine_keys are the run keys the engine
+    reads, and params(*values) builds its params from their values."""
 
     constant: str | None
     text: str
-    keys: set
+    keys: tuple
     verify: Callable
-    sharpness: Callable | None = None
+    engine_keys: tuple = ()
+    params: Callable = lambda *values: None
 
 
 # The dispatch closures look each verifier up in this module's globals when
 # they run, so a verifier patched here is the one called.
 
-def _landau(variant: str, params=lambda r: None):
-    return lambda r, f: verify_landau(variant, r.psi(), params(r), f, r.spec,
-                                      radius=r.radius())
+_GRUSHIN = ("geometry", "weights")
+_MAGNETIC = (*_GRUSHIN, "flux")
+_LANDAU = ("psi", "domain")
+_grushin_params = lambda geom, exps, flux=None: {"geom": geom, "exps": exps, "flux": flux}
+
+
+def _landau(variant: str):
+    """verify_landau on _LANDAU's values, then the variant's params, if any."""
+    return lambda f, spec, psi, radius, params=None: verify_landau(
+        variant, psi, params, f, spec, radius=radius)
 
 
 def _real_landau(variant: str):
-    return lambda r, f: verify_real_landau(variant, r.n(), f, r.spec,
-                                           radius=r.radius(), R=r.R())
+    return lambda f, spec, n, radius=None, R=None: verify_real_landau(
+        variant, n, f, spec, radius=radius, R=R)
 
 
-def _radial_p(variant: str, params=lambda r: {}):
-    return lambda r, f: verify_radial_p(variant, r.num("Q"), r.num("p"),
-                                        params(r), f, r.spec)
+def _radial_p(variant: str, params=lambda: {}):
+    """verify_radial_p on Q and p, its params built from the values after them."""
+    return lambda f, spec, Q, p, *values: verify_radial_p(
+        variant, Q, p, params(*values), f, spec)
 
 
 _CHECKS = {
     "radial_hardy": _Check(
-        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", _GRUSHIN_KEYS,
-        lambda r, f: verify_radial_hardy(r.geom, r.exps, f, r.spec),
-        lambda r: {"geom": r.geom, "exps": r.exps}),
+        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", _GRUSHIN,
+        lambda f, spec, geom, exps: verify_radial_hardy(geom, exps, f, spec),
+        _GRUSHIN, _grushin_params),
     "magnetic_grushin": _Check(
-        "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f",
-        _GRUSHIN_KEYS | {"flux"},
-        lambda r, f: verify_magnetic_grushin(r.geom, r.exps, r.flux(), f, r.spec),
-        lambda r: {"geom": r.geom, "exps": r.exps, "flux": r.flux()}),
+        "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f", _MAGNETIC,
+        lambda f, spec, geom, exps, flux: verify_magnetic_grushin(geom, exps, flux, f, spec),
+        _MAGNETIC, _grushin_params),
     "ab_hardy": _Check(
         "((a1+k(g+1))/2)^2 + b^2",
         "m = 2, a1+k(g+1) > 0, and a2+2g > 0 (thm2) or a2*g+2 > 0 (corollary)",
-        _GRUSHIN_KEYS | {"flux", "admissibility"},
-        lambda r, f: verify_ab_hardy(r.geom, r.exps, r.flux(), f, r.spec,
-                                     admissibility=r.admissibility)),
+        (*_MAGNETIC, "admissibility"),
+        lambda f, spec, geom, exps, flux, admissibility: verify_ab_hardy(
+            geom, exps, flux, f, spec, admissibility=admissibility)),
     "uncertainty_grushin": _Check(
         "(((Q+a1-2)/2)^2 + b^2)^(1/2)",
-        "as magnetic_grushin; norms halve the weight exponents",
-        _GRUSHIN_KEYS | {"flux"},
-        lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
-                                                r.spec, variant="uncer1")),
+        "as magnetic_grushin; norms halve the weight exponents", _MAGNETIC,
+        lambda f, spec, geom, exps, flux: verify_uncertainty_grushin(
+            geom, exps, flux, f, spec, variant="uncer1")),
     "uncertainty_ab": _Check(
-        "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0",
-        _GRUSHIN_KEYS | {"flux"},
-        lambda r, f: verify_uncertainty_grushin(r.geom, r.exps, r.flux(), f,
-                                                r.spec, variant="uncer21")),
+        "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0", _MAGNETIC,
+        lambda f, spec, geom, exps, flux: verify_uncertainty_grushin(
+            geom, exps, flux, f, spec, variant="uncer21")),
     "landau_hardy_sobolev": _Check(
-        "theta1^2", "theta1 != 0", {"psi", "domain", "theta1"},
-        _landau("hardy_sobolev", lambda r: r.num("theta1")),
-        lambda r: {"theta1": r.num("theta1")}),
+        "theta1^2", "theta1 != 0", (*_LANDAU, "theta1"), _landau("hardy_sobolev"),
+        ("theta1",), lambda theta1: {"theta1": theta1}),
     "landau_log": _Check(
-        "1/4", "support inside the closed unit disc", {"psi", "domain"},
-        _landau("log")),
+        "1/4", "support inside the closed unit disc", _LANDAU, _landau("log")),
     "landau_poincare": _Check(
-        "1/R^2", "bounded ball of radius R containing the support",
-        {"psi", "domain"}, _landau("poincare")),
+        "1/R^2", "bounded ball of radius R containing the support", _LANDAU,
+        _landau("poincare")),
     "landau_superweight": _Check(
         "(t2*t3 - 2*t4)/2", "a, b > 0, t2*t3 < 0, 2*t4 <= t2*t3",
-        {"psi", "domain", "superweight"},
-        _landau("superweight", lambda r: r.superweight()),
-        lambda r: r.superweight()),
+        (*_LANDAU, "superweight"), _landau("superweight"),
+        ("superweight",), lambda superweight: superweight),
     "radial_p_weighted": _Check(
-        "|p/(Q - theta*p)|", "p > 1, theta*p != Q; radial f", {"Q", "p", "theta"},
-        _radial_p("weighted", lambda r: {"theta": r.num("theta")})),
-    "radial_p_log": _Check("p", "p > 1; radial f", {"Q", "p"}, _radial_p("log")),
+        "|p/(Q - theta*p)|", "p > 1, theta*p != Q; radial f", ("Q", "p", "theta"),
+        _radial_p("weighted", lambda theta: {"theta": theta})),
+    "radial_p_log": _Check("p", "p > 1; radial f", ("Q", "p"), _radial_p("log")),
     "radial_p_poincare": _Check(
-        "R*p/Q", "p > 1, support inside [0, R]; radial f", {"Q", "p", "R"},
-        _radial_p("poincare", lambda r: {"R": r.R()})),
+        "R*p/Q", "p > 1, support inside [0, R]; radial f", ("Q", "p", "R"),
+        _radial_p("poincare", lambda R: {"R": R})),
     "radial_p_superweight": _Check(
         "(Q - p*t4 + t2*t3 - p)/p",
         "p > 1, a, b > 0, t2*t3 < 0, p*t4 - t2*t3 <= Q - p; radial f",
-        {"Q", "p", "superweight"},
-        _radial_p("superweight", lambda r: r.superweight())),
+        ("Q", "p", "superweight"), _radial_p("superweight", lambda superweight: superweight)),
     "real_landau_hardy": _Check(
-        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", {"n", "domain"},
+        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", ("n", "domain"),
         _real_landau("hardy")),
     "real_landau_critical": _Check(
         "1/4", "n = 1, R >= e * sup|z| over the domain; real f",
-        {"n", "domain", "R"}, _real_landau("critical")),
+        ("n", "domain", "R"), _real_landau("critical")),
     "real_landau_uncertainty": _Check(
         "1 (norm product vs pointwise bound)",
         "n >= 1; real f; R as in real_landau_critical when n = 1",
-        {"n", "domain", "R"}, _real_landau("uncertainty")),
+        ("n", "domain", "R"), _real_landau("uncertainty")),
     "constant_field": _Check(
         "(n(2+g)+a1-2)/2 as printed; squared reading also evaluated",
         "m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f",
-        _GRUSHIN_KEYS | {"potentials"},
-        lambda r, f: verify_constant_field(r.geom, r.exps, r.potentials(), f,
-                                           r.spec)),
+        (*_GRUSHIN, "potentials"),
+        lambda f, spec, geom, exps, pots: verify_constant_field(geom, exps, pots, f, spec)),
     "grushin_ibp": _Check(
         None, "shifted-gradient expansion of the anisotropic Dirichlet form",
-        _GRUSHIN_KEYS | {"alpha"},
-        lambda r, f: check_grushin_ibp_identity(r.geom, r.exps, f,
-                                                r.num("alpha", 0.7), r.spec)),
+        (*_GRUSHIN, "alpha"),
+        lambda f, spec, geom, exps, alpha: check_grushin_ibp_identity(
+            geom, exps, f, alpha, spec)),
     "twisted_polar": _Check(
-        None, "polar split of the twisted Dirichlet integral over kappa",
-        {"psi", "kappa"},
-        lambda r, f: check_twisted_polar_identity(r.psi(), r.kappa(), f, r.spec)),
+        None, "polar split of the twisted Dirichlet integral over kappa", ("psi", "kappa"),
+        lambda f, spec, psi, kappa: check_twisted_polar_identity(psi, kappa, f, spec)),
     "real_landau_identity": _Check(
-        None, "Dirichlet + harmonic-potential split on the plane", {"n"},
-        lambda r, f: verify_real_landau("identity", r.n(), f, r.spec)),
+        None, "Dirichlet + harmonic-potential split on the plane", ("n",),
+        _real_landau("identity")),
 }
 
 
@@ -451,36 +431,39 @@ def list_theorems() -> str:
 
 def _run_seed(run, index: int, suite_seed: int) -> int:
     """The seed of a run: its own, or the suite's seed plus its index."""
-    return _num(run, "seed", f"runs[{index}]", Integral, suite_seed + index)
+    return _read(run, "seed", f"runs[{index}]", _count(default=suite_seed + index))
 
 
 def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
-    """Execute a single suite entry, its seed read; returns the report object."""
+    """Execute a single suite entry, its seed read; returns the report object.
+
+    The run may hold _RUN_KEYS, its path's keys and the keys its record
+    lists for that path, no other; each listed key is read through _FIELDS
+    before the function, and the values go to the record's closure."""
     where = f"runs[{index}]"
     tid = str(_need(run, "theorem_id", where))
     if tid not in _CHECKS:
         raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
     check = _CHECKS[tid]
-    engine_keys = _SHARPNESS_KEYS if tid in FAMILY_FOR else set()
-    _check_keys(run, _COMMON_KEYS | check.keys | engine_keys, where)
-    fields = _Fields(run, where, seed, admissibility_default)
-    if "geometry" in check.keys and fields.geom is None:
-        raise ConfigError(f"{where}: {tid} needs geometry")
+    engine = "family" in run and tid in FAMILY_FOR
+    keys = check.engine_keys if engine else check.keys
+    _check_keys(run, (*_RUN_KEYS, *(_ENGINE_KEYS if engine else _VERIFY_KEYS), *keys), where)
 
-    if "family" in run:
-        # epsilon is unread (the schedule supplies it), but shipped configs send it
-        _check_keys(run["family"], {"base", "epsilon", "cutoff"}, f"{where}.family")
-        family = _parse_family(run["family"], f"{where}.family")
-        schedule = run.get("schedule")
-        if schedule is not None:
-            schedule = _numbers(schedule, f"{where}.schedule")
-        params = None if check.sharpness is None else check.sharpness(fields)
-        return estimate_sharpness(tid, params, family, schedule,
-                                  window=run.get("window", "gauss"))
+    def read(key):
+        field = _FIELDS[key]
+        if key == "admissibility":
+            field = field._replace(default=admissibility_default)
+        return _read(run, key, where, field)
 
-    f = _parse_function(_need(run, "function", where), f"{where}.function",
-                        fields.seed, geom=fields.geom, exps=fields.exps)
-    return check.verify(fields, f)
+    values = {key: read(key) for key in keys}
+    if engine:
+        family, schedule, window = map(read, _ENGINE_KEYS)
+        return estimate_sharpness(tid, check.params(*values.values()), family, schedule,
+                                  window=window)
+    spec = read("quadrature")
+    f = _parse_function(_need(run, "function", where), f"{where}.function", seed,
+                        values.get("geometry"), values.get("weights"))
+    return check.verify(f, spec, *values.values())
 
 
 def _load_config(path: str) -> tuple[dict, int]:
@@ -494,7 +477,7 @@ def _load_config(path: str) -> tuple[dict, int]:
     _check_keys(cfg, {"suite", "seed", "runs"}, "config")
     if not isinstance(cfg.setdefault("runs", []), list):
         raise ConfigError("config: runs must be a list")
-    return cfg, _num(cfg, "seed", "config", Integral, 0)
+    return cfg, _read(cfg, "seed", "config", _count(default=0))
 
 
 def _write_json(obj, path: str) -> None:

@@ -57,3 +57,8 @@ def require_param(what: str, name: str, value, kind=numbers.Real):
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def require_reals(what: str, **values) -> list:
+    """require_param on each value, a finite real named by its keyword; the floats in order."""
+    return [require_param(what, name, value) for name, value in values.items()]

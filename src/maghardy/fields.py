@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, OriginError, require_param
+from .errors import DomainError, NonFiniteError, OriginError, require_param, require_reals
 from .functions import TestFunction, _polar_of_point
 from .geometry import (
     GrushinGeometry,
@@ -77,13 +77,13 @@ class RadialPotential:
 
     @staticmethod
     def constant(c: float) -> "RadialPotential":
-        c = float(c)
+        c = require_param("the constant potential", "c", c)
         return RadialPotential(psi=lambda r: np.full_like(np.asarray(r, float), c),
                                kind="constant", params=(c,))
 
     @staticmethod
     def power(c: float, s: float) -> "RadialPotential":
-        c, s = float(c), float(s)
+        c, s = require_reals("the power potential", c=c, s=s)
         return RadialPotential(psi=lambda r: c * np.asarray(r, float) ** s,
                                kind="power", params=(c, s))
 

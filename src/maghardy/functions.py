@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_param
+from .errors import DomainError, require_param, require_reals
 from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
 
 __all__ = [
@@ -119,9 +119,10 @@ class PlateauLogBump:
     """Plateau bump in log r on [r_lo, r_hi]."""
 
     def __init__(self, r_lo: float, r_hi: float):
+        r_lo, r_hi = require_reals("the log bump", r_lo=r_lo, r_hi=r_hi)
         if not (0.0 < r_lo < r_hi):
             raise DomainError(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
-        self.r_lo, self.r_hi = float(r_lo), float(r_hi)
+        self.r_lo, self.r_hi = r_lo, r_hi
         self._a, self._b = math.log(r_lo), math.log(r_hi)
 
     def both(self, r):
@@ -137,7 +138,7 @@ class PowerLogWindow:
     """r^sigma times a plateau window in log r — power-law trial factor."""
 
     def __init__(self, sigma: float, r_lo: float, r_hi: float):
-        self.sigma = float(sigma)
+        self.sigma = require_param("the power window", "sigma", sigma)
         self.window = PlateauLogBump(r_lo, r_hi)
         self.r_lo, self.r_hi = self.window.r_lo, self.window.r_hi
 
@@ -163,10 +164,10 @@ class GaussTail:
 
     def __init__(self, a: float = 0.5, fall: float = 6.0, r_hi: float = 8.0,
                  r_lo: float = 1e-8):
-        if not (0.0 < r_lo < fall < r_hi):
+        self.a, self.fall, self.r_hi, self.r_lo = require_reals(
+            "the Gaussian tail", a=a, fall=fall, r_hi=r_hi, r_lo=r_lo)
+        if not (0.0 < self.r_lo < self.fall < self.r_hi):
             raise DomainError("need 0 < r_lo < fall < r_hi")
-        self.a = float(a)
-        self.fall, self.r_hi, self.r_lo = float(fall), float(r_hi), float(r_lo)
 
     def both(self, r):
         r = np.asarray(r, dtype=float)
@@ -189,10 +190,10 @@ class AbsLogPowerWindow:
     """
 
     def __init__(self, c: float, r_lo: float, r_hi: float):
+        c, r_lo, r_hi = require_reals("the log-power window", c=c, r_lo=r_lo, r_hi=r_hi)
         if not (0.0 < r_lo < r_hi < 1.0):
             raise DomainError("log-power factor needs 0 < r_lo < r_hi < 1")
-        self.c = float(c)
-        self.r_lo, self.r_hi = float(r_lo), float(r_hi)
+        self.c, self.r_lo, self.r_hi = c, r_lo, r_hi
         # window in w = log t, t = -log r: note r_lo gives the LARGER t
         self._w_lo = math.log(-math.log(r_hi))
         self._w_hi = math.log(-math.log(r_lo))
@@ -220,9 +221,9 @@ class PlateauBumpY:
     """Plateau bump on [lo, hi] in one y coordinate (linear scale)."""
 
     def __init__(self, lo: float, hi: float):
-        if not (lo < hi):
+        self.lo, self.hi = require_reals("the y bump", lo=lo, hi=hi)
+        if not (self.lo < self.hi):
             raise DomainError(f"bad y interval ({lo}, {hi})")
-        self.lo, self.hi = float(lo), float(hi)
 
     def both(self, t):
         return _plateau(t, self.lo, self.hi)
@@ -235,10 +236,10 @@ class GaussBumpY:
     """
 
     def __init__(self, lo: float, hi: float, a: float = 1.0):
-        if not (lo < hi) or a < 0.0:
+        lo, hi, self.a = require_reals("the Gaussian y bump", lo=lo, hi=hi, a=a)
+        if not (lo < hi) or self.a < 0.0:
             raise DomainError("bad Gaussian-bump parameters")
-        self.lo, self.hi = float(lo), float(hi)
-        self.a = float(a)
+        self.lo, self.hi = lo, hi
         self.c = 0.5 * (lo + hi)
 
     def both(self, t):
@@ -312,11 +313,12 @@ class RhoShellProfile:
 
     def __init__(self, geom: GrushinGeometry, sigma: float, rho_lo: float, rho_hi: float,
                  amplitude=1.0):
+        sigma, rho_lo, rho_hi = require_reals("the rho shell", sigma=sigma, rho_lo=rho_lo,
+                                              rho_hi=rho_hi)
         if not (0.0 < rho_lo < rho_hi):
             raise DomainError("need 0 < rho_lo < rho_hi")
         self.geom = geom
-        self.sigma = float(sigma)
-        self.rho_lo, self.rho_hi = float(rho_lo), float(rho_hi)
+        self.sigma, self.rho_lo, self.rho_hi = sigma, rho_lo, rho_hi
         self.amplitude = complex(amplitude)
         self._a, self._b = math.log(rho_lo), math.log(rho_hi)
         self.r_lo = rho_lo * 1e-8

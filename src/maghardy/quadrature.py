@@ -257,8 +257,7 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
     makes its weighted term non-finite, and a sum over a non-finite term is
     non-finite (+inf and -inf together give NaN).  A sum that overflows
     although every node is finite raises too.  The NonFiniteError stands in
-    for numpy's overflow and invalid-value warnings of the weighting and
-    the sums, which are silenced; a density's own warnings are not.
+    for numpy's floating-point warnings, which _tensor_sums silences.
     """
     phis = np.asarray(phis, dtype=float)
     n_c = max(1, BLOCK_NODES // base.size)
@@ -267,8 +266,7 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
         col = phis[a:a + n_c, None, None]
         for i, vals in enumerate(at(col)):
             vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
-            with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                sums = [np.add.reduce(one, axis=None) for one in base * vals]
+            sums = [np.add.reduce(one, axis=None) for one in base * vals]
             _check_finite(sums)
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
@@ -319,10 +317,12 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
                  power, phis) -> list:
     """Per integrand of density, its sum over phis on the (r, y) grid of the
     domain, weighted by w_r * r^power * w_y: the one tensor pass, shared by
-    integrate_polar and integrate_radial."""
+    integrate_polar and integrate_radial.  numpy's floating-point warnings,
+    the density's included, are off: reduce_slices checks every sum."""
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     base = (w_r * r ** power)[:, None] * w_y[None, :]
-    return reduce_slices(row_blocks(density, r, Y), base, phis)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return reduce_slices(row_blocks(density, r, Y), base, phis)
 
 
 def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
@@ -398,15 +398,18 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
         w_y = np.ones(1)
 
     base = (w_r * r)[:, None] * w_y[None, :]
-    at = density(r[:, None], Y[None, :, :])
-
     totals = []
-    for phi in phis:
-        for i, vals in enumerate(at(float(phi))):
-            vals = np.broadcast_to(np.asarray(vals), base.shape)
-            if not np.all(np.isfinite(vals)):
-                raise NonFiniteError("oracle integrand evaluated to NaN or infinity")
-            if i == len(totals):
-                totals.append(0.0 + 0.0j)
-            totals[i] += np.sum(base * vals)
+    # numpy's warnings off, the density's included: base is positive, so a
+    # non-finite node, or a sum that overflows, makes its slice's sum non-finite
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        at = density(r[:, None], Y[None, :, :])
+        for phi in phis:
+            for i, vals in enumerate(at(float(phi))):
+                total = np.sum(base * np.asarray(vals))
+                if not np.isfinite(total):
+                    raise NonFiniteError(
+                        "an oracle integrand or its weighted sum is NaN or infinite")
+                if i == len(totals):
+                    totals.append(0.0 + 0.0j)
+                totals[i] += total
     return [complex(total * w_phi) for total in totals]

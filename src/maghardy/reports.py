@@ -273,5 +273,9 @@ class SuperweightParams:
         if not (self.theta2 * self.theta3 < 0.0):
             raise AdmissibilityError("superweight needs theta2*theta3 < 0")
 
+    def weight(self, r):
+        """The composite weight (a + b r^theta2)^theta3 at r."""
+        return (self.a + self.b * r**self.theta2) ** self.theta3
+
     def to_dict(self) -> dict:
         return asdict(self)

@@ -149,10 +149,8 @@ def verify_landau(variant: str, psi: RadialPotential,
         psi_weight = lambda r: psi_sq(r) * r**2
     elif variant == "superweight":
         sharp = _superweight_constant(params)
-        a, b = params.a, params.b
-        t2, t3, t4 = params.theta2, params.theta3, params.theta4
+        W, t4 = params.weight, params.theta4
         run_params["weights"] = params.to_dict()
-        W = lambda r: (a + b * r**t2) ** t3
         wv = lambda r: W(r) * r ** (-2.0 * t4)
         main_weight = defect_weight = lambda r: W(r) * r ** (-2.0 * t4 - 2.0)
         psi_weight = lambda r: psi_sq(r) * W(r) * r ** (-2.0 * t4 + 2.0)

@@ -77,14 +77,13 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
         grad_side = lambda r, fr: np.abs(fr) ** p
     elif variant == "superweight":
         require_param("composite-weight variant", "its parameters", params, SuperweightParams)
-        a, b = params.a, params.b
         t2, t3, t4 = params.theta2, params.theta3, params.theta4
         C = (Q - p * t4 + t2 * t3 - p) / p
         if C < 0.0:
             raise AdmissibilityError("need p*theta4 - theta2*theta3 <= Q - p")
         w_grad, w_func = p * t4, p * (t4 + 1.0)
         run_params["weights"] = params.to_dict()
-        W = lambda r: (a + b * r**t2) ** t3
+        W = params.weight
         grad_side = lambda r, fr: W(r) * np.abs(fr) ** p
         func_side = lambda r, fv: W(r) * np.abs(fv) ** p
     else:

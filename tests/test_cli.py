@@ -3,6 +3,7 @@ sweep CSVs, and byte-level reproducibility."""
 
 import copy
 import csv
+import inspect
 import json
 import sys
 import tempfile
@@ -13,8 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maghardy.cli import _CHECKS, _run_one, _run_seed, _write_json, main
-from maghardy.errors import AdmissibilityError, MagHardyError
+from maghardy.cli import (
+    _CHECKS,
+    _ENGINE_KEYS,
+    _FIELDS,
+    _VERIFY_KEYS,
+    _run_one,
+    _run_seed,
+    _write_json,
+    main,
+)
+from maghardy.errors import AdmissibilityError, ConfigError, MagHardyError
 from maghardy.reports import (
     IdentityReport,
     InequalityReport,
@@ -265,6 +275,11 @@ _GOOD_RUN = {"theorem_id": "radial_hardy", "geometry": GEOM,
              "weights": {"alpha1": 0.0, "alpha2": 0.0},
              "function": BUMP, "quadrature": FAST}
 
+_SHARP_RUN = {"theorem_id": "radial_hardy", "geometry": GEOM,
+              "weights": {"alpha1": 0.0, "alpha2": 0.0},
+              "family": {"base": "rho_power", "epsilon": 0.5, "cutoff": [0.5, 2.0]},
+              "schedule": [0.5, 0.2]}
+
 _MALFORMED_RUNS = {
     "non-integer m": {**_GOOD_RUN, "geometry": {**GEOM, "m": "x"}},
     "y_box entry not a pair": {**_GOOD_RUN,
@@ -356,6 +371,22 @@ _MALFORMED_RUNS = {
         "theorem_id": "radial_p_log", "Q": 3.0, "p": 2.0,
         "schedule": [0.5, 0.2], "window": "plain",
         "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
+    # keys the run's path never reads: the verifier's on a sharpness run, the
+    # engine's on a verify run (_UNREAD names them)
+    "psi and domain on a landau_hardy_sobolev sharpness run": {
+        "theorem_id": "landau_hardy_sobolev", "theta1": 1.0,
+        "psi": {"kind": "bogus"}, "domain": {"R": "big"},
+        "family": {"base": "inverse_power", "epsilon": 0.5, "cutoff": [0.5, 2.0]}},
+    "psi and quadrature on a landau_log sharpness run": {
+        "theorem_id": "landau_log", "psi": 7, "quadrature": {"n_r": 64},
+        "family": {"base": "log_power", "epsilon": 0.5, "cutoff": [0.05, 0.9]}},
+    "valid quadrature on a radial_hardy sharpness run": {**_SHARP_RUN, "quadrature": FAST},
+    "function on a radial_hardy sharpness run": {**_SHARP_RUN, "function": BUMP},
+    "schedule and window on a radial_hardy verify run": {
+        **_GOOD_RUN, "schedule": ["junk"], "window": 42},
+    "s on a constant psi": {
+        "theorem_id": "twisted_polar", "psi": {"kind": "constant", "c": 0.5, "s": 3.0},
+        "function": {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0}},
     # sizes far past the ceilings, refused before anything is allocated
     "huge n_r": {**_GOOD_RUN, "quadrature": {"n_r": 1e300}},
     "huge m": {**_GOOD_RUN, "geometry": {**GEOM, "m": 1e300}},
@@ -377,6 +408,54 @@ def test_malformed_run_is_recorded_and_the_suite_goes_on(tmp_path, bad):
     assert first["status"] == "error"
     assert first["error"]["type"] == "ConfigError"
     assert first["error"]["message"].startswith("runs[0]")
+    assert second["status"] == "ok" and second["passed"]
+
+
+# the keys of a _MALFORMED_RUNS entry that its path does not read
+_UNREAD = {
+    "psi and domain on a landau_hardy_sobolev sharpness run": ["domain", "psi"],
+    "psi and quadrature on a landau_log sharpness run": ["psi", "quadrature"],
+    "valid quadrature on a radial_hardy sharpness run": ["quadrature"],
+    "function on a radial_hardy sharpness run": ["function"],
+    "schedule and window on a radial_hardy verify run": ["schedule", "window"],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_UNREAD))
+def test_a_key_the_path_does_not_read_is_named(bad):
+    with pytest.raises(ConfigError) as exc:
+        _run_one(_MALFORMED_RUNS[bad], 0, 0, "thm2")
+    assert str(exc.value) == f"runs[0]: unknown keys {_UNREAD[bad]}"
+    _run_one(_SHARP_RUN, 0, 0, "thm2")   # the sharpness run without them runs
+
+
+def test_every_listed_key_has_one_reader_and_every_reader_is_listed():
+    listed = {key for check in _CHECKS.values() for key in check.keys + check.engine_keys}
+    paths = {*_VERIFY_KEYS, *_ENGINE_KEYS}
+    assert not listed & paths
+    # "function" is read by _parse_function, which takes the run's seed,
+    # geometry and weights
+    assert set(_FIELDS) == (listed | paths) - {"function"}
+    assert {tid for tid, check in _CHECKS.items() if check.engine_keys} <= set(FAMILY_FOR)
+    for check in _CHECKS.values():   # each closure takes its record's values
+        inspect.signature(check.verify).bind("f", "spec", *check.keys)
+        inspect.signature(check.params).bind(*check.engine_keys)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_a_density_that_overflows_is_a_recorded_non_finite_error(tmp_path, oracle):
+    # the log bump's radial derivative overflows near r_lo = 1.8e-298; under
+    # error::RuntimeWarning (this suite's policy) numpy's warning of the
+    # density must not escape main, on either engine
+    tiny = {**_GOOD_RUN, "function": {**BUMP, "r_lo": 1.8388204647668363e-298},
+            "quadrature": {**FAST, "oracle": oracle}}
+    cfg = _write(tmp_path / "suite.json", {"suite": "tiny", "seed": 0,
+                                           "runs": [tiny, _GOOD_RUN]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    first, second = json.loads(out.read_text())["runs"]
+    assert first["status"] == "error"
+    assert first["error"]["type"] == "NonFiniteError"
     assert second["status"] == "ok" and second["passed"]
 
 

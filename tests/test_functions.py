@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from maghardy import GrushinGeometry, Point, TrialFamily, WeightExponents
 from maghardy.errors import AdmissibilityError, DomainError
+from maghardy.fields import RadialPotential
 from maghardy.functions import (
     _EDGE_EPS,
     _step,
@@ -426,3 +427,36 @@ def test_random_function_support_always_valid(seed):
     assert 0.0 < r_lo < r_hi
     for lo, hi in box:
         assert lo < hi
+
+
+# (label, constructor, admissible arguments by name): every number of a
+# factor, of the y box of make_bump and of a radial potential goes through
+# require_param
+_FACTORS = [
+    ("PlateauLogBump", PlateauLogBump, {"r_lo": 0.5, "r_hi": 2.0}),
+    ("PowerLogWindow", PowerLogWindow, {"sigma": -1.0, "r_lo": 0.5, "r_hi": 2.0}),
+    ("AbsLogPowerWindow", AbsLogPowerWindow, {"c": -0.5, "r_lo": 0.05, "r_hi": 0.5}),
+    ("GaussTail", GaussTail, {"a": 0.5, "fall": 6.0, "r_hi": 8.0, "r_lo": 1e-8}),
+    ("PlateauBumpY", PlateauBumpY, {"lo": -1.0, "hi": 1.0}),
+    ("GaussBumpY", GaussBumpY, {"lo": -1.0, "hi": 1.0, "a": 1.0}),
+    ("RhoShellProfile",
+     lambda **kw: RhoShellProfile(GrushinGeometry(2, 1, 1.0), **kw),
+     {"sigma": -1.0, "rho_lo": 0.5, "rho_hi": 2.0}),
+    ("make_bump y box", lambda lo, hi: make_bump(0.5, 2.0, ((lo, hi),)),
+     {"lo": -1.0, "hi": 1.0}),
+    ("RadialPotential.constant", RadialPotential.constant, {"c": 1.0}),
+    ("RadialPotential.power", RadialPotential.power, {"c": 0.5, "s": 1.0}),
+]
+_SPOILT = [(label, make, args, name, bad, error)
+           for label, make, args in _FACTORS for name in args
+           for bad, error in (("1.0", AdmissibilityError), (math.nan, DomainError),
+                              (math.inf, DomainError))]
+
+
+@pytest.mark.parametrize("label, make, args, name, bad, error", _SPOILT,
+                         ids=[f"{c[0]}-{c[3]}-{c[4]}" for c in _SPOILT])
+def test_factor_constructors_read_their_numbers_through_require_param(
+        label, make, args, name, bad, error):
+    make(**args)
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        make(**{**args, name: bad})
