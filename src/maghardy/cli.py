@@ -9,9 +9,9 @@ Each run names a theorem_id and may carry a "label" and a "seed".  A run
 with a "family" block, on an id with a sharpness engine, is a sharpness run:
 it reads "family", "schedule" and "window" plus the keys that engine reads.
 Any other run is a verify run: it reads "function" and "quadrature" plus
-the keys its verifier reads.  Each _CHECKS record lists both key sets and
-_FIELDS holds each key's one reader; every other key, in a run or in one of
-its blocks, is a ConfigError.  Example run:
+the keys its verifier reads.  Each verifiers.catalogue record lists both
+key sets and _FIELDS holds each key's one reader; every other key, in a run
+or in one of its blocks, is a ConfigError.  Example run:
 
     {"theorem_id": "radial_hardy",
      "geometry": {"m": 2, "k": 1, "gamma": 1.0},
@@ -61,20 +61,8 @@ from .functions import (
 from .geometry import GrushinGeometry, WeightExponents
 from .quadrature import MAX_AXIS_NODES, QuadratureSpec
 from .reports import ReportEncoder, SuperweightParams, jsonable, relative_gap
-from .verifiers import (
-    FAMILY_FOR,
-    check_grushin_ibp_identity,
-    check_twisted_polar_identity,
-    estimate_sharpness,
-    verify_ab_hardy,
-    verify_constant_field,
-    verify_landau,
-    verify_magnetic_grushin,
-    verify_radial_hardy,
-    verify_radial_p,
-    verify_real_landau,
-    verify_uncertainty_grushin,
-)
+from .verifiers import FAMILY_FOR, estimate_sharpness
+from .verifiers.catalogue import CHECKS, list_theorems
 
 REPORT_VERSION = "maghardy-report/1"
 SWEEP_VERSION = "maghardy-sweep/1"
@@ -250,7 +238,7 @@ def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
     return TestFunction([AngularMode(0, zero)])
 
 
-# run key -> its reader, for every key a _CHECKS record or a path lists but
+# run key -> its reader, for every key a CHECKS record or a path lists but
 # "function", whose reader (_parse_function) takes the run's seed, geometry
 # and weights
 _FIELDS = {
@@ -294,141 +282,6 @@ _VERIFY_KEYS = ("function", "quadrature")
 _ENGINE_KEYS = ("family", "schedule", "window")
 
 
-class _Check(NamedTuple):
-    """One catalogued statement.
-
-    constant and text are its `list` entry: the sharp constant and the
-    conditions of a margin check, or (constant None) what an identity
-    states.  keys are the run keys its verifier reads, and verify(f, spec,
-    *values) calls it on their values, in that order.  On an id with a
-    sharpness engine (FAMILY_FOR), engine_keys are the run keys the engine
-    reads, and params(*values) builds its params from their values."""
-
-    constant: str | None
-    text: str
-    keys: tuple
-    verify: Callable
-    engine_keys: tuple = ()
-    params: Callable = lambda *values: None
-
-
-# The dispatch closures look each verifier up in this module's globals when
-# they run, so a verifier patched here is the one called.
-
-_GRUSHIN = ("geometry", "weights")
-_MAGNETIC = (*_GRUSHIN, "flux")
-_LANDAU = ("psi", "domain")
-_grushin_params = lambda geom, exps, flux=None: {"geom": geom, "exps": exps, "flux": flux}
-
-
-def _landau(variant: str):
-    """verify_landau on _LANDAU's values, then the variant's params, if any."""
-    return lambda f, spec, psi, radius, params=None: verify_landau(
-        variant, psi, params, f, spec, radius=radius)
-
-
-def _real_landau(variant: str):
-    return lambda f, spec, n, radius=None, R=None: verify_real_landau(
-        variant, n, f, spec, radius=radius, R=R)
-
-
-def _radial_p(variant: str, params=lambda: {}):
-    """verify_radial_p on Q and p, its params built from the values after them."""
-    return lambda f, spec, Q, p, *values: verify_radial_p(
-        variant, Q, p, params(*values), f, spec)
-
-
-_CHECKS = {
-    "radial_hardy": _Check(
-        "((Q+a1-2)/2)^2", "Q+a1-2 > 0, m+g*a2 > 0; radial f", _GRUSHIN,
-        lambda f, spec, geom, exps: verify_radial_hardy(geom, exps, f, spec),
-        _GRUSHIN, _grushin_params),
-    "magnetic_grushin": _Check(
-        "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f", _MAGNETIC,
-        lambda f, spec, geom, exps, flux: verify_magnetic_grushin(geom, exps, flux, f, spec),
-        _MAGNETIC, _grushin_params),
-    "ab_hardy": _Check(
-        "((a1+k(g+1))/2)^2 + b^2",
-        "m = 2, a1+k(g+1) > 0, and a2+2g > 0 (thm2) or a2*g+2 > 0 (corollary)",
-        (*_MAGNETIC, "admissibility"),
-        lambda f, spec, geom, exps, flux, admissibility: verify_ab_hardy(
-            geom, exps, flux, f, spec, admissibility=admissibility)),
-    "uncertainty_grushin": _Check(
-        "(((Q+a1-2)/2)^2 + b^2)^(1/2)",
-        "as magnetic_grushin; norms halve the weight exponents", _MAGNETIC,
-        lambda f, spec, geom, exps, flux: verify_uncertainty_grushin(
-            geom, exps, flux, f, spec, variant="uncer1")),
-    "uncertainty_ab": _Check(
-        "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0", _MAGNETIC,
-        lambda f, spec, geom, exps, flux: verify_uncertainty_grushin(
-            geom, exps, flux, f, spec, variant="uncer21")),
-    "landau_hardy_sobolev": _Check(
-        "theta1^2", "theta1 != 0", (*_LANDAU, "theta1"), _landau("hardy_sobolev"),
-        ("theta1",), lambda theta1: {"theta1": theta1}),
-    "landau_log": _Check(
-        "1/4", "support inside the closed unit disc", _LANDAU, _landau("log")),
-    "landau_poincare": _Check(
-        "1/R^2", "bounded ball of radius R containing the support", _LANDAU,
-        _landau("poincare")),
-    "landau_superweight": _Check(
-        "(t2*t3 - 2*t4)/2", "a, b > 0, t2*t3 < 0, 2*t4 <= t2*t3",
-        (*_LANDAU, "superweight"), _landau("superweight"),
-        ("superweight",), lambda superweight: superweight),
-    "radial_p_weighted": _Check(
-        "|p/(Q - theta*p)|", "p > 1, theta*p != Q; radial f", ("Q", "p", "theta"),
-        _radial_p("weighted", lambda theta: {"theta": theta})),
-    "radial_p_log": _Check("p", "p > 1; radial f", ("Q", "p"), _radial_p("log")),
-    "radial_p_poincare": _Check(
-        "R*p/Q", "p > 1, support inside [0, R]; radial f", ("Q", "p", "R"),
-        _radial_p("poincare", lambda R: {"R": R})),
-    "radial_p_superweight": _Check(
-        "(Q - p*t4 + t2*t3 - p)/p",
-        "p > 1, a, b > 0, t2*t3 < 0, p*t4 - t2*t3 <= Q - p; radial f",
-        ("Q", "p", "superweight"), _radial_p("superweight", lambda superweight: superweight)),
-    "real_landau_hardy": _Check(
-        "(n-1)^2", "n >= 1; real f (radial for n >= 2)", ("n", "domain"),
-        _real_landau("hardy")),
-    "real_landau_critical": _Check(
-        "1/4", "n = 1, R >= e * sup|z| over the domain; real f",
-        ("n", "domain", "R"), _real_landau("critical")),
-    "real_landau_uncertainty": _Check(
-        "1 (norm product vs pointwise bound)",
-        "n >= 1; real f; R as in real_landau_critical when n = 1",
-        ("n", "domain", "R"), _real_landau("uncertainty")),
-    "constant_field": _Check(
-        "(n(2+g)+a1-2)/2 as printed; squared reading also evaluated",
-        "m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f",
-        (*_GRUSHIN, "potentials"),
-        lambda f, spec, geom, exps, pots: verify_constant_field(geom, exps, pots, f, spec)),
-    "grushin_ibp": _Check(
-        None, "shifted-gradient expansion of the anisotropic Dirichlet form",
-        (*_GRUSHIN, "alpha"),
-        lambda f, spec, geom, exps, alpha: check_grushin_ibp_identity(
-            geom, exps, f, alpha, spec)),
-    "twisted_polar": _Check(
-        None, "polar split of the twisted Dirichlet integral over kappa", ("psi", "kappa"),
-        lambda f, spec, psi, kappa: check_twisted_polar_identity(psi, kappa, f, spec)),
-    "real_landau_identity": _Check(
-        None, "Dirichlet + harmonic-potential split on the plane", ("n",),
-        _real_landau("identity")),
-}
-
-
-def list_theorems() -> str:
-    """Stable text table of every checkable statement."""
-    width = max(len(tid) for tid in _CHECKS)
-    lines = ["margin checks:"]
-    for tid, check in _CHECKS.items():
-        if check.constant is not None:
-            lines.append(f"  {tid:<{width}}  constant: {check.constant}")
-            lines.append(f"  {'':<{width}}  requires: {check.text}")
-    lines.append("identity checks:")
-    for tid, check in _CHECKS.items():
-        if check.constant is None:
-            lines.append(f"  {tid:<{width}}  {check.text}")
-    return "\n".join(lines)
-
-
 def _run_seed(run, index: int, suite_seed: int) -> int:
     """The seed of a run: its own, or the suite's seed plus its index."""
     return _read(run, "seed", f"runs[{index}]", _count(default=suite_seed + index))
@@ -442,9 +295,9 @@ def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
     before the function, and the values go to the record's closure."""
     where = f"runs[{index}]"
     tid = str(_need(run, "theorem_id", where))
-    if tid not in _CHECKS:
+    if tid not in CHECKS:
         raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
-    check = _CHECKS[tid]
+    check = CHECKS[tid]
     engine = "family" in run and tid in FAMILY_FOR
     keys = check.engine_keys if engine else check.keys
     _check_keys(run, (*_RUN_KEYS, *(_ENGINE_KEYS if engine else _VERIFY_KEYS), *keys), where)

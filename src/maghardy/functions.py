@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_param, require_reals
+from .errors import AdmissibilityError, DomainError, require_param, require_reals
 from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
 
 __all__ = [
@@ -252,13 +252,21 @@ class GaussBumpY:
 # Profiles g(r, y): product form and rho-shell form
 # ---------------------------------------------------------------------------
 
+def _amplitude(what: str, value) -> complex:
+    """value, a number (not a bool or a string) with finite real and imaginary
+    parts, as a complex; require_param's errors, naming amplitude."""
+    value = require_param(what, "amplitude", value, numbers.Complex)
+    return complex(require_param(what, "amplitude", value.real),
+                   require_param(what, "amplitude", value.imag))
+
+
 class ProductProfile:
     """g(r, y) = amplitude * R(r) * prod_j Y_j(y_j) with analytic partials."""
 
     def __init__(self, radial, y_factors=(), amplitude=1.0):
         self.radial = radial
         self.y_factors = tuple(y_factors)
-        self.amplitude = complex(amplitude)
+        self.amplitude = _amplitude("the product profile", amplitude)
         self.r_lo, self.r_hi = radial.r_lo, radial.r_hi
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
@@ -319,7 +327,7 @@ class RhoShellProfile:
             raise DomainError("need 0 < rho_lo < rho_hi")
         self.geom = geom
         self.sigma, self.rho_lo, self.rho_hi = sigma, rho_lo, rho_hi
-        self.amplitude = complex(amplitude)
+        self.amplitude = _amplitude("the rho shell", amplitude)
         self._a, self._b = math.log(rho_lo), math.log(rho_hi)
         self.r_lo = rho_lo * 1e-8
         self.r_hi = rho_hi
@@ -546,7 +554,12 @@ def evaluate(f: TestFunction, p) -> complex:
 def make_bump(r_lo: float, r_hi: float, y_box=()) -> TestFunction:
     """Smooth radial plateau bump: 1 on the middle half (log scale) of the annulus."""
     radial = PlateauLogBump(r_lo, r_hi)
-    profile = ProductProfile(radial, tuple(PlateauBumpY(lo, hi) for lo, hi in y_box))
+    try:
+        pairs = [(lo, hi) for lo, hi in y_box]
+    except (TypeError, ValueError):
+        raise AdmissibilityError(
+            f"make_bump needs y_box as (lo, hi) pairs, got {y_box!r}") from None
+    profile = ProductProfile(radial, tuple(PlateauBumpY(lo, hi) for lo, hi in pairs))
     return TestFunction([AngularMode(0, profile)])
 
 

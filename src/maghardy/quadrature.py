@@ -68,7 +68,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteError, require_param
+from .errors import AdmissibilityError, DomainError, NonFiniteError, require_param
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,6 +112,9 @@ class QuadratureSpec:
             n = require_param("the quadrature", name, getattr(self, name), numbers.Integral)
             if not least <= n <= MAX_AXIS_NODES:
                 raise DomainError(f"{name} must be {least} to {MAX_AXIS_NODES}, got {n}")
+        if not isinstance(self.oracle, bool):   # a truthy string would run the oracle
+            raise AdmissibilityError(f"the quadrature needs oracle true or false, "
+                                     f"got {self.oracle!r}")
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,12 @@ def require_args(what: str, **args) -> None:
         require_param(what, name, value, _KINDS[name])
 
 
+def sharp_constant(theorem_id: str, *values) -> float:
+    """The sharp constant of theorem_id on values, from its catalogue record."""
+    from .catalogue import CHECKS   # which imports the verifiers, so not at load
+    return CHECKS[theorem_id].constant(*values)
+
+
 def support_domain(f: TestFunction) -> Domain:
     """Integration domain covering the support hull of f."""
     r_lo, r_hi, y_box, breaks = f.support()

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..errors import AdmissibilityError, DomainError, RealnessError, require_param
 from ..fields import (
     ConstantFieldPotentials,
@@ -54,6 +52,7 @@ from ._grids import (
     require_args,
     rx_integral,
     s_of,
+    sharp_constant,
 )
 
 __all__ = [
@@ -114,11 +113,6 @@ def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
     return s_hom
 
 
-def _grushin_constant(s_hom: float, beta: float = 0.0) -> float:
-    """(s/2)^2 + beta^2, the constant of the Grushin family for the exponent s of its kind."""
-    return (0.5 * s_hom) ** 2 + beta * beta
-
-
 def _rotated_kind(geom: GrushinGeometry, exps: WeightExponents,
                   admissibility: str) -> float:
     """Check m = 2, alpha1 + k*(gamma+1) > 0 and the flag's condition; return the former."""
@@ -152,7 +146,7 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
                         f: TestFunction, spec: QuadratureSpec) -> InequalityReport:
     """Weighted Hardy bound for x-radial functions of the anisotropic gradient."""
     require_args("radial_hardy", geom=geom, exps=exps, f=f, spec=spec)
-    C = _grushin_constant(_first_kind(geom, exps))
+    C = sharp_constant("radial_hardy", geom, exps)
     _require_radial(f, "the radial Hardy bound")
     _require_shape(geom, f)
 
@@ -225,12 +219,11 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     (gradient part + beta^2 potential part = lhs) with its relative error.
     """
     require_args("magnetic_grushin", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
-    s_hom = _first_kind(geom, exps)
+    C = sharp_constant("magnetic_grushin", geom, exps, flux)
     _require_shape(geom, f)
     _require_real(f, "the magnetic Hardy bound")
 
     beta = flux.beta
-    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta}
 
     def density(r, y):
@@ -264,11 +257,10 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
                     admissibility: str = "thm2") -> InequalityReport:
     """Hardy bound for the rotated potential, with the angular-defect remainder."""
     require_args("ab_hardy", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
-    s_hom = _rotated_kind(geom, exps, admissibility)
+    C = sharp_constant("ab_hardy", geom, exps, flux, admissibility)
     _require_shape(geom, f)
 
     beta = flux.beta
-    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta,
               "admissibility": admissibility}
 
@@ -333,19 +325,18 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     require_args("the uncertainty bound", geom=geom, exps=exps, flux=flux, f=f, spec=spec)
     beta = flux.beta
     if variant == "uncer1":
-        s_hom = _first_kind(geom, exps)
-        _require_real(f, "the gradient-field uncertainty bound")
         theorem_id, components = "uncertainty_grushin", grushin_components
     elif variant == "uncer21":
-        s_hom = _rotated_kind(geom, exps, "corollary")
         theorem_id, components = "uncertainty_ab", tilde_components
     else:
         raise DomainError(f"unknown variant {variant!r}")
+    C = sharp_constant(theorem_id, geom, exps, flux)   # the root of the Grushin constant
+    if variant == "uncer1":
+        _require_real(f, "the gradient-field uncertainty bound")
     _require_shape(geom, f)
 
-    C = _grushin_constant(s_hom, beta)
     params = {**_geom_params(geom, exps), "beta": beta, "variant": variant,
-              "sqrt_constant": math.sqrt(C)}
+              "sqrt_constant": C}
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
 
     def density(r, y):
@@ -368,8 +359,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
     grad_sq, norm_sq, cross = integrate(density, f, spec, geom.m)
     lhs = math.sqrt(max(grad_sq, 0.0)) * math.sqrt(max(norm_sq, 0.0))
-    rhs = math.sqrt(C) * cross
-    return InequalityReport(theorem_id, lhs, {"main": rhs}, math.sqrt(C),
+    return InequalityReport(theorem_id, lhs, {"main": C * cross}, C,
                             params, _resolution(spec))
 
 
@@ -386,15 +376,12 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
     evaluated alongside and reported in params as main_squared/margin_squared.
     """
     require_args("constant_field", geom=geom, exps=exps, pots=pots, f=f, spec=spec)
-    n = geom.m
-    if geom.k != n:
-        raise DomainError(f"need m = k = n = {n}, got m={geom.m}, k={geom.k}")
-    _first_kind(geom, exps)   # m = k = n: Q = n*(2+gamma), m + gamma*alpha2 = n + alpha2*gamma
+    C_lin = sharp_constant("constant_field", geom, exps, pots)
     _require_radial(f, "the constant-field bound")
     _require_shape(geom, f)
     _require_real(f, "the constant-field bound")
 
-    C_lin = 0.5 * (n * (2.0 + geom.gamma) + exps.alpha1 - 2.0)
+    n = geom.m
     params = {**_geom_params(geom, exps), "n": n,
               "constant_printed": C_lin, "constant_squared": C_lin**2}
     g, slope = geom.gamma, pots.slope

@@ -22,7 +22,7 @@ from ..fields import RadialPotential, twisted_components
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
-from ._grids import abs2, components_sq, integrate, polar_integral, require_args
+from ._grids import abs2, components_sq, integrate, polar_integral, require_args, sharp_constant
 from .grushin import _require_radial, _require_real, _resolution
 
 __all__ = [
@@ -52,14 +52,6 @@ def _theta1(value) -> float:
     if t1 == 0.0:
         raise AdmissibilityError("power-weight variant needs theta1 != 0")
     return t1
-
-
-def _superweight_constant(params) -> float:
-    """c = (theta2*theta3 - 2*theta4)/2 of SuperweightParams with 2*theta4 <= theta2*theta3."""
-    sw = require_param("superweight variant", "its parameters", params, SuperweightParams)
-    if not (2.0 * sw.theta4 <= sw.theta2 * sw.theta3):
-        raise AdmissibilityError("need 2*theta4 <= theta2*theta3")
-    return 0.5 * (sw.theta2 * sw.theta3 - 2.0 * sw.theta4)
 
 
 def _psi_record(psi) -> dict:
@@ -124,38 +116,34 @@ def verify_landau(variant: str, psi: RadialPotential,
     def psi_sq(r):
         return np.asarray(psi(r)) ** 2
 
-    # per variant: admissibility, the constant, its parameters in the report,
-    # and the weights of the gradient side (wv), the main term, the psi term
-    # and the mode defect
+    # per variant: admissibility, its parameters in the report, and the
+    # weights of the gradient side (wv), the main term, the psi term and the
+    # mode defect; then the constant, whose record checks the rest
     if variant == "hardy_sobolev":
         t1 = _theta1(params)
-        sharp = t1 * t1
         run_params["theta1"] = t1
         wv = lambda r: r ** (-2.0 * t1)
         main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)
         psi_weight = lambda r: psi_sq(r) * r ** (-2.0 * t1 + 2.0)
     elif variant == "log":
         _require_in_ball(f, 1.0)   # the closed unit disc
-        sharp = 0.25
         wv = lambda r: np.log(r) ** 2
         main_weight = np.ones_like
         psi_weight = lambda r: psi_sq(r) * r**2 * np.log(r) ** 2
         defect_weight = lambda r: np.log(r) ** 2 / r**2
     elif variant == "poincare":
-        if radius is None:
-            raise AdmissibilityError("bounded variant needs a ball domain")
-        sharp = 1.0 / (radius * radius)
         wv = main_weight = defect_weight = np.ones_like
         psi_weight = lambda r: psi_sq(r) * r**2
     elif variant == "superweight":
-        sharp = _superweight_constant(params)
-        W, t4 = params.weight, params.theta4
-        run_params["weights"] = params.to_dict()
+        sw = require_param("superweight variant", "its parameters", params, SuperweightParams)
+        W, t4 = sw.weight, sw.theta4
+        run_params["weights"] = sw.to_dict()
         wv = lambda r: W(r) * r ** (-2.0 * t4)
         main_weight = defect_weight = lambda r: W(r) * r ** (-2.0 * t4 - 2.0)
         psi_weight = lambda r: psi_sq(r) * W(r) * r ** (-2.0 * t4 + 2.0)
     else:
         raise DomainError(f"unknown variant {variant!r}")
+    sharp = sharp_constant(theorem_id, psi, radius, params)
 
     if radius is not None:
         run_params["R"] = float(radius)
@@ -225,7 +213,7 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     def pot(r, parts):
         return 0.25 * r**2 * abs2(parts[0])
 
-    # per variant: the constant and the integrands after the gradient side
+    # per variant: the integrands after the gradient side
     if variant == "identity":
         def plain(r, parts):
             _, fr, fphi, _ = parts
@@ -233,15 +221,11 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
         terms = (plain, pot)
     elif variant == "hardy":
-        sharp = float((n - 1) ** 2)
         terms = (lambda r, parts: abs2(parts[0]) / r**2, pot)
     elif variant == "critical":
-        sharp = 0.25
         terms = (lambda r, parts: abs2(parts[0]) / (r**2 * np.log(R / r) ** 2), pot)
     elif variant == "uncertainty":
         # the norm product against the pointwise square-root bound
-        sharp = 1.0
-
         def root_bound(r, parts):
             if n == 1:
                 root = np.sqrt(0.25 / (r**2 * np.log(R / r) ** 2) + 0.25 * r**2)
@@ -273,8 +257,9 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
 
     if variant == "identity":
         return IdentityReport(theorem_id, lhs, first + second, params, res)
+    sharp = sharp_constant(theorem_id, n, radius, R)
     if variant == "uncertainty":
         lhs = math.sqrt(max(lhs, 0.0)) * math.sqrt(max(first, 0.0))
-        return InequalityReport(theorem_id, lhs, {"main": second}, sharp, params, res)
+        return InequalityReport(theorem_id, lhs, {"main": sharp * second}, sharp, params, res)
     return InequalityReport(theorem_id, lhs, {"main": sharp * first, "psi_potential": second},
                             sharp, params, res)

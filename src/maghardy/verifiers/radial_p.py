@@ -18,7 +18,7 @@ from ..errors import AdmissibilityError, DomainError, require_param
 from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import InequalityReport, SuperweightParams
-from ._grids import radial_integral, require_args
+from ._grids import radial_integral, require_args, sharp_constant
 from .grushin import _resolution
 from .landau import _require_in_ball
 
@@ -51,43 +51,39 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     run_params: dict = {"variant": variant, "Q": Q, "p": p}
     given = params if isinstance(params, dict) else {}
 
-    # per variant: admissibility, the constant C, the radial weight exponents
-    # and the integrands of the gradient side (of df/dr) and the function
-    # side (of f)
+    # per variant: admissibility, the values after Q and p its record's
+    # constant C reads, the radial weight exponents and the integrands of
+    # the gradient side (of df/dr) and the function side (of f)
     func_side = lambda r, fv: np.abs(fv) ** p
     if variant == "weighted":
         theta = require_param("weighted variant", "theta", given.get("theta"))
-        if abs(theta * p - Q) < 1e-12:
-            raise AdmissibilityError("need theta * p != Q")
-        C = abs(p / (Q - theta * p))
+        values = (theta,)
         w_grad = w_func = theta * p
         run_params["theta"] = theta
         grad_side = lambda r, fr: np.abs(r * fr) ** p
     elif variant == "log":
-        C = p
+        values = ()
         w_grad = w_func = Q
         grad_side = lambda r, fr: np.abs(np.log(r) * r * fr) ** p
     elif variant == "poincare":
         R = given.get("R")
         R = f.support()[1] if R is None else require_param("poincare variant", "R", R)
         _require_in_ball(f, R)
-        C = R * p / Q
+        values = (R,)
         w_grad = w_func = 0.0
         run_params["R"] = R
         grad_side = lambda r, fr: np.abs(fr) ** p
     elif variant == "superweight":
-        require_param("composite-weight variant", "its parameters", params, SuperweightParams)
-        t2, t3, t4 = params.theta2, params.theta3, params.theta4
-        C = (Q - p * t4 + t2 * t3 - p) / p
-        if C < 0.0:
-            raise AdmissibilityError("need p*theta4 - theta2*theta3 <= Q - p")
-        w_grad, w_func = p * t4, p * (t4 + 1.0)
-        run_params["weights"] = params.to_dict()
-        W = params.weight
+        sw = require_param("composite-weight variant", "its parameters", params, SuperweightParams)
+        values = (sw,)
+        w_grad, w_func = p * sw.theta4, p * (sw.theta4 + 1.0)
+        run_params["weights"] = sw.to_dict()
+        W = sw.weight
         grad_side = lambda r, fr: W(r) * np.abs(fr) ** p
         func_side = lambda r, fv: W(r) * np.abs(fv) ** p
     else:
         raise DomainError(f"unknown variant {variant!r}")
+    C = sharp_constant(theorem_id, Q, p, *values)
 
     def density(r, y):
         fv, fr = f.on_grid(r, y)(0.0)[:2]

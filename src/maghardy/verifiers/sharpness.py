@@ -8,6 +8,8 @@ energy turns the weighted Dirichlet/norm pair into
 
 exactly (the cross term integrates to zero over compact supports), and the
 analogous substitutions handle the logarithmic and composite weights.  The
+sharp constant the quotients approach comes from the theorem's catalogue
+record, never from the reduction, so a wrong constant shows as a gap.  The
 engine evaluates these reduced functionals by panelled Gauss-Legendre
 quadrature for a window family v and drives the window toward the
 extremizing regime along a schedule of widths.  The panels come from
@@ -17,9 +19,9 @@ Two kernels evaluate the quotients, with w the panel weights:
 
   * _power_quotient, base + sum(w G (v' - c v)^2) / sum(w G v^2).  The power
     weights (radial_hardy, magnetic_grushin, landau_hardy_sobolev) take
-    their constant as base and G = 1, c = 0, with no array pass spent on
-    either; landau_superweight takes base 0, its composite weight G and the
-    shift c of its constant.
+    the s^2/4 (+ beta^2) of their reduction as base and G = 1, c = 0, with
+    no array pass spent on either; landau_superweight takes base 0, its
+    composite weight G and its shift c.
   * _log_quotient, sum(w (v' - v/2)^2) / sum(w v v e^(-2 e^u)), for the
     logarithmic weight; its norm side keeps its own order of products.
 
@@ -53,21 +55,13 @@ from ..functions import TrialFamily, _plateau, plateau_breaks
 from ..quadrature import BLOCK_NODES, gauss_panels
 from ..reports import SharpnessResult
 from ._grids import require_args
-from .grushin import _first_kind, _geom_params, _grushin_constant
-from .landau import _superweight_constant, _theta1
+from .catalogue import CHECKS, FAMILY_FOR
+from .grushin import _first_kind, _geom_params
+from .landau import _theta1
 
 __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE", "FAMILY_FOR"]
 
 DEFAULT_SCHEDULE = (0.5, 0.2, 0.1, 0.05, 0.02)
-
-# theorem id -> the trial family its engine takes
-FAMILY_FOR = {
-    "radial_hardy": "rho_power",
-    "magnetic_grushin": "rho_power",
-    "landau_hardy_sobolev": "inverse_power",
-    "landau_log": "log_power",
-    "landau_superweight": "power",
-}
 
 _PANEL_N = 240
 _CHUNK = max(1, BLOCK_NODES // (3 * _PANEL_N))
@@ -160,8 +154,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
 
     run_params: dict = {"window": window, "family": family.base}
     lo, hi = family.cutoff
-    # each engine sets its constant and quotient, the centre of its gauss
-    # window and the tilt and bounds of its plain window (in its own variable)
+    # each engine takes its constant from its record (the Landau constants
+    # read no potential and no ball here) and sets its quotient, from its own
+    # reduction, the centre of its gauss window and the tilt and bounds of
+    # its plain window (in its own variable)
+    constant = CHECKS[theorem_id].constant
     center = lambda eps: 0.0
     tilt = 1.0
     bounds = (math.log(lo), math.log(hi))
@@ -170,21 +167,22 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
         geom, exps, flux = given.get("geom"), given.get("exps"), given.get("flux")
         require_args(theorem_id, geom=geom, exps=exps)
-        s, beta = _first_kind(geom, exps), 0.0
         run_params.update(_geom_params(geom, exps))
         if theorem_id == "magnetic_grushin":
-            require_args(theorem_id, flux=flux)
+            sharp = constant(geom, exps, flux)
             beta = run_params["beta"] = flux.beta
-        sharp = _grushin_constant(s, beta)
-        quotient = partial(_power_quotient, sharp)
+        else:
+            sharp, beta = constant(geom, exps), 0.0
+        # trials rho^(-s/2) v(log rho): (s/2)^2, plus beta^2 from the field
+        quotient = partial(_power_quotient, (0.5 * _first_kind(geom, exps)) ** 2 + beta * beta)
     elif theorem_id == "landau_hardy_sobolev":
         t1 = _theta1(given.get("theta1"))
-        sharp = t1 * t1
+        sharp = constant(None, None, t1)
         run_params["theta1"] = t1
-        quotient = partial(_power_quotient, sharp)
+        quotient = partial(_power_quotient, t1 * t1)
         tilt = -1.0   # trials r^(theta1 - eps) tilt the reduced window by -eps
     elif theorem_id == "landau_log":
-        sharp, quotient = 0.25, _log_quotient
+        sharp, quotient = constant(None, None), _log_quotient
         center = lambda eps: -(6.0 / eps + (2.0 + 0.08 / eps))
         if window == "plain":
             if not (0.0 < lo < hi < 1.0):
@@ -192,14 +190,18 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
                     "logarithmic trials live inside the unit disc")
             bounds = (math.log(-math.log(hi)), math.log(-math.log(lo)))
     else:   # landau_superweight
-        c = _superweight_constant(params)
+        # the record's constant is the c its verifier applies; the engine
+        # reads c^2.  ROADMAP item 1 settles which reading holds, in one
+        # change with perfbench/reference/margins.json, which pins c.
+        c = constant(None, None, params)
         sharp = c * c
         run_params.update(weights=params.to_dict(), constant_reading="squared")
         log_a, log_b = math.log(params.a), math.log(params.b)
         t2, t3 = params.theta2, params.theta3
         # G = (a e^(-theta2 u) + b)^theta3 without overflowing the inner power
         G = lambda u: np.exp(t3 * np.logaddexp(log_a - t2 * u, log_b))
-        quotient = partial(_power_quotient, 0.0, G=G, c=c)
+        shift = 0.5 * (t2 * t3 - 2.0 * params.theta4)
+        quotient = partial(_power_quotient, 0.0, G=G, c=shift)
         if params.theta2 < 0.0:
             center = lambda eps: math.log(0.05) - 6.0 / eps   # push toward the origin
         else:

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghardy.cli import (
-    _CHECKS,
     _ENGINE_KEYS,
     _FIELDS,
     _VERIFY_KEYS,
@@ -33,6 +32,7 @@ from maghardy.reports import (
     jsonable,
 )
 from maghardy.verifiers import FAMILY_FOR
+from maghardy.verifiers.catalogue import CHECKS as _CHECKS
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "perfbench" / "reference" / "shipped"

@@ -430,8 +430,8 @@ def test_random_function_support_always_valid(seed):
 
 
 # (label, constructor, admissible arguments by name): every number of a
-# factor, of the y box of make_bump and of a radial potential goes through
-# require_param
+# factor, of a profile's amplitude, of the y box of make_bump and of a radial
+# potential goes through require_param
 _FACTORS = [
     ("PlateauLogBump", PlateauLogBump, {"r_lo": 0.5, "r_hi": 2.0}),
     ("PowerLogWindow", PowerLogWindow, {"sigma": -1.0, "r_lo": 0.5, "r_hi": 2.0}),
@@ -441,7 +441,9 @@ _FACTORS = [
     ("GaussBumpY", GaussBumpY, {"lo": -1.0, "hi": 1.0, "a": 1.0}),
     ("RhoShellProfile",
      lambda **kw: RhoShellProfile(GrushinGeometry(2, 1, 1.0), **kw),
-     {"sigma": -1.0, "rho_lo": 0.5, "rho_hi": 2.0}),
+     {"sigma": -1.0, "rho_lo": 0.5, "rho_hi": 2.0, "amplitude": 1.0}),
+    ("ProductProfile", lambda **kw: ProductProfile(PlateauLogBump(0.5, 2.0), **kw),
+     {"amplitude": 1.0}),
     ("make_bump y box", lambda lo, hi: make_bump(0.5, 2.0, ((lo, hi),)),
      {"lo": -1.0, "hi": 1.0}),
     ("RadialPotential.constant", RadialPotential.constant, {"c": 1.0}),
@@ -460,3 +462,14 @@ def test_factor_constructors_read_their_numbers_through_require_param(
     make(**args)
     with pytest.raises(error, match=rf"\b{name}\b"):
         make(**{**args, name: bad})
+
+
+@pytest.mark.parametrize("part", [complex(math.nan, 1.0), complex(1.0, math.inf)])
+def test_an_amplitude_with_a_non_finite_part_is_refused(part):
+    radial = PlateauLogBump(0.5, 2.0)
+    assert ProductProfile(radial, amplitude=1.5 - 2j).amplitude == 1.5 - 2j
+    assert ProductProfile(radial, amplitude=np.complex128(0.5j)).amplitude == 0.5j
+    with pytest.raises(DomainError, match=r"\bamplitude\b"):
+        ProductProfile(radial, amplitude=part)
+    with pytest.raises(DomainError, match=r"\bamplitude\b"):
+        RhoShellProfile(GrushinGeometry(2, 1, 1.0), -1.0, 0.5, 2.0, amplitude=part)

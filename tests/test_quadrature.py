@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghardy import quadrature
-from maghardy.errors import DomainError, NonFiniteError
+from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError
 from maghardy.functions import make_bump
 from maghardy.quadrature import (
     MAX_SLICE_NODES,
@@ -390,6 +390,10 @@ def test_domain_validation():
 def test_spec_validation():
     with pytest.raises(DomainError):
         QuadratureSpec(n_r=1)
+    # a truthy string would silently run every integral on the oracle
+    for oracle in ("no", 0, None):
+        with pytest.raises(AdmissibilityError, match=r"\boracle\b"):
+            QuadratureSpec(oracle=oracle)
 
 
 def test_determinism_bitwise():

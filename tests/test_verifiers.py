@@ -306,6 +306,9 @@ _MALFORMED = {
     "quadrature n_r past the ceiling": (lambda: QuadratureSpec(n_r=4097), "n_r"),
     "real_landau R that hardy does not read": (lambda: verify_real_landau(
         "hardy", 2, _PLANE_BUMP, _PLANE_SPEC, R=3.0), "R"),
+    # used to escape as a ValueError from unpacking "a" into (lo, hi)
+    "make_bump y_box as a string": (lambda: make_bump(0.5, 2.0, "ab"), "y_box"),
+    "make_bump y_box as a number": (lambda: make_bump(0.5, 2.0, 1.0), "y_box"),
 }
 
 
