@@ -90,7 +90,9 @@ class RadialPotential:
     def __call__(self, r):
         out = np.asarray(self.psi(r))
         if not np.all(np.isfinite(out)):
-            raise NonFiniteError(f"potential (kind={self.kind}) non-finite at r={r}")
+            radii, bad = np.broadcast_arrays(np.asarray(r, float), ~np.isfinite(out))
+            raise NonFiniteError(f"potential (kind={self.kind}) non-finite at {bad.sum()} "
+                                 f"of {bad.size} radii, first at r={float(radii[bad][0])!r}")
         return out
 
 

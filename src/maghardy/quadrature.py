@@ -45,11 +45,13 @@ full-grid array per slice (row_blocks).  The angular nodes go to at in
 tiles of at most BLOCK_NODES (phi, r, y) nodes (reduce_slices), so a
 single-block grid runs several nodes per call and a grid of several blocks
 one.  Every density must be elementwise per node, so a node's value depends
-neither on the block nor on the tile it sits in.  The engine reduces each
-integrand over the full grid, slice by slice in phi order, and returns one
-integral per integrand, so results are bit-stable across runs and do not
-depend on how many integrands share the pass or how the grid is blocked and
-tiled.
+neither on the block nor on the tile it sits in.  The engine sums each
+integrand of a tile along the last axis of its weighted product, viewed as
+(n_c, n_r * n_y_flat): numpy sums each contiguous row pairwise, as it sums
+a lone 1-D slice, so each slice's sum keeps its bits.  The sums are added
+in phi order, one integral per integrand, so results are bit-stable across
+runs and do not depend on how many integrands share the pass or how the
+grid is blocked and tiled.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
 the oracle refuse a larger grid with a DomainError before building it.
@@ -251,9 +253,10 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
     n_c = max(1, BLOCK_NODES // base.size), so one call serves n_c slices
     of a small grid, and a grid of more than BLOCK_NODES nodes (several row
     blocks) gets one node per call.  Each integrand is weighted by base once
-    per tile, and each slice of the product is summed on its own with
-    np.add.reduce(..., axis=None), in phi order: the same full-grid sums as
-    one slice at a time.
+    per tile and summed by one np.add.reduce along the last axis of its
+    C-contiguous (n_c, n_r * n_y_flat) view, which runs the pairwise sum of
+    a lone 1-D slice on each row: every slice's sum keeps its bits whatever
+    the tile size.  The n_c sums are added to the totals in phi order.
 
     Finiteness is checked on each slice's weighted sum, not node by node.
     base is finite and positive, so a NaN or infinite node, in either part,
@@ -269,7 +272,7 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
         col = phis[a:a + n_c, None, None]
         for i, vals in enumerate(at(col)):
             vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
-            sums = [np.add.reduce(one, axis=None) for one in base * vals]
+            sums = np.add.reduce((base * vals).reshape(len(col), -1), axis=-1)
             _check_finite(sums)
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
@@ -332,8 +335,8 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
     """Integrals of every integrand of density over r dr dphi dy on the domain.
 
     density(r, y) runs once per row block (row_blocks); the angular sum is
-    an explicit loop over tiles of the n_phi trapezoid nodes, each slice
-    reduced on its own (reduce_slices), so memory stays at
+    an explicit loop over tiles of the n_phi trapezoid nodes, each tile
+    one reduction with a sum per slice (reduce_slices), so memory stays at
     O(n_r * n_y_flat + BLOCK_NODES) however many modes and integrands the
     check carries.  Returns one complex value per integrand.
     """

@@ -37,7 +37,8 @@ nodes, so memory stays bounded for a schedule of any length.  A chunk's
 epsilons go to its window as one column, so a quotient calls both once on
 the chunk's (points, nodes) array, evaluating the plateau's two smoothstep
 edges once per chunk, value and derivative together.  Every node sees the
-operations of a lone schedule point and each row is summed on its own, so a
+operations of a lone schedule point, and one reduction along the last axis
+sums each contiguous row with the pairwise summation of a lone row, so a
 point's quotient does not depend on the chunk it runs in.  A non-finite
 epsilon is a DomainError and a non-finite quotient a NonFiniteError.
 """
@@ -99,21 +100,13 @@ def _plain_window(eps, u_lo: float, u_hi: float):
     return both, (u_lo, b1, b2, u_hi)
 
 
-def _row_sums(a) -> np.ndarray:
-    """Each row of a summed on its own, the 1-D sum of a lone point.
-
-    np.add.reduce is the reduction np.sum runs, without its wrapper.
-    """
-    return np.array([np.add.reduce(row) for row in a])
-
-
 def _power_quotient(base: float, both, edges, G=None, c: float = 0.0) -> np.ndarray:
     """base + sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
     u, w = gauss_panels(edges, _PANEL_N)
     v, d = both(u)
     if G is not None:
         w, d = w * G(u), d - c * v
-    return base + _row_sums(w * d**2) / _row_sums(w * v**2)
+    return base + np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
 
 
 def _log_quotient(both, edges) -> np.ndarray:
@@ -121,8 +114,8 @@ def _log_quotient(both, edges) -> np.ndarray:
     # norm side, which is what confines the sharp regime to the unit disc.
     u, w = gauss_panels(edges, _PANEL_N)
     v, d = both(u)
-    num = _row_sums(w * (d - 0.5 * v) ** 2)
-    den = _row_sums(w * v * v * np.exp(-2.0 * np.exp(u)))
+    num = np.add.reduce(w * (d - 0.5 * v) ** 2, axis=-1)
+    den = np.add.reduce(w * v * v * np.exp(-2.0 * np.exp(u)), axis=-1)
     return num / den
 
 

@@ -459,6 +459,24 @@ def test_a_density_that_overflows_is_a_recorded_non_finite_error(tmp_path, oracl
     assert second["status"] == "ok" and second["passed"]
 
 
+def test_a_potential_that_overflows_names_its_first_radius(tmp_path):
+    # psi = r^400 overflows beyond r = 10^(308.25 / 400), about 5.9, inside [1, 30]
+    run = {"theorem_id": "landau_hardy_sobolev", "theta1": 1.2,
+           "psi": {"kind": "power", "c": 1.0, "s": 400.0},
+           "function": {"kind": "bump", "r_lo": 1.0, "r_hi": 30.0},
+           "quadrature": {"n_r": 16, "n_phi": 8}}
+    cfg = _write(tmp_path / "suite.json", {"suite": "psi", "seed": 0, "runs": [run]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    [rec] = json.loads(out.read_text())["runs"]
+    assert rec["status"] == "error"
+    assert rec["error"]["type"] == "NonFiniteError"
+    message = rec["error"]["message"]
+    assert len(message) < 120
+    radius = float(message.rsplit("r=", 1)[1])
+    assert 1.0 < radius < 30.0 and 400.0 * np.log10(radius) > 308.25
+
+
 def test_empty_mode_list_and_a_ball_inside_the_zero_function_are_run_errors(tmp_path):
     # f = 0 is a zero-amplitude bump on 0.25 <= r <= 0.5, never an empty mode list
     cfg = _write(tmp_path / "suite.json", {"suite": "empty", "seed": 0, "runs": [

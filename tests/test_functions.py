@@ -383,6 +383,24 @@ def test_is_real_valued_detects_cosine_pairs():
     assert not TestFunction([AngularMode(0, imag_amp)]).is_real_valued()
 
 
+def test_is_real_valued_samples_all_its_angles_in_one_call(monkeypatch):
+    calls = []
+    on_grid = TestFunction.on_grid
+
+    def counting(self, r, y):
+        at = on_grid(self, r, y)
+        return lambda phi: (calls.append(np.shape(phi)), at(phi))[1]
+
+    monkeypatch.setattr(TestFunction, "on_grid", counting)
+    prof = ProductProfile(PlateauLogBump(0.5, 2.0), [PlateauBumpY(-1.0, 1.0)], amplitude=0.5)
+    for modes, real in (((-1, 1), True), ((1,), False)):
+        f = TestFunction([AngularMode(m, prof) for m in modes])
+        assert f.is_real_valued() is real
+        assert f.is_real_valued() is real   # cached
+        assert calls == [(5, 1, 1)]
+        calls.clear()
+
+
 # --- random draws and trial families ----------------------------------------
 
 def test_random_test_function_is_seed_deterministic():

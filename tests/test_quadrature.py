@@ -281,6 +281,55 @@ def test_density_runs_once_per_row_block(monkeypatch):
     assert calls == blocks * 2  # polar, then x-radial; not once per phi slice
 
 
+def _slice_by_slice(at, base, phis):
+    """The reference reduction: each slice of a tile summed on its own."""
+    n_c = max(1, quadrature.BLOCK_NODES // base.size)
+    totals = []
+    for a in range(0, phis.size, n_c):
+        col = phis[a:a + n_c, None, None]
+        for i, vals in enumerate(at(col)):
+            vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
+            sums = [np.add.reduce(one, axis=None) for one in base * vals]
+            if i == len(totals):
+                totals.append(0.0 + 0.0j)
+            for total in sums:
+                totals[i] += total
+    return totals
+
+
+def _four_shape_density(r, y):
+    """_mixed_shape_density's integrands, then a complex full-grid one."""
+    mixed = _mixed_shape_density(r, y)
+
+    def at(phi):
+        yield from mixed(phi)
+        yield np.exp(2j * phi) * _gauss_integrand(r, phi, y)
+
+    return at
+
+
+@pytest.mark.parametrize("tile", [1, 3, 8, "blocked"])
+def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
+    # a tile's sums along the last axis of its (n_c, n_r * n_flat) product
+    # have the bits of each slice summed alone, on every integrand shape, on
+    # a ragged last tile (8 nodes in tiles of 3) and on a blocked grid
+    r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, support_domain(BLOCKED_F))
+    base = (w_r * r)[:, None] * w_y[None, :]
+    phis, _ = phi_rule(BLOCKED_SPEC.n_phi)
+    block = SMALL_BLOCK if tile == "blocked" else tile * base.size
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
+    tiles = []
+
+    def density(r, y):
+        at = _four_shape_density(r, y)
+        return lambda phi: (tiles.append(len(phi)), at(phi))[1]
+
+    got = quadrature.reduce_slices(quadrature.row_blocks(density, r, Y), base, phis)
+    want = _slice_by_slice(quadrature.row_blocks(_four_shape_density, r, Y), base, phis)
+    assert got == want and len(got) == 4
+    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8], "blocked": [1] * 8 * 11}[tile]
+
+
 def test_integrate_radial_weighted_power():
     # integrand r^2 at power 2 integrates r^4; the oracle folds r^(2-1) / 2pi
     # into its r dr dphi rule on one angular node

@@ -1,4 +1,4 @@
-"""Dilation symmetry of the Grushin checks (ROADMAP item 6).
+"""Dilation and conjugation symmetry of the checks (ROADMAP item 6).
 
 Under the dilation (x, y) -> (lam x, lam^(1+gamma) y), the weight B is
 homogeneous of degree alpha1, the Hardy weight of degree -2 and each
@@ -6,15 +6,26 @@ gradient block of degree 1, while dx dy scales as lam^(-Q).  So every term
 of a check on f(lam x, lam^(1+gamma) y) is lam^(2 - Q - alpha1) times the
 term on f, and the ratio does not move.  A wrong weight exponent breaks
 this whatever the constant.
+
+Conjugation: conj f carries mode -l with the conjugate profile wherever f
+carries mode l.  Its magnetic gradient under the field -beta (or the
+potential -psi) is the conjugate of f's under beta (or psi), so every
+modulus, and with it every term of a check, is unchanged.
 """
 
 import numpy as np
 import pytest
 
 from maghardy import GrushinGeometry, QuadratureSpec, WeightExponents
-from maghardy.fields import FluxParam
-from maghardy.functions import AngularMode, TestFunction, random_test_function
-from maghardy.verifiers import verify_ab_hardy, verify_magnetic_grushin, verify_radial_hardy
+from maghardy.fields import FluxParam, RadialPotential
+from maghardy.functions import AngularMode, ProductProfile, TestFunction, random_test_function
+from maghardy.verifiers import (
+    verify_ab_hardy,
+    verify_landau,
+    verify_magnetic_grushin,
+    verify_radial_hardy,
+    verify_uncertainty_grushin,
+)
 
 
 class Dilated:
@@ -69,3 +80,34 @@ def test_every_term_scales_with_the_homogeneous_degree(tid, lam):
     for name, value in base.rhs_terms.items():
         assert moved.rhs_terms[name] * scale == pytest.approx(value, rel=1e-12)
     assert moved.ratio == pytest.approx(base.ratio, rel=1e-12)
+
+
+def _conj(f):
+    """conj f: each mode negated, each amplitude conjugated."""
+    return TestFunction([AngularMode(-m.mode, ProductProfile(
+        m.profile.radial, m.profile.y_factors, amplitude=np.conj(m.profile.amplitude)))
+        for m in f.modes])
+
+
+# each check at a sign s of its field or potential, with a complex draw
+_SIGNED = {
+    "ab_hardy": (lambda f, s: verify_ab_hardy(GEOM, EXPS, FluxParam(0.4 * s), f, SPEC),
+                 _f((-1, 0, 2), False, 64)),
+    "uncertainty_ab": (lambda f, s: verify_uncertainty_grushin(
+        GEOM, EXPS, FluxParam(0.4 * s), f, SPEC, variant="uncer21"), _f((-1, 0, 2), False, 65)),
+    "landau_hardy_sobolev": (lambda f, s: verify_landau(
+        "hardy_sobolev", RadialPotential.power(0.4 * s, 1.0), 1.2, f, SPEC),
+        random_test_function(np.random.default_rng(66), k=0, modes=(-1, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_SIGNED))
+def test_conjugating_f_and_flipping_the_field_leaves_every_term(tid):
+    check, f = _SIGNED[tid]
+    base, flipped = check(f, 1.0), check(_conj(f), -1.0)
+    # flipping the field alone moves the lhs, so the pair tests something
+    assert check(f, -1.0).lhs != pytest.approx(base.lhs, rel=1e-12)
+    assert flipped.lhs == pytest.approx(base.lhs, rel=1e-12)
+    assert list(flipped.rhs_terms) == list(base.rhs_terms)
+    for name, value in base.rhs_terms.items():
+        assert flipped.rhs_terms[name] == pytest.approx(value, rel=1e-12)
