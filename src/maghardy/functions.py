@@ -24,13 +24,15 @@ and its derivative from its two edges, and each factor's both(t) returns
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
 profile computes its phi-independent factors once per grid (for a
-ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j)), and the
-returned closure gives f and its polar partials at an angular node or at a
-column of them (shape (n_c, 1, 1)).  Each call forms every mode's full-grid
-products once and spreads them over all the nodes of its column, so the
-quadrature engine, which passes a column of nodes per call on small grids,
-pays for the products once per column, not once per node.  The pointwise
-value_polar and partials_polar are one call of that closure.
+ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j), each
+distinct factor once however many modes carry it), and the returned closure
+gives f and its polar partials at an angular node or at a column of them
+(shape (n_c, 1, 1)).  Each call forms each distinct profile's full-grid
+products once (modes +l and -l of a real f share one) and spreads them over
+all the nodes of its column, so the quadrature engine, which passes a column
+of nodes per call on small grids, pays for the products once per column, not
+once per node.  The pointwise value_polar and partials_polar are one call of
+that closure.
 """
 
 from __future__ import annotations
@@ -276,7 +278,7 @@ class ProductProfile:
     def k(self):
         return len(self.y_factors)
 
-    def on_grid(self, r, y):
+    def on_grid(self, r, y, memo=None):
         """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
@@ -284,10 +286,24 @@ class ProductProfile:
         array, so the full-grid arrays live only as long as the caller keeps
         them.  TestFunction.on_grid calls it once per column of angular
         nodes.
+
+        memo, a dict that TestFunction.on_grid keeps for one grid, holds
+        each factor's (value, derivative) under the factor's identity and
+        its coordinate ("r", or y axis j), so a factor that the profiles of
+        several modes share runs once on that grid; one object placed on two
+        y axes runs once per axis.
         """
+        memo = {} if memo is None else memo
+
+        def both(factor, axis, t):
+            key = (id(factor), axis)
+            if key not in memo:
+                memo[key] = factor.both(t)
+            return memo[key]
+
         amp = self.amplitude
-        rv, drv = self.radial.both(r)
-        ys = [yf.both(y[..., j]) for j, yf in enumerate(self.y_factors)]
+        rv, drv = both(self.radial, "r", r)
+        ys = [both(yf, j, y[..., j]) for j, yf in enumerate(self.y_factors)]
 
         def times(out, skip=-1):
             for i, (v, _) in enumerate(ys):
@@ -445,24 +461,35 @@ class TestFunction:
         """Closure phi -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
 
         Each distinct profile computes its phi-independent factors here, once
-        (modes +l and -l may share one); each call forms every mode's g,
-        dg/dr and grad_y g in turn, once, and adds its terms at phi: a float
-        (one angular node) or a column of nodes of shape (n_c, 1, 1), which
-        gives every output that leading axis.
+        (modes +l and -l may share one).  A ProductProfile gets a memo that
+        lives for this call, so each distinct 1-D factor runs once on the
+        grid however many profiles carry it; other profiles take the plain
+        on_grid(r, y).
+        Each call of the closure forms each distinct profile's g, dg/dr and
+        grad_y g once, holds them until that profile's last mode and adds
+        every mode's terms at phi in sorted mode order: phi is a float (one
+        angular node) or a column of nodes of shape (n_c, 1, 1), which gives
+        every output that leading axis.
         The closure's mode_zero() gives f0, the zeroth angular mode of f, on
         the grid from the same factors (zeros if f has no mode 0).
         r and y must not change while the closure is in use.
         """
-        parts_of, terms = {}, []
+        memo, parts_of, terms = {}, {}, []
         for m in self.modes:
-            if id(m.profile) not in parts_of:
-                parts_of[id(m.profile)] = m.profile.on_grid(r, y)
-            terms.append((m.mode, parts_of[id(m.profile)]))
+            key = id(m.profile)
+            if key not in parts_of:
+                parts_of[key] = (m.profile.on_grid(r, y, memo)
+                                 if isinstance(m.profile, ProductProfile)
+                                 else m.profile.on_grid(r, y))
+            terms.append((m.mode, key))
+        last = {key: i for i, (_, key) in enumerate(terms)}
 
         def at(phi):
-            out = None
-            for mode, parts in terms:
-                g, gr, gy = parts()
+            out, held = None, {}
+            for i, (mode, key) in enumerate(terms):
+                g, gr, gy = held.pop(key) if key in held else parts_of[key]()
+                if i < last[key]:  # a later mode shares this profile
+                    held[key] = g, gr, gy
                 e = np.exp(1j * mode * np.asarray(phi))
                 ey = e[..., None] if np.ndim(e) else e
                 if out is None:
@@ -476,9 +503,9 @@ class TestFunction:
             return tuple(out)
 
         def mode_zero():
-            for mode, parts in terms:
+            for mode, key in terms:
                 if mode == 0:
-                    return parts()[0]
+                    return parts_of[key]()[0]
             return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]))
 
         at.mode_zero = mode_zero
@@ -626,6 +653,10 @@ def random_test_function(
 
     With real=True the mode list is symmetrized (+l and -l share one real
     amplitude), which makes f real-valued; otherwise amplitudes are complex.
+    Every mode's profile carries one shared PlateauLogBump, and with
+    gaussian_y=False one shared PlateauBumpY per y axis, so TestFunction.on_grid
+    evaluates each once per grid; neither draws from rng.  A Gaussian y factor
+    draws its own width per mode.
     """
     if require_param("the random function", "k", k, numbers.Integral) < 0:
         raise DomainError(f"k must be nonnegative, got {k!r}")
@@ -637,15 +668,16 @@ def random_test_function(
     for _ in range(k):
         h = float(rng.uniform(*y_half_range))
         box.append((-h, h))
+    radial = PlateauLogBump(r_lo, r_hi)
+    plateaus = tuple(PlateauBumpY(lo, hi) for lo, hi in box)
 
     def y_factors():
+        if not gaussian_y:
+            return plateaus
         fs = []
         for lo, hi in box:
-            if gaussian_y:
-                a = float(rng.uniform(0.1, 1.0)) / max(hi - lo, 1e-12) ** 2
-                fs.append(GaussBumpY(lo, hi, a=a))
-            else:
-                fs.append(PlateauBumpY(lo, hi))
+            a = float(rng.uniform(0.1, 1.0)) / max(hi - lo, 1e-12) ** 2
+            fs.append(GaussBumpY(lo, hi, a=a))
         return tuple(fs)
 
     out = []
@@ -655,15 +687,13 @@ def random_test_function(
             amp = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.random() < 0.8 else -1.0)
             if ell == 0:
                 out.append(AngularMode(0, ProductProfile(
-                    PlateauLogBump(r_lo, r_hi), y_factors(), amplitude=amp)))
+                    radial, y_factors(), amplitude=amp)))
             else:
-                shared = ProductProfile(
-                    PlateauLogBump(r_lo, r_hi), y_factors(), amplitude=0.5 * amp)
+                shared = ProductProfile(radial, y_factors(), amplitude=0.5 * amp)
                 out.append(AngularMode(ell, shared))
                 out.append(AngularMode(-ell, shared))
     else:
         for m in sorted(set(modes)):
             amp = float(rng.uniform(0.5, 1.5)) * np.exp(2j * math.pi * rng.random())
-            out.append(AngularMode(m, ProductProfile(
-                PlateauLogBump(r_lo, r_hi), y_factors(), amplitude=amp)))
+            out.append(AngularMode(m, ProductProfile(radial, y_factors(), amplitude=amp)))
     return TestFunction(out)

@@ -156,8 +156,11 @@ def _reference_rule(n: int):
     return t, w
 
 
-def gauss_legendre(a: float, b: float, n: int):
-    """Gauss-Legendre nodes/weights on [a, b]."""
+def gauss_legendre(a, b, n: int):
+    """Gauss-Legendre nodes/weights on [a, b]: the affine image of the cached
+    reference rule.  On float edges it is the one-panel rule; a and b may
+    also be arrays, which broadcast against the trailing node axis, so one
+    call maps the rule onto many panels (gauss_panels)."""
     t, w = _reference_rule(n)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return mid + half * t, half * w
@@ -168,10 +171,15 @@ def gauss_panels(edges: Sequence, n: int):
 
     Edges are floats, giving nodes and weights of shape (panels*n,), or
     columns of shape (n_rows, 1), one panel set per row, giving shape
-    (n_rows, panels*n); each row is bitwise the rule of its own float edges.
+    (n_rows, panels*n).  All panels go through one gauss_legendre call on
+    the stacked edges, whose every node takes the operations of its own
+    one-panel rule, so each row is bitwise the rule of its own float edges.
     """
-    ts, ws = zip(*(gauss_legendre(a, b, n) for a, b in zip(edges[:-1], edges[1:])))
-    return np.concatenate(ts, axis=-1), np.concatenate(ws, axis=-1)
+    e = np.array(edges, dtype=float)  # (panels + 1,) or (panels + 1, n_rows, 1)
+    e = e.reshape(e.shape[:1] + e.shape[1:-1]).T  # (panels + 1,) or (n_rows, panels + 1)
+    t, w = gauss_legendre(e[..., :-1, None], e[..., 1:, None], n)
+    shape = t.shape[:-2] + (-1,)
+    return t.reshape(shape), w.reshape(shape)
 
 
 def log_radial_rule(r_lo: float, r_hi: float, n_r: int, breaks: Sequence[float] = ()):
@@ -246,6 +254,14 @@ def _check_finite(values) -> None:
         raise NonFiniteError("an integrand or its weighted sum is NaN or infinite")
 
 
+def _tile_view(product: np.ndarray, tile: tuple) -> np.ndarray:
+    """product as (n_c, n_r * n_y_flat) rows; one that lacks the tile's
+    shape (an integrand without the phi axis) is broadcast to it first."""
+    if product.shape != tile:
+        product = np.broadcast_to(product, tile)
+    return product.reshape(tile[0], -1)
+
+
 def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
     """Per integrand that at yields, the sum of base * integrand over phis.
 
@@ -254,9 +270,13 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
     of a small grid, and a grid of more than BLOCK_NODES nodes (several row
     blocks) gets one node per call.  Each integrand is weighted by base once
     per tile and summed by one np.add.reduce along the last axis of its
-    C-contiguous (n_c, n_r * n_y_flat) view, which runs the pairwise sum of
-    a lone 1-D slice on each row: every slice's sum keeps its bits whatever
-    the tile size.  The n_c sums are added to the totals in phi order.
+    (n_c, n_r * n_y_flat) view, which runs the pairwise sum of a lone 1-D
+    slice on each contiguous row: every slice's sum keeps its bits whatever
+    the tile size.  Only a product that lacks the tile's shape (an integrand
+    with no phi axis) is broadcast to it, as a view whose rows share one
+    slice; the product itself stays an unnamed temporary, freed before at
+    forms the next integrand.  The n_c sums are added to the totals in phi
+    order.
 
     Finiteness is checked on each slice's weighted sum, not node by node.
     base is finite and positive, so a NaN or infinite node, in either part,
@@ -270,9 +290,9 @@ def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
     totals = []
     for a in range(0, phis.size, n_c):
         col = phis[a:a + n_c, None, None]
+        tile = col.shape[:1] + base.shape
         for i, vals in enumerate(at(col)):
-            vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
-            sums = np.add.reduce((base * vals).reshape(len(col), -1), axis=-1)
+            sums = np.add.reduce(_tile_view(base * vals, tile), axis=-1)
             _check_finite(sums)
             if i == len(totals):
                 totals.append(0.0 + 0.0j)

@@ -16,6 +16,7 @@ from maghardy.quadrature import (
     _reference_rule,
     QuadratureSpec,
     gauss_legendre,
+    gauss_panels,
     integrate_polar,
     integrate_radial,
     log_radial_rule,
@@ -149,6 +150,22 @@ def test_gauss_legendre_matches_fresh_rule_bitwise(a, b, n):
     x, w = gauss_legendre(a, b, n)
     x0, w0 = _fresh_gauss_legendre(a, b, n)
     assert np.array_equal(x, x0) and np.array_equal(w, w0)
+
+
+def test_gauss_panels_is_bitwise_the_one_panel_rules_side_by_side():
+    # one affine map over all panels, float edges or column edges
+    edges = (-7.25, -3.0, 0.0, 1e-3, 2.5)
+    for n in (1, 8, 240):
+        x, w = gauss_panels(edges, n)
+        parts = [_fresh_gauss_legendre(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+    shift = np.array([[0.0], [0.3], [-11.0]])
+    x, w = gauss_panels(tuple(e + shift for e in edges), 8)
+    assert x.shape == w.shape == (3, 4 * 8)
+    for i, s in enumerate(shift[:, 0]):
+        xi, wi = gauss_panels(tuple(e + s for e in edges), 8)
+        assert np.array_equal(x[i], xi) and np.array_equal(w[i], wi)
 
 
 def test_log_radial_rule_matches_fresh_panels_bitwise():

@@ -7,6 +7,11 @@ of a check on f(lam x, lam^(1+gamma) y) is lam^(2 - Q - alpha1) times the
 term on f, and the ratio does not move.  A wrong weight exponent breaks
 this whatever the constant.
 
+On the Landau side, f_lam(z) = f(lam z) under psi_lam(r) = lam^2 psi(lam r)
+has a twisted gradient lam times f's at lam z, so with the weights
+1/|z|^(2 theta1) of landau_hardy_sobolev every term is lam^(2 theta1) times
+the term on f.  For psi = c r^s, psi_lam is the power lam^(2+s) c r^s.
+
 Conjugation: conj f carries mode -l with the conjugate profile wherever f
 carries mode l.  Its magnetic gradient under the field -beta (or the
 potential -psi) is the conjugate of f's under beta (or psi), so every
@@ -18,7 +23,14 @@ import pytest
 
 from maghardy import GrushinGeometry, QuadratureSpec, WeightExponents
 from maghardy.fields import FluxParam, RadialPotential
-from maghardy.functions import AngularMode, ProductProfile, TestFunction, random_test_function
+from maghardy.functions import (
+    AngularMode,
+    GaussBumpY,
+    PowerLogWindow,
+    ProductProfile,
+    TestFunction,
+    random_test_function,
+)
 from maghardy.verifiers import (
     verify_ab_hardy,
     verify_landau,
@@ -80,6 +92,39 @@ def test_every_term_scales_with_the_homogeneous_degree(tid, lam):
     for name, value in base.rhs_terms.items():
         assert moved.rhs_terms[name] * scale == pytest.approx(value, rel=1e-12)
     assert moved.ratio == pytest.approx(base.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_every_landau_term_scales_under_the_plane_dilation(lam):
+    theta1, c, s = 1.2, 0.4, 0.86
+    f = random_test_function(np.random.default_rng(67), k=0, modes=(-1, 0, 2))
+
+    def check(g, coef):
+        return verify_landau("hardy_sobolev", RadialPotential.power(coef, s), theta1, g,
+                             QuadratureSpec(n_r=48))
+
+    dilated = TestFunction([AngularMode(m.mode, Dilated(m.profile, lam, 0.0)) for m in f.modes])
+    base, moved = check(f, c), check(dilated, lam ** (2.0 + s) * c)
+    scale = lam ** (2.0 * theta1)
+    assert moved.lhs == pytest.approx(scale * base.lhs, rel=1e-12)
+    assert list(moved.rhs_terms) == list(base.rhs_terms)
+    for name, value in base.rhs_terms.items():
+        assert moved.rhs_terms[name] == pytest.approx(scale * value, rel=1e-12)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: ab_hardy's right-hand side leaves out "
+                                       "the signed cross term of the angular energy, so "
+                                       "beta = 10 FAILs where beta = -10 passes")
+def test_ab_hardy_passes_under_both_signs_of_a_strong_field():
+    # one mode -1, whose angular energy depends on the sign of beta: margin
+    # -59.56 at beta = 10 and +251.31 at beta = -10 at this resolution
+    geom = GrushinGeometry(2, 1, 1.0)
+    f = TestFunction([AngularMode(-1, ProductProfile(PowerLogWindow(-1.0, 0.3, 3.0),
+                                                     (GaussBumpY(-4.0, 4.0),)))])
+    spec = QuadratureSpec(n_r=128, n_phi=32, n_y=64)
+    reps = [verify_ab_hardy(geom, WeightExponents(0.5, 0.5), FluxParam(beta), f, spec)
+            for beta in (10.0, -10.0)]
+    assert [rep.passed() for rep in reps] == [True, True]
 
 
 def _conj(f):

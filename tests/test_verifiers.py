@@ -17,6 +17,7 @@ from maghardy.fields import RadialPotential
 from maghardy.functions import (
     AngularMode,
     GaussBumpY,
+    PlateauBumpY,
     PlateauLogBump,
     ProductProfile,
     TestFunction,
@@ -552,6 +553,85 @@ def test_mode_zero_factor_runs_once_per_ab_hardy_check():
                           FluxParam(0.5), f, QuadratureSpec(n_r=16, n_phi=12, n_y=6))
     assert rep.rhs_terms["mode_defect"] > 0.0
     assert radial.calls == 1
+
+
+def _grid_k(k):
+    """9 radii x 7 y points, with different coordinates on each of the k axes."""
+    r = np.geomspace(0.5, 2.0, 9)[:, None]
+    y = np.stack([np.linspace(-0.9, 0.8, 7) * (1.0 - 0.3 * j) for j in range(k)], axis=-1)
+    return r, y[None, :, :]
+
+
+_COL = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)[:, None, None]
+
+
+def _same_bits(a, b):
+    return all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
+def test_a_factor_shared_by_modes_runs_once_per_grid():
+    # modes -1, 0 and 2 carry one radial factor object, each its own amplitude;
+    # separate objects per mode would run it three times
+    radial = _CountingBump(0.5, 2.0)
+    amps = {-1: 0.5, 0: 1.0 - 0.25j, 2: 0.75j}
+    f = TestFunction([AngularMode(m, ProductProfile(radial, (GaussBumpY(-1.0, 1.0),),
+                                                    amplitude=a)) for m, a in amps.items()])
+    apart = TestFunction([AngularMode(m, ProductProfile(
+        PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),), amplitude=a))
+        for m, a in amps.items()])
+    r, y = _grid_k(1)
+    at = f.on_grid(r, y)
+    values = at(_COL)
+    assert radial.calls == 1
+    assert _same_bits(values, apart.on_grid(r, y)(_COL))
+    f.on_grid(r, y)
+    assert radial.calls == 2  # once per grid, not once per closure's life
+
+
+def test_one_y_factor_on_two_axes_runs_on_each_axis():
+    # the memo keys a factor by its axis too: the zero function puts one
+    # PlateauBumpY object on every y axis
+    shared = PlateauBumpY(-1.0, 1.0)
+    one = TestFunction([AngularMode(0, ProductProfile(PlateauLogBump(0.5, 2.0),
+                                                      (shared, shared)))])
+    two = TestFunction([AngularMode(0, ProductProfile(
+        PlateauLogBump(0.5, 2.0), (PlateauBumpY(-1.0, 1.0), PlateauBumpY(-1.0, 1.0))))])
+    r, y = _grid_k(2)
+    assert not np.array_equal(y[..., 0], y[..., 1])
+    assert _same_bits(one.on_grid(r, y)(_COL), two.on_grid(r, y)(_COL))
+
+
+class _CountingProfile(ProductProfile):
+    """Product profile that counts how often its full-grid products are formed."""
+
+    forms = 0
+
+    def on_grid(self, r, y, memo=None):
+        parts = super().on_grid(r, y, memo)
+
+        def counted():
+            self.forms += 1
+            return parts()
+
+        return counted
+
+
+def test_a_profile_shared_by_two_modes_forms_its_products_once_per_call():
+    # modes -1 and +1 share a profile, with mode 0 between them in the sum
+    shared = _CountingProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),),
+                              amplitude=0.5)
+    zero = ProductProfile(PlateauLogBump(0.6, 1.8), (GaussBumpY(-1.0, 1.0),))
+    f = TestFunction([AngularMode(-1, shared), AngularMode(0, zero), AngularMode(1, shared)])
+    apart = TestFunction([AngularMode(m, ProductProfile(
+        PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),), amplitude=0.5)) for m in (-1, 1)]
+        + [AngularMode(0, zero)])
+    r, y = _grid_k(1)
+    at = f.on_grid(r, y)
+    for phi in (_COL, 0.7):
+        shared.forms = 0
+        values = at(phi)
+        assert shared.forms == 1
+        assert _same_bits(values, apart.on_grid(r, y)(phi))
 
 
 @pytest.mark.parametrize("check", ["magnetic", "ab_hardy"])
