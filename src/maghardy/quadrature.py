@@ -38,30 +38,35 @@ block.  at(phi) then yields every integrand of the check on that block in a
 fixed order, one array at a time, for phi either a float (one angular node,
 as the oracle passes it) or a column of angular nodes of shape (n_c, 1, 1),
 as the main engine passes it; on a column each integrand carries that
-leading axis (or broadcasts against it).  A grid of at most BLOCK_NODES
-nodes is one block; a larger one is cut into blocks of at most BLOCK_NODES
-nodes (or one radial row), and each integrand is gathered into one
-full-grid array per slice (row_blocks).  The angular nodes go to at in
-tiles of at most BLOCK_NODES (phi, r, y) nodes (reduce_slices), so a
-single-block grid runs several nodes per call and a grid of several blocks
-one.  Every density must be elementwise per node, so a node's value depends
-neither on the block nor on the tile it sits in.  The engine sums each
-integrand of a tile along the last axis of its weighted product, viewed as
-(n_c, n_r * n_y_flat): numpy sums each contiguous row pairwise, as it sums
-a lone 1-D slice, so each slice's sum keeps its bits.  The sums are added
-in phi order, one integral per integrand, so results are bit-stable across
-runs and do not depend on how many integrands share the pass or how the
-grid is blocked and tiled.
+leading axis (or broadcasts against it).  Every density must be elementwise
+per node, so a node's value depends neither on the block nor on the tile it
+sits in.
+
+The main engine gives each slice the bits of one np.add.reduce over it.
+numpy's pairwise sum is a fixed binary tree over the slice, so a grid of
+more than BLOCK_NODES nodes is cut into row blocks at nodes of that tree
+where it can be (_row_edges).  The blocks run one at a time, each over all
+its angular tiles of at most BLOCK_NODES (phi, r, y) nodes; a single-block
+grid thus runs several angular nodes per call of at.  Each integrand of a
+tile is weighted and summed by one np.add.reduce per subtree in the block
+(once on a tree-aligned block), and the subtree sums are added as the tree
+adds them (_sum_plan, _SliceSums).  The slice sums are added in phi order,
+one integral per integrand, so results are bit-stable across runs and do
+not depend on how many integrands share the pass or how the grid is blocked
+and tiled.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
-the oracle refuse a larger grid with a DomainError before building it.
-That ceiling bounds the full-grid arrays (the reduction weights and one
-array per integrand); the temporaries a density forms on each block and
-tile are bounded by BLOCK_NODES.
+the oracle refuse a larger grid with a DomainError before building it.  The
+main engine forms no full-grid array: a pass holds the 1-D rules, the y
+nodes, the plan, one block's density state and the temporaries of one tile,
+about BLOCK_NODES nodes per integrand, so on it the ceiling bounds work, not
+memory.  The oracle still forms its weights and each integrand on its whole
+grid.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -75,24 +80,33 @@ from .errors import AdmissibilityError, DomainError, NonFiniteError, require_par
 TWO_PI = 2.0 * math.pi
 
 # Ceiling on the (r, y) nodes of one angular slice, checked before a grid is
-# built: about 8.4 million nodes, 134 MB per complex grid array.  It admits
+# built: about 8.4 million nodes, or 134 MB per complex array on the oracle's
+# whole grid; the main engine's memory does not grow with it.  It admits
 # the largest grids in use (a k = 2 identity check at n_r = 128, n_y = 40:
 # 384 x 120^2 = 5.5 million nodes; the oracle k = 1 grid, 2403 x 163) and
 # turns a request far past them (k = 4 at n_y = 64: 10^12 nodes) into a
 # DomainError instead of a failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
-# Nodes of one row block (row_blocks) and of one tile of angular nodes on it
-# (reduce_slices): the temporaries of a block or tile, 128 KB per real
-# array, stay in a 2 MB L2 cache and are reused from the heap instead of
-# streaming full-grid arrays through the allocator.  2^13 and 2^14 measured
-# fastest of 2^12 to 2^16 on a k = 2 ab_hardy check (144 x 1296 nodes) on a
-# 2-core Xeon.
+# Most nodes of one row block (_row_edges) and of one tile of angular nodes
+# on it (_tensor_sums): the temporaries of a block or tile, 128 KB per real
+# array, stay in a 2 MB L2 cache and are reused from the heap.  2^13 and
+# 2^14 measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy check
+# (144 x 1296 nodes) on a 2-core Xeon.
 BLOCK_NODES = 1 << 14
 
 # Ceiling on n_r, n_phi and n_y, checked on construction: leggauss builds an
 # n x n companion matrix for an n-node rule (20 GB at n = 50000).
 MAX_AXIS_NODES = 4096
+
+# glibc hands the free top of its heap back to the OS once it exceeds a trim
+# threshold: 128 KB at start, then twice the largest mmapped block freed so
+# far.  The temporaries of a row block or tile (a few MB) would then be
+# faulted in afresh on every tile: 495,000 minor page faults instead of
+# 7,200, and 40 to 90 % more time, over 12 margins configs.  Freeing one
+# 4 MB block here raises the threshold to 8 MB, as the full-grid arrays of a
+# blocked grid did when the tensor pass still formed them.
+np.empty(1 << 22, np.uint8)
 
 
 @dataclass(frozen=True)
@@ -255,110 +269,192 @@ def _check_finite(values) -> None:
 
 
 def _tile_view(product: np.ndarray, tile: tuple) -> np.ndarray:
-    """product as (n_c, n_r * n_y_flat) rows; one that lacks the tile's
+    """product as (n_c, n_rows * n_y_flat) rows; one that lacks the tile's
     shape (an integrand without the phi axis) is broadcast to it first."""
     if product.shape != tile:
         product = np.broadcast_to(product, tile)
     return product.reshape(tile[0], -1)
 
 
-def reduce_slices(at: Callable, base: np.ndarray, phis) -> list:
-    """Per integrand that at yields, the sum of base * integrand over phis.
+# numpy's pairwise sum adds a run of at most this many doubles in one loop,
+# a leaf, and splits a longer run of N doubles at N//2 - (N//2 % 8).
+_PW_LEAF = 128
 
-    The angular nodes reach at in tiles: columns of shape (n_c, 1, 1) with
-    n_c = max(1, BLOCK_NODES // base.size), so one call serves n_c slices
-    of a small grid, and a grid of more than BLOCK_NODES nodes (several row
-    blocks) gets one node per call.  Each integrand is weighted by base once
-    per tile and summed by one np.add.reduce along the last axis of its
-    (n_c, n_r * n_y_flat) view, which runs the pairwise sum of a lone 1-D
-    slice on each contiguous row: every slice's sum keeps its bits whatever
-    the tile size.  Only a product that lacks the tile's shape (an integrand
-    with no phi axis) is broadcast to it, as a view whose rows share one
-    slice; the product itself stays an unnamed temporary, freed before at
-    forms the next integrand.  The n_c sums are added to the totals in phi
-    order.
 
-    Finiteness is checked on each slice's weighted sum, not node by node.
-    base is finite and positive, so a NaN or infinite node, in either part,
-    makes its weighted term non-finite, and a sum over a non-finite term is
-    non-finite (+inf and -inf together give NaN).  A sum that overflows
-    although every node is finite raises too.  The NonFiniteError stands in
-    for numpy's floating-point warnings, which _tensor_sums silences.
+def _pairwise_split(n: int, d: int) -> int:
+    """Elements in the left half where numpy's pairwise sum splits a run of
+    n elements of d doubles each (d = 1 real, 2 complex)."""
+    half = n * d // 2
+    return (half - half % 8) // d
+
+
+@functools.lru_cache(maxsize=64)
+def _row_edges(n_rows: int, n_flat: int, block_nodes: int) -> tuple:
+    """Row edges of the blocks of an n_rows x n_flat slice: down numpy's
+    pairwise tree, a node of at most block_nodes nodes is a block; a larger
+    one splits where numpy does if real and complex sums split it at one row
+    boundary, else its rows are cut evenly into as few blocks of at most
+    block_nodes nodes (or one row) as will do, sizes differing by at most
+    one row, so a k = 0 grid has no one-node block (block_nodes >= 3)."""
+    def walk(a, b):
+        n = (b - a) * n_flat
+        if n <= block_nodes:
+            return [b]
+        split = _pairwise_split(n, 1)
+        if n > _PW_LEAF and split == _pairwise_split(n, 2) and split % n_flat == 0:
+            return walk(a, a + split // n_flat) + walk(a + split // n_flat, b)
+        rows = b - a
+        count = -(-rows // max(1, block_nodes // n_flat))
+        return [a - (-i * rows // count) for i in range(1, count + 1)]  # a + ceil(i rows / count)
+
+    return (0, *walk(0, n_rows))
+
+
+@functools.lru_cache(maxsize=64)
+def _sum_plan(edges: tuple, n_flat: int, d: int) -> tuple:
+    """How numpy's pairwise sum of a slice of d-double elements is rebuilt
+    from the blocks between edges: per block, (ranges, pieces, ops).
+
+    ranges: block-local (start, stop) runs that are whole subtrees, each
+    summed by one np.add.reduce (on a tree-aligned block, the block).
+    pieces (leaf, start, stop, at, size): the part of a leaf that crosses a
+    block edge, copied into that leaf's buffer, summed whole once full.
+    ops: the tree's additions in postfix order, run once the block is
+    summed: u >= 0 pushes range u's sums, ~leaf a full leaf's, None adds
+    the top two.
     """
-    phis = np.asarray(phis, dtype=float)
-    n_c = max(1, BLOCK_NODES // base.size)
-    totals = []
-    for a in range(0, phis.size, n_c):
-        col = phis[a:a + n_c, None, None]
-        tile = col.shape[:1] + base.shape
-        for i, vals in enumerate(at(col)):
-            sums = np.add.reduce(_tile_view(base * vals, tile), axis=-1)
-            _check_finite(sums)
-            if i == len(totals):
-                totals.append(0.0 + 0.0j)
-            for total in sums:
-                totals[i] += total
-    return totals
+    starts = [e * n_flat for e in edges]
+    plan = [([], [], []) for _ in edges[1:]]
+    leaves = 0
+
+    def visit(o, n):  # the node [o, o + n); returns the block it ends in
+        nonlocal leaves
+        j = bisect.bisect_right(starts, o) - 1
+        if o + n <= starts[j + 1]:
+            ranges, _, ops = plan[j]
+            ops.append(len(ranges))
+            ranges.append((o - starts[j], o + n - starts[j]))
+            return j
+        if n * d <= _PW_LEAF:
+            while starts[j] < o + n:
+                lo, hi = max(o, starts[j]), min(o + n, starts[j + 1])
+                plan[j][1].append((leaves, lo - starts[j], hi - starts[j], lo - o, n))
+                j += 1
+            plan[j - 1][2].append(~leaves)
+            leaves += 1
+            return j - 1
+        split = _pairwise_split(n, d)
+        visit(o, split)
+        j = visit(o + split, n - split)
+        plan[j][2].append(None)
+        return j
+
+    visit(0, starts[-1])
+    return tuple((tuple(r), tuple(p), tuple(o)) for r, p, o in plan)
 
 
-def row_blocks(density: Callable, r: np.ndarray, Y: np.ndarray) -> Callable:
-    """at(phi) of density on the grid r x Y, evaluated in row blocks.
+class _SliceSums:
+    """One integrand's sums over the angular slices, rebuilt block by block
+    along numpy's pairwise tree (_sum_plan), bit for bit."""
 
-    A grid of at most BLOCK_NODES nodes is one block: density runs on it as
-    it is and its own at is returned.  A larger grid runs
-    density(r[a:b, None], Y[None, :, :]) once per block of consecutive
-    radial rows: as few blocks as hold at most BLOCK_NODES nodes each (one
-    row if a row is larger), their sizes differing by at most one row, so
-    a k = 0 grid has no block of one node (for BLOCK_NODES >= 3).  The
-    returned at(phi), for a column phi of n_c angular nodes,
-    writes every integrand that the blocks yield into that integrand's full
-    (n_c, n_r, n_y_flat) array, of the dtype the first block yields, and
-    returns those arrays in order.  They are allocated on the first call and
-    overwritten on the next, so each must be consumed before at is called
-    again, as reduce_slices does; it passes such a grid one node per call.
-    """
-    n_r, n_flat = r.size, len(Y)
-    rows = max(1, BLOCK_NODES // n_flat)
-    if rows >= n_r:
-        return density(r[:, None], Y[None, :, :])
-    n_blocks = -(-n_r // rows)
-    edges = [-(-i * n_r // n_blocks) for i in range(n_blocks + 1)]  # ceil(i n_r / n_blocks)
-    blocks = [(slice(a, b), density(r[a:b, None], Y[None, :, :]))
-              for a, b in zip(edges, edges[1:])]
-    full = []
+    __slots__ = ("plan", "dtype", "n_phi", "stack", "leaves", "parts")
 
-    def at(phi):
-        for rows_of, block_at in blocks:
-            for i, vals in enumerate(block_at(phi)):
-                vals = np.asarray(vals)
-                if i == len(full):
-                    full.append(np.empty((len(phi), n_r, n_flat), vals.dtype))
-                full[i][:, rows_of] = vals
-        return full
+    def __init__(self, plan: tuple, dtype, n_phi: int):
+        self.plan, self.dtype, self.n_phi = plan, dtype, n_phi
+        self.stack, self.leaves, self.parts = [], {}, []
 
-    return at
+    def take(self, j: int, c: int, rows: np.ndarray) -> None:
+        """Sum, or buffer, the (n_c, block nodes) rows of block j at the
+        angular nodes c, c + 1, ..."""
+        ranges, pieces, _ = self.plan[j]
+        for lo, hi in ranges:
+            self.parts.append(np.add.reduce(rows[:, lo:hi], axis=-1))
+        for leaf, lo, hi, at, size in pieces:
+            if leaf not in self.leaves:
+                self.leaves[leaf] = np.empty((self.n_phi, size), self.dtype)
+            self.leaves[leaf][c:c + len(rows), at:at + hi - lo] = rows[:, lo:hi]
+
+    def close(self, j: int) -> None:
+        """Run block j's ops, checking every sum they push or form: a
+        non-finite subtree sum makes its slice's sum non-finite, so it
+        raises at the first block that has one, and an addition of finite
+        sums may overflow."""
+        ranges = len(self.plan[j][0])
+        parts, self.parts = self.parts, []
+        if len(parts) > ranges:  # several tiles: each range's sums in phi order
+            parts = [np.concatenate(parts[u::ranges]) for u in range(ranges)]
+        stack = self.stack
+        for op in self.plan[j][2]:
+            if op is None:
+                right = stack.pop()
+                stack[-1] = stack[-1] + right
+            elif op >= 0:
+                stack.append(parts[op])
+            else:
+                stack.append(np.add.reduce(self.leaves.pop(~op), axis=-1))
+            _check_finite(stack[-1])
+
+    def result(self) -> np.ndarray:
+        """The slice sums, once every block is closed."""
+        [sums] = self.stack
+        return sums
 
 
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
                  power, phis) -> list:
     """Per integrand of density, its sum over phis on the (r, y) grid of the
     domain, weighted by w_r * r^power * w_y: the one tensor pass, shared by
-    integrate_polar and integrate_radial.  numpy's floating-point warnings,
-    the density's included, are off: reduce_slices checks every sum."""
+    integrate_polar and integrate_radial.
+
+    The row blocks run one at a time: density on the block, then its tiles
+    of n_c = max(1, BLOCK_NODES // block nodes) angular nodes, each
+    integrand weighted by the block's rows of base and summed into its
+    _SliceSums; then each integrand's slice sums are added in phi order.
+    numpy's floating-point warnings, the density's included, are off: base
+    is finite and positive, so a NaN or infinite node makes its subtree's
+    sum non-finite, and that, or a sum that overflows, raises NonFiniteError.
+    """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
-    base = (w_r * r ** power)[:, None] * w_y[None, :]
+    radial = w_r * r ** power
+    phis = np.asarray(phis, dtype=float)
+    edges = _row_edges(r.size, len(Y), BLOCK_NODES)
+    sums = []
+
+    def block(j, at, base):  # at and base die with the call
+        n_c = max(1, BLOCK_NODES // base.size)
+        for c in range(0, phis.size, n_c):
+            col = phis[c:c + n_c, None, None]
+            tile = col.shape[:1] + base.shape
+            for i, vals in enumerate(at(col)):
+                rows = _tile_view(base * vals, tile)
+                if i == len(sums):
+                    plan = _sum_plan(edges, len(Y), 2 if rows.dtype.kind == "c" else 1)
+                    sums.append(_SliceSums(plan, rows.dtype, phis.size))
+                sums[i].take(j, c, rows)
+                del rows  # freed before at forms the next integrand
+        for s in sums:
+            s.close(j)
+
+    totals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return reduce_slices(row_blocks(density, r, Y), base, phis)
+        for j, (a, b) in enumerate(zip(edges, edges[1:])):
+            block(j, density(r[a:b, None], Y[None, :, :]), radial[a:b, None] * w_y[None, :])
+        for s in sums:
+            total = 0.0 + 0.0j
+            for x in s.result().tolist():  # as Python numbers: the same additions, cheaper
+                total += x
+            totals.append(total)
+    return totals
 
 
 def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
     """Integrals of every integrand of density over r dr dphi dy on the domain.
 
-    density(r, y) runs once per row block (row_blocks); the angular sum is
-    an explicit loop over tiles of the n_phi trapezoid nodes, each tile
-    one reduction with a sum per slice (reduce_slices), so memory stays at
-    O(n_r * n_y_flat + BLOCK_NODES) however many modes and integrands the
-    check carries.  Returns one complex value per integrand.
+    density(r, y) runs once per row block, one block at a time, over tiles
+    of the n_phi trapezoid nodes (_tensor_sums), so memory stays at about
+    BLOCK_NODES nodes per integrand plus the 1-D rules, however large the
+    grid and however many modes the check carries.  Returns one complex
+    value per integrand.
     """
     phis, w_phi = phi_rule(spec.n_phi)
     return [complex(total * w_phi)

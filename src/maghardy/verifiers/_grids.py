@@ -15,9 +15,11 @@ for x-radial functions only call rx_integral directly, on m = 2 too.
 
 Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
-(1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block)
-and returns at(phi), which yields every integrand of the check on that block
-in order, for phi a float or a column of angular nodes (n_c, 1, 1).
+(1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block,
+a larger one is cut on numpy's pairwise summation tree, and the blocks run
+one at a time) and returns at(phi), which yields every integrand of the
+check on that block in order, for phi a float or a column of angular nodes
+(n_c, 1, 1).
 polar_integral and radial_integral return one integral per integrand over
 the support of the test function f, through the same tensor pass of the
 main engine, or through the oracle.  So each check makes one integration

@@ -891,15 +891,19 @@ def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
     runs = [(i, run) for i, run in enumerate(cfg["runs"])
             if run["theorem_id"] in POLAR_IDS and run.get("n", 1) == 1]
     assert {run["theorem_id"] for _, run in runs} == POLAR_IDS
-    reduce_slices, widths = quadrature.reduce_slices, []
+    tensor_sums, widths = quadrature._tensor_sums, []
 
-    def spy(at, base, phis):  # records the angular nodes of each call
-        def seen(phi):
-            widths[-1].append(len(phi))
-            return at(phi)
-        return reduce_slices(seen, base, phis)
+    def spy(density, spec, domain, power, phis):  # records the angular nodes of each call
+        def seen(r, y):
+            at = density(r, y)
 
-    monkeypatch.setattr(quadrature, "reduce_slices", spy)
+            def tile(phi):
+                widths[-1].append(len(phi))
+                return at(phi)
+            return tile
+        return tensor_sums(seen, spec, domain, power, phis)
+
+    monkeypatch.setattr(quadrature, "_tensor_sums", spy)
 
     def reports():
         out = []
@@ -912,13 +916,13 @@ def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
     tiled = reports()
     assert all(max(seen) > 1 for seen in widths)  # every check runs tiles
     widths.clear()
-    row_blocks = quadrature.row_blocks
 
-    def one_block(density, r, Y):  # the grid one block, one angular node per tile
+    def one_block(density, spec, domain, power, phis):  # one block, one angular node per tile
+        r, _, Y, _ = quadrature.tensor_grid(spec, domain)
         monkeypatch.setattr(quadrature, "BLOCK_NODES", r.size * len(Y))
-        return row_blocks(density, r, Y)
+        return spy(density, spec, domain, power, phis)
 
-    monkeypatch.setattr(quadrature, "row_blocks", one_block)
+    monkeypatch.setattr(quadrature, "_tensor_sums", one_block)
     assert reports() == tiled
     assert {w for seen in widths for w in seen} == {1}
 

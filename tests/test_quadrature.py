@@ -254,8 +254,10 @@ def test_density_runs_once_per_integration():
 
 # --- row blocks: a large grid is evaluated in blocks of radial rows ----------
 
-# 3 radial panels of 40 nodes x 18 y nodes; a block of 200 nodes holds 11
-# rows, so the 120 rows make 10 full blocks and a ragged block of 10
+# 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes.  numpy's pairwise
+# sum splits them at 1080 nodes (60 rows), then at 536 (real) or 540
+# (complex) nodes, which split no row, so at a block of 200 nodes each
+# 60-row half is cut evenly into 6 blocks of 10 rows
 BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.0),))
 BLOCKED_SPEC = QuadratureSpec(n_r=40, n_phi=8, n_y=6)
 SMALL_BLOCK = 200
@@ -294,23 +296,20 @@ def test_density_runs_once_per_row_block(monkeypatch):
 
     monkeypatch.setattr(quadrature, "BLOCK_NODES", SMALL_BLOCK)
     _both_engines(density)
-    blocks = [((11, 1), (1, 18, 1))] * 10 + [((10, 1), (1, 18, 1))]
+    blocks = [((10, 1), (1, 18, 1))] * 12
     assert calls == blocks * 2  # polar, then x-radial; not once per phi slice
 
 
 def _slice_by_slice(at, base, phis):
-    """The reference reduction: each slice of a tile summed on its own."""
-    n_c = max(1, quadrature.BLOCK_NODES // base.size)
+    """The reference reduction: each slice of the whole grid summed on its own."""
     totals = []
-    for a in range(0, phis.size, n_c):
-        col = phis[a:a + n_c, None, None]
+    for phi in phis:
+        col = np.array([[[phi]]])
         for i, vals in enumerate(at(col)):
-            vals = np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)
-            sums = [np.add.reduce(one, axis=None) for one in base * vals]
+            one = base * np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)[0]
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
-            for total in sums:
-                totals[i] += total
+            totals[i] += np.add.reduce(one, axis=None)
     return totals
 
 
@@ -327,10 +326,12 @@ def _four_shape_density(r, y):
 
 @pytest.mark.parametrize("tile", [1, 3, 8, "blocked"])
 def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
-    # a tile's sums along the last axis of its (n_c, n_r * n_flat) product
-    # have the bits of each slice summed alone, on every integrand shape, on
-    # a ragged last tile (8 nodes in tiles of 3) and on a blocked grid
-    r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, support_domain(BLOCKED_F))
+    # the tensor pass's sums have the bits of each whole slice summed alone,
+    # on every integrand shape, in tiles of 1, 3 (a ragged last tile of 2)
+    # and all 8 angular nodes of one block, and on 12 blocks cut off numpy's
+    # pairwise tree, whose sums are rebuilt from runs and buffered leaves
+    domain = support_domain(BLOCKED_F)
+    r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, domain)
     base = (w_r * r)[:, None] * w_y[None, :]
     phis, _ = phi_rule(BLOCKED_SPEC.n_phi)
     block = SMALL_BLOCK if tile == "blocked" else tile * base.size
@@ -341,10 +342,84 @@ def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
         at = _four_shape_density(r, y)
         return lambda phi: (tiles.append(len(phi)), at(phi))[1]
 
-    got = quadrature.reduce_slices(quadrature.row_blocks(density, r, Y), base, phis)
-    want = _slice_by_slice(quadrature.row_blocks(_four_shape_density, r, Y), base, phis)
+    got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, phis)
+    want = _slice_by_slice(_four_shape_density(r[:, None], Y[None, :, :]), base, phis)
     assert got == want and len(got) == 4
-    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8], "blocked": [1] * 8 * 11}[tile]
+    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8], "blocked": [1] * 8 * 12}[tile]
+
+
+# --- the slice sum, rebuilt from row blocks along numpy's pairwise tree ------
+
+def _rebuilt(x, edges, n_flat):
+    """np.add.reduce(x, axis=-1) of an (n_c, n_rows * n_flat) array, summed
+    block by block as the tensor pass sums it, in tiles of one angular node."""
+    plan = quadrature._sum_plan(edges, n_flat, 2 if x.dtype.kind == "c" else 1)
+    sums = quadrature._SliceSums(plan, x.dtype, len(x))
+    for j, (a, b) in enumerate(zip(edges, edges[1:])):
+        for c in range(len(x)):
+            sums.take(j, c, x[c:c + 1, a * n_flat:b * n_flat])
+        sums.close(j)
+    return sums.result()
+
+
+@st.composite
+def _slices(draw):
+    n_flat = draw(st.integers(1, 2000))
+    n_rows = draw(st.integers(1, 200_000 // n_flat))
+    cuts = draw(st.sets(st.integers(1, n_rows - 1), max_size=24)) if n_rows > 1 else set()
+    n_c = draw(st.sampled_from([1, 2, 3]))
+    complex_ = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_c, n_rows * n_flat)
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+    if complex_:
+        x = x + 1j * rng.standard_normal(shape)
+    for _ in range(draw(st.integers(0, 3))):
+        special = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
+        part = 1j if complex_ and draw(st.booleans()) else 1.0
+        x[draw(st.integers(0, n_c - 1)), draw(st.integers(0, shape[1] - 1))] = special * part
+    return x, (0, *sorted(cuts), n_rows), n_flat
+
+
+@given(_slices())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_block_sums_rebuild_each_slice_sum_bitwise(case):
+    # any row-aligned cuts, real or complex, with NaN, +-inf and sums that
+    # overflow: bitwise np.add.reduce of each whole slice, or NonFiniteError
+    # exactly when one of those is not finite
+    x, edges, n_flat = case
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the tensor pass
+        want = np.add.reduce(x, axis=-1)
+        if not np.isfinite(want).all():
+            with pytest.raises(NonFiniteError):
+                _rebuilt(x, edges, n_flat)
+        else:
+            got = _rebuilt(x, edges, n_flat)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# (n_rows, n_flat) of the multi-block grids in use, and their blocks of rows
+_ALIGNED = {
+    (144, 1296): (16, 9),  # k = 2 margins checks (n_r = 48, n_y = 12)
+    (192, 480): (8, 24),   # grushin_ibp at n_y = 160
+    (768, 192): (16, 48),  # hires (n_r = 256, n_y = 64)
+    (192, 192): (4, 48),   # the shipped grushin_ibp (n_r = n_y = 64)
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_ALIGNED))
+def test_grids_in_use_are_cut_on_numpys_pairwise_tree(grid):
+    n_rows, n_flat = grid
+    count, rows = _ALIGNED[grid]
+    edges = quadrature._row_edges(n_rows, n_flat, quadrature.BLOCK_NODES)
+    assert edges == tuple(range(0, n_rows + 1, rows)) and len(edges) == count + 1
+    # every block is one subtree, real and complex: one reduction per block,
+    # tile and integrand, no buffered leaf
+    for d in (1, 2):
+        plan = quadrature._sum_plan(edges, n_flat, d)
+        assert all(ranges == ((0, rows * n_flat),) and not pieces
+                   for ranges, pieces, _ in plan)
+        assert sum(ops.count(None) for _, _, ops in plan) == count - 1
 
 
 def test_integrate_radial_weighted_power():

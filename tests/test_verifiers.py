@@ -669,10 +669,11 @@ def test_weights_run_once_per_check(monkeypatch, check):
 # --- row blocks: a heavy check runs block by block, bit for bit ----------------
 
 # k = 2 at the margins resolution: 3 panels x 48 = 144 radial rows times
-# 36^2 = 1296 y nodes; a block of quadrature.BLOCK_NODES = 2^14 nodes holds
-# 12 rows, so the grid is 12 row blocks
+# 36^2 = 1296 y nodes.  numpy's pairwise sum halves the 186,624 nodes down to
+# 11,664, 9 rows and at most quadrature.BLOCK_NODES = 2^14 nodes, so the grid
+# is 16 row blocks
 HEAVY = QuadratureSpec(n_r=48, n_phi=12, n_y=12)
-HEAVY_BLOCKS = 12
+HEAVY_BLOCKS = 16
 HEAVY_GEOM, HEAVY_EXPS = GrushinGeometry(2, 2, 1.0), WeightExponents(0.5, 0.2)
 
 
@@ -712,19 +713,31 @@ def test_radial_factor_runs_once_per_row_block():
     assert radial.calls == HEAVY_BLOCKS
 
 
-def test_heavy_ab_hardy_peak_memory():
+def _heavy_peak(f, spec=HEAVY):
+    """tracemalloc's peak over one heavy ab_hardy check, in bytes."""
     import tracemalloc
 
-    f = _three_complex_modes()
-    _heavy_ab_hardy(f)  # rules and realness are cached; measure the check alone
+    _heavy_ab_hardy(f, spec)  # rules and realness are cached; measure the check alone
     tracemalloc.start()
     try:
-        _heavy_ab_hardy(f)
-        peak = tracemalloc.get_traced_memory()[1]
+        _heavy_ab_hardy(f, spec)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 50.0 MB when every slice formed full-grid temporaries; 20.4 MB in blocks
-    assert peak < 42 * 2**20
+
+
+def test_heavy_ab_hardy_peak_memory():
+    # 50.0 MB when every slice formed full-grid temporaries, 20.4 MB with
+    # full-grid integrand arrays gathered from row blocks, 3.4 MB one block
+    # at a time
+    assert _heavy_peak(_three_complex_modes()) < 8 * 2**20
+
+
+def test_heavy_ab_hardy_peak_memory_does_not_grow_with_n_r():
+    # 288 radial rows instead of 144: twice the blocks, one alive at a time
+    f = _three_complex_modes()
+    peaks = [_heavy_peak(f, QuadratureSpec(n_r=n_r, n_phi=12, n_y=12)) for n_r in (48, 96)]
+    assert abs(peaks[1] - peaks[0]) < 2**20
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
