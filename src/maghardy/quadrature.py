@@ -42,31 +42,27 @@ leading axis (or broadcasts against it).  Every density must be elementwise
 per node, so a node's value depends neither on the block nor on the tile it
 sits in.
 
-The main engine gives each slice the bits of one np.add.reduce over it.
-numpy's pairwise sum is a fixed binary tree over the slice, so a grid of
-more than BLOCK_NODES nodes is cut into row blocks at nodes of that tree
-where it can be (_row_edges).  The blocks run one at a time, each over all
-its angular tiles of at most BLOCK_NODES (phi, r, y) nodes; a single-block
-grid thus runs several angular nodes per call of at.  Each integrand of a
-tile is weighted and summed by one np.add.reduce per subtree in the block
-(once on a tree-aligned block), and the subtree sums are added as the tree
-adds them (_sum_plan, _SliceSums).  The slice sums are added in phi order,
-one integral per integrand, so results are bit-stable across runs and do
-not depend on how many integrands share the pass or how the grid is blocked
-and tiled.
+The main engine gives each slice the bits of one np.add.reduce over it, or
+of one per part for a complex integrand: it walks numpy's pairwise tree
+over the slice down to row blocks (_tensor_sums; on the grids in use the
+tree splits at row boundaries down to its blocks).  The blocks run one at
+a time, each over all its angular tiles of at most BLOCK_NODES (phi, r, y)
+nodes; a single-block grid thus runs several angular nodes per call of at.
+The slice sums are added in phi order, one integral per integrand, so
+results are bit-stable across runs and do not depend on how many
+integrands share the pass or how the grid is blocked and tiled.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
 the oracle refuse a larger grid with a DomainError before building it.  The
 main engine forms no full-grid array: a pass holds the 1-D rules, the y
-nodes, the plan, one block's density state and the temporaries of one tile,
-about BLOCK_NODES nodes per integrand, so on it the ceiling bounds work, not
-memory.  The oracle still forms its weights and each integrand on its whole
-grid.
+nodes, one block's density state and the temporaries of one tile, at most
+max(BLOCK_NODES, two rows) nodes per integrand, so on it the ceiling bounds
+work, and memory grows with the width of a row, not with n_r.  The oracle
+still forms its weights and each integrand on its whole grid.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import numbers
@@ -81,18 +77,20 @@ TWO_PI = 2.0 * math.pi
 
 # Ceiling on the (r, y) nodes of one angular slice, checked before a grid is
 # built: about 8.4 million nodes, or 134 MB per complex array on the oracle's
-# whole grid; the main engine's memory does not grow with it.  It admits
-# the largest grids in use (a k = 2 identity check at n_r = 128, n_y = 40:
-# 384 x 120^2 = 5.5 million nodes; the oracle k = 1 grid, 2403 x 163) and
-# turns a request far past them (k = 4 at n_y = 64: 10^12 nodes) into a
-# DomainError instead of a failed allocation.
+# whole grid; the main engine holds one block of at most max(BLOCK_NODES,
+# two rows) nodes at a time (two rows of the widest grid in use, 28,800
+# nodes, are 230 KB per real array).  It admits the largest grids in use (a
+# k = 2 identity check at n_r = 128, n_y = 40: 384 x 120^2 = 5.5 million
+# nodes; the oracle k = 1 grid, 2403 x 163) and turns a request far past
+# them (k = 4 at n_y = 64: 10^12 nodes) into a DomainError instead of a
+# failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
-# Most nodes of one row block (_row_edges) and of one tile of angular nodes
-# on it (_tensor_sums): the temporaries of a block or tile, 128 KB per real
-# array, stay in a 2 MB L2 cache and are reused from the heap.  2^13 and
-# 2^14 measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy check
-# (144 x 1296 nodes) on a 2-core Xeon.
+# Most nodes of one row block of more than two rows, and of one tile of
+# angular nodes on it (_tensor_sums): the temporaries of a block or tile,
+# 128 KB per real array, stay in a 2 MB L2 cache and are reused from the
+# heap.  2^13 and 2^14 measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy
+# check (144 x 1296 nodes) on a 2-core Xeon.
 BLOCK_NODES = 1 << 14
 
 # Ceiling on n_r, n_phi and n_y, checked on construction: leggauss builds an
@@ -281,123 +279,15 @@ def _tile_view(product: np.ndarray, tile: tuple) -> np.ndarray:
 _PW_LEAF = 128
 
 
-def _pairwise_split(n: int, d: int) -> int:
-    """Elements in the left half where numpy's pairwise sum splits a run of
-    n elements of d doubles each (d = 1 real, 2 complex)."""
-    half = n * d // 2
-    return (half - half % 8) // d
-
-
-@functools.lru_cache(maxsize=64)
-def _row_edges(n_rows: int, n_flat: int, block_nodes: int) -> tuple:
-    """Row edges of the blocks of an n_rows x n_flat slice: down numpy's
-    pairwise tree, a node of at most block_nodes nodes is a block; a larger
-    one splits where numpy does if real and complex sums split it at one row
-    boundary, else its rows are cut evenly into as few blocks of at most
-    block_nodes nodes (or one row) as will do, sizes differing by at most
-    one row, so a k = 0 grid has no one-node block (block_nodes >= 3)."""
-    def walk(a, b):
-        n = (b - a) * n_flat
-        if n <= block_nodes:
-            return [b]
-        split = _pairwise_split(n, 1)
-        if n > _PW_LEAF and split == _pairwise_split(n, 2) and split % n_flat == 0:
-            return walk(a, a + split // n_flat) + walk(a + split // n_flat, b)
-        rows = b - a
-        count = -(-rows // max(1, block_nodes // n_flat))
-        return [a - (-i * rows // count) for i in range(1, count + 1)]  # a + ceil(i rows / count)
-
-    return (0, *walk(0, n_rows))
-
-
-@functools.lru_cache(maxsize=64)
-def _sum_plan(edges: tuple, n_flat: int, d: int) -> tuple:
-    """How numpy's pairwise sum of a slice of d-double elements is rebuilt
-    from the blocks between edges: per block, (ranges, pieces, ops).
-
-    ranges: block-local (start, stop) runs that are whole subtrees, each
-    summed by one np.add.reduce (on a tree-aligned block, the block).
-    pieces (leaf, start, stop, at, size): the part of a leaf that crosses a
-    block edge, copied into that leaf's buffer, summed whole once full.
-    ops: the tree's additions in postfix order, run once the block is
-    summed: u >= 0 pushes range u's sums, ~leaf a full leaf's, None adds
-    the top two.
-    """
-    starts = [e * n_flat for e in edges]
-    plan = [([], [], []) for _ in edges[1:]]
-    leaves = 0
-
-    def visit(o, n):  # the node [o, o + n); returns the block it ends in
-        nonlocal leaves
-        j = bisect.bisect_right(starts, o) - 1
-        if o + n <= starts[j + 1]:
-            ranges, _, ops = plan[j]
-            ops.append(len(ranges))
-            ranges.append((o - starts[j], o + n - starts[j]))
-            return j
-        if n * d <= _PW_LEAF:
-            while starts[j] < o + n:
-                lo, hi = max(o, starts[j]), min(o + n, starts[j + 1])
-                plan[j][1].append((leaves, lo - starts[j], hi - starts[j], lo - o, n))
-                j += 1
-            plan[j - 1][2].append(~leaves)
-            leaves += 1
-            return j - 1
-        split = _pairwise_split(n, d)
-        visit(o, split)
-        j = visit(o + split, n - split)
-        plan[j][2].append(None)
-        return j
-
-    visit(0, starts[-1])
-    return tuple((tuple(r), tuple(p), tuple(o)) for r, p, o in plan)
-
-
-class _SliceSums:
-    """One integrand's sums over the angular slices, rebuilt block by block
-    along numpy's pairwise tree (_sum_plan), bit for bit."""
-
-    __slots__ = ("plan", "dtype", "n_phi", "stack", "leaves", "parts")
-
-    def __init__(self, plan: tuple, dtype, n_phi: int):
-        self.plan, self.dtype, self.n_phi = plan, dtype, n_phi
-        self.stack, self.leaves, self.parts = [], {}, []
-
-    def take(self, j: int, c: int, rows: np.ndarray) -> None:
-        """Sum, or buffer, the (n_c, block nodes) rows of block j at the
-        angular nodes c, c + 1, ..."""
-        ranges, pieces, _ = self.plan[j]
-        for lo, hi in ranges:
-            self.parts.append(np.add.reduce(rows[:, lo:hi], axis=-1))
-        for leaf, lo, hi, at, size in pieces:
-            if leaf not in self.leaves:
-                self.leaves[leaf] = np.empty((self.n_phi, size), self.dtype)
-            self.leaves[leaf][c:c + len(rows), at:at + hi - lo] = rows[:, lo:hi]
-
-    def close(self, j: int) -> None:
-        """Run block j's ops, checking every sum they push or form: a
-        non-finite subtree sum makes its slice's sum non-finite, so it
-        raises at the first block that has one, and an addition of finite
-        sums may overflow."""
-        ranges = len(self.plan[j][0])
-        parts, self.parts = self.parts, []
-        if len(parts) > ranges:  # several tiles: each range's sums in phi order
-            parts = [np.concatenate(parts[u::ranges]) for u in range(ranges)]
-        stack = self.stack
-        for op in self.plan[j][2]:
-            if op is None:
-                right = stack.pop()
-                stack[-1] = stack[-1] + right
-            elif op >= 0:
-                stack.append(parts[op])
-            else:
-                stack.append(np.add.reduce(self.leaves.pop(~op), axis=-1))
-            _check_finite(stack[-1])
-
-    def result(self) -> np.ndarray:
-        """The slice sums, once every block is closed."""
-        [sums] = self.stack
-        return sums
+def _reduce(part: np.ndarray) -> np.ndarray:
+    """np.add.reduce of part along its last axis; a complex part's real and
+    imaginary parts are each reduced alone, so both follow the real tree."""
+    if part.dtype.kind != "c":
+        return np.add.reduce(part, axis=-1)
+    sums = np.empty(len(part), part.dtype)
+    sums.real = np.add.reduce(part.real, axis=-1)
+    sums.imag = np.add.reduce(part.imag, axis=-1)
+    return sums
 
 
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
@@ -406,42 +296,60 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
     domain, weighted by w_r * r^power * w_y: the one tensor pass, shared by
     integrate_polar and integrate_radial.
 
-    The row blocks run one at a time: density on the block, then its tiles
-    of n_c = max(1, BLOCK_NODES // block nodes) angular nodes, each
-    integrand weighted by the block's rows of base and summed into its
-    _SliceSums; then each integrand's slice sums are added in phi order.
-    numpy's floating-point warnings, the density's included, are off: base
-    is finite and positive, so a NaN or infinite node makes its subtree's
-    sum non-finite, and that, or a sum that overflows, raises NonFiniteError.
+    node(lo, hi) walks numpy's pairwise tree over a slice's n_r * n_flat
+    nodes and returns each integrand's sums over the nodes [lo, hi) of
+    every slice.  A tree node is a block when it is a leaf, when the rows
+    it covers hold at most BLOCK_NODES nodes, or when it covers at most two
+    rows and its split falls inside one; otherwise its halves' sums are
+    added as numpy adds them.  A block runs density on the whole rows it
+    covers (a row the tree splits runs in both blocks that share it), then
+    its tiles of n_c = max(1, BLOCK_NODES // its rows' nodes) angular
+    nodes: each integrand is weighted on those rows (base), and only the
+    block's own nodes are reduced (_reduce).  So each real slice sum has
+    the bits of one np.add.reduce over the slice, and each complex one
+    those of one per part, however the grid is blocked and tiled; each
+    integrand's slice sums are then added in phi order.  numpy's
+    floating-point warnings, the density's included, are off: base is
+    finite and positive, so a NaN or infinite node makes its block's sum
+    non-finite, and that, or a sum that overflows, raises NonFiniteError
+    at the first node of the tree that has one.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     radial = w_r * r ** power
     phis = np.asarray(phis, dtype=float)
-    edges = _row_edges(r.size, len(Y), BLOCK_NODES)
-    sums = []
+    n_flat = len(Y)
 
-    def block(j, at, base):  # at and base die with the call
+    def block(a, b, lo, hi):  # rows a to b; nodes lo to hi, counted from row a
+        at = density(r[a:b, None], Y[None, :, :])
+        base = radial[a:b, None] * w_y[None, :]
         n_c = max(1, BLOCK_NODES // base.size)
+        tiles = []
         for c in range(0, phis.size, n_c):
             col = phis[c:c + n_c, None, None]
             tile = col.shape[:1] + base.shape
-            for i, vals in enumerate(at(col)):
-                rows = _tile_view(base * vals, tile)
-                if i == len(sums):
-                    plan = _sum_plan(edges, len(Y), 2 if rows.dtype.kind == "c" else 1)
-                    sums.append(_SliceSums(plan, rows.dtype, phis.size))
-                sums[i].take(j, c, rows)
-                del rows  # freed before at forms the next integrand
+            # each product is freed before at forms the next integrand
+            tiles.append([_reduce(_tile_view(base * vals, tile)[:, lo:hi])
+                          for vals in at(col)])
+        return [np.concatenate(sums) for sums in zip(*tiles)]
+
+    def node(lo, hi):
+        a, b = lo // n_flat, -(-hi // n_flat)  # the rows it covers
+        half = (hi - lo) // 2
+        mid = lo + half - half % 8
+        if (hi - lo > _PW_LEAF and (b - a) * n_flat > BLOCK_NODES
+                and (b - a > 2 or mid % n_flat == 0)):
+            sums = [left + right for left, right in zip(node(lo, mid), node(mid, hi))]
+        else:
+            sums = block(a, b, lo - a * n_flat, hi - a * n_flat)
         for s in sums:
-            s.close(j)
+            _check_finite(s)
+        return sums
 
     totals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, (a, b) in enumerate(zip(edges, edges[1:])):
-            block(j, density(r[a:b, None], Y[None, :, :]), radial[a:b, None] * w_y[None, :])
-        for s in sums:
+        for sums in node(0, r.size * n_flat):
             total = 0.0 + 0.0j
-            for x in s.result().tolist():  # as Python numbers: the same additions, cheaper
+            for x in sums.tolist():  # as Python numbers: the same additions, cheaper
                 total += x
             totals.append(total)
     return totals
@@ -452,9 +360,9 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
 
     density(r, y) runs once per row block, one block at a time, over tiles
     of the n_phi trapezoid nodes (_tensor_sums), so memory stays at about
-    BLOCK_NODES nodes per integrand plus the 1-D rules, however large the
-    grid and however many modes the check carries.  Returns one complex
-    value per integrand.
+    max(BLOCK_NODES, two rows) nodes per integrand plus the 1-D rules,
+    however many rows the grid has and however many modes the check
+    carries.  Returns one complex value per integrand.
     """
     phis, w_phi = phi_rule(spec.n_phi)
     return [complex(total * w_phi)

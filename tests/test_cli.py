@@ -573,7 +573,18 @@ def test_fuzzed_field_never_raises(case, value):
                      "--out", str(Path(tmp) / "report.json")]) in (0, 1, 2)
 
 
+def _dispatch() -> str:
+    """numpy's version and the AVX-512 targets it dispatches on this CPU."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    targets = [name for name, on in __cpu_features__.items()
+               if on and (name == "X86_V4" or name.startswith("AVX512_"))]
+    return f"numpy {np.__version__} with AVX-512 targets {', '.join(targets) or 'none'}"
+
+
 def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
+    # exp, log and power round differently without numpy's AVX-512 loops,
+    # so a mismatch names the dispatch it ran under
     assert main(["verify", "--config", str(REPO / "scripts" / "default_suite.json"),
                  "--out", str(tmp_path / "default_suite.report.json")]) == 0
     assert main(["sweep", "--config", str(REPO / "scripts" / "sharpness_sweep.json"),
@@ -582,7 +593,9 @@ def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
     got = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
     assert got == want
     for rel in want:
-        assert (tmp_path / rel).read_bytes() == (SHIPPED / rel).read_bytes(), rel
+        assert (tmp_path / rel).read_bytes() == (SHIPPED / rel).read_bytes(), (
+            f"{rel}: the references assume numpy 2.4.6 with AVX-512; this run has "
+            f"{_dispatch()}")
 
 
 @pytest.mark.parametrize("workload", ["margins", "sharpness"])

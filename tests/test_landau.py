@@ -322,10 +322,11 @@ def _outer_heavy(rng, r_lo_range):
 def test_k0_row_blocks_give_the_bits_of_one_block(monkeypatch):
     import maghardy.quadrature as quadrature
 
-    # 3 panels x 3 = 9 radial nodes of one y node each; BLOCK_NODES = 4 cuts
-    # them into blocks of 3 + 3 + 3 rows.  Blocks of 4 + 4 + 1 would leave a
-    # one-node block, whose complex products round unlike a larger block's.
-    spec = QuadratureSpec(n_r=3, n_phi=12)
+    # 3 panels x 48 = 144 radial nodes of one y node each; at BLOCK_NODES = 4
+    # numpy's pairwise tree halves them into two leaves of 72 rows, the
+    # blocks.  Each half of a split node holds 64 nodes or more, so no k = 0
+    # block has one node, whose complex products round unlike a larger block's.
+    spec = QuadratureSpec(n_r=48, n_phi=12)
     rng = np.random.default_rng(2031)
     runs = []
     for i in range(20):
@@ -343,5 +344,9 @@ def test_k0_row_blocks_give_the_bits_of_one_block(monkeypatch):
                 for v, psi, params, f, radius in runs]
 
     one_block = reports()
+    widths, reduce = [], quadrature._reduce
+    monkeypatch.setattr(quadrature, "_reduce",
+                        lambda part: (widths.append(part.shape[-1]), reduce(part))[1])
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 4)
     assert reports() == one_block
+    assert set(widths) == {72}

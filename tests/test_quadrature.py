@@ -255,12 +255,14 @@ def test_density_runs_once_per_integration():
 # --- row blocks: a large grid is evaluated in blocks of radial rows ----------
 
 # 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes.  numpy's pairwise
-# sum splits them at 1080 nodes (60 rows), then at 536 (real) or 540
-# (complex) nodes, which split no row, so at a block of 200 nodes each
-# 60-row half is cut evenly into 6 blocks of 10 rows
+# sum splits them at 1080 nodes (60 rows), then at 536, inside a row.  At a
+# block of 200 nodes the tree is followed down to 16 blocks of 8 or 9 rows,
+# and a row the tree cuts runs in both blocks that share it; at a block of
+# 1080 nodes the two 60-row halves are the blocks
 BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.0),))
 BLOCKED_SPEC = QuadratureSpec(n_r=40, n_phi=8, n_y=6)
 SMALL_BLOCK = 200
+BLOCKS = {SMALL_BLOCK: 16, 1080: 2}
 
 
 def _mixed_shape_density(r, y):
@@ -287,17 +289,39 @@ def test_blocked_grid_is_bitwise_one_block(monkeypatch):
     assert _both_engines(_mixed_shape_density) == blocked
 
 
-def test_density_runs_once_per_row_block(monkeypatch):
+@pytest.mark.parametrize("block", sorted(BLOCKS))
+def test_density_runs_once_per_row_block(monkeypatch, block):
+    grid, _, Y, _ = tensor_grid(BLOCKED_SPEC, support_domain(BLOCKED_F))
     calls = []
 
     def density(r, y):
-        calls.append((r.shape, y.shape))
+        assert y.shape == (1, len(Y), 1)
+        rows = np.searchsorted(grid, r[:, 0])
+        assert np.array_equal(grid[rows], r[:, 0])
+        calls.append(rows)
         return _mixed_shape_density(r, y)
 
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", SMALL_BLOCK)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
     _both_engines(density)
-    blocks = [((10, 1), (1, 18, 1))] * 12
-    assert calls == blocks * 2  # polar, then x-radial; not once per phi slice
+    # polar, then x-radial, on the same blocks; once per block, not per phi slice
+    polar, radial = calls[:BLOCKS[block]], calls[BLOCKS[block]:]
+    assert len(radial) == BLOCKS[block]
+    assert all(np.array_equal(p, x) for p, x in zip(polar, radial))
+    for rows in polar:  # consecutive rows, at most max(BLOCK_NODES, 2 rows) nodes
+        assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
+        assert rows.size * len(Y) <= max(block, 2 * len(Y))
+    # every row runs, none more than twice, and none twice where the tree
+    # splits at row boundaries
+    runs = np.bincount(np.concatenate(polar), minlength=grid.size)
+    assert runs.min() == 1 and runs.max() == (1 if block == 1080 else 2)
+
+
+def _reference_sum(values):
+    """np.add.reduce of values as one contiguous run; of each part alone if complex."""
+    values = np.ravel(values)
+    if values.dtype.kind == "c":
+        return complex(np.add.reduce(values.real.copy()), np.add.reduce(values.imag.copy()))
+    return np.add.reduce(values)
 
 
 def _slice_by_slice(at, base, phis):
@@ -309,7 +333,7 @@ def _slice_by_slice(at, base, phis):
             one = base * np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)[0]
             if i == len(totals):
                 totals.append(0.0 + 0.0j)
-            totals[i] += np.add.reduce(one, axis=None)
+            totals[i] += _reference_sum(one)
     return totals
 
 
@@ -326,10 +350,10 @@ def _four_shape_density(r, y):
 
 @pytest.mark.parametrize("tile", [1, 3, 8, "blocked"])
 def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
-    # the tensor pass's sums have the bits of each whole slice summed alone,
-    # on every integrand shape, in tiles of 1, 3 (a ragged last tile of 2)
-    # and all 8 angular nodes of one block, and on 12 blocks cut off numpy's
-    # pairwise tree, whose sums are rebuilt from runs and buffered leaves
+    # the tensor pass's sums have the bits of each whole slice summed alone
+    # (each part of a complex one), on every integrand shape, in tiles of 1,
+    # 3 (a ragged last tile of 2) and all 8 angular nodes of one block, and
+    # on 16 blocks that follow numpy's pairwise tree off the row grid
     domain = support_domain(BLOCKED_F)
     r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, domain)
     base = (w_r * r)[:, None] * w_y[None, :]
@@ -345,57 +369,116 @@ def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
     got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, phis)
     want = _slice_by_slice(_four_shape_density(r[:, None], Y[None, :, :]), base, phis)
     assert got == want and len(got) == 4
-    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8], "blocked": [1] * 8 * 12}[tile]
+    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8],
+                     "blocked": [1] * 8 * BLOCKS[SMALL_BLOCK]}[tile]
 
 
-# --- the slice sum, rebuilt from row blocks along numpy's pairwise tree ------
+# --- the tensor pass keeps the bits of one reduction per slice ---------------
 
-def _rebuilt(x, edges, n_flat):
-    """np.add.reduce(x, axis=-1) of an (n_c, n_rows * n_flat) array, summed
-    block by block as the tensor pass sums it, in tiles of one angular node."""
-    plan = quadrature._sum_plan(edges, n_flat, 2 if x.dtype.kind == "c" else 1)
-    sums = quadrature._SliceSums(plan, x.dtype, len(x))
-    for j, (a, b) in enumerate(zip(edges, edges[1:])):
-        for c in range(len(x)):
-            sums.take(j, c, x[c:c + 1, a * n_flat:b * n_flat])
-        sums.close(j)
-    return sums.result()
+def _unit_grid(n_rows, n_flat):
+    """A stand-in for tensor_grid: radial rows 0, 1, ..., n_rows - 1 and
+    n_flat y nodes, every weight 1, so the pass sums the integrands as given."""
+    r, Y = np.arange(n_rows, dtype=float), np.zeros((n_flat, 1))
+    return lambda spec, domain: (r, np.ones(n_rows), Y, np.ones(n_flat))
+
+
+def _sliced(x):
+    """A density over x of shape (n_phi, n_rows, n_flat): its integrand j is
+    x[j] at angular node j and zero at the others."""
+    def density(r, y):
+        rows = x[:, int(r[0, 0]):int(r[-1, 0]) + 1]
+
+        def at(col):
+            nodes = col.astype(int)
+            for j in range(len(x)):
+                yield np.where(nodes == j, rows[j], 0.0)
+
+        return at
+
+    return density
+
+
+def _check_slice_sums(x, block):
+    """Each slice sum of the tensor pass over x at BLOCK_NODES = block is
+    bitwise _reference_sum of the slice, or it raises NonFiniteError exactly
+    when one of those is not finite."""
+    n_phi, n_rows, n_flat = x.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # as in the tensor pass
+        want = [_reference_sum(one) for one in x]
+    phis = np.arange(n_phi, dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
+        mp.setattr(quadrature, "BLOCK_NODES", block)
+        if not np.isfinite(want).all():
+            with pytest.raises(NonFiniteError):
+                quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
+        else:
+            got = quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
+            assert np.array(got).tobytes() == np.array(want, dtype=complex).tobytes()
 
 
 @st.composite
 def _slices(draw):
     n_flat = draw(st.integers(1, 2000))
     n_rows = draw(st.integers(1, 200_000 // n_flat))
-    cuts = draw(st.sets(st.integers(1, n_rows - 1), max_size=24)) if n_rows > 1 else set()
-    n_c = draw(st.sampled_from([1, 2, 3]))
+    if n_rows > 1 and draw(st.booleans()):
+        n_rows -= 1 - n_rows % 2  # an odd row count
+    n_phi = draw(st.sampled_from([1, 2, 3]))
+    block = draw(st.one_of(st.integers(64, 1024), st.integers(1025, 2**14)))
     complex_ = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (n_c, n_rows * n_flat)
+    shape = (n_phi, n_rows, n_flat)
     x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
     if complex_:
-        x = x + 1j * rng.standard_normal(shape)
+        x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
     for _ in range(draw(st.integers(0, 3))):
         special = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
         part = 1j if complex_ and draw(st.booleans()) else 1.0
-        x[draw(st.integers(0, n_c - 1)), draw(st.integers(0, shape[1] - 1))] = special * part
-    return x, (0, *sorted(cuts), n_rows), n_flat
+        x[draw(st.integers(0, n_phi - 1)), draw(st.integers(0, n_rows - 1)),
+          draw(st.integers(0, n_flat - 1))] = special * part
+    return x, block
 
 
 @given(_slices())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_block_sums_rebuild_each_slice_sum_bitwise(case):
-    # any row-aligned cuts, real or complex, with NaN, +-inf and sums that
-    # overflow: bitwise np.add.reduce of each whole slice, or NonFiniteError
-    # exactly when one of those is not finite
-    x, edges, n_flat = case
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the tensor pass
-        want = np.add.reduce(x, axis=-1)
-        if not np.isfinite(want).all():
-            with pytest.raises(NonFiniteError):
-                _rebuilt(x, edges, n_flat)
-        else:
-            got = _rebuilt(x, edges, n_flat)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+def test_each_slice_sum_is_one_reduction_bitwise(case):
+    # any grid up to 2e5 nodes a slice, odd row counts among them, blocks of
+    # 64 to 2^14 nodes, real or complex, with NaN, +-inf and sums that
+    # overflow: bitwise np.add.reduce of each whole slice (of each part if
+    # complex), or NonFiniteError exactly when one of those is not finite
+    _check_slice_sums(*case)
+
+
+@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("grid, block", [((141, 1296), quadrature.BLOCK_NODES),
+                                         ((765, 192), quadrature.BLOCK_NODES),
+                                         ((48, 14400), quadrature.BLOCK_NODES),
+                                         ((256, 1), 64)])
+def test_grids_cut_off_the_row_grid_keep_each_slice_sum(grid, block, kind):
+    # the k = 2 ab_hardy grid at n_r = 47, a k = 1 grid at n_r = 255, an
+    # eighth of the k = 2 identity's 384 x 14,400 grid, whose tree splits
+    # every third row in two the same way, and two leaves of exactly
+    # _PW_LEAF nodes, each larger than a block
+    rng = np.random.default_rng(sum(grid))
+    x = rng.standard_normal((1, *grid))
+    if kind is complex:
+        x = x + 1j * rng.standard_normal(x.shape)
+    _check_slice_sums(x, block)
+
+
+def test_a_row_wider_than_a_block_runs_in_at_most_two_blocks(monkeypatch):
+    # 48 rows of 14,400 nodes: the tree halves them down to 3 rows, then
+    # splits each 3-row node inside its middle row, so its two halves are
+    # blocks of 2 rows that share that row
+    blocks = []
+
+    def density(r, y):
+        blocks.append((int(r[0, 0]), int(r[-1, 0]) + 1))
+        return lambda col: (np.ones(col.shape),)
+
+    monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(48, 14400))
+    assert quadrature._tensor_sums(density, None, None, 0, (0.0,)) == [48 * 14400]
+    assert blocks == [(a + d, a + d + 2) for a in range(0, 48, 3) for d in (0, 1)]
 
 
 # (n_rows, n_flat) of the multi-block grids in use, and their blocks of rows
@@ -408,18 +491,28 @@ _ALIGNED = {
 
 
 @pytest.mark.parametrize("grid", sorted(_ALIGNED))
-def test_grids_in_use_are_cut_on_numpys_pairwise_tree(grid):
+def test_grids_in_use_are_cut_on_numpys_pairwise_tree(monkeypatch, grid):
     n_rows, n_flat = grid
     count, rows = _ALIGNED[grid]
-    edges = quadrature._row_edges(n_rows, n_flat, quadrature.BLOCK_NODES)
-    assert edges == tuple(range(0, n_rows + 1, rows)) and len(edges) == count + 1
-    # every block is one subtree, real and complex: one reduction per block,
-    # tile and integrand, no buffered leaf
-    for d in (1, 2):
-        plan = quadrature._sum_plan(edges, n_flat, d)
-        assert all(ranges == ((0, rows * n_flat),) and not pieces
-                   for ranges, pieces, _ in plan)
-        assert sum(ops.count(None) for _, _, ops in plan) == count - 1
+    blocks, parts = [], []
+    reduce = quadrature._reduce
+
+    def density(r, y):
+        blocks.append((int(r[0, 0]), int(r[-1, 0]) + 1))
+        return lambda col: (np.ones(col.shape), np.full(col.shape, 1j))
+
+    def spy(part):
+        parts.append(part.shape)
+        return reduce(part)
+
+    monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
+    monkeypatch.setattr(quadrature, "_reduce", spy)
+    got = quadrature._tensor_sums(density, None, None, 0, (0.0, 1.0))
+    # every block is one subtree of whole rows: one reduction of the whole
+    # block per tile (one angular node here) and integrand, real and complex
+    assert blocks == [(a, a + rows) for a in range(0, n_rows, rows)] and len(blocks) == count
+    assert parts == [(1, rows * n_flat)] * (count * 2 * 2)
+    assert got == [2.0 * n_rows * n_flat, 2j * n_rows * n_flat]
 
 
 def test_integrate_radial_weighted_power():

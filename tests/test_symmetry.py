@@ -5,7 +5,11 @@ homogeneous of degree alpha1, the Hardy weight of degree -2 and each
 gradient block of degree 1, while dx dy scales as lam^(-Q).  So every term
 of a check on f(lam x, lam^(1+gamma) y) is lam^(2 - Q - alpha1) times the
 term on f, and the ratio does not move.  A wrong weight exponent breaks
-this whatever the constant.
+this whatever the constant.  The uncertainty bounds multiply the root of
+such a term by ||f||, of degree -Q/2, and compare it with a weight of degree
+alpha1/2 - 1, so their lhs and main both scale as lam^(1 - Q - alpha1/2).
+The constant-field potentials slope * y and slope * x scale like a gradient
+block at gamma = 0 once slope -> lam^2 slope.
 
 On the Landau side, f_lam(z) = f(lam z) under psi_lam(r) = lam^2 psi(lam r)
 has a twisted gradient lam times f's at lam z, so with the weights
@@ -22,7 +26,7 @@ import numpy as np
 import pytest
 
 from maghardy import GrushinGeometry, QuadratureSpec, WeightExponents
-from maghardy.fields import FluxParam, RadialPotential
+from maghardy.fields import ConstantFieldPotentials, FluxParam, RadialPotential
 from maghardy.functions import (
     AngularMode,
     GaussBumpY,
@@ -32,7 +36,9 @@ from maghardy.functions import (
     random_test_function,
 )
 from maghardy.verifiers import (
+    check_grushin_ibp_identity,
     verify_ab_hardy,
+    verify_constant_field,
     verify_landau,
     verify_magnetic_grushin,
     verify_radial_hardy,
@@ -60,6 +66,10 @@ class Dilated:
         return dilated
 
 
+def _dilate(f, lam, gamma):
+    return TestFunction([AngularMode(m.mode, Dilated(m.profile, lam, gamma)) for m in f.modes])
+
+
 GEOM = GrushinGeometry(2, 1, 1.0)
 EXPS = WeightExponents(0.7, 0.3)
 SPEC = QuadratureSpec(n_r=48, n_phi=12, n_y=12)
@@ -70,28 +80,61 @@ def _f(modes, real, seed):
     return random_test_function(np.random.default_rng(seed), k=1, modes=modes, real=real)
 
 
+# id -> (check, f, minus the degree of its terms under the dilation)
 _CASES = {
-    "radial_hardy": (lambda f: verify_radial_hardy(GEOM, EXPS, f, SPEC), _f((0,), True, 61)),
+    "radial_hardy": (lambda f: verify_radial_hardy(GEOM, EXPS, f, SPEC),
+                     _f((0,), True, 61), DEGREE),
     "magnetic_grushin": (lambda f: verify_magnetic_grushin(GEOM, EXPS, FluxParam(0.4), f, SPEC),
-                         _f((0, 1), True, 62)),
+                         _f((0, 1), True, 62), DEGREE),
     "ab_hardy": (lambda f: verify_ab_hardy(GEOM, EXPS, FluxParam(0.4), f, SPEC),
-                 _f((0, 1, -2), False, 63)),
+                 _f((0, 1, -2), False, 63), DEGREE),
+    "uncertainty_grushin": (lambda f: verify_uncertainty_grushin(
+        GEOM, EXPS, FluxParam(0.4), f, SPEC), _f((0, 1), True, 68),
+        GEOM.hom_dim + 0.5 * EXPS.alpha1 - 1.0),
+    "uncertainty_ab": (lambda f: verify_uncertainty_grushin(
+        GEOM, EXPS, FluxParam(0.4), f, SPEC, variant="uncer21"), _f((-1, 0, 2), False, 69),
+        GEOM.hom_dim + 0.5 * EXPS.alpha1 - 1.0),
 }
 
 
-@pytest.mark.parametrize("lam", [0.5, 3.0])
-@pytest.mark.parametrize("tid", sorted(_CASES))
-def test_every_term_scales_with_the_homogeneous_degree(tid, lam):
-    check, f = _CASES[tid]
-    dilated = TestFunction([AngularMode(m.mode, Dilated(m.profile, lam, GEOM.gamma))
-                            for m in f.modes])
-    base, moved = check(f), check(dilated)
-    scale = lam ** DEGREE
+def _assert_scaled(base, moved, scale):
+    """Every term of moved, times scale, is the term of base, within 1e-12."""
     assert moved.lhs * scale == pytest.approx(base.lhs, rel=1e-12)
     assert list(moved.rhs_terms) == list(base.rhs_terms)
     for name, value in base.rhs_terms.items():
         assert moved.rhs_terms[name] * scale == pytest.approx(value, rel=1e-12)
     assert moved.ratio == pytest.approx(base.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+@pytest.mark.parametrize("tid", sorted(_CASES))
+def test_every_term_scales_with_the_homogeneous_degree(tid, lam):
+    check, f, degree = _CASES[tid]
+    _assert_scaled(check(f), check(_dilate(f, lam, GEOM.gamma)), lam ** degree)
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_both_sides_of_the_ibp_identity_scale_with_the_homogeneous_degree(lam):
+    f = _f((0,), True, 70)
+    base, moved = (check_grushin_ibp_identity(GEOM, EXPS, g, 0.9, SPEC)
+                   for g in (f, _dilate(f, lam, GEOM.gamma)))
+    scale = lam ** DEGREE
+    assert moved.lhs * scale == pytest.approx(base.lhs, rel=1e-12)
+    assert moved.rhs * scale == pytest.approx(base.rhs, rel=1e-12)
+    assert abs(moved.rel_err - base.rel_err) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [0.5, 3.0])
+def test_constant_field_terms_scale_when_the_slope_scales_as_lam_squared(lam):
+    geom = GrushinGeometry(1, 1, 0.0)
+    f = _f((0,), True, 71)
+
+    def check(g, slope):
+        return verify_constant_field(geom, EXPS, ConstantFieldPotentials(slope), g, SPEC)
+
+    base, moved = check(f, 0.4), check(_dilate(f, lam, 0.0), lam ** 2 * 0.4)
+    assert base.rhs_terms["field_potential"] > 0.0
+    _assert_scaled(base, moved, lam ** (geom.hom_dim + EXPS.alpha1 - 2.0))
 
 
 @pytest.mark.parametrize("lam", [0.5, 3.0])
@@ -103,8 +146,7 @@ def test_every_landau_term_scales_under_the_plane_dilation(lam):
         return verify_landau("hardy_sobolev", RadialPotential.power(coef, s), theta1, g,
                              QuadratureSpec(n_r=48))
 
-    dilated = TestFunction([AngularMode(m.mode, Dilated(m.profile, lam, 0.0)) for m in f.modes])
-    base, moved = check(f, c), check(dilated, lam ** (2.0 + s) * c)
+    base, moved = check(f, c), check(_dilate(f, lam, 0.0), lam ** (2.0 + s) * c)
     scale = lam ** (2.0 * theta1)
     assert moved.lhs == pytest.approx(scale * base.lhs, rel=1e-12)
     assert list(moved.rhs_terms) == list(base.rhs_terms)

@@ -133,12 +133,22 @@ def test_ibp_identity_random_cases_and_refinement():
 
 
 def test_ibp_identity_two_transverse_dimensions():
+    import tracemalloc
+
     rng = np.random.default_rng(1012)
     geom = GrushinGeometry(2, 2, 1.0)
     f = random_test_function(rng, k=2, modes=(0,), real=True)
-    rep = check_grushin_ibp_identity(geom, WeightExponents(0.5, 0.2), f, 0.9,
-                                     QuadratureSpec(n_r=128, n_y=40))
+    tracemalloc.start()
+    try:
+        rep = check_grushin_ibp_identity(geom, WeightExponents(0.5, 0.2), f, 0.9,
+                                         QuadratureSpec(n_r=128, n_y=40))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.rel_err <= 1e-8
+    # 384 x 14,400 nodes, 44 MB per real full-grid array: blocks of at most
+    # two rows, one alive at a time
+    assert peak < 12 * 2**20
 
 
 def test_ibp_identity_rejects_spinning_functions():
@@ -731,6 +741,14 @@ def test_heavy_ab_hardy_peak_memory():
     # full-grid integrand arrays gathered from row blocks, 3.4 MB one block
     # at a time
     assert _heavy_peak(_three_complex_modes()) < 8 * 2**20
+
+
+def test_heavy_ab_hardy_peak_memory_off_the_row_grid():
+    # n_r = 47: 141 rows of 1296 nodes, whose pairwise tree splits inside
+    # rows, so neighbouring blocks share a row.  Run as one block, the first
+    # node the tree splits inside a row (here the whole grid) peaks at 48 MB
+    f = _three_complex_modes()
+    assert _heavy_peak(f, QuadratureSpec(n_r=47, n_phi=12, n_y=12)) < 8 * 2**20
 
 
 def test_heavy_ab_hardy_peak_memory_does_not_grow_with_n_r():
