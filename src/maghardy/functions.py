@@ -27,12 +27,13 @@ profile computes its phi-independent factors once per grid (for a
 ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j), each
 distinct factor once however many modes carry it), and the returned closure
 gives f and its polar partials at an angular node or at a column of them
-(shape (n_c, 1, 1)).  Each call forms each distinct profile's full-grid
-products once (modes +l and -l of a real f share one) and spreads them over
-all the nodes of its column, so the quadrature engine, which passes a column
-of nodes per call on small grids, pays for the products once per column, not
-once per node.  The pointwise value_polar and partials_polar are one call of
-that closure.
+(shape (n_c, 1, 1)).  Its first call forms each distinct profile's products
+on the grid once (modes +l and -l of a real f share one), and each mode's
+1j * mode * g, and keeps them while the closure lives; every call then only
+multiplies them by e^(i mode phi) and adds the modes.  The quadrature engine
+makes one closure per row block and calls it once per tile of angular nodes,
+so the products are formed once per block, however many tiles it has.  The
+pointwise value_polar and partials_polar are one call of that closure.
 """
 
 from __future__ import annotations
@@ -282,10 +283,9 @@ class ProductProfile:
         """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
-        here, once; each call forms their products, grad_y g in one (..., k)
-        array, so the full-grid arrays live only as long as the caller keeps
-        them.  TestFunction.on_grid calls it once per column of angular
-        nodes.
+        here, once; each call forms their products afresh, grad_y g in one
+        (..., k) array.  TestFunction.on_grid's closure calls it once and
+        keeps the products for its own lifetime.
 
         memo, a dict that TestFunction.on_grid keeps for one grid, holds
         each factor's (value, derivative) under the factor's identity and
@@ -465,13 +465,16 @@ class TestFunction:
         lives for this call, so each distinct 1-D factor runs once on the
         grid however many profiles carry it; other profiles take the plain
         on_grid(r, y).
-        Each call of the closure forms each distinct profile's g, dg/dr and
-        grad_y g once, holds them until that profile's last mode and adds
-        every mode's terms at phi in sorted mode order: phi is a float (one
+        The first call of the closure, or of its mode_zero, forms each
+        distinct profile's g, dg/dr and grad_y g once, and each mode's
+        1j * mode * g, and the closure keeps them, unwritten, for its
+        lifetime: modes x (3 + k) arrays on the grid.  Each call adds every
+        mode's terms at phi in sorted mode order: phi is a float (one
         angular node) or a column of nodes of shape (n_c, 1, 1), which gives
         every output that leading axis.
         The closure's mode_zero() gives f0, the zeroth angular mode of f, on
-        the grid from the same factors (zeros if f has no mode 0).
+        the grid: the kept g of mode 0 (zeros if f has no mode 0), which
+        the caller must not write to.
         r and y must not change while the closure is in use.
         """
         memo, parts_of, terms = {}, {}, []
@@ -482,30 +485,39 @@ class TestFunction:
                                  if isinstance(m.profile, ProductProfile)
                                  else m.profile.on_grid(r, y))
             terms.append((m.mode, key))
-        last = {key: i for i, (_, key) in enumerate(terms)}
+        held = []
+
+        def products():
+            """Per mode, in sorted order: (mode, g, dg/dr, 1j * mode * g,
+            grad_y g), formed on the first call and kept while the closure
+            lives; nothing writes to them."""
+            if not held:
+                formed = {}
+                for mode, key in terms:
+                    if key not in formed:
+                        formed[key] = parts_of[key]()
+                    g, gr, gy = formed[key]
+                    held.append((mode, g, gr, 1j * mode * g, gy))
+            return held
 
         def at(phi):
-            out, held = None, {}
-            for i, (mode, key) in enumerate(terms):
-                g, gr, gy = held.pop(key) if key in held else parts_of[key]()
-                if i < last[key]:  # a later mode shares this profile
-                    held[key] = g, gr, gy
+            out = None
+            for mode, g, gr, gphi, gy in products():
                 e = np.exp(1j * mode * np.asarray(phi))
                 ey = e[..., None] if np.ndim(e) else e
                 if out is None:
-                    out = [g * e, gr * e, 1j * mode * g * e, gy * ey]
+                    out = [g * e, gr * e, gphi * e, gy * ey]
                 else:  # in place, so no second full-grid sum is formed
                     out[0] += g * e
                     out[1] += gr * e
-                    out[2] += 1j * mode * g * e
+                    out[2] += gphi * e
                     out[3] += gy * ey
-                del g, gr, gy  # free this mode's products before the next
             return tuple(out)
 
         def mode_zero():
-            for mode, key in terms:
+            for mode, g, *_ in products():
                 if mode == 0:
-                    return parts_of[key]()[0]
+                    return g
             return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]))
 
         at.mode_zero = mode_zero

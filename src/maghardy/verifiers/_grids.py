@@ -24,8 +24,8 @@ check on that block in order, for phi a float or a column of angular nodes
 polar_integral and radial_integral return one integral per integrand over
 the support of the test function f, through the same tensor pass of the
 main engine, or through the oracle.  So each check makes one integration
-call: its weights are formed once per block, and its test function once per
-block and tile of angular nodes, for all its integrals.
+call: its weights and its test function's products are formed once per
+block, for all its integrals and all the block's tiles of angular nodes.
 """
 
 from __future__ import annotations

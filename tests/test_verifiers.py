@@ -626,22 +626,40 @@ class _CountingProfile(ProductProfile):
         return counted
 
 
-def test_a_profile_shared_by_two_modes_forms_its_products_once_per_call():
-    # modes -1 and +1 share a profile, with mode 0 between them in the sum
-    shared = _CountingProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),),
-                              amplitude=0.5)
+def _shared_pair_and_zero(shared):
+    """Modes -1 and +1 on one profile `shared`, with mode 0 between them in
+    the sum, and the same f with separate profiles for -1 and +1."""
     zero = ProductProfile(PlateauLogBump(0.6, 1.8), (GaussBumpY(-1.0, 1.0),))
-    f = TestFunction([AngularMode(-1, shared), AngularMode(0, zero), AngularMode(1, shared)])
+    f = TestFunction([AngularMode(0, zero), AngularMode(-1, shared), AngularMode(1, shared)])
     apart = TestFunction([AngularMode(m, ProductProfile(
         PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),), amplitude=0.5)) for m in (-1, 1)]
         + [AngularMode(0, zero)])
+    return f, apart
+
+
+def test_a_profile_shared_by_two_modes_forms_its_products_once_per_closure():
+    shared = _CountingProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),),
+                              amplitude=0.5)
+    f, apart = _shared_pair_and_zero(shared)
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
-    for phi in (_COL, 0.7):
-        shared.forms = 0
-        values = at(phi)
-        assert shared.forms == 1
-        assert _same_bits(values, apart.on_grid(r, y)(phi))
+    for phi in (_COL, 0.7, _COL):
+        assert _same_bits(at(phi), apart.on_grid(r, y)(phi))
+    assert shared.forms == 1
+
+
+def test_the_closure_never_writes_its_held_products():
+    # at phi = 0 every mode's e^(i mode phi) is 1, so a sum that started from
+    # the held products themselves, or added into them, would change them
+    f, _ = _shared_pair_and_zero(ProductProfile(
+        PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),), amplitude=0.5))
+    r, y = _grid_k(1)
+    at = f.on_grid(r, y)
+    zero_before = at.mode_zero().copy()
+    first = [v.copy() for v in at(0.0)]
+    at(_COL)
+    assert _same_bits(first, at(0.0))
+    assert np.array_equal(zero_before, at.mode_zero())
 
 
 @pytest.mark.parametrize("check", ["magnetic", "ab_hardy"])
@@ -721,6 +739,21 @@ def test_radial_factor_runs_once_per_row_block():
     rep = _heavy_ab_hardy(f, QuadratureSpec(n_r=48, n_phi=16, n_y=12))
     assert rep.margin >= -rep.tolerance()
     assert radial.calls == HEAVY_BLOCKS
+
+
+def test_every_mode_forms_its_products_once_per_row_block():
+    # 16 angular tiles of one node on each block, and mode_zero on top: once
+    # per tile would be 17 forms of mode 0 per block
+    def counting(amplitude):
+        return _CountingProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),) * 2,
+                                amplitude=amplitude)
+
+    profiles = {0: counting(1.0), 1: counting(0.5), 2: counting(0.5j)}
+    f = TestFunction([AngularMode(-1, profiles[1])]
+                     + [AngularMode(m, p) for m, p in profiles.items()])
+    rep = _heavy_ab_hardy(f, QuadratureSpec(n_r=48, n_phi=16, n_y=12))
+    assert rep.rhs_terms["mode_defect"] > 0.0
+    assert [p.forms for p in profiles.values()] == [HEAVY_BLOCKS] * 3
 
 
 def _heavy_peak(f, spec=HEAVY):
