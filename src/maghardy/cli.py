@@ -74,10 +74,10 @@ _MAX_DIM = 8
 _REQUIRED = object()
 
 
-def _check_keys(obj: dict, allowed, where: str) -> None:
+def _check_keys(obj: dict, allowed: frozenset, where: str) -> None:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected an object")
-    unknown = set(obj) - set(allowed)
+    unknown = obj.keys() - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
@@ -145,20 +145,25 @@ def _read(obj: dict, key: str, where: str, field: _Field):
     return field.default
 
 
-def _walk(obj: dict, where: str, fields: dict, also=()) -> dict:
+def _walk(obj: dict, where: str, fields: dict, allowed: frozenset) -> dict:
     """{key: value} for each key of fields in the JSON object obj, read through
-    _read; a key neither in fields nor in also (read by the caller) is refused."""
-    _check_keys(obj, (*fields, *also), where)
+    _read; a key not in allowed (fields' keys, and any the caller reads) is refused."""
+    _check_keys(obj, allowed, where)
     return {key: _read(obj, key, where, field) for key, field in fields.items()}
 
 
 def _object(make: Callable, default=_REQUIRED, nullable=False, **fields) -> _Field:
     """The field of a JSON object with the given fields, read as make(**values)."""
-    return _Field(lambda obj, where: make(**_walk(obj, where, fields)), default, nullable)
+    allowed = frozenset(fields)
+    return _Field(lambda obj, where: make(**_walk(obj, where, fields, allowed)), default,
+                  nullable)
 
 
 def _count(ceiling=math.inf, default=_REQUIRED) -> _Field:
     return _Field(functools.partial(_number, kind=Integral, ceiling=ceiling), default)
+
+
+_COUNT = _count()
 
 
 _PAIR = functools.partial(_list, length=2)
@@ -184,9 +189,11 @@ def _kind(obj: dict, where: str, kinds: dict, what: str, default=None):
 def _kinds(kinds: dict, what: str, default=None) -> Callable:
     """The reader of a JSON object with a "kind" in kinds: make(**values) for
     kinds[kind] = (make, fields)."""
+    allowed = {kind: frozenset((*fields, "kind")) for kind, (_, fields) in kinds.items()}
+
     def read(obj, where):
-        _, (make, fields) = _kind(obj, where, kinds, what, default)
-        return make(**_walk(obj, where, fields, also=("kind",)))
+        kind, (make, fields) = _kind(obj, where, kinds, what, default)
+        return make(**_walk(obj, where, fields, allowed[kind]))
     return read
 
 
@@ -205,7 +212,7 @@ _FUNCTIONS = {
              "y_box": _Field(functools.partial(_list, read=_PAIR), ())},
     # a range left out (None) keeps random_test_function's default
     "random": {"k": _count(_MAX_DIM, 0),
-               "modes": _Field(functools.partial(_list, read=_count().read), (0,)),
+               "modes": _Field(functools.partial(_list, read=_COUNT.read), (0,)),
                "real": _Field(_flag, False), "gaussian_y": _Field(_flag, True),
                "r_lo_range": _Field(_range, None), "ratio_range": _Field(_range, None),
                "y_half_range": _Field(_range, None)},
@@ -214,13 +221,14 @@ _FUNCTIONS = {
                    "r_hi": _Field(default=8.0), "r_lo": _Field(default=1e-8)},
     "zero": {},
 }
+_FUNCTION_KEYS = {kind: frozenset((*fields, "kind")) for kind, fields in _FUNCTIONS.items()}
 
 
 def _parse_function(obj, where, seed, geom=None, exps=None) -> TestFunction:
     kind, fields = _kind(obj, where, _FUNCTIONS, "function")
     if kind == "random" and seed < 0:
         raise ConfigError(f"{where}: a random function needs a nonnegative seed, got {seed}")
-    values = _walk(obj, where, fields, also=("kind",))
+    values = _walk(obj, where, fields, _FUNCTION_KEYS[kind])
     if kind == "bump":
         return make_bump(**values)
     if kind == "random":
@@ -281,10 +289,17 @@ _RUN_KEYS = ("theorem_id", "label", "seed")
 _VERIFY_KEYS = ("function", "quadrature")
 _ENGINE_KEYS = ("family", "schedule", "window")
 
+# (theorem id, whether a sharpness run) -> the keys its runs may hold
+_ALLOWED = {(tid, engine): frozenset((*_RUN_KEYS, *(_ENGINE_KEYS if engine else _VERIFY_KEYS),
+                                     *(check.engine_keys if engine else check.keys)))
+            for tid, check in CHECKS.items() for engine in (False, True)}
+
 
 def _run_seed(run, index: int, suite_seed: int) -> int:
     """The seed of a run: its own, or the suite's seed plus its index."""
-    return _read(run, "seed", f"runs[{index}]", _count(default=suite_seed + index))
+    if "seed" not in run:
+        return suite_seed + index
+    return _COUNT.read(run["seed"], f"runs[{index}].seed")
 
 
 def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
@@ -299,8 +314,7 @@ def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
         raise ConfigError(f"{where}: unknown theorem_id {tid!r}")
     check = CHECKS[tid]
     engine = "family" in run and tid in FAMILY_FOR
-    keys = check.engine_keys if engine else check.keys
-    _check_keys(run, (*_RUN_KEYS, *(_ENGINE_KEYS if engine else _VERIFY_KEYS), *keys), where)
+    _check_keys(run, _ALLOWED[tid, engine], where)
 
     def read(key):
         field = _FIELDS[key]
@@ -308,15 +322,20 @@ def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
             field = field._replace(default=admissibility_default)
         return _read(run, key, where, field)
 
-    values = {key: read(key) for key in keys}
     if engine:
+        values = [read(key) for key in check.engine_keys]
         family, schedule, window = map(read, _ENGINE_KEYS)
-        return estimate_sharpness(tid, check.params(*values.values()), family, schedule,
+        return estimate_sharpness(tid, check.params(*values), family, schedule,
                                   window=window)
+    values = {key: read(key) for key in check.keys}
     spec = read("quadrature")
     f = _parse_function(_need(run, "function", where), f"{where}.function", seed,
                         values.get("geometry"), values.get("weights"))
     return check.verify(f, spec, *values.values())
+
+
+_CONFIG_KEYS = frozenset(("suite", "seed", "runs"))
+_SUITE_SEED = _count(default=0)
 
 
 def _load_config(path: str) -> tuple[dict, int]:
@@ -327,10 +346,10 @@ def _load_config(path: str) -> tuple[dict, int]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(cfg, {"suite", "seed", "runs"}, "config")
+    _check_keys(cfg, _CONFIG_KEYS, "config")
     if not isinstance(cfg.setdefault("runs", []), list):
         raise ConfigError("config: runs must be a list")
-    return cfg, _read(cfg, "seed", "config", _count(default=0))
+    return cfg, _read(cfg, "seed", "config", _SUITE_SEED)
 
 
 def _write_json(obj, path: str) -> None:
@@ -357,14 +376,15 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
 
     def execute(i, run):
         t0 = time.perf_counter()
-        record = {"index": i, "label": str(run.get("label", "")) if isinstance(run, dict) else "",
-                  "theorem_id": run.get("theorem_id") if isinstance(run, dict) else None,
-                  "seed": None}
+        given = run if isinstance(run, dict) else {}
+        record = {"index": i, "label": str(given.get("label", "")),
+                  "theorem_id": given.get("theorem_id"), "seed": None}
         try:
-            if isinstance(run, dict):
+            if run is given:
                 record["seed"] = _run_seed(run, i, suite_seed)
             report = _run_one(run, i, record["seed"], admissibility)
-            record.update(status="ok", passed=report.passed(), report=report, error=None)
+            record["status"], record["error"] = "ok", None
+            record["passed"], record["report"] = report.passed(), report
         except MagHardyError as exc:
             record.update(_error(exc), passed=False, report=None)
         record["wall_clock_s"] = time.perf_counter() - t0 if timings else None

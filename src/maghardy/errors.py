@@ -6,6 +6,7 @@ runners can record errors as data instead of aborting.
 
 import math
 import numbers
+from collections.abc import Iterable, Sequence
 
 
 class MagHardyError(Exception):
@@ -40,12 +41,27 @@ class ConfigError(MagHardyError, ValueError):
     """Malformed suite configuration (unknown keys, missing fields, bad types)."""
 
 
+# kind -> the exact types that are instances of it and no bool: a value of
+# one of them passes without the ABC's isinstance, which costs a microsecond
+# or so on numbers.Real.  Any other kind passes a value of exactly its own
+# class, bool excepted: a bool is refused whatever the kind.
+_EXACT = {numbers.Real: (float, int), numbers.Integral: (int,),
+          numbers.Complex: (complex, float, int),
+          Iterable: (list, tuple), Sequence: (list, tuple), bool: ()}
+
+
 def require_param(what: str, name: str, value, kind=numbers.Real):
     """value if it is a kind, by default a finite real (not a bool) as a float.
 
     AdmissibilityError names a missing or mistyped value, DomainError a non-finite one.
     """
-    if isinstance(value, bool) or not isinstance(value, kind):
+    t = type(value)
+    if t is float and kind is numbers.Real:   # the common case, as fast as it goes
+        if value - value == 0.0:
+            return value
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    if t not in _EXACT.get(kind, (kind,)) and (isinstance(value, bool)
+                                                or not isinstance(value, kind)):
         got = "" if value is None else f", got {value!r}"
         raise AdmissibilityError(f"{what} needs {name}{got}")
     if kind is not numbers.Real:

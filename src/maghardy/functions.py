@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
-from .geometry import GrushinGeometry, Point, WeightExponents, rho_rs
+from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs
 
 __all__ = [
     "AngularMode",
@@ -637,9 +637,7 @@ def make_trial(family: TrialFamily, geom: GrushinGeometry | None = None,
     if family.base == "rho_power":
         if geom is None or exps is None:
             raise DomainError("rho_power trials need geometry and weight exponents")
-        s = geom.hom_dim + exps.alpha1 - 2.0
-        if s <= 0.0:
-            raise DomainError("rho_power trials need Q + alpha1 - 2 > 0")
+        s = _first_kind_exponent(geom, exps)   # the check of the Grushin verifiers
         profile = RhoShellProfile(geom, -0.5 * s + family.epsilon, lo, hi)
     elif family.base == "log_power":
         c = -0.5 if family.exponent is None else family.exponent

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OriginError, SingularWeightError, require_param
+from .errors import (
+    AdmissibilityError,
+    DomainError,
+    OriginError,
+    SingularWeightError,
+    require_param,
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +71,16 @@ class WeightExponents:
         for name in ("alpha1", "alpha2"):
             value = require_param("the weight", name, getattr(self, name))
             object.__setattr__(self, name, value)
+
+
+def _first_kind_exponent(geom: GrushinGeometry, exps: WeightExponents) -> float:
+    """Q + alpha1 - 2, the exponent of the first-kind weights; AdmissibilityError
+    unless it is positive.  The Grushin verifiers and the rho_power trials
+    both check it here."""
+    s_hom = geom.hom_dim + exps.alpha1 - 2.0
+    if not (s_hom > 0.0):
+        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
+    return s_hom
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ main engine forms no full-grid array: a pass holds the 1-D rules, the y
 nodes, one block's density state and the temporaries of one tile, at most
 max(BLOCK_NODES, two rows) nodes per integrand, so on it the ceiling bounds
 work, and memory grows with the width of a row, not with n_r.  The oracle
-still forms its weights and each integrand on its whole grid.
+runs its own loop over row blocks of at most ORACLE_BLOCK_NODES nodes (or
+one row), so its memory too grows with the width of a row.
 """
 
 from __future__ import annotations
@@ -76,14 +77,14 @@ from .errors import AdmissibilityError, DomainError, NonFiniteError, require_par
 TWO_PI = 2.0 * math.pi
 
 # Ceiling on the (r, y) nodes of one angular slice, checked before a grid is
-# built: about 8.4 million nodes, or 134 MB per complex array on the oracle's
-# whole grid; the main engine holds one block of at most max(BLOCK_NODES,
-# two rows) nodes at a time (two rows of the widest grid in use, 28,800
-# nodes, are 230 KB per real array).  It admits the largest grids in use (a
-# k = 2 identity check at n_r = 128, n_y = 40: 384 x 120^2 = 5.5 million
-# nodes; the oracle k = 1 grid, 2403 x 163) and turns a request far past
-# them (k = 4 at n_y = 64: 10^12 nodes) into a DomainError instead of a
-# failed allocation.
+# built: about 8.4 million nodes.  Each engine holds one row block at a time:
+# at most max(BLOCK_NODES, two rows) nodes on the main engine (two rows of
+# the widest grid in use, 28,800 nodes, are 230 KB per real array) and
+# max(ORACLE_BLOCK_NODES, one row) on the oracle.  It admits the largest
+# grids in use (a k = 2 identity check at n_r = 128, n_y = 40: 384 x 120^2
+# = 5.5 million nodes; the oracle k = 1 grid, 2403 x 163) and turns a
+# request far past them (k = 4 at n_y = 64: 10^12 nodes) into a DomainError
+# instead of a failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
 # Most nodes of one row block of more than two rows, and of one tile of
@@ -92,6 +93,14 @@ MAX_SLICE_NODES = 1 << 23
 # heap.  2^13 and 2^14 measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy
 # check (144 x 1296 nodes) on a 2-core Xeon.
 BLOCK_NODES = 1 << 14
+
+# Most (r, y) nodes of one row block of the oracle, or one row if a row holds
+# more: 128 KB per complex array.  A k = 1 three-mode ab_hardy check holds
+# modes x (3 + k) such arrays in its density's state; on the whole oracle
+# grid (2403 x 163 nodes) it peaked at 152.5 MB under tracemalloc, and at
+# 3.5 MB in these blocks, in half the time (2^12 to 2^17 measured on a
+# 2-core Xeon).  The oracle's own constant, apart from BLOCK_NODES.
+ORACLE_BLOCK_NODES = 1 << 13
 
 # Ceiling on n_r, n_phi and n_y, checked on construction: leggauss builds an
 # n x n companion matrix for an n-node rule (20 GB at n = 50000).
@@ -405,7 +414,9 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
 
     resolution = (n_r, n_phi, n_y): uniform composite Simpson nodes in plain
     r and in each y dimension, uniform midpoint in phi (exact for the
-    trigonometric content).  density follows the integrate_polar protocol;
+    trigonometric content).  density follows the integrate_polar protocol,
+    called once per block of at most ORACLE_BLOCK_NODES nodes (or one row),
+    so a density's state on its block bounds the memory a check takes;
     returns one complex value per integrand.  Shares no code with the main
     engine.
     """
@@ -427,19 +438,23 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
         Y = np.zeros((1, 0))
         w_y = np.ones(1)
 
-    base = (w_r * r)[:, None] * w_y[None, :]
+    rows = max(1, ORACLE_BLOCK_NODES // w_y.size)
     totals = []
-    # numpy's warnings off, the density's included: base is positive, so a
-    # non-finite node, or a sum that overflows, makes its slice's sum non-finite
+    # numpy's warnings off, the density's included: the weights are
+    # positive, so a non-finite node, or a sum that overflows, makes its
+    # block's sum or the running total non-finite
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        at = density(r[:, None], Y[None, :, :])
-        for phi in phis:
-            for i, vals in enumerate(at(float(phi))):
-                total = np.sum(base * np.asarray(vals))
-                if not np.isfinite(total):
-                    raise NonFiniteError(
-                        "an oracle integrand or its weighted sum is NaN or infinite")
-                if i == len(totals):
-                    totals.append(0.0 + 0.0j)
-                totals[i] += total
+        for lo in range(0, r.size, rows):
+            r_block = r[lo:lo + rows, None]
+            base = (w_r[lo:lo + rows, None] * r_block) * w_y[None, :]
+            at = density(r_block, Y[None, :, :])
+            for phi in phis:
+                for i, vals in enumerate(at(float(phi))):
+                    if i == len(totals):
+                        totals.append(0.0 + 0.0j)
+                    totals[i] += np.sum(base * np.asarray(vals))
+                    if not np.isfinite(totals[i]):
+                        raise NonFiniteError(
+                            "an oracle integrand or its weighted sum is NaN or infinite")
+            del at   # the density's state on this block
     return [complex(total * w_phi) for total in totals]

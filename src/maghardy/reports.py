@@ -14,7 +14,7 @@ seed produce byte-identical report files.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from json import JSONEncoder
 from json.encoder import encode_basestring_ascii
 
@@ -57,16 +57,22 @@ def jsonable(obj):
 # json's text, with allow_nan, for the floats whose repr is no JSON number
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# indent of a dict's items -> {str key: ",\n", the indent, the key's text
+# and ": "}, shared by every report; report keys come from the code, so the
+# tables stay small, and they stop growing at _KEY_TEXT_MAX entries all the same
+_KEY_TEXT: dict = {}
+_KEY_TEXT_MAX = 4096
+
 
 class ReportEncoder(JSONEncoder):
     """json.dump's cls= for reports: the whole text in one pass.
 
     It writes exactly what the stdlib encoder writes for indent=2,
     sort_keys=True, ensure_ascii and allow_nan (NaN and Infinity tokens
-    included), and refuses any other settings.  Values are tested in the
-    stdlib's order (str, None, bool, int, float, list or tuple, dict, then
-    the default= hook); keys must be str.  Reports are trees, so there is no
-    cycle check.
+    included), and refuses any other settings.  Values are dispatched on
+    their exact type; an instance of a subclass is tested in the stdlib's
+    order (str, int, float, list or tuple, dict, then the default= hook).
+    Keys must be str.  Reports are trees, so there is no cycle check.
     """
 
     def __init__(self, **kw):
@@ -81,66 +87,106 @@ class ReportEncoder(JSONEncoder):
         out = []
         put = out.append
         default = self.default
+        non_finite = _NON_FINITE.get
+        float_repr = float.__repr__
+        string = encode_basestring_ascii
 
         # Exact floats and strs, most of a report's items, are written inside
-        # the container loops: a call per item would double the time.
+        # the container loops, and so are a dict's exact ints and nulls: a
+        # call per item would double the time.
         def write(o, pad):
-            if isinstance(o, str):
-                put(encode_basestring_ascii(o))
-            elif o is None:
-                put("null")
-            elif o is True:
-                put("true")
-            elif o is False:
-                put("false")
-            elif isinstance(o, int):
-                put(int.__repr__(o))
-            elif isinstance(o, float):
-                text = float.__repr__(o)
-                put(_NON_FINITE.get(text, text))
-            elif isinstance(o, (list, tuple)):
-                if not o:
-                    put("[]")
+            t = type(o)
+            if t is not dict and t is not list and t is not tuple:
+                if t is float:
+                    r = float_repr(o)
+                    put(non_finite(r, r))
+                elif t is str:
+                    put(string(o))
+                elif o is None:
+                    put("null")
+                elif o is True:
+                    put("true")
+                elif o is False:
+                    put("false")
+                elif t is int:
+                    put(int.__repr__(o))
+                elif isinstance(o, str):
+                    put(string(o))
+                elif isinstance(o, int):
+                    put(int.__repr__(o))
+                elif isinstance(o, float):
+                    r = float_repr(o)
+                    put(non_finite(r, r))
+                elif isinstance(o, (list, tuple)):
+                    t = list
+                elif isinstance(o, dict):
+                    t = dict
+                else:
+                    write(default(o), pad)
+                if t is not list and t is not dict:
                     return
-                inner = pad + "  "
-                sep = "[\n" + inner
-                for v in o:
-                    put(sep)
-                    sep = ",\n" + inner
-                    if type(v) is float:
-                        text = float.__repr__(v)
-                        put(_NON_FINITE.get(text, text))
-                    elif type(v) is str:
-                        put(encode_basestring_ascii(v))
-                    else:
-                        write(v, inner)
-                put("\n" + pad + "]")
-            elif isinstance(o, dict):
-                if not o:
-                    put("{}")
-                    return
-                inner = pad + "  "
-                sep = "{\n" + inner
+            if not o:
+                put("{}" if t is dict else "[]")
+                return
+            inner = pad + "  "
+            if t is dict:
+                keys = _KEY_TEXT.get(inner) or _KEY_TEXT.setdefault(inner, {})
+                first = len(out)
                 for k in sorted(o):
-                    if not isinstance(k, str):
-                        raise TypeError(f"report keys must be str, not "
-                                        f"{type(k).__name__}")
-                    put(sep + encode_basestring_ascii(k) + ": ")
-                    sep = ",\n" + inner
+                    text = keys.get(k) if type(k) is str else None
+                    put(text or _key(keys, k, inner))
                     v = o[k]
-                    if type(v) is float:
-                        text = float.__repr__(v)
-                        put(_NON_FINITE.get(text, text))
-                    elif type(v) is str:
-                        put(encode_basestring_ascii(v))
+                    t = type(v)
+                    if t is float:
+                        r = float_repr(v)
+                        put(non_finite(r, r))
+                    elif t is str:
+                        put(string(v))
+                    elif v is None:
+                        put("null")
+                    elif t is int:
+                        put(int.__repr__(v))
                     else:
                         write(v, inner)
+                out[first] = "{" + out[first][1:]
                 put("\n" + pad + "}")
-            else:
-                write(default(o), pad)
+                return
+            sep = ",\n" + inner
+            try:   # a list of floats, such as a schedule's (epsilon, quotient)
+                text = sep.join(map(float_repr, o))
+            except TypeError:
+                text = None
+            if text is not None:
+                if "n" in text:   # nan or inf
+                    text = sep.join(non_finite(r, r) for r in map(float_repr, o))
+                put("[\n" + inner + text + "\n" + pad + "]")
+                return
+            first = len(out)
+            for v in o:
+                put(sep)
+                t = type(v)
+                if t is float:
+                    r = float_repr(v)
+                    put(non_finite(r, r))
+                elif t is str:
+                    put(string(v))
+                else:
+                    write(v, inner)
+            out[first] = "[\n" + inner
+            put("\n" + pad + "]")
 
         write(o, "")
         return ("".join(out),)
+
+
+def _key(keys: dict, k, inner: str) -> str:
+    """The text before the value of str key k at indent inner, kept in keys."""
+    if not isinstance(k, str):
+        raise TypeError(f"report keys must be str, not {type(k).__name__}")
+    text = ",\n" + inner + encode_basestring_ascii(k) + ": "
+    if type(k) is str and len(keys) < _KEY_TEXT_MAX:
+        keys[k] = text
+    return text
 
 
 @dataclass
@@ -240,16 +286,20 @@ class SharpnessResult:
         both to a 1e-9 relative tolerance."""
         qs = [q for _, q in self.schedule]
         tol = 1e-9 * max(1.0, abs(self.sharp_constant))
-        one_sided = self.best_quotient >= self.sharp_constant - tol
-        monotone = all(q2 <= q1 + tol for q1, q2 in zip(qs, qs[1:]))
-        return one_sided and monotone
+        if not min(qs) >= self.sharp_constant - tol:   # min(qs) is best_quotient
+            return False
+        for q1, q2 in zip(qs, qs[1:]):
+            if not q2 <= q1 + tol:
+                return False
+        return True
 
     def to_dict(self) -> dict:
+        best = self.best_quotient
         return {
             "kind": "sharpness", "theorem_id": self.theorem_id,
-            "schedule": self.schedule, "best_quotient": self.best_quotient,
-            "sharp_constant": self.sharp_constant, "gap": self.gap,
-            "params": self.params,
+            "schedule": self.schedule, "best_quotient": best,
+            "sharp_constant": self.sharp_constant,
+            "gap": relative_gap(best, self.sharp_constant), "params": self.params,
         }
 
 
@@ -278,4 +328,6 @@ class SuperweightParams:
         return (self.a + self.b * r**self.theta2) ** self.theta3
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every field by name, as dataclasses.asdict gives them, without its deep copy."""
+        return {"a": self.a, "b": self.b, "theta2": self.theta2, "theta3": self.theta3,
+                "theta4": self.theta4, "p": self.p, "theta1": self.theta1}

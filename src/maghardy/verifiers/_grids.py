@@ -15,10 +15,11 @@ for x-radial functions only call rx_integral directly, on m = 2 too.
 
 Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
-(1, n_flat, k); a grid of at most quadrature.BLOCK_NODES nodes is one block,
-a larger one is cut along numpy's pairwise summation tree, a row the tree
-splits running in both blocks that share it, and the blocks run one at a
-time) and returns at(phi), which yields every integrand of the
+(1, n_flat, k); on the main engine a grid of at most quadrature.BLOCK_NODES
+nodes is one block, a larger one is cut along numpy's pairwise summation
+tree, a row the tree splits running in both blocks that share it; the
+oracle cuts its grid into blocks of at most quadrature.ORACLE_BLOCK_NODES
+nodes or one row; the blocks run one at a time) and returns at(phi), which yields every integrand of the
 check on that block in order, for phi a float or a column of angular nodes
 (n_c, 1, 1).
 polar_integral and radial_integral return one integral per integrand over

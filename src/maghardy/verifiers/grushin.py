@@ -35,6 +35,7 @@ from ..functions import TestFunction
 from ..geometry import (
     GrushinGeometry,
     WeightExponents,
+    _first_kind_exponent,
     drho_dr_over_rho,
     grad_y_rho_over_rho,
     hardy_density_rs,
@@ -105,9 +106,7 @@ def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
 
 def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
     """Check Q + alpha1 - 2 > 0 and m + gamma*alpha2 > 0; return Q + alpha1 - 2."""
-    s_hom = geom.hom_dim + exps.alpha1 - 2.0
-    if not (s_hom > 0.0):
-        raise AdmissibilityError(f"need Q + alpha1 - 2 > 0, got {s_hom}")
+    s_hom = _first_kind_exponent(geom, exps)
     if not (geom.m + geom.gamma * exps.alpha2 > 0.0):
         raise AdmissibilityError("need m + gamma*alpha2 > 0")
     return s_hom

@@ -139,10 +139,10 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
             f"{theorem_id} takes the {want} trial family, not {family.base}")
     if window not in ("gauss", "plain"):
         raise DomainError(f"unknown window {window!r}")
-    schedule = DEFAULT_SCHEDULE if schedule is None else tuple(
+    schedule = DEFAULT_SCHEDULE if schedule is None else tuple([
         require_param(theorem_id, "schedule", e)
-        for e in require_param(theorem_id, "schedule", schedule, Iterable))
-    if not schedule or not all(e > 0.0 for e in schedule):
+        for e in require_param(theorem_id, "schedule", schedule, Iterable)])
+    if not (schedule and min(schedule) > 0.0):   # every epsilon is finite here
         raise DomainError("schedule must be finite positive epsilons")
 
     run_params: dict = {"window": window, "family": family.base}

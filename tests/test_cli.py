@@ -612,6 +612,36 @@ def test_benchmark_reference_pass_matches_its_recorded_report(tmp_path, workload
     assert bad == [], (drift, where)
 
 
+@pytest.mark.parametrize("run, engine", [
+    ({"theorem_id": "radial_hardy", "geometry": GEOM,
+      "weights": {"alpha1": 0.0, "alpha2": 0.0}, "function": BUMP, "quadrature": FAST},
+     "verifiers.grushin:verify_radial_hardy"),
+    ({"theorem_id": "landau_hardy_sobolev", "theta1": 1.2,
+      "family": {"base": "inverse_power", "epsilon": 0.5, "cutoff": [0.5, 2.0]},
+      "schedule": [0.5, 0.1]},
+     "sharpness:estimate_sharpness")], ids=["verify", "sharpness"])
+def test_the_benchmark_tracer_installs_and_keeps_the_report_bytes(tmp_path, run, engine):
+    # perfbench's traced passes patch cli.main, run_suite, _run_one, cli.json,
+    # cli.jsonable and each record's to_dict; the report must not change
+    if str(REPO / "perfbench") not in sys.path:
+        sys.path.insert(0, str(REPO / "perfbench"))
+    import layertrace
+    from maghardy import cli
+
+    cfg = _write(tmp_path / "suite.json", {"suite": "traced", "seed": 3, "runs": [run]})
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main(["verify", "--config", cfg, "--out", str(plain)]) == 0
+    tracer = layertrace.Tracer()
+    with tracer.active():
+        assert cli.main is not main
+        assert cli.main(["verify", "--config", cfg, "--out", str(traced)]) == 0
+    assert cli.main is main and cli.json is json
+    assert traced.read_bytes() == plain.read_bytes()
+    names = {span[layertrace.NAME] for span in tracer.spans}
+    assert {"cli.main", "cli.run_suite", "cli.run_one", engine, "reports.json_dump",
+            "reports.jsonable", "reports.to_dict"} <= names
+
+
 def test_config_problems_exit_two(tmp_path, capsys):
     out = str(tmp_path / "r.json")
 
@@ -774,6 +804,23 @@ def test_sweep_records_engine_errors(tmp_path):
     combined = json.loads((out_dir / "sweep.json").read_text())
     assert combined["results"][0]["status"] == "error"
     assert combined["results"][0]["error"]["type"] == "AdmissibilityError"
+
+
+def test_a_trial_run_and_a_family_run_record_the_same_inadmissible_point(tmp_path):
+    # m = 1, k = 1, gamma = 0, alpha1 = -1.5: Q + alpha1 - 2 = -1.5, refused by
+    # make_trial on the verify path and by the engine's constant on the family
+    # path, as one AdmissibilityError
+    point = {"theorem_id": "radial_hardy", "geometry": {"m": 1, "k": 1, "gamma": 0.0},
+             "weights": {"alpha1": -1.5, "alpha2": 0.0}}
+    family = {"base": "rho_power", "epsilon": 0.5, "cutoff": [0.5, 2.0]}
+    cfg = _write(tmp_path / "suite.json", {"suite": "s", "seed": 0, "runs": [
+        {**point, "function": {"kind": "trial", **family}, "quadrature": FAST},
+        {**point, "family": family}]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    trial, engine = (run["error"] for run in json.loads(out.read_text())["runs"])
+    assert trial == engine == {"type": "AdmissibilityError",
+                               "message": "need Q + alpha1 - 2 > 0, got -1.5"}
 
 
 def _strict_json(text):

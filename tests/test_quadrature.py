@@ -219,6 +219,30 @@ def test_oracle_agrees_with_main_engine():
     assert abs(main - check) <= 1e-7 * abs(check)
 
 
+def test_the_oracle_runs_its_density_in_row_blocks():
+    # 2403 x 163 nodes: blocks of 50 rows, at most ORACLE_BLOCK_NODES nodes,
+    # cover the grid once in order; the value is the one-block value up to
+    # the roundoff of summing by blocks
+    dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
+    rows = []
+
+    def density(r, y):
+        rows.append(r[:, 0])
+        return _gauss_density(r, y)
+
+    [blocked] = oracle_integrate(density, dom, (2401, 16, 161))
+    assert len(rows) == 49
+    assert max(r.size for r in rows) * 163 <= quadrature.ORACLE_BLOCK_NODES
+    np.testing.assert_array_equal(np.concatenate(rows),
+                                  np.linspace(0.05, 4.0, 2403))
+    quadrature.ORACLE_BLOCK_NODES, saved = 2403 * 163, quadrature.ORACLE_BLOCK_NODES
+    try:
+        [one_block] = oracle_integrate(_gauss_density, dom, (2401, 16, 161))
+    finally:
+        quadrature.ORACLE_BLOCK_NODES = saved
+    assert abs(blocked - one_block) <= 1e-13 * abs(one_block)
+
+
 def test_every_integrand_of_a_pass_equals_its_own_integral():
     # several integrands in one phi pass give, bit for bit, what each gives alone
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))

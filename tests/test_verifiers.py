@@ -791,6 +791,25 @@ def test_heavy_ab_hardy_peak_memory_does_not_grow_with_n_r():
     assert abs(peaks[1] - peaks[0]) < 2**20
 
 
+def test_oracle_ab_hardy_peak_memory():
+    # run on its whole grid (2403 x 163 nodes), the oracle left this check's
+    # density holding 12 whole-grid complex arrays, a 152.5 MB peak; in row
+    # blocks of quadrature.ORACLE_BLOCK_NODES it peaks at 3.5 MB
+    import tracemalloc
+
+    f = random_test_function(np.random.default_rng(5), k=1, modes=(0, 1, -2))
+    spec = QuadratureSpec(n_r=48, n_phi=12, n_y=12, oracle=True)
+    tracemalloc.start()
+    try:
+        rep = verify_ab_hardy(GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.5),
+                              FluxParam(0.5), f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_grad_y_sq_is_bitwise_the_trailing_axis_sum(k):
     # a row block (n_rows, n_flat, k) and a tile of 3 angular nodes on it
