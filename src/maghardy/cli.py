@@ -1,6 +1,6 @@
 """Suite runner for the inequality checks.
 
-usage: maghardy verify --config suite.json --out report.json [--admissibility thm2|corollary] [--timings]
+usage: maghardy verify --config suite.json --out report.json [--timings]
        maghardy sweep  --config sweep.json --out-dir results/
        maghardy list
 
@@ -256,8 +256,9 @@ _FIELDS = {
     "weights": _object(WeightExponents, WeightExponents(0.0, 0.0), True,
                        alpha1=_Field(default=0.0), alpha2=_Field(default=0.0)),
     "flux": _object(FluxParam, FluxParam(0.0), True, beta=_Field(default=0.0)),
-    # verify_ab_hardy refuses an unknown flag; absent, it is --admissibility
-    "admissibility": _Field(_raw),
+    # ab_hardy's second admissibility condition; verify_ab_hardy refuses an
+    # unknown one
+    "admissibility": _Field(_raw, "thm2"),
     "potentials": _Field(_kinds({"linear": (ConstantFieldPotentials,
                                             {"slope": _Field(default=0.5)})},
                                 "potentials", "linear"), ConstantFieldPotentials(0.5)),
@@ -302,7 +303,7 @@ def _run_seed(run, index: int, suite_seed: int) -> int:
     return _COUNT.read(run["seed"], f"runs[{index}].seed")
 
 
-def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
+def _run_one(run: dict, index: int, seed: int):
     """Execute a single suite entry, its seed read; returns the report object.
 
     The run may hold _RUN_KEYS, its path's keys and the keys its record
@@ -317,10 +318,7 @@ def _run_one(run: dict, index: int, seed: int, admissibility_default: str):
     _check_keys(run, _ALLOWED[tid, engine], where)
 
     def read(key):
-        field = _FIELDS[key]
-        if key == "admissibility":
-            field = field._replace(default=admissibility_default)
-        return _read(run, key, where, field)
+        return _read(run, key, where, _FIELDS[key])
 
     if engine:
         values = [read(key) for key in check.engine_keys]
@@ -344,7 +342,9 @@ def _load_config(path: str) -> tuple[dict, int]:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, bytes that are not UTF-8, an integer longer than
+        # Python's digit limit, or arrays nested past the recursion limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     _check_keys(cfg, _CONFIG_KEYS, "config")
     if not isinstance(cfg.setdefault("runs", []), list):
@@ -356,9 +356,14 @@ def _write_json(obj, path: str) -> None:
     """obj as sorted, indented JSON plus a newline.
 
     jsonable converts the records, and ReportEncoder writes the stdlib's
-    indent=2 text in one pass instead of its pure-Python chunk stream.
+    indent=2 text in one pass instead of its pure-Python chunk stream.  A
+    path that cannot be opened is a ConfigError naming it.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable,
                   cls=ReportEncoder)
         fh.write("\n")
@@ -370,8 +375,7 @@ def _error(exc: MagHardyError) -> dict:
             "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
-def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
-              timings: bool = False) -> int:
+def run_suite(config_path: str, out_path: str, timings: bool = False) -> int:
     cfg, suite_seed = _load_config(config_path)
 
     def execute(i, run):
@@ -382,7 +386,7 @@ def run_suite(config_path: str, out_path: str, admissibility: str = "thm2",
         try:
             if run is given:
                 record["seed"] = _run_seed(run, i, suite_seed)
-            report = _run_one(run, i, record["seed"], admissibility)
+            report = _run_one(run, i, record["seed"])
             record["status"], record["error"] = "ok", None
             record["passed"], record["report"] = report.passed(), report
         except MagHardyError as exc:
@@ -416,12 +420,15 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
         tid = str(run.get("theorem_id", ""))
         if tid not in FAMILY_FOR:
             raise ConfigError(f"{where}: {tid!r} has no sharpness engine")
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
     results, failures = [], 0
     for i, run in enumerate(cfg["runs"]):
         tid = run["theorem_id"]
         try:
-            res = _run_one(run, i, _run_seed(run, i, suite_seed), "thm2")
+            res = _run_one(run, i, _run_seed(run, i, suite_seed))
         except MagHardyError as exc:
             results.append({"index": i, "theorem_id": tid, **_error(exc)})
             failures += 1
@@ -460,10 +467,6 @@ def _parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--config", required=True, help="suite JSON path")
     p_verify.add_argument("--out", required=True, help="report JSON path")
-    p_verify.add_argument("--admissibility", choices=("thm2", "corollary"),
-                          default="thm2",
-                          help="which second admissibility condition to "
-                               "enforce for ab_hardy runs")
     p_verify.add_argument("--timings", action="store_true",
                           help="record wall-clock per run (breaks "
                                "byte-reproducibility)")
@@ -480,9 +483,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "verify":
-            return run_suite(args.config, args.out,
-                             admissibility=args.admissibility,
-                             timings=args.timings)
+            return run_suite(args.config, args.out, timings=args.timings)
         if args.command == "sweep":
             return sweep_sharpness(args.config, args.out_dir)
         print(list_theorems())

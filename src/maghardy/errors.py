@@ -38,7 +38,8 @@ class RealnessError(MagHardyError, TypeError):
 
 
 class ConfigError(MagHardyError, ValueError):
-    """Malformed suite configuration (unknown keys, missing fields, bad types)."""
+    """Malformed suite configuration (unknown keys, missing fields, bad types)
+    or an output path that cannot be written."""
 
 
 # kind -> the exact types that are instances of it and no bool: a value of

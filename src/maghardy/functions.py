@@ -22,17 +22,17 @@ exponentials, taken only on the nodes of its ramp, _plateau gives the bump
 and its derivative from its two edges, and each factor's both(t) returns
 (value, derivative) together.
 
-Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y): each
-profile computes its phi-independent factors once per grid (for a
-ProductProfile the 1-D factors R(r), R'(r), Y_j(y_j), Y_j'(y_j), each
-distinct factor once however many modes carry it), and the returned closure
-gives f and its polar partials at an angular node or at a column of them
-(shape (n_c, 1, 1)).  Its first call forms each distinct profile's products
-on the grid once (modes +l and -l of a real f share one), and each mode's
-1j * mode * g, and keeps them while the closure lives; every call then only
-multiplies them by e^(i mode phi) and adds the modes.  The quadrature engine
-makes one closure per row block and calls it once per tile of angular nodes,
-so the products are formed once per block, however many tiles it has.  The
+Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y),
+whose returned closure gives f and its polar partials at an angular node or
+at a column of them (shape (n_c, 1, 1)).  Its first call evaluates each
+distinct profile on the grid once (modes +l and -l of a real f share one):
+profile.on_grid(r, y) returns g, dg/dr and grad_y g, a ProductProfile
+computing each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once
+however many modes carry it.  The closure keeps those products, and each
+mode's 1j * mode * g, while it lives; every call then only multiplies them
+by e^(i mode phi) and adds the modes.  The quadrature engine makes one
+closure per row block and calls it once per tile of angular nodes, so the
+products are formed once per block, however many tiles it has.  The
 pointwise value_polar and partials_polar are one call of that closure.
 """
 
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
-from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs
+from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs, s_of
 
 __all__ = [
     "AngularMode",
@@ -280,18 +280,15 @@ class ProductProfile:
         return len(self.y_factors)
 
     def on_grid(self, r, y, memo=None):
-        """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
+        """(g, dg/dr, grad_y g) on the grid (r, y), grad_y g in one (..., k) array.
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
-        here, once; each call forms their products afresh, grad_y g in one
-        (..., k) array.  TestFunction.on_grid's closure calls it once and
-        keeps the products for its own lifetime.
-
-        memo, a dict that TestFunction.on_grid keeps for one grid, holds
-        each factor's (value, derivative) under the factor's identity and
-        its coordinate ("r", or y axis j), so a factor that the profiles of
-        several modes share runs once on that grid; one object placed on two
-        y axes runs once per axis.
+        once and their products formed from them.  memo, a dict that
+        TestFunction.on_grid keeps for one grid, holds each factor's
+        (value, derivative) under the factor's identity and its coordinate
+        ("r", or y axis j), so a factor that the profiles of several modes
+        share runs once on that grid; one object placed on two y axes runs
+        once per axis.
         """
         memo = {} if memo is None else memo
 
@@ -312,15 +309,11 @@ class ProductProfile:
             return out
 
         shape = np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]) + (len(ys),)
-
-        def parts():
-            base = amp * rv
-            gy = np.empty(shape, complex)
-            for j, (_, dv) in enumerate(ys):
-                gy[..., j] = times(base * dv, j)
-            return times(base), times(amp * drv), gy
-
-        return parts
+        base = amp * rv
+        gy = np.empty(shape, complex)
+        for j, (_, dv) in enumerate(ys):
+            gy[..., j] = times(base * dv, j)
+        return times(base), times(amp * drv), gy
 
 
 class RhoShellProfile:
@@ -356,32 +349,17 @@ class RhoShellProfile:
     def k(self):
         return self.geom.k
 
-    def _h_and_dh(self, rho):
+    def on_grid(self, r, y):
+        """(g, dg/dr, grad_y g) on the grid (r, y); every factor depends on
+        rho, a full-grid array."""
+        g, amp = self.geom.gamma, self.amplitude
+        rho = rho_rs(g, r, s_of(y))
         win, dwin = _plateau(np.log(rho), self._a, self._b)
         h = rho**self.sigma * win
         dh = rho ** (self.sigma - 1.0) * (self.sigma * win + dwin)
-        return h, dh
-
-    def _rho(self, r, y):
-        s = np.sqrt(np.sum(y * y, axis=-1)) if self.geom.k else np.zeros(np.shape(r))
-        return rho_rs(self.geom.gamma, r, s)
-
-    def on_grid(self, r, y):
-        """Closure () -> (g, dg/dr, grad_y g) on the grid (r, y).
-
-        Every factor depends on rho, a full-grid array, so each call forms
-        them all afresh.
-        """
-        g, amp = self.geom.gamma, self.amplitude
-
-        def parts():
-            rho = self._rho(r, y)
-            h, dh = self._h_and_dh(rho)
-            dr = amp * dh * r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 1.0)
-            grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
-            return amp * h, dr, amp * dh[..., None] * grad
-
-        return parts
+        dr = amp * dh * r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 1.0)
+        grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
+        return amp * h, dr, amp * dh[..., None] * grad
 
 
 # ---------------------------------------------------------------------------
@@ -460,31 +438,21 @@ class TestFunction:
     def on_grid(self, r, y):
         """Closure phi -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
 
-        Each distinct profile computes its phi-independent factors here, once
-        (modes +l and -l may share one).  A ProductProfile gets a memo that
-        lives for this call, so each distinct 1-D factor runs once on the
-        grid however many profiles carry it; other profiles take the plain
-        on_grid(r, y).
-        The first call of the closure, or of its mode_zero, forms each
-        distinct profile's g, dg/dr and grad_y g once, and each mode's
-        1j * mode * g, and the closure keeps them, unwritten, for its
-        lifetime: modes x (3 + k) arrays on the grid.  Each call adds every
-        mode's terms at phi in sorted mode order: phi is a float (one
-        angular node) or a column of nodes of shape (n_c, 1, 1), which gives
-        every output that leading axis.
+        The first call of the closure, or of its mode_zero, evaluates each
+        distinct profile on the grid once (modes +l and -l may share one),
+        giving its g, dg/dr and grad_y g, and each mode's 1j * mode * g;
+        the closure keeps them, unwritten, for its lifetime: modes x (3 + k)
+        arrays on the grid.  Each ProductProfile gets the one memo of that
+        first call, so each distinct 1-D factor runs once on the grid
+        however many profiles carry it; other profiles take the plain
+        on_grid(r, y).  Each call adds every mode's terms at phi in sorted
+        mode order: phi is a float (one angular node) or a column of nodes
+        of shape (n_c, 1, 1), which gives every output that leading axis.
         The closure's mode_zero() gives f0, the zeroth angular mode of f, on
         the grid: the kept g of mode 0 (zeros if f has no mode 0), which
         the caller must not write to.
         r and y must not change while the closure is in use.
         """
-        memo, parts_of, terms = {}, {}, []
-        for m in self.modes:
-            key = id(m.profile)
-            if key not in parts_of:
-                parts_of[key] = (m.profile.on_grid(r, y, memo)
-                                 if isinstance(m.profile, ProductProfile)
-                                 else m.profile.on_grid(r, y))
-            terms.append((m.mode, key))
         held = []
 
         def products():
@@ -492,12 +460,15 @@ class TestFunction:
             grad_y g), formed on the first call and kept while the closure
             lives; nothing writes to them."""
             if not held:
-                formed = {}
-                for mode, key in terms:
-                    if key not in formed:
-                        formed[key] = parts_of[key]()
-                    g, gr, gy = formed[key]
-                    held.append((mode, g, gr, 1j * mode * g, gy))
+                memo, formed = {}, {}
+                for m in self.modes:
+                    p = m.profile
+                    if id(p) not in formed:
+                        formed[id(p)] = (p.on_grid(r, y, memo)
+                                         if isinstance(p, ProductProfile)
+                                         else p.on_grid(r, y))
+                    g, gr, gy = formed[id(p)]
+                    held.append((m.mode, g, gr, 1j * m.mode * g, gy))
             return held
 
         def at(phi):

@@ -114,6 +114,13 @@ class Point:
 # thin wrapper.  Verifier grid code calls these directly.
 # ---------------------------------------------------------------------------
 
+def s_of(y: np.ndarray) -> np.ndarray:
+    """s = |y| along the trailing component axis (shape-preserving otherwise)."""
+    if y.shape[-1] == 0:
+        return np.zeros(y.shape[:-1])
+    return np.sqrt(np.sum(y * y, axis=-1))
+
+
 def rho_rs(gamma, r, s):
     """Gauge distance from r = |x|, s = |y|."""
     q = 2.0 * (1.0 + gamma)

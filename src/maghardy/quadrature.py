@@ -38,16 +38,18 @@ block.  at(phi) then yields every integrand of the check on that block in a
 fixed order, one array at a time, for phi either a float (one angular node,
 as the oracle passes it) or a column of angular nodes of shape (n_c, 1, 1),
 as the main engine passes it; on a column each integrand carries that
-leading axis (or broadcasts against it).  Every density must be elementwise
-per node, so a node's value depends neither on the block nor on the tile it
-sits in.
+leading axis (or broadcasts against it).  Every integrand is a real float
+array: each quantity the checks integrate is a real quadratic form (a
+squared modulus, a weighted |f|^2 or |f|^p), and each integral is returned
+as a float.  Every density must be elementwise per node, so a node's value
+depends neither on the block nor on the tile it sits in.
 
-The main engine gives each slice the bits of one np.add.reduce over it, or
-of one per part for a complex integrand: it walks numpy's pairwise tree
-over the slice down to row blocks (_tensor_sums; on the grids in use the
-tree splits at row boundaries down to its blocks).  The blocks run one at
-a time, each over all its angular tiles of at most BLOCK_NODES (phi, r, y)
-nodes; a single-block grid thus runs several angular nodes per call of at.
+The main engine gives each slice the bits of one np.add.reduce over it:
+it walks numpy's pairwise tree over the slice down to row blocks
+(_tensor_sums; on the grids in use the tree splits at row boundaries down
+to its blocks).  The blocks run one at a time, each over all its angular
+tiles of at most BLOCK_NODES (phi, r, y) nodes; a single-block grid thus
+runs several angular nodes per call of at.
 The slice sums are added in phi order, one integral per integrand, so
 results are bit-stable across runs and do not depend on how many
 integrands share the pass or how the grid is blocked and tiled.
@@ -288,17 +290,6 @@ def _tile_view(product: np.ndarray, tile: tuple) -> np.ndarray:
 _PW_LEAF = 128
 
 
-def _reduce(part: np.ndarray) -> np.ndarray:
-    """np.add.reduce of part along its last axis; a complex part's real and
-    imaginary parts are each reduced alone, so both follow the real tree."""
-    if part.dtype.kind != "c":
-        return np.add.reduce(part, axis=-1)
-    sums = np.empty(len(part), part.dtype)
-    sums.real = np.add.reduce(part.real, axis=-1)
-    sums.imag = np.add.reduce(part.imag, axis=-1)
-    return sums
-
-
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
                  power, phis) -> list:
     """Per integrand of density, its sum over phis on the (r, y) grid of the
@@ -314,14 +305,13 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
     covers (a row the tree splits runs in both blocks that share it), then
     its tiles of n_c = max(1, BLOCK_NODES // its rows' nodes) angular
     nodes: each integrand is weighted on those rows (base), and only the
-    block's own nodes are reduced (_reduce).  So each real slice sum has
-    the bits of one np.add.reduce over the slice, and each complex one
-    those of one per part, however the grid is blocked and tiled; each
-    integrand's slice sums are then added in phi order.  numpy's
-    floating-point warnings, the density's included, are off: base is
-    finite and positive, so a NaN or infinite node makes its block's sum
-    non-finite, and that, or a sum that overflows, raises NonFiniteError
-    at the first node of the tree that has one.
+    block's own nodes are reduced.  So each slice sum has the bits of one
+    np.add.reduce over the slice, however the grid is blocked and tiled;
+    each integrand's slice sums are then added in phi order, as Python
+    floats.  numpy's floating-point warnings, the density's included, are
+    off: base is finite and positive, so a NaN or infinite node makes its
+    block's sum non-finite, and that, or a sum that overflows, raises
+    NonFiniteError at the first node of the tree that has one.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     radial = w_r * r ** power
@@ -337,7 +327,7 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
             col = phis[c:c + n_c, None, None]
             tile = col.shape[:1] + base.shape
             # each product is freed before at forms the next integrand
-            tiles.append([_reduce(_tile_view(base * vals, tile)[:, lo:hi])
+            tiles.append([np.add.reduce(_tile_view(base * vals, tile)[:, lo:hi], axis=-1)
                           for vals in at(col)])
         return [np.concatenate(sums) for sums in zip(*tiles)]
 
@@ -357,7 +347,7 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
     totals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for sums in node(0, r.size * n_flat):
-            total = 0.0 + 0.0j
+            total = 0.0
             for x in sums.tolist():  # as Python numbers: the same additions, cheaper
                 total += x
             totals.append(total)
@@ -371,24 +361,23 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> 
     of the n_phi trapezoid nodes (_tensor_sums), so memory stays at about
     max(BLOCK_NODES, two rows) nodes per integrand plus the 1-D rules,
     however many rows the grid has and however many modes the check
-    carries.  Returns one complex value per integrand.
+    carries.  Returns one float per integrand.
     """
     phis, w_phi = phi_rule(spec.n_phi)
-    return [complex(total * w_phi)
+    return [total * w_phi
             for total in _tensor_sums(density, spec, domain, 1, phis)]  # Jacobian r
 
 
 def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
                      power) -> list:
-    """Real parts of the integrals of every integrand of density, taken at
-    phi = 0.0, over r^power dr dy on the domain.
+    """Integrals of every integrand of density, taken at phi = 0.0, over
+    r^power dr dy on the domain.
 
     The phi = 0 case of the tensor engine: the same row blocks and slice
     reduction as integrate_polar, on one angular node with weight 1.  On
     k = 0 it is a plain radial integral (the y rule is one node of weight 1).
     """
-    return [float(np.real(total))
-            for total in _tensor_sums(density, spec, domain, power, (0.0,))]
+    return _tensor_sums(density, spec, domain, power, (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +406,7 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
     trigonometric content).  density follows the integrate_polar protocol,
     called once per block of at most ORACLE_BLOCK_NODES nodes (or one row),
     so a density's state on its block bounds the memory a check takes;
-    returns one complex value per integrand.  Shares no code with the main
+    returns one float per integrand.  Shares no code with the main
     engine.
     """
     n_r, n_phi, n_y = resolution
@@ -451,10 +440,10 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
             for phi in phis:
                 for i, vals in enumerate(at(float(phi))):
                     if i == len(totals):
-                        totals.append(0.0 + 0.0j)
-                    totals[i] += np.sum(base * np.asarray(vals))
-                    if not np.isfinite(totals[i]):
+                        totals.append(0.0)
+                    totals[i] += float(np.sum(base * np.asarray(vals)))
+                    if not math.isfinite(totals[i]):
                         raise NonFiniteError(
                             "an oracle integrand or its weighted sum is NaN or infinite")
             del at   # the density's state on this block
-    return [complex(total * w_phi) for total in totals]
+    return [total * w_phi for total in totals]

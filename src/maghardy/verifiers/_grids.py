@@ -19,9 +19,10 @@ once per row block of the grid (r of shape (n_rows, 1), y of shape
 nodes is one block, a larger one is cut along numpy's pairwise summation
 tree, a row the tree splits running in both blocks that share it; the
 oracle cuts its grid into blocks of at most quadrature.ORACLE_BLOCK_NODES
-nodes or one row; the blocks run one at a time) and returns at(phi), which yields every integrand of the
-check on that block in order, for phi a float or a column of angular nodes
-(n_c, 1, 1).
+nodes or one row; the blocks run one at a time) and returns at(phi), which
+yields every integrand of the check on that block in order, for phi a float
+or a column of angular nodes (n_c, 1, 1).  Every integrand is a real float
+array, built from abs2, components_sq, grad_y_sq or |.|^p.
 polar_integral and radial_integral return one integral per integrand over
 the support of the test function f, through the same tensor pass of the
 main engine, or through the oracle.  So each check makes one integration
@@ -88,23 +89,21 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
 
 
 def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
-    """Real parts of the (r, phi, y) integrals of density over the support of f.
+    """The (r, phi, y) integrals of density over the support of f.
 
     n_phi must resolve the modes of f.  Oracle-dispatched.
     """
     require_phi_resolution(f, spec)
     domain = support_domain(f)
     if spec.oracle:
-        vals = oracle_integrate(
+        return oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
         )
-    else:
-        vals = integrate_polar(density, spec, domain)
-    return [float(np.real(v)) for v in vals]
+    return integrate_polar(density, spec, domain)
 
 
 def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
-    """Real parts of the integrals of each integrand at phi = 0.0 times r^power dr dy.
+    """The integrals of each integrand at phi = 0.0 times r^power dr dy.
 
     density follows the polar protocol; its integrands are taken at
     phi = 0.0 only, over the support of f.  The one oracle dispatch of the
@@ -119,8 +118,7 @@ def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> li
         at = density(r, y)
         return lambda phi: (vals * r ** (power - 1) / TWO_PI for vals in at(0.0))
 
-    return [float(np.real(v)) for v in oracle_integrate(
-        folded, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))]
+    return oracle_integrate(folded, domain, resolution=(ORACLE_N_R, 1, ORACLE_N_Y))
 
 
 def rx_integral(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
@@ -133,13 +131,6 @@ def integrate(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
     if m == 2:
         return polar_integral(density, f, spec)
     return rx_integral(density, f, spec, m)
-
-
-def s_of(y: np.ndarray) -> np.ndarray:
-    """|y| along the trailing component axis (shape-preserving otherwise)."""
-    if y.shape[-1] == 0:
-        return np.zeros(y.shape[:-1])
-    return np.sqrt(np.sum(y * y, axis=-1))
 
 
 def abs2(z: np.ndarray) -> np.ndarray:

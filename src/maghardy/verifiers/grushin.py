@@ -40,6 +40,7 @@ from ..geometry import (
     grad_y_rho_over_rho,
     hardy_density_rs,
     rho_rs,
+    s_of,
     weight_B_rs,
 )
 from ..quadrature import QuadratureSpec
@@ -52,7 +53,6 @@ from ._grids import (
     polar_integral,
     require_args,
     rx_integral,
-    s_of,
     sharp_constant,
 )
 

@@ -8,8 +8,10 @@ record.constant must agree wherever a statement is read the same way.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from maghardy import quadrature
 from maghardy.cli import _FIELDS, _read, _run_one
 from maghardy.verifiers import FAMILY_FOR
 from maghardy.verifiers.catalogue import CHECKS
@@ -24,24 +26,25 @@ _DISC_BUMP = {"kind": "bump", "r_lo": 0.3, "r_hi": 0.9}
 
 _MARGIN_RUNS = [run for run in _SUITE
                 if "family" not in run and CHECKS[run["theorem_id"]].formula is not None]
+_VERIFY_RUNS = [run for run in _SUITE if "family" not in run]
 
 
 def _values(run, keys):
-    """The values _run_one reads for keys, with ab_hardy's flag at its default."""
-    fields = {**_FIELDS, "admissibility": _FIELDS["admissibility"]._replace(default="thm2")}
-    return [_read(run, key, "run", fields[key]) for key in keys]
+    """The values _run_one reads for keys."""
+    return [_read(run, key, "run", _FIELDS[key]) for key in keys]
 
 
 @pytest.mark.parametrize("run", _MARGIN_RUNS, ids=[run["theorem_id"] for run in _MARGIN_RUNS])
 def test_every_margin_run_reports_its_records_constant(run):
     record = CHECKS[run["theorem_id"]]
-    report = _run_one(run, 0, 0, "thm2")
+    report = _run_one(run, 0, 0)
     assert report.sharp_constant == record.constant(*_values(run, record.keys))
 
 
 def test_the_default_suite_covers_every_margin_id():
     margin = {tid for tid, check in CHECKS.items() if check.formula is not None}
     assert len(_MARGIN_RUNS) == 17 and {run["theorem_id"] for run in _MARGIN_RUNS} == margin
+    assert {run["theorem_id"] for run in _VERIFY_RUNS} == set(CHECKS)   # and 3 identities
 
 
 def _verify_run(engine_run):
@@ -76,8 +79,8 @@ _ENGINE_POINTS = {
 @pytest.mark.parametrize("case", sorted(_ENGINE_POINTS))
 def test_engine_and_verifier_read_one_constant(case):
     run = _ENGINE_POINTS[case]
-    engine = _run_one(run, 0, 0, "thm2")
-    verified = _run_one(_verify_run(run), 0, 0, "thm2")
+    engine = _run_one(run, 0, 0)
+    verified = _run_one(_verify_run(run), 0, 0)
     assert engine.sharp_constant == verified.sharp_constant
 
 
@@ -87,6 +90,34 @@ def test_engine_and_verifier_read_one_constant(case):
 def test_superweight_engine_and_verifier_agree_off_the_shipped_point():
     # c = 0.25: the verifier applies 0.25, the engine 0.0625
     run = _sweep_run("landau_superweight", superweight=_SUPERWEIGHT_C_QUARTER)
-    engine = _run_one(run, 0, 0, "thm2")
-    verified = _run_one(_verify_run(run), 0, 0, "thm2")
+    engine = _run_one(run, 0, 0)
+    verified = _run_one(_verify_run(run), 0, 0)
     assert engine.sharp_constant == verified.sharp_constant
+
+
+@pytest.mark.parametrize("run", _VERIFY_RUNS, ids=[run["theorem_id"] for run in _VERIFY_RUNS])
+def test_every_integrand_of_every_check_is_a_real_float_array(monkeypatch, run):
+    # the density protocol: each check integrates real quadratic forms, so
+    # every integrand its density yields, on every block and tile, is float64
+    seen = []
+    tensor_sums = quadrature._tensor_sums
+
+    def checking(density, *args):
+        def checked(r, y):
+            at = density(r, y)
+
+            def each(phi):
+                for vals in at(phi):
+                    assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
+                    seen.append(vals.shape)
+                    yield vals
+
+            return each
+
+        return tensor_sums(checked, *args)
+
+    monkeypatch.setattr(quadrature, "_tensor_sums", checking)
+    small = {**run["quadrature"], "n_r": 16, **({"n_y": 4} if "n_y" in run["quadrature"] else {})}
+    report = _run_one({**run, "quadrature": small}, 0, 0)
+    sides = (report.rhs,) if hasattr(report, "rhs") else report.rhs_terms.values()
+    assert seen and all(isinstance(v, float) for v in (report.lhs, *sides))

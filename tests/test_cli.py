@@ -182,16 +182,16 @@ def test_report_file_carries_the_non_finite_tokens(tmp_path):
 
 
 def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
-    cfg = _write(tmp_path / "ab.json", {
-        "suite": "reuse", "seed": 5,
-        "runs": [{"theorem_id": "ab_hardy", "geometry": GEOM,
-                  "weights": {"alpha1": 0.0, "alpha2": 0.0}, "flux": {"beta": 0.5},
-                  "function": {"kind": "random", "k": 1, "modes": [0, 1]},
-                  "quadrature": {"n_r": 32, "n_phi": 8, "n_y": 8}}]})
+    run = {"theorem_id": "ab_hardy", "geometry": GEOM,
+           "weights": {"alpha1": 0.0, "alpha2": 0.0}, "flux": {"beta": 0.5},
+           "function": {"kind": "random", "k": 1, "modes": [0, 1]},
+           "quadrature": {"n_r": 32, "n_phi": 8, "n_y": 8}}
+    cfg = _write(tmp_path / "ab.json", {"suite": "reuse", "seed": 5, "runs": [run]})
+    corollary = _write(tmp_path / "corollary.json", {
+        "suite": "reuse", "seed": 5, "runs": [{**run, "admissibility": "corollary"}]})
     first, last = tmp_path / "first.json", tmp_path / "last.json"
 
-    assert main(["verify", "--config", cfg, "--out", str(first),
-                 "--admissibility", "corollary", "--timings"]) == 0
+    assert main(["verify", "--config", corollary, "--out", str(first), "--timings"]) == 0
     assert main(["list"]) == 0
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--config", cfg])
@@ -215,9 +215,9 @@ def test_verify_is_byte_identical_across_runs(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def _ab_split_suite():
+def _ab_split_suite(**extra):
     # second admissibility condition: fails the default reading, passes the
-    # alternative one (gamma = 0.5, alpha2 = -1.5)
+    # alternative one (gamma = 0.5, alpha2 = -1.5); extra keys join the run
     return {
         "suite": "flag",
         "seed": 3,
@@ -228,24 +228,27 @@ def _ab_split_suite():
             "flux": {"beta": 0.5},
             "function": {"kind": "random", "k": 1, "modes": [0, 1]},
             "quadrature": {"n_r": 48, "n_phi": 8, "n_y": 8},
+            **extra,
         }],
     }
 
 
 def test_admissibility_flag_switches_outcome(tmp_path):
-    cfg = _write(tmp_path / "flag.json", _ab_split_suite())
+    # the run's "admissibility" key: absent it is thm2, as given thm2 too
+    for name, extra in (("strict", {}), ("thm2", {"admissibility": "thm2"})):
+        cfg = _write(tmp_path / f"{name}.cfg.json", _ab_split_suite(**extra))
+        strict = tmp_path / f"{name}.json"
+        assert main(["verify", "--config", cfg, "--out", str(strict)]) == 1
+        rec = json.loads(strict.read_text())["runs"][0]
+        assert rec["status"] == "error"
+        assert rec["error"]["type"] == "AdmissibilityError"
 
-    strict = tmp_path / "strict.json"
-    assert main(["verify", "--config", cfg, "--out", str(strict)]) == 1
-    rec = json.loads(strict.read_text())["runs"][0]
-    assert rec["status"] == "error"
-    assert rec["error"]["type"] == "AdmissibilityError"
-
+    cfg = _write(tmp_path / "relaxed.cfg.json", _ab_split_suite(admissibility="corollary"))
     relaxed = tmp_path / "relaxed.json"
-    assert main(["verify", "--config", cfg, "--out", str(relaxed),
-                 "--admissibility", "corollary"]) == 0
+    assert main(["verify", "--config", cfg, "--out", str(relaxed)]) == 0
     rec = json.loads(relaxed.read_text())["runs"][0]
     assert rec["status"] == "ok" and rec["passed"]
+    assert rec["report"]["params"]["admissibility"] == "corollary"
 
 
 def test_run_level_errors_are_recorded_not_raised(tmp_path):
@@ -424,9 +427,9 @@ _UNREAD = {
 @pytest.mark.parametrize("bad", sorted(_UNREAD))
 def test_a_key_the_path_does_not_read_is_named(bad):
     with pytest.raises(ConfigError) as exc:
-        _run_one(_MALFORMED_RUNS[bad], 0, 0, "thm2")
+        _run_one(_MALFORMED_RUNS[bad], 0, 0)
     assert str(exc.value) == f"runs[0]: unknown keys {_UNREAD[bad]}"
-    _run_one(_SHARP_RUN, 0, 0, "thm2")   # the sharpness run without them runs
+    _run_one(_SHARP_RUN, 0, 0)   # the sharpness run without them runs
 
 
 def test_every_listed_key_has_one_reader_and_every_reader_is_listed():
@@ -659,6 +662,55 @@ def test_config_problems_exit_two(tmp_path, capsys):
     assert main(["verify", "--config", unknown_top, "--out", out]) == 2
 
 
+# config bytes that json cannot decode, and the error json.loads raises on them
+_UNDECODABLE = {
+    "non-UTF-8 bytes": (b'\xff{"runs": []}', UnicodeDecodeError),
+    "arrays nested past the recursion limit": (b'{"runs": ' + b"[" * 1000, RecursionError),
+    "a seed past the integer digit limit": (b'{"seed": ' + b"7" * 5000 + b', "runs": []}',
+                                            ValueError),
+}
+
+
+def _one_error_line(err: str, path) -> bool:
+    return err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+@pytest.mark.parametrize("case", sorted(_UNDECODABLE))
+def test_an_undecodable_config_exits_two(tmp_path, capsys, case, command):
+    text, raised = _UNDECODABLE[case]
+    with pytest.raises(raised):
+        json.loads(text.decode("utf-8"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    out = (["--out", str(tmp_path / "r.json")] if command == "verify"
+           else ["--out-dir", str(tmp_path / "out")])
+    assert main([command, "--config", str(cfg), *out]) == 2
+    assert _one_error_line(capsys.readouterr().err, cfg)
+
+
+def test_an_unwritable_report_path_exits_two(tmp_path, capsys):
+    cfg = _write(tmp_path / "suite.json", {
+        "suite": "w", "seed": 0,
+        "runs": [{"theorem_id": "radial_hardy", "geometry": GEOM,
+                  "weights": {"alpha1": 0.0, "alpha2": 0.0},
+                  "function": BUMP, "quadrature": FAST}]})
+    out = tmp_path / "missing" / "r.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    assert _one_error_line(capsys.readouterr().err, out)
+    assert not out.parent.exists()
+
+
+def test_an_output_directory_under_a_regular_file_exits_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out_dir = blocker / "sub"
+    cfg = str(REPO / "scripts" / "sharpness_sweep.json")
+    assert main(["sweep", "--config", cfg, "--out-dir", str(out_dir)]) == 2
+    assert _one_error_line(capsys.readouterr().err, out_dir)
+    assert blocker.read_text() == ""
+
+
 
 def test_timings_flag_records_wall_clock(tmp_path):
     cfg = _write(tmp_path / "suite.json", {
@@ -781,14 +833,21 @@ def test_zero_sharp_constant_gives_an_infinite_gap(tmp_path):
         assert [r["gap"] for r in csv.DictReader(fh)] == ["inf", "inf"]
 
 
-def test_sweep_has_no_admissibility_flag(tmp_path, capsys):
-    cfg = str(REPO / "scripts" / "sharpness_sweep.json")
+@pytest.mark.parametrize("command", ["verify", "sweep"])
+def test_no_command_has_an_admissibility_flag(tmp_path, capsys, command):
+    # the run's "admissibility" key is the one way to choose the condition
+    out = tmp_path / "out"
+    if command == "verify":
+        argv = ["verify", "--config", _write(tmp_path / "flag.json", _ab_split_suite()),
+                "--out", str(out)]
+    else:
+        argv = ["sweep", "--config", str(REPO / "scripts" / "sharpness_sweep.json"),
+                "--out-dir", str(out)]
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--config", cfg, "--out-dir", str(tmp_path / "out"),
-              "--admissibility", "corollary"])
+        main([*argv, "--admissibility", "corollary"])
     assert exc.value.code == 2
     assert "--admissibility" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
 def test_sweep_records_engine_errors(tmp_path):
@@ -969,7 +1028,7 @@ def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
         out = []
         for i, run in runs:
             widths.append([])
-            report = _run_one(run, i, _run_seed(run, i, cfg["seed"]), "thm2")
+            report = _run_one(run, i, _run_seed(run, i, cfg["seed"]))
             out.append(json.dumps(report, default=jsonable, sort_keys=True))
         return out
 
@@ -1071,15 +1130,15 @@ def test_boundary_conditions_are_the_listed_ones():
 
 @pytest.mark.parametrize("tid, cond", _BOUNDARY_CASES)
 def test_admissibility_boundary_is_sharp(tid, cond):
-    _run_one(_boundary_run(tid, cond, 1e-6), 0, 3, "thm2")  # accepted
+    _run_one(_boundary_run(tid, cond, 1e-6), 0, 3)  # accepted
     with pytest.raises(AdmissibilityError):
-        _run_one(_boundary_run(tid, cond, -1e-6), 0, 3, "thm2")
+        _run_one(_boundary_run(tid, cond, -1e-6), 0, 3)
 
 
 def _outcome(run):
     """The string "accepted", or the class and message of the error raised."""
     try:
-        _run_one(run, 0, 3, "thm2")
+        _run_one(run, 0, 3)
     except MagHardyError as exc:
         return type(exc), str(exc)
     return "accepted"

@@ -179,7 +179,7 @@ def test_y_bumps_vanish_at_endpoints():
 
 
 def _val(prof, r, y):
-    return prof.on_grid(r, y)()[0]
+    return prof.on_grid(r, y)[0]
 
 
 def test_product_profile_partials_match_fd():
@@ -190,7 +190,7 @@ def test_product_profile_partials_match_fd():
     r = rng.uniform(0.8, 1.6, size=40)
     y = np.stack([rng.uniform(-0.5, 0.5, 40), rng.uniform(0.6, 1.4, 40)], axis=-1)
     h = 1e-6
-    _, g_r, g_y = prof.on_grid(r, y)()
+    _, g_r, g_y = prof.on_grid(r, y)
     fd_r = (_val(prof, r + h, y) - _val(prof, r - h, y)) / (2 * h)
     np.testing.assert_allclose(g_r, fd_r, atol=1e-7)
     for j in range(2):
@@ -221,7 +221,7 @@ def test_rho_shell_partials_match_fd():
     r = rng.uniform(0.7, 1.2, size=30)
     y = rng.uniform(-0.3, 0.3, size=(30, 1))
     h = 1e-6
-    _, g_r, g_y = prof.on_grid(r, y)()
+    _, g_r, g_y = prof.on_grid(r, y)
     fd_r = (_val(prof, r + h, y) - _val(prof, r - h, y)) / (2 * h)
     np.testing.assert_allclose(g_r, fd_r, rtol=1e-6, atol=1e-8)
     dy = np.full_like(y, h)

@@ -344,9 +344,10 @@ def test_k0_row_blocks_give_the_bits_of_one_block(monkeypatch):
                 for v, psi, params, f, radius in runs]
 
     one_block = reports()
-    widths, reduce = [], quadrature._reduce
-    monkeypatch.setattr(quadrature, "_reduce",
-                        lambda part: (widths.append(part.shape[-1]), reduce(part))[1])
+    widths, tile_view = [], quadrature._tile_view
+    monkeypatch.setattr(quadrature, "_tile_view",
+                        lambda product, tile: (widths.append(tile[1] * tile[2]),
+                                               tile_view(product, tile))[1])
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 4)
     assert reports() == one_block
     assert set(widths) == {72}

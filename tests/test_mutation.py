@@ -40,7 +40,7 @@ def _inflate(monkeypatch, tid):
 
 
 def _run(run, index=0):
-    return _run_one(run, index, index, "thm2")
+    return _run_one(run, index, index)
 
 
 def test_every_margin_id_has_a_catcher_or_is_listed_without_one():

@@ -208,8 +208,8 @@ def test_integrate_polar_against_closed_form():
     spec = QuadratureSpec(n_r=64, n_phi=8, n_y=24)
     [got] = integrate_polar(_gauss_density, spec, dom)
     want = _gauss_closed_form(0.05, 4.0, 2.0)
-    assert abs(got.imag) <= 1e-14 * abs(want)
-    assert abs(got.real - want) <= 1e-10 * abs(want)
+    assert type(got) is float
+    assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_oracle_agrees_with_main_engine():
@@ -250,7 +250,7 @@ def test_every_integrand_of_a_pass_equals_its_own_integral():
     integrands = (
         _gauss_integrand,
         lambda r, phi, y: np.sin(phi) * r * (1.0 + 0.0 * y[..., 0]),
-        lambda r, phi, y: np.exp(1j * phi) * np.exp(-r) * (1.0 + y[..., 0] ** 2),
+        lambda r, phi, y: np.cos(phi + 0.3) * np.exp(-r) * (1.0 + y[..., 0] ** 2),
     )
 
     def together(r, y):
@@ -290,10 +290,10 @@ BLOCKS = {SMALL_BLOCK: 16, 1080: 2}
 
 
 def _mixed_shape_density(r, y):
-    """Integrands of shape (n_r, n_flat), (n_r, 1) and one per phi, real and complex."""
+    """Integrands of shape (n_r, n_flat), (n_r, 1) and one per phi."""
     def at(phi):
         yield _gauss_integrand(r, phi, y)
-        yield np.exp(1j * phi) * np.exp(-r) * np.sqrt(r)
+        yield np.cos(phi + 0.3) * np.exp(-r) * np.sqrt(r)
         yield np.cos(phi) + 2.0
 
     return at
@@ -341,11 +341,8 @@ def test_density_runs_once_per_row_block(monkeypatch, block):
 
 
 def _reference_sum(values):
-    """np.add.reduce of values as one contiguous run; of each part alone if complex."""
-    values = np.ravel(values)
-    if values.dtype.kind == "c":
-        return complex(np.add.reduce(values.real.copy()), np.add.reduce(values.imag.copy()))
-    return np.add.reduce(values)
+    """np.add.reduce of values as one contiguous run."""
+    return np.add.reduce(np.ravel(values))
 
 
 def _slice_by_slice(at, base, phis):
@@ -356,26 +353,26 @@ def _slice_by_slice(at, base, phis):
         for i, vals in enumerate(at(col)):
             one = base * np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)[0]
             if i == len(totals):
-                totals.append(0.0 + 0.0j)
-            totals[i] += _reference_sum(one)
+                totals.append(0.0)
+            totals[i] += float(_reference_sum(one))
     return totals
 
 
 def _four_shape_density(r, y):
-    """_mixed_shape_density's integrands, then a complex full-grid one."""
+    """_mixed_shape_density's integrands, then a full-grid one of either sign."""
     mixed = _mixed_shape_density(r, y)
 
     def at(phi):
         yield from mixed(phi)
-        yield np.exp(2j * phi) * _gauss_integrand(r, phi, y)
+        yield np.sin(2.0 * phi + 0.3) * _gauss_integrand(r, phi, y)
 
     return at
 
 
 @pytest.mark.parametrize("tile", [1, 3, 8, "blocked"])
 def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
-    # the tensor pass's sums have the bits of each whole slice summed alone
-    # (each part of a complex one), on every integrand shape, in tiles of 1,
+    # the tensor pass's sums have the bits of each whole slice summed alone,
+    # as Python floats, on every integrand shape, in tiles of 1,
     # 3 (a ragged last tile of 2) and all 8 angular nodes of one block, and
     # on 16 blocks that follow numpy's pairwise tree off the row grid
     domain = support_domain(BLOCKED_F)
@@ -393,6 +390,7 @@ def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
     got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, phis)
     want = _slice_by_slice(_four_shape_density(r[:, None], Y[None, :, :]), base, phis)
     assert got == want and len(got) == 4
+    assert all(type(total) is float for total in got)
     assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8],
                      "blocked": [1] * 8 * BLOCKS[SMALL_BLOCK]}[tile]
 
@@ -438,7 +436,8 @@ def _check_slice_sums(x, block):
                 quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
         else:
             got = quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
-            assert np.array(got).tobytes() == np.array(want, dtype=complex).tobytes()
+            assert all(type(total) is float for total in got)
+            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
 
 
 @st.composite
@@ -449,17 +448,13 @@ def _slices(draw):
         n_rows -= 1 - n_rows % 2  # an odd row count
     n_phi = draw(st.sampled_from([1, 2, 3]))
     block = draw(st.one_of(st.integers(64, 1024), st.integers(1025, 2**14)))
-    complex_ = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = (n_phi, n_rows, n_flat)
     x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
-    if complex_:
-        x = x + 1j * rng.standard_normal(shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
     for _ in range(draw(st.integers(0, 3))):
         special = draw(st.sampled_from([np.nan, np.inf, -np.inf, 1e308]))
-        part = 1j if complex_ and draw(st.booleans()) else 1.0
         x[draw(st.integers(0, n_phi - 1)), draw(st.integers(0, n_rows - 1)),
-          draw(st.integers(0, n_flat - 1))] = special * part
+          draw(st.integers(0, n_flat - 1))] = special
     return x, block
 
 
@@ -467,13 +462,13 @@ def _slices(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_each_slice_sum_is_one_reduction_bitwise(case):
     # any grid up to 2e5 nodes a slice, odd row counts among them, blocks of
-    # 64 to 2^14 nodes, real or complex, with NaN, +-inf and sums that
-    # overflow: bitwise np.add.reduce of each whole slice (of each part if
-    # complex), or NonFiniteError exactly when one of those is not finite
+    # 64 to 2^14 nodes, with NaN, +-inf and sums that overflow: bitwise
+    # np.add.reduce of each whole slice, or NonFiniteError exactly when one
+    # of those is not finite
     _check_slice_sums(*case)
 
 
-@pytest.mark.parametrize("kind", [float, complex])
+@pytest.mark.parametrize("kind", ["float", "spread"])
 @pytest.mark.parametrize("grid, block", [((141, 1296), quadrature.BLOCK_NODES),
                                          ((765, 192), quadrature.BLOCK_NODES),
                                          ((48, 14400), quadrature.BLOCK_NODES),
@@ -482,11 +477,13 @@ def test_grids_cut_off_the_row_grid_keep_each_slice_sum(grid, block, kind):
     # the k = 2 ab_hardy grid at n_r = 47, a k = 1 grid at n_r = 255, an
     # eighth of the k = 2 identity's 384 x 14,400 grid, whose tree splits
     # every third row in two the same way, and two leaves of exactly
-    # _PW_LEAF nodes, each larger than a block
+    # _PW_LEAF nodes, each larger than a block; standard normal values, or
+    # values spread over 16 decades, whose sum takes other bits in any other
+    # order of additions
     rng = np.random.default_rng(sum(grid))
     x = rng.standard_normal((1, *grid))
-    if kind is complex:
-        x = x + 1j * rng.standard_normal(x.shape)
+    if kind == "spread":
+        x = x * 10.0 ** rng.uniform(-8.0, 8.0, x.shape)
     _check_slice_sums(x, block)
 
 
@@ -519,24 +516,25 @@ def test_grids_in_use_are_cut_on_numpys_pairwise_tree(monkeypatch, grid):
     n_rows, n_flat = grid
     count, rows = _ALIGNED[grid]
     blocks, parts = [], []
-    reduce = quadrature._reduce
+    tile_view = quadrature._tile_view
 
     def density(r, y):
         blocks.append((int(r[0, 0]), int(r[-1, 0]) + 1))
-        return lambda col: (np.ones(col.shape), np.full(col.shape, 1j))
+        return lambda col: (np.ones(col.shape), np.full(col.shape, 2.0))
 
-    def spy(part):
-        parts.append(part.shape)
-        return reduce(part)
+    def spy(product, tile):
+        parts.append(tile_view(product, tile).shape)
+        return tile_view(product, tile)
 
     monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
-    monkeypatch.setattr(quadrature, "_reduce", spy)
+    monkeypatch.setattr(quadrature, "_tile_view", spy)
     got = quadrature._tensor_sums(density, None, None, 0, (0.0, 1.0))
     # every block is one subtree of whole rows: one reduction of the whole
-    # block per tile (one angular node here) and integrand, real and complex
+    # block per tile (one angular node here) and integrand, and every node
+    # is summed once
     assert blocks == [(a, a + rows) for a in range(0, n_rows, rows)] and len(blocks) == count
     assert parts == [(1, rows * n_flat)] * (count * 2 * 2)
-    assert got == [2.0 * n_rows * n_flat, 2j * n_rows * n_flat]
+    assert got == [2.0 * n_rows * n_flat, 4.0 * n_rows * n_flat]
 
 
 def test_integrate_radial_weighted_power():
@@ -564,8 +562,6 @@ NONFINITE_NODES = {
     "+inf": lambda r: np.inf,
     "-inf": lambda r: -np.inf,
     "+inf and -inf in one slice": lambda r: np.where(r > 1.5, np.inf, -np.inf),
-    "nan imaginary part": lambda r: complex(1.0, np.nan),
-    "infinite imaginary part": lambda r: complex(1.0, np.inf),
 }
 
 

@@ -59,13 +59,8 @@ class Dilated:
         self.reaches_origin, self.k = profile.reaches_origin, profile.k
 
     def on_grid(self, r, y):
-        parts = self.inner.on_grid(self.lam * r, self.mu * y)
-
-        def dilated():
-            g, gr, gy = parts()
-            return g, self.lam * gr, self.mu * gy
-
-        return dilated
+        g, gr, gy = self.inner.on_grid(self.lam * r, self.mu * y)
+        return g, self.lam * gr, self.mu * gy
 
 
 def _dilate(f, lam, gamma):

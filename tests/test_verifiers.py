@@ -594,7 +594,9 @@ def test_a_factor_shared_by_modes_runs_once_per_grid():
     values = at(_COL)
     assert radial.calls == 1
     assert _same_bits(values, apart.on_grid(r, y)(_COL))
-    f.on_grid(r, y)
+    at(0.7)
+    assert radial.calls == 1  # once per closure, however often it is called
+    f.on_grid(r, y)(_COL)
     assert radial.calls == 2  # once per grid, not once per closure's life
 
 
@@ -617,13 +619,8 @@ class _CountingProfile(ProductProfile):
     forms = 0
 
     def on_grid(self, r, y, memo=None):
-        parts = super().on_grid(r, y, memo)
-
-        def counted():
-            self.forms += 1
-            return parts()
-
-        return counted
+        self.forms += 1
+        return super().on_grid(r, y, memo)
 
 
 def _shared_pair_and_zero(shared):
@@ -643,6 +640,7 @@ def test_a_profile_shared_by_two_modes_forms_its_products_once_per_closure():
     f, apart = _shared_pair_and_zero(shared)
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
+    assert shared.forms == 0  # formed at the closure's first call, not before
     for phi in (_COL, 0.7, _COL):
         assert _same_bits(at(phi), apart.on_grid(r, y)(phi))
     assert shared.forms == 1
