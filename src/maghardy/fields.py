@@ -12,9 +12,14 @@ tilde_components return polar-frame components, twisted_components
 Cartesian ones.  The first two work in two steps, like the densities that
 call them: given the grid they form the phi-independent field factors once
 and return a closure that maps the test function's parts at those nodes to
-the components.  The verifiers integrate sums of their squared moduli.  The pointwise API is a
-one-node call into the same functions that rotates the polar frame to
-Cartesian, so the finite-difference tests check the code the integrals run.
+the components.  The verifiers integrate sums of their squared moduli.
+The arithmetic is complex except where an imaginary part is exactly zero:
+the parts of a radial f on real profiles are float arrays, which give the
+real parts of the complex ones bit for bit, and the division of a part by r
+is a product with 1 / r, which is how numpy divides a complex array by a
+real one.  The pointwise API is a one-node call into the same functions
+that rotates the polar frame to Cartesian, so the finite-difference tests
+check the code the integrals run.
 Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
@@ -151,9 +156,9 @@ def grushin_components(beta: float, gamma: float, r, y, rho_val):
 
     def components(parts):
         val, fr, fphi, fy = parts
-        cy = rg * fy
-        cy += 1j * beta * ay * val[..., None]  # in place: one y-block array fewer
-        return fr + 1j * beta * ar * val, fphi / r, cy
+        cy = 1j * beta * ay * val[..., None]
+        cy += rg * fy  # in place: one y-block array fewer
+        return fr + 1j * beta * ar * val, fphi * (1.0 / r), cy
 
     return components
 
@@ -175,12 +180,12 @@ def tilde_components(beta: float, gamma: float, r, y, rho_val):
 
     def components(parts):
         val, fr, fphi, fy = parts
-        cphi = fphi / r + 1j * beta * aphi * val
+        cphi = fphi * (1.0 / r) + 1j * beta * aphi * val
         uy = rg * fy * math.sqrt(0.5)
         a = 1j * beta * ay * val[..., None]
         minus = uy - a
-        uy += a  # in place: one y-block array fewer
-        return fr, cphi, minus, uy
+        a += uy  # in place: one y-block array fewer
+        return fr, cphi, minus, a
 
     return components
 
@@ -209,8 +214,9 @@ def twisted_components(psi_r, r, phi: float | np.ndarray, parts):
     """
     val, fr, fphi, _ = parts
     c, s = _cos_sin(phi)
-    fx = c * fr - s * fphi / r
-    fy = s * fr + c * fphi / r
+    inv_r = 1.0 / r
+    fx = c * fr - s * fphi * inv_r
+    fy = s * fr + c * fphi * inv_r
     return fx - 1j * psi_r * (r * s) * val, fy + 1j * psi_r * (r * c) * val
 
 

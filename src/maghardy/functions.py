@@ -30,10 +30,13 @@ profile.on_grid(r, y) returns g, dg/dr and grad_y g, a ProductProfile
 computing each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once
 however many modes carry it.  The closure keeps those products, and each
 mode's 1j * mode * g, while it lives; every call then only multiplies them
-by e^(i mode phi) and adds the modes.  The quadrature engine makes one
-closure per row block and calls it once per tile of angular nodes, so the
-products are formed once per block, however many tiles it has.  The
-pointwise value_polar and partials_polar are one call of that closure.
+by e^(i mode phi) and adds the modes, mode 0 without a product (its phase
+is exactly 1).  A radial f on real profiles stays in float arithmetic,
+which gives the real parts of the complex arithmetic bit for bit; any
+other f is complex.  The quadrature engine makes one closure per row block
+and calls it once per tile of angular nodes, so the products are formed
+once per block, however many tiles it has.  The pointwise value_polar and
+partials_polar are one call of that closure.
 """
 
 from __future__ import annotations
@@ -279,7 +282,7 @@ class ProductProfile:
     def k(self):
         return len(self.y_factors)
 
-    def on_grid(self, r, y, memo=None):
+    def on_grid(self, r, y, memo=None, real=True):
         """(g, dg/dr, grad_y g) on the grid (r, y), grad_y g in one (..., k) array.
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
@@ -288,7 +291,9 @@ class ProductProfile:
         (value, derivative) under the factor's identity and its coordinate
         ("r", or y axis j), so a factor that the profiles of several modes
         share runs once on that grid; one object placed on two y axes runs
-        once per axis.
+        once per axis.  With real and an amplitude of imaginary part 0 the
+        arrays are float, the real parts of the complex ones bit for bit
+        ((a + 0i)(c + 0i) rounds a*c once); otherwise they are complex.
         """
         memo = {} if memo is None else memo
 
@@ -299,6 +304,8 @@ class ProductProfile:
             return memo[key]
 
         amp = self.amplitude
+        if real and amp.imag == 0.0:
+            amp = amp.real
         rv, drv = both(self.radial, "r", r)
         ys = [both(yf, j, y[..., j]) for j, yf in enumerate(self.y_factors)]
 
@@ -310,7 +317,7 @@ class ProductProfile:
 
         shape = np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]) + (len(ys),)
         base = amp * rv
-        gy = np.empty(shape, complex)
+        gy = np.empty(shape, np.result_type(base))
         for j, (_, dv) in enumerate(ys):
             gy[..., j] = times(base * dv, j)
         return times(base), times(amp * drv), gy
@@ -351,13 +358,17 @@ class RhoShellProfile:
 
     def on_grid(self, r, y):
         """(g, dg/dr, grad_y g) on the grid (r, y); every factor depends on
-        rho, a full-grid array."""
+        rho, a full-grid array.  Float arrays when the amplitude's imaginary
+        part is 0, complex ones otherwise; dg/dr multiplies by
+        1 / rho^(2 gamma + 1), as numpy's complex division by a real does."""
         g, amp = self.geom.gamma, self.amplitude
+        if amp.imag == 0.0:
+            amp = amp.real
         rho = rho_rs(g, r, s_of(y))
         win, dwin = _plateau(np.log(rho), self._a, self._b)
         h = rho**self.sigma * win
         dh = rho ** (self.sigma - 1.0) * (self.sigma * win + dwin)
-        dr = amp * dh * r ** (2.0 * g + 1.0) / rho ** (2.0 * g + 1.0)
+        dr = amp * dh * r ** (2.0 * g + 1.0) * (1.0 / rho ** (2.0 * g + 1.0))
         grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
         return amp * h, dr, amp * dh[..., None] * grad
 
@@ -440,20 +451,27 @@ class TestFunction:
 
         The first call of the closure, or of its mode_zero, evaluates each
         distinct profile on the grid once (modes +l and -l may share one),
-        giving its g, dg/dr and grad_y g, and each mode's 1j * mode * g;
-        the closure keeps them, unwritten, for its lifetime: modes x (3 + k)
-        arrays on the grid.  Each ProductProfile gets the one memo of that
-        first call, so each distinct 1-D factor runs once on the grid
-        however many profiles carry it; other profiles take the plain
-        on_grid(r, y).  Each call adds every mode's terms at phi in sorted
-        mode order: phi is a float (one angular node) or a column of nodes
-        of shape (n_c, 1, 1), which gives every output that leading axis.
-        The closure's mode_zero() gives f0, the zeroth angular mode of f, on
-        the grid: the kept g of mode 0 (zeros if f has no mode 0), which
-        the caller must not write to.
+        giving its g, dg/dr and grad_y g, and each mode's 1j * mode * g
+        (zeros for mode 0); the closure keeps them, unwritten, for its
+        lifetime: modes x (3 + k) arrays on the grid.  Each ProductProfile
+        gets the one memo of that first call, so each distinct 1-D factor
+        runs once on the grid however many profiles carry it; other
+        profiles take the plain on_grid(r, y).  Each call adds every mode's
+        terms at phi in sorted mode order: phi is a float (one angular
+        node) or a column of nodes of shape (n_c, 1, 1), which gives every
+        output that leading axis.  Mode 0 is added without its phase, since
+        (a + bi)(1 + 0i) is exactly a + bi, so its outputs lack that axis
+        when f is radial, and the call returns the kept arrays themselves,
+        which the caller must not write to.  A radial f whose profile is
+        real (a ProductProfile or RhoShellProfile of real amplitude) stays
+        real: its arrays are float, the real parts of the complex ones bit
+        for bit; every other f is formed complex.  The closure's mode_zero()
+        gives f0, the zeroth angular mode of f, on the grid: the kept g of
+        mode 0 (zeros if f has no mode 0), likewise not to be written.
         r and y must not change while the closure is in use.
         """
         held = []
+        real = self.is_radial
 
         def products():
             """Per mode, in sorted order: (mode, g, dg/dr, 1j * mode * g,
@@ -464,25 +482,30 @@ class TestFunction:
                 for m in self.modes:
                     p = m.profile
                     if id(p) not in formed:
-                        formed[id(p)] = (p.on_grid(r, y, memo)
+                        formed[id(p)] = (p.on_grid(r, y, memo, real)
                                          if isinstance(p, ProductProfile)
                                          else p.on_grid(r, y))
                     g, gr, gy = formed[id(p)]
-                    held.append((m.mode, g, gr, 1j * m.mode * g, gy))
+                    gphi = 1j * m.mode * g if m.mode else np.zeros_like(g)
+                    held.append((m.mode, g, gr, gphi, gy))
             return held
 
         def at(phi):
             out = None
             for mode, g, gr, gphi, gy in products():
-                e = np.exp(1j * mode * np.asarray(phi))
-                ey = e[..., None] if np.ndim(e) else e
+                if mode:
+                    e = np.exp(1j * mode * np.asarray(phi))
+                    ey = e[..., None] if np.ndim(e) else e
+                    terms = (g * e, gr * e, gphi * e, gy * ey)
+                else:  # e = 1 + 0i
+                    terms = (g, gr, gphi, gy)
                 if out is None:
-                    out = [g * e, gr * e, gphi * e, gy * ey]
+                    out, kept = list(terms), not mode
+                elif kept:  # out holds mode 0's kept arrays: the sum allocates
+                    out, kept = [o + t for o, t in zip(out, terms)], False
                 else:  # in place, so no second full-grid sum is formed
-                    out[0] += g * e
-                    out[1] += gr * e
-                    out[2] += gphi * e
-                    out[3] += gy * ey
+                    for i, t in enumerate(terms):
+                        out[i] += t
             return tuple(out)
 
         def mode_zero():

@@ -41,8 +41,9 @@ as the main engine passes it; on a column each integrand carries that
 leading axis (or broadcasts against it).  Every integrand is a real float
 array: each quantity the checks integrate is a real quadratic form (a
 squared modulus, a weighted |f|^2 or |f|^p), and each integral is returned
-as a float.  Every density must be elementwise per node, so a node's value
-depends neither on the block nor on the tile it sits in.
+as a float; both engines refuse a complex integrand with a RealnessError
+that names its index.  Every density must be elementwise per node, so a
+node's value depends neither on the block nor on the tile it sits in.
 
 The main engine gives each slice the bits of one np.add.reduce over it:
 it walks numpy's pairwise tree over the slice down to row blocks
@@ -74,7 +75,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import AdmissibilityError, DomainError, NonFiniteError, require_param
+from .errors import AdmissibilityError, DomainError, NonFiniteError, RealnessError, require_param
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,6 +272,13 @@ def tensor_grid(spec: QuadratureSpec, domain: Domain):
     return r, w_r, Y, w_y
 
 
+def _require_real(i: int, values) -> None:
+    """Raise RealnessError, naming integrand i, if values are complex."""
+    if values.dtype.kind == "c":
+        raise RealnessError(f"integrand {i} is complex; every integrand must be "
+                            "a real float array")
+
+
 def _check_finite(values) -> None:
     """Raise NonFiniteError unless every entry of values is finite."""
     if not np.isfinite(values).all():
@@ -346,7 +354,8 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
 
     totals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for sums in node(0, r.size * n_flat):
+        for i, sums in enumerate(node(0, r.size * n_flat)):
+            _require_real(i, sums)
             total = 0.0
             for x in sums.tolist():  # as Python numbers: the same additions, cheaper
                 total += x
@@ -382,7 +391,8 @@ def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
 
 # ---------------------------------------------------------------------------
 # Oracle: uniform grids, composite Simpson.  No integration code above this
-# line is reused, on purpose; only the slice ceiling is shared.
+# line is reused, on purpose; only the slice ceiling and the refusal of a
+# complex integrand are shared.
 # ---------------------------------------------------------------------------
 
 def _simpson_rule(a, b, n):
@@ -441,7 +451,9 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
                 for i, vals in enumerate(at(float(phi))):
                     if i == len(totals):
                         totals.append(0.0)
-                    totals[i] += float(np.sum(base * np.asarray(vals)))
+                    block_sum = np.sum(base * np.asarray(vals))
+                    _require_real(i, block_sum)
+                    totals[i] += float(block_sum)
                     if not math.isfinite(totals[i]):
                         raise NonFiniteError(
                             "an oracle integrand or its weighted sum is NaN or infinite")

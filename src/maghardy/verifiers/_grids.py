@@ -134,7 +134,11 @@ def integrate(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
-    return (z * np.conj(z)).real
+    """|z|^2: z * z for a float array, the real part of z * conj(z), bit for
+    bit, had it been complex with imaginary part 0."""
+    if z.dtype.kind == "c":
+        return (z * np.conj(z)).real
+    return z * z
 
 
 def grad_y_sq(dy: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from typing import Callable, NamedTuple
 from ..errors import AdmissibilityError, DomainError, require_param
 from ..reports import SuperweightParams
 from . import grushin, landau, radial_p
-from ._grids import require_args
 from .grushin import _first_kind, _rotated_kind
 from .landau import _theta1
 
@@ -52,12 +51,11 @@ def _grushin(s_hom: float, beta: float = 0.0) -> float:
     return (0.5 * s_hom) ** 2 + beta * beta
 
 
-def _magnetic(theorem_id: str, kind: Callable, root: bool = False) -> Callable:
-    """(s/2)^2 + beta^2, or its root, for s = kind(geom, exps, *flag), then flux checked."""
+def _magnetic(kind: Callable, root: bool = False) -> Callable:
+    """(s/2)^2 + beta^2, or its root, for s = kind(geom, exps, *flag); every
+    caller (the verifiers, the sharpness engine) has checked flux."""
     def constant(geom, exps, flux, *flag):
-        s_hom = kind(geom, exps, *flag)
-        require_args(theorem_id, flux=flux)
-        C = _grushin(s_hom, flux.beta)
+        C = _grushin(kind(geom, exps, *flag), flux.beta)
         return math.sqrt(C) if root else C
     return constant
 
@@ -139,7 +137,7 @@ CHECKS = {
         "((Q+a1-2)/2)^2 + b^2", "Q+a1-2 > 0, m+g*a2 > 0; real f", _MAGNETIC,
         lambda f, spec, geom, exps, flux: grushin.verify_magnetic_grushin(
             geom, exps, flux, f, spec),
-        _magnetic("magnetic_grushin", _first_kind),
+        _magnetic(_first_kind),
         "rho_power", _MAGNETIC,
         lambda geom, exps, flux: {"geom": geom, "exps": exps, "flux": flux}),
     "ab_hardy": Statement(
@@ -148,18 +146,18 @@ CHECKS = {
         (*_MAGNETIC, "admissibility"),
         lambda f, spec, geom, exps, flux, admissibility: grushin.verify_ab_hardy(
             geom, exps, flux, f, spec, admissibility=admissibility),
-        _magnetic("ab_hardy", _rotated_kind)),
+        _magnetic(_rotated_kind)),
     "uncertainty_grushin": Statement(
         "(((Q+a1-2)/2)^2 + b^2)^(1/2)",
         "as magnetic_grushin; norms halve the weight exponents", _MAGNETIC,
         lambda f, spec, geom, exps, flux: grushin.verify_uncertainty_grushin(
             geom, exps, flux, f, spec, variant="uncer1"),
-        _magnetic("uncertainty_grushin", _first_kind, root=True)),
+        _magnetic(_first_kind, root=True)),
     "uncertainty_ab": Statement(
         "(((a1+k(g+1))/2)^2 + b^2)^(1/2)", "m = 2, a1+k(g+1) > 0, a2*g+2 > 0", _MAGNETIC,
         lambda f, spec, geom, exps, flux: grushin.verify_uncertainty_grushin(
             geom, exps, flux, f, spec, variant="uncer21"),
-        _magnetic("uncertainty_ab", lambda geom, exps: _rotated_kind(geom, exps, "corollary"),
+        _magnetic(lambda geom, exps: _rotated_kind(geom, exps, "corollary"),
                   root=True)),
     "landau_hardy_sobolev": Statement(
         "theta1^2", "theta1 != 0", (*_LANDAU, "theta1"), _landau("hardy_sobolev"),

@@ -3,12 +3,14 @@
 Each operation evaluates both sides of one inequality or identity on a test
 function and returns a report.  Left-hand sides are assembled from the
 magnetic gradient COMPONENTWISE in complex arithmetic (the honest reading of
-the displayed integrand), from the grid components in fields that the
-pointwise magnetic_grad also runs, with one exception: verify_constant_field
-uses the x-sphere reduction of the real-f split (the cross terms vanish for
-real f), which the tests pin node by node to the pointwise
-fields.constant_field_grad.  The real-function splits of the proofs are
-recomputed separately and reported as identities.
+the displayed integrand; a part whose imaginary part is exactly zero, such
+as every part of a radial f on real profiles, is a float array, with the
+same bits as the real part of its complex form), from the grid components
+in fields that the pointwise magnetic_grad also runs, with one exception:
+verify_constant_field uses the x-sphere reduction of the real-f split (the
+cross terms vanish for real f), which the tests pin node by node to the
+pointwise fields.constant_field_grad.  The real-function splits of the
+proofs are recomputed separately and reported as identities.
 
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
@@ -134,7 +136,7 @@ def _rotated_kind(geom: GrushinGeometry, exps: WeightExponents,
 def _plain_sq(gamma: float, r, parts):
     """|grad_g f|^2 from the polar partials of f: the plain anisotropic gradient."""
     _, fr, fphi, fy = parts
-    return abs2(fr) + abs2(fphi / r) + r ** (2.0 * gamma) * grad_y_sq(fy)
+    return abs2(fr) + abs2(fphi * (1.0 / r)) + r ** (2.0 * gamma) * grad_y_sq(fy)
 
 
 # ---------------------------------------------------------------------------

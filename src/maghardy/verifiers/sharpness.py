@@ -57,7 +57,7 @@ from ..quadrature import BLOCK_NODES, gauss_panels
 from ..reports import SharpnessResult
 from ._grids import require_args
 from .catalogue import CHECKS, FAMILY_FOR
-from .grushin import _first_kind, _geom_params
+from .grushin import _geom_params
 from .landau import _theta1
 
 __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE", "FAMILY_FOR"]
@@ -158,16 +158,20 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     given = params if isinstance(params, dict) else {}
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
-        geom, exps, flux = given.get("geom"), given.get("exps"), given.get("flux")
+        geom, exps = given.get("geom"), given.get("exps")
         require_args(theorem_id, geom=geom, exps=exps)
         run_params.update(_geom_params(geom, exps))
         if theorem_id == "magnetic_grushin":
+            flux = given.get("flux")
+            require_args(theorem_id, flux=flux)
             sharp = constant(geom, exps, flux)
             beta = run_params["beta"] = flux.beta
         else:
             sharp, beta = constant(geom, exps), 0.0
-        # trials rho^(-s/2) v(log rho): (s/2)^2, plus beta^2 from the field
-        quotient = partial(_power_quotient, (0.5 * _first_kind(geom, exps)) ** 2 + beta * beta)
+        # trials rho^(-s/2) v(log rho), s = Q + a1 - 2, whose admissibility
+        # the record's constant has checked: (s/2)^2, plus beta^2 from the field
+        s_hom = geom.hom_dim + exps.alpha1 - 2.0
+        quotient = partial(_power_quotient, (0.5 * s_hom) ** 2 + beta * beta)
     elif theorem_id == "landau_hardy_sobolev":
         t1 = _theta1(given.get("theta1"))
         sharp = constant(None, None, t1)

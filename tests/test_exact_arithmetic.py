@@ -1,0 +1,178 @@
+"""The three exact rewrites of the tensor path, pinned bit for bit.
+
+  * A complex array divided by a positive real r is the array times 1 / r:
+    numpy's complex division (Smith's algorithm) computes (a + b*0) * (1/r)
+    for a real divisor.
+  * A radial f on real profiles runs in float arithmetic: in (a + 0i)(c + 0i)
+    the term 0*0 is exactly 0, so the real part rounds a*c once, and every
+    report equals the one computed from the same f's complex arrays.
+  * Mode 0 is added without its phase: (a + bi)(1 + 0i) is exactly a + bi.
+
+Each holds in IEEE arithmetic whatever numpy's SIMD dispatch or its use of
+fused multiply-add; only the sign of an exact zero may differ, which no
+squared modulus can see.  So these tests must pass under every dispatch,
+with or without AVX-512 and FMA.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from maghardy import cli
+from maghardy.cli import _run_one
+from maghardy.functions import (
+    AngularMode,
+    GaussBumpY,
+    PlateauLogBump,
+    ProductProfile,
+    RhoShellProfile,
+    TestFunction,
+)
+from maghardy.geometry import GrushinGeometry
+from maghardy.reports import jsonable
+
+REPO = Path(__file__).resolve().parents[1]
+_VERIFY_RUNS = [run for run in json.loads(
+    (REPO / "scripts" / "default_suite.json").read_text())["runs"] if "family" not in run]
+
+
+def _equal_up_to_zero_signs(a, b):
+    """a == b node by node, and bitwise wherever a part is not zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.shape != b.shape or not np.array_equal(a, b):
+        return False
+    pa = np.ascontiguousarray(a).reshape(-1).view(np.float64)   # complex: re, im pairs
+    pb = np.ascontiguousarray(b).reshape(-1).view(np.float64)
+    nonzero = pa != 0.0
+    return np.array_equal(pa[nonzero].view(np.int64), pb[nonzero].view(np.int64))
+
+
+def _spread_complex(rng, n):
+    """n complex numbers whose parts span every binade, subnormals included,
+    with exact zeros, signed zeros and parts near overflow among them."""
+    parts = np.ldexp(rng.uniform(-1.0, 1.0, (n, 2)), rng.integers(-1074, 1024, (n, 2)))
+    z = parts[:, 0] + 1j * parts[:, 1]
+    z[:8] = [0.0, complex(-0.0, 0.0), complex(0.0, -0.0), 5e-324, complex(-5e-324, 3e-310),
+             complex(1.7e308, -1.7e308), complex(-1.7e308, 1e-300), complex(2.2e-308, 1.0)]
+    return z
+
+
+def test_complex_division_by_a_real_is_a_product_with_its_reciprocal():
+    rng = np.random.default_rng(30)
+    z = _spread_complex(rng, 100_000)
+    r = np.exp(rng.uniform(np.log(1e-8), np.log(1e8), z.size))
+    r[:4] = [1e-8, 1e8, 1.0, 3.0]
+    with np.errstate(all="ignore"):
+        assert _equal_up_to_zero_signs(z / r, z * (1.0 / r))
+        # on the broadcast shapes of the fields: a block over a column of radii
+        block, radii = z[:1200].reshape(12, 100), r[:12, None]
+        assert _equal_up_to_zero_signs(block / radii, block * (1.0 / radii))
+
+
+def _grid():
+    r = np.geomspace(0.3, 3.0, 11)[:, None]
+    y = np.stack([np.linspace(-1.9, 1.7, 9)], axis=-1)[None, :, :]
+    return r, y
+
+
+def test_a_real_amplitude_profile_is_the_real_part_of_its_complex_form():
+    r, y = _grid()
+    for amp in (1.0, -0.7, 0.0):
+        prof = ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-2.0, 2.0, 0.3),), amp)
+        real, cplx = prof.on_grid(r, y), prof.on_grid(r, y, real=False)
+        for u, v in zip(real, cplx, strict=True):
+            assert u.dtype == np.float64 and v.dtype == np.complex128
+            assert _equal_up_to_zero_signs(u, v.real) and not v.imag.any()
+
+
+def test_a_real_amplitude_is_the_imaginary_part_of_the_same_amplitude_times_i():
+    # (0 + a i)(c + 0i) = 0 + (a c) i: the complex form, amplitude a i, carries
+    # the float form of amplitude a in its imaginary part, for both profiles
+    r, y = _grid()
+    geom = GrushinGeometry(2, 1, 0.8)
+    for make in (lambda a: ProductProfile(PlateauLogBump(0.5, 2.0),
+                                          (GaussBumpY(-2.0, 2.0, 0.3),), a),
+                 lambda a: RhoShellProfile(geom, -0.9, 0.4, 2.5, a)):
+        real, cplx = make(1.3).on_grid(r, y), make(1.3j).on_grid(r, y)
+        for u, v in zip(real, cplx, strict=True):
+            assert u.dtype == np.float64 and v.dtype == np.complex128
+            assert _equal_up_to_zero_signs(u, v.imag) and not v.real.any()
+
+
+_COL = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)[:, None, None]
+
+
+@pytest.mark.parametrize("modes", [(0,), (0, 1), (-2, 0, 1)])
+def test_mode_zero_adds_what_its_phase_product_would(modes):
+    amps = {-2: 0.4 - 0.9j, 0: 1.1 + 0.6j, 1: -0.5j}
+    f = TestFunction([AngularMode(m, ProductProfile(
+        PlateauLogBump(0.5, 2.0), (GaussBumpY(-2.0, 2.0, 0.3),), amps[m])) for m in modes])
+    r, y = _grid()
+    at = f.on_grid(r, y)
+    for phi in (0.0, 0.9, _COL):
+        # every mode times its phase, added in sorted mode order
+        want = None
+        for m in f.modes:
+            g, gr, gy = m.profile.on_grid(r, y, real=False)
+            e = np.exp(1j * m.mode * np.asarray(phi))
+            ey = e[..., None] if np.ndim(e) else e
+            terms = [g * e, gr * e, 1j * m.mode * g * e, gy * ey]
+            want = terms if want is None else [w + t for w, t in zip(want, terms)]
+        got = at(phi)
+        for u, v in zip(got, want, strict=True):
+            assert _equal_up_to_zero_signs(np.broadcast_to(u, v.shape), v)
+
+
+class _AsComplex:
+    """A test-only profile: the wrapped profile's arrays in complex form."""
+
+    def __init__(self, profile):
+        self.inner = profile
+        for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "k"):
+            setattr(self, name, getattr(profile, name))
+
+    def on_grid(self, r, y):
+        if isinstance(self.inner, ProductProfile):
+            return self.inner.on_grid(r, y, real=False)
+        return tuple(np.asarray(a, complex) for a in self.inner.on_grid(r, y))
+
+
+_QUICK = {"n_r": 16, "n_phi": 8, "n_y": 4}
+
+
+def _radial(run):
+    """run on a real radial f of its own kind, at a quick resolution."""
+    fn = run["function"]
+    if fn["kind"] == "random":
+        fn = {**fn, "modes": [0], "real": True}
+    quad = {key: _QUICK[key] for key in run["quadrature"]}
+    return {**run, "function": fn, "quadrature": quad}
+
+
+_RHO_TRIAL = {"theorem_id": "radial_hardy", "geometry": {"m": 3, "k": 1, "gamma": 0.6},
+              "weights": {"alpha1": 0.4, "alpha2": 0.2},
+              "function": {"kind": "trial", "base": "rho_power", "epsilon": 0.3,
+                           "cutoff": [0.5, 2.0]},
+              "quadrature": {"n_r": 16, "n_phi": 4, "n_y": 4}}
+_RADIAL_RUNS = [_radial(run) for run in _VERIFY_RUNS] + [_RHO_TRIAL]
+
+
+def _report_text(run):
+    return json.dumps(_run_one(run, 0, 0), default=jsonable, sort_keys=True)
+
+
+@pytest.mark.parametrize("run", _RADIAL_RUNS,
+                         ids=[run["theorem_id"] for run in _VERIFY_RUNS] + ["rho_power trial"])
+def test_every_check_reports_the_same_bytes_on_real_and_complex_parts(monkeypatch, run):
+    real = _report_text(run)
+    parse = cli._parse_function
+
+    def complex_parts(*args):
+        f = parse(*args)
+        assert f.is_radial and f.is_real_valued()
+        return TestFunction([AngularMode(m.mode, _AsComplex(m.profile)) for m in f.modes])
+
+    monkeypatch.setattr(cli, "_parse_function", complex_parts)
+    assert _report_text(run) == real

@@ -192,6 +192,38 @@ def test_twisted_gradient_matches_fd():
     assert worst <= 1e-6
 
 
+@pytest.mark.parametrize("real", [False, True], ids=["complex amplitude", "real amplitude"])
+def test_pointwise_gradients_match_fd_on_mode_zero_functions(real):
+    # mode 0 alone: the closure adds its kept arrays without a phase, and a
+    # real amplitude keeps them float
+    rng = np.random.default_rng(47)
+    psi = RadialPotential.power(0.5, 1.0)
+    worst = 0.0
+    for _ in range(10):
+        geom = GrushinGeometry(2, 1, float(rng.uniform(0.0, 2.0)))
+        flux = FluxParam(float(rng.uniform(-1.0, 1.0)))
+        f = random_test_function(rng, k=1, modes=(0,), real=real)
+        p = draw_point(rng, f)
+        gx, gy = fd_plain_gradient(f, p, 1e-5 * p.r, 1e-5)
+        val = evaluate(f, p)
+        grushin_want = (np.concatenate([gx, p.r ** geom.gamma * gy])
+                        + 1j * flux.beta * grushin_potential(geom, p) * val)
+        yblock = (p.r ** geom.gamma / math.sqrt(2.0)) * gy
+        tilde_want = (np.concatenate([gx, yblock, yblock])
+                      + 1j * flux.beta * ab_potential(geom, p) * val)
+        f0 = random_test_function(rng, k=0, modes=(0,), real=real)
+        p0 = draw_point(rng, f0)
+        gx0, _ = fd_plain_gradient(f0, p0, 1e-5 * p0.r, 1e-5)
+        val0, pv = evaluate(f0, p0), float(psi(np.asarray(p0.r)))
+        twisted_want = np.array([gx0[0] - 1j * pv * p0.x[1] * val0,
+                                 gx0[1] + 1j * pv * p0.x[0] * val0])
+        worst = max(worst,
+                    rel_vec_err(magnetic_grad("grushin", flux, geom, f, p), grushin_want),
+                    rel_vec_err(magnetic_grad("tilde", flux, geom, f, p), tilde_want),
+                    rel_vec_err(twisted_grad_psi(psi, f0, p0), twisted_want))
+    assert worst <= 1e-6
+
+
 def test_constant_field_gradient_matches_fd():
     rng = np.random.default_rng(44)
     worst = 0.0

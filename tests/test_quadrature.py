@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maghardy import quadrature
-from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError
+from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError, RealnessError
 from maghardy.functions import make_bump
 from maghardy.quadrature import (
     MAX_SLICE_NODES,
@@ -590,6 +590,26 @@ def test_nonfinite_integrand_raises():
             with pytest.raises(NonFiniteError):
                 integrate(_bad_density(bad, phi_from))
                 pytest.fail(name)
+
+
+def _complex_density(r, y):
+    """A real integrand, then exp(i phi) * r: complex on every node."""
+    def at(phi):
+        yield np.ones_like(r)
+        yield np.exp(1j * np.asarray(phi)) * r
+
+    return at
+
+
+def test_both_engines_refuse_a_complex_integrand_by_index():
+    f = make_bump(0.5, 2.0)
+    dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
+    engines = (lambda d: integrate_polar(d, spec, dom),
+               lambda d: integrate_radial(d, spec, dom, 1),
+               lambda d: oracle_integrate(d, dom, (101, 4, 11)))
+    for integrate in engines:
+        with pytest.raises(RealnessError, match="integrand 1 is complex"):
+            integrate(_complex_density)
 
 
 def test_overflowing_slice_sum_raises():

@@ -382,6 +382,37 @@ def test_inadmissible_parameters_are_rejected():
                            TrialFamily("power", 0.1, (0.5, 2.0)))
 
 
+@pytest.mark.parametrize("theorem_id", ["radial_hardy", "magnetic_grushin"])
+def test_the_first_kind_condition_and_the_flux_are_checked_once_per_run(monkeypatch,
+                                                                        theorem_id):
+    from maghardy import errors
+    from maghardy.verifiers import grushin
+
+    calls = {"exponent": 0, "flux": 0}
+    exponent, require_param = grushin._first_kind_exponent, errors.require_param
+
+    def counting_exponent(*args):
+        calls["exponent"] += 1
+        return exponent(*args)
+
+    def counting_param(what, name, *args):
+        calls["flux"] += name == "flux"
+        return require_param(what, name, *args)
+
+    monkeypatch.setattr(grushin, "_first_kind_exponent", counting_exponent)
+    monkeypatch.setattr("maghardy.verifiers._grids.require_param", counting_param)
+    params = {"geom": GEOM, "exps": FLAT, "flux": FluxParam(0.5)}
+    res = estimate_sharpness(theorem_id, params, TrialFamily("rho_power", 0.1, (0.5, 2.0)))
+    assert calls == {"exponent": 1, "flux": int(theorem_id == "magnetic_grushin")}
+    assert res.sharp_constant == (1.0 if theorem_id == "radial_hardy" else 1.25)
+
+
+def test_the_magnetic_engine_refuses_a_missing_flux():
+    with pytest.raises(AdmissibilityError, match="flux"):
+        estimate_sharpness("magnetic_grushin", {"geom": GEOM, "exps": FLAT},
+                           TrialFamily("rho_power", 0.1, (0.5, 2.0)))
+
+
 def test_make_trial_guards():
     fam = TrialFamily("rho_power", 0.1, (0.5, 2.0))
     with pytest.raises(DomainError):

@@ -533,7 +533,7 @@ def test_radial_factor_runs_once_per_grid_across_phi_slices():
 
     def density(r, y):
         on = f.on_grid(r, y)
-        return lambda phi: (on(phi)[1],)
+        return lambda phi: (abs2(on(phi)[1]),)
 
     integrate_polar(density, spec, dom)
     assert radial.calls == 1
@@ -618,9 +618,9 @@ class _CountingProfile(ProductProfile):
 
     forms = 0
 
-    def on_grid(self, r, y, memo=None):
+    def on_grid(self, r, y, memo=None, real=True):
         self.forms += 1
-        return super().on_grid(r, y, memo)
+        return super().on_grid(r, y, memo, real)
 
 
 def _shared_pair_and_zero(shared):
@@ -646,11 +646,23 @@ def test_a_profile_shared_by_two_modes_forms_its_products_once_per_closure():
     assert shared.forms == 1
 
 
-def test_the_closure_never_writes_its_held_products():
+def _held_closure_cases():
+    """f with mode 0 between two modes, alone (real, so the closure returns its
+    held float arrays) and first of two (so the first addition allocates)."""
+    profile = lambda amp: ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),),
+                                         amplitude=amp)
+    return {
+        "(-1, 0, 1)": _shared_pair_and_zero(profile(0.5))[0],
+        "(0,)": TestFunction([AngularMode(0, profile(0.5))]),
+        "(0, 1)": TestFunction([AngularMode(0, profile(0.5)), AngularMode(1, profile(0.3j))]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_held_closure_cases()))
+def test_the_closure_never_writes_its_held_products(case):
     # at phi = 0 every mode's e^(i mode phi) is 1, so a sum that started from
     # the held products themselves, or added into them, would change them
-    f, _ = _shared_pair_and_zero(ProductProfile(
-        PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),), amplitude=0.5))
+    f = _held_closure_cases()[case]
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
     zero_before = at.mode_zero().copy()
