@@ -6,8 +6,9 @@ from numerical differentiation — so the pointwise identities they satisfy
 
 Each magnetic gradient is written once, vectorised on grid arrays in the
 quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
-from the values and polar partials of the test function at one angular node
-or a column of them (TestFunction.on_grid): grushin_components and
+from the values and polar partials of the test function at one angle or on
+one angular mode at phase 1 (TestFunction.on_grid), in which each component
+is linear with phi-independent factors.  grushin_components and
 tilde_components return polar-frame components, twisted_components
 Cartesian ones.  The first two work in two steps, like the densities that
 call them: given the grid they form the phi-independent field factors once
@@ -147,7 +148,7 @@ def grushin_components(beta: float, gamma: float, r, y, rho_val):
 
     The real field factors d(rho)/dr / rho, r^gamma and r^gamma grad_y(rho)/rho
     are formed here, once for the grid (r, y).  parts is (f, df/dr, df/dphi,
-    grad_y f) on that grid at one angular node or a column of them, as
+    grad_y f) on that grid at an angle or on one mode, as
     TestFunction.on_grid gives them; c_y carries the trailing y axis.
     """
     ar = drho_dr_over_rho(gamma, r, rho_val)
@@ -190,30 +191,17 @@ def tilde_components(beta: float, gamma: float, r, y, rho_val):
     return components
 
 
-def _cos_sin(phi):
-    """(cos phi, sin phi) from math.cos and math.sin, node by node.
-
-    phi is a float or an array of angular nodes.  numpy's vectorised cos and
-    sin need not round like libm's, so every node keeps the values of a
-    one-node call.
-    """
-    if np.ndim(phi) == 0:
-        return math.cos(phi), math.sin(phi)
-    nodes = np.ravel(phi)
-    c = np.array([math.cos(t) for t in nodes]).reshape(np.shape(phi))
-    s = np.array([math.sin(t) for t in nodes]).reshape(np.shape(phi))
-    return c, s
-
-
-def twisted_components(psi_r, r, phi: float | np.ndarray, parts):
+def twisted_components(psi_r, r, phi: float, parts):
     """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid.
 
     psi_r holds psi on the radii r; parts is f and its polar partials there
-    at phi, one angular node (a float) or a column of them (n_c, 1, 1) as
-    TestFunction.on_grid gives them.
+    at the angle phi, as TestFunction.on_grid gives them.  On one angular
+    mode's parts the verifiers pass phi = 0.0: the rotation to the
+    Cartesian frame keeps |t|^2, so the components square to the mode's
+    share of the phi integral.
     """
     val, fr, fphi, _ = parts
-    c, s = _cos_sin(phi)
+    c, s = math.cos(phi), math.sin(phi)
     inv_r = 1.0 / r
     fx = c * fr - s * fphi * inv_r
     fy = s * fr + c * fphi * inv_r

@@ -23,20 +23,16 @@ and its derivative from its two edges, and each factor's both(t) returns
 (value, derivative) together.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y),
-whose returned closure gives f and its polar partials at an angular node or
-at a column of them (shape (n_c, 1, 1)).  Its first call evaluates each
-distinct profile on the grid once (modes +l and -l of a real f share one):
-profile.on_grid(r, y) returns g, dg/dr and grad_y g, a ProductProfile
-computing each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once
-however many modes carry it.  The closure keeps those products, and each
-mode's 1j * mode * g, while it lives; every call then only multiplies them
-by e^(i mode phi) and adds the modes, mode 0 without a product (its phase
-is exactly 1).  A radial f on real profiles stays in float arithmetic,
-which gives the real parts of the complex arithmetic bit for bit; any
-other f is complex.  The quadrature engine makes one closure per row block
-and calls it once per tile of angular nodes, so the products are formed
-once per block, however many tiles it has.  The pointwise value_polar and
-partials_polar are one call of that closure.
+whose closure gives f and its polar partials on one angular mode at phase
+1, the mode's own parts (g_k, dg_k/dr, i k g_k, grad_y g_k), or at an
+angle.  Its first call evaluates each distinct profile on the grid once
+(modes +l and -l of a real f share one), each ProductProfile computing
+each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once however many
+modes carry it, and keeps the products.  A call on a mode returns them; a
+call at an angle multiplies them by e^(i mode phi) and adds the modes.  The
+main quadrature engine makes one closure per row block and calls it once
+per mode; the oracle calls it once per angular node, and the pointwise
+value_polar and partials_polar once.
 """
 
 from __future__ import annotations
@@ -50,6 +46,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
 from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs, s_of
+from .quadrature import phi_rule
 
 __all__ = [
     "AngularMode",
@@ -390,6 +387,16 @@ class AngularMode:
             raise DomainError("mode profile needs 0 < r_lo < r_hi")
 
 
+# mode_zero's value where mode 0 carries nothing: a float that abs2 squares
+_ZERO = np.float64(0.0)
+
+
+def angle_of(x):
+    """The angle at which TestFunction.on_grid's closure evaluates x: x
+    itself, or 0.0 for an AngularMode, whose parts are taken at phase 1."""
+    return 0.0 if isinstance(x, AngularMode) else x
+
+
 class TestFunction:
     """Finite angular-mode sum f(r, phi, y) = sum g_k(r, y) e^(i k phi).
 
@@ -447,35 +454,37 @@ class TestFunction:
     # --- evaluation -------------------------------------------------------
 
     def on_grid(self, r, y):
-        """Closure phi -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
+        """Closure x -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
 
         The first call of the closure, or of its mode_zero, evaluates each
         distinct profile on the grid once (modes +l and -l may share one),
         giving its g, dg/dr and grad_y g, and each mode's 1j * mode * g
-        (zeros for mode 0); the closure keeps them, unwritten, for its
-        lifetime: modes x (3 + k) arrays on the grid.  Each ProductProfile
-        gets the one memo of that first call, so each distinct 1-D factor
-        runs once on the grid however many profiles carry it; other
-        profiles take the plain on_grid(r, y).  Each call adds every mode's
-        terms at phi in sorted mode order: phi is a float (one angular
-        node) or a column of nodes of shape (n_c, 1, 1), which gives every
-        output that leading axis.  Mode 0 is added without its phase, since
-        (a + bi)(1 + 0i) is exactly a + bi, so its outputs lack that axis
-        when f is radial, and the call returns the kept arrays themselves,
-        which the caller must not write to.  A radial f whose profile is
-        real (a ProductProfile or RhoShellProfile of real amplitude) stays
-        real: its arrays are float, the real parts of the complex ones bit
-        for bit; every other f is formed complex.  The closure's mode_zero()
-        gives f0, the zeroth angular mode of f, on the grid: the kept g of
-        mode 0 (zeros if f has no mode 0), likewise not to be written.
-        r and y must not change while the closure is in use.
+        (zeros for mode 0); the closure keeps them for its lifetime: modes
+        x (3 + k) arrays on the grid.  Each ProductProfile gets the one
+        memo of that first call, so each distinct 1-D factor runs once on
+        the grid however many profiles carry it; other profiles take the
+        plain on_grid(r, y).  x is one of f's modes (an AngularMode of
+        self.modes), on which the call returns the mode's kept arrays, its
+        parts at phase 1, as the main quadrature engine takes them; or x is
+        an angle, a float, at which it adds every mode's terms in sorted
+        mode order, as the oracle, is_real_valued and the pointwise API take
+        them.  Mode 0 is added without its phase, since (a + bi)(1 + 0i) is
+        exactly a + bi, so for a radial f it returns the kept arrays too.
+        The caller writes to no array the closure returns.  A radial f
+        whose profile is real (a ProductProfile or RhoShellProfile of real
+        amplitude) stays real: its arrays are float, the real parts of the
+        complex ones bit for bit; every other f is formed complex.
+        mode_zero(x) gives the part of f at x that mode 0 carries: its kept
+        g at an angle and on mode 0, and a scalar 0.0 on any other mode or
+        when f has no mode 0.  r and y must not change while the closure is
+        in use.
         """
-        held = []
+        held = {}
         real = self.is_radial
 
         def products():
-            """Per mode, in sorted order: (mode, g, dg/dr, 1j * mode * g,
-            grad_y g), formed on the first call and kept while the closure
+            """mode -> (g, dg/dr, 1j * mode * g, grad_y g), in sorted mode
+            order, formed on the first call and kept while the closure
             lives; nothing writes to them."""
             if not held:
                 memo, formed = {}, {}
@@ -487,32 +496,32 @@ class TestFunction:
                                          else p.on_grid(r, y))
                     g, gr, gy = formed[id(p)]
                     gphi = 1j * m.mode * g if m.mode else np.zeros_like(g)
-                    held.append((m.mode, g, gr, gphi, gy))
+                    held[m.mode] = (g, gr, gphi, gy)
             return held
 
-        def at(phi):
+        def at(x):
+            if isinstance(x, AngularMode):
+                return products()[x.mode]
             out = None
-            for mode, g, gr, gphi, gy in products():
+            for mode, (g, gr, gphi, gy) in products().items():
                 if mode:
-                    e = np.exp(1j * mode * np.asarray(phi))
-                    ey = e[..., None] if np.ndim(e) else e
-                    terms = (g * e, gr * e, gphi * e, gy * ey)
+                    e = np.exp(1j * mode * np.asarray(x))
+                    terms = (g * e, gr * e, gphi * e, gy * e)
                 else:  # e = 1 + 0i
                     terms = (g, gr, gphi, gy)
                 if out is None:
                     out, kept = list(terms), not mode
                 elif kept:  # out holds mode 0's kept arrays: the sum allocates
                     out, kept = [o + t for o, t in zip(out, terms)], False
-                else:  # in place, so no second full-grid sum is formed
+                else:  # in place, so no second sum is formed
                     for i, t in enumerate(terms):
                         out[i] += t
             return tuple(out)
 
-        def mode_zero():
-            for mode, g, *_ in products():
-                if mode == 0:
-                    return g
-            return np.zeros(np.broadcast_shapes(np.shape(r), np.shape(y)[:-1]))
+        def mode_zero(x):
+            if isinstance(x, AngularMode) and x.mode:
+                return _ZERO
+            return products().get(0, (_ZERO,))[0]
 
         at.mode_zero = mode_zero
         return at
@@ -525,22 +534,22 @@ class TestFunction:
         return self.on_grid(r, y)(phi)[1:]
 
     def is_real_valued(self) -> bool:
-        """Realness checked once on a deterministic sample, then cached: f at a
-        column of 5 angles on 7 log-spaced radii x 7 points of the y box's
-        diagonal, in one call, is real when max |Im f| <= 1e-12 max |f|."""
+        """Realness checked once on a deterministic sample, then cached: f at
+        5 angles on 7 log-spaced radii x 7 points of the y box's diagonal is
+        real when max |Im f| <= 1e-12 max |f|."""
         if self._real is not None:
             return self._real
         samples = 7
         r_lo, r_hi, box, _ = self.support()
         rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), samples))
-        phis = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)[:, None, None]
         if box:
             ys = np.stack(
                 [np.linspace(lo, hi, samples) for lo, hi in box], axis=-1
             )
         else:
             ys = np.zeros((samples, 0))
-        vals = self.on_grid(rs[:, None], ys[None, :, :])(phis)[0]
+        on = self.on_grid(rs[:, None], ys[None, :, :])
+        vals = np.array([on(phi)[0] for phi in phi_rule(5)[0]])
         vmax, imax = float(np.max(np.abs(vals))), float(np.max(np.abs(vals.imag)))
         self._real = imax <= 1e-12 * max(vmax, 1e-300)
         return self._real

@@ -7,25 +7,30 @@ in polar-cylindrical coordinates (r, phi, y) with Jacobian r dr dphi dy:
 
   * r: Gauss-Legendre after the substitution u = log r, so wide power-law
     supports are resolved with uniform effort per decade;
-  * phi: uniform trapezoid on [0, 2pi) — exact for trigonometric polynomials
-    of degree < n_phi/2;
+  * phi: per angular mode.  Every weight and field factor of the polar
+    checks is independent of phi, so each integrand is a Hermitian form in
+    the modes g_k of f = sum_k g_k e^(ik phi), and by Parseval
+    int dphi |sum_k a_k e^(ik phi)|^2 = 2 pi sum_k |a_k|^2.  The engine
+    takes each integrand on each mode's parts at phase 1, adds the modes
+    node by node and multiplies by 2 pi: no angular node is spent;
   * y: tensor Gauss-Legendre per dimension on the support box.
 
 Each reference Gauss-Legendre rule on [-1, 1] is built once per node count
 and cached read-only; every panel rule here and in the sharpness engine is an
 affine image of it (`gauss_legendre`, `gauss_panels`).
 
-integrate_radial is the phi = 0 case of integrate_polar: one angular node of
-weight 1 over r^power dr dy (on k = 0 a plain radial integral); both run one
-tensor pass (_tensor_sums).  General m >= 2 never needs angular quadrature
-in x here: every integrand the verifiers produce for that case is radial in
-x, and the sphere factor is the closed-form area of S^(m-1).
+integrate_radial runs the same tensor pass (_tensor_sums) at the one angle
+0.0, over r^power dr dy (on k = 0 a plain radial integral).  General m >= 2
+never needs angular quadrature in x here: every integrand the verifiers
+produce for that case is radial in x, and the sphere factor is the
+closed-form area of S^(m-1).
 
 Oracle
 ------
 `oracle_integrate` is a deliberately separate code path (uniform nodes,
 composite Simpson, no substitutions, no shared integration helpers) used to
-certify values produced by the main engine.
+certify values produced by the main engine.  It takes the density at
+uniform angular nodes, so it also checks the main engine's per-mode sum.
 
 Density protocol
 ----------------
@@ -34,32 +39,30 @@ callable density(r, y) -> at, called once per row block of the grid with
 broadcastable arrays: r of shape (n_rows, 1), a run of consecutive radial
 nodes, and y of shape (1, n_y_flat, k), whose trailing axis indexes the y
 components.  It does the phi-independent work of its check there, once per
-block.  at(phi) then yields every integrand of the check on that block in a
-fixed order, one array at a time, for phi either a float (one angular node,
-as the oracle passes it) or a column of angular nodes of shape (n_c, 1, 1),
-as the main engine passes it; on a column each integrand carries that
-leading axis (or broadcasts against it).  Every integrand is a real float
-array: each quantity the checks integrate is a real quadratic form (a
+block.  at(x) then yields every integrand of the check on that block in a
+fixed order, one array at a time, for x either an angle (a float) or one
+of the modes integrate_polar is given (the verifiers pass their test
+function's AngularModes).  Every integrand is a real float array
+broadcastable to the block: each quantity the checks integrate is a real
+quadratic form (a
 squared modulus, a weighted |f|^2 or |f|^p), and each integral is returned
 as a float; both engines refuse a complex integrand with a RealnessError
 that names its index.  Every density must be elementwise per node, so a
-node's value depends neither on the block nor on the tile it sits in.
+node's value depends neither on the block it sits in nor on the other
+modes.
 
-The main engine gives each slice the bits of one np.add.reduce over it:
-it walks numpy's pairwise tree over the slice down to row blocks
-(_tensor_sums; on the grids in use the tree splits at row boundaries down
-to its blocks).  The blocks run one at a time, each over all its angular
-tiles of at most BLOCK_NODES (phi, r, y) nodes; a single-block grid thus
-runs several angular nodes per call of at.
-The slice sums are added in phi order, one integral per integrand, so
-results are bit-stable across runs and do not depend on how many
-integrands share the pass or how the grid is blocked and tiled.
+The main engine gives each integral the bits of one np.add.reduce over
+the grid: it walks numpy's pairwise tree over the grid down to row blocks
+(_tensor_sums), and on each block adds every integrand over the modes node
+by node, in the order given, weights it and reduces it once.  So results
+are bit-stable across runs and do not depend on how many integrands share
+the pass or how the grid is blocked.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
 the oracle refuse a larger grid with a DomainError before building it.  The
 main engine forms no full-grid array: a pass holds the 1-D rules, the y
-nodes, one block's density state and the temporaries of one tile, at most
-max(BLOCK_NODES, two rows) nodes per integrand, so on it the ceiling bounds
+nodes, one block's density state and the per-mode integrands of one block,
+at most max(BLOCK_NODES, two rows) nodes each, so on it the ceiling bounds
 work, and memory grows with the width of a row, not with n_r.  The oracle
 runs its own loop over row blocks of at most ORACLE_BLOCK_NODES nodes (or
 one row), so its memory too grows with the width of a row.
@@ -90,11 +93,10 @@ TWO_PI = 2.0 * math.pi
 # instead of a failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
-# Most nodes of one row block of more than two rows, and of one tile of
-# angular nodes on it (_tensor_sums): the temporaries of a block or tile,
-# 128 KB per real array, stay in a 2 MB L2 cache and are reused from the
-# heap.  2^13 and 2^14 measured fastest of 2^12 to 2^16 on a k = 2 ab_hardy
-# check (144 x 1296 nodes) on a 2-core Xeon.
+# Most nodes of one row block of more than two rows (_tensor_sums): the
+# temporaries of a block, 128 KB per real array, stay in a 2 MB L2 cache and
+# are reused from the heap.  2^14 and 2^15 measured fastest of 2^12 to 2^15
+# over 20 margins passes on a 2-core Xeon; 2^14 holds half the memory.
 BLOCK_NODES = 1 << 14
 
 # Most (r, y) nodes of one row block of the oracle, or one row if a row holds
@@ -111,11 +113,10 @@ MAX_AXIS_NODES = 4096
 
 # glibc hands the free top of its heap back to the OS once it exceeds a trim
 # threshold: 128 KB at start, then twice the largest mmapped block freed so
-# far.  The temporaries of a row block or tile (a few MB) would then be
-# faulted in afresh on every tile: 495,000 minor page faults instead of
-# 7,200, and 40 to 90 % more time, over 12 margins configs.  Freeing one
-# 4 MB block here raises the threshold to 8 MB, as the full-grid arrays of a
-# blocked grid did when the tensor pass still formed them.
+# far.  The temporaries of a row block (a few MB) would then be faulted in
+# afresh on every block: 20 margins passes take about 1.5 s instead of
+# 1.15 s on a 2-core Xeon.  Freeing one 4 MB block here raises the
+# threshold to 8 MB.
 np.empty(1 << 22, np.uint8)
 
 
@@ -123,9 +124,11 @@ np.empty(1 << 22, np.uint8)
 class QuadratureSpec:
     """Resolution knobs for the main engine.
 
-    n_r radial nodes (per panel) under the log map, n_phi uniform angular
-    nodes, n_y Gauss-Legendre nodes per y dimension.  `oracle` marks specs
-    constructed for oracle cross-checks.
+    n_r radial nodes (per panel) under the log map, n_y Gauss-Legendre
+    nodes per y dimension.  n_phi, the uniform angular nodes, sets the
+    oracle's angular rule and the aliasing check of the polar path
+    (_grids.require_phi_resolution); the main engine runs per mode and
+    spends none.  `oracle` marks specs constructed for oracle cross-checks.
     """
 
     n_r: int = 256
@@ -285,59 +288,48 @@ def _check_finite(values) -> None:
         raise NonFiniteError("an integrand or its weighted sum is NaN or infinite")
 
 
-def _tile_view(product: np.ndarray, tile: tuple) -> np.ndarray:
-    """product as (n_c, n_rows * n_y_flat) rows; one that lacks the tile's
-    shape (an integrand without the phi axis) is broadcast to it first."""
-    if product.shape != tile:
-        product = np.broadcast_to(product, tile)
-    return product.reshape(tile[0], -1)
-
-
 # numpy's pairwise sum adds a run of at most this many doubles in one loop,
 # a leaf, and splits a longer run of N doubles at N//2 - (N//2 % 8).
 _PW_LEAF = 128
 
 
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
-                 power, phis) -> list:
-    """Per integrand of density, its sum over phis on the (r, y) grid of the
-    domain, weighted by w_r * r^power * w_y: the one tensor pass, shared by
-    integrate_polar and integrate_radial.
+                 power, points) -> list:
+    """Per integrand of density: its values at the points added node by node,
+    weighted by w_r * r^power * w_y and summed over the (r, y) grid of the
+    domain.  The one tensor pass, shared by integrate_polar (points: modes)
+    and integrate_radial (points: the angle 0.0).
 
-    node(lo, hi) walks numpy's pairwise tree over a slice's n_r * n_flat
-    nodes and returns each integrand's sums over the nodes [lo, hi) of
-    every slice.  A tree node is a block when it is a leaf, when the rows
-    it covers hold at most BLOCK_NODES nodes, or when it covers at most two
-    rows and its split falls inside one; otherwise its halves' sums are
-    added as numpy adds them.  A block runs density on the whole rows it
-    covers (a row the tree splits runs in both blocks that share it), then
-    its tiles of n_c = max(1, BLOCK_NODES // its rows' nodes) angular
-    nodes: each integrand is weighted on those rows (base), and only the
-    block's own nodes are reduced.  So each slice sum has the bits of one
-    np.add.reduce over the slice, however the grid is blocked and tiled;
-    each integrand's slice sums are then added in phi order, as Python
-    floats.  numpy's floating-point warnings, the density's included, are
-    off: base is finite and positive, so a NaN or infinite node makes its
-    block's sum non-finite, and that, or a sum that overflows, raises
-    NonFiniteError at the first node of the tree that has one.
+    node(lo, hi) walks numpy's pairwise tree over the grid's n_r * n_flat
+    nodes and returns each integrand's sum over the nodes [lo, hi).  A
+    tree node is a block when it is a leaf, when the rows it covers hold
+    at most BLOCK_NODES nodes, or when it covers at most two rows and its
+    split falls inside one; otherwise its halves' sums are added as numpy
+    adds them.  A block runs density on the whole rows it covers (a row the
+    tree splits runs in both blocks that share it) and calls at once per
+    point; each integrand is added over the points node by node, in their
+    order, weighted on those rows (base), and only the block's own nodes
+    are reduced.  So each sum has the bits of one np.add.reduce over the
+    grid, however the grid is blocked.  numpy's floating-point warnings,
+    the density's included, are off: base is finite and positive, so a NaN
+    or infinite node makes its block's sum non-finite, and that, or a sum
+    that overflows, raises NonFiniteError at the first node of the tree
+    that has one.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     radial = w_r * r ** power
-    phis = np.asarray(phis, dtype=float)
     n_flat = len(Y)
 
     def block(a, b, lo, hi):  # rows a to b; nodes lo to hi, counted from row a
         at = density(r[a:b, None], Y[None, :, :])
         base = radial[a:b, None] * w_y[None, :]
-        n_c = max(1, BLOCK_NODES // base.size)
-        tiles = []
-        for c in range(0, phis.size, n_c):
-            col = phis[c:c + n_c, None, None]
-            tile = col.shape[:1] + base.shape
-            # each product is freed before at forms the next integrand
-            tiles.append([np.add.reduce(_tile_view(base * vals, tile)[:, lo:hi], axis=-1)
-                          for vals in at(col)])
-        return [np.concatenate(sums) for sums in zip(*tiles)]
+        sums = []
+        for vals in zip(*[at(p) for p in points]):  # one integrand's values at a time
+            total = vals[0]
+            for v in vals[1:]:
+                total = total + v
+            sums.append(np.add.reduce((base * total).reshape(base.size)[lo:hi]))
+        return sums
 
     def node(lo, hi):
         a, b = lo // n_flat, -(-hi // n_flat)  # the rows it covers
@@ -352,39 +344,34 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
             _check_finite(s)
         return sums
 
-    totals = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, sums in enumerate(node(0, r.size * n_flat)):
-            _require_real(i, sums)
-            total = 0.0
-            for x in sums.tolist():  # as Python numbers: the same additions, cheaper
-                total += x
-            totals.append(total)
-    return totals
+        sums = node(0, r.size * n_flat)
+    for i, s in enumerate(sums):
+        _require_real(i, s)
+    return [0.0 + s.item() for s in sums]
 
 
-def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain) -> list:
-    """Integrals of every integrand of density over r dr dphi dy on the domain.
+def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain,
+                    modes: Sequence) -> list:
+    """Integrals of every integrand of density over r dr dphi dy on the
+    domain: 2 pi times the sum over modes of at(mode), Parseval's form of
+    the phi integral.
 
-    density(r, y) runs once per row block, one block at a time, over tiles
-    of the n_phi trapezoid nodes (_tensor_sums), so memory stays at about
-    max(BLOCK_NODES, two rows) nodes per integrand plus the 1-D rules,
-    however many rows the grid has and however many modes the check
-    carries.  Returns one float per integrand.
+    density(r, y) runs once per row block, one block at a time
+    (_tensor_sums), so memory stays at about max(BLOCK_NODES, two rows)
+    nodes per integrand and mode plus the 1-D rules, however many rows the
+    grid has.  Returns one float per integrand.
     """
-    phis, w_phi = phi_rule(spec.n_phi)
-    return [total * w_phi
-            for total in _tensor_sums(density, spec, domain, 1, phis)]  # Jacobian r
+    return [TWO_PI * total
+            for total in _tensor_sums(density, spec, domain, 1, modes)]  # Jacobian r
 
 
 def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
                      power) -> list:
     """Integrals of every integrand of density, taken at phi = 0.0, over
-    r^power dr dy on the domain.
-
-    The phi = 0 case of the tensor engine: the same row blocks and slice
-    reduction as integrate_polar, on one angular node with weight 1.  On
-    k = 0 it is a plain radial integral (the y rule is one node of weight 1).
+    r^power dr dy on the domain: the tensor pass of integrate_polar on the
+    one angle 0.0.  On k = 0 a plain radial integral (the y rule is one
+    node of weight 1).
     """
     return _tensor_sums(density, spec, domain, power, (0.0,))
 

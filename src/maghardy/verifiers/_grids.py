@@ -3,8 +3,10 @@
 Two integration paths, both dispatchable to the independent oracle when
 spec.oracle is set:
 
-  * polar path (m = 2): full (r, phi, y) quadrature through integrate_polar,
-    used whenever the function carries angular modes;
+  * polar path (m = 2): (r, phi, y) integrals through integrate_polar,
+    used whenever the function carries angular modes; the main engine
+    takes each integrand once per angular mode of f and adds them
+    (Parseval), the oracle at its uniform angular nodes;
   * radial-x path (radial_integral): the integrands at phi = 0.0 over
     r^power dr dy, no angular nodes spent; functions radial in x take power
     m - 1 times the sphere area (rx_integral), the 1-D Lp checks power 0.
@@ -17,17 +19,18 @@ Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
 (1, n_flat, k); on the main engine a grid of at most quadrature.BLOCK_NODES
 nodes is one block, a larger one is cut along numpy's pairwise summation
-tree, a row the tree splits running in both blocks that share it; the
-oracle cuts its grid into blocks of at most quadrature.ORACLE_BLOCK_NODES
-nodes or one row; the blocks run one at a time) and returns at(phi), which
-yields every integrand of the check on that block in order, for phi a float
-or a column of angular nodes (n_c, 1, 1).  Every integrand is a real float
-array, built from abs2, components_sq, grad_y_sq or |.|^p.
-polar_integral and radial_integral return one integral per integrand over
-the support of the test function f, through the same tensor pass of the
-main engine, or through the oracle.  So each check makes one integration
-call: its weights and its test function's products are formed once per
-block, for all its integrals and all the block's tiles of angular nodes.
+tree; the oracle cuts its grid into blocks of at most
+quadrature.ORACLE_BLOCK_NODES nodes or one row; the blocks run one at a
+time) and returns at(x), which yields every integrand of the check on that
+block in order, for x an angle or one of f's modes, which it hands to
+TestFunction.on_grid's closure; so one density serves both engines.  Every
+integrand is a real float array, built from abs2, components_sq, grad_y_sq
+or |.|^p, and a Hermitian form in f's parts, whose phi integral is 2 pi
+times its sum over the modes.  The mode defect |f|^2 - |f0|^2 takes f0
+from the closure's mode_zero(x), which is 0 on every mode but mode 0, so
+the main engine integrates sum_(k != 0) |g_k|^2.  Each check makes one
+integration call: its weights and its test function's products are formed
+once per block, for all its integrals and all of f's modes.
 """
 
 from __future__ import annotations
@@ -91,7 +94,9 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
 def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
     """The (r, phi, y) integrals of density over the support of f.
 
-    n_phi must resolve the modes of f.  Oracle-dispatched.
+    The main engine runs once per mode of f; the oracle at max(n_phi, 4)
+    angular nodes.  n_phi must resolve the modes of f on both, so a run
+    the oracle would refuse is refused on the main engine too.
     """
     require_phi_resolution(f, spec)
     domain = support_domain(f)
@@ -99,7 +104,7 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
         return oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
         )
-    return integrate_polar(density, spec, domain)
+    return integrate_polar(density, spec, domain, f.modes)
 
 
 def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
@@ -134,10 +139,17 @@ def integrate(density, f: TestFunction, spec: QuadratureSpec, m: int) -> list:
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
-    """|z|^2: z * z for a float array, the real part of z * conj(z), bit for
-    bit, had it been complex with imaginary part 0."""
+    """|z|^2: z * z for a float array; re^2 + im^2 for a complex one.
+
+    The two squares are rounded apart, never fused, so |i z|^2 equals
+    |z|^2 bit for bit (i z is (-im, re) exactly), whatever numpy's SIMD
+    dispatch, and a complex array of imaginary part 0 gives the float
+    form's bits."""
     if z.dtype.kind == "c":
-        return (z * np.conj(z)).real
+        re, im = z.real, z.imag
+        out = re * re
+        out += im * im
+        return out
     return z * z
 
 

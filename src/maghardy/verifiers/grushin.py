@@ -15,11 +15,12 @@ proofs are recomputed separately and reported as identities.
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
 grid (the test function's factors through TestFunction.on_grid, the weights
-B, B*w and rho, the field factors of the fields components), and at(phi)
-yields the integrand of every term of the displayed inequality in turn, so
-the check makes one integration call.  x-radial functions use the reduced
-tensor path at phi = 0 with the closed-form sphere factor; genuinely angular
-functions require m = 2 and run through the full polar engine.
+B, B*w and rho, the field factors of the fields components), and at(x)
+yields the integrand of every term of the displayed inequality in turn, at
+an angle or on one angular mode of f, so the check makes one integration
+call.  x-radial functions use the reduced tensor path at phi = 0 with the
+closed-form sphere factor; genuinely angular functions require m = 2 and
+run through the polar engine, mode by mode.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
         on = f.on_grid(r, y)
         B, Bw, _ = _weights(geom, exps, r, y)
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             yield B * _plain_sq(geom.gamma, r, parts)
             yield Bw * abs2(parts[0])
 
@@ -191,8 +192,8 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
         on = f.on_grid(r, y)
         B, Bw, rho = _weights(geom, exps, r, y)
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             val, fr, _, fy = parts
             cr = fr + a * drho_dr_over_rho(g, r, rho) * val
             cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
@@ -232,8 +233,8 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
         B, Bw, rho = _weights(geom, exps, r, y)
         components = grushin_components(beta, geom.gamma, r, y, rho)
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             yield B * components_sq(components(parts))
             yield B * _plain_sq(geom.gamma, r, parts)
             yield Bw * abs2(parts[0])
@@ -269,14 +270,13 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
         on = f.on_grid(r, y)
         B, Bw, rho = _weights(geom, exps, r, y)
         components = tilde_components(beta, geom.gamma, r, y, rho)
-        f0_sq = abs2(on.mode_zero())
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             yield B * components_sq(components(parts))
             f_sq = abs2(parts[0])
             yield Bw * f_sq
-            yield B * (f_sq - f0_sq) / r**2
+            yield B * (f_sq - abs2(on.mode_zero(x))) / r**2
 
         return at
 
@@ -291,7 +291,8 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
 
     Returns {"angular": int B |df/dphi|^2 / r^2, "defect": int B (|f|^2-|f0|^2)/r^2}.
     The first dominates the second for any mode content; they agree exactly when
-    every nonzero mode has |mode| = 1.
+    every nonzero mode has |mode| = 1, on the main engine bit for bit (per
+    mode, |i g|^2 and |g|^2 are the same float).
     """
     require_args("the Fourier defect terms", geom=geom, exps=exps, f=f, spec=spec)
     if geom.m != 2:
@@ -301,12 +302,11 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     def density(r, y):
         on = f.on_grid(r, y)
         B, _, _ = _weights(geom, exps, r, y)
-        f0_sq = abs2(on.mode_zero())
 
-        def at(phi):
-            val, _, fphi, _ = on(phi)
+        def at(x):
+            val, _, fphi, _ = on(x)
             yield B * abs2(fphi) / r**2
-            yield B * (abs2(val) - f0_sq) / r**2
+            yield B * (abs2(val) - abs2(on.mode_zero(x))) / r**2
 
         return at
 
@@ -349,8 +349,8 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         cross_weight = half_B * half_w
         field = components(beta, g, r, y, rho)
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             yield B * components_sq(field(parts))
             f_sq = abs2(parts[0])
             yield f_sq
@@ -394,14 +394,15 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
         vx_sq = (slope * r) ** 2
         vy_sq = grad_y_sq(slope * y)
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             val, fr, _, fy = parts
             f_sq = abs2(val)
             # x-sphere reduction of |(i d_x + slope y) f|^2 + |(i r^g d_y + slope x) f|^2:
-            # the cross terms vanish for real f
-            xblock = abs2(1j * fr) + vy_sq * f_sq
-            yblock = r ** (2.0 * g) * grad_y_sq(1j * fy) + vx_sq * f_sq
+            # the cross terms vanish for real f, and abs2 gives |i a|^2 the
+            # bits of |a|^2
+            xblock = abs2(fr) + vy_sq * f_sq
+            yblock = r ** (2.0 * g) * grad_y_sq(fy) + vx_sq * f_sq
             yield B * (xblock + yblock)
             yield B * _plain_sq(g, r, parts)
             yield B * (vx_sq + vy_sq) * f_sq

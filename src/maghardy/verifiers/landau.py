@@ -4,7 +4,10 @@ The twisted gradient carries a radial profile psi(|z|) multiplying the
 rotation field (-y, x); its squared norm is always assembled componentwise
 from the Cartesian components of fields.twisted_components (the same code
 as the pointwise twisted_grad_psi), so left-hand sides are the displayed
-integrands and nothing is simplified away.  Each check writes one density
+integrands and nothing is simplified away.  The main engine evaluates them
+on each angular mode at phi = 0: the rotation from the polar frame to the
+Cartesian one keeps |t|^2, so the components of a mode at phase 1 square
+to that mode's share of the phi integral.  Each check writes one density
 in the quadrature protocol and makes one integration call.  Plane functions
 are TestFunctions with k = 0; the x-radial real case generalizes to any
 even dimension 2n through the sphere-factor reduction.
@@ -19,7 +22,7 @@ import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, require_param
 from ..fields import RadialPotential, twisted_components
-from ..functions import TestFunction
+from ..functions import TestFunction, angle_of
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import abs2, components_sq, integrate, polar_integral, require_args, sharp_constant
@@ -75,9 +78,9 @@ def check_twisted_polar_identity(psi, kappa, f: TestFunction,
         on = f.on_grid(r, y)
         pv, kv = np.asarray(psi(r)), np.asarray(kappa(r))
 
-        def at(phi):
-            parts = on(phi)
-            yield components_sq(twisted_components(pv, r, phi, parts)) / kv
+        def at(x):
+            parts = on(x)
+            yield components_sq(twisted_components(pv, r, angle_of(x), parts)) / kv
             val, fr, fphi, _ = parts
             yield (abs2(fr) + abs2(fphi) / r**2 + pv**2 * r**2 * abs2(val)) / kv
 
@@ -151,17 +154,16 @@ def verify_landau(variant: str, psi: RadialPotential,
     def density(r, y):
         on = f.on_grid(r, y)
         pv = np.asarray(psi(r))
-        f0_sq = abs2(on.mode_zero())
         w_grad, w_main, w_psi, w_defect = (
             wv(r), main_weight(r), psi_weight(r), defect_weight(r))
 
-        def at(phi):
-            parts = on(phi)
-            yield w_grad * components_sq(twisted_components(pv, r, phi, parts))
+        def at(x):
+            parts = on(x)
+            yield w_grad * components_sq(twisted_components(pv, r, angle_of(x), parts))
             f_sq = abs2(parts[0])
             yield w_main * f_sq
             yield w_psi * f_sq
-            yield w_defect * (f_sq - f0_sq)
+            yield w_defect * (f_sq - abs2(on.mode_zero(x)))
 
         return at
 
@@ -242,10 +244,10 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
         # n = 1 runs on the plane; n >= 2 through the radial reduction
         pv = np.asarray(half(r)) if n == 1 else None
 
-        def at(phi):
-            parts = on(phi)
+        def at(x):
+            parts = on(x)
             if n == 1:
-                yield components_sq(twisted_components(pv, r, phi, parts))
+                yield components_sq(twisted_components(pv, r, angle_of(x), parts))
             else:
                 yield abs2(parts[1]) + 0.25 * r**2 * abs2(parts[0])
             for term in terms:

@@ -98,7 +98,9 @@ def test_superweight_engine_and_verifier_agree_off_the_shipped_point():
 @pytest.mark.parametrize("run", _VERIFY_RUNS, ids=[run["theorem_id"] for run in _VERIFY_RUNS])
 def test_every_integrand_of_every_check_is_a_real_float_array(monkeypatch, run):
     # the density protocol: each check integrates real quadratic forms, so
-    # every integrand its density yields, on every block and tile, is float64
+    # every integrand its density yields, on every block and at every point
+    # (each mode of f on the polar path, the angle 0.0 on the radial-x
+    # path), is float64
     seen = []
     tensor_sums = quadrature._tensor_sums
 
@@ -106,8 +108,8 @@ def test_every_integrand_of_every_check_is_a_real_float_array(monkeypatch, run):
         def checked(r, y):
             at = density(r, y)
 
-            def each(phi):
-                for vals in at(phi):
+            def each(x):
+                for vals in at(x):
                     assert isinstance(vals, np.ndarray) and vals.dtype == np.float64
                     seen.append(vals.shape)
                     yield vals

@@ -35,7 +35,8 @@ from maghardy.verifiers import FAMILY_FOR
 from maghardy.verifiers.catalogue import CHECKS as _CHECKS
 
 REPO = Path(__file__).resolve().parents[1]
-SHIPPED = REPO / "perfbench" / "reference" / "shipped"
+# the shipped configs' report bytes, re-recorded by a change that moves them
+SHIPPED = REPO / "tests" / "data" / "shipped"
 
 GEOM = {"m": 2, "k": 1, "gamma": 1.0}
 BUMP = {"kind": "bump", "r_lo": 0.5, "r_hi": 2.0, "y_box": [[-1.0, 1.0]]}
@@ -577,12 +578,13 @@ def test_fuzzed_field_never_raises(case, value):
 
 
 def _dispatch() -> str:
-    """numpy's version and the AVX-512 targets it dispatches on this CPU."""
-    from numpy._core._multiarray_umath import __cpu_features__
+    """numpy's version and the targets of its SIMD dispatch that this run uses:
+    those of numpy's dispatch list whose CPU features are on (a feature
+    outside that list, such as AVX512_CLX, runs no loop of its own)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
-    targets = [name for name, on in __cpu_features__.items()
-               if on and (name == "X86_V4" or name.startswith("AVX512_"))]
-    return f"numpy {np.__version__} with AVX-512 targets {', '.join(targets) or 'none'}"
+    targets = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return f"numpy {np.__version__} dispatching {', '.join(targets) or 'its baseline only'}"
 
 
 def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
@@ -597,8 +599,8 @@ def test_shipped_configs_reproduce_the_recorded_bytes(tmp_path):
     assert got == want
     for rel in want:
         assert (tmp_path / rel).read_bytes() == (SHIPPED / rel).read_bytes(), (
-            f"{rel}: the references assume numpy 2.4.6 with AVX-512; this run has "
-            f"{_dispatch()}")
+            f"{rel}: the references were recorded under numpy 2.4.6 dispatching X86_V3, "
+            f"X86_V4, AVX512_ICL, AVX512_SPR; this run has {_dispatch()}")
 
 
 @pytest.mark.parametrize("workload", ["margins", "sharpness"])
@@ -995,7 +997,7 @@ def test_zero_function_gives_zero_on_every_check(tmp_path):
         assert values == [0.0] * len(values), record["theorem_id"]
 
 
-# --- phi tiles: a polar check gives the same bits one angular node per call -----
+# --- modes: a polar check runs once per mode and block, bit for bit ------------
 
 POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty_ab",
              "landau_hardy_sobolev", "landau_log", "landau_poincare",
@@ -1003,47 +1005,60 @@ POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty
              "real_landau_critical", "real_landau_uncertainty"}
 
 
-def test_phi_tiles_give_the_reports_of_one_node_per_call(monkeypatch):
+def test_polar_checks_run_once_per_mode_and_give_the_bits_of_one_block(monkeypatch):
     import maghardy.quadrature as quadrature
+    from maghardy.functions import AngularMode
 
     cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
     runs = [(i, run) for i, run in enumerate(cfg["runs"])
             if run["theorem_id"] in POLAR_IDS and run.get("n", 1) == 1]
     assert {run["theorem_id"] for _, run in runs} == POLAR_IDS
-    tensor_sums, widths = quadrature._tensor_sums, []
+    tensor_sums, seen = quadrature._tensor_sums, []
 
-    def spy(density, spec, domain, power, phis):  # records the angular nodes of each call
-        def seen(r, y):
+    def spy(density, spec, domain, power, points):  # records each block's calls of at
+        def recorded(r, y):
             at = density(r, y)
+            seen[-1].append([])
 
-            def tile(phi):
-                widths[-1].append(len(phi))
-                return at(phi)
-            return tile
-        return tensor_sums(seen, spec, domain, power, phis)
+            def each(x):
+                seen[-1][-1].append(x)
+                return at(x)
+            return each
+        return tensor_sums(recorded, spec, domain, power, points)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", spy)
 
     def reports():
         out = []
         for i, run in runs:
-            widths.append([])
+            seen.append([])
             report = _run_one(run, i, _run_seed(run, i, cfg["seed"]))
             out.append(json.dumps(report, default=jsonable, sort_keys=True))
         return out
 
-    tiled = reports()
-    assert all(max(seen) > 1 for seen in widths)  # every check runs tiles
-    widths.clear()
+    # blocks of at most 64 nodes: numpy's pairwise tree cuts every grid
+    # down to its leaves of at most 128 nodes, or to single rows
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
+    blocked = reports()
+    # on every block, at runs once per mode of f, in sorted mode order, and
+    # never at an angle
+    for blocks in seen:
+        modes = blocks[0]
+        assert modes and all(isinstance(m, AngularMode) for m in modes)
+        assert [m.mode for m in modes] == sorted({m.mode for m in modes})
+        assert all(calls == modes for calls in blocks)
+    assert all(len(blocks) > 1 for blocks in seen)  # every check runs several blocks
+    assert max(len(blocks[0]) for blocks in seen) > 2  # and some f has several modes
+    seen.clear()
 
-    def one_block(density, spec, domain, power, phis):  # one block, one angular node per tile
+    def one_block(density, spec, domain, power, points):  # the whole grid one block
         r, _, Y, _ = quadrature.tensor_grid(spec, domain)
         monkeypatch.setattr(quadrature, "BLOCK_NODES", r.size * len(Y))
-        return spy(density, spec, domain, power, phis)
+        return spy(density, spec, domain, power, points)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", one_block)
-    assert reports() == tiled
-    assert {w for seen in widths for w in seen} == {1}
+    assert reports() == blocked
+    assert all(len(blocks) == 1 for blocks in seen)
 
 
 # --- admissibility boundaries of the registry records ---------------------------

@@ -7,6 +7,9 @@
     the term 0*0 is exactly 0, so the real part rounds a*c once, and every
     report equals the one computed from the same f's complex arrays.
   * Mode 0 is added without its phase: (a + bi)(1 + 0i) is exactly a + bi.
+  * |i a|^2 is |a|^2: i (a + bi) is exactly -b + ai, and abs2 adds the two
+    rounded squares, so verify_constant_field squares its parts without
+    the i of the printed gradient, float or complex.
 
 Each holds in IEEE arithmetic whatever numpy's SIMD dispatch or its use of
 fused multiply-add; only the sign of an exact zero may differ, which no
@@ -32,6 +35,7 @@ from maghardy.functions import (
 )
 from maghardy.geometry import GrushinGeometry
 from maghardy.reports import jsonable
+from maghardy.verifiers._grids import abs2, grad_y_sq
 
 REPO = Path(__file__).resolve().parents[1]
 _VERIFY_RUNS = [run for run in json.loads(
@@ -71,6 +75,18 @@ def test_complex_division_by_a_real_is_a_product_with_its_reciprocal():
         assert _equal_up_to_zero_signs(block / radii, block * (1.0 / radii))
 
 
+def test_the_square_of_i_times_a_part_is_the_square_of_the_part():
+    # on float and complex parts spanning every binade: the constant-field
+    # density's abs2(fr) and grad_y_sq(fy) for |i fr|^2 and |i r^g fy|^2
+    z = _spread_complex(np.random.default_rng(31), 99_999)
+    with np.errstate(all="ignore"):
+        for part in (z.real, z):
+            assert abs2(1j * part).tobytes() == abs2(part).tobytes()
+            dy = part.reshape(-1, 3)
+            assert grad_y_sq(1j * dy).tobytes() == grad_y_sq(dy).tobytes()
+        assert abs2(z.real).tobytes() == abs2(z.real + 0j).tobytes()
+
+
 def _grid():
     r = np.geomspace(0.3, 3.0, 11)[:, None]
     y = np.stack([np.linspace(-1.9, 1.7, 9)], axis=-1)[None, :, :]
@@ -101,9 +117,6 @@ def test_a_real_amplitude_is_the_imaginary_part_of_the_same_amplitude_times_i():
             assert _equal_up_to_zero_signs(u, v.imag) and not v.real.any()
 
 
-_COL = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)[:, None, None]
-
-
 @pytest.mark.parametrize("modes", [(0,), (0, 1), (-2, 0, 1)])
 def test_mode_zero_adds_what_its_phase_product_would(modes):
     amps = {-2: 0.4 - 0.9j, 0: 1.1 + 0.6j, 1: -0.5j}
@@ -111,14 +124,13 @@ def test_mode_zero_adds_what_its_phase_product_would(modes):
         PlateauLogBump(0.5, 2.0), (GaussBumpY(-2.0, 2.0, 0.3),), amps[m])) for m in modes])
     r, y = _grid()
     at = f.on_grid(r, y)
-    for phi in (0.0, 0.9, _COL):
+    for phi in np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False).tolist() + [0.9]:
         # every mode times its phase, added in sorted mode order
         want = None
         for m in f.modes:
             g, gr, gy = m.profile.on_grid(r, y, real=False)
             e = np.exp(1j * m.mode * np.asarray(phi))
-            ey = e[..., None] if np.ndim(e) else e
-            terms = [g * e, gr * e, 1j * m.mode * g * e, gy * ey]
+            terms = [g * e, gr * e, 1j * m.mode * g * e, gy * e]
             want = terms if want is None else [w + t for w, t in zip(want, terms)]
         got = at(phi)
         for u, v in zip(got, want, strict=True):

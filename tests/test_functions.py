@@ -286,18 +286,24 @@ def test_partials_polar_match_fd_in_r_and_phi():
 
 
 def test_angular_average_is_mode_zero():
-    # the zeroth angular mode that ab_hardy and the Landau checks subtract
+    # the zeroth angular mode that ab_hardy and the Landau checks subtract:
+    # at any angle and on mode 0 itself; on every other mode it is 0
     rng = np.random.default_rng(21)
     f = random_test_function(rng, k=0, modes=(-1, 0, 1))
     r = np.array([1.0])
     y = np.zeros((1, 0))
     phis = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     mean = np.mean([f.value_polar(r, p, y)[0] for p in phis])
-    got = f.on_grid(r, y).mode_zero()[0]
-    assert abs(got - mean) <= 1e-12 * max(1.0, abs(mean))
+    on = f.on_grid(r, y)
+    for x in (0.0, 2.5, f.modes[1]):
+        got = on.mode_zero(x)[0]
+        assert abs(got - mean) <= 1e-12 * max(1.0, abs(mean))
+    assert on.mode_zero(f.modes[1]) is on(f.modes[1])[0]
+    assert [on.mode_zero(m) for m in (f.modes[0], f.modes[2])] == [0.0, 0.0]
     # no mode 0: the zeroth mode is zero
     f1 = TestFunction([AngularMode(1, ProductProfile(PlateauLogBump(0.5, 2.0)))])
-    assert f1.on_grid(r, y).mode_zero()[0] == 0.0
+    on1 = f1.on_grid(r, y)
+    assert on1.mode_zero(0.0) == 0.0 and on1.mode_zero(f1.modes[0]) == 0.0
 
 
 def test_function_needs_a_mode():
@@ -383,13 +389,15 @@ def test_is_real_valued_detects_cosine_pairs():
     assert not TestFunction([AngularMode(0, imag_amp)]).is_real_valued()
 
 
-def test_is_real_valued_samples_all_its_angles_in_one_call(monkeypatch):
-    calls = []
+def test_is_real_valued_samples_its_angles_on_one_grid(monkeypatch):
+    # one closure, so each profile is evaluated once, then its 5 angles
+    grids, calls = [], []
     on_grid = TestFunction.on_grid
 
     def counting(self, r, y):
+        grids.append((r.shape, y.shape))
         at = on_grid(self, r, y)
-        return lambda phi: (calls.append(np.shape(phi)), at(phi))[1]
+        return lambda phi: (calls.append(phi), at(phi))[1]
 
     monkeypatch.setattr(TestFunction, "on_grid", counting)
     prof = ProductProfile(PlateauLogBump(0.5, 2.0), [PlateauBumpY(-1.0, 1.0)], amplitude=0.5)
@@ -397,7 +405,9 @@ def test_is_real_valued_samples_all_its_angles_in_one_call(monkeypatch):
         f = TestFunction([AngularMode(m, prof) for m in modes])
         assert f.is_real_valued() is real
         assert f.is_real_valued() is real   # cached
-        assert calls == [(5, 1, 1)]
+        assert grids == [((7, 1), (1, 7, 1))]
+        assert calls == np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False).tolist()
+        grids.clear()
         calls.clear()
 
 

@@ -344,10 +344,15 @@ def test_k0_row_blocks_give_the_bits_of_one_block(monkeypatch):
                 for v, psi, params, f, radius in runs]
 
     one_block = reports()
-    widths, tile_view = [], quadrature._tile_view
-    monkeypatch.setattr(quadrature, "_tile_view",
-                        lambda product, tile: (widths.append(tile[1] * tile[2]),
-                                               tile_view(product, tile))[1])
+    widths, tensor_sums = [], quadrature._tensor_sums
+
+    def spy(density, *args):  # records the nodes of each block
+        def recorded(r, y):
+            widths.append(r.size * y.shape[1])
+            return density(r, y)
+        return tensor_sums(recorded, *args)
+
+    monkeypatch.setattr(quadrature, "_tensor_sums", spy)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 4)
     assert reports() == one_block
-    assert set(widths) == {72}
+    assert len(widths) == 2 * len(runs) and set(widths) == {72}

@@ -1,6 +1,7 @@
 """Quadrature rules against closed forms, plus main-engine/oracle agreement."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -193,9 +194,20 @@ def _gauss_integrand(r, phi, y):
     return np.exp(-r * r) * (1.0 + np.cos(phi)) * np.exp(-y[..., 0] ** 2)
 
 
+# the modes of f = e^(-(r^2 + y^2)/2) (1 + e^(i phi)) / sqrt(2), whose |f|^2
+# is _gauss_integrand; the engine hands each of them to at as given
+GAUSS_MODES = (0, 1)
+
+
 def _gauss_density(r, y):
-    """One integrand, in the density(r, y) -> at(phi) protocol."""
-    return lambda phi: (_gauss_integrand(r, phi, y),)
+    """|f|^2 in the density(r, y) -> at(x) protocol: at an angle x (a float),
+    or its share e^(-(r^2 + y^2)) / 2 on either mode (an int) at phase 1."""
+    def at(x):
+        if isinstance(x, int):
+            return (0.5 * np.exp(-r * r) * np.exp(-y[..., 0] ** 2),)
+        return (_gauss_integrand(r, x, y),)
+
+    return at
 
 
 def _gauss_closed_form(r_lo, r_hi, L):
@@ -206,15 +218,17 @@ def _gauss_closed_form(r_lo, r_hi, L):
 def test_integrate_polar_against_closed_form():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
     spec = QuadratureSpec(n_r=64, n_phi=8, n_y=24)
-    [got] = integrate_polar(_gauss_density, spec, dom)
+    [got] = integrate_polar(_gauss_density, spec, dom, GAUSS_MODES)
     want = _gauss_closed_form(0.05, 4.0, 2.0)
     assert type(got) is float
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
 def test_oracle_agrees_with_main_engine():
+    # the per-mode sum against the oracle's angular nodes on the same density
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
-    [main] = integrate_polar(_gauss_density, QuadratureSpec(n_r=64, n_phi=8, n_y=24), dom)
+    [main] = integrate_polar(_gauss_density, QuadratureSpec(n_r=64, n_phi=8, n_y=24), dom,
+                             GAUSS_MODES)
     [check] = oracle_integrate(_gauss_density, dom, (2401, 16, 161))
     assert abs(main - check) <= 1e-7 * abs(check)
 
@@ -244,7 +258,9 @@ def test_the_oracle_runs_its_density_in_row_blocks():
 
 
 def test_every_integrand_of_a_pass_equals_its_own_integral():
-    # several integrands in one phi pass give, bit for bit, what each gives alone
+    # several integrands in one pass give, bit for bit, what each gives
+    # alone: on the main engine over three points (at takes each as given),
+    # on the oracle over its angular nodes
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
     spec = QuadratureSpec(n_r=32, n_phi=8, n_y=16)
     integrands = (
@@ -256,7 +272,7 @@ def test_every_integrand_of_a_pass_equals_its_own_integral():
     def together(r, y):
         return lambda phi: (h(r, phi, y) for h in integrands)
 
-    for engine in (lambda d: integrate_polar(d, spec, dom),
+    for engine in (lambda d: integrate_polar(d, spec, dom, (0, 1, 2)),
                    lambda d: oracle_integrate(d, dom, (101, 8, 41))):
         alone = [engine(lambda r, y, h=h: lambda phi: (h(r, phi, y),))[0]
                  for h in integrands]
@@ -271,7 +287,7 @@ def test_density_runs_once_per_integration():
         return _gauss_density(r, y)
 
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
-    integrate_polar(density, QuadratureSpec(n_r=16, n_phi=12, n_y=4), dom)
+    integrate_polar(density, QuadratureSpec(n_r=16, n_phi=12, n_y=4), dom, GAUSS_MODES)
     oracle_integrate(density, dom, (101, 12, 41))
     assert len(calls) == 2
 
@@ -289,8 +305,12 @@ SMALL_BLOCK = 200
 BLOCKS = {SMALL_BLOCK: 16, 1080: 2}
 
 
+# the points the main engine hands to at in these tests
+MODES = (-1, 0, 2)
+
+
 def _mixed_shape_density(r, y):
-    """Integrands of shape (n_r, n_flat), (n_r, 1) and one per phi."""
+    """Integrands of shape (n_r, n_flat), (n_r, 1) and () at each point."""
     def at(phi):
         yield _gauss_integrand(r, phi, y)
         yield np.cos(phi + 0.3) * np.exp(-r) * np.sqrt(r)
@@ -300,7 +320,7 @@ def _mixed_shape_density(r, y):
 
 
 def _both_engines(density):
-    return (integrate_polar(density, BLOCKED_SPEC, support_domain(BLOCKED_F)),
+    return (integrate_polar(density, BLOCKED_SPEC, support_domain(BLOCKED_F), MODES),
             rx_integral(density, BLOCKED_F, BLOCKED_SPEC, 3))
 
 
@@ -327,7 +347,7 @@ def test_density_runs_once_per_row_block(monkeypatch, block):
 
     monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
     _both_engines(density)
-    # polar, then x-radial, on the same blocks; once per block, not per phi slice
+    # polar, then x-radial, on the same blocks; once per block, not per mode
     polar, radial = calls[:BLOCKS[block]], calls[BLOCKS[block]:]
     assert len(radial) == BLOCKS[block]
     assert all(np.array_equal(p, x) for p, x in zip(polar, radial))
@@ -345,16 +365,15 @@ def _reference_sum(values):
     return np.add.reduce(np.ravel(values))
 
 
-def _slice_by_slice(at, base, phis):
-    """The reference reduction: each slice of the whole grid summed on its own."""
+def _grid_sums(at, base, points):
+    """The reference reduction: each integrand added over the points node by
+    node on the whole grid, weighted, and summed in one run."""
     totals = []
-    for phi in phis:
-        col = np.array([[[phi]]])
-        for i, vals in enumerate(at(col)):
-            one = base * np.broadcast_to(np.asarray(vals), col.shape[:1] + base.shape)[0]
-            if i == len(totals):
-                totals.append(0.0)
-            totals[i] += float(_reference_sum(one))
+    for vals in zip(*[at(p) for p in points]):
+        total = vals[0]
+        for v in vals[1:]:
+            total = total + v
+        totals.append(0.0 + float(_reference_sum(base * total)))
     return totals
 
 
@@ -362,37 +381,40 @@ def _four_shape_density(r, y):
     """_mixed_shape_density's integrands, then a full-grid one of either sign."""
     mixed = _mixed_shape_density(r, y)
 
-    def at(phi):
-        yield from mixed(phi)
-        yield np.sin(2.0 * phi + 0.3) * _gauss_integrand(r, phi, y)
+    def at(x):
+        yield from mixed(x)
+        yield np.sin(2.0 * x + 0.3) * _gauss_integrand(r, x, y)
 
     return at
 
 
-@pytest.mark.parametrize("tile", [1, 3, 8, "blocked"])
-def test_one_reduction_per_tile_is_bitwise_slice_by_slice(monkeypatch, tile):
-    # the tensor pass's sums have the bits of each whole slice summed alone,
-    # as Python floats, on every integrand shape, in tiles of 1,
-    # 3 (a ragged last tile of 2) and all 8 angular nodes of one block, and
-    # on 16 blocks that follow numpy's pairwise tree off the row grid
+@pytest.mark.parametrize("points, block", [((0,), "one"), (MODES, "one"),
+                                           (MODES, SMALL_BLOCK), (MODES, 1080)],
+                         ids=["one point", "three points", "three points, 16 blocks",
+                              "three points, 2 blocks"])
+def test_one_reduction_per_block_is_bitwise_the_grid_sum(monkeypatch, points, block):
+    # the tensor pass's sums have the bits of each integrand, added over the
+    # points node by node, summed over the whole grid alone as a Python
+    # float, on every integrand shape: on one block of the grid, over one
+    # point and three, and on 16 blocks that follow numpy's pairwise tree
+    # off the row grid and on its two 60-row halves
     domain = support_domain(BLOCKED_F)
     r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, domain)
     base = (w_r * r)[:, None] * w_y[None, :]
-    phis, _ = phi_rule(BLOCKED_SPEC.n_phi)
-    block = SMALL_BLOCK if tile == "blocked" else tile * base.size
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", block)
-    tiles = []
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", base.size if block == "one" else block)
+    calls = []
 
     def density(r, y):
         at = _four_shape_density(r, y)
-        return lambda phi: (tiles.append(len(phi)), at(phi))[1]
+        calls.append([])
+        return lambda x: (calls[-1].append(x), at(x))[1]
 
-    got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, phis)
-    want = _slice_by_slice(_four_shape_density(r[:, None], Y[None, :, :]), base, phis)
+    got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, points)
+    want = _grid_sums(_four_shape_density(r[:, None], Y[None, :, :]), base, points)
     assert got == want and len(got) == 4
     assert all(type(total) is float for total in got)
-    assert tiles == {1: [1] * 8, 3: [3, 3, 2], 8: [8],
-                     "blocked": [1] * 8 * BLOCKS[SMALL_BLOCK]}[tile]
+    # every block calls at once per point, in their order
+    assert calls == [list(points)] * {"one": 1, **BLOCKS}[block]
 
 
 # --- the tensor pass keeps the bits of one reduction per slice ---------------
@@ -405,8 +427,9 @@ def _unit_grid(n_rows, n_flat):
 
 
 def _sliced(x):
-    """A density over x of shape (n_phi, n_rows, n_flat): its integrand j is
-    x[j] at angular node j and zero at the others."""
+    """A density over x of shape (n_points, n_rows, n_flat): its integrand j
+    is x[j] at point j and zero at the others, so added over the points it
+    is x[j] node by node."""
     def density(r, y):
         rows = x[:, int(r[0, 0]):int(r[-1, 0]) + 1]
 
@@ -421,9 +444,9 @@ def _sliced(x):
 
 
 def _check_slice_sums(x, block):
-    """Each slice sum of the tensor pass over x at BLOCK_NODES = block is
-    bitwise _reference_sum of the slice, or it raises NonFiniteError exactly
-    when one of those is not finite."""
+    """Each integrand's sum of the tensor pass over x at BLOCK_NODES = block
+    is bitwise _reference_sum of its slice of x, or it raises NonFiniteError
+    exactly when one of those is not finite."""
     n_phi, n_rows, n_flat = x.shape
     with np.errstate(over="ignore", invalid="ignore"):  # as in the tensor pass
         want = [_reference_sum(one) for one in x]
@@ -495,7 +518,7 @@ def test_a_row_wider_than_a_block_runs_in_at_most_two_blocks(monkeypatch):
 
     def density(r, y):
         blocks.append((int(r[0, 0]), int(r[-1, 0]) + 1))
-        return lambda col: (np.ones(col.shape),)
+        return lambda x: (np.ones(r.shape),)
 
     monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(48, 14400))
     assert quadrature._tensor_sums(density, None, None, 0, (0.0,)) == [48 * 14400]
@@ -511,29 +534,36 @@ _ALIGNED = {
 }
 
 
+class _ReduceSpy:
+    """quadrature's numpy, with add.reduce recording the shape it sums."""
+
+    def __init__(self, shapes):
+        self.add = types.SimpleNamespace(
+            reduce=lambda a, *args, **kw: (shapes.append(a.shape),
+                                           np.add.reduce(a, *args, **kw))[1])
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 @pytest.mark.parametrize("grid", sorted(_ALIGNED))
 def test_grids_in_use_are_cut_on_numpys_pairwise_tree(monkeypatch, grid):
     n_rows, n_flat = grid
     count, rows = _ALIGNED[grid]
-    blocks, parts = [], []
-    tile_view = quadrature._tile_view
+    blocks, reduced = [], []
 
     def density(r, y):
         blocks.append((int(r[0, 0]), int(r[-1, 0]) + 1))
-        return lambda col: (np.ones(col.shape), np.full(col.shape, 2.0))
-
-    def spy(product, tile):
-        parts.append(tile_view(product, tile).shape)
-        return tile_view(product, tile)
+        return lambda x: (np.ones(r.shape), np.full(r.shape, 2.0))
 
     monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
-    monkeypatch.setattr(quadrature, "_tile_view", spy)
-    got = quadrature._tensor_sums(density, None, None, 0, (0.0, 1.0))
+    monkeypatch.setattr(quadrature, "np", _ReduceSpy(reduced))
+    got = quadrature._tensor_sums(density, None, None, 0, (0, 1))
     # every block is one subtree of whole rows: one reduction of the whole
-    # block per tile (one angular node here) and integrand, and every node
+    # block per integrand, after its two points are added, and every node
     # is summed once
     assert blocks == [(a, a + rows) for a in range(0, n_rows, rows)] and len(blocks) == count
-    assert parts == [(1, rows * n_flat)] * (count * 2 * 2)
+    assert reduced == [(rows * n_flat,)] * (count * 2)
     assert got == [2.0 * n_rows * n_flat, 4.0 * n_rows * n_flat]
 
 
@@ -565,12 +595,12 @@ NONFINITE_NODES = {
 }
 
 
-def _bad_density(bad, phi_from):
-    """A finite integrand, then one with bad nodes on r > 1 at phi >= phi_from."""
+def _bad_density(bad, x_from):
+    """A finite integrand, then one with bad nodes on r > 1 at x >= x_from."""
     def density(r, y):
-        def at(phi):
+        def at(x):
             yield np.ones_like(r)
-            yield np.where((r > 1.0) & (np.asarray(phi) >= phi_from), bad(r), 1.0)
+            yield np.where((r > 1.0) & (np.asarray(x) >= x_from), bad(r), 1.0)
 
         return at
 
@@ -580,8 +610,9 @@ def _bad_density(bad, phi_from):
 def test_nonfinite_integrand_raises():
     f = make_bump(0.5, 2.0)
     dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
-    # polar: the 4 angular nodes are one tile, bad only on its last two
-    engines = ((lambda d: integrate_polar(d, spec, dom), math.pi),
+    # polar: bad only on the last two of 4 modes; oracle: on its last two
+    # of 4 angular nodes
+    engines = ((lambda d: integrate_polar(d, spec, dom, (0, 1, 2, 3)), 2),
                (lambda d: rx_integral(d, f, spec, 3), 0.0),
                (lambda d: integrate_radial(d, spec, dom, 0), 0.0),
                (lambda d: oracle_integrate(d, dom, (101, 4, 11)), math.pi))
@@ -593,10 +624,10 @@ def test_nonfinite_integrand_raises():
 
 
 def _complex_density(r, y):
-    """A real integrand, then exp(i phi) * r: complex on every node."""
-    def at(phi):
+    """A real integrand, then exp(i x) * r: complex on every node."""
+    def at(x):
         yield np.ones_like(r)
-        yield np.exp(1j * np.asarray(phi)) * r
+        yield np.exp(1j * np.asarray(x)) * r
 
     return at
 
@@ -604,7 +635,7 @@ def _complex_density(r, y):
 def test_both_engines_refuse_a_complex_integrand_by_index():
     f = make_bump(0.5, 2.0)
     dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
-    engines = (lambda d: integrate_polar(d, spec, dom),
+    engines = (lambda d: integrate_polar(d, spec, dom, (0, 1)),
                lambda d: integrate_radial(d, spec, dom, 1),
                lambda d: oracle_integrate(d, dom, (101, 4, 11)))
     for integrate in engines:
@@ -618,7 +649,7 @@ def test_overflowing_slice_sum_raises():
     dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
     huge = _bad_density(lambda r: np.finfo(float).max, 0.0)
     with pytest.raises(NonFiniteError):
-        integrate_polar(huge, spec, dom)
+        integrate_polar(huge, spec, dom, (0,))
     with pytest.raises(NonFiniteError):
         rx_integral(huge, f, spec, 3)
 
@@ -629,7 +660,8 @@ def test_slice_ceiling_refuses_oversized_grids_before_building_them():
 
     box4 = ((-1.0, 1.0),) * 4
     with pytest.raises(DomainError, match="ceiling"):
-        integrate_polar(never, QuadratureSpec(n_r=256, n_phi=4, n_y=64), Domain(0.5, 2.0, box4))
+        integrate_polar(never, QuadratureSpec(n_r=256, n_phi=4, n_y=64), Domain(0.5, 2.0, box4),
+                        (0,))
     with pytest.raises(DomainError, match="ceiling"):
         tensor_grid(QuadratureSpec(n_r=256, n_y=64), Domain(0.5, 2.0, ((-1.0, 1.0),) * 8))
     # the oracle's k = 2 grid (2403 x 163^2 nodes) is far past it
@@ -673,8 +705,8 @@ def test_spec_validation():
 def test_determinism_bitwise():
     dom = Domain(0.05, 4.0, ((-2.0, 2.0),))
     spec = QuadratureSpec(n_r=32, n_phi=8, n_y=16)
-    a = integrate_polar(_gauss_density, spec, dom)
-    b = integrate_polar(_gauss_density, spec, dom)
+    a = integrate_polar(_gauss_density, spec, dom, GAUSS_MODES)
+    b = integrate_polar(_gauss_density, spec, dom, GAUSS_MODES)
     assert a == b and len(a) == 1
 
 

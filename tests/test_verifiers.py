@@ -525,7 +525,7 @@ def _real_cos_pair(radial):
     return TestFunction([AngularMode(-1, shared), AngularMode(1, shared)])
 
 
-def test_radial_factor_runs_once_per_grid_across_phi_slices():
+def test_radial_factor_runs_once_per_grid_across_modes():
     radial = _CountingBump(0.5, 2.0)
     f = _real_cos_pair(radial)
     dom = Domain(0.5, 2.0, y_box=((-1.0, 1.0),), r_breaks=f.support()[3])
@@ -533,9 +533,9 @@ def test_radial_factor_runs_once_per_grid_across_phi_slices():
 
     def density(r, y):
         on = f.on_grid(r, y)
-        return lambda phi: (abs2(on(phi)[1]),)
+        return lambda x: (abs2(on(x)[1]),)
 
-    integrate_polar(density, spec, dom)
+    integrate_polar(density, spec, dom, f.modes)
     assert radial.calls == 1
 
 
@@ -572,11 +572,16 @@ def _grid_k(k):
     return r, y[None, :, :]
 
 
-_COL = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False)[:, None, None]
+_PHIS = np.linspace(0.0, 2.0 * np.pi, 5, endpoint=False).tolist()
 
 
 def _same_bits(a, b):
     return all(np.array_equal(u, v) for u, v in zip(a, b, strict=True))
+
+
+def _at_angles(at):
+    """Every part of f from the closure at, at the 5 angles _PHIS, stacked."""
+    return [np.stack(parts) for parts in zip(*[at(phi) for phi in _PHIS])]
 
 
 def test_a_factor_shared_by_modes_runs_once_per_grid():
@@ -591,12 +596,12 @@ def test_a_factor_shared_by_modes_runs_once_per_grid():
         for m, a in amps.items()])
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
-    values = at(_COL)
+    values = _at_angles(at)
     assert radial.calls == 1
-    assert _same_bits(values, apart.on_grid(r, y)(_COL))
-    at(0.7)
+    assert _same_bits(values, _at_angles(apart.on_grid(r, y)))
+    at(f.modes[1])
     assert radial.calls == 1  # once per closure, however often it is called
-    f.on_grid(r, y)(_COL)
+    _at_angles(f.on_grid(r, y))
     assert radial.calls == 2  # once per grid, not once per closure's life
 
 
@@ -610,7 +615,7 @@ def test_one_y_factor_on_two_axes_runs_on_each_axis():
         PlateauLogBump(0.5, 2.0), (PlateauBumpY(-1.0, 1.0), PlateauBumpY(-1.0, 1.0))))])
     r, y = _grid_k(2)
     assert not np.array_equal(y[..., 0], y[..., 1])
-    assert _same_bits(one.on_grid(r, y)(_COL), two.on_grid(r, y)(_COL))
+    assert _same_bits(_at_angles(one.on_grid(r, y)), _at_angles(two.on_grid(r, y)))
 
 
 class _CountingProfile(ProductProfile):
@@ -641,8 +646,11 @@ def test_a_profile_shared_by_two_modes_forms_its_products_once_per_closure():
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
     assert shared.forms == 0  # formed at the closure's first call, not before
-    for phi in (_COL, 0.7, _COL):
+    for phi in (0.0, 0.7, 2.1):
         assert _same_bits(at(phi), apart.on_grid(r, y)(phi))
+    parts = {m.mode: at(m) for m in f.modes}
+    assert parts[-1][0] is parts[1][0]  # one g, formed once, on both modes
+    assert _same_bits(parts[1], apart.on_grid(r, y)(apart.modes[2]))
     assert shared.forms == 1
 
 
@@ -661,15 +669,18 @@ def _held_closure_cases():
 @pytest.mark.parametrize("case", sorted(_held_closure_cases()))
 def test_the_closure_never_writes_its_held_products(case):
     # at phi = 0 every mode's e^(i mode phi) is 1, so a sum that started from
-    # the held products themselves, or added into them, would change them
+    # the held products themselves, or added into them, would change them;
+    # a call on a mode returns them
     f = _held_closure_cases()[case]
     r, y = _grid_k(1)
     at = f.on_grid(r, y)
-    zero_before = at.mode_zero().copy()
+    zero_before = at.mode_zero(0.0).copy()
+    held = [[v.copy() for v in at(m)] for m in f.modes]
     first = [v.copy() for v in at(0.0)]
-    at(_COL)
+    _at_angles(at)
     assert _same_bits(first, at(0.0))
-    assert np.array_equal(zero_before, at.mode_zero())
+    assert np.array_equal(zero_before, at.mode_zero(0.0))
+    assert all(_same_bits(parts, at(m)) for parts, m in zip(held, f.modes, strict=True))
 
 
 @pytest.mark.parametrize("check", ["magnetic", "ab_hardy"])
@@ -733,7 +744,7 @@ def test_blocked_reports_are_bitwise_single_block(monkeypatch):
                 verify_radial_hardy(HEAVY_GEOM, HEAVY_EXPS, real, HEAVY).to_dict())
 
     blocked = reports()
-    # one block of the whole grid (144 x 1296 nodes), one angular node per tile
+    # one block of the whole grid (144 x 1296 nodes)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 144 * 1296)
     assert reports() == blocked
 
@@ -745,15 +756,15 @@ def test_radial_factor_runs_once_per_row_block():
         AngularMode(2, ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),) * 2,
                                       amplitude=0.5j)),
     ])
-    # 16 phi slices, so once per block is not once per slice
+    # two modes, so once per block is not once per mode
     rep = _heavy_ab_hardy(f, QuadratureSpec(n_r=48, n_phi=16, n_y=12))
     assert rep.margin >= -rep.tolerance()
     assert radial.calls == HEAVY_BLOCKS
 
 
 def test_every_mode_forms_its_products_once_per_row_block():
-    # 16 angular tiles of one node on each block, and mode_zero on top: once
-    # per tile would be 17 forms of mode 0 per block
+    # four modes on each block, and mode_zero on top: once per call would be
+    # 8 forms of mode 0 per block
     def counting(amplitude):
         return _CountingProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),) * 2,
                                 amplitude=amplitude)
@@ -822,7 +833,7 @@ def test_oracle_ab_hardy_peak_memory():
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_grad_y_sq_is_bitwise_the_trailing_axis_sum(k):
-    # a row block (n_rows, n_flat, k) and a tile of 3 angular nodes on it
+    # a row block (n_rows, n_flat, k) and a column of 3 angles on it
     rng = np.random.default_rng(k)
     for shape in [(12, 36, k), (3, 12, 36, k)]:
         dy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
