@@ -51,18 +51,18 @@ that names its index.  Every density must be elementwise per node, so a
 node's value depends neither on the block it sits in nor on the other
 modes.
 
-The main engine gives each integral the bits of one np.add.reduce over
-the grid: it walks numpy's pairwise tree over the grid down to row blocks
-(_tensor_sums), and on each block adds every integrand over the modes node
-by node, in the order given, weights it and reduces it once.  So results
-are bit-stable across runs and do not depend on how many integrands share
-the pass or how the grid is blocked.
+The main engine runs the grid in blocks of whole consecutive rows
+(_tensor_sums), each row once.  On each block it adds every integrand over
+the modes node by node, in the order given, weights it and reduces it once,
+and it adds the block sums in row order.  So results are bit-stable across
+runs and do not depend on how many integrands share the pass; another
+blocking moves a sum only by the roundoff of a pairwise sum.
 
 No (r, y) slice holds more than MAX_SLICE_NODES nodes: the main engine and
 the oracle refuse a larger grid with a DomainError before building it.  The
 main engine forms no full-grid array: a pass holds the 1-D rules, the y
 nodes, one block's density state and the per-mode integrands of one block,
-at most max(BLOCK_NODES, two rows) nodes each, so on it the ceiling bounds
+at most max(BLOCK_NODES, one row) nodes each, so on it the ceiling bounds
 work, and memory grows with the width of a row, not with n_r.  The oracle
 runs its own loop over row blocks of at most ORACLE_BLOCK_NODES nodes (or
 one row), so its memory too grows with the width of a row.
@@ -84,8 +84,8 @@ TWO_PI = 2.0 * math.pi
 
 # Ceiling on the (r, y) nodes of one angular slice, checked before a grid is
 # built: about 8.4 million nodes.  Each engine holds one row block at a time:
-# at most max(BLOCK_NODES, two rows) nodes on the main engine (two rows of
-# the widest grid in use, 28,800 nodes, are 230 KB per real array) and
+# at most max(BLOCK_NODES, one row) nodes on the main engine (a row of the
+# widest grid in use, 14,400 nodes, is 115 KB per real array) and
 # max(ORACLE_BLOCK_NODES, one row) on the oracle.  It admits the largest
 # grids in use (a k = 2 identity check at n_r = 128, n_y = 40: 384 x 120^2
 # = 5.5 million nodes; the oracle k = 1 grid, 2403 x 163) and turns a
@@ -93,11 +93,15 @@ TWO_PI = 2.0 * math.pi
 # instead of a failed allocation.
 MAX_SLICE_NODES = 1 << 23
 
-# Most nodes of one row block of more than two rows (_tensor_sums): the
-# temporaries of a block, 128 KB per real array, stay in a 2 MB L2 cache and
-# are reused from the heap.  2^14 and 2^15 measured fastest of 2^12 to 2^15
-# over 20 margins passes on a 2-core Xeon; 2^14 holds half the memory.
-BLOCK_NODES = 1 << 14
+# Most nodes of one row block of more than one row (_tensor_sums): the
+# temporaries of a block, 96 KB per real array, stay in a 2 MB L2 cache and
+# are reused from the heap.  It cuts a k = 2 margins grid (1296 nodes a row)
+# into blocks of 9 rows, as numpy's pairwise tree did before blocks were
+# whole rows.  Against those tree blocks, in 10 alternating 20 s margins
+# runs on a 2-core Xeon, 2^14 gave 627 cases/s for 602 but a peak RSS of
+# 46.8 MB for 45.2, and 2^13 43.5 MB but 580 cases/s; 3 * 2^12 gave 622
+# cases/s at 45.3 MB.
+BLOCK_NODES = 3 << 12
 
 # Most (r, y) nodes of one row block of the oracle, or one row if a row holds
 # more: 128 KB per complex array.  A k = 1 three-mode ab_hardy check holds
@@ -288,11 +292,6 @@ def _check_finite(values) -> None:
         raise NonFiniteError("an integrand or its weighted sum is NaN or infinite")
 
 
-# numpy's pairwise sum adds a run of at most this many doubles in one loop,
-# a leaf, and splits a longer run of N doubles at N//2 - (N//2 % 8).
-_PW_LEAF = 128
-
-
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
                  power, points) -> list:
     """Per integrand of density: its values at the points added node by node,
@@ -300,52 +299,40 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
     domain.  The one tensor pass, shared by integrate_polar (points: modes)
     and integrate_radial (points: the angle 0.0).
 
-    node(lo, hi) walks numpy's pairwise tree over the grid's n_r * n_flat
-    nodes and returns each integrand's sum over the nodes [lo, hi).  A
-    tree node is a block when it is a leaf, when the rows it covers hold
-    at most BLOCK_NODES nodes, or when it covers at most two rows and its
-    split falls inside one; otherwise its halves' sums are added as numpy
-    adds them.  A block runs density on the whole rows it covers (a row the
-    tree splits runs in both blocks that share it) and calls at once per
-    point; each integrand is added over the points node by node, in their
-    order, weighted on those rows (base), and only the block's own nodes
-    are reduced.  So each sum has the bits of one np.add.reduce over the
-    grid, however the grid is blocked.  numpy's floating-point warnings,
-    the density's included, are off: base is finite and positive, so a NaN
-    or infinite node makes its block's sum non-finite, and that, or a sum
-    that overflows, raises NonFiniteError at the first node of the tree
-    that has one.
+    The grid runs in blocks of max(1, BLOCK_NODES // n_flat) consecutive
+    whole rows, one block at a time.  A block runs density once and calls at
+    once per point; each integrand is added over the points node by node,
+    in their order, weighted (base) and reduced once, and the block sums
+    are added in row order.  So each row runs once, and a sum's roundoff is
+    that of its blocks' pairwise sums plus that of adding the block sums in
+    turn (Higham, SIAM J. Sci. Comput. 14, 1993).
+
+    numpy's floating-point warnings, the density's included, are off: base
+    is finite and positive, so a NaN or infinite node makes its block's sum
+    non-finite, and that, or a running total that overflows, raises
+    NonFiniteError at its block.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
     radial = w_r * r ** power
-    n_flat = len(Y)
+    rows = max(1, BLOCK_NODES // len(Y))
 
-    def block(a, b, lo, hi):  # rows a to b; nodes lo to hi, counted from row a
-        at = density(r[a:b, None], Y[None, :, :])
-        base = radial[a:b, None] * w_y[None, :]
+    def block(a):  # rows a to a + rows; its state is freed on return
+        at = density(r[a:a + rows, None], Y[None, :, :])
+        base = radial[a:a + rows, None] * w_y[None, :]
         sums = []
         for vals in zip(*[at(p) for p in points]):  # one integrand's values at a time
             total = vals[0]
             for v in vals[1:]:
                 total = total + v
-            sums.append(np.add.reduce((base * total).reshape(base.size)[lo:hi]))
+            sums.append(np.add.reduce((base * total).reshape(base.size)))
         return sums
 
-    def node(lo, hi):
-        a, b = lo // n_flat, -(-hi // n_flat)  # the rows it covers
-        half = (hi - lo) // 2
-        mid = lo + half - half % 8
-        if (hi - lo > _PW_LEAF and (b - a) * n_flat > BLOCK_NODES
-                and (b - a > 2 or mid % n_flat == 0)):
-            sums = [left + right for left, right in zip(node(lo, mid), node(mid, hi))]
-        else:
-            sums = block(a, b, lo - a * n_flat, hi - a * n_flat)
-        for s in sums:
-            _check_finite(s)
-        return sums
-
+    sums = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = node(0, r.size * n_flat)
+        for a in range(0, r.size, rows):
+            sums = block(a) if sums is None else [s + b for s, b in zip(sums, block(a))]
+            for s in sums:
+                _check_finite(s)
     for i, s in enumerate(sums):
         _require_real(i, s)
     return [0.0 + s.item() for s in sums]
@@ -358,7 +345,7 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain,
     the phi integral.
 
     density(r, y) runs once per row block, one block at a time
-    (_tensor_sums), so memory stays at about max(BLOCK_NODES, two rows)
+    (_tensor_sums), so memory stays at about max(BLOCK_NODES, one row)
     nodes per integrand and mode plus the 1-D rules, however many rows the
     grid has.  Returns one float per integrand.
     """

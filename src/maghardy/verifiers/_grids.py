@@ -17,11 +17,10 @@ for x-radial functions only call rx_integral directly, on m = 2 too.
 
 Both paths take a density in the quadrature protocol: density(r, y) runs
 once per row block of the grid (r of shape (n_rows, 1), y of shape
-(1, n_flat, k); on the main engine a grid of at most quadrature.BLOCK_NODES
-nodes is one block, a larger one is cut along numpy's pairwise summation
-tree; the oracle cuts its grid into blocks of at most
-quadrature.ORACLE_BLOCK_NODES nodes or one row; the blocks run one at a
-time) and returns at(x), which yields every integrand of the check on that
+(1, n_flat, k); the main engine cuts its grid into blocks of whole rows of
+at most quadrature.BLOCK_NODES nodes or one row, the oracle into blocks of
+at most quadrature.ORACLE_BLOCK_NODES nodes or one row; the blocks run one
+at a time) and returns at(x), which yields every integrand of the check on that
 block in order, for x an angle or one of f's modes, which it hands to
 TestFunction.on_grid's closure; so one density serves both engines.  Every
 integrand is a real float array, built from abs2, components_sq, grad_y_sq

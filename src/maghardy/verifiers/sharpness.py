@@ -31,12 +31,11 @@ a wide plateau; quotients exceed the constant by about eps^2/2) and
 exactly so full tensor quadrature can cross-check the reduction).  Each
 window is a closure both(u) -> (v, v') with its panel edges.
 
-The schedule runs in chunks of _CHUNK points, the most whose
-(points, 3 * _PANEL_N) node arrays hold at most quadrature.BLOCK_NODES
-nodes, so memory stays bounded for a schedule of any length.  A chunk's
-epsilons go to its window as one column, so a quotient calls both once on
-the chunk's (points, nodes) array, evaluating the plateau's two smoothstep
-edges once per chunk, value and derivative together.  Every node sees the
+The schedule runs in chunks of _CHUNK points, so memory stays bounded for
+a schedule of any length.  A chunk's epsilons go to its window as one
+column, so a quotient calls both once on the chunk's (points, nodes)
+array, evaluating the plateau's two smoothstep edges once per chunk, value
+and derivative together.  Every node sees the
 operations of a lone schedule point, and one reduction along the last axis
 sums each contiguous row with the pairwise summation of a lone row, so a
 point's quotient does not depend on the chunk it runs in.  A non-finite
@@ -53,7 +52,7 @@ import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, NonFiniteError, require_param
 from ..functions import TrialFamily, _plateau, plateau_breaks
-from ..quadrature import BLOCK_NODES, gauss_panels
+from ..quadrature import gauss_panels
 from ..reports import SharpnessResult
 from ._grids import require_args
 from .catalogue import CHECKS, FAMILY_FOR
@@ -65,7 +64,10 @@ __all__ = ["estimate_sharpness", "DEFAULT_SCHEDULE", "FAMILY_FOR"]
 DEFAULT_SCHEDULE = (0.5, 0.2, 0.1, 0.05, 0.02)
 
 _PANEL_N = 240
-_CHUNK = max(1, BLOCK_NODES // (3 * _PANEL_N))
+# Schedule points per chunk: a chunk's (points, 3 * _PANEL_N) node arrays
+# hold 15,840 nodes, 124 KB per real array, so a quotient's temporaries stay
+# in a 2 MB L2 cache however long the schedule.
+_CHUNK = 22
 
 
 def _gauss_window(eps, center):

@@ -292,17 +292,15 @@ def test_density_runs_once_per_integration():
     assert len(calls) == 2
 
 
-# --- row blocks: a large grid is evaluated in blocks of radial rows ----------
+# --- row blocks: a large grid is evaluated in blocks of whole radial rows ----
 
-# 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes.  numpy's pairwise
-# sum splits them at 1080 nodes (60 rows), then at 536, inside a row.  At a
-# block of 200 nodes the tree is followed down to 16 blocks of 8 or 9 rows,
-# and a row the tree cuts runs in both blocks that share it; at a block of
-# 1080 nodes the two 60-row halves are the blocks
+# 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes.  At a block of 10
+# nodes, less than a row, each of the 120 rows is a block; at 200 nodes the
+# pass runs ten blocks of 11 rows and one of 10; at 1080, two of 60 rows
 BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.0),))
 BLOCKED_SPEC = QuadratureSpec(n_r=40, n_phi=8, n_y=6)
 SMALL_BLOCK = 200
-BLOCKS = {SMALL_BLOCK: 16, 1080: 2}
+BLOCKS = {10: 120, SMALL_BLOCK: 11, 1080: 2}
 
 
 # the points the main engine hands to at in these tests
@@ -324,13 +322,23 @@ def _both_engines(density):
             rx_integral(density, BLOCKED_F, BLOCKED_SPEC, 3))
 
 
-def test_blocked_grid_is_bitwise_one_block(monkeypatch):
+def _fsum_close(got, values):
+    """got is math.fsum of values within 1e-13 of the sum of their
+    magnitudes, the scale of any summation's roundoff (Higham, SIAM J. Sci.
+    Comput. 14, 1993)."""
+    values = np.ravel(values)
+    return abs(got - math.fsum(values)) <= 1e-13 * math.fsum(np.abs(values))
+
+
+def test_blocked_grid_matches_one_block(monkeypatch):
     r, _, Y, _ = tensor_grid(BLOCKED_SPEC, support_domain(BLOCKED_F))
     assert (r.size, len(Y)) == (120, 18)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", SMALL_BLOCK)
     blocked = _both_engines(_mixed_shape_density)
     monkeypatch.setattr(quadrature, "BLOCK_NODES", MAX_SLICE_NODES)
-    assert _both_engines(_mixed_shape_density) == blocked
+    for got, want in zip(blocked, _both_engines(_mixed_shape_density)):
+        assert len(got) == len(want) == 3
+        assert all(abs(a - b) <= 1e-13 * abs(b) for a, b in zip(got, want)), (got, want)
 
 
 @pytest.mark.parametrize("block", sorted(BLOCKS))
@@ -351,30 +359,23 @@ def test_density_runs_once_per_row_block(monkeypatch, block):
     polar, radial = calls[:BLOCKS[block]], calls[BLOCKS[block]:]
     assert len(radial) == BLOCKS[block]
     assert all(np.array_equal(p, x) for p, x in zip(polar, radial))
-    for rows in polar:  # consecutive rows, at most max(BLOCK_NODES, 2 rows) nodes
+    for rows in polar:  # consecutive rows, at most max(BLOCK_NODES, one row) nodes
         assert np.array_equal(rows, np.arange(rows[0], rows[-1] + 1))
-        assert rows.size * len(Y) <= max(block, 2 * len(Y))
-    # every row runs, none more than twice, and none twice where the tree
-    # splits at row boundaries
-    runs = np.bincount(np.concatenate(polar), minlength=grid.size)
-    assert runs.min() == 1 and runs.max() == (1 if block == 1080 else 2)
+        assert rows.size * len(Y) <= max(block, len(Y))
+    # the blocks follow the row order, and every row runs exactly once
+    assert np.array_equal(np.concatenate(polar), np.arange(grid.size))
 
 
-def _reference_sum(values):
-    """np.add.reduce of values as one contiguous run."""
-    return np.add.reduce(np.ravel(values))
-
-
-def _grid_sums(at, base, points):
-    """The reference reduction: each integrand added over the points node by
-    node on the whole grid, weighted, and summed in one run."""
-    totals = []
+def _weighted_grid(at, base, points):
+    """Each integrand added over the points node by node on the whole grid
+    and weighted, as one flat array."""
+    grids = []
     for vals in zip(*[at(p) for p in points]):
         total = vals[0]
         for v in vals[1:]:
             total = total + v
-        totals.append(0.0 + float(_reference_sum(base * total)))
-    return totals
+        grids.append(np.ravel(base * total))
+    return grids
 
 
 def _four_shape_density(r, y):
@@ -390,14 +391,14 @@ def _four_shape_density(r, y):
 
 @pytest.mark.parametrize("points, block", [((0,), "one"), (MODES, "one"),
                                            (MODES, SMALL_BLOCK), (MODES, 1080)],
-                         ids=["one point", "three points", "three points, 16 blocks",
+                         ids=["one point", "three points", "three points, 11 blocks",
                               "three points, 2 blocks"])
-def test_one_reduction_per_block_is_bitwise_the_grid_sum(monkeypatch, points, block):
-    # the tensor pass's sums have the bits of each integrand, added over the
-    # points node by node, summed over the whole grid alone as a Python
-    # float, on every integrand shape: on one block of the grid, over one
-    # point and three, and on 16 blocks that follow numpy's pairwise tree
-    # off the row grid and on its two 60-row halves
+def test_one_reduction_per_block_matches_the_grid_sum(monkeypatch, points, block):
+    # each integrand, added over the points node by node and weighted, on
+    # every integrand shape: on one block of the grid the pass's sum has the
+    # bits of one np.add.reduce of the whole grid as a Python float, over
+    # one point and three; on 11 blocks and on two it is math.fsum of the
+    # grid within roundoff
     domain = support_domain(BLOCKED_F)
     r, w_r, Y, w_y = tensor_grid(BLOCKED_SPEC, domain)
     base = (w_r * r)[:, None] * w_y[None, :]
@@ -410,14 +411,17 @@ def test_one_reduction_per_block_is_bitwise_the_grid_sum(monkeypatch, points, bl
         return lambda x: (calls[-1].append(x), at(x))[1]
 
     got = quadrature._tensor_sums(density, BLOCKED_SPEC, domain, 1, points)
-    want = _grid_sums(_four_shape_density(r[:, None], Y[None, :, :]), base, points)
-    assert got == want and len(got) == 4
-    assert all(type(total) is float for total in got)
+    grids = _weighted_grid(_four_shape_density(r[:, None], Y[None, :, :]), base, points)
+    assert len(got) == 4 and all(type(total) is float for total in got)
+    if block == "one":
+        assert got == [0.0 + float(np.add.reduce(values)) for values in grids]
+    else:
+        assert all(_fsum_close(total, values) for total, values in zip(got, grids))
     # every block calls at once per point, in their order
     assert calls == [list(points)] * {"one": 1, **BLOCKS}[block]
 
 
-# --- the tensor pass keeps the bits of one reduction per slice ---------------
+# --- the tensor pass sums each slice to roundoff -----------------------------
 
 def _unit_grid(n_rows, n_flat):
     """A stand-in for tensor_grid: radial rows 0, 1, ..., n_rows - 1 and
@@ -443,24 +447,33 @@ def _sliced(x):
     return density
 
 
+def _finite_sum(values):
+    """Whether values are all finite and their exact sum is a finite float."""
+    if not np.isfinite(values).all():
+        return False
+    try:
+        return math.isfinite(math.fsum(np.ravel(values)))
+    except OverflowError:
+        return False
+
+
 def _check_slice_sums(x, block):
     """Each integrand's sum of the tensor pass over x at BLOCK_NODES = block
-    is bitwise _reference_sum of its slice of x, or it raises NonFiniteError
-    exactly when one of those is not finite."""
+    is math.fsum of its slice of x within roundoff (_fsum_close), or the
+    pass raises NonFiniteError exactly when a slice holds a NaN or infinite
+    node or its sum overflows."""
     n_phi, n_rows, n_flat = x.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # as in the tensor pass
-        want = [_reference_sum(one) for one in x]
     phis = np.arange(n_phi, dtype=float)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
         mp.setattr(quadrature, "BLOCK_NODES", block)
-        if not np.isfinite(want).all():
+        if not all(_finite_sum(one) for one in x):
             with pytest.raises(NonFiniteError):
                 quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
         else:
             got = quadrature._tensor_sums(_sliced(x), None, None, 0, phis)
             assert all(type(total) is float for total in got)
-            assert np.array(got).tobytes() == np.array(want, dtype=float).tobytes()
+            assert all(_fsum_close(total, one) for total, one in zip(got, x))
 
 
 @st.composite
@@ -483,11 +496,11 @@ def _slices(draw):
 
 @given(_slices())
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_each_slice_sum_is_one_reduction_bitwise(case):
+def test_each_slice_sum_matches_fsum(case):
     # any grid up to 2e5 nodes a slice, odd row counts among them, blocks of
-    # 64 to 2^14 nodes, with NaN, +-inf and sums that overflow: bitwise
-    # np.add.reduce of each whole slice, or NonFiniteError exactly when one
-    # of those is not finite
+    # 64 to 2^14 nodes, with NaN, +-inf and sums that overflow: math.fsum of
+    # each whole slice within roundoff, or NonFiniteError exactly when a
+    # slice has a non-finite node or sum
     _check_slice_sums(*case)
 
 
@@ -496,13 +509,12 @@ def test_each_slice_sum_is_one_reduction_bitwise(case):
                                          ((765, 192), quadrature.BLOCK_NODES),
                                          ((48, 14400), quadrature.BLOCK_NODES),
                                          ((256, 1), 64)])
-def test_grids_cut_off_the_row_grid_keep_each_slice_sum(grid, block, kind):
+def test_grids_in_use_keep_each_slice_sum(grid, block, kind):
     # the k = 2 ab_hardy grid at n_r = 47, a k = 1 grid at n_r = 255, an
-    # eighth of the k = 2 identity's 384 x 14,400 grid, whose tree splits
-    # every third row in two the same way, and two leaves of exactly
-    # _PW_LEAF nodes, each larger than a block; standard normal values, or
-    # values spread over 16 decades, whose sum takes other bits in any other
-    # order of additions
+    # eighth of the k = 2 identity's 384 x 14,400 grid, whose rows are wider
+    # than a block, and single-node rows 64 to a block; standard normal
+    # values, or values spread over 16 decades, whose sum takes other bits
+    # in any other order of additions
     rng = np.random.default_rng(sum(grid))
     x = rng.standard_normal((1, *grid))
     if kind == "spread":
@@ -510,10 +522,9 @@ def test_grids_cut_off_the_row_grid_keep_each_slice_sum(grid, block, kind):
     _check_slice_sums(x, block)
 
 
-def test_a_row_wider_than_a_block_runs_in_at_most_two_blocks(monkeypatch):
-    # 48 rows of 14,400 nodes: the tree halves them down to 3 rows, then
-    # splits each 3-row node inside its middle row, so its two halves are
-    # blocks of 2 rows that share that row
+def test_a_row_wider_than_a_block_is_a_block_alone(monkeypatch):
+    # 48 rows of 14,400 nodes, each more than BLOCK_NODES: one block per
+    # row, in order, each row once
     blocks = []
 
     def density(r, y):
@@ -522,15 +533,17 @@ def test_a_row_wider_than_a_block_runs_in_at_most_two_blocks(monkeypatch):
 
     monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(48, 14400))
     assert quadrature._tensor_sums(density, None, None, 0, (0.0,)) == [48 * 14400]
-    assert blocks == [(a + d, a + d + 2) for a in range(0, 48, 3) for d in (0, 1)]
+    assert blocks == [(a, a + 1) for a in range(48)]
 
 
-# (n_rows, n_flat) of the multi-block grids in use, and their blocks of rows
-_ALIGNED = {
-    (144, 1296): (16, 9),  # k = 2 margins checks (n_r = 48, n_y = 12)
-    (192, 480): (8, 24),   # grushin_ibp at n_y = 160
-    (768, 192): (16, 48),  # hires (n_r = 256, n_y = 64)
-    (192, 192): (4, 48),   # the shipped grushin_ibp (n_r = n_y = 64)
+# (n_rows, n_flat) of the multi-block grids in use, and (blocks, rows per
+# block) at BLOCK_NODES; the last block takes the rows left over
+_IN_USE = {
+    (144, 1296): (16, 9),     # k = 2 margins checks (n_r = 48, n_y = 12)
+    (192, 480): (8, 25),      # grushin_ibp at n_y = 160
+    (768, 192): (12, 64),     # hires (n_r = 256, n_y = 64)
+    (192, 192): (3, 64),      # the shipped grushin_ibp (n_r = n_y = 64)
+    (384, 14400): (384, 1),   # a k = 2 identity check at n_r = 128, n_y = 40
 }
 
 
@@ -546,10 +559,10 @@ class _ReduceSpy:
         return getattr(np, name)
 
 
-@pytest.mark.parametrize("grid", sorted(_ALIGNED))
-def test_grids_in_use_are_cut_on_numpys_pairwise_tree(monkeypatch, grid):
+@pytest.mark.parametrize("grid", sorted(_IN_USE))
+def test_grids_in_use_run_in_blocks_of_whole_rows(monkeypatch, grid):
     n_rows, n_flat = grid
-    count, rows = _ALIGNED[grid]
+    count, rows = _IN_USE[grid]
     blocks, reduced = [], []
 
     def density(r, y):
@@ -559,11 +572,11 @@ def test_grids_in_use_are_cut_on_numpys_pairwise_tree(monkeypatch, grid):
     monkeypatch.setattr(quadrature, "tensor_grid", _unit_grid(n_rows, n_flat))
     monkeypatch.setattr(quadrature, "np", _ReduceSpy(reduced))
     got = quadrature._tensor_sums(density, None, None, 0, (0, 1))
-    # every block is one subtree of whole rows: one reduction of the whole
-    # block per integrand, after its two points are added, and every node
-    # is summed once
-    assert blocks == [(a, a + rows) for a in range(0, n_rows, rows)] and len(blocks) == count
-    assert reduced == [(rows * n_flat,)] * (count * 2)
+    # consecutive blocks of whole rows, each row once; one reduction of the
+    # whole block per integrand, after its two points are added
+    assert blocks == [(a, min(a + rows, n_rows)) for a in range(0, n_rows, rows)]
+    assert len(blocks) == count
+    assert reduced == [((b - a) * n_flat,) for a, b in blocks for _ in range(2)]
     assert got == [2.0 * n_rows * n_flat, 4.0 * n_rows * n_flat]
 
 
