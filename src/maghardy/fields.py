@@ -46,6 +46,7 @@ from .geometry import (
     grad_rho,
     grad_y_rho_over_rho,
     rho,
+    rho_power_rs,
 )
 
 __all__ = [
@@ -143,17 +144,18 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 # Magnetic gradients on grid arrays
 # ---------------------------------------------------------------------------
 
-def grushin_components(beta: float, gamma: float, r, y, rho_val):
+def grushin_components(beta: float, gamma: float, r, y, rho_pow):
     """Closure parts -> polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f.
 
     The real field factors d(rho)/dr / rho, r^gamma and r^gamma grad_y(rho)/rho
-    are formed here, once for the grid (r, y).  parts is (f, df/dr, df/dphi,
-    grad_y f) on that grid at an angle or on one mode, as
-    TestFunction.on_grid gives them; c_y carries the trailing y axis.
+    are formed here, once for the grid (r, y), on its rho_pow = rho^(2 gamma + 2)
+    (geometry.rho_power_rs).  parts is (f, df/dr, df/dphi, grad_y f) on that
+    grid at an angle or on one mode, as TestFunction.on_grid gives them; c_y
+    carries the trailing y axis.
     """
-    ar = drho_dr_over_rho(gamma, r, rho_val)
+    ar = drho_dr_over_rho(gamma, r, rho_pow)
     rg = r[..., None] ** gamma
-    ay = rg * grad_y_rho_over_rho(gamma, y, rho_val[..., None])
+    ay = rg * grad_y_rho_over_rho(gamma, y, rho_pow[..., None])
 
     def components(parts):
         val, fr, fphi, fy = parts
@@ -164,17 +166,16 @@ def grushin_components(beta: float, gamma: float, r, y, rho_val):
     return components
 
 
-def tilde_components(beta: float, gamma: float, r, y, rho_val):
+def tilde_components(beta: float, gamma: float, r, y, rho_pow):
     """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde grad + i beta Atilde) f.
 
     Lives on m = 2.  The rotated potential is purely angular in x; its y part
     enters the two 1/sqrt2 blocks with opposite signs.  Its real factors and
-    r^gamma are formed here, once for the grid (r, y); parts is as for
-    grushin_components.  The factors are kept real, so the grid holds half
-    the bytes of their complex products, and i beta A val is formed once per
-    node for both y blocks.
+    r^gamma are formed here, once for the grid (r, y), on rho_pow as for
+    grushin_components; parts is as for grushin_components.  The factors
+    are kept real, so the grid holds half the bytes of their complex
+    products, and i beta A val is formed once per node for both y blocks.
     """
-    rho_pow = rho_val ** (2.0 * gamma + 2.0)
     aphi = r ** (2.0 * gamma + 1.0) / rho_pow
     rg = r[..., None] ** gamma
     ay = (rg * (1.0 + gamma) * y / rho_pow[..., None]) * math.sqrt(0.5)
@@ -246,7 +247,8 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
     rho_val = np.full((1, 1), rho(geom, p))  # also checks the point's dimensions
     r, phi, y = _node(f, p)
     parts = f.on_grid(r, y)(phi)
-    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_val)(parts)
+    rho_pow = rho_power_rs(geom.gamma, rho_val)
+    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_pow)(parts)
     blocks = [_cartesian_x(p, r, phi, cr, cphi)] + [b.reshape(-1) for b in yblocks]
     return np.concatenate(blocks).astype(complex)
 

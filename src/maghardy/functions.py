@@ -33,6 +33,10 @@ call at an angle multiplies them by e^(i mode phi) and adds the modes.  The
 main quadrature engine makes one closure per row block and calls it once
 per mode; the oracle calls it once per angular node, and the pointwise
 value_polar and partials_polar once.
+
+Parity in y is declared, never sampled: a profile's y_even says it is even
+in every y_j, and a TestFunction is y_even when every mode's profile is.
+The main quadrature engine then integrates over the half box y >= 0.
 """
 
 from __future__ import annotations
@@ -221,7 +225,10 @@ class AbsLogPowerWindow:
 # ---------------------------------------------------------------------------
 
 class PlateauBumpY:
-    """Plateau bump on [lo, hi] in one y coordinate (linear scale)."""
+    """Plateau bump on [lo, hi] in one y coordinate (linear scale), even
+    about the midpoint of [lo, hi]."""
+
+    midpoint_even = True
 
     def __init__(self, lo: float, hi: float):
         self.lo, self.hi = require_reals("the y bump", lo=lo, hi=hi)
@@ -235,8 +242,11 @@ class PlateauBumpY:
 class GaussBumpY:
     """Gaussian times plateau bump: exp(-a (t-c)^2) * plateau(t) on [lo, hi].
 
-    The Gaussian is centred at the midpoint c = (lo + hi) / 2.
+    The Gaussian is centred at the midpoint c = (lo + hi) / 2, so the
+    factor is even about c.
     """
+
+    midpoint_even = True
 
     def __init__(self, lo: float, hi: float, a: float = 1.0):
         lo, hi, self.a = require_reals("the Gaussian y bump", lo=lo, hi=hi, a=a)
@@ -264,7 +274,11 @@ def _amplitude(what: str, value) -> complex:
 
 
 class ProductProfile:
-    """g(r, y) = amplitude * R(r) * prod_j Y_j(y_j) with analytic partials."""
+    """g(r, y) = amplitude * R(r) * prod_j Y_j(y_j) with analytic partials.
+
+    y_even: g is even in every y_j when every Y_j declares itself even
+    about its midpoint (midpoint_even) and its box is symmetric about 0.
+    """
 
     def __init__(self, radial, y_factors=(), amplitude=1.0):
         self.radial = radial
@@ -274,6 +288,8 @@ class ProductProfile:
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
         self.reaches_origin = getattr(radial, "reaches_origin", False)
+        self.y_even = all(getattr(yf, "midpoint_even", False) and yf.lo == -yf.hi
+                          for yf in self.y_factors)
 
     @property
     def k(self):
@@ -327,10 +343,12 @@ class RhoShellProfile:
     (r, y) is r <= rho_hi, |y_j| <= rho_hi^(1+gamma)/(1+gamma).  The profile
     does not vanish as r -> 0 inside the shell, so the declared inner radius
     r_lo = 1e-8 * rho_lo is an integration cutoff far below any shell mass,
-    not a support boundary.
+    not a support boundary.  It depends on y through |y| only, so it is
+    even in every y_j (y_even).
     """
 
     reaches_origin = True
+    y_even = True
 
     def __init__(self, geom: GrushinGeometry, sigma: float, rho_lo: float, rho_hi: float,
                  amplitude=1.0):
@@ -405,6 +423,10 @@ class TestFunction:
     any other.  A profile that does not vanish as r -> 0 (reaches_origin:
     RhoShellProfile, a ProductProfile over GaussTail) carries mode 0 only,
     since |df/dphi|^2 / r^2 of any other mode is not integrable there.
+
+    y_even: f is even in every y_j, declared, not sampled: every mode's
+    profile declares y_even (read as getattr(profile, "y_even", False), so
+    a profile that does not declare it counts as not even).
     """
 
     __test__ = False  # calculus-of-variations naming; not a pytest class
@@ -424,6 +446,7 @@ class TestFunction:
         if len(ks) > 1:
             raise DomainError("all mode profiles must share the y dimension")
         self.modes = tuple(sorted(modes, key=lambda m: m.mode))
+        self.y_even = all(getattr(m.profile, "y_even", False) for m in self.modes)
         self._real = None
 
     @property

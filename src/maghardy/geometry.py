@@ -127,19 +127,27 @@ def rho_rs(gamma, r, s):
     return (r ** q + (1.0 + gamma) ** 2 * s * s) ** (1.0 / q)
 
 
-def drho_dr_over_rho(gamma, r, rho_val):
+def rho_power_rs(gamma, rho_val):
+    """rho^(2g+2), the denominator of grad(rho)/rho and of the Hardy weight.
+
+    The three closed forms below take it as rho_pow, so a grid forms the
+    power once for all of them."""
+    return rho_val ** (2.0 * gamma + 2.0)
+
+
+def drho_dr_over_rho(gamma, r, rho_pow):
     """d(rho)/dr / rho = r^(2g+1) / rho^(2g+2) (radial-in-x derivative)."""
-    return r ** (2.0 * gamma + 1.0) / rho_val ** (2.0 * gamma + 2.0)
+    return r ** (2.0 * gamma + 1.0) / rho_pow
 
 
-def grad_y_rho_over_rho(gamma, y, rho_val):
+def grad_y_rho_over_rho(gamma, y, rho_pow):
     """Plain y-gradient of rho over rho: (1+g) y / rho^(2g+2), componentwise."""
-    return (1.0 + gamma) * y / rho_val ** (2.0 * gamma + 2.0)
+    return (1.0 + gamma) * y / rho_pow
 
 
-def hardy_density_rs(gamma, r, rho_val):
+def hardy_density_rs(gamma, r, rho_pow):
     """w = |grad_g rho|^2 / rho^2 = r^(2g) / rho^(2g+2), the Hardy weight."""
-    return r ** (2.0 * gamma) / rho_val ** (2.0 * gamma + 2.0)
+    return r ** (2.0 * gamma) / rho_pow
 
 
 def weight_B_rs(gamma, alpha1, alpha2, r, rho_val):

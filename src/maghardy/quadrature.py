@@ -13,7 +13,11 @@ in polar-cylindrical coordinates (r, phi, y) with Jacobian r dr dphi dy:
     int dphi |sum_k a_k e^(ik phi)|^2 = 2 pi sum_k |a_k|^2.  The engine
     takes each integrand on each mode's parts at phase 1, adds the modes
     node by node and multiplies by 2 pi: no angular node is spent;
-  * y: tensor Gauss-Legendre per dimension on the support box.
+  * y: tensor Gauss-Legendre per dimension on the support box.  On a domain
+    marked y_even (a box symmetric about 0, an integrand even in every
+    y_j) it keeps the nonnegative nodes of the same rule and doubles the
+    weight of each node off 0, so it sums the same rule over the half box
+    y >= 0 in another order, on 2^-k of the nodes (y_box_rule).
 
 Each reference Gauss-Legendre rule on [-1, 1] is built once per node count
 and cached read-only; every panel rule here and in the sharpness engine is an
@@ -49,7 +53,10 @@ squared modulus, a weighted |f|^2 or |f|^p), and each integral is returned
 as a float; both engines refuse a complex integrand with a RealnessError
 that names its index.  Every density must be elementwise per node, so a
 node's value depends neither on the block it sits in nor on the other
-modes.
+modes.  On a y_even domain every integrand must be even in every y_j,
+since the main engine takes it at y_j >= 0 only (the verifiers' are
+whenever their test function is; see verifiers._grids).  The oracle
+ignores the mark and covers the whole box.
 
 The main engine runs the grid in blocks of whole consecutive rows
 (_tensor_sums), each row once.  On each block it adds every integrand over
@@ -95,12 +102,13 @@ MAX_SLICE_NODES = 1 << 23
 
 # Most nodes of one row block of more than one row (_tensor_sums): the
 # temporaries of a block, 96 KB per real array, stay in a 2 MB L2 cache and
-# are reused from the heap.  It cuts a k = 2 margins grid (1296 nodes a row)
-# into blocks of 9 rows, as numpy's pairwise tree did before blocks were
-# whole rows.  Against those tree blocks, in 10 alternating 20 s margins
-# runs on a 2-core Xeon, 2^14 gave 627 cases/s for 602 but a peak RSS of
-# 46.8 MB for 45.2, and 2^13 43.5 MB but 580 cases/s; 3 * 2^12 gave 622
-# cases/s at 45.3 MB.
+# are reused from the heap.  It cuts a k = 2 margins grid on the whole box
+# (1296 nodes a row) into blocks of 9 rows, as numpy's pairwise tree did
+# before blocks were whole rows, and on the half box y >= 0 of a y-even f
+# (324 nodes a row) into blocks of 37.  Against those tree blocks, in 10
+# alternating 20 s margins runs on a 2-core Xeon, 2^14 gave 627 cases/s for
+# 602 but a peak RSS of 46.8 MB for 45.2, and 2^13 43.5 MB but 580 cases/s;
+# 3 * 2^12 gave 622 cases/s at 45.3 MB.
 BLOCK_NODES = 3 << 12
 
 # Most (r, y) nodes of one row block of the oracle, or one row if a row holds
@@ -157,12 +165,15 @@ class Domain:
     Both engines cover [r_lo, r_hi] as given, normally the support hull of the
     integrand.  `r_breaks` lists interior radii where the integrand is only
     piecewise smooth (e.g. plateau-bump edges); panels split there.
+    `y_even` marks every integrand even in every y_j on a box symmetric
+    about 0, so the main engine runs the half box y >= 0 (y_box_rule).
     """
 
     r_lo: float
     r_hi: float
     y_box: tuple = ()
     r_breaks: tuple = field(default=())
+    y_even: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.r_lo < self.r_hi) or not math.isfinite(self.r_hi):
@@ -170,6 +181,9 @@ class Domain:
         for lo, hi in self.y_box:
             if not (lo < hi):
                 raise DomainError(f"bad y-box interval ({lo}, {hi})")
+            if self.y_even and lo != -hi:
+                raise DomainError(f"a y-even domain needs a y box symmetric about 0, "
+                                  f"got ({lo}, {hi})")
         object.__setattr__(self, "y_box", tuple((float(a), float(b)) for a, b in self.y_box))
         object.__setattr__(self, "r_breaks", tuple(float(b) for b in self.r_breaks))
 
@@ -233,7 +247,7 @@ def phi_rule(n_phi: int):
     return np.arange(n_phi) * (TWO_PI / n_phi), TWO_PI / n_phi
 
 
-def y_box_rule(y_box, n_y: int):
+def y_box_rule(y_box, n_y: int, even: bool = False):
     """Tensor Gauss-Legendre nodes on the y-box, panelled like the radial rule.
 
     Every y factor rolls off over the outer quarter-widths of its box, so each
@@ -241,6 +255,13 @@ def y_box_rule(y_box, n_y: int):
     (q = width/4) with n_y nodes per panel.  Returns (Y, w_y): Y of shape
     (n_flat, k) and flat weights of shape (n_flat,).  For k = 0 this is a
     single node with weight 1.
+
+    even folds the rule for integrands even in every y_j on a box symmetric
+    about 0, whose nodes are then antisymmetric bit for bit (leggauss
+    symmetrizes its reference rule, and the panel edges mirror exactly):
+    each axis keeps its nodes t >= 0, and a node t > 0 takes twice its
+    weight, for itself and its mirror -t.  A node at t = 0 (odd n_y) keeps
+    its weight.
     """
     if not y_box:
         return np.zeros((1, 0)), np.ones(1)
@@ -248,6 +269,9 @@ def y_box_rule(y_box, n_y: int):
     for lo, hi in y_box:
         q = 0.25 * (hi - lo)
         t, w = gauss_panels((lo, lo + q, hi - q, hi), n_y)
+        if even:
+            half = t >= 0.0
+            t, w = t[half], np.where(t[half] > 0.0, 2.0 * w[half], w[half])
         axes.append(t)
         weights.append(w)
     grids = np.meshgrid(*axes, indexing="ij")
@@ -268,14 +292,16 @@ def _require_slice_nodes(n_r: int, n_flat: int) -> None:
 
 
 def tensor_grid(spec: QuadratureSpec, domain: Domain):
-    """(r, w_r, Y, w_y): the log-radial and y-box rules of the main engine.
+    """(r, w_r, Y, w_y): the log-radial and y-box rules of the main engine,
+    the y rule folded onto y >= 0 on a y_even domain.
 
     The slice size is checked against MAX_SLICE_NODES between the radial
-    rule, which fixes the panel count, and the y tensor, the large one.
+    rule, which fixes the panel count, and the y tensor, the large one, on
+    the whole box, so a grid is refused or admitted whatever its parity.
     """
     r, w_r = log_radial_rule(domain.r_lo, domain.r_hi, spec.n_r, domain.r_breaks)
     _require_slice_nodes(r.size, (3 * spec.n_y) ** domain.k)  # 3 panels per y axis
-    Y, w_y = y_box_rule(domain.y_box, spec.n_y)
+    Y, w_y = y_box_rule(domain.y_box, spec.n_y, domain.y_even)
     return r, w_r, Y, w_y
 
 
@@ -386,12 +412,12 @@ def oracle_integrate(density: Callable, domain: Domain, resolution: tuple) -> li
     """Brute-force check values for integrate_polar on the same domain.
 
     resolution = (n_r, n_phi, n_y): uniform composite Simpson nodes in plain
-    r and in each y dimension, uniform midpoint in phi (exact for the
-    trigonometric content).  density follows the integrate_polar protocol,
-    called once per block of at most ORACLE_BLOCK_NODES nodes (or one row),
-    so a density's state on its block bounds the memory a check takes;
-    returns one float per integrand.  Shares no code with the main
-    engine.
+    r and in each y dimension, on the whole y box whatever domain.y_even
+    says, uniform midpoint in phi (exact for the trigonometric content).
+    density follows the integrate_polar protocol, called once per block of
+    at most ORACLE_BLOCK_NODES nodes (or one row), so a density's state on
+    its block bounds the memory a check takes; returns one float per
+    integrand.  Shares no code with the main engine.
     """
     n_r, n_phi, n_y = resolution
     r, w_r = _simpson_rule(domain.r_lo, domain.r_hi, n_r)

@@ -30,6 +30,15 @@ from the closure's mode_zero(x), which is 0 on every mode but mode 0, so
 the main engine integrates sum_(k != 0) |g_k|^2.  Each check makes one
 integration call: its weights and its test function's products are formed
 once per block, for all its integrals and all of f's modes.
+
+y parity: when f is even in every y_j (TestFunction.y_even, declared by its
+profiles), support_domain marks the domain y_even and the main engine takes
+the y rule's nodes y_j >= 0 only, each node off 0 at twice its weight.  So
+every density must be even in every y_j whenever f is.  The Grushin
+densities are: B, the Hardy weight and rho depend on y through |y|, and
+the field factors grad_y(rho)/rho and Atilde's y block, odd in y_j, enter
+only beside the odd grad_y f, inside a squared modulus.  The oracle
+integrates the whole box.
 """
 
 from __future__ import annotations
@@ -75,9 +84,10 @@ def sharp_constant(theorem_id: str, *values) -> float:
 
 
 def support_domain(f: TestFunction) -> Domain:
-    """Integration domain covering the support hull of f."""
+    """Integration domain covering the support hull of f, marked y_even when
+    f is, so the main engine runs the half box y >= 0."""
     r_lo, r_hi, y_box, breaks = f.support()
-    return Domain(r_lo=r_lo, r_hi=r_hi, y_box=y_box, r_breaks=breaks)
+    return Domain(r_lo=r_lo, r_hi=r_hi, y_box=y_box, r_breaks=breaks, y_even=f.y_even)
 
 
 def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:

@@ -15,7 +15,7 @@ proofs are recomputed separately and reported as identities.
 Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
 grid (the test function's factors through TestFunction.on_grid, the weights
-B, B*w and rho, the field factors of the fields components), and at(x)
+B, B*w and rho^(2 gamma + 2), the field factors of the fields components), and at(x)
 yields the integrand of every term of the displayed inequality in turn, at
 an angle or on one angular mode of f, so the check makes one integration
 call.  x-radial functions use the reduced tensor path at phi = 0 with the
@@ -42,6 +42,7 @@ from ..geometry import (
     drho_dr_over_rho,
     grad_y_rho_over_rho,
     hardy_density_rs,
+    rho_power_rs,
     rho_rs,
     s_of,
     weight_B_rs,
@@ -99,12 +100,18 @@ def _require_radial(f: TestFunction, what: str) -> None:
         raise AdmissibilityError(f"{what} is stated for x-radial functions only")
 
 
+def _weight_B(geom: GrushinGeometry, exps: WeightExponents, r, y):
+    """(B, rho) on the grid (r, y)."""
+    rho = rho_rs(geom.gamma, r, s_of(y))
+    return weight_B_rs(geom.gamma, exps.alpha1, exps.alpha2, r, rho), rho
+
+
 def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
-    """(B, B*w, rho) on the grid (r, y), w the Hardy weight."""
-    g = geom.gamma
-    rho = rho_rs(g, r, s_of(y))
-    B = weight_B_rs(g, exps.alpha1, exps.alpha2, r, rho)
-    return B, B * hardy_density_rs(g, r, rho), rho
+    """(B, B*w, rho^(2 gamma + 2)) on the grid (r, y), w the Hardy weight;
+    the power is formed once, for w and for the field factors."""
+    B, rho = _weight_B(geom, exps, r, y)
+    rho_pow = rho_power_rs(geom.gamma, rho)
+    return B, B * hardy_density_rs(geom.gamma, r, rho_pow), rho_pow
 
 
 def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
@@ -190,13 +197,13 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, Bw, rho = _weights(geom, exps, r, y)
+        B, Bw, rho_pow = _weights(geom, exps, r, y)
 
         def at(x):
             parts = on(x)
             val, fr, _, fy = parts
-            cr = fr + a * drho_dr_over_rho(g, r, rho) * val
-            cy = fy + a * grad_y_rho_over_rho(g, y, rho[..., None]) * val[..., None]
+            cr = fr + a * drho_dr_over_rho(g, r, rho_pow) * val
+            cy = fy + a * grad_y_rho_over_rho(g, y, rho_pow[..., None]) * val[..., None]
             yield B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
             yield B * _plain_sq(g, r, parts)
             yield Bw * abs2(val)
@@ -230,8 +237,8 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, Bw, rho = _weights(geom, exps, r, y)
-        components = grushin_components(beta, geom.gamma, r, y, rho)
+        B, Bw, rho_pow = _weights(geom, exps, r, y)
+        components = grushin_components(beta, geom.gamma, r, y, rho_pow)
 
         def at(x):
             parts = on(x)
@@ -268,8 +275,8 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, Bw, rho = _weights(geom, exps, r, y)
-        components = tilde_components(beta, geom.gamma, r, y, rho)
+        B, Bw, rho_pow = _weights(geom, exps, r, y)
+        components = tilde_components(beta, geom.gamma, r, y, rho_pow)
 
         def at(x):
             parts = on(x)
@@ -301,7 +308,7 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, _, _ = _weights(geom, exps, r, y)
+        B, _ = _weight_B(geom, exps, r, y)
 
         def at(x):
             val, _, fphi, _ = on(x)
@@ -342,12 +349,12 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
 
     def density(r, y):
         on = f.on_grid(r, y)
-        B, _, rho = _weights(geom, exps, r, y)
+        B, rho = _weight_B(geom, exps, r, y)
         # the half-exponent weight of the cross norm
         half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
         half_w = r**g / rho ** (g + 1.0)
         cross_weight = half_B * half_w
-        field = components(beta, g, r, y, rho)
+        field = components(beta, g, r, y, rho_power_rs(g, rho))
 
         def at(x):
             parts = on(x)

@@ -10,6 +10,9 @@
   * |i a|^2 is |a|^2: i (a + bi) is exactly -b + ai, and abs2 adds the two
     rounded squares, so verify_constant_field squares its parts without
     the i of the printed gradient, float or complex.
+  * rho^(2 gamma + 2), formed once per block and divided by in the Hardy
+    weight and in grad(rho)/rho, is the power each of them formed apart:
+    the same IEEE operation on the same operands.
 
 Each holds in IEEE arithmetic whatever numpy's SIMD dispatch or its use of
 fused multiply-add; only the sign of an exact zero may differ, which no
@@ -33,7 +36,15 @@ from maghardy.functions import (
     RhoShellProfile,
     TestFunction,
 )
-from maghardy.geometry import GrushinGeometry
+from maghardy.geometry import (
+    GrushinGeometry,
+    drho_dr_over_rho,
+    grad_y_rho_over_rho,
+    hardy_density_rs,
+    rho_power_rs,
+    rho_rs,
+    s_of,
+)
 from maghardy.reports import jsonable
 from maghardy.verifiers._grids import abs2, grad_y_sq
 
@@ -137,12 +148,31 @@ def test_mode_zero_adds_what_its_phase_product_would(modes):
             assert _equal_up_to_zero_signs(np.broadcast_to(u, v.shape), v)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.37, 1.0, 2.5])
+def test_one_power_of_rho_gives_the_bits_of_one_power_per_factor(gamma):
+    # a k = 2 row block of 9 rows x 1296 y nodes, rho over 6 decades
+    rng = np.random.default_rng(32)
+    r = np.geomspace(1e-3, 30.0, 9)[:, None]
+    y = rng.uniform(-40.0, 40.0, (1, 1296, 2)) * 10.0 ** rng.uniform(-3.0, 0.0, (1, 1296, 1))
+    rho = rho_rs(gamma, r, s_of(y))
+    p = 2.0 * gamma + 2.0
+    rho_pow = rho_power_rs(gamma, rho)
+    assert rho_pow.tobytes() == (rho ** p).tobytes()
+    assert rho_pow[..., None].tobytes() == (rho[..., None] ** p).tobytes()
+    pairs = [(hardy_density_rs(gamma, r, rho_pow), r ** (2.0 * gamma) / rho ** p),
+             (drho_dr_over_rho(gamma, r, rho_pow), r ** (2.0 * gamma + 1.0) / rho ** p),
+             (grad_y_rho_over_rho(gamma, y, rho_pow[..., None]),
+              (1.0 + gamma) * y / rho[..., None] ** p)]
+    for got, want in pairs:
+        assert got.tobytes() == want.tobytes()
+
+
 class _AsComplex:
     """A test-only profile: the wrapped profile's arrays in complex form."""
 
     def __init__(self, profile):
         self.inner = profile
-        for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "k"):
+        for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "y_even", "k"):
             setattr(self, name, getattr(profile, name))
 
     def on_grid(self, r, y):

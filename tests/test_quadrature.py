@@ -294,10 +294,11 @@ def test_density_runs_once_per_integration():
 
 # --- row blocks: a large grid is evaluated in blocks of whole radial rows ----
 
-# 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes.  At a block of 10
-# nodes, less than a row, each of the 120 rows is a block; at 200 nodes the
-# pass runs ten blocks of 11 rows and one of 10; at 1080, two of 60 rows
-BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.0),))
+# 3 radial panels of 40 nodes x 18 y nodes = 2160 nodes: the y box is off
+# centre, so the whole y rule runs.  At a block of 10 nodes, less than a
+# row, each of the 120 rows is a block; at 200 nodes the pass runs ten
+# blocks of 11 rows and one of 10; at 1080, two of 60 rows
+BLOCKED_F = make_bump(0.5, 2.0, ((-1.0, 1.5),))
 BLOCKED_SPEC = QuadratureSpec(n_r=40, n_phi=8, n_y=6)
 SMALL_BLOCK = 200
 BLOCKS = {10: 120, SMALL_BLOCK: 11, 1080: 2}
@@ -537,13 +538,16 @@ def test_a_row_wider_than_a_block_is_a_block_alone(monkeypatch):
 
 
 # (n_rows, n_flat) of the multi-block grids in use, and (blocks, rows per
-# block) at BLOCK_NODES; the last block takes the rows left over
+# block) at BLOCK_NODES; the last block takes the rows left over.  A y-even
+# f runs the y nodes of y >= 0, 2^-k of the whole box's
 _IN_USE = {
-    (144, 1296): (16, 9),     # k = 2 margins checks (n_r = 48, n_y = 12)
-    (192, 480): (8, 25),      # grushin_ibp at n_y = 160
-    (768, 192): (12, 64),     # hires (n_r = 256, n_y = 64)
-    (192, 192): (3, 64),      # the shipped grushin_ibp (n_r = n_y = 64)
-    (384, 14400): (384, 1),   # a k = 2 identity check at n_r = 128, n_y = 40
+    (144, 324): (4, 37),      # k = 2 margins checks (n_r = 48, n_y = 12)
+    (144, 1296): (16, 9),     # the same on the whole box, for an f not y-even
+    (192, 240): (4, 51),      # grushin_ibp at n_y = 160
+    (768, 96): (6, 128),      # hires (n_r = 256, n_y = 64)
+    (192, 96): (2, 128),      # the shipped grushin_ibp (n_r = n_y = 64)
+    (384, 3600): (128, 3),    # a k = 2 identity check at n_r = 128, n_y = 40
+    (384, 14400): (384, 1),   # the same on the whole box
 }
 
 
@@ -677,6 +681,10 @@ def test_slice_ceiling_refuses_oversized_grids_before_building_them():
                         (0,))
     with pytest.raises(DomainError, match="ceiling"):
         tensor_grid(QuadratureSpec(n_r=256, n_y=64), Domain(0.5, 2.0, ((-1.0, 1.0),) * 8))
+    # the whole box counts on a y-even domain too: 768 x 192^2 nodes, though
+    # its half box y >= 0 holds 768 x 96^2
+    with pytest.raises(DomainError, match="ceiling"):
+        tensor_grid(QuadratureSpec(n_r=256, n_y=64), Domain(0.5, 2.0, box4[:2], y_even=True))
     # the oracle's k = 2 grid (2403 x 163^2 nodes) is far past it
     with pytest.raises(DomainError, match="ceiling"):
         oracle_integrate(never, Domain(0.5, 2.0, box4[:2]), (2401, 4, 161))

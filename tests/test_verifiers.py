@@ -134,12 +134,24 @@ def test_ibp_identity_random_cases_and_refinement():
         assert rep2.rel_err <= max(0.5 * rep1.rel_err, 1e-12)
 
 
+def _off_centre(f, shift=0.25):
+    """f with every Gaussian y factor's box moved up by shift: the same
+    shapes, no longer even in y, so the main engine runs the whole y box."""
+    def moved(p):
+        ys = tuple(GaussBumpY(yf.lo + shift, yf.hi + shift, yf.a) for yf in p.y_factors)
+        return ProductProfile(p.radial, ys, p.amplitude)
+
+    f = TestFunction([AngularMode(m.mode, moved(m.profile)) for m in f.modes])
+    assert not f.y_even
+    return f
+
+
 def test_ibp_identity_two_transverse_dimensions():
     import tracemalloc
 
     rng = np.random.default_rng(1012)
     geom = GrushinGeometry(2, 2, 1.0)
-    f = random_test_function(rng, k=2, modes=(0,), real=True)
+    f = _off_centre(random_test_function(rng, k=2, modes=(0,), real=True))
     tracemalloc.start()
     try:
         rep = check_grushin_ibp_identity(geom, WeightExponents(0.5, 0.2), f, 0.9,
@@ -148,8 +160,8 @@ def test_ibp_identity_two_transverse_dimensions():
     finally:
         tracemalloc.stop()
     assert rep.rel_err <= 1e-8
-    # 384 x 14,400 nodes, 44 MB per real full-grid array: blocks of at most
-    # two rows, one alive at a time
+    # 384 x 14,400 nodes (f is not y-even), 44 MB per real full-grid array:
+    # blocks of at most two rows, one alive at a time
     assert peak < 12 * 2**20
 
 
@@ -720,11 +732,12 @@ def test_weights_run_once_per_check(monkeypatch, check):
 # --- row blocks: a heavy check runs block by block, to roundoff ---------------
 
 # k = 2 at the margins resolution: 3 panels x 48 = 144 radial rows times
-# 36^2 = 1296 y nodes.  A block holds 9 rows, 11,664 nodes, the most whole
-# rows within quadrature.BLOCK_NODES = 12,288 nodes, so the grid is 16 row
-# blocks
+# 36^2 = 1296 y nodes, of which a y-even f (every f here) runs the
+# 18^2 = 324 in y >= 0.  A block holds 37 rows, 11,988 nodes, the most whole
+# rows within quadrature.BLOCK_NODES = 12,288 nodes, so the grid is 4 row
+# blocks: three of 37 rows and one of 33
 HEAVY = QuadratureSpec(n_r=48, n_phi=12, n_y=12)
-HEAVY_BLOCKS = 16
+HEAVY_BLOCKS = 4
 HEAVY_GEOM, HEAVY_EXPS = GrushinGeometry(2, 2, 1.0), WeightExponents(0.5, 0.2)
 
 
@@ -746,8 +759,8 @@ def test_blocked_reports_match_single_block(monkeypatch):
                 verify_radial_hardy(HEAVY_GEOM, HEAVY_EXPS, real, HEAVY).to_dict())
 
     blocked = reports()
-    # one block of the whole grid (144 x 1296 nodes)
-    monkeypatch.setattr(quadrature, "BLOCK_NODES", 144 * 1296)
+    # one block of the whole grid (144 x 324 nodes)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 144 * 324)
     for want, got in zip(reports(), blocked, strict=True):
         assert_reports_close(want, got)
 
@@ -794,16 +807,17 @@ def _heavy_peak(f, spec=HEAVY):
 
 
 def test_heavy_ab_hardy_peak_memory():
-    # 50.0 MB when every slice formed full-grid temporaries, 20.4 MB with
-    # full-grid integrand arrays gathered from row blocks, 3.4 MB one block
-    # at a time
-    assert _heavy_peak(_three_complex_modes()) < 8 * 2**20
+    # on the whole box (f off centre, 144 x 1296 nodes): 50.0 MB when every
+    # slice formed full-grid temporaries, 20.4 MB with full-grid integrand
+    # arrays gathered from row blocks, 3.4 MB one block at a time
+    assert _heavy_peak(_off_centre(_three_complex_modes())) < 8 * 2**20
 
 
 def test_heavy_ab_hardy_peak_memory_off_the_row_grid():
-    # n_r = 47: 141 rows of 1296 nodes, fifteen blocks of 9 rows and a last
-    # block of 6.  Run as one block, the whole grid peaks at 48 MB
-    f = _three_complex_modes()
+    # n_r = 47 on the whole box: 141 rows of 1296 nodes, fifteen blocks of 9
+    # rows and a last block of 6.  Run as one block, the whole grid peaks at
+    # 73 MB
+    f = _off_centre(_three_complex_modes())
     assert _heavy_peak(f, QuadratureSpec(n_r=47, n_phi=12, n_y=12)) < 8 * 2**20
 
 
