@@ -34,7 +34,8 @@ class AdmissibilityError(MagHardyError, ValueError):
 
 
 class RealnessError(MagHardyError, TypeError):
-    """A real-only verifier received a function with a nonzero imaginary part."""
+    """A real-only verifier received a function not declared real, or an
+    integrand came out complex."""
 
 
 class ConfigError(MagHardyError, ValueError):

@@ -34,9 +34,13 @@ main quadrature engine makes one closure per row block and calls it once
 per mode; the oracle calls it once per angular node, and the pointwise
 value_polar and partials_polar once.
 
-Parity in y is declared, never sampled: a profile's y_even says it is even
-in every y_j, and a TestFunction is y_even when every mode's profile is.
-The main quadrature engine then integrates over the half box y >= 0.
+Parity in y and realness are declared, never sampled.  A profile's y_even
+says it is even in every y_j, and a TestFunction is y_even when every mode's
+profile is; the main quadrature engine then integrates over the half box
+y >= 0.  A profile's real_valued says its amplitude is real, and then its
+on_grid arrays are float; a TestFunction is real_valued when every mode's
+profile is and modes +l and -l carry one profile object, so that f is
+g_0 + sum_l 2 g_l cos(l phi).  The real-only checks refuse any other f.
 """
 
 from __future__ import annotations
@@ -50,7 +54,6 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
 from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs, s_of
-from .quadrature import phi_rule
 
 __all__ = [
     "AngularMode",
@@ -278,12 +281,14 @@ class ProductProfile:
 
     y_even: g is even in every y_j when every Y_j declares itself even
     about its midpoint (midpoint_even) and its box is symmetric about 0.
+    real_valued: the amplitude's imaginary part is 0.
     """
 
     def __init__(self, radial, y_factors=(), amplitude=1.0):
         self.radial = radial
         self.y_factors = tuple(y_factors)
         self.amplitude = _amplitude("the product profile", amplitude)
+        self.real_valued = self.amplitude.imag == 0.0
         self.r_lo, self.r_hi = radial.r_lo, radial.r_hi
         self.y_box = tuple((yf.lo, yf.hi) for yf in self.y_factors)
         self.r_breaks = tuple(getattr(radial, "breaks", ()))
@@ -295,7 +300,7 @@ class ProductProfile:
     def k(self):
         return len(self.y_factors)
 
-    def on_grid(self, r, y, memo=None, real=True):
+    def on_grid(self, r, y, memo=None):
         """(g, dg/dr, grad_y g) on the grid (r, y), grad_y g in one (..., k) array.
 
         The 1-D factors R(r), R'(r), Y_j(y_j) and Y_j'(y_j) are computed
@@ -304,9 +309,9 @@ class ProductProfile:
         (value, derivative) under the factor's identity and its coordinate
         ("r", or y axis j), so a factor that the profiles of several modes
         share runs once on that grid; one object placed on two y axes runs
-        once per axis.  With real and an amplitude of imaginary part 0 the
-        arrays are float, the real parts of the complex ones bit for bit
-        ((a + 0i)(c + 0i) rounds a*c once); otherwise they are complex.
+        once per axis.  The arrays are float when real_valued, the real
+        parts of the complex ones bit for bit ((a + 0i)(c + 0i) rounds a*c
+        once), and complex otherwise.
         """
         memo = {} if memo is None else memo
 
@@ -316,9 +321,7 @@ class ProductProfile:
                 memo[key] = factor.both(t)
             return memo[key]
 
-        amp = self.amplitude
-        if real and amp.imag == 0.0:
-            amp = amp.real
+        amp = self.amplitude.real if self.real_valued else self.amplitude
         rv, drv = both(self.radial, "r", r)
         ys = [both(yf, j, y[..., j]) for j, yf in enumerate(self.y_factors)]
 
@@ -344,7 +347,8 @@ class RhoShellProfile:
     does not vanish as r -> 0 inside the shell, so the declared inner radius
     r_lo = 1e-8 * rho_lo is an integration cutoff far below any shell mass,
     not a support boundary.  It depends on y through |y| only, so it is
-    even in every y_j (y_even).
+    even in every y_j (y_even).  real_valued: the amplitude's imaginary
+    part is 0.
     """
 
     reaches_origin = True
@@ -359,6 +363,7 @@ class RhoShellProfile:
         self.geom = geom
         self.sigma, self.rho_lo, self.rho_hi = sigma, rho_lo, rho_hi
         self.amplitude = _amplitude("the rho shell", amplitude)
+        self.real_valued = self.amplitude.imag == 0.0
         self._a, self._b = math.log(rho_lo), math.log(rho_hi)
         self.r_lo = rho_lo * 1e-8
         self.r_hi = rho_hi
@@ -371,14 +376,14 @@ class RhoShellProfile:
     def k(self):
         return self.geom.k
 
-    def on_grid(self, r, y):
+    def on_grid(self, r, y, memo=None):
         """(g, dg/dr, grad_y g) on the grid (r, y); every factor depends on
-        rho, a full-grid array.  Float arrays when the amplitude's imaginary
-        part is 0, complex ones otherwise; dg/dr multiplies by
-        1 / rho^(2 gamma + 1), as numpy's complex division by a real does."""
-        g, amp = self.geom.gamma, self.amplitude
-        if amp.imag == 0.0:
-            amp = amp.real
+        rho, a full-grid array, so memo, taken for the call of
+        TestFunction.on_grid, is not used.  Float arrays when real_valued,
+        complex ones otherwise; dg/dr multiplies by 1 / rho^(2 gamma + 1),
+        as numpy's complex division by a real does."""
+        g = self.geom.gamma
+        amp = self.amplitude.real if self.real_valued else self.amplitude
         rho = rho_rs(g, r, s_of(y))
         win, dwin = _plateau(np.log(rho), self._a, self._b)
         h = rho**self.sigma * win
@@ -427,6 +432,12 @@ class TestFunction:
     y_even: f is even in every y_j, declared, not sampled: every mode's
     profile declares y_even (read as getattr(profile, "y_even", False), so
     a profile that does not declare it counts as not even).
+
+    real_valued: f is real, declared, not sampled: every mode's profile
+    declares real_valued (read the same way) and each mode m carries the
+    profile object of mode -m, so f = g_0 + sum_l 2 g_l cos(l phi).  An f
+    whose real modes +l and -l carry two distinct profiles counts as not
+    real, even if they are equal.
     """
 
     __test__ = False  # calculus-of-variations naming; not a pytest class
@@ -447,7 +458,9 @@ class TestFunction:
             raise DomainError("all mode profiles must share the y dimension")
         self.modes = tuple(sorted(modes, key=lambda m: m.mode))
         self.y_even = all(getattr(m.profile, "y_even", False) for m in self.modes)
-        self._real = None
+        profile_of = {m.mode: m.profile for m in self.modes}
+        self.real_valued = all(getattr(m.profile, "real_valued", False)
+                               and profile_of.get(-m.mode) is m.profile for m in self.modes)
 
     @property
     def k(self) -> int:
@@ -483,27 +496,26 @@ class TestFunction:
         distinct profile on the grid once (modes +l and -l may share one),
         giving its g, dg/dr and grad_y g, and each mode's 1j * mode * g
         (zeros for mode 0); the closure keeps them for its lifetime: modes
-        x (3 + k) arrays on the grid.  Each ProductProfile gets the one
-        memo of that first call, so each distinct 1-D factor runs once on
-        the grid however many profiles carry it; other profiles take the
-        plain on_grid(r, y).  x is one of f's modes (an AngularMode of
-        self.modes), on which the call returns the mode's kept arrays, its
-        parts at phase 1, as the main quadrature engine takes them; or x is
-        an angle, a float, at which it adds every mode's terms in sorted
-        mode order, as the oracle, is_real_valued and the pointwise API take
+        x (3 + k) arrays on the grid.  Every profile is called as
+        on_grid(r, y, memo) with the one memo of that first call, so each
+        distinct 1-D factor of a ProductProfile runs once on the grid
+        however many profiles carry it.  x is one of f's modes (an
+        AngularMode of self.modes), on which the call returns the mode's
+        kept arrays, its parts at phase 1, as the main quadrature engine
+        takes them; or x is an angle, a float, at which it adds every mode's
+        terms in sorted mode order, as the oracle and the pointwise API take
         them.  Mode 0 is added without its phase, since (a + bi)(1 + 0i) is
         exactly a + bi, so for a radial f it returns the kept arrays too.
-        The caller writes to no array the closure returns.  A radial f
-        whose profile is real (a ProductProfile or RhoShellProfile of real
-        amplitude) stays real: its arrays are float, the real parts of the
-        complex ones bit for bit; every other f is formed complex.
+        The caller writes to no array the closure returns.  A profile of
+        real amplitude (real_valued) gives float g, dg/dr and grad_y g, the
+        real parts of the complex ones bit for bit; i * mode * g, and any
+        sum with a mode other than 0, is complex.
         mode_zero(x) gives the part of f at x that mode 0 carries: its kept
         g at an angle and on mode 0, and a scalar 0.0 on any other mode or
         when f has no mode 0.  r and y must not change while the closure is
         in use.
         """
         held = {}
-        real = self.is_radial
 
         def products():
             """mode -> (g, dg/dr, 1j * mode * g, grad_y g), in sorted mode
@@ -514,9 +526,7 @@ class TestFunction:
                 for m in self.modes:
                     p = m.profile
                     if id(p) not in formed:
-                        formed[id(p)] = (p.on_grid(r, y, memo, real)
-                                         if isinstance(p, ProductProfile)
-                                         else p.on_grid(r, y))
+                        formed[id(p)] = p.on_grid(r, y, memo)
                     g, gr, gy = formed[id(p)]
                     gphi = 1j * m.mode * g if m.mode else np.zeros_like(g)
                     held[m.mode] = (g, gr, gphi, gy)
@@ -555,27 +565,6 @@ class TestFunction:
     def partials_polar(self, r, phi, y):
         """(df/dr, df/dphi, grad_y f) at polar coordinates."""
         return self.on_grid(r, y)(phi)[1:]
-
-    def is_real_valued(self) -> bool:
-        """Realness checked once on a deterministic sample, then cached: f at
-        5 angles on 7 log-spaced radii x 7 points of the y box's diagonal is
-        real when max |Im f| <= 1e-12 max |f|."""
-        if self._real is not None:
-            return self._real
-        samples = 7
-        r_lo, r_hi, box, _ = self.support()
-        rs = np.exp(np.linspace(math.log(r_lo), math.log(r_hi), samples))
-        if box:
-            ys = np.stack(
-                [np.linspace(lo, hi, samples) for lo, hi in box], axis=-1
-            )
-        else:
-            ys = np.zeros((samples, 0))
-        on = self.on_grid(rs[:, None], ys[None, :, :])
-        vals = np.array([on(phi)[0] for phi in phi_rule(5)[0]])
-        vmax, imax = float(np.max(np.abs(vals))), float(np.max(np.abs(vals.imag)))
-        self._real = imax <= 1e-12 * max(vmax, 1e-300)
-        return self._real
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +676,9 @@ def random_test_function(
 ) -> TestFunction:
     """Random bump-type test function for property sweeps (seeded, reproducible).
 
-    With real=True the mode list is symmetrized (+l and -l share one real
-    amplitude), which makes f real-valued; otherwise amplitudes are complex.
+    With real=True the mode list is symmetrized (+l and -l share one profile
+    of real amplitude), so f declares itself real (real_valued); otherwise
+    amplitudes are complex.
     Every mode's profile carries one shared PlateauLogBump, and with
     gaussian_y=False one shared PlateauBumpY per y axis, so TestFunction.on_grid
     evaluates each once per grid; neither draws from rng.  A Gaussian y factor

@@ -48,15 +48,14 @@ fixed order, one array at a time, for x either an angle (a float) or one
 of the modes integrate_polar is given (the verifiers pass their test
 function's AngularModes).  Every integrand is a real float array
 broadcastable to the block: each quantity the checks integrate is a real
-quadratic form (a
-squared modulus, a weighted |f|^2 or |f|^p), and each integral is returned
-as a float; both engines refuse a complex integrand with a RealnessError
-that names its index.  Every density must be elementwise per node, so a
-node's value depends neither on the block it sits in nor on the other
-modes.  On a y_even domain every integrand must be even in every y_j,
-since the main engine takes it at y_j >= 0 only (the verifiers' are
-whenever their test function is; see verifiers._grids).  The oracle
-ignores the mark and covers the whole box.
+quadratic form (a squared modulus, a weighted |f|^2 or |f|^p), and each
+integral is returned as a float; both engines refuse a complex integrand
+with a RealnessError that names its index.  Every density must be
+elementwise per node, so a node's value depends neither on the block it
+sits in nor on the other modes.  On a y_even domain every integrand must
+be even in every y_j, since the main engine takes it at y_j >= 0 only (the
+verifiers' are whenever their test function is; see verifiers._grids).
+The oracle ignores the mark and covers the whole box.
 
 The main engine runs the grid in blocks of whole consecutive rows
 (_tensor_sums), each row once.  On each block it adds every integrand over

@@ -91,8 +91,9 @@ def _require_shape(geom: GrushinGeometry, f: TestFunction) -> None:
 
 
 def _require_real(f: TestFunction, what: str) -> None:
-    if not f.is_real_valued():
-        raise RealnessError(f"{what} is stated for real-valued functions only")
+    if not f.real_valued:
+        raise RealnessError(f"{what} is stated for real-valued functions only "
+                            "(f is not declared real)")
 
 
 def _require_radial(f: TestFunction, what: str) -> None:

@@ -3,9 +3,10 @@
   * A complex array divided by a positive real r is the array times 1 / r:
     numpy's complex division (Smith's algorithm) computes (a + b*0) * (1/r)
     for a real divisor.
-  * A radial f on real profiles runs in float arithmetic: in (a + 0i)(c + 0i)
-    the term 0*0 is exactly 0, so the real part rounds a*c once, and every
-    report equals the one computed from the same f's complex arrays.
+  * A profile of real amplitude runs in float arithmetic: in
+    (a + 0i)(c + 0i) the term 0*0 is exactly 0, so the real part rounds a*c
+    once, and every report on an f declared real equals the one computed
+    from the same f's complex arrays.
   * Mode 0 is added without its phase: (a + bi)(1 + 0i) is exactly a + bi.
   * |i a|^2 is |a|^2: i (a + bi) is exactly -b + ai, and abs2 adds the two
     rounded squares, so verify_constant_field squares its parts without
@@ -20,6 +21,7 @@ squared modulus can see.  So these tests must pass under every dispatch,
 with or without AVX-512 and FMA.
 """
 
+import copy
 import json
 from pathlib import Path
 
@@ -104,14 +106,25 @@ def _grid():
     return r, y
 
 
+def _complex_form(profile):
+    """A copy of profile that does not declare itself real, so its on_grid
+    multiplies by the amplitude a + 0i in complex arithmetic."""
+    undeclared = copy.copy(profile)
+    undeclared.real_valued = False
+    return undeclared
+
+
 def test_a_real_amplitude_profile_is_the_real_part_of_its_complex_form():
     r, y = _grid()
-    for amp in (1.0, -0.7, 0.0):
-        prof = ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-2.0, 2.0, 0.3),), amp)
-        real, cplx = prof.on_grid(r, y), prof.on_grid(r, y, real=False)
-        for u, v in zip(real, cplx, strict=True):
-            assert u.dtype == np.float64 and v.dtype == np.complex128
-            assert _equal_up_to_zero_signs(u, v.real) and not v.imag.any()
+    geom = GrushinGeometry(2, 1, 0.8)
+    for amp in (1.0, -0.7, 0.0, complex(2.0, 0.0)):
+        for prof in (ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-2.0, 2.0, 0.3),), amp),
+                     RhoShellProfile(geom, -0.9, 0.4, 2.5, amp)):
+            assert prof.real_valued
+            real, cplx = prof.on_grid(r, y), _complex_form(prof).on_grid(r, y)
+            for u, v in zip(real, cplx, strict=True):
+                assert u.dtype == np.float64 and v.dtype == np.complex128
+                assert _equal_up_to_zero_signs(u, v.real) and not v.imag.any()
 
 
 def test_a_real_amplitude_is_the_imaginary_part_of_the_same_amplitude_times_i():
@@ -139,7 +152,7 @@ def test_mode_zero_adds_what_its_phase_product_would(modes):
         # every mode times its phase, added in sorted mode order
         want = None
         for m in f.modes:
-            g, gr, gy = m.profile.on_grid(r, y, real=False)
+            g, gr, gy = m.profile.on_grid(r, y)
             e = np.exp(1j * m.mode * np.asarray(phi))
             terms = [g * e, gr * e, 1j * m.mode * g * e, gy * e]
             want = terms if want is None else [w + t for w, t in zip(want, terms)]
@@ -168,20 +181,34 @@ def test_one_power_of_rho_gives_the_bits_of_one_power_per_factor(gamma):
 
 
 class _AsComplex:
-    """A test-only profile: the wrapped profile's arrays in complex form."""
+    """A test-only profile: the wrapped profile's arrays cast to complex,
+    declared real (or not) as the wrapped profile is."""
 
     def __init__(self, profile):
         self.inner = profile
-        for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "y_even", "k"):
+        for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "y_even",
+                     "real_valued", "k"):
             setattr(self, name, getattr(profile, name))
 
-    def on_grid(self, r, y):
-        if isinstance(self.inner, ProductProfile):
-            return self.inner.on_grid(r, y, real=False)
-        return tuple(np.asarray(a, complex) for a in self.inner.on_grid(r, y))
+    def on_grid(self, r, y, memo=None):
+        return tuple(np.asarray(a, complex) for a in self.inner.on_grid(r, y, memo))
 
 
-_QUICK = {"n_r": 16, "n_phi": 8, "n_y": 4}
+def _as_complex(f):
+    """f with each distinct profile wrapped once, so modes +l and -l still
+    share one profile object."""
+    wrapped = {}
+    for m in f.modes:
+        wrapped.setdefault(id(m.profile), _AsComplex(m.profile))
+    return TestFunction([AngularMode(m.mode, wrapped[id(m.profile)]) for m in f.modes])
+
+
+_QUICK = {"n_r": 16, "n_phi": 12, "n_y": 4}
+
+
+def _quick(run):
+    """run at a quick resolution."""
+    return {**run, "quadrature": {key: _QUICK[key] for key in run["quadrature"]}}
 
 
 def _radial(run):
@@ -189,8 +216,7 @@ def _radial(run):
     fn = run["function"]
     if fn["kind"] == "random":
         fn = {**fn, "modes": [0], "real": True}
-    quad = {key: _QUICK[key] for key in run["quadrature"]}
-    return {**run, "function": fn, "quadrature": quad}
+    return _quick({**run, "function": fn})
 
 
 _RHO_TRIAL = {"theorem_id": "radial_hardy", "geometry": {"m": 3, "k": 1, "gamma": 0.6},
@@ -199,22 +225,26 @@ _RHO_TRIAL = {"theorem_id": "radial_hardy", "geometry": {"m": 3, "k": 1, "gamma"
                            "cutoff": [0.5, 2.0]},
               "quadrature": {"n_r": 16, "n_phi": 4, "n_y": 4}}
 _RADIAL_RUNS = [_radial(run) for run in _VERIFY_RUNS] + [_RHO_TRIAL]
+# the suite's real draws with modes +-l, each pair on one float profile
+_PAIR_RUNS = [_quick(run) for run in _VERIFY_RUNS
+              if run["function"].get("real") and run["function"]["modes"] != [0]]
 
 
 def _report_text(run):
     return json.dumps(_run_one(run, 0, 0), default=jsonable, sort_keys=True)
 
 
-@pytest.mark.parametrize("run", _RADIAL_RUNS,
-                         ids=[run["theorem_id"] for run in _VERIFY_RUNS] + ["rho_power trial"])
+@pytest.mark.parametrize("run", _RADIAL_RUNS + _PAIR_RUNS,
+                         ids=[run["theorem_id"] for run in _VERIFY_RUNS] + ["rho_power trial"]
+                         + [f"{run['theorem_id']}, real pairs" for run in _PAIR_RUNS])
 def test_every_check_reports_the_same_bytes_on_real_and_complex_parts(monkeypatch, run):
     real = _report_text(run)
     parse = cli._parse_function
 
     def complex_parts(*args):
         f = parse(*args)
-        assert f.is_radial and f.is_real_valued()
-        return TestFunction([AngularMode(m.mode, _AsComplex(m.profile)) for m in f.modes])
+        assert f.real_valued and f.is_radial == (run in _RADIAL_RUNS)
+        return _as_complex(f)
 
     monkeypatch.setattr(cli, "_parse_function", complex_parts)
     assert _report_text(run) == real

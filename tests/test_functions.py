@@ -377,40 +377,6 @@ def test_mutating_the_grid_in_place_gives_the_new_values():
     _assert_same_evaluation(f, fresh, r, 0.3, y)
 
 
-# --- realness detection -----------------------------------------------------
-
-def test_is_real_valued_detects_cosine_pairs():
-    prof = ProductProfile(PlateauLogBump(0.5, 2.0), amplitude=0.5)
-    cos_pair = TestFunction([AngularMode(-1, prof), AngularMode(1, prof)])
-    assert cos_pair.is_real_valued()
-    lone = TestFunction([AngularMode(1, prof)])
-    assert not lone.is_real_valued()
-    imag_amp = ProductProfile(PlateauLogBump(0.5, 2.0), amplitude=1j)
-    assert not TestFunction([AngularMode(0, imag_amp)]).is_real_valued()
-
-
-def test_is_real_valued_samples_its_angles_on_one_grid(monkeypatch):
-    # one closure, so each profile is evaluated once, then its 5 angles
-    grids, calls = [], []
-    on_grid = TestFunction.on_grid
-
-    def counting(self, r, y):
-        grids.append((r.shape, y.shape))
-        at = on_grid(self, r, y)
-        return lambda phi: (calls.append(phi), at(phi))[1]
-
-    monkeypatch.setattr(TestFunction, "on_grid", counting)
-    prof = ProductProfile(PlateauLogBump(0.5, 2.0), [PlateauBumpY(-1.0, 1.0)], amplitude=0.5)
-    for modes, real in (((-1, 1), True), ((1,), False)):
-        f = TestFunction([AngularMode(m, prof) for m in modes])
-        assert f.is_real_valued() is real
-        assert f.is_real_valued() is real   # cached
-        assert grids == [((7, 1), (1, 7, 1))]
-        assert calls == np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False).tolist()
-        grids.clear()
-        calls.clear()
-
-
 # --- random draws and trial families ----------------------------------------
 
 def test_random_test_function_is_seed_deterministic():
@@ -427,7 +393,7 @@ def test_random_test_function_honors_requests():
     f = random_test_function(rng, k=2, modes=(-2, 0, 1), real=False)
     assert f.k == 2 and f.max_abs_mode == 2
     fr = random_test_function(rng, k=1, modes=(0, 1), real=True)
-    assert fr.is_real_valued()
+    assert fr.real_valued and not f.real_valued
     r_lo, r_hi, _, _ = fr.support()
     assert 0.3 <= r_lo <= 1.0 and r_hi / r_lo <= 3.5 + 1e-12
 

@@ -49,7 +49,8 @@ from maghardy.verifiers import (
 
 
 class Dilated:
-    """The profile g(lam r, lam^(1+gamma) y), with its partials by the chain rule."""
+    """The profile g(lam r, lam^(1+gamma) y), with its partials by the chain rule,
+    declared real as the profile is."""
 
     def __init__(self, profile, lam, gamma):
         self.inner, self.lam, self.mu = profile, lam, lam ** (1.0 + gamma)
@@ -57,14 +58,20 @@ class Dilated:
         self.y_box = tuple((lo / self.mu, hi / self.mu) for lo, hi in profile.y_box)
         self.r_breaks = tuple(b / lam for b in profile.r_breaks)
         self.reaches_origin, self.k = profile.reaches_origin, profile.k
+        self.real_valued = profile.real_valued
 
-    def on_grid(self, r, y):
+    def on_grid(self, r, y, memo=None):
         g, gr, gy = self.inner.on_grid(self.lam * r, self.mu * y)
         return g, self.lam * gr, self.mu * gy
 
 
 def _dilate(f, lam, gamma):
-    return TestFunction([AngularMode(m.mode, Dilated(m.profile, lam, gamma)) for m in f.modes])
+    """f with each distinct profile dilated once, so modes +l and -l of a
+    real f still share one profile object."""
+    dilated = {}
+    for m in f.modes:
+        dilated.setdefault(id(m.profile), Dilated(m.profile, lam, gamma))
+    return TestFunction([AngularMode(m.mode, dilated[id(m.profile)]) for m in f.modes])
 
 
 GEOM = GrushinGeometry(2, 1, 1.0)

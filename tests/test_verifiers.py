@@ -515,9 +515,8 @@ def test_constant_field_shape_guard():
 def test_constant_field_rejects_complex():
     pots = ConstantFieldPotentials(0.5)
     f = random_test_function(np.random.default_rng(4), k=1, modes=(0,), real=False)
-    # a lone mode-0 profile with complex amplitude is still complex-valued
-    if f.is_real_valued():
-        pytest.skip("draw happened to be real")
+    # a lone mode-0 profile with complex amplitude is not declared real
+    assert not f.real_valued
     with pytest.raises(RealnessError):
         verify_constant_field(GrushinGeometry(1, 1, 1.0), WeightExponents(0, 0), pots, f, SPEC)
 
@@ -557,8 +556,7 @@ def test_radial_factor_runs_once_across_the_integrals_of_a_check():
     # modes -1 and +1 share one profile, whose factors are computed once
     radial = _CountingBump(0.5, 2.0)
     f = _real_cos_pair(radial)
-    assert f.is_real_valued()  # cached; samples its own grid
-    radial.calls = 0
+    assert f.real_valued and radial.calls == 0  # declared, so nothing is sampled
     rep = verify_magnetic_grushin(GrushinGeometry(2, 1, 1.0), WeightExponents(0.5, 0.2),
                                   FluxParam(0.5), f, QuadratureSpec(n_r=16, n_phi=12, n_y=6))
     assert rep.margin >= -rep.tolerance()
@@ -637,9 +635,9 @@ class _CountingProfile(ProductProfile):
 
     forms = 0
 
-    def on_grid(self, r, y, memo=None, real=True):
+    def on_grid(self, r, y, memo=None):
         self.forms += 1
-        return super().on_grid(r, y, memo, real)
+        return super().on_grid(r, y, memo)
 
 
 def _shared_pair_and_zero(shared):

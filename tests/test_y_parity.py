@@ -204,8 +204,8 @@ class _Unmarked:
         for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "k"):
             setattr(self, name, getattr(profile, name))
 
-    def on_grid(self, r, y):
-        return self.inner.on_grid(r, y)
+    def on_grid(self, r, y, memo=None):
+        return self.inner.on_grid(r, y, memo)
 
 
 def _bump(*y_factors, amplitude=1.0):
