@@ -29,10 +29,11 @@ angle.  Its first call evaluates each distinct profile on the grid once
 (modes +l and -l of a real f share one), each ProductProfile computing
 each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once however many
 modes carry it, and keeps the products.  A call on a mode returns them; a
-call at an angle multiplies them by e^(i mode phi) and adds the modes.  The
-main quadrature engine makes one closure per row block and calls it once
-per mode; the oracle calls it once per angular node, and the pointwise
-value_polar and partials_polar once.
+call at an angle multiplies every mode's by e^(i mode phi), mode 0's too,
+and adds the modes.  The main quadrature engine, on its polar and its
+x-radial path alike, makes one closure per row block and calls it once per
+mode, never at an angle; the oracle calls it once per angular node, and
+the pointwise value_polar and partials_polar once.
 
 Parity in y and realness are declared, never sampled.  A profile's y_even
 says it is even in every y_j, and a TestFunction is y_even when every mode's
@@ -502,14 +503,13 @@ class TestFunction:
         however many profiles carry it.  x is one of f's modes (an
         AngularMode of self.modes), on which the call returns the mode's
         kept arrays, its parts at phase 1, as the main quadrature engine
-        takes them; or x is an angle, a float, at which it adds every mode's
-        terms in sorted mode order, as the oracle and the pointwise API take
-        them.  Mode 0 is added without its phase, since (a + bi)(1 + 0i) is
-        exactly a + bi, so for a radial f it returns the kept arrays too.
+        takes them; or x is an angle, a float, at which it returns
+        sum_k parts_k * e^(i k x) over the modes in sorted order, new
+        complex arrays, as the oracle and the pointwise API take them.
         The caller writes to no array the closure returns.  A profile of
         real amplitude (real_valued) gives float g, dg/dr and grad_y g, the
-        real parts of the complex ones bit for bit; i * mode * g, and any
-        sum with a mode other than 0, is complex.
+        real parts of the complex ones bit for bit; i * mode * g is
+        complex.
         mode_zero(x) gives the part of f at x that mode 0 carries: its kept
         g at an angle and on mode 0, and a scalar 0.0 on any other mode or
         when f has no mode 0.  r and y must not change while the closure is
@@ -536,19 +536,10 @@ class TestFunction:
             if isinstance(x, AngularMode):
                 return products()[x.mode]
             out = None
-            for mode, (g, gr, gphi, gy) in products().items():
-                if mode:
-                    e = np.exp(1j * mode * np.asarray(x))
-                    terms = (g * e, gr * e, gphi * e, gy * e)
-                else:  # e = 1 + 0i
-                    terms = (g, gr, gphi, gy)
-                if out is None:
-                    out, kept = list(terms), not mode
-                elif kept:  # out holds mode 0's kept arrays: the sum allocates
-                    out, kept = [o + t for o, t in zip(out, terms)], False
-                else:  # in place, so no second sum is formed
-                    for i, t in enumerate(terms):
-                        out[i] += t
+            for mode, parts in products().items():
+                e = np.exp(1j * mode * np.asarray(x))
+                terms = [p * e for p in parts]
+                out = terms if out is None else [o + t for o, t in zip(out, terms)]
             return tuple(out)
 
         def mode_zero(x):

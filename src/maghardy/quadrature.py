@@ -23,11 +23,11 @@ Each reference Gauss-Legendre rule on [-1, 1] is built once per node count
 and cached read-only; every panel rule here and in the sharpness engine is an
 affine image of it (`gauss_legendre`, `gauss_panels`).
 
-integrate_radial runs the same tensor pass (_tensor_sums) at the one angle
-0.0, over r^power dr dy (on k = 0 a plain radial integral).  General m >= 2
-never needs angular quadrature in x here: every integrand the verifiers
-produce for that case is radial in x, and the sphere factor is the
-closed-form area of S^(m-1).
+integrate_radial runs the same per-mode tensor pass (_tensor_sums) over
+r^power dr dy (on k = 0 a plain radial integral); an f radial in x has the
+one mode 0.  General m >= 2 never needs angular quadrature in x here: every
+integrand the verifiers produce for that case is radial in x, and the
+sphere factor is the closed-form area of S^(m-1).
 
 Oracle
 ------
@@ -44,18 +44,19 @@ broadcastable arrays: r of shape (n_rows, 1), a run of consecutive radial
 nodes, and y of shape (1, n_y_flat, k), whose trailing axis indexes the y
 components.  It does the phi-independent work of its check there, once per
 block.  at(x) then yields every integrand of the check on that block in a
-fixed order, one array at a time, for x either an angle (a float) or one
-of the modes integrate_polar is given (the verifiers pass their test
-function's AngularModes).  Every integrand is a real float array
-broadcastable to the block: each quantity the checks integrate is a real
-quadratic form (a squared modulus, a weighted |f|^2 or |f|^p), and each
-integral is returned as a float; both engines refuse a complex integrand
-with a RealnessError that names its index.  Every density must be
-elementwise per node, so a node's value depends neither on the block it
-sits in nor on the other modes.  On a y_even domain every integrand must
-be even in every y_j, since the main engine takes it at y_j >= 0 only (the
-verifiers' are whenever their test function is; see verifiers._grids).
-The oracle ignores the mark and covers the whole box.
+fixed order, one array at a time.  The main engine calls it on each of the
+modes it is given (the verifiers pass their test function's AngularModes),
+never at an angle; the oracle calls it at each of its angles, a float.
+Every integrand is a real float array broadcastable to the block: each
+quantity the checks integrate is a real quadratic form (a squared modulus,
+a weighted |f|^2 or |f|^p), and each integral is returned as a float; both
+engines refuse a complex integrand with a RealnessError that names its
+index.  Every density must be elementwise per node, so a node's value
+depends neither on the block it sits in nor on the other modes.  On a
+y_even domain every integrand must be even in every y_j, since the main
+engine takes it at y_j >= 0 only (the verifiers' are whenever their test
+function is; see verifiers._grids).  The oracle ignores the mark and covers
+the whole box.
 
 The main engine runs the grid in blocks of whole consecutive rows
 (_tensor_sums), each row once.  On each block it adds every integrand over
@@ -318,15 +319,14 @@ def _check_finite(values) -> None:
 
 
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
-                 power, points) -> list:
-    """Per integrand of density: its values at the points added node by node,
+                 power, modes) -> list:
+    """Per integrand of density: its values on the modes added node by node,
     weighted by w_r * r^power * w_y and summed over the (r, y) grid of the
-    domain.  The one tensor pass, shared by integrate_polar (points: modes)
-    and integrate_radial (points: the angle 0.0).
+    domain.  The one tensor pass of integrate_polar and integrate_radial.
 
     The grid runs in blocks of max(1, BLOCK_NODES // n_flat) consecutive
     whole rows, one block at a time.  A block runs density once and calls at
-    once per point; each integrand is added over the points node by node,
+    once per mode; each integrand is added over the modes node by node,
     in their order, weighted (base) and reduced once, and the block sums
     are added in row order.  So each row runs once, and a sum's roundoff is
     that of its blocks' pairwise sums plus that of adding the block sums in
@@ -345,7 +345,7 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
         at = density(r[a:a + rows, None], Y[None, :, :])
         base = radial[a:a + rows, None] * w_y[None, :]
         sums = []
-        for vals in zip(*[at(p) for p in points]):  # one integrand's values at a time
+        for vals in zip(*[at(mode) for mode in modes]):  # one integrand's values at a time
             total = vals[0]
             for v in vals[1:]:
                 total = total + v
@@ -379,13 +379,13 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain,
 
 
 def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
-                     power) -> list:
-    """Integrals of every integrand of density, taken at phi = 0.0, over
-    r^power dr dy on the domain: the tensor pass of integrate_polar on the
-    one angle 0.0.  On k = 0 a plain radial integral (the y rule is one
-    node of weight 1).
+                     modes: Sequence, power) -> list:
+    """Integrals of every integrand of density, added over the modes, over
+    r^power dr dy on the domain: the tensor pass of integrate_polar at
+    another power, without the factor 2 pi.  On k = 0 a plain radial
+    integral (the y rule is one node of weight 1).
     """
-    return _tensor_sums(density, spec, domain, power, (0.0,))
+    return _tensor_sums(density, spec, domain, power, modes)
 
 
 # ---------------------------------------------------------------------------

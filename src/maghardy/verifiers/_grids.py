@@ -7,9 +7,10 @@ spec.oracle is set:
     used whenever the function carries angular modes; the main engine
     takes each integrand once per angular mode of f and adds them
     (Parseval), the oracle at its uniform angular nodes;
-  * radial-x path (radial_integral): the integrands at phi = 0.0 over
-    r^power dr dy, no angular nodes spent; functions radial in x take power
-    m - 1 times the sphere area (rx_integral), the 1-D Lp checks power 0.
+  * radial-x path (radial_integral): the integrands on f's one mode, mode
+    0, over r^power dr dy, no angular nodes spent; functions radial in x
+    take power m - 1 times the sphere area (rx_integral), the 1-D Lp checks
+    power 0; the oracle takes them at one angle.
 
 integrate(density, f, spec, m) holds the one rule for a check that admits
 both: the polar path on m = 2, the radial-x path otherwise.  Checks stated
@@ -20,16 +21,17 @@ once per row block of the grid (r of shape (n_rows, 1), y of shape
 (1, n_flat, k); the main engine cuts its grid into blocks of whole rows of
 at most quadrature.BLOCK_NODES nodes or one row, the oracle into blocks of
 at most quadrature.ORACLE_BLOCK_NODES nodes or one row; the blocks run one
-at a time) and returns at(x), which yields every integrand of the check on that
-block in order, for x an angle or one of f's modes, which it hands to
-TestFunction.on_grid's closure; so one density serves both engines.  Every
-integrand is a real float array, built from abs2, components_sq, grad_y_sq
-or |.|^p, and a Hermitian form in f's parts, whose phi integral is 2 pi
-times its sum over the modes.  The mode defect |f|^2 - |f0|^2 takes f0
-from the closure's mode_zero(x), which is 0 on every mode but mode 0, so
-the main engine integrates sum_(k != 0) |g_k|^2.  Each check makes one
-integration call: its weights and its test function's products are formed
-once per block, for all its integrals and all of f's modes.
+at a time) and returns at(x), which yields every integrand of the check on
+that block in order, for x one of f's modes (the main engine) or an angle
+(the oracle), which it hands to TestFunction.on_grid's closure; so one
+density serves both engines.  Every integrand is a real float array, built
+from abs2, components_sq, grad_y_sq or |.|^p, and a Hermitian form in f's
+parts, whose phi integral is 2 pi times its sum over the modes.  The mode
+defect |f|^2 - |f0|^2 takes f0 from the closure's mode_zero(x), which is 0
+on every mode but mode 0, so the main engine integrates
+sum_(k != 0) |g_k|^2.  Each check makes one integration call: its weights
+and its test function's products are formed once per block, for all its
+integrals and all of f's modes.
 
 y parity: when f is even in every y_j (TestFunction.y_even, declared by its
 profiles), support_domain marks the domain y_even and the main engine takes
@@ -117,16 +119,17 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
 
 
 def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
-    """The integrals of each integrand at phi = 0.0 times r^power dr dy.
+    """The integrals of each integrand times r^power dr dy.
 
-    density follows the polar protocol; its integrands are taken at
-    phi = 0.0 only, over the support of f.  The one oracle dispatch of the
-    x-radial path: the oracle integrates over r dr dphi on one angular node,
-    so each integrand is folded by r^(power-1) / (2 pi).
+    density follows the polar protocol; the main engine takes its integrands
+    on the modes of f (an f radial in x has the one mode 0) over the support
+    of f.  The one oracle dispatch of the x-radial path: the oracle
+    integrates over r dr dphi on one angular node, so each integrand is
+    folded by r^(power-1) / (2 pi).
     """
     domain = support_domain(f)
     if not spec.oracle:
-        return integrate_radial(density, spec, domain, power)
+        return integrate_radial(density, spec, domain, f.modes, power)
 
     def folded(r, y):
         at = density(r, y)

@@ -16,11 +16,12 @@ Each check writes one density in the quadrature protocol: density(r, y)
 forms the phi-independent quantities of the check once per row block of the
 grid (the test function's factors through TestFunction.on_grid, the weights
 B, B*w and rho^(2 gamma + 2), the field factors of the fields components), and at(x)
-yields the integrand of every term of the displayed inequality in turn, at
-an angle or on one angular mode of f, so the check makes one integration
-call.  x-radial functions use the reduced tensor path at phi = 0 with the
-closed-form sphere factor; genuinely angular functions require m = 2 and
-run through the polar engine, mode by mode.
+yields the integrand of every term of the displayed inequality in turn, on
+one angular mode of f (the main engine) or at an angle (the oracle), so the
+check makes one integration call.  x-radial functions use the reduced
+tensor path on their one mode 0 with the closed-form sphere factor;
+genuinely angular functions require m = 2 and run through the polar
+engine, mode by mode.
 """
 
 from __future__ import annotations

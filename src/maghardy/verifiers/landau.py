@@ -116,34 +116,32 @@ def verify_landau(variant: str, psi: RadialPotential,
     _require_in_ball(f, radius)
     run_params = {"variant": variant, **_psi_record(psi)}
 
-    def psi_sq(r):
-        return np.asarray(psi(r)) ** 2
-
     # per variant: admissibility, its parameters in the report, and the
-    # weights of the gradient side (wv), the main term, the psi term and the
-    # mode defect; then the constant, whose record checks the rest
+    # weights of the gradient side (wv), the main term, the psi term (of r
+    # and psi^2) and the mode defect; then the constant, whose record checks
+    # the rest
     if variant == "hardy_sobolev":
         t1 = _theta1(params)
         run_params["theta1"] = t1
         wv = lambda r: r ** (-2.0 * t1)
         main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)
-        psi_weight = lambda r: psi_sq(r) * r ** (-2.0 * t1 + 2.0)
+        psi_weight = lambda r, psi_sq: psi_sq * r ** (-2.0 * t1 + 2.0)
     elif variant == "log":
         _require_in_ball(f, 1.0)   # the closed unit disc
         wv = lambda r: np.log(r) ** 2
         main_weight = np.ones_like
-        psi_weight = lambda r: psi_sq(r) * r**2 * np.log(r) ** 2
+        psi_weight = lambda r, psi_sq: psi_sq * r**2 * np.log(r) ** 2
         defect_weight = lambda r: np.log(r) ** 2 / r**2
     elif variant == "poincare":
         wv = main_weight = defect_weight = np.ones_like
-        psi_weight = lambda r: psi_sq(r) * r**2
+        psi_weight = lambda r, psi_sq: psi_sq * r**2
     elif variant == "superweight":
         sw = require_param("superweight variant", "its parameters", params, SuperweightParams)
         W, t4 = sw.weight, sw.theta4
         run_params["weights"] = sw.to_dict()
         wv = lambda r: W(r) * r ** (-2.0 * t4)
         main_weight = defect_weight = lambda r: W(r) * r ** (-2.0 * t4 - 2.0)
-        psi_weight = lambda r: psi_sq(r) * W(r) * r ** (-2.0 * t4 + 2.0)
+        psi_weight = lambda r, psi_sq: psi_sq * W(r) * r ** (-2.0 * t4 + 2.0)
     else:
         raise DomainError(f"unknown variant {variant!r}")
     sharp = sharp_constant(theorem_id, psi, radius, params)
@@ -155,7 +153,7 @@ def verify_landau(variant: str, psi: RadialPotential,
         on = f.on_grid(r, y)
         pv = np.asarray(psi(r))
         w_grad, w_main, w_psi, w_defect = (
-            wv(r), main_weight(r), psi_weight(r), defect_weight(r))
+            wv(r), main_weight(r), psi_weight(r, pv**2), defect_weight(r))
 
         def at(x):
             parts = on(x)

@@ -2,8 +2,9 @@
 
 Everything here reduces to weighted integrals of |f| and |df/dr| against
 r^(Q-1) dr.  Each check writes one density in the quadrature protocol: on a
-grid block it evaluates f and df/dr once and yields the gradient-side and
-the function-side integrands, each with its own radial weight r^(Q-1-w).
+grid block its at(x) reads f and df/dr at x, like every other density, and
+yields the gradient-side and the function-side integrands, each with its
+own radial weight r^(Q-1-w).
 Both integrals come from one call of the x-radial path at power 0
 (_grids.radial_integral, main engine or oracle).  The Euler operator
 r * df/dr drives the weighted and logarithmic variants; the plain
@@ -86,10 +87,14 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     C = sharp_constant(theorem_id, Q, p, *values)
 
     def density(r, y):
-        fv, fr = f.on_grid(r, y)(0.0)[:2]
-        sides = (grad_side(r, fr) * r ** (Q - 1.0 - w_grad),
-                 func_side(r, fv) * r ** (Q - 1.0 - w_func))
-        return lambda phi: sides
+        on = f.on_grid(r, y)
+
+        def at(x):
+            fv, fr = on(x)[:2]
+            yield grad_side(r, fr) * r ** (Q - 1.0 - w_grad)
+            yield func_side(r, fv) * r ** (Q - 1.0 - w_func)
+
+        return at
 
     res = _resolution(spec)
     grad_norm, func_norm = (max(v, 0.0) ** (1.0 / p)

@@ -1021,7 +1021,7 @@ def test_zero_function_gives_zero_on_every_check(tmp_path):
         assert values == [0.0] * len(values), record["theorem_id"]
 
 
-# --- modes: a polar check runs once per mode and block, to roundoff ------------
+# --- modes: every check runs once per mode and block, to roundoff ---------------
 
 POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty_ab",
              "landau_hardy_sobolev", "landau_log", "landau_poincare",
@@ -1029,17 +1029,20 @@ POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty
              "real_landau_critical", "real_landau_uncertainty"}
 
 
-def test_polar_checks_run_once_per_mode_and_match_one_block(monkeypatch):
+def test_every_check_runs_once_per_mode_and_matches_one_block(monkeypatch):
+    # every margin and identity run of the default suite: the polar checks,
+    # the x-radial ones (radial_hardy, grushin_ibp, constant_field,
+    # real_landau_hardy at n = 2) and the 1-D radial_p checks
     import maghardy.quadrature as quadrature
     from maghardy.functions import AngularMode
 
     cfg = json.loads((REPO / "scripts" / "default_suite.json").read_text())
-    runs = [(i, run) for i, run in enumerate(cfg["runs"])
-            if run["theorem_id"] in POLAR_IDS and run.get("n", 1) == 1]
-    assert {run["theorem_id"] for _, run in runs} == POLAR_IDS
+    runs = [(i, run) for i, run in enumerate(cfg["runs"]) if "family" not in run]
+    ids = [run["theorem_id"] for _, run in runs]
+    assert len(set(ids)) == len(ids) == 20
     tensor_sums, seen = quadrature._tensor_sums, []
 
-    def spy(density, spec, domain, power, points):  # records each block's calls of at
+    def spy(density, spec, domain, power, modes):  # records each block's calls of at
         def recorded(r, y):
             at = density(r, y)
             seen[-1].append([])
@@ -1048,7 +1051,7 @@ def test_polar_checks_run_once_per_mode_and_match_one_block(monkeypatch):
                 seen[-1][-1].append(x)
                 return at(x)
             return each
-        return tensor_sums(recorded, spec, domain, power, points)
+        return tensor_sums(recorded, spec, domain, power, modes)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", spy)
 
@@ -1064,20 +1067,22 @@ def test_polar_checks_run_once_per_mode_and_match_one_block(monkeypatch):
     monkeypatch.setattr(quadrature, "BLOCK_NODES", 64)
     blocked = reports()
     # on every block, at runs once per mode of f, in sorted mode order, and
-    # never at an angle
-    for blocks in seen:
+    # never at an angle; an x-radial check on its one mode 0
+    for tid, blocks in zip(ids, seen, strict=True):
         modes = blocks[0]
-        assert modes and all(isinstance(m, AngularMode) for m in modes)
-        assert [m.mode for m in modes] == sorted({m.mode for m in modes})
-        assert all(calls == modes for calls in blocks)
+        assert modes and all(isinstance(m, AngularMode) for m in modes), tid
+        assert [m.mode for m in modes] == sorted({m.mode for m in modes}), tid
+        assert all(calls == modes for calls in blocks), tid
+        if tid not in POLAR_IDS:
+            assert [m.mode for m in modes] == [0], tid
     assert all(len(blocks) > 1 for blocks in seen)  # every check runs several blocks
     assert max(len(blocks[0]) for blocks in seen) > 2  # and some f has several modes
     seen.clear()
 
-    def one_block(density, spec, domain, power, points):  # the whole grid one block
+    def one_block(density, spec, domain, power, modes):  # the whole grid one block
         r, _, Y, _ = quadrature.tensor_grid(spec, domain)
         monkeypatch.setattr(quadrature, "BLOCK_NODES", r.size * len(Y))
-        return spy(density, spec, domain, power, points)
+        return spy(density, spec, domain, power, modes)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", one_block)
     for want, got in zip(reports(), blocked, strict=True):

@@ -1,4 +1,4 @@
-"""The three exact rewrites of the tensor path, pinned bit for bit.
+"""The exact rewrites of the tensor path, pinned bit for bit.
 
   * A complex array divided by a positive real r is the array times 1 / r:
     numpy's complex division (Smith's algorithm) computes (a + b*0) * (1/r)
@@ -7,7 +7,10 @@
     (a + 0i)(c + 0i) the term 0*0 is exactly 0, so the real part rounds a*c
     once, and every report on an f declared real equals the one computed
     from the same f's complex arrays.
-  * Mode 0 is added without its phase: (a + bi)(1 + 0i) is exactly a + bi.
+  * Mode 0 at an angle is its parts at phase 1: (a + bi)(1 + 0i) is exactly
+    a + bi, so an f radial in x at any angle, as the oracle and the radial
+    Lp reference (tests/test_radial_p.py) take it, has the values of its
+    mode 0's parts, which the main engine takes on the x-radial path.
   * |i a|^2 is |a|^2: i (a + bi) is exactly -b + ai, and abs2 adds the two
     rounded squares, so verify_constant_field squares its parts without
     the i of the printed gradient, float or complex.

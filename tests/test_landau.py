@@ -358,3 +358,37 @@ def test_k0_row_blocks_match_one_block(monkeypatch):
     for want, got in zip(one_block, reports(), strict=True):
         assert_reports_close(want, got)
     assert widths == ([13] * 11 + [1]) * len(runs)
+
+
+# --- the potential runs once per row block -----------------------------------
+
+_PSI_RUNS = {
+    **{f"landau_{variant}": lambda psi, variant=variant, params=params: verify_landau(
+        variant, psi, params, _BUMP, QuadratureSpec(n_r=48, n_phi=12),
+        radius=0.9 if variant == "poincare" else None)
+       for variant, params in (("hardy_sobolev", 0.5), ("log", None), ("poincare", None),
+                               ("superweight", SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0)))},
+    "twisted_polar": lambda psi: check_twisted_polar_identity(
+        psi, lambda r: 1.0 + r, _BUMP, QuadratureSpec(n_r=48, n_phi=12)),
+}
+
+
+@pytest.mark.parametrize("tid", sorted(_PSI_RUNS))
+def test_psi_runs_once_per_row_block(monkeypatch, tid):
+    # a k = 0 grid in blocks of 13 rows: psi runs once on each block, for the
+    # twisted gradient and the psi term alike
+    import maghardy.quadrature as quadrature
+
+    calls, blocks, tensor_sums = [], [], quadrature._tensor_sums
+    psi = RadialPotential(psi=lambda r: calls.append(r.shape) or 0.4 * r)
+
+    def spy(density, *args):  # records the radial nodes of each block
+        def recorded(r, y):
+            blocks.append(r.shape)
+            return density(r, y)
+        return tensor_sums(recorded, *args)
+
+    monkeypatch.setattr(quadrature, "_tensor_sums", spy)
+    monkeypatch.setattr(quadrature, "BLOCK_NODES", 13)
+    assert _PSI_RUNS[tid](psi).passed()
+    assert len(blocks) > 1 and calls == blocks

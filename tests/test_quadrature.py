@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from maghardy import quadrature
 from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError, RealnessError
-from maghardy.functions import make_bump
+from maghardy.functions import AngularMode, make_bump
 from maghardy.quadrature import (
     MAX_SLICE_NODES,
     Domain,
@@ -121,6 +121,18 @@ def _ones_density(r, y):
     return lambda phi: (np.ones(r.shape),)
 
 
+# the modes of an f radial in x, the one mode 0, as the x-radial path hands
+# them to at
+RADIAL_MODES = make_bump(0.5, 2.0).modes
+
+
+def _number(x):
+    """The number a test density reads off the point x: the mode of an
+    AngularMode, which the x-radial path hands to at, or x itself, an int
+    mode of these tests or an oracle angle."""
+    return x.mode if isinstance(x, AngularMode) else x
+
+
 def test_rules_of_one_n_build_leggauss_once(monkeypatch):
     calls = []
     real = np.polynomial.legendre.leggauss
@@ -131,7 +143,8 @@ def test_rules_of_one_n_build_leggauss_once(monkeypatch):
         gauss_legendre(-1.5, 2.5, 11)
         log_radial_rule(0.1, 3.0, 11, breaks=(0.5, 1.0))
         y_box_rule(((-1.0, 2.0), (0.0, 1.0)), 11)
-        integrate_radial(_ones_density, QuadratureSpec(n_r=11), Domain(0.5, 2.0), 2)
+        integrate_radial(_ones_density, QuadratureSpec(n_r=11), Domain(0.5, 2.0),
+                         RADIAL_MODES, 2)
     assert calls == [11]
     y_box_rule(((-1.0, 2.0),), 7)
     assert calls == [11, 7]
@@ -309,8 +322,10 @@ MODES = (-1, 0, 2)
 
 
 def _mixed_shape_density(r, y):
-    """Integrands of shape (n_r, n_flat), (n_r, 1) and () at each point."""
-    def at(phi):
+    """Integrands of shape (n_r, n_flat), (n_r, 1) and () at each point,
+    read as a number (_number): on the x-radial path mode 0."""
+    def at(x):
+        phi = _number(x)
         yield _gauss_integrand(r, phi, y)
         yield np.cos(phi + 0.3) * np.exp(-r) * np.sqrt(r)
         yield np.cos(phi) + 2.0
@@ -588,8 +603,8 @@ def test_integrate_radial_weighted_power():
     # integrand r^2 at power 2 integrates r^4; the oracle folds r^(2-1) / 2pi
     # into its r dr dphi rule on one angular node
     dom = Domain(0.5, 2.0)
-    [got] = integrate_radial(lambda r, y: lambda phi: (r ** 2,),
-                             QuadratureSpec(n_r=48), dom, 2)
+    [got] = integrate_radial(lambda r, y: lambda x: (r ** 2,),
+                             QuadratureSpec(n_r=48), dom, RADIAL_MODES, 2)
     want = (2.0 ** 5 - 0.5 ** 5) / 5.0
     assert abs(got - want) <= 1e-11 * want
     [check] = oracle_integrate(lambda r, y: lambda phi: (r ** 3 / (2.0 * math.pi),),
@@ -599,7 +614,7 @@ def test_integrate_radial_weighted_power():
 
 def test_integrate_radial_rejects_bad_interval():
     with pytest.raises(DomainError):
-        integrate_radial(_ones_density, QuadratureSpec(), Domain(2.0, 1.0), 0)
+        integrate_radial(_ones_density, QuadratureSpec(), Domain(2.0, 1.0), RADIAL_MODES, 0)
 
 
 # values of the bad nodes, on r > 1: each makes the weighted sum of its slice
@@ -613,11 +628,12 @@ NONFINITE_NODES = {
 
 
 def _bad_density(bad, x_from):
-    """A finite integrand, then one with bad nodes on r > 1 at x >= x_from."""
+    """A finite integrand, then one with bad nodes on r > 1 at points x
+    whose number (_number) is at least x_from."""
     def density(r, y):
         def at(x):
             yield np.ones_like(r)
-            yield np.where((r > 1.0) & (np.asarray(x) >= x_from), bad(r), 1.0)
+            yield np.where((r > 1.0) & (_number(x) >= x_from), bad(r), 1.0)
 
         return at
 
@@ -627,24 +643,25 @@ def _bad_density(bad, x_from):
 def test_nonfinite_integrand_raises():
     f = make_bump(0.5, 2.0)
     dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
-    # polar: bad only on the last two of 4 modes; oracle: on its last two
-    # of 4 angular nodes
+    # polar: bad only on the last two of 4 modes; x-radial: on f's one mode
+    # 0; oracle: on its last two of 4 angular nodes
     engines = ((lambda d: integrate_polar(d, spec, dom, (0, 1, 2, 3)), 2),
-               (lambda d: rx_integral(d, f, spec, 3), 0.0),
-               (lambda d: integrate_radial(d, spec, dom, 0), 0.0),
+               (lambda d: rx_integral(d, f, spec, 3), 0),
+               (lambda d: integrate_radial(d, spec, dom, f.modes, 0), 0),
                (lambda d: oracle_integrate(d, dom, (101, 4, 11)), math.pi))
     for name, bad in NONFINITE_NODES.items():
-        for integrate, phi_from in engines:
+        for integrate, x_from in engines:
             with pytest.raises(NonFiniteError):
-                integrate(_bad_density(bad, phi_from))
+                integrate(_bad_density(bad, x_from))
                 pytest.fail(name)
 
 
 def _complex_density(r, y):
-    """A real integrand, then exp(i x) * r: complex on every node."""
+    """A real integrand, then exp(i x) * r, x read as a number (_number):
+    complex on every node."""
     def at(x):
         yield np.ones_like(r)
-        yield np.exp(1j * np.asarray(x)) * r
+        yield np.exp(1j * _number(x)) * r
 
     return at
 
@@ -653,7 +670,7 @@ def test_both_engines_refuse_a_complex_integrand_by_index():
     f = make_bump(0.5, 2.0)
     dom, spec = support_domain(f), QuadratureSpec(n_r=16, n_phi=4, n_y=4)
     engines = (lambda d: integrate_polar(d, spec, dom, (0, 1)),
-               lambda d: integrate_radial(d, spec, dom, 1),
+               lambda d: integrate_radial(d, spec, dom, f.modes, 1),
                lambda d: oracle_integrate(d, dom, (101, 4, 11)))
     for integrate in engines:
         with pytest.raises(RealnessError, match="integrand 1 is complex"):
