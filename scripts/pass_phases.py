@@ -18,9 +18,11 @@ wrapped for the duration of the pass:
   run reading        cli._run_one, less its engine call
   engine bookkeeping the engine call (estimate_sharpness, or a record's
                      verify), less its kernels
-  engine kernels     the sharpness quotients (_power_quotient,
-                     _log_quotient) and the integration calls
-                     (integrate_polar, integrate_radial, oracle_integrate)
+  engine kernels     the sharpness windows (_gauss_window, _plain_window:
+                     panel rules and window values) and quotients
+                     (_power_quotient, _log_quotient) and the integration
+                     calls (integrate_polar, integrate_radial,
+                     oracle_integrate)
   report write       cli._write_json
   suite bookkeeping  the rest of cli.main: argument parsing, the run
                      records and the summary
@@ -52,7 +54,8 @@ from maghardy.verifiers import sharpness  # noqa: E402
 
 PHASES = ("config load", "run reading", "engine bookkeeping", "engine kernels",
           "report write", "suite bookkeeping")
-KERNELS = ((sharpness, "_power_quotient"), (sharpness, "_log_quotient"),
+KERNELS = ((sharpness, "_gauss_window"), (sharpness, "_plain_window"),
+           (sharpness, "_power_quotient"), (sharpness, "_log_quotient"),
            (quadrature, "integrate_polar"), (quadrature, "integrate_radial"),
            (quadrature, "oracle_integrate"))
 

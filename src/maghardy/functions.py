@@ -20,7 +20,9 @@ required by the inequalities.  Every consumer wants an edge's value and its
 derivative at the same nodes, so _step gives both from one pair of
 exponentials, taken only on the nodes of its ramp, _plateau gives the bump
 and its derivative from its two edges, and each factor's both(t) returns
-(value, derivative) together.
+(value, derivative) together.  On its own three Gauss panels the bump is
+one cached table per node count (plateau_panels), which plateau_rule hands
+out with those panels only.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y),
 whose closure gives f and its polar partials on one angular mode at phase
@@ -46,6 +48,7 @@ g_0 + sum_l 2 g_l cos(l phi).  The real-only checks refuse any other f.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable, Sequence
@@ -55,6 +58,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
 from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs, s_of
+from .quadrature import _reference_rule, gauss_panels
 
 __all__ = [
     "AngularMode",
@@ -120,6 +124,40 @@ def plateau_breaks(lo, hi):
     """Junction points of the plateau bump on [lo, hi] (quadrature panels)."""
     q = 0.25 * (hi - lo)
     return (lo + q, hi - q)
+
+
+@functools.lru_cache(maxsize=64)
+def plateau_panels(n: int):
+    """The plateau bump on its own three n-node Gauss panels, built once per n.
+
+    On the nodes of gauss_panels((lo, *plateau_breaks(lo, hi), hi), n) the
+    rising edge's t = (u - lo) / q is (1 + xi) / 2 on the first panel, xi
+    the reference nodes, whatever lo < hi, so the bump there is one table:
+    returns read-only (p, q dp/du), each of shape (3 n,); divide the second
+    by q = (hi - lo) / 4 for dp/du.  The middle panel is exactly 1 and 0, and
+    the last is the first mirrored, since the reference nodes are symmetric
+    about 0.  It agrees with _plateau on those nodes up to the roundoff of t.
+    """
+    xi, _ = _reference_rule(n)
+    s, ds = _step(0.5 * (1.0 + xi))
+    p = np.concatenate((s, np.ones(n), s[::-1]))
+    dp = np.concatenate((ds, np.zeros(n), -ds[::-1]))
+    p.flags.writeable = dp.flags.writeable = False
+    return p, dp
+
+
+def plateau_rule(lo, hi, n: int):
+    """The plateau bump on [lo, hi] with the rule it is read on, (u, w, p, dp/du).
+
+    u and w are gauss_panels((lo, *plateau_breaks(lo, hi), hi), n), and p
+    and dp/du come from plateau_panels(n), so the table only ever meets its
+    own panels.  lo and hi are floats, giving shape (3 n,), or columns of
+    shape (n_rows, 1), one panel set per row; p is then shared by every row
+    and dp/du has shape (n_rows, 3 n).
+    """
+    u, w = gauss_panels((lo, *plateau_breaks(lo, hi), hi), n)
+    p, dp = plateau_panels(n)
+    return u, w, p, dp / (0.25 * (hi - lo))
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,8 @@ def verify_landau(variant: str, psi: RadialPotential,
     """Weighted Hardy/Poincare bounds for the twisted gradient on the plane.
 
     variant selects the weight family, and params its numbers:
-      hardy_sobolev  power weights 1/|z|^(2 theta1), theta1 != 0 (params)
+      hardy_sobolev  power weights 1/|z|^(2 theta1), theta1 != 0 (params);
+                     at theta1 > 0 f must vanish at the origin
       log            log^2|z| against the constant 1/4
       poincare       the ball |z| <= radius, constant 1/radius^2
       superweight    (a + b|z|^theta2)^theta3 / |z|^(2 theta4) weights
@@ -122,6 +123,11 @@ def verify_landau(variant: str, psi: RadialPotential,
     # the rest
     if variant == "hardy_sobolev":
         t1 = _theta1(params)
+        if t1 > 0.0 and any(getattr(m.profile, "reaches_origin", False) for m in f.modes):
+            raise AdmissibilityError(
+                "at theta1 > 0 the power weight needs f to vanish at the origin: "
+                "r^(-2 theta1 - 1) |g|^2 of a profile that reaches it is not "
+                "integrable at r = 0")
         run_params["theta1"] = t1
         wv = lambda r: r ** (-2.0 * t1)
         main_weight = defect_weight = lambda r: r ** (-2.0 * t1 - 2.0)

@@ -12,8 +12,12 @@ sharp constant the quotients approach comes from the theorem's catalogue
 record, never from the reduction, so a wrong constant shows as a gap.  The
 engine evaluates these reduced functionals by panelled Gauss-Legendre
 quadrature for a window family v and drives the window toward the
-extremizing regime along a schedule of widths.  The panels come from
-`quadrature.gauss_panels`, whose reference rule is built once per node count.
+extremizing regime along a schedule of widths.  Each window is evaluated
+only on its own three Gauss panels, split at its plateau breaks, which
+`functions.plateau_rule` gives with the plateau bump on them: the panels
+from `quadrature.gauss_panels`, whose reference rule is built once per node
+count, and the bump from one table per node count, so no smoothstep runs
+in a schedule.
 
 Two kernels evaluate the quotients, with w the panel weights:
 
@@ -28,18 +32,19 @@ Two kernels evaluate the quotients, with w the panel weights:
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
 "plain" (e^(eps u) on the family's own cutoff window, matching make_trial
-exactly so full tensor quadrature can cross-check the reduction).  Each
-window is a closure both(u) -> (v, v') with its panel edges.
+exactly so full tensor quadrature can cross-check the reduction).  A
+window returns the nodes u and weights w of its own panels with (v, v') on
+them, and a quotient takes those four together.
 
 The schedule runs in chunks of _CHUNK points, so memory stays bounded for
 a schedule of any length.  A chunk's epsilons go to its window as one
-column, so a quotient calls both once on the chunk's (points, nodes)
-array, evaluating the plateau's two smoothstep edges once per chunk, value
-and derivative together.  Every node sees the
-operations of a lone schedule point, and one reduction along the last axis
-sums each contiguous row with the pairwise summation of a lone row, so a
-point's quotient does not depend on the chunk it runs in.  A non-finite
-epsilon is a DomainError and a non-finite quotient a NonFiniteError.
+column, so the window is evaluated once on the chunk's (points, nodes)
+array, the plateau's derivative divided by each row's quarter width.
+Every node sees the operations of a lone schedule point, and one reduction
+along the last axis sums each contiguous row with the pairwise summation of
+a lone row, so a point's quotient does not depend on the chunk it runs in.
+A non-finite epsilon is a DomainError and a non-finite quotient a
+NonFiniteError.
 """
 
 from __future__ import annotations
@@ -51,8 +56,7 @@ from functools import partial
 import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, NonFiniteError, require_param
-from ..functions import TrialFamily, _plateau, plateau_breaks
-from ..quadrature import gauss_panels
+from ..functions import TrialFamily, plateau_rule
 from ..reports import SharpnessResult
 from ._grids import require_args
 from .catalogue import CHECKS, FAMILY_FOR
@@ -74,48 +78,38 @@ def _gauss_window(eps, center):
     """Gaussian of scale 1/eps under a plateau of half-width 6/eps.
 
     eps and center are floats or columns of shape (n, 1), one window per row.
+    Returns the nodes u and weights w of the window's own panels and (v, v')
+    on them.
     """
     U = 6.0 / eps
-    lo, hi = center - U, center + U
-    b1, b2 = plateau_breaks(lo, hi)
-
-    def both(u):
-        g = np.exp(-0.5 * (eps * (u - center)) ** 2)
-        p, dp = _plateau(u, lo, hi)
-        return g * p, g * (dp - eps * eps * (u - center) * p)
-
-    return both, (lo, b1, b2, hi)
+    u, w, p, dp = plateau_rule(center - U, center + U, _PANEL_N)
+    g = np.exp(-0.5 * (eps * (u - center)) ** 2)
+    return u, w, g * p, g * (dp - eps * eps * (u - center) * p)
 
 
 def _plain_window(eps, u_lo: float, u_hi: float):
     """e^(eps u) on the plateau window [u_lo, u_hi] — the make_trial shape.
 
-    eps is a float or a column of shape (n, 1), one window per row.
+    eps is a float or a column of shape (n, 1), one window per row.  Returns
+    the nodes u and weights w of the window's own panels and (v, v') on them.
     """
-    b1, b2 = plateau_breaks(u_lo, u_hi)
-
-    def both(u):
-        e = np.exp(eps * u)
-        p, dp = _plateau(u, u_lo, u_hi)
-        return e * p, e * (eps * p + dp)
-
-    return both, (u_lo, b1, b2, u_hi)
+    u, w, p, dp = plateau_rule(u_lo, u_hi, _PANEL_N)
+    e = np.exp(eps * u)
+    return u, w, e * p, e * (eps * p + dp)
 
 
-def _power_quotient(base: float, both, edges, G=None, c: float = 0.0) -> np.ndarray:
+def _power_quotient(base: float, window, G=None, c: float = 0.0) -> np.ndarray:
     """base + sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
-    u, w = gauss_panels(edges, _PANEL_N)
-    v, d = both(u)
+    u, w, v, d = window
     if G is not None:
         w, d = w * G(u), d - c * v
     return base + np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
 
 
-def _log_quotient(both, edges) -> np.ndarray:
+def _log_quotient(window) -> np.ndarray:
     # w is log(-log r); the plane measure contributes exp(-2 e^w) on the
     # norm side, which is what confines the sharp regime to the unit disc.
-    u, w = gauss_panels(edges, _PANEL_N)
-    v, d = both(u)
+    u, w, v, d = window
     num = np.add.reduce(w * (d - 0.5 * v) ** 2, axis=-1)
     den = np.add.reduce(w * v * v * np.exp(-2.0 * np.exp(u)), axis=-1)
     return num / den
@@ -213,7 +207,7 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
             e = eps[i:i + _CHUNK]
             win = (_gauss_window(e, center(e)) if window == "gauss"
                    else _plain_window(tilt * e, *bounds))
-            quotients += quotient(*win).tolist()
+            quotients += quotient(win).tolist()
     for e, q in zip(schedule, quotients):
         if not math.isfinite(q):
             raise NonFiniteError(f"{theorem_id}: the {window} window at "

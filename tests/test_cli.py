@@ -279,6 +279,22 @@ def test_run_level_errors_are_recorded_not_raised(tmp_path):
     assert types == ["AdmissibilityError", "ConfigError"]
 
 
+def test_hardy_sobolev_on_a_gauss_tail_is_refused_at_positive_theta1(tmp_path):
+    # the Gaussian does not vanish at 0, where r^(-2 theta1 - 1) |f|^2 is not
+    # integrable for theta1 > 0: a recorded AdmissibilityError, not a FAIL
+    runs = [{"theorem_id": "landau_hardy_sobolev", "theta1": theta1, "psi": {"kind": "zero"},
+             "function": {"kind": "gauss_tail"}, "quadrature": {"n_r": 64, "n_phi": 4}}
+            for theta1 in (0.1, -0.02)]
+    cfg = _write(tmp_path / "suite.json", {"suite": "origin", "seed": 1, "runs": runs})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+    refused, ran = json.loads(out.read_text())["runs"]
+    assert refused["status"] == "error" and refused["report"] is None
+    assert refused["error"]["type"] == "AdmissibilityError"
+    assert "vanish at the origin" in refused["error"]["message"]
+    assert ran["status"] == "ok" and ran["passed"]
+
+
 _GOOD_RUN = {"theorem_id": "radial_hardy", "geometry": GEOM,
              "weights": {"alpha1": 0.0, "alpha2": 0.0},
              "function": BUMP, "quadrature": FAST}

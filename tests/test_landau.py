@@ -122,6 +122,42 @@ def test_hardy_sobolev_refuses_zero_or_missing_theta1():
         verify_landau("hardy_sobolev", psi, None, f, SPEC)
 
 
+@pytest.mark.parametrize("theta1", [0.1, 1.2])
+def test_hardy_sobolev_refuses_an_f_that_reaches_the_origin_at_positive_theta1(
+        monkeypatch, theta1):
+    # the main term integrates r^(-2 theta1 - 1) |g|^2 near 0, which diverges
+    # where g(0) != 0 and theta1 > 0; refused before any quadrature runs
+    def never(*args):
+        raise AssertionError("ran quadrature on a refused input")
+
+    monkeypatch.setattr("maghardy.verifiers.landau.polar_integral", never)
+    f = TestFunction([AngularMode(0, ProductProfile(GaussTail()))])
+    with pytest.raises(AdmissibilityError, match="vanish at the origin"):
+        verify_landau("hardy_sobolev", RadialPotential.constant(0.0), theta1, f, SPEC)
+
+
+def _gauss_moment(a, p):
+    """M(p) = int_0^inf r^p e^(-2 a r^2) dr = Gamma((p+1)/2) / (2 (2a)^((p+1)/2))."""
+    return math.gamma(0.5 * (p + 1.0)) / (2.0 * (2.0 * a) ** (0.5 * (p + 1.0)))
+
+
+@pytest.mark.parametrize("theta1, c, s", [(-0.5, 0.3, 0.5), (-1.2, -0.8, 0.86)])
+def test_hardy_sobolev_on_the_gaussian_matches_its_closed_forms(theta1, c, s):
+    # f = e^(-a r^2) on mode 0, psi = c r^s: |twisted grad f|^2 is
+    # (4 a^2 r^2 + c^2 r^(2s+2)) |f|^2, so against r^(-2 theta1) r dr dphi
+    # lhs = 2 pi (4 a^2 M(3 - 2 theta1) + c^2 M(2s + 3 - 2 theta1)) and the
+    # psi term is its second part; the rolloff past r = 6 and the cutoff
+    # below 1e-8 sit far below 1e-12 (measured 9.7e-15 and 1.1e-14)
+    a = 0.5
+    f = TestFunction([AngularMode(0, ProductProfile(GaussTail(a=a)))])
+    rep = verify_landau("hardy_sobolev", RadialPotential.power(c, s), theta1, f, SPEC)
+    psi_term = 2.0 * math.pi * c * c * _gauss_moment(a, 2.0 * s + 3.0 - 2.0 * theta1)
+    lhs = 2.0 * math.pi * 4.0 * a * a * _gauss_moment(a, 3.0 - 2.0 * theta1) + psi_term
+    assert SPEC.n_r == 128
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=1e-12, abs=0.0)
+
+
 def test_hardy_sobolev_defect_vanishes_for_single_mode():
     rng = np.random.default_rng(2006)
     psi = RadialPotential.power(0.5, 1.0)

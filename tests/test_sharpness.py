@@ -12,9 +12,9 @@ import pytest
 from maghardy import functions
 from maghardy.errors import AdmissibilityError, DomainError, NonFiniteError
 from maghardy.fields import FluxParam, RadialPotential
-from maghardy.functions import TrialFamily, make_trial
+from maghardy.functions import TrialFamily, make_trial, plateau_breaks, plateau_panels
 from maghardy.geometry import GrushinGeometry, WeightExponents
-from maghardy.quadrature import QuadratureSpec, _reference_rule, gauss_panels
+from maghardy.quadrature import QuadratureSpec, _reference_rule
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
     DEFAULT_SCHEDULE,
@@ -116,25 +116,35 @@ def test_superweight_growing_weight_branch():
 # panel rules: built once, bitwise equal to a fresh per-call build
 # ---------------------------------------------------------------------------
 
-def test_panels_match_fresh_leggauss_loop_bitwise():
-    edges = _gauss_window(0.05, center=-3.0)[1]
+def _fresh_leggauss_loop(edges):
     x, w = np.polynomial.legendre.leggauss(_PANEL_N)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         nodes.append(mid + half * x)
         weights.append(half * w)
-    u, wu = gauss_panels(edges, _PANEL_N)
-    assert np.array_equal(u, np.concatenate(nodes))
-    assert np.array_equal(wu, np.concatenate(weights))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def test_panels_match_fresh_leggauss_loop_bitwise():
+    # each window's nodes and weights are the rule of its own plateau panels
+    eps, center = 0.05, -3.0
+    lo, hi = center - 6.0 / eps, center + 6.0 / eps
+    u_lo, u_hi = math.log(0.5), math.log(2.0)
+    for window, (a, b) in ((_gauss_window(eps, center), (lo, hi)),
+                           (_plain_window(eps, u_lo, u_hi), (u_lo, u_hi))):
+        x, w = _fresh_leggauss_loop((a, *plateau_breaks(a, b), b))
+        assert np.array_equal(window[0], x) and np.array_equal(window[1], w)
 
 
 def test_schedule_builds_the_panel_rule_once(monkeypatch):
+    # the plateau table reads the cached reference rule: no leggauss of its own
     calls = []
     real = np.polynomial.legendre.leggauss
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda n: calls.append(n) or real(n))
     _reference_rule.cache_clear()
+    plateau_panels.cache_clear()
     fam = TrialFamily("rho_power", 0.02, (0.5, 2.0))
     for window in ("gauss", "plain"):
         estimate_sharpness("radial_hardy", {"geom": GEOM, "exps": FLAT}, fam,
@@ -142,8 +152,6 @@ def test_schedule_builds_the_panel_rule_once(monkeypatch):
     assert calls == [_PANEL_N]
 
 
-# one (value, derivative) evaluation of each plateau edge per chunk of the
-# schedule, which carries every point of the chunk
 _ENGINES = [
     ("radial_hardy", {"geom": GEOM, "exps": FLAT}, TrialFamily("rho_power", 0.02, (0.5, 2.0))),
     ("magnetic_grushin", {"geom": GEOM, "exps": FLAT, "flux": FluxParam(0.5)},
@@ -155,15 +163,35 @@ _ENGINES = [
 ]
 
 
-@pytest.mark.parametrize("window", ["gauss", "plain"])
-@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
-def test_each_schedule_point_steps_each_plateau_edge_once(monkeypatch, theorem_id, params,
-                                                          family, window):
+def _count_steps(monkeypatch):
+    """The list that gains one entry per call of functions._step."""
     calls = []
     step = functions._step
     monkeypatch.setattr(functions, "_step", lambda t: calls.append(1) or step(t))
+    return calls
+
+
+# the plateau is read from its table, so once the table is built no
+# schedule point evaluates a plateau edge
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_a_schedule_steps_no_plateau_edge(monkeypatch, theorem_id, params, family, window):
+    plateau_panels(_PANEL_N)
+    calls = _count_steps(monkeypatch)
     res = estimate_sharpness(theorem_id, params, family, window=window)
-    assert len(res.schedule) == len(DEFAULT_SCHEDULE) <= _CHUNK
+    assert len(res.schedule) == len(DEFAULT_SCHEDULE)
+    assert len(calls) == 0
+
+
+def test_the_plateau_table_steps_its_edge_once_per_node_count(monkeypatch):
+    plateau_panels.cache_clear()
+    calls = _count_steps(monkeypatch)
+    for window in ("gauss", "plain"):
+        for theorem_id, params, family in _ENGINES:
+            estimate_sharpness(theorem_id, params, family, window=window)
+    assert len(calls) == 1
+    for n in (12, 12, _PANEL_N):
+        plateau_panels(n)
     assert len(calls) == 2
 
 
@@ -175,11 +203,10 @@ _LONG = tuple(float(e) for e in np.geomspace(0.5, 0.005, 50))
 @pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
 def test_batched_schedule_equals_one_point_at_a_time_bitwise(monkeypatch, theorem_id,
                                                             params, family, window):
-    calls = []
-    step = functions._step
-    monkeypatch.setattr(functions, "_step", lambda t: calls.append(1) or step(t))
+    plateau_panels(_PANEL_N)
+    calls = _count_steps(monkeypatch)
     res = estimate_sharpness(theorem_id, params, family, _LONG, window)
-    assert _CHUNK == 22 and len(calls) == 2 * 3
+    assert _CHUNK == 22 and len(calls) == 0
     assert [e for e, _ in res.schedule] == list(_LONG)
     for eps, q in res.schedule:
         [(_, alone)] = estimate_sharpness(theorem_id, params, family, (eps,),
@@ -203,7 +230,7 @@ def _superweight_loop(res, u, w, v, d):
 
 @pytest.mark.parametrize("window", ["gauss", "plain"])
 def test_batched_schedule_equals_a_loop_over_float_windows_bitwise(window):
-    # the per-epsilon loop: a float window, its 1-D rule and two 1-D sums,
+    # the per-epsilon loop: a float window on its 1-D rule and two 1-D sums,
     # for the power weight (G = 1, c = 0) and the composite weight
     for (theorem_id, params, family), center, loop in (
             (_ENGINES[0], lambda eps: 0.0, _power_loop),
@@ -211,20 +238,21 @@ def test_batched_schedule_equals_a_loop_over_float_windows_bitwise(window):
         lo, hi = family.cutoff
         res = estimate_sharpness(theorem_id, params, family, _LONG, window)
         for eps, q in res.schedule:
-            both, edges = (_gauss_window(eps, center(eps)) if window == "gauss"
-                           else _plain_window(eps, math.log(lo), math.log(hi)))
-            u, w = gauss_panels(edges, _PANEL_N)
-            v, d = both(u)
+            u, w, v, d = (_gauss_window(eps, center(eps)) if window == "gauss"
+                          else _plain_window(eps, math.log(lo), math.log(hi)))
+            assert u.shape == (3 * _PANEL_N,)
             assert q.hex() == loop(res, u, w, v, d).hex(), (theorem_id, eps)
 
 
-def test_column_edges_give_the_rows_of_scalar_edges_bitwise():
+def test_column_windows_give_the_rows_of_scalar_windows_bitwise():
     eps = np.array(_LONG)[:, None]
-    u, w = gauss_panels(_gauss_window(eps, -3.0 + eps)[1], _PANEL_N)
-    assert u.shape == w.shape == (len(_LONG), 3 * _PANEL_N)
-    for i, e in enumerate(_LONG):
-        ui, wi = gauss_panels(_gauss_window(e, -3.0 + e)[1], _PANEL_N)
-        assert np.array_equal(u[i], ui) and np.array_equal(w[i], wi)
+    for window, scalar in ((_gauss_window(eps, -3.0 + eps), lambda e: _gauss_window(e, -3.0 + e)),
+                           (_plain_window(eps, -0.7, 0.7), lambda e: _plain_window(e, -0.7, 0.7))):
+        u, w, v, d = np.broadcast_arrays(*window)
+        assert u.shape == (len(_LONG), 3 * _PANEL_N)
+        for i, e in enumerate(_LONG):
+            for rows, alone in zip((u, w, v, d), scalar(e)):
+                assert np.array_equal(rows[i], alone)
 
 
 def test_a_long_schedule_peaks_like_one_chunk():

@@ -25,7 +25,7 @@ from maghardy.functions import (
     make_bump,
     random_test_function,
 )
-from maghardy import quadrature
+from maghardy import functions, quadrature
 from maghardy.quadrature import Domain, integrate_polar
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import (
@@ -346,7 +346,7 @@ def test_malformed_parameters_are_refused_before_quadrature(monkeypatch, call, n
         for stage in ("integrate", "polar_integral", "rx_integral", "radial_integral"):
             if hasattr(module, stage):
                 monkeypatch.setattr(module, stage, never)
-    monkeypatch.setattr(sharpness, "gauss_panels", never)
+    monkeypatch.setattr(functions, "gauss_panels", never)   # the sharpness windows' panels
     monkeypatch.setattr(quadrature, "_reference_rule", never)
     with pytest.raises(MagHardyError, match=rf"\b{name}\b"):
         call()
