@@ -19,10 +19,12 @@ wrapped for the duration of the pass:
   engine bookkeeping the engine call (estimate_sharpness, or a record's
                      verify), less its kernels
   engine kernels     the sharpness windows (_gauss_window, _plain_window:
-                     panel rules and window values) and quotients
-                     (_power_quotient, _log_quotient) and the integration
-                     calls (integrate_polar, integrate_radial,
-                     oracle_integrate)
+                     panel rules and window values), quotients
+                     (_power_quotient, _log_quotient) and cached gauss
+                     window parts (_gauss_quotients, whose misses run a
+                     window and a quotient) and the integration calls
+                     (integrate_polar, integrate_radial, oracle_integrate);
+                     a kernel called inside another counts once
   report write       cli._write_json
   suite bookkeeping  the rest of cli.main: argument parsing, the run
                      records and the summary
@@ -56,6 +58,7 @@ PHASES = ("config load", "run reading", "engine bookkeeping", "engine kernels",
           "report write", "suite bookkeeping")
 KERNELS = ((sharpness, "_gauss_window"), (sharpness, "_plain_window"),
            (sharpness, "_power_quotient"), (sharpness, "_log_quotient"),
+           (sharpness, "_gauss_quotients"),
            (quadrature, "integrate_polar"), (quadrature, "integrate_radial"),
            (quadrature, "oracle_integrate"))
 
@@ -65,17 +68,22 @@ class Phases:
 
     def __init__(self):
         self.seconds = dict.fromkeys(("load", "run", "engine", "kernel", "write", "main"), 0.0)
+        self._open = dict.fromkeys(self.seconds, 0)   # calls under way per key
         self._patches = []   # (owner, attribute, original)
 
     def _timed(self, key, fn):
-        seconds = self.seconds
+        seconds, open_ = self.seconds, self._open
 
         def timed(*args, **kwargs):
+            if open_[key]:   # inside a call timed under the same key
+                return fn(*args, **kwargs)
+            open_[key] += 1
             t0 = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
                 seconds[key] += time.perf_counter() - t0
+                open_[key] -= 1
         return timed
 
     def _set(self, owner, attr, value):

@@ -282,9 +282,9 @@ class SharpnessResult:
         return relative_gap(self.best_quotient, self.sharp_constant)
 
     def passed(self) -> bool:
-        """No quotient below the constant and none rising along the schedule,
-        both to a 1e-9 relative tolerance."""
-        qs = [q for _, q in self.schedule]
+        """No quotient below the constant and none rising as epsilon shrinks,
+        both to a 1e-9 relative tolerance, whatever order the schedule runs in."""
+        qs = [q for _, q in sorted(self.schedule, key=lambda eq: eq[0], reverse=True)]
         tol = 1e-9 * max(1.0, abs(self.sharp_constant))
         if not min(qs) >= self.sharp_constant - tol:   # min(qs) is best_quotient
             return False

@@ -160,7 +160,8 @@ CHECKS = {
         _magnetic(lambda geom, exps: _rotated_kind(geom, exps, "corollary"),
                   root=True)),
     "landau_hardy_sobolev": Statement(
-        "theta1^2", "theta1 != 0", (*_LANDAU, "theta1"), _landau("hardy_sobolev"),
+        "theta1^2", "theta1 != 0; f vanishing at the origin when theta1 > 0",
+        (*_LANDAU, "theta1"), _landau("hardy_sobolev"),
         _power_weight, "inverse_power", ("theta1",), lambda theta1: {"theta1": theta1}),
     "landau_log": Statement(
         "1/4", "support inside the closed unit disc", _LANDAU, _landau("log"),

@@ -29,6 +29,17 @@ Two kernels evaluate the quotients, with w the panel weights:
   * _log_quotient, sum(w (v' - v/2)^2) / sum(w v v e^(-2 e^u)), for the
     logarithmic weight; its norm side keeps its own order of products.
 
+A gauss window reads no cutoff and nothing of the run but its epsilon and
+its centre, which is 0 for the power weights and a function of epsilon for
+the logarithmic one.  So a run carries into its gauss quotients only the
+base it adds: the window part, _power_ratio with G = 1 or the whole
+_log_quotient, is one list for every run on a schedule.  _gauss_quotients
+computes it once per chunk, keyed by the chunk's epsilons, its centres and
+the node count, and caches it as floats, at most _CHUNK in each of 64
+entries; each engine adds its base to it as to a fresh one.  The
+superweight's G reads the run and a plain window's bounds read the cutoff,
+so those compute every chunk.
+
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
 "plain" (e^(eps u) on the family's own cutoff window, matching make_trial
@@ -51,7 +62,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -74,15 +85,15 @@ _PANEL_N = 240
 _CHUNK = 22
 
 
-def _gauss_window(eps, center):
+def _gauss_window(eps, center, n: int = _PANEL_N):
     """Gaussian of scale 1/eps under a plateau of half-width 6/eps.
 
-    eps and center are floats or columns of shape (n, 1), one window per row.
-    Returns the nodes u and weights w of the window's own panels and (v, v')
-    on them.
+    eps and center are floats or columns of shape (n_rows, 1), one window per
+    row, on panels of n nodes.  Returns the nodes u and weights w of the
+    window's own panels and (v, v') on them.
     """
     U = 6.0 / eps
-    u, w, p, dp = plateau_rule(center - U, center + U, _PANEL_N)
+    u, w, p, dp = plateau_rule(center - U, center + U, n)
     g = np.exp(-0.5 * (eps * (u - center)) ** 2)
     return u, w, g * p, g * (dp - eps * eps * (u - center) * p)
 
@@ -98,12 +109,17 @@ def _plain_window(eps, u_lo: float, u_hi: float):
     return u, w, e * p, e * (eps * p + dp)
 
 
-def _power_quotient(base: float, window, G=None, c: float = 0.0) -> np.ndarray:
-    """base + sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
+def _power_ratio(window, G=None, c: float = 0.0) -> np.ndarray:
+    """sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
     u, w, v, d = window
     if G is not None:
         w, d = w * G(u), d - c * v
-    return base + np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
+    return np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
+
+
+def _power_quotient(base: float, window, G=None, c: float = 0.0) -> np.ndarray:
+    """base + _power_ratio(window, G, c)."""
+    return base + _power_ratio(window, G, c)
 
 
 def _log_quotient(window) -> np.ndarray:
@@ -113,6 +129,19 @@ def _log_quotient(window) -> np.ndarray:
     num = np.add.reduce(w * (d - 0.5 * v) ** 2, axis=-1)
     den = np.add.reduce(w * v * v * np.exp(-2.0 * np.exp(u)), axis=-1)
     return num / den
+
+
+@lru_cache(maxsize=64)
+def _gauss_quotients(part: str, eps: tuple, centers: tuple, n: int) -> tuple:
+    """The window part of a gauss chunk's quotients: one float per epsilon.
+
+    A gauss window reads nothing but its epsilon, its centre and its node
+    count n, so this is keyed by those.  part "power" is _power_ratio with
+    G = 1, to which a power weight adds its base; part "log" is the whole
+    _log_quotient.  An entry holds floats only, never a window.
+    """
+    win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None], n)
+    return tuple((_log_quotient(win) if part == "log" else _power_ratio(win)).tolist())
 
 
 def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
@@ -152,6 +181,9 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     tilt = 1.0
     bounds = (math.log(lo), math.log(hi))
     given = params if isinstance(params, dict) else {}
+    # the gauss quotients of every engine but the superweight's are a cached
+    # window part (_gauss_quotients) plus base, or the part alone without one
+    part, base = None, None
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
         geom, exps = given.get("geom"), given.get("exps")
@@ -167,15 +199,17 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         # trials rho^(-s/2) v(log rho), s = Q + a1 - 2, whose admissibility
         # the record's constant has checked: (s/2)^2, plus beta^2 from the field
         s_hom = geom.hom_dim + exps.alpha1 - 2.0
-        quotient = partial(_power_quotient, (0.5 * s_hom) ** 2 + beta * beta)
+        part, base = "power", (0.5 * s_hom) ** 2 + beta * beta
+        quotient = partial(_power_quotient, base)
     elif theorem_id == "landau_hardy_sobolev":
         t1 = _theta1(given.get("theta1"))
         sharp = constant(None, None, t1)
         run_params["theta1"] = t1
-        quotient = partial(_power_quotient, t1 * t1)
+        part, base = "power", t1 * t1
+        quotient = partial(_power_quotient, base)
         tilt = -1.0   # trials r^(theta1 - eps) tilt the reduced window by -eps
     elif theorem_id == "landau_log":
-        sharp, quotient = constant(None, None), _log_quotient
+        sharp, quotient, part = constant(None, None), _log_quotient, "log"
         center = lambda eps: -(6.0 / eps + (2.0 + 0.08 / eps))
         if window == "plain":
             if not (0.0 < lo < hi < 1.0):
@@ -205,9 +239,14 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     with np.errstate(all="ignore"):   # a window that overflows is checked below
         for i in range(0, len(schedule), _CHUNK):
             e = eps[i:i + _CHUNK]
-            win = (_gauss_window(e, center(e)) if window == "gauss"
-                   else _plain_window(tilt * e, *bounds))
-            quotients += quotient(win).tolist()
+            if window == "plain":
+                quotients += quotient(_plain_window(tilt * e, *bounds)).tolist()
+            elif part is None:
+                quotients += quotient(_gauss_window(e, center(e))).tolist()
+            else:
+                chunk = schedule[i:i + _CHUNK]
+                qs = _gauss_quotients(part, chunk, tuple(map(center, chunk)), _PANEL_N)
+                quotients += qs if base is None else [base + q for q in qs]
     for e, q in zip(schedule, quotients):
         if not math.isfinite(q):
             raise NonFiniteError(f"{theorem_id}: the {window} window at "

@@ -974,7 +974,7 @@ margin checks:
   uncertainty_ab           constant: (((a1+k(g+1))/2)^2 + b^2)^(1/2)
                            requires: m = 2, a1+k(g+1) > 0, a2*g+2 > 0
   landau_hardy_sobolev     constant: theta1^2
-                           requires: theta1 != 0
+                           requires: theta1 != 0; f vanishing at the origin when theta1 > 0
   landau_log               constant: 1/4
                            requires: support inside the closed unit disc
   landau_poincare          constant: 1/R^2

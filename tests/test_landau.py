@@ -158,6 +158,40 @@ def test_hardy_sobolev_on_the_gaussian_matches_its_closed_forms(theta1, c, s):
     assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=1e-12, abs=0.0)
 
 
+_GAUSS_SPEC = QuadratureSpec(n_r=192, n_phi=16)
+
+
+def _gaussian(a):
+    """e^(-a r^2) on mode 0."""
+    return TestFunction([AngularMode(0, ProductProfile(GaussTail(a=a)))])
+
+
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_real_landau_identity_on_the_gaussian_matches_its_closed_form(a):
+    # psi = 1/2: |twisted grad f|^2 = (4 a^2 + 1/4) r^2 |f|^2 on both sides,
+    # so lhs = rhs = 2 pi (4 a^2 + 1/4) M(3) = pi (1 + 1/(16 a^2)), M(3) = 1/(8 a^2)
+    # (measured within 1.1e-14)
+    rep = verify_real_landau("identity", 1, _gaussian(a), _GAUSS_SPEC)
+    want = math.pi * (1.0 + 1.0 / (16.0 * a * a))
+    assert _GAUSS_SPEC.n_r == 192
+    assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rep.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c, s, k0", [(0.3, 0.5, 2.0), (-0.8, 0.86, 0.7)])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_twisted_polar_on_the_gaussian_matches_its_closed_form(a, c, s, k0):
+    # psi = c r^s, kappa = k0: both sides are
+    # (2 pi / k0) int (4 a^2 r^3 + c^2 r^(2s+3)) e^(-2 a r^2) dr
+    # (measured within 1.1e-14)
+    rep = check_twisted_polar_identity(RadialPotential.power(c, s), RadialPotential.constant(k0),
+                                       _gaussian(a), _GAUSS_SPEC)
+    want = (2.0 * math.pi / k0) * (4.0 * a * a * _gauss_moment(a, 3.0)
+                                   + c * c * _gauss_moment(a, 2.0 * s + 3.0))
+    assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rep.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_hardy_sobolev_defect_vanishes_for_single_mode():
     rng = np.random.default_rng(2006)
     psi = RadialPotential.power(0.5, 1.0)

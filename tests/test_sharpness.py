@@ -2,6 +2,7 @@
 above, and the reduced 1-D engines agree with the full quadrature pipeline on
 matching plain-window trial functions."""
 
+import itertools
 import math
 import re
 import tracemalloc
@@ -15,14 +16,22 @@ from maghardy.fields import FluxParam, RadialPotential
 from maghardy.functions import TrialFamily, make_trial, plateau_breaks, plateau_panels
 from maghardy.geometry import GrushinGeometry, WeightExponents
 from maghardy.quadrature import QuadratureSpec, _reference_rule
-from maghardy.reports import SuperweightParams
+from maghardy.reports import SharpnessResult, SuperweightParams
 from maghardy.verifiers import (
     DEFAULT_SCHEDULE,
     estimate_sharpness,
     verify_landau,
     verify_radial_hardy,
 )
-from maghardy.verifiers.sharpness import _CHUNK, _PANEL_N, _gauss_window, _plain_window
+from maghardy.verifiers import sharpness
+from maghardy.verifiers.sharpness import (
+    _CHUNK,
+    _PANEL_N,
+    _gauss_quotients,
+    _gauss_window,
+    _plain_window,
+    _power_quotient,
+)
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
 FLAT = WeightExponents(alpha1=0.0, alpha2=0.0)
@@ -269,6 +278,114 @@ def test_a_long_schedule_peaks_like_one_chunk():
 
     peak(1)   # builds the panel rule, which the cache keeps
     assert peak(1000) <= 2 * peak(22)
+
+
+# ---------------------------------------------------------------------------
+# the gauss window part, cached per chunk
+# ---------------------------------------------------------------------------
+
+# the engines whose gauss quotients come from _gauss_quotients
+_CACHED = _ENGINES[:4]
+_SCHEDULES = {"default": DEFAULT_SCHEDULE, "benchmark": (0.5, 0.3, 0.2, 0.1, 0.05, 0.02),
+              "long": _LONG}
+
+
+def _hex(res):
+    return [(e.hex(), q.hex()) for e, q in res.schedule]
+
+
+@pytest.mark.parametrize("schedule", _SCHEDULES.values(), ids=_SCHEDULES)
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_cached_quotients_equal_uncached_ones_bitwise(monkeypatch, theorem_id, params,
+                                                      family, window, schedule):
+    run = lambda: _hex(estimate_sharpness(theorem_id, params, family, schedule, window))
+    _gauss_quotients.cache_clear()
+    computed = run()
+    cached = run()
+    monkeypatch.setattr(sharpness, "_gauss_quotients", _gauss_quotients.__wrapped__)
+    assert computed == cached == run()
+
+
+@pytest.mark.parametrize("schedule", _SCHEDULES.values(), ids=_SCHEDULES)
+@pytest.mark.parametrize("theorem_id,params,family", _CACHED, ids=[e[0] for e in _CACHED])
+def test_cached_quotients_are_the_window_quotients_plus_the_constant(theorem_id, params,
+                                                                     family, schedule):
+    # the gauss window reads no cutoff and nothing of the run but epsilon and
+    # its centre; on each chunk, the kernel the other engines run on a fresh
+    # window gives the same bits, and the base each engine adds is its constant
+    _gauss_quotients.cache_clear()
+    res = estimate_sharpness(theorem_id, params, family, schedule)
+    log = theorem_id == "landau_log"
+    want = []
+    for i in range(0, len(schedule), _CHUNK):
+        e = np.array(schedule[i:i + _CHUNK])[:, None]
+        if log:
+            want += sharpness._log_quotient(
+                _gauss_window(e, -(6.0 / e + (2.0 + 0.08 / e)))).tolist()
+        else:
+            want += _power_quotient(res.sharp_constant, _gauss_window(e, 0.0)).tolist()
+    assert [q.hex() for _, q in res.schedule] == [q.hex() for q in want]
+
+
+def _count_windows(monkeypatch):
+    """The list that gains the window's name on each window evaluation."""
+    calls = []
+    for name in ("_gauss_window", "_plain_window"):
+        fn = getattr(sharpness, name)
+        monkeypatch.setattr(sharpness, name,
+                            lambda *a, name=name, fn=fn, **k: calls.append(name) or fn(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_a_second_identical_run_reads_the_gauss_windows_from_the_cache(
+        monkeypatch, theorem_id, params, family, window):
+    # the superweight's G reads the run and a plain window's bounds read the
+    # cutoff, so those compute every chunk; the other gauss runs compute once
+    _gauss_quotients.cache_clear()
+    calls = _count_windows(monkeypatch)
+    first = estimate_sharpness(theorem_id, params, family, _LONG, window)
+    assert calls == [f"_{window}_window"] * 3   # chunks of 22, 22 and 6
+    calls.clear()
+    again = estimate_sharpness(theorem_id, params, family, _LONG, window)
+    computes = window == "plain" or theorem_id == "landau_superweight"
+    assert calls == [f"_{window}_window"] * (3 if computes else 0)
+    assert _hex(again) == _hex(first)
+
+
+def test_the_cache_keeps_floats_only_and_is_bounded():
+    _gauss_quotients.cache_clear()
+    entry = _gauss_quotients("power", _LONG[:_CHUNK], (0.0,) * _CHUNK, _PANEL_N)
+    assert type(entry) is tuple and len(entry) == _CHUNK
+    assert all(type(q) is float for q in entry)
+    _gauss_quotients.cache_clear()
+    for theorem_id, params, family in _CACHED:
+        estimate_sharpness(theorem_id, params, family, _LONG)
+    info = _gauss_quotients.cache_info()
+    # radial_hardy, magnetic_grushin and landau_hardy_sobolev share one
+    # window part per chunk; landau_log has its own
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (6, 6, 6, 64)
+    for theorem_id, params, family in _CACHED[:1]:
+        for i in range(100):   # more chunks than the cache holds
+            estimate_sharpness(theorem_id, params, family, (0.5 + 1e-3 * i,))
+    assert _gauss_quotients.cache_info().currsize == 64
+
+
+# ---------------------------------------------------------------------------
+# the verdict
+# ---------------------------------------------------------------------------
+
+def test_the_verdict_does_not_depend_on_the_order_of_the_schedule():
+    theorem_id, params, family = _ENGINES[0]
+    verdicts = {estimate_sharpness(theorem_id, params, family, order).passed()
+                for order in itertools.permutations((0.05, 0.2, 0.5))}
+    assert verdicts == {True}
+    # a quotient that rises as epsilon shrinks fails in every order
+    rising = [(0.5, 1.1), (0.2, 1.2), (0.1, 1.05)]
+    assert {SharpnessResult(theorem_id, list(order), 1.0).passed()
+            for order in itertools.permutations(rising)} == {False}
 
 
 @pytest.mark.parametrize("window", ["gauss", "plain"])
