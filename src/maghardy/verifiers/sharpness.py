@@ -37,8 +37,11 @@ _log_quotient, is one list for every run on a schedule.  _gauss_quotients
 computes it once per chunk, keyed by the chunk's epsilons, its centres and
 the node count, and caches it as floats, at most _CHUNK in each of 64
 entries; each engine adds its base to it as to a fresh one.  The
-superweight's G reads the run and a plain window's bounds read the cutoff,
-so those compute every chunk.
+superweight's G reads the run, but its centres read only epsilon and the
+sign of theta2, so on a one-chunk schedule _superweight_window keeps its
+gauss window itself, read-only, one entry per sign, and each run evaluates
+its own G on it.  A plain window's bounds read the cutoff, so the plain
+runs compute every chunk.
 
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
@@ -144,6 +147,21 @@ def _gauss_quotients(part: str, eps: tuple, centers: tuple, n: int) -> tuple:
     return tuple((_log_quotient(win) if part == "log" else _power_ratio(win)).tolist())
 
 
+@lru_cache(maxsize=2)
+def _superweight_window(eps: tuple, centers: tuple, n: int) -> tuple:
+    """The superweight's gauss window on a one-chunk schedule, read-only.
+
+    Its centres depend on epsilon and the sign of theta2 alone, so a window
+    is shared by every run on the schedule with that sign: one entry each.
+    A longer schedule would evict its own chunks from two entries before it
+    came back to them, so it computes its windows and keeps none.
+    """
+    win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None], n)
+    for a in win:
+        a.flags.writeable = False
+    return win
+
+
 def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
                        schedule=None, window: str = "gauss") -> SharpnessResult:
     """Drive a trial-family quotient toward a constant; report the schedule.
@@ -241,8 +259,11 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
             e = eps[i:i + _CHUNK]
             if window == "plain":
                 quotients += quotient(_plain_window(tilt * e, *bounds)).tolist()
-            elif part is None:
+            elif part is None and len(schedule) > _CHUNK:
                 quotients += quotient(_gauss_window(e, center(e))).tolist()
+            elif part is None:
+                win = _superweight_window(schedule, tuple(map(center, schedule)), _PANEL_N)
+                quotients += quotient(win).tolist()
             else:
                 chunk = schedule[i:i + _CHUNK]
                 qs = _gauss_quotients(part, chunk, tuple(map(center, chunk)), _PANEL_N)

@@ -31,6 +31,7 @@ from maghardy.verifiers.sharpness import (
     _gauss_window,
     _plain_window,
     _power_quotient,
+    _superweight_window,
 )
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
@@ -301,9 +302,11 @@ def test_cached_quotients_equal_uncached_ones_bitwise(monkeypatch, theorem_id, p
                                                       family, window, schedule):
     run = lambda: _hex(estimate_sharpness(theorem_id, params, family, schedule, window))
     _gauss_quotients.cache_clear()
+    _superweight_window.cache_clear()
     computed = run()
     cached = run()
     monkeypatch.setattr(sharpness, "_gauss_quotients", _gauss_quotients.__wrapped__)
+    monkeypatch.setattr(sharpness, "_superweight_window", _superweight_window.__wrapped__)
     assert computed == cached == run()
 
 
@@ -342,9 +345,11 @@ def _count_windows(monkeypatch):
 @pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
 def test_a_second_identical_run_reads_the_gauss_windows_from_the_cache(
         monkeypatch, theorem_id, params, family, window):
-    # the superweight's G reads the run and a plain window's bounds read the
-    # cutoff, so those compute every chunk; the other gauss runs compute once
+    # the superweight's G reads the run and keeps no window of a schedule
+    # longer than one chunk, and a plain window's bounds read the cutoff, so
+    # those compute every chunk; the other gauss runs compute once
     _gauss_quotients.cache_clear()
+    _superweight_window.cache_clear()
     calls = _count_windows(monkeypatch)
     first = estimate_sharpness(theorem_id, params, family, _LONG, window)
     assert calls == [f"_{window}_window"] * 3   # chunks of 22, 22 and 6
@@ -353,6 +358,42 @@ def test_a_second_identical_run_reads_the_gauss_windows_from_the_cache(
     computes = window == "plain" or theorem_id == "landau_superweight"
     assert calls == [f"_{window}_window"] * (3 if computes else 0)
     assert _hex(again) == _hex(first)
+
+
+def test_a_one_chunk_superweight_schedule_shares_its_gauss_window(monkeypatch):
+    # the superweight's gauss centres read epsilon and the sign of theta2
+    # only, so on a one-chunk schedule runs of one sign share a window; each
+    # still evaluates its own G and shift on it, bit for bit as on a fresh one
+    _superweight_window.cache_clear()
+    calls = _count_windows(monkeypatch)
+    schedule, fam = _SCHEDULES["benchmark"], _ENGINES[-1][2]
+    draws = [SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0),
+             SuperweightParams(0.7, 1.3, -1.1, 0.8, -1.9),
+             SuperweightParams(1.0, 1.0, 2.0, -1.0, -1.5),
+             SuperweightParams(0.4, 1.8, 0.9, -1.2, -1.0)]
+    cached = [_hex(estimate_sharpness("landau_superweight", sw, fam, schedule))
+              for sw in draws]
+    assert calls == ["_gauss_window"] * 2   # one window for each sign of theta2
+    assert _superweight_window.cache_info().currsize == 2
+    assert len({tuple(q) for q in cached}) == len(draws)
+    for sw, got in zip(draws, cached):
+        res = estimate_sharpness("landau_superweight", sw, fam, schedule)
+        e = np.array(schedule)[:, None]
+        win = _gauss_window(e, math.log(20.0) + 6.0 / e if sw.theta2 >= 0.0
+                            else math.log(0.05) - 6.0 / e)
+        assert _hex(res) == got == [(x.hex(), q.hex()) for x, q in zip(
+            schedule, _superweight_quotients(res, win))]
+    for arr in _superweight_window(schedule, (0.0,) * len(schedule), _PANEL_N):
+        assert not arr.flags.writeable
+    assert _superweight_window.cache_info().currsize == 2
+
+
+def _superweight_quotients(res, window):
+    sw = res.params["weights"]
+    t2, t3 = sw["theta2"], sw["theta3"]
+    G = lambda u: np.exp(t3 * np.logaddexp(math.log(sw["a"]) - t2 * u, math.log(sw["b"])))
+    return _power_quotient(0.0, window, G=G,
+                           c=0.5 * (t2 * t3 - 2.0 * sw["theta4"])).tolist()
 
 
 def test_the_cache_keeps_floats_only_and_is_bounded():
