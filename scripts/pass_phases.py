@@ -20,11 +20,9 @@ wrapped for the duration of the pass:
                      verify), less its kernels
   engine kernels     the sharpness windows (_gauss_window, _plain_window:
                      panel rules and window values), quotients
-                     (_power_quotient, _log_quotient), cached gauss
-                     window parts (_gauss_quotients, whose misses run a
-                     window and a quotient), the superweight's cached
-                     windows (_superweight_window, whose misses run a
-                     window) and the integration calls
+                     (_power_quotient, _log_quotient), the shared gauss
+                     windows of one-chunk schedules (_shared_gauss_window,
+                     whose misses run a window) and the integration calls
                      (integrate_polar, integrate_radial, oracle_integrate);
                      a kernel called inside another counts once
   report write       cli._write_json
@@ -60,7 +58,7 @@ PHASES = ("config load", "run reading", "engine bookkeeping", "engine kernels",
           "report write", "suite bookkeeping")
 KERNELS = ((sharpness, "_gauss_window"), (sharpness, "_plain_window"),
            (sharpness, "_power_quotient"), (sharpness, "_log_quotient"),
-           (sharpness, "_gauss_quotients"), (sharpness, "_superweight_window"),
+           (sharpness, "_shared_gauss_window"),
            (quadrature, "integrate_polar"), (quadrature, "integrate_radial"),
            (quadrature, "oracle_integrate"))
 

@@ -352,18 +352,24 @@ def _load_config(path: str) -> tuple[dict, int]:
     return cfg, _read(cfg, "seed", "config", _SUITE_SEED)
 
 
+def _open_out(path: str, **kwargs):
+    """path opened for writing as UTF-8 text: every output file opens here.
+
+    A path that cannot be opened is a ConfigError naming it.
+    """
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_json(obj, path: str) -> None:
     """obj as sorted, indented JSON plus a newline.
 
     jsonable converts the records, and ReportEncoder writes the stdlib's
-    indent=2 text in one pass instead of its pure-Python chunk stream.  A
-    path that cannot be opened is a ConfigError naming it.
+    indent=2 text in one pass instead of its pure-Python chunk stream.
     """
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
+    with _open_out(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable,
                   cls=ReportEncoder)
         fh.write("\n")
@@ -434,7 +440,7 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
             failures += 1
             continue
         path = os.path.join(out_dir, f"{tid}_{i}.csv")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theorem_id", "epsilon", "quotient",
                              "sharp_constant", "gap"])

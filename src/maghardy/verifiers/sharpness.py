@@ -30,18 +30,14 @@ Two kernels evaluate the quotients, with w the panel weights:
     logarithmic weight; its norm side keeps its own order of products.
 
 A gauss window reads no cutoff and nothing of the run but its epsilon and
-its centre, which is 0 for the power weights and a function of epsilon for
-the logarithmic one.  So a run carries into its gauss quotients only the
-base it adds: the window part, _power_ratio with G = 1 or the whole
-_log_quotient, is one list for every run on a schedule.  _gauss_quotients
-computes it once per chunk, keyed by the chunk's epsilons, its centres and
-the node count, and caches it as floats, at most _CHUNK in each of 64
-entries; each engine adds its base to it as to a fresh one.  The
-superweight's G reads the run, but its centres read only epsilon and the
-sign of theta2, so on a one-chunk schedule _superweight_window keeps its
-gauss window itself, read-only, one entry per sign, and each run evaluates
-its own G on it.  A plain window's bounds read the cutoff, so the plain
-runs compute every chunk.
+its centre: 0 for the power weights, and a function of epsilon for the
+logarithmic weight and of epsilon and the sign of theta2 for the
+superweight.  So on a one-chunk schedule _shared_gauss_window keeps it,
+read-only, keyed by the epsilons, the centres and the node count, one entry
+per distinct centre list, and each run evaluates its own kernel on it.  A
+longer schedule computes its windows and keeps none, so memory stays
+bounded, and a plain window's bounds read the cutoff, so the plain runs
+compute every chunk.
 
 Two window shapes are available: "gauss" (a Gaussian of scale 1/eps under
 a wide plateau; quotients exceed the constant by about eps^2/2) and
@@ -112,17 +108,12 @@ def _plain_window(eps, u_lo: float, u_hi: float):
     return u, w, e * p, e * (eps * p + dp)
 
 
-def _power_ratio(window, G=None, c: float = 0.0) -> np.ndarray:
-    """sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
+def _power_quotient(base: float, window, G=None, c: float = 0.0) -> np.ndarray:
+    """base + sum(w G (v' - c v)^2) / sum(w G v^2); G = 1 and c = 0 unless G is given."""
     u, w, v, d = window
     if G is not None:
         w, d = w * G(u), d - c * v
-    return np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
-
-
-def _power_quotient(base: float, window, G=None, c: float = 0.0) -> np.ndarray:
-    """base + _power_ratio(window, G, c)."""
-    return base + _power_ratio(window, G, c)
+    return base + np.add.reduce(w * d**2, axis=-1) / np.add.reduce(w * v**2, axis=-1)
 
 
 def _log_quotient(window) -> np.ndarray:
@@ -134,27 +125,16 @@ def _log_quotient(window) -> np.ndarray:
     return num / den
 
 
-@lru_cache(maxsize=64)
-def _gauss_quotients(part: str, eps: tuple, centers: tuple, n: int) -> tuple:
-    """The window part of a gauss chunk's quotients: one float per epsilon.
+# a pass over the five engines on one schedule has at most four centre
+# lists: 0, the logarithmic weight's, and the superweight's at each sign
+@lru_cache(maxsize=4)
+def _shared_gauss_window(eps: tuple, centers: tuple, n: int) -> tuple:
+    """The gauss window of a one-chunk schedule, read-only.
 
-    A gauss window reads nothing but its epsilon, its centre and its node
-    count n, so this is keyed by those.  part "power" is _power_ratio with
-    G = 1, to which a power weight adds its base; part "log" is the whole
-    _log_quotient.  An entry holds floats only, never a window.
-    """
-    win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None], n)
-    return tuple((_log_quotient(win) if part == "log" else _power_ratio(win)).tolist())
-
-
-@lru_cache(maxsize=2)
-def _superweight_window(eps: tuple, centers: tuple, n: int) -> tuple:
-    """The superweight's gauss window on a one-chunk schedule, read-only.
-
-    Its centres depend on epsilon and the sign of theta2 alone, so a window
-    is shared by every run on the schedule with that sign: one entry each.
-    A longer schedule would evict its own chunks from two entries before it
-    came back to them, so it computes its windows and keeps none.
+    It reads nothing but the epsilons, the centres and the node count n, so
+    every run on the schedule with those centres shares it.  A longer
+    schedule would evict its own chunks before it came back to them, so it
+    computes its windows and keeps none.
     """
     win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None], n)
     for a in win:
@@ -199,9 +179,6 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
     tilt = 1.0
     bounds = (math.log(lo), math.log(hi))
     given = params if isinstance(params, dict) else {}
-    # the gauss quotients of every engine but the superweight's are a cached
-    # window part (_gauss_quotients) plus base, or the part alone without one
-    part, base = None, None
 
     if theorem_id in ("radial_hardy", "magnetic_grushin"):
         geom, exps = given.get("geom"), given.get("exps")
@@ -217,17 +194,15 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         # trials rho^(-s/2) v(log rho), s = Q + a1 - 2, whose admissibility
         # the record's constant has checked: (s/2)^2, plus beta^2 from the field
         s_hom = geom.hom_dim + exps.alpha1 - 2.0
-        part, base = "power", (0.5 * s_hom) ** 2 + beta * beta
-        quotient = partial(_power_quotient, base)
+        quotient = partial(_power_quotient, (0.5 * s_hom) ** 2 + beta * beta)
     elif theorem_id == "landau_hardy_sobolev":
         t1 = _theta1(given.get("theta1"))
         sharp = constant(None, None, t1)
         run_params["theta1"] = t1
-        part, base = "power", t1 * t1
-        quotient = partial(_power_quotient, base)
+        quotient = partial(_power_quotient, t1 * t1)
         tilt = -1.0   # trials r^(theta1 - eps) tilt the reduced window by -eps
     elif theorem_id == "landau_log":
-        sharp, quotient, part = constant(None, None), _log_quotient, "log"
+        sharp, quotient = constant(None, None), _log_quotient
         center = lambda eps: -(6.0 / eps + (2.0 + 0.08 / eps))
         if window == "plain":
             if not (0.0 < lo < hi < 1.0):
@@ -258,16 +233,12 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
         for i in range(0, len(schedule), _CHUNK):
             e = eps[i:i + _CHUNK]
             if window == "plain":
-                quotients += quotient(_plain_window(tilt * e, *bounds)).tolist()
-            elif part is None and len(schedule) > _CHUNK:
-                quotients += quotient(_gauss_window(e, center(e))).tolist()
-            elif part is None:
-                win = _superweight_window(schedule, tuple(map(center, schedule)), _PANEL_N)
-                quotients += quotient(win).tolist()
+                win = _plain_window(tilt * e, *bounds)
+            elif len(schedule) > _CHUNK:
+                win = _gauss_window(e, center(e))
             else:
-                chunk = schedule[i:i + _CHUNK]
-                qs = _gauss_quotients(part, chunk, tuple(map(center, chunk)), _PANEL_N)
-                quotients += qs if base is None else [base + q for q in qs]
+                win = _shared_gauss_window(schedule, tuple(map(center, schedule)), _PANEL_N)
+            quotients += quotient(win).tolist()
     for e, q in zip(schedule, quotients):
         if not math.isfinite(q):
             raise NonFiniteError(f"{theorem_id}: the {window} window at "

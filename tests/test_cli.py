@@ -753,6 +753,16 @@ def test_an_output_directory_under_a_regular_file_exits_two(tmp_path, capsys):
     assert blocker.read_text() == ""
 
 
+def test_an_unwritable_sweep_csv_exits_two(tmp_path, capsys):
+    # a CSV opens through the one output helper that sweep.json does
+    blocked = tmp_path / "radial_hardy_0.csv"
+    blocked.mkdir()
+    cfg = str(REPO / "scripts" / "sharpness_sweep.json")
+    assert main(["sweep", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert _one_error_line(capsys.readouterr().err, blocked)
+    assert blocked.is_dir() and not any(blocked.iterdir())
+    assert not (tmp_path / "sweep.json").exists()
+
 
 def test_timings_flag_records_wall_clock(tmp_path):
     cfg = _write(tmp_path / "suite.json", {

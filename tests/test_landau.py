@@ -22,6 +22,7 @@ from maghardy.functions import (
 from maghardy.reports import SuperweightParams, jsonable
 from maghardy.verifiers import check_twisted_polar_identity, verify_landau, verify_real_landau
 
+from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian
 from _tolerance import assert_reports_close
 
 SPEC = QuadratureSpec(n_r=128, n_phi=16)
@@ -136,11 +137,6 @@ def test_hardy_sobolev_refuses_an_f_that_reaches_the_origin_at_positive_theta1(
         verify_landau("hardy_sobolev", RadialPotential.constant(0.0), theta1, f, SPEC)
 
 
-def _gauss_moment(a, p):
-    """M(p) = int_0^inf r^p e^(-2 a r^2) dr = Gamma((p+1)/2) / (2 (2a)^((p+1)/2))."""
-    return math.gamma(0.5 * (p + 1.0)) / (2.0 * (2.0 * a) ** (0.5 * (p + 1.0)))
-
-
 @pytest.mark.parametrize("theta1, c, s", [(-0.5, 0.3, 0.5), (-1.2, -0.8, 0.86)])
 def test_hardy_sobolev_on_the_gaussian_matches_its_closed_forms(theta1, c, s):
     # f = e^(-a r^2) on mode 0, psi = c r^s: |twisted grad f|^2 is
@@ -149,21 +145,13 @@ def test_hardy_sobolev_on_the_gaussian_matches_its_closed_forms(theta1, c, s):
     # psi term is its second part; the rolloff past r = 6 and the cutoff
     # below 1e-8 sit far below 1e-12 (measured 9.7e-15 and 1.1e-14)
     a = 0.5
-    f = TestFunction([AngularMode(0, ProductProfile(GaussTail(a=a)))])
+    f = gaussian(a)
     rep = verify_landau("hardy_sobolev", RadialPotential.power(c, s), theta1, f, SPEC)
-    psi_term = 2.0 * math.pi * c * c * _gauss_moment(a, 2.0 * s + 3.0 - 2.0 * theta1)
-    lhs = 2.0 * math.pi * 4.0 * a * a * _gauss_moment(a, 3.0 - 2.0 * theta1) + psi_term
+    psi_term = 2.0 * math.pi * c * c * gauss_moment(a, 2.0 * s + 3.0 - 2.0 * theta1)
+    lhs = 2.0 * math.pi * 4.0 * a * a * gauss_moment(a, 3.0 - 2.0 * theta1) + psi_term
     assert SPEC.n_r == 128
     assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
     assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=1e-12, abs=0.0)
-
-
-_GAUSS_SPEC = QuadratureSpec(n_r=192, n_phi=16)
-
-
-def _gaussian(a):
-    """e^(-a r^2) on mode 0."""
-    return TestFunction([AngularMode(0, ProductProfile(GaussTail(a=a)))])
 
 
 @pytest.mark.parametrize("a", [0.5, 0.8])
@@ -171,9 +159,9 @@ def test_real_landau_identity_on_the_gaussian_matches_its_closed_form(a):
     # psi = 1/2: |twisted grad f|^2 = (4 a^2 + 1/4) r^2 |f|^2 on both sides,
     # so lhs = rhs = 2 pi (4 a^2 + 1/4) M(3) = pi (1 + 1/(16 a^2)), M(3) = 1/(8 a^2)
     # (measured within 1.1e-14)
-    rep = verify_real_landau("identity", 1, _gaussian(a), _GAUSS_SPEC)
+    rep = verify_real_landau("identity", 1, gaussian(a), GAUSS_SPEC)
     want = math.pi * (1.0 + 1.0 / (16.0 * a * a))
-    assert _GAUSS_SPEC.n_r == 192
+    assert GAUSS_SPEC.n_r == 192
     assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
     assert rep.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -185,12 +173,31 @@ def test_twisted_polar_on_the_gaussian_matches_its_closed_form(a, c, s, k0):
     # (2 pi / k0) int (4 a^2 r^3 + c^2 r^(2s+3)) e^(-2 a r^2) dr
     # (measured within 1.1e-14)
     rep = check_twisted_polar_identity(RadialPotential.power(c, s), RadialPotential.constant(k0),
-                                       _gaussian(a), _GAUSS_SPEC)
-    want = (2.0 * math.pi / k0) * (4.0 * a * a * _gauss_moment(a, 3.0)
-                                   + c * c * _gauss_moment(a, 2.0 * s + 3.0))
+                                       gaussian(a), GAUSS_SPEC)
+    want = (2.0 * math.pi / k0) * (4.0 * a * a * gauss_moment(a, 3.0)
+                                   + c * c * gauss_moment(a, 2.0 * s + 3.0))
     assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
     assert rep.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
 
+
+
+@pytest.mark.parametrize("c, s", [(0.0, 1.0), (0.3, 0.5), (-0.8, 0.86)])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_poincare_on_the_gaussian_matches_its_closed_forms(a, c, s):
+    # on the ball R = 8, the rolloff's r_hi, with psi = c r^s:
+    # lhs = 2 pi (4 a^2 M(3) + c^2 M(2s + 3)), the psi term is its second
+    # part, main = 2 pi M(1) / R^2, and one mode has no defect
+    # (measured within 1.1e-14)
+    R = 8.0
+    psi = RadialPotential.power(c, s) if c else RadialPotential.constant(0.0)
+    rep = verify_landau("poincare", psi, None, gaussian(a), GAUSS_SPEC, radius=R)
+    psi_term = 2.0 * math.pi * c * c * gauss_moment(a, 2.0 * s + 3.0)
+    lhs = 2.0 * math.pi * 4.0 * a * a * gauss_moment(a, 3.0) + psi_term
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12, abs=0.0)
+    assert rep.rhs_terms["main"] == pytest.approx(2.0 * math.pi * gauss_moment(a, 1.0) / R**2,
+                                                  rel=1e-12, abs=0.0)
+    assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=1e-12, abs=0.0)
+    assert rep.rhs_terms["mode_defect"] == 0.0
 
 def test_hardy_sobolev_defect_vanishes_for_single_mode():
     rng = np.random.default_rng(2006)

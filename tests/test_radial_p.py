@@ -14,6 +14,8 @@ from maghardy.quadrature import log_radial_rule
 from maghardy.reports import SuperweightParams
 from maghardy.verifiers import _grids, radial_p, verify_radial_p
 
+from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian
+
 SPEC = QuadratureSpec(n_r=128)
 
 
@@ -65,6 +67,19 @@ def test_superweight_margin_and_constant():
     with pytest.raises(AdmissibilityError):
         verify_radial_p("superweight", 4.0, 2.0, {"theta": 1.0}, f, SPEC)
 
+
+
+@pytest.mark.parametrize("Q, theta", [(3.0, 0.5), (4.0, -0.3), (2.5, 0.2)])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_weighted_on_the_gaussian_matches_its_closed_forms(a, Q, theta):
+    # p = 2 on f = e^(-a r^2), with e = Q - 1 - 2 theta: the gradient side
+    # is int (2 a r^2)^2 r^e e^(-2 a r^2) dr = 4 a^2 M(e + 4) and the
+    # function side M(e); lhs carries the constant (measured within 1.1e-14)
+    e = Q - 1.0 - 2.0 * theta
+    rep = verify_radial_p("weighted", Q, 2.0, {"theta": theta}, gaussian(a), GAUSS_SPEC)
+    assert (rep.lhs / rep.sharp_constant) ** 2 == pytest.approx(
+        4.0 * a * a * gauss_moment(a, e + 4.0), rel=1e-12, abs=0.0)
+    assert rep.rhs_terms["main"] ** 2 == pytest.approx(gauss_moment(a, e), rel=1e-12, abs=0.0)
 
 def test_randomized_margins_all_variants():
     rng = np.random.default_rng(3001)

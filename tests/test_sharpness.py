@@ -27,11 +27,10 @@ from maghardy.verifiers import sharpness
 from maghardy.verifiers.sharpness import (
     _CHUNK,
     _PANEL_N,
-    _gauss_quotients,
     _gauss_window,
     _plain_window,
     _power_quotient,
-    _superweight_window,
+    _shared_gauss_window,
 )
 
 GEOM = GrushinGeometry(m=2, k=1, gamma=1.0)
@@ -265,14 +264,17 @@ def test_column_windows_give_the_rows_of_scalar_windows_bitwise():
                 assert np.array_equal(rows[i], alone)
 
 
-def test_a_long_schedule_peaks_like_one_chunk():
-    theorem_id, params, family = _ENGINES[-1]
-
+@pytest.mark.parametrize("window", ["gauss", "plain"])
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_a_long_schedule_peaks_like_one_chunk(theorem_id, params, family, window):
     def peak(n):
         schedule = tuple(float(e) for e in np.geomspace(0.5, 0.005, n))
+        # a one-chunk gauss run then builds its window instead of reading
+        # the one another run left in the cache
+        _shared_gauss_window.cache_clear()
         tracemalloc.start()
         try:
-            estimate_sharpness(theorem_id, params, family, schedule)
+            estimate_sharpness(theorem_id, params, family, schedule, window)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,11 +284,9 @@ def test_a_long_schedule_peaks_like_one_chunk():
 
 
 # ---------------------------------------------------------------------------
-# the gauss window part, cached per chunk
+# the gauss window of a one-chunk schedule, shared
 # ---------------------------------------------------------------------------
 
-# the engines whose gauss quotients come from _gauss_quotients
-_CACHED = _ENGINES[:4]
 _SCHEDULES = {"default": DEFAULT_SCHEDULE, "benchmark": (0.5, 0.3, 0.2, 0.1, 0.05, 0.02),
               "long": _LONG}
 
@@ -301,33 +301,55 @@ def _hex(res):
 def test_cached_quotients_equal_uncached_ones_bitwise(monkeypatch, theorem_id, params,
                                                       family, window, schedule):
     run = lambda: _hex(estimate_sharpness(theorem_id, params, family, schedule, window))
-    _gauss_quotients.cache_clear()
-    _superweight_window.cache_clear()
+    _shared_gauss_window.cache_clear()
     computed = run()
     cached = run()
-    monkeypatch.setattr(sharpness, "_gauss_quotients", _gauss_quotients.__wrapped__)
-    monkeypatch.setattr(sharpness, "_superweight_window", _superweight_window.__wrapped__)
+    monkeypatch.setattr(sharpness, "_shared_gauss_window", _shared_gauss_window.__wrapped__)
     assert computed == cached == run()
 
 
+def _gauss_center(theorem_id, params):
+    """The centre of the engine's gauss window, as a function of epsilon."""
+    if theorem_id == "landau_log":
+        return lambda e: -(6.0 / e + (2.0 + 0.08 / e))
+    if theorem_id == "landau_superweight":
+        if params.theta2 >= 0.0:
+            return lambda e: math.log(20.0) + 6.0 / e
+        return lambda e: math.log(0.05) - 6.0 / e
+    return lambda e: 0.0
+
+
+def _superweight_quotients(res, window):
+    sw = res.params["weights"]
+    t2, t3 = sw["theta2"], sw["theta3"]
+    G = lambda u: np.exp(t3 * np.logaddexp(math.log(sw["a"]) - t2 * u, math.log(sw["b"])))
+    return _power_quotient(0.0, window, G=G,
+                           c=0.5 * (t2 * t3 - 2.0 * sw["theta4"])).tolist()
+
+
+def _kernel(res, window):
+    """The engine's kernel on window: the power weights add their constant."""
+    if res.theorem_id == "landau_log":
+        return sharpness._log_quotient(window).tolist()
+    if res.theorem_id == "landau_superweight":
+        return _superweight_quotients(res, window)
+    return _power_quotient(res.sharp_constant, window).tolist()
+
+
 @pytest.mark.parametrize("schedule", _SCHEDULES.values(), ids=_SCHEDULES)
-@pytest.mark.parametrize("theorem_id,params,family", _CACHED, ids=[e[0] for e in _CACHED])
-def test_cached_quotients_are_the_window_quotients_plus_the_constant(theorem_id, params,
-                                                                     family, schedule):
+@pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
+def test_gauss_quotients_are_the_kernel_on_a_fresh_window(theorem_id, params, family,
+                                                          schedule):
     # the gauss window reads no cutoff and nothing of the run but epsilon and
-    # its centre; on each chunk, the kernel the other engines run on a fresh
-    # window gives the same bits, and the base each engine adds is its constant
-    _gauss_quotients.cache_clear()
+    # its centre; on each chunk, the engine's kernel on a fresh window gives
+    # the same bits, and the base a power weight adds is its constant
+    _shared_gauss_window.cache_clear()
     res = estimate_sharpness(theorem_id, params, family, schedule)
-    log = theorem_id == "landau_log"
+    center = _gauss_center(theorem_id, params)
     want = []
     for i in range(0, len(schedule), _CHUNK):
         e = np.array(schedule[i:i + _CHUNK])[:, None]
-        if log:
-            want += sharpness._log_quotient(
-                _gauss_window(e, -(6.0 / e + (2.0 + 0.08 / e)))).tolist()
-        else:
-            want += _power_quotient(res.sharp_constant, _gauss_window(e, 0.0)).tolist()
+        want += _kernel(res, _gauss_window(e, center(e)))
     assert [q.hex() for _, q in res.schedule] == [q.hex() for q in want]
 
 
@@ -343,75 +365,54 @@ def _count_windows(monkeypatch):
 
 @pytest.mark.parametrize("window", ["gauss", "plain"])
 @pytest.mark.parametrize("theorem_id,params,family", _ENGINES, ids=[e[0] for e in _ENGINES])
-def test_a_second_identical_run_reads_the_gauss_windows_from_the_cache(
+def test_a_long_schedule_computes_every_chunk_and_keeps_no_window(
         monkeypatch, theorem_id, params, family, window):
-    # the superweight's G reads the run and keeps no window of a schedule
-    # longer than one chunk, and a plain window's bounds read the cutoff, so
-    # those compute every chunk; the other gauss runs compute once
-    _gauss_quotients.cache_clear()
-    _superweight_window.cache_clear()
+    # a schedule longer than one chunk would evict its own chunks before it
+    # came back to them, and a plain window's bounds read the cutoff, so
+    # every run of either computes each chunk
+    _shared_gauss_window.cache_clear()
     calls = _count_windows(monkeypatch)
     first = estimate_sharpness(theorem_id, params, family, _LONG, window)
-    assert calls == [f"_{window}_window"] * 3   # chunks of 22, 22 and 6
-    calls.clear()
     again = estimate_sharpness(theorem_id, params, family, _LONG, window)
-    computes = window == "plain" or theorem_id == "landau_superweight"
-    assert calls == [f"_{window}_window"] * (3 if computes else 0)
+    assert calls == [f"_{window}_window"] * 6   # chunks of 22, 22 and 6, twice
+    assert _shared_gauss_window.cache_info().currsize == 0
     assert _hex(again) == _hex(first)
 
 
-def test_a_one_chunk_superweight_schedule_shares_its_gauss_window(monkeypatch):
-    # the superweight's gauss centres read epsilon and the sign of theta2
-    # only, so on a one-chunk schedule runs of one sign share a window; each
-    # still evaluates its own G and shift on it, bit for bit as on a fresh one
-    _superweight_window.cache_clear()
+# the superweight draws of both signs of theta2; two of each
+_SUPERWEIGHTS = [SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0),
+                 SuperweightParams(0.7, 1.3, -1.1, 0.8, -1.9),
+                 SuperweightParams(1.0, 1.0, 2.0, -1.0, -1.5),
+                 SuperweightParams(0.4, 1.8, 0.9, -1.2, -1.0)]
+
+
+def test_a_one_chunk_pass_builds_one_gauss_window_per_centre_list(monkeypatch):
+    # a gauss window reads epsilon and its centre only, so on a one-chunk
+    # schedule the runs with one centre list share a window: 0 for the three
+    # power weights, the logarithmic weight's, and the superweight's at each
+    # sign of theta2.  Each run still evaluates its own kernel on it, bit for
+    # bit as on a fresh window, and a plain run computes its own window.
+    _shared_gauss_window.cache_clear()
     calls = _count_windows(monkeypatch)
     schedule, fam = _SCHEDULES["benchmark"], _ENGINES[-1][2]
-    draws = [SuperweightParams(1.0, 1.0, -2.0, 1.0, -2.0),
-             SuperweightParams(0.7, 1.3, -1.1, 0.8, -1.9),
-             SuperweightParams(1.0, 1.0, 2.0, -1.0, -1.5),
-             SuperweightParams(0.4, 1.8, 0.9, -1.2, -1.0)]
-    cached = [_hex(estimate_sharpness("landau_superweight", sw, fam, schedule))
-              for sw in draws]
-    assert calls == ["_gauss_window"] * 2   # one window for each sign of theta2
-    assert _superweight_window.cache_info().currsize == 2
-    assert len({tuple(q) for q in cached}) == len(draws)
-    for sw, got in zip(draws, cached):
-        res = estimate_sharpness("landau_superweight", sw, fam, schedule)
-        e = np.array(schedule)[:, None]
-        win = _gauss_window(e, math.log(20.0) + 6.0 / e if sw.theta2 >= 0.0
-                            else math.log(0.05) - 6.0 / e)
-        assert _hex(res) == got == [(x.hex(), q.hex()) for x, q in zip(
-            schedule, _superweight_quotients(res, win))]
-    for arr in _superweight_window(schedule, (0.0,) * len(schedule), _PANEL_N):
-        assert not arr.flags.writeable
-    assert _superweight_window.cache_info().currsize == 2
-
-
-def _superweight_quotients(res, window):
-    sw = res.params["weights"]
-    t2, t3 = sw["theta2"], sw["theta3"]
-    G = lambda u: np.exp(t3 * np.logaddexp(math.log(sw["a"]) - t2 * u, math.log(sw["b"])))
-    return _power_quotient(0.0, window, G=G,
-                           c=0.5 * (t2 * t3 - 2.0 * sw["theta4"])).tolist()
-
-
-def test_the_cache_keeps_floats_only_and_is_bounded():
-    _gauss_quotients.cache_clear()
-    entry = _gauss_quotients("power", _LONG[:_CHUNK], (0.0,) * _CHUNK, _PANEL_N)
-    assert type(entry) is tuple and len(entry) == _CHUNK
-    assert all(type(q) is float for q in entry)
-    _gauss_quotients.cache_clear()
-    for theorem_id, params, family in _CACHED:
-        estimate_sharpness(theorem_id, params, family, _LONG)
-    info = _gauss_quotients.cache_info()
-    # radial_hardy, magnetic_grushin and landau_hardy_sobolev share one
-    # window part per chunk; landau_log has its own
-    assert (info.hits, info.misses, info.currsize, info.maxsize) == (6, 6, 6, 64)
-    for theorem_id, params, family in _CACHED[:1]:
-        for i in range(100):   # more chunks than the cache holds
-            estimate_sharpness(theorem_id, params, family, (0.5 + 1e-3 * i,))
-    assert _gauss_quotients.cache_info().currsize == 64
+    runs = _ENGINES[:-1] + [("landau_superweight", sw, fam) for sw in _SUPERWEIGHTS]
+    gauss = [estimate_sharpness(theorem_id, params, family, schedule)
+             for theorem_id, params, family in runs]
+    for theorem_id, params, family in runs:
+        estimate_sharpness(theorem_id, params, family, schedule, "plain")
+    assert calls.count("_gauss_window") == 4
+    assert calls.count("_plain_window") == len(runs)
+    info = _shared_gauss_window.cache_info()
+    assert (info.misses, info.currsize, info.maxsize) == (4, 4, 4)
+    assert len({tuple(_hex(res)) for res in gauss}) == len(runs)
+    e = np.array(schedule)[:, None]
+    for (theorem_id, params, _), res in zip(runs, gauss):
+        center = _gauss_center(theorem_id, params)
+        assert [q.hex() for _, q in res.schedule] == [
+            q.hex() for q in _kernel(res, _gauss_window(e, center(e)))]
+        for arr in _shared_gauss_window(schedule, tuple(map(center, schedule)), _PANEL_N):
+            assert not arr.flags.writeable
+    assert _shared_gauss_window.cache_info().misses == 4
 
 
 # ---------------------------------------------------------------------------
