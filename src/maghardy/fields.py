@@ -8,19 +8,20 @@ Each magnetic gradient is written once, vectorised on grid arrays in the
 quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
 from the values and polar partials of the test function at one angle or on
 one angular mode at phase 1 (TestFunction.on_grid), in which each component
-is linear with phi-independent factors.  grushin_components and
-tilde_components return polar-frame components, twisted_components
-Cartesian ones.  The first two work in two steps, like the densities that
-call them: given the grid they form the phi-independent field factors once
-and return a closure that maps the test function's parts at those nodes to
-the components.  The verifiers integrate sums of their squared moduli.
+is linear with phi-independent factors.  All three, grushin_components,
+tilde_components and twisted_components, work in one polar frame and in
+two steps, like the densities that call them: given the grid they form the
+phi-independent field factors once and return a closure that maps the test
+function's parts at those nodes to the polar-frame components (c_r, c_phi,
+then the y blocks): the x part of every field is radial or angular, so no
+component reads the angle.  The verifiers integrate their squared moduli.
 The arithmetic is complex except where an imaginary part is exactly zero:
 the parts of a radial f on real profiles are float arrays, which give the
 real parts of the complex ones bit for bit, and the division of a part by r
 is a product with 1 / r, which is how numpy divides a complex array by a
 real one.  The pointwise API is a one-node call into the same functions
-that rotates the polar frame to Cartesian, so the finite-difference tests
-check the code the integrals run.
+that rotates the polar frame to Cartesian (_cartesian_x), so the
+finite-difference tests check the code the integrals run.
 Its outputs are complex vectors:
     grushin gradient    (d/dx_1..d/dx_m, |x|^g d/dy_1..d/dy_k)   length m+k
     tilde gradient      (d/dx_1, d/dx_2, |x|^g/sqrt2 * grad_y twice)  2+2k
@@ -170,15 +171,15 @@ def tilde_components(beta: float, gamma: float, r, y, rho_pow):
     """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde grad + i beta Atilde) f.
 
     Lives on m = 2.  The rotated potential is purely angular in x; its y part
-    enters the two 1/sqrt2 blocks with opposite signs.  Its real factors and
-    r^gamma are formed here, once for the grid (r, y), on rho_pow as for
-    grushin_components; parts is as for grushin_components.  The factors
-    are kept real, so the grid holds half the bytes of their complex
-    products, and i beta A val is formed once per node for both y blocks.
+    enters the two 1/sqrt2 blocks with opposite signs.  Its real factors are
+    formed here, once for the grid, as for grushin_components, and parts is
+    as there.  The factors are kept real, so the grid holds half the bytes
+    of their complex products, and i beta A val is formed once per node for
+    both y blocks.
     """
-    aphi = r ** (2.0 * gamma + 1.0) / rho_pow
+    aphi = drho_dr_over_rho(gamma, r, rho_pow)
     rg = r[..., None] ** gamma
-    ay = (rg * (1.0 + gamma) * y / rho_pow[..., None]) * math.sqrt(0.5)
+    ay = rg * grad_y_rho_over_rho(gamma, y, rho_pow[..., None]) * math.sqrt(0.5)
 
     def components(parts):
         val, fr, fphi, fy = parts
@@ -192,21 +193,21 @@ def tilde_components(beta: float, gamma: float, r, y, rho_pow):
     return components
 
 
-def twisted_components(psi_r, r, phi: float, parts):
-    """Cartesian (t_x, t_y) of (d_x - i psi y, d_y + i psi x) f on a plane grid.
+def twisted_components(psi_r, r):
+    """Closure parts -> polar-frame (c_r, c_phi) of (d_x - i psi y, d_y + i psi x) f.
 
-    psi_r holds psi on the radii r; parts is f and its polar partials there
-    at the angle phi, as TestFunction.on_grid gives them.  On one angular
-    mode's parts the verifiers pass phi = 0.0: the rotation to the
-    Cartesian frame keeps |t|^2, so the components square to the mode's
-    share of the phi integral.
+    On the plane.  The field psi(|z|) (-y, x) = psi r e_phi is purely
+    angular, so c_phi = df/dphi / r + i psi r f; 1 / r and i psi r are formed
+    here, once for the grid, from psi on the radii r (psi_r).
     """
-    val, fr, fphi, _ = parts
-    c, s = math.cos(phi), math.sin(phi)
     inv_r = 1.0 / r
-    fx = c * fr - s * fphi * inv_r
-    fy = s * fr + c * fphi * inv_r
-    return fx - 1j * psi_r * (r * s) * val, fy + 1j * psi_r * (r * c) * val
+    ipr = 1j * psi_r * r
+
+    def components(parts):
+        val, fr, fphi, _ = parts
+        return fr, fphi * inv_r + ipr * val
+
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +267,8 @@ def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndar
             raise OriginError("potential singular at the origin")
         return np.zeros(2, complex)
     r, phi, y = _node(f, p)
-    tx, ty = twisted_components(np.asarray(psi(r)), r, phi, f.on_grid(r, y)(phi))
-    return np.array([tx.item(), ty.item()], dtype=complex)
+    cr, cphi = twisted_components(np.asarray(psi(r)), r)(f.on_grid(r, y)(phi))
+    return _cartesian_x(p, r, phi, cr, cphi)
 
 
 def constant_field_grad(pots: ConstantFieldPotentials, geom: GrushinGeometry,

@@ -32,10 +32,10 @@ angle.  Its first call evaluates each distinct profile on the grid once
 each distinct 1-D factor R(r), R'(r), Y_j(y_j), Y_j'(y_j) once however many
 modes carry it, and keeps the products.  A call on a mode returns them; a
 call at an angle multiplies every mode's by e^(i mode phi), mode 0's too,
-and adds the modes.  The main quadrature engine, on its polar and its
-x-radial path alike, makes one closure per row block and calls it once per
-mode, never at an angle; the oracle calls it once per angular node, and
-the pointwise value_polar and partials_polar once.
+and adds the modes.  verifiers._grids makes one closure per row block and
+hands its parts to a check's density once per mode on the main engine,
+never at an angle, and once per angular node on the oracle; the pointwise
+value_polar, partials_polar and evaluate call it once.
 
 Parity in y and realness are declared, never sampled.  A profile's y_even
 says it is even in every y_j, and a TestFunction is y_even when every mode's
@@ -453,12 +453,6 @@ class AngularMode:
 _ZERO = np.float64(0.0)
 
 
-def angle_of(x):
-    """The angle at which TestFunction.on_grid's closure evaluates x: x
-    itself, or 0.0 for an AngularMode, whose parts are taken at phase 1."""
-    return 0.0 if isinstance(x, AngularMode) else x
-
-
 class TestFunction:
     """Finite angular-mode sum f(r, phi, y) = sum g_k(r, y) e^(i k phi).
 
@@ -612,20 +606,29 @@ def _polar_of_point(f: TestFunction, p: Point):
     return r, phi, p.y
 
 
+def _holds(profile, r: float, y) -> bool:
+    """Whether (r, y) lies in the support hull of profile: from r = 0 for a
+    profile that reaches the origin (its r_lo is a cutoff, not an edge), and
+    rho_lo <= rho <= rho_hi for a rho shell, which leaves out its gauge origin."""
+    if isinstance(profile, RhoShellProfile):
+        return profile.rho_lo <= rho_rs(profile.geom.gamma, r, math.hypot(*y)) <= profile.rho_hi
+    lo = 0.0 if getattr(profile, "reaches_origin", False) else profile.r_lo
+    return lo <= r <= profile.r_hi and all(a <= t <= b for t, (a, b) in zip(y, profile.y_box))
+
+
 def evaluate(f: TestFunction, p) -> complex:
-    """Value of f at a Point or an (r, phi, y) triple; 0 outside the support."""
+    """Value of f at a Point or an (r, phi, y) triple; 0 outside the support.
+    Only the modes whose profile's hull holds the point are evaluated."""
     if isinstance(p, Point):
         r, phi, y = _polar_of_point(f, p)
     else:
         r, phi, y = p
         y = np.atleast_1d(np.asarray(y, dtype=float))
-    r_lo, r_hi, box, _ = f.support()
-    if not (r_lo <= r <= r_hi):
+    modes = [m for m in f.modes if _holds(m.profile, r, y)]
+    if not modes:
         return 0.0 + 0.0j
-    for j, (lo, hi) in enumerate(box):
-        if not (lo <= y[j] <= hi):
-            return 0.0 + 0.0j
-    return complex(np.asarray(f.value_polar(np.asarray(r), phi, y[None, :])).item())
+    value = TestFunction(modes).value_polar(np.asarray(r), phi, y[None, :])
+    return complex(np.asarray(value).item())
 
 
 # ---------------------------------------------------------------------------

@@ -16,22 +16,21 @@ integrate(density, f, spec, m) holds the one rule for a check that admits
 both: the polar path on m = 2, the radial-x path otherwise.  Checks stated
 for x-radial functions only call rx_integral directly, on m = 2 too.
 
-Both paths take a density in the quadrature protocol: density(r, y) runs
-once per row block of the grid (r of shape (n_rows, 1), y of shape
-(1, n_flat, k); the main engine cuts its grid into blocks of whole rows of
-at most quadrature.BLOCK_NODES nodes or one row, the oracle into blocks of
-at most quadrature.ORACLE_BLOCK_NODES nodes or one row; the blocks run one
-at a time) and returns at(x), which yields every integrand of the check on
-that block in order, for x one of f's modes (the main engine) or an angle
-(the oracle), which it hands to TestFunction.on_grid's closure; so one
-density serves both engines.  Every integrand is a real float array, built
-from abs2, components_sq, grad_y_sq or |.|^p, and a Hermitian form in f's
-parts, whose phi integral is 2 pi times its sum over the modes.  The mode
-defect |f|^2 - |f0|^2 takes f0 from the closure's mode_zero(x), which is 0
-on every mode but mode 0, so the main engine integrates
-sum_(k != 0) |g_k|^2.  Each check makes one integration call: its weights
-and its test function's products are formed once per block, for all its
-integrals and all of f's modes.
+Both paths take a verifier density: density(r, y) runs once per row block
+of the grid (r (n_rows, 1), y (1, n_flat, k); blocks of whole rows, at most
+quadrature.BLOCK_NODES nodes on the main engine and ORACLE_BLOCK_NODES on
+the oracle, or one row), forms the check's weights and field factors there
+and returns at(parts, f0), which yields every integrand of the check in
+order from f's parts (f, df/dr, df/dphi, grad_y f) and f0, the part of f
+that mode 0 carries.  _on_f makes it a density of the quadrature protocol:
+one TestFunction.on_grid closure per block hands at the parts and mode_zero
+on each of f's modes (the main engine) or angles (the oracle), so a
+density reads neither a mode nor an angle and serves both engines.  Every
+integrand is a real float array, built from abs2, components_sq, grad_y_sq
+or |.|^p, and a Hermitian form in f's parts, whose phi integral is 2 pi
+times its sum over the modes; f0 is 0 on every mode but mode 0, so the
+mode defect |f|^2 - |f0|^2 integrates sum_(k != 0) |g_k|^2 on the main
+engine.  Each check makes one integration call.
 
 y parity: when f is even in every y_j (TestFunction.y_even, declared by its
 profiles), support_domain marks the domain y_even and the main engine takes
@@ -102,6 +101,15 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
         )
 
 
+def _on_f(density, f: TestFunction):
+    """density in the quadrature protocol: at(x) on f's parts at x."""
+    def block(r, y):
+        on, at = f.on_grid(r, y), density(r, y)
+        return lambda x: at(on(x), on.mode_zero(x))
+
+    return block
+
+
 def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
     """The (r, phi, y) integrals of density over the support of f.
 
@@ -110,7 +118,7 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
     the oracle would refuse is refused on the main engine too.
     """
     require_phi_resolution(f, spec)
-    domain = support_domain(f)
+    domain, density = support_domain(f), _on_f(density, f)
     if spec.oracle:
         return oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
@@ -121,13 +129,13 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
 def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
     """The integrals of each integrand times r^power dr dy.
 
-    density follows the polar protocol; the main engine takes its integrands
+    density is a verifier density; the main engine takes its integrands
     on the modes of f (an f radial in x has the one mode 0) over the support
     of f.  The one oracle dispatch of the x-radial path: the oracle
     integrates over r dr dphi on one angular node, so each integrand is
     folded by r^(power-1) / (2 pi).
     """
-    domain = support_domain(f)
+    domain, density = support_domain(f), _on_f(density, f)
     if not spec.oracle:
         return integrate_radial(density, spec, domain, f.modes, power)
 

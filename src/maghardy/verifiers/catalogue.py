@@ -208,7 +208,8 @@ CHECKS = {
         lambda f, spec, geom, exps, alpha: grushin.check_grushin_ibp_identity(
             geom, exps, f, alpha, spec)),
     "twisted_polar": Statement(
-        None, "polar split of the twisted Dirichlet integral over kappa", ("psi", "kappa"),
+        None, "polar split of the twisted Dirichlet integral over kappa; real f or f on "
+        "mode 0", ("psi", "kappa"),
         lambda f, spec, psi, kappa: landau.check_twisted_polar_identity(psi, kappa, f, spec)),
     "real_landau_identity": Statement(
         None, "Dirichlet + harmonic-potential split on the plane", ("n",),

@@ -12,16 +12,16 @@ cross terms vanish for real f), which the tests pin node by node to the
 pointwise fields.constant_field_grad.  The real-function splits of the
 proofs are recomputed separately and reported as identities.
 
-Each check writes one density in the quadrature protocol: density(r, y)
-forms the phi-independent quantities of the check once per row block of the
-grid (the test function's factors through TestFunction.on_grid, the weights
-B, B*w and rho^(2 gamma + 2), the field factors of the fields components), and at(x)
-yields the integrand of every term of the displayed inequality in turn, on
-one angular mode of f (the main engine) or at an angle (the oracle), so the
-check makes one integration call.  x-radial functions use the reduced
-tensor path on their one mode 0 with the closed-form sphere factor;
-genuinely angular functions require m = 2 and run through the polar
-engine, mode by mode.
+Each check writes one density in the verifier protocol of _grids:
+density(r, y) forms the phi-independent quantities of the check once per
+row block of the grid (the weights B, B*w and rho^(2 gamma + 2), the field
+factors of the fields components), and at(parts, f0) yields the integrand
+of every term of the displayed inequality in turn from the parts of f that
+_grids hands it, on one angular mode of f (the main engine) or at an angle
+(the oracle), so the check makes one integration call.  x-radial functions
+use the reduced tensor path on their one mode 0 with the closed-form sphere
+factor; genuinely angular functions require m = 2 and run through the
+polar engine, mode by mode.
 """
 
 from __future__ import annotations
@@ -164,11 +164,9 @@ def verify_radial_hardy(geom: GrushinGeometry, exps: WeightExponents,
     params = {**_geom_params(geom, exps), "sharp_constant": C}
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, Bw, _ = _weights(geom, exps, r, y)
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             yield B * _plain_sq(geom.gamma, r, parts)
             yield Bw * abs2(parts[0])
 
@@ -198,11 +196,9 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     g = geom.gamma
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, Bw, rho_pow = _weights(geom, exps, r, y)
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             val, fr, _, fy = parts
             cr = fr + a * drho_dr_over_rho(g, r, rho_pow) * val
             cy = fy + a * grad_y_rho_over_rho(g, y, rho_pow[..., None]) * val[..., None]
@@ -238,12 +234,10 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     params = {**_geom_params(geom, exps), "beta": beta}
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, Bw, rho_pow = _weights(geom, exps, r, y)
         components = grushin_components(beta, geom.gamma, r, y, rho_pow)
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             yield B * components_sq(components(parts))
             yield B * _plain_sq(geom.gamma, r, parts)
             yield Bw * abs2(parts[0])
@@ -276,16 +270,14 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
               "admissibility": admissibility}
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, Bw, rho_pow = _weights(geom, exps, r, y)
         components = tilde_components(beta, geom.gamma, r, y, rho_pow)
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             yield B * components_sq(components(parts))
             f_sq = abs2(parts[0])
             yield Bw * f_sq
-            yield B * (f_sq - abs2(on.mode_zero(x))) / r**2
+            yield B * (f_sq - abs2(f0)) / r**2
 
         return at
 
@@ -309,13 +301,12 @@ def fourier_defect_terms(geom: GrushinGeometry, exps: WeightExponents,
     _require_shape(geom, f)
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, _ = _weight_B(geom, exps, r, y)
 
-        def at(x):
-            val, _, fphi, _ = on(x)
+        def at(parts, f0):
+            val, _, fphi, _ = parts
             yield B * abs2(fphi) / r**2
-            yield B * (abs2(val) - abs2(on.mode_zero(x))) / r**2
+            yield B * (abs2(val) - abs2(f0)) / r**2
 
         return at
 
@@ -350,7 +341,6 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, rho = _weight_B(geom, exps, r, y)
         # the half-exponent weight of the cross norm
         half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
@@ -358,8 +348,7 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
         cross_weight = half_B * half_w
         field = components(beta, g, r, y, rho_power_rs(g, rho))
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             yield B * components_sq(field(parts))
             f_sq = abs2(parts[0])
             yield f_sq
@@ -397,14 +386,12 @@ def verify_constant_field(geom: GrushinGeometry, exps: WeightExponents,
     g, slope = geom.gamma, pots.slope
 
     def density(r, y):
-        on = f.on_grid(r, y)
         B, Bw, _ = _weights(geom, exps, r, y)
         # sum_j (slope x_j)^2 = (slope r)^2 on the x-sphere, and sum_j (slope y_j)^2
         vx_sq = (slope * r) ** 2
         vy_sq = grad_y_sq(slope * y)
 
-        def at(x):
-            parts = on(x)
+        def at(parts, f0):
             val, fr, _, fy = parts
             f_sq = abs2(val)
             # x-sphere reduction of |(i d_x + slope y) f|^2 + |(i r^g d_y + slope x) f|^2:

@@ -1,16 +1,17 @@
 """Verifiers for the twisted (Landau-type) inequalities on the plane.
 
 The twisted gradient carries a radial profile psi(|z|) multiplying the
-rotation field (-y, x); its squared norm is always assembled componentwise
-from the Cartesian components of fields.twisted_components (the same code
-as the pointwise twisted_grad_psi), so left-hand sides are the displayed
-integrands and nothing is simplified away.  The main engine evaluates them
-on each angular mode at phi = 0: the rotation from the polar frame to the
-Cartesian one keeps |t|^2, so the components of a mode at phase 1 square
-to that mode's share of the phi integral.  Each check writes one density
-in the quadrature protocol and makes one integration call.  Plane functions
-are TestFunctions with k = 0; the x-radial real case generalizes to any
-even dimension 2n through the sphere-factor reduction.
+rotation field (-y, x) = r e_phi; its squared norm is always assembled
+componentwise from the polar-frame components of fields.twisted_components
+(the same code as the pointwise twisted_grad_psi), so left-hand sides are
+the displayed integrands and nothing is simplified away.  On mode k they
+square to |g_k'|^2 + (k / r + psi r)^2 |g_k|^2, the per-mode form of
+Laptev and Weidl.  Each check writes one density in the verifier protocol
+of _grids, at(parts, f0) on f's parts, and makes one integration call.
+Plane functions are TestFunctions with k = 0; the x-radial real case
+generalizes to any even dimension 2n through the sphere-factor reduction,
+on which the same components square to |df/dr|^2 + r^2 |f|^2 / 4 at
+psi = 1/2.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numbers
 
 import numpy as np
 
-from ..errors import AdmissibilityError, DomainError, require_param
+from ..errors import AdmissibilityError, DomainError, RealnessError, require_param
 from ..fields import RadialPotential, twisted_components
-from ..functions import TestFunction, angle_of
+from ..functions import TestFunction
 from ..quadrature import QuadratureSpec
 from ..reports import IdentityReport, InequalityReport, SuperweightParams
 from ._grids import abs2, components_sq, integrate, polar_integral, require_args, sharp_constant
@@ -63,26 +64,35 @@ def _psi_record(psi) -> dict:
             "psi_params": list(getattr(psi, "params", ()))}
 
 
+def _polar_split(psi_sq, r, parts):
+    """|df/dr|^2 + |df/dphi|^2 / r^2 + psi^2 r^2 |f|^2: the twisted Dirichlet
+    integrand without its angular cross term."""
+    val, fr, fphi, _ = parts
+    return abs2(fr) + abs2(fphi) / r**2 + psi_sq * r**2 * abs2(val)
+
+
 def check_twisted_polar_identity(psi, kappa, f: TestFunction,
                                  spec: QuadratureSpec) -> IdentityReport:
     """Polar split of the twisted Dirichlet integral against a radial weight.
 
     lhs: componentwise |twisted grad f|^2 / kappa(r); rhs: the polar form
-    (|df/dr|^2 + |df/dphi|^2/r^2 + psi^2 r^2 |f|^2) / kappa(r), i.e. the
-    split without any angular cross contribution.
+    (_polar_split) / kappa(r), without mode k's cross term 2 k psi |g_k|^2 /
+    kappa, which cancels between the modes +-k of a real f and vanishes on
+    mode 0; any other f is refused.
     """
     require_args("twisted_polar", psi=psi, kappa=kappa, f=f, spec=spec)
     _require_plane(f)
+    if not (f.real_valued or f.is_radial):
+        raise RealnessError("the polar split is stated for real f or f on mode 0: a rotating "
+                            "mode k carries the cross term 2 k psi |g_k|^2 / kappa")
 
     def density(r, y):
-        on = f.on_grid(r, y)
         pv, kv = np.asarray(psi(r)), np.asarray(kappa(r))
+        twisted, psi_sq = twisted_components(pv, r), pv**2
 
-        def at(x):
-            parts = on(x)
-            yield components_sq(twisted_components(pv, r, angle_of(x), parts)) / kv
-            val, fr, fphi, _ = parts
-            yield (abs2(fr) + abs2(fphi) / r**2 + pv**2 * r**2 * abs2(val)) / kv
+        def at(parts, f0):
+            yield components_sq(twisted(parts)) / kv
+            yield _polar_split(psi_sq, r, parts) / kv
 
         return at
 
@@ -156,18 +166,17 @@ def verify_landau(variant: str, psi: RadialPotential,
         run_params["R"] = float(radius)
 
     def density(r, y):
-        on = f.on_grid(r, y)
         pv = np.asarray(psi(r))
+        twisted = twisted_components(pv, r)
         w_grad, w_main, w_psi, w_defect = (
             wv(r), main_weight(r), psi_weight(r, pv**2), defect_weight(r))
 
-        def at(x):
-            parts = on(x)
-            yield w_grad * components_sq(twisted_components(pv, r, angle_of(x), parts))
+        def at(parts, f0):
+            yield w_grad * components_sq(twisted(parts))
             f_sq = abs2(parts[0])
             yield w_main * f_sq
             yield w_psi * f_sq
-            yield w_defect * (f_sq - abs2(on.mode_zero(x)))
+            yield w_defect * (f_sq - abs2(f0))
 
         return at
 
@@ -202,7 +211,6 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     _require_real(f, "the classical-field statement")
     if n >= 2:   # through the radial reduction
         _require_radial(f, "the classical-field statement for n >= 2")
-    half = RadialPotential.constant(0.5)
     res = _resolution(spec)
 
     _require_in_ball(f, radius)
@@ -216,16 +224,11 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     elif R is not None:
         raise AdmissibilityError(f"the {variant} statement at n = {n} reads no R")
 
-    def pot(r, parts):
-        return 0.25 * r**2 * abs2(parts[0])
+    pot = lambda r, parts: 0.25 * r**2 * abs2(parts[0])
 
     # per variant: the integrands after the gradient side
     if variant == "identity":
-        def plain(r, parts):
-            _, fr, fphi, _ = parts
-            return abs2(fr) + abs2(fphi) / r**2
-
-        terms = (plain, pot)
+        terms = (lambda r, parts: _polar_split(0.25, r, parts),)
     elif variant == "hardy":
         terms = (lambda r, parts: abs2(parts[0]) / r**2, pot)
     elif variant == "critical":
@@ -243,26 +246,23 @@ def verify_real_landau(variant: str, n: int, f: TestFunction,
     else:
         raise DomainError(f"unknown variant {variant!r}")
 
+    # the plane's twisted gradient at every n: on an x-radial f (n >= 2) it
+    # squares to |df/dr|^2 + r^2 |f|^2 / 4, the radial reduction
     def density(r, y):
-        on = f.on_grid(r, y)
-        # n = 1 runs on the plane; n >= 2 through the radial reduction
-        pv = np.asarray(half(r)) if n == 1 else None
+        twisted = twisted_components(0.5, r)
 
-        def at(x):
-            parts = on(x)
-            if n == 1:
-                yield components_sq(twisted_components(pv, r, angle_of(x), parts))
-            else:
-                yield abs2(parts[1]) + 0.25 * r**2 * abs2(parts[0])
+        def at(parts, f0):
+            yield components_sq(twisted(parts))
             for term in terms:
                 yield term(r, parts)
 
         return at
 
-    lhs, first, second = integrate(density, f, spec, 2 * n)
+    lhs, *sides = integrate(density, f, spec, 2 * n)
 
     if variant == "identity":
-        return IdentityReport(theorem_id, lhs, first + second, params, res)
+        return IdentityReport(theorem_id, lhs, sides[0], params, res)
+    first, second = sides
     sharp = sharp_constant(theorem_id, n, radius, R)
     if variant == "uncertainty":
         lhs = math.sqrt(max(lhs, 0.0)) * math.sqrt(max(first, 0.0))

@@ -1,10 +1,10 @@
 """One-dimensional Lp inequalities for radial profiles.
 
 Everything here reduces to weighted integrals of |f| and |df/dr| against
-r^(Q-1) dr.  Each check writes one density in the quadrature protocol: on a
-grid block its at(x) reads f and df/dr at x, like every other density, and
-yields the gradient-side and the function-side integrands, each with its
-own radial weight r^(Q-1-w).
+r^(Q-1) dr.  Each check writes one density in the verifier protocol of
+_grids: its at(parts, f0) reads f and df/dr from f's parts, like every other
+density, and yields the gradient-side and the function-side integrands,
+each with its own radial weight r^(Q-1-w).
 Both integrals come from one call of the x-radial path at power 0
 (_grids.radial_integral, main engine or oracle).  The Euler operator
 r * df/dr drives the weighted and logarithmic variants; the plain
@@ -87,10 +87,8 @@ def verify_radial_p(variant: str, Q: float, p: float, params,
     C = sharp_constant(theorem_id, Q, p, *values)
 
     def density(r, y):
-        on = f.on_grid(r, y)
-
-        def at(x):
-            fv, fr = on(x)[:2]
+        def at(parts, f0):
+            fv, fr = parts[:2]
             yield grad_side(r, fr) * r ** (Q - 1.0 - w_grad)
             yield func_side(r, fv) * r ** (Q - 1.0 - w_func)
 

@@ -33,8 +33,8 @@ A gauss window reads no cutoff and nothing of the run but its epsilon and
 its centre: 0 for the power weights, and a function of epsilon for the
 logarithmic weight and of epsilon and the sign of theta2 for the
 superweight.  So on a one-chunk schedule _shared_gauss_window keeps it,
-read-only, keyed by the epsilons, the centres and the node count, one entry
-per distinct centre list, and each run evaluates its own kernel on it.  A
+read-only, keyed by the epsilons and the centres, one entry per distinct
+centre list, and each run evaluates its own kernel on it.  A
 longer schedule computes its windows and keeps none, so memory stays
 bounded, and a plain window's bounds read the cutoff, so the plain runs
 compute every chunk.
@@ -84,15 +84,15 @@ _PANEL_N = 240
 _CHUNK = 22
 
 
-def _gauss_window(eps, center, n: int = _PANEL_N):
+def _gauss_window(eps, center):
     """Gaussian of scale 1/eps under a plateau of half-width 6/eps.
 
     eps and center are floats or columns of shape (n_rows, 1), one window per
-    row, on panels of n nodes.  Returns the nodes u and weights w of the
-    window's own panels and (v, v') on them.
+    row, on panels of _PANEL_N nodes.  Returns the nodes u and weights w of
+    the window's own panels and (v, v') on them.
     """
     U = 6.0 / eps
-    u, w, p, dp = plateau_rule(center - U, center + U, n)
+    u, w, p, dp = plateau_rule(center - U, center + U, _PANEL_N)
     g = np.exp(-0.5 * (eps * (u - center)) ** 2)
     return u, w, g * p, g * (dp - eps * eps * (u - center) * p)
 
@@ -128,15 +128,15 @@ def _log_quotient(window) -> np.ndarray:
 # a pass over the five engines on one schedule has at most four centre
 # lists: 0, the logarithmic weight's, and the superweight's at each sign
 @lru_cache(maxsize=4)
-def _shared_gauss_window(eps: tuple, centers: tuple, n: int) -> tuple:
+def _shared_gauss_window(eps: tuple, centers: tuple) -> tuple:
     """The gauss window of a one-chunk schedule, read-only.
 
-    It reads nothing but the epsilons, the centres and the node count n, so
-    every run on the schedule with those centres shares it.  A longer
+    It reads nothing but the epsilons and the centres, so every run on the
+    schedule with those centres shares it.  A longer
     schedule would evict its own chunks before it came back to them, so it
     computes its windows and keeps none.
     """
-    win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None], n)
+    win = _gauss_window(np.array(eps)[:, None], np.array(centers)[:, None])
     for a in win:
         a.flags.writeable = False
     return win
@@ -237,7 +237,7 @@ def estimate_sharpness(theorem_id: str, params, family: TrialFamily,
             elif len(schedule) > _CHUNK:
                 win = _gauss_window(e, center(e))
             else:
-                win = _shared_gauss_window(schedule, tuple(map(center, schedule)), _PANEL_N)
+                win = _shared_gauss_window(schedule, tuple(map(center, schedule)))
             quotients += quotient(win).tolist()
     for e, q in zip(schedule, quotients):
         if not math.isfinite(q):

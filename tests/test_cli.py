@@ -1009,7 +1009,7 @@ margin checks:
                            requires: m = k = n, n(2+g)+a1-2 > 0, n+a2*g > 0; real radial f
 identity checks:
   grushin_ibp              shifted-gradient expansion of the anisotropic Dirichlet form
-  twisted_polar            polar split of the twisted Dirichlet integral over kappa
+  twisted_polar            polar split of the twisted Dirichlet integral over kappa; real f or f on mode 0
   real_landau_identity     Dirichlet + harmonic-potential split on the plane
 """
 

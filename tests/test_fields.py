@@ -264,26 +264,28 @@ _TINY = QuadratureSpec(n_r=4, n_phi=12, n_y=2)
 
 
 def _node(p):
-    """p as the one-node grid (r, y) and the angle phi the verifiers' densities take."""
+    """p as the one-node grid (r, y) and its angle phi."""
     phi = math.atan2(p.x[1], p.x[0]) if len(p.x) == 2 else 0.0
     return np.full((1, 1), p.r), p.y[None, None, :], phi
 
 
 def _first_integrand(monkeypatch, module, integral, run, p):
-    """The first integrand (the gradient side) of the density a check integrates, at p."""
-    densities = []
+    """The first integrand (the gradient side) of the density a check
+    integrates, at p: on the parts of its f at p's angle and their mode-0 part."""
+    calls = []
     original = getattr(module, integral)
 
-    def capture(density, *args):
-        densities.append(density)
-        return original(density, *args)
+    def capture(density, f, *args):
+        calls.append((density, f))
+        return original(density, f, *args)
 
     with monkeypatch.context() as patch:
         patch.setattr(module, integral, capture)
         run()
-    [density] = densities  # one integration call per check
+    [(density, f)] = calls  # one integration call per check
     r, y, phi = _node(p)
-    return float(next(iter(density(r, y)(phi))).item())
+    on = f.on_grid(r, y)
+    return float(next(iter(density(r, y)(on(phi), on.mode_zero(phi)))).item())
 
 
 # ids name the fields function each check's gradient side runs

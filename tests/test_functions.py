@@ -305,6 +305,27 @@ def test_make_bump_is_a_radial_test_function():
     assert evaluate(f, (1.0, 0.0, np.array([5.0]))) == 0.0
 
 
+def test_evaluate_reads_a_profile_that_reaches_the_origin_below_its_cutoff():
+    # r_lo of GaussTail and RhoShellProfile is an integration cutoff, not an
+    # edge: f = e^(-r^2 / 2) is 1 at z = 0 and at |z| = 1e-9, below it
+    gauss = TestFunction([AngularMode(0, ProductProfile(GaussTail()))])
+    for x in ([0.0, 0.0], [1e-9, 0.0]):
+        assert evaluate(gauss, Point(np.array(x), np.zeros(0))) == 1.0
+    # on x = 0 the shell is (rho^-0.5 window)(rho), rho = (2 |y|)^(1/2) for
+    # gamma = 1: the window is 1 on the middle half of [log 0.5, log 2]
+    geom = GrushinGeometry(2, 1, 1.0)
+    shell = TestFunction([AngularMode(0, RhoShellProfile(geom, -0.5, 0.5, 2.0))])
+    rho = math.sqrt(2.0 * 0.6)
+    got = evaluate(shell, Point(np.zeros(2), np.array([0.6])))
+    assert abs(got - rho ** -0.5) <= 1e-15
+    assert abs(got - 0.955) <= 1e-3
+    # its gauge origin rho = 0 lies outside the shell: 0, with no
+    # RuntimeWarning from log(0) (warnings fail the suite)
+    assert evaluate(shell, Point(np.zeros(2), np.zeros(1))) == 0.0
+    # a profile that stops at r_lo is still 0 below it
+    assert evaluate(make_bump(0.5, 2.0), (0.25, 0.0, np.zeros(0))) == 0.0
+
+
 def test_test_function_rejects_bad_mode_sets():
     prof = ProductProfile(PlateauLogBump(0.5, 2.0))
     with pytest.raises(DomainError):

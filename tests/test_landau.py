@@ -22,7 +22,7 @@ from maghardy.functions import (
 from maghardy.reports import SuperweightParams, jsonable
 from maghardy.verifiers import check_twisted_polar_identity, verify_landau, verify_real_landau
 
-from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian
+from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian, power_gaussian
 from _tolerance import assert_reports_close
 
 SPEC = QuadratureSpec(n_r=128, n_phi=16)
@@ -48,7 +48,8 @@ def test_twisted_polar_identity_real_multimode():
 
 
 def test_twisted_polar_identity_complex_radial():
-    # a lone rotating mode has no angular cross term either
+    # a complex f on mode 0 alone has no angular cross term; a lone rotating
+    # mode k carries 2 k psi |g_k|^2 / kappa (refused, below)
     prof = ProductProfile(PowerLogWindow(-0.4, 0.5, 2.0), amplitude=0.7 + 0.3j)
     f = TestFunction([AngularMode(0, prof)])
     psi = RadialPotential.constant(0.5)
@@ -63,6 +64,24 @@ def test_twisted_polar_identity_various_potentials(psi):
     f = plane_function(rng, modes=(0, 1), real=True)
     rep = check_twisted_polar_identity(psi, lambda r: np.ones_like(r), f, SPEC)
     assert rep.rel_err <= 1e-8
+
+
+def test_twisted_polar_identity_refuses_a_lone_rotating_mode():
+    # per mode, lhs - rhs = 2 pi int 2 k psi |g_k|^2 / kappa r dr: the
+    # probe on mode 1 alone read rel_err 9.63e-3 and failed; a real +-k
+    # pair cancels it, and mode 0 carries none
+    psi, kappa = RadialPotential.constant(0.5), lambda r: np.ones_like(r)
+    for modes in ((1,), (2,), (-1,), (-1, 0, 2)):
+        probe = random_test_function(np.random.default_rng(3), k=0, modes=modes)
+        with pytest.raises(RealnessError, match="cross term"):
+            check_twisted_polar_identity(psi, kappa, probe, SPEC)
+    pair = random_test_function(np.random.default_rng(3), k=0, modes=(1,), real=True)
+    assert [m.mode for m in pair.modes] == [-1, 1] and pair.real_valued
+    radial = random_test_function(np.random.default_rng(3), k=0, modes=(0,))
+    assert not radial.real_valued
+    for f in (pair, radial):
+        rep = check_twisted_polar_identity(psi, kappa, f, SPEC)
+        assert rep.passed() and rep.rel_err <= 1e-12
 
 
 def test_twisted_polar_identity_rejects_cylinder_functions():
@@ -198,6 +217,56 @@ def test_poincare_on_the_gaussian_matches_its_closed_forms(a, c, s):
                                                   rel=1e-12, abs=0.0)
     assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=1e-12, abs=0.0)
     assert rep.rhs_terms["mode_defect"] == 0.0
+
+def _twisted_moment(a, j, k, c, s, e):
+    """int_0^inf r^e (|g'|^2 + (k/r + c r^(s+1))^2 |g|^2) r dr for
+    g = r^j e^(-a r^2), psi = c r^s: mode k's twisted square is
+    (j^2 + k^2) r^(2j-2) - 4 a j r^(2j) + 4 a^2 r^(2j+2) + 2 k c r^(2j+s)
+    + c^2 r^(2j+2s+2), times e^(-2 a r^2), the cross term 2 k c included."""
+    M = lambda p: gauss_moment(a, p + e + 1.0)
+    return ((j * j + k * k) * M(2 * j - 2) - 4.0 * a * j * M(2 * j) + 4.0 * a * a * M(2 * j + 2)
+            + 2.0 * k * c * M(2 * j + s) + c * c * M(2 * j + 2 * s + 2))
+
+
+# r^j e^(-a r^2) vanishes at 0 to order j = |k|: its cutoff r_lo = 1e-8
+# drops r_lo^(p + 1) / (p + 1) of a moment M(p), and p >= 1 here, so at most
+# 5e-17, 1e-16 of M(1) at a = 0.5 (measured within 1.1e-14 in all)
+@pytest.mark.parametrize("theta1, c, s", [(-0.5, 0.3, 0.5), (-1.2, -0.8, 0.86)])
+@pytest.mark.parametrize("k", [1, -1, 2])
+def test_hardy_sobolev_on_a_rotating_mode_matches_its_closed_forms(k, theta1, c, s):
+    # against r^(-2 theta1) r dr dphi on one mode k: lhs carries the cross
+    # term 2 k c r^(2j+s) of the twisted square; the psi term is
+    # 2 pi c^2 M(2j + 2s + 3 - 2 theta1), and the mode defect, all of |f|^2
+    # on a mode k != 0, 2 pi M(2j - 1 - 2 theta1), which main takes times
+    # theta1^2
+    a, j = 0.5, abs(k)
+    f = power_gaussian(j, a, (k,))
+    rep = verify_landau("hardy_sobolev", RadialPotential.power(c, s), theta1, f, GAUSS_SPEC)
+    defect = 2.0 * math.pi * gauss_moment(a, 2 * j - 1 - 2.0 * theta1)
+    want = {"lhs": 2.0 * math.pi * _twisted_moment(a, j, k, c, s, -2.0 * theta1),
+            "main": theta1 * theta1 * defect,
+            "psi_potential": 2.0 * math.pi * c * c * gauss_moment(a, 2 * j + 2 * s + 3 - 2 * theta1),
+            "mode_defect": defect}
+    got = {"lhs": rep.lhs, **rep.rhs_terms}
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c, s, k0", [(0.3, 0.5, 2.0), (-0.8, 0.86, 0.7)])
+@pytest.mark.parametrize("k", [1, 2])
+def test_twisted_polar_on_a_real_pair_matches_its_closed_form(k, c, s, k0):
+    # f = 2 r^k e^(-a r^2) cos(k phi) on the modes +-k: the cross terms
+    # 2 (+-k) c of the two modes cancel, so both sides are the sum of the
+    # two modes' twisted squares over kappa = k0
+    a = 0.5
+    f = power_gaussian(k, a, (-k, k))
+    assert f.real_valued
+    rep = check_twisted_polar_identity(RadialPotential.power(c, s), RadialPotential.constant(k0),
+                                       f, GAUSS_SPEC)
+    want = (2.0 * math.pi / k0) * (_twisted_moment(a, k, k, c, s, 0.0)
+                                   + _twisted_moment(a, k, -k, c, s, 0.0))
+    assert rep.lhs == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert rep.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 def test_hardy_sobolev_defect_vanishes_for_single_mode():
     rng = np.random.default_rng(2006)

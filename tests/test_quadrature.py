@@ -121,14 +121,14 @@ def _ones_density(r, y):
     return lambda phi: (np.ones(r.shape),)
 
 
-# the modes of an f radial in x, the one mode 0, as the x-radial path hands
+# the modes of an f radial in x, the one mode 0, as integrate_radial hands
 # them to at
 RADIAL_MODES = make_bump(0.5, 2.0).modes
 
 
 def _number(x):
     """The number a test density reads off the point x: the mode of an
-    AngularMode, which the x-radial path hands to at, or x itself, an int
+    AngularMode, which integrate_radial hands to at, or x itself, an int
     mode of these tests or an oracle angle."""
     return x.mode if isinstance(x, AngularMode) else x
 
@@ -323,7 +323,7 @@ MODES = (-1, 0, 2)
 
 def _mixed_shape_density(r, y):
     """Integrands of shape (n_r, n_flat), (n_r, 1) and () at each point,
-    read as a number (_number): on the x-radial path mode 0."""
+    read as a number (_number): on the x-radial path 0 (_on_mode_zero)."""
     def at(x):
         phi = _number(x)
         yield _gauss_integrand(r, phi, y)
@@ -333,9 +333,25 @@ def _mixed_shape_density(r, y):
     return at
 
 
+def _on_mode_zero(density):
+    """density(r, y) -> at(x) as a verifier density of rx_integral, whose
+    at(parts, f0) takes f's parts on its one mode 0: at(0), that mode's
+    number.  On mode 0 f0 is the mode's own value array."""
+    def verifier(r, y):
+        at = density(r, y)
+
+        def at_parts(parts, f0):
+            assert f0 is parts[0]
+            return at(0)
+
+        return at_parts
+
+    return verifier
+
+
 def _both_engines(density):
     return (integrate_polar(density, BLOCKED_SPEC, support_domain(BLOCKED_F), MODES),
-            rx_integral(density, BLOCKED_F, BLOCKED_SPEC, 3))
+            rx_integral(_on_mode_zero(density), BLOCKED_F, BLOCKED_SPEC, 3))
 
 
 def _fsum_close(got, values):
@@ -646,7 +662,7 @@ def test_nonfinite_integrand_raises():
     # polar: bad only on the last two of 4 modes; x-radial: on f's one mode
     # 0; oracle: on its last two of 4 angular nodes
     engines = ((lambda d: integrate_polar(d, spec, dom, (0, 1, 2, 3)), 2),
-               (lambda d: rx_integral(d, f, spec, 3), 0),
+               (lambda d: rx_integral(_on_mode_zero(d), f, spec, 3), 0),
                (lambda d: integrate_radial(d, spec, dom, f.modes, 0), 0),
                (lambda d: oracle_integrate(d, dom, (101, 4, 11)), math.pi))
     for name, bad in NONFINITE_NODES.items():
@@ -685,7 +701,7 @@ def test_overflowing_slice_sum_raises():
     with pytest.raises(NonFiniteError):
         integrate_polar(huge, spec, dom, (0,))
     with pytest.raises(NonFiniteError):
-        rx_integral(huge, f, spec, 3)
+        rx_integral(_on_mode_zero(huge), f, spec, 3)
 
 
 def test_slice_ceiling_refuses_oversized_grids_before_building_them():

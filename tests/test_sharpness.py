@@ -410,7 +410,7 @@ def test_a_one_chunk_pass_builds_one_gauss_window_per_centre_list(monkeypatch):
         center = _gauss_center(theorem_id, params)
         assert [q.hex() for _, q in res.schedule] == [
             q.hex() for q in _kernel(res, _gauss_window(e, center(e)))]
-        for arr in _shared_gauss_window(schedule, tuple(map(center, schedule)), _PANEL_N):
+        for arr in _shared_gauss_window(schedule, tuple(map(center, schedule))):
             assert not arr.flags.writeable
     assert _shared_gauss_window.cache_info().misses == 4
 
