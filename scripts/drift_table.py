@@ -20,9 +20,11 @@ It prints how many output files are byte-identical, then, per
 (theorem_id, field) that moved, the largest relative drift
 |a - b| / max(|a|, |b|), the largest absolute drift |a - b| (the scale of a
 field that is itself a roundoff, such as an identity's rel_err) and in how
-many runs it moved.  List positions
-inside a field are written [*], so a sweep's schedule is one field.  A
-missing file or a non-numeric difference is printed apart and makes the
+many runs it moved.  The leaves both sides have are compared, list items by
+position; in the table list positions are written [*], so a sweep's
+schedule is one field.  A field that only one side has is printed as added
+or removed, with the runs it is in.  A missing file, a removed field or a
+non-numeric difference is a problem: it is printed apart and makes the
 exit status 1.  The subprocesses inherit the environment, so numpy's SIMD
 dispatch can be pinned as for the shipped bytes, e.g. with
 NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3".
@@ -86,16 +88,24 @@ def _run_tree(src: Path, configs: Path, out: Path) -> None:
                    cwd=ROOT, env=env, check=True, stdout=subprocess.DEVNULL)
 
 
-def _leaves(node, path=""):
-    """(path, value) of every leaf of a JSON value; list positions as [*]."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _leaves(value, f"{path}.{key}" if path else key)
-    elif isinstance(node, list):
-        for value in node:
-            yield from _leaves(value, f"{path}[*]")
+def _leaves(node, path=(), out=None) -> dict:
+    """{path: value} of every leaf of a JSON value; a path is the tuple of
+    its keys and list positions."""
+    out = {} if out is None else out
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            _leaves(value, (*path, key), out)
     else:
-        yield path, node
+        out[path] = node
+    return out
+
+
+def _field(path: tuple) -> str:
+    """The field of a leaf: its keys joined by dots, list positions as [*]."""
+    text = ""
+    for key in path:
+        text += "[*]" if isinstance(key, int) else f".{key}" if text else key
+    return text
 
 
 def _records(path: Path):
@@ -123,12 +133,13 @@ def _is_number(v) -> bool:
 
 
 def compare(base: Path, head: Path):
-    """(files, identical, drift, problems): drift maps (theorem_id, field)
-    to [largest relative drift, largest absolute drift, runs moved];
-    problems lists what is not a numeric drift."""
+    """(files, identical, drift, only, problems): drift maps (theorem_id, field)
+    to [largest relative drift, largest absolute drift, runs moved]; only maps
+    (theorem_id, field, "added" or "removed") to the runs it is in; problems
+    lists what is not a numeric drift, a removed field included."""
     names = sorted({p.relative_to(base) for p in base.rglob("*") if p.is_file()}
                    | {p.relative_to(head) for p in head.rglob("*") if p.is_file()})
-    identical, drift, problems = 0, {}, []
+    identical, drift, only, problems = 0, {}, {}, []
     for name in names:
         a, b = base / name, head / name
         if not (a.is_file() and b.is_file()):
@@ -142,12 +153,18 @@ def compare(base: Path, head: Path):
             problems.append(f"{name}: the runs differ")
             continue
         for (tid, ra), (_, rb) in zip(runs_a, runs_b):
-            la, lb = list(_leaves(ra)), list(_leaves(rb))
-            if [p for p, _ in la] != [p for p, _ in lb]:
-                problems.append(f"{name}: {tid} has other fields")
-                continue
+            la, lb = _leaves(ra), _leaves(rb)
+            for side, paths in (("removed", [p for p in la if p not in lb]),
+                                ("added", [p for p in lb if p not in la])):
+                for field in dict.fromkeys(map(_field, paths)):
+                    only[tid, field, side] = only.get((tid, field, side), 0) + 1
+                    if side == "removed":
+                        problems.append(f"{name}: {tid} {field} removed")
             moved = {}
-            for (field, va), (_, vb) in zip(la, lb):
+            for path, va in la.items():
+                if path not in lb:
+                    continue
+                field, vb = _field(path), lb[path]
                 if va == vb or (_is_number(va) and _is_number(vb)
                                 and math.isnan(va) and math.isnan(vb)):
                     continue
@@ -161,7 +178,7 @@ def compare(base: Path, head: Path):
             for field, (rel, dif) in moved.items():
                 entry = drift.setdefault((tid, field), [0.0, 0.0, 0])
                 entry[:] = max(entry[0], rel), max(entry[1], dif), entry[2] + 1
-    return len(names), identical, drift, problems
+    return len(names), identical, drift, only, problems
 
 
 def main(argv=None) -> int:
@@ -184,7 +201,8 @@ def main(argv=None) -> int:
         base_src = _export(args.base, work / "base")
         _run_tree(base_src, configs, work / "out_base")
         _run_tree(ROOT / "src", configs, work / "out_head")
-        files, identical, drift, problems = compare(work / "out_base", work / "out_head")
+        files, identical, drift, only, problems = compare(work / "out_base",
+                                                          work / "out_head")
 
     print(f"{identical} of {files} files byte-identical ({args.base} -> working tree)")
     if drift:
@@ -192,6 +210,8 @@ def main(argv=None) -> int:
         print(f"{'theorem_id field':<{width}}  max rel drift  max abs drift  runs moved")
         for (tid, field), (rel, dif, runs) in sorted(drift.items()):
             print(f"{tid + ' ' + field:<{width}}  {rel:13.3e}  {dif:13.3e}  {runs:10d}")
+    for (tid, field, side), runs in sorted(only.items()):
+        print(f"{side} field: {tid} {field} ({runs} runs)")
     for line in problems:
         print(f"not a numeric drift: {line}")
     return 1 if problems else 0

@@ -22,10 +22,14 @@ or in one of its blocks, is a ConfigError.  Example run:
 
 `verify` writes a JSON report and exits 0 only if every run passed; run
 errors, malformed runs included, are recorded in the report, not raised.
-`sweep` writes one CSV per run (columns theorem_id,epsilon,quotient,
-sharp_constant,gap) plus a combined sweep.json.  Reports are byte-identical
-for a fixed config and seed; pass --timings to record wall-clock times (this
-breaks byte-reproducibility, so it is off by default).
+`sweep` takes each run's record the way `verify` does and writes one CSV
+per run (columns theorem_id,epsilon,quotient,sharp_constant,gap) plus a
+combined sweep.json, whose ok entries carry the run's verdict as "passed";
+it too exits 0 only if every run passed.  A ConfigError exits 2: a config
+that cannot be read, an output that cannot be written, or a sweep run with
+no trial family or no engine.  Reports are byte-identical for a fixed
+config and seed; pass --timings to record wall-clock times (this breaks
+byte-reproducibility, so it is off by default).
 """
 
 from __future__ import annotations
@@ -381,26 +385,28 @@ def _error(exc: MagHardyError) -> dict:
             "error": {"type": type(exc).__name__, "message": str(exc)}}
 
 
+def _execute(i: int, run, suite_seed: int, timings: bool = False) -> dict:
+    """The record of run i, as verify writes it: its seed, its status, its
+    verdict and its report, or the error it raised (recorded, not raised)."""
+    t0 = time.perf_counter()
+    given = run if isinstance(run, dict) else {}
+    record = {"index": i, "label": str(given.get("label", "")),
+              "theorem_id": given.get("theorem_id"), "seed": None}
+    try:
+        if run is given:
+            record["seed"] = _run_seed(run, i, suite_seed)
+        report = _run_one(run, i, record["seed"])
+        record["status"], record["error"] = "ok", None
+        record["passed"], record["report"] = report.passed(), report
+    except MagHardyError as exc:
+        record.update(_error(exc), passed=False, report=None)
+    record["wall_clock_s"] = time.perf_counter() - t0 if timings else None
+    return record
+
+
 def run_suite(config_path: str, out_path: str, timings: bool = False) -> int:
     cfg, suite_seed = _load_config(config_path)
-
-    def execute(i, run):
-        t0 = time.perf_counter()
-        given = run if isinstance(run, dict) else {}
-        record = {"index": i, "label": str(given.get("label", "")),
-                  "theorem_id": given.get("theorem_id"), "seed": None}
-        try:
-            if run is given:
-                record["seed"] = _run_seed(run, i, suite_seed)
-            report = _run_one(run, i, record["seed"])
-            record["status"], record["error"] = "ok", None
-            record["passed"], record["report"] = report.passed(), report
-        except MagHardyError as exc:
-            record.update(_error(exc), passed=False, report=None)
-        record["wall_clock_s"] = time.perf_counter() - t0 if timings else None
-        return record
-
-    records = [execute(i, run) for i, run in enumerate(cfg["runs"])]
+    records = [_execute(i, run, suite_seed, timings) for i, run in enumerate(cfg["runs"])]
 
     n_pass = sum(1 for r in records if r["passed"])
     n_err = sum(1 for r in records if r["status"] == "error")
@@ -430,15 +436,15 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
-    results, failures = [], 0
+    results = []
     for i, run in enumerate(cfg["runs"]):
         tid = run["theorem_id"]
-        try:
-            res = _run_one(run, i, _run_seed(run, i, suite_seed))
-        except MagHardyError as exc:
-            results.append({"index": i, "theorem_id": tid, **_error(exc)})
-            failures += 1
+        record = _execute(i, run, suite_seed)
+        if record["status"] == "error":
+            results.append({"index": i, "theorem_id": tid, "status": "error",
+                            "error": record["error"]})
             continue
+        res = record["report"]
         path = os.path.join(out_dir, f"{tid}_{i}.csv")
         with _open_out(path, newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -449,7 +455,7 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
                                  repr(float(res.sharp_constant)),
                                  repr(float(relative_gap(q, res.sharp_constant)))])
         results.append({"index": i, "theorem_id": tid, "status": "ok",
-                        "csv": os.path.basename(path),
+                        "passed": record["passed"], "csv": os.path.basename(path),
                         "result": res})
     combined = {
         "version": SWEEP_VERSION,
@@ -458,7 +464,7 @@ def sweep_sharpness(config_path: str, out_dir: str) -> int:
         "results": results,
     }
     _write_json(combined, os.path.join(out_dir, "sweep.json"))
-    return 0 if failures == 0 else 1
+    return 0 if all(result.get("passed") for result in results) else 1
 
 
 @functools.cache

@@ -255,17 +255,13 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
 
 
 def twisted_grad_psi(psi: RadialPotential, f: TestFunction, p: Point) -> np.ndarray:
-    """Twisted gradient on R^2: (d_x f - i psi(|z|) y f, d_y f + i psi(|z|) x f)."""
+    """Twisted gradient on R^2: (d_x f - i psi(|z|) y f, d_y f + i psi(|z|) x f).
+
+    Like magnetic_grad it refuses the origin z = 0 with an OriginError: the
+    polar frame that its components are formed in has no angle there.
+    """
     if p.x.shape[0] != 2 or p.y.shape[0] != 0:
         raise DomainError("twisted gradient lives on R^2 points (m=2, k=0)")
-    if p.is_origin():
-        try:
-            pval = float(np.asarray(psi(np.asarray(0.0))))
-        except Exception as exc:
-            raise OriginError("potential undefined at the origin") from exc
-        if not math.isfinite(pval):
-            raise OriginError("potential singular at the origin")
-        return np.zeros(2, complex)
     r, phi, y = _node(f, p)
     cr, cphi = twisted_components(np.asarray(psi(r)), r)(f.on_grid(r, y)(phi))
     return _cartesian_x(p, r, phi, cr, cphi)

@@ -6,10 +6,9 @@ as they are.  `jsonable` is the `default=` hook of `json.dump`: it converts
 only what json cannot encode itself, so a report becomes JSON once, as it is
 written.  `ReportEncoder` is the `cls=` of that call: it writes the text of
 `json.dump(obj, fh, indent=2, sort_keys=True, default=jsonable)` in one
-recursive pass, where the stdlib's indenting encoder is pure Python and
-yields one chunk per token.  Reports hold no environment-dependent content
-and are written with sorted keys, so two runs with the same configuration and
-seed produce byte-identical report files.
+recursive pass, where the stdlib's indenting encoder yields a chunk per
+token.  Reports hold no environment-dependent content and are written with
+sorted keys, so a configuration and seed give byte-identical report files.
 """
 
 from __future__ import annotations
@@ -57,22 +56,16 @@ def jsonable(obj):
 # json's text, with allow_nan, for the floats whose repr is no JSON number
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# indent of a dict's items -> {str key: ",\n", the indent, the key's text
-# and ": "}, shared by every report; report keys come from the code, so the
-# tables stay small, and they stop growing at _KEY_TEXT_MAX entries all the same
-_KEY_TEXT: dict = {}
-_KEY_TEXT_MAX = 4096
-
 
 class ReportEncoder(JSONEncoder):
     """json.dump's cls= for reports: the whole text in one pass.
 
     It writes exactly what the stdlib encoder writes for indent=2,
     sort_keys=True, ensure_ascii and allow_nan (NaN and Infinity tokens
-    included), and refuses any other settings.  Values are dispatched on
-    their exact type; an instance of a subclass is tested in the stdlib's
-    order (str, int, float, list or tuple, dict, then the default= hook).
-    Keys must be str.  Reports are trees, so there is no cycle check.
+    included), and refuses any other settings.  One recursive write tests
+    exact float and str, then containers, then the stdlib's isinstance tests
+    (no type is both a container and a str, int or float), then the default=
+    hook.  Keys must be str.  Reports are trees, so there is no cycle check.
     """
 
     def __init__(self, **kw):
@@ -90,51 +83,31 @@ class ReportEncoder(JSONEncoder):
         non_finite = _NON_FINITE.get
         float_repr = float.__repr__
         string = encode_basestring_ascii
+        key_texts = {}   # indent -> {key: ",\n" + indent + key's text + ": "}
 
-        # Exact floats and strs, most of a report's items, are written inside
-        # the container loops, and so are a dict's exact ints and nulls: a
-        # call per item would double the time.
+        # A dict's exact floats, strs, nulls and ints and a list's exact floats
+        # are written in the loops: a call per item would double the time.
         def write(o, pad):
             t = type(o)
-            if t is not dict and t is not list and t is not tuple:
-                if t is float:
-                    r = float_repr(o)
-                    put(non_finite(r, r))
-                elif t is str:
-                    put(string(o))
-                elif o is None:
-                    put("null")
-                elif o is True:
-                    put("true")
-                elif o is False:
-                    put("false")
-                elif t is int:
-                    put(int.__repr__(o))
-                elif isinstance(o, str):
-                    put(string(o))
-                elif isinstance(o, int):
-                    put(int.__repr__(o))
-                elif isinstance(o, float):
-                    r = float_repr(o)
-                    put(non_finite(r, r))
-                elif isinstance(o, (list, tuple)):
-                    t = list
-                elif isinstance(o, dict):
-                    t = dict
-                else:
-                    write(default(o), pad)
-                if t is not list and t is not dict:
+            if t is float:
+                r = float_repr(o)
+                put(non_finite(r, r))
+            elif t is str:
+                put(string(o))
+            elif isinstance(o, dict):
+                if not o:
+                    put("{}")
                     return
-            if not o:
-                put("{}" if t is dict else "[]")
-                return
-            inner = pad + "  "
-            if t is dict:
-                keys = _KEY_TEXT.get(inner) or _KEY_TEXT.setdefault(inner, {})
+                inner = pad + "  "
+                keys = key_texts.get(inner) or key_texts.setdefault(inner, {})
                 first = len(out)
                 for k in sorted(o):
-                    text = keys.get(k) if type(k) is str else None
-                    put(text or _key(keys, k, inner))
+                    text = keys.get(k)
+                    if text is None:
+                        if not isinstance(k, str):
+                            raise TypeError(f"report keys must be str, not {type(k).__name__}")
+                        text = keys[k] = ",\n" + inner + string(k) + ": "
+                    put(text)
                     v = o[k]
                     t = type(v)
                     if t is float:
@@ -150,43 +123,36 @@ class ReportEncoder(JSONEncoder):
                         write(v, inner)
                 out[first] = "{" + out[first][1:]
                 put("\n" + pad + "}")
-                return
-            sep = ",\n" + inner
-            try:   # a list of floats, such as a schedule's (epsilon, quotient)
-                text = sep.join(map(float_repr, o))
-            except TypeError:
-                text = None
-            if text is not None:
-                if "n" in text:   # nan or inf
-                    text = sep.join(non_finite(r, r) for r in map(float_repr, o))
-                put("[\n" + inner + text + "\n" + pad + "]")
-                return
-            first = len(out)
-            for v in o:
-                put(sep)
-                t = type(v)
-                if t is float:
-                    r = float_repr(v)
-                    put(non_finite(r, r))
-                elif t is str:
-                    put(string(v))
-                else:
-                    write(v, inner)
-            out[first] = "[\n" + inner
-            put("\n" + pad + "]")
+            elif isinstance(o, (list, tuple)):
+                if not o:
+                    put("[]")
+                    return
+                inner = pad + "  "
+                sep = ",\n" + inner
+                first = len(out)
+                for v in o:
+                    put(sep)
+                    if type(v) is float:
+                        r = float_repr(v)
+                        put(non_finite(r, r))
+                    else:
+                        write(v, inner)
+                out[first] = "[\n" + inner
+                put("\n" + pad + "]")
+            elif o is None or o is True or o is False:
+                put("null" if o is None else "true" if o else "false")
+            elif isinstance(o, str):
+                put(string(o))
+            elif isinstance(o, int):
+                put(int.__repr__(o))
+            elif isinstance(o, float):
+                r = float_repr(o)
+                put(non_finite(r, r))
+            else:
+                write(default(o), pad)
 
         write(o, "")
         return ("".join(out),)
-
-
-def _key(keys: dict, k, inner: str) -> str:
-    """The text before the value of str key k at indent inner, kept in keys."""
-    if not isinstance(k, str):
-        raise TypeError(f"report keys must be str, not {type(k).__name__}")
-    text = ",\n" + inner + encode_basestring_ascii(k) + ": "
-    if type(k) is str and len(keys) < _KEY_TEXT_MAX:
-        keys[k] = text
-    return text
 
 
 @dataclass

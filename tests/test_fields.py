@@ -23,6 +23,8 @@ from maghardy.quadrature import QuadratureSpec
 from maghardy.verifiers import _grids, grushin, landau, verify_ab_hardy, verify_landau
 from maghardy.verifiers import verify_constant_field, verify_magnetic_grushin
 
+from _closed_forms import power_gaussian
+
 
 def draw_point(rng, f, m=2):
     """Point in the middle band of f's support, clear of the cutoff corners."""
@@ -190,6 +192,17 @@ def test_twisted_gradient_matches_fd():
                              gx[1] + 1j * pv * p.x[0] * val])
         worst = max(worst, rel_vec_err(twisted_grad_psi(psi, f, p), expected))
     assert worst <= 1e-6
+
+
+def test_twisted_gradient_refuses_the_origin():
+    # f = (x + iy) e^(-|z|^2 / 2) has gradient (1, i) at z = 0, and next to
+    # it psi's term is |z|^2 / 2 small: the origin is refused, not read as 0
+    f = power_gaussian(1, 0.5, (1,))
+    psi = RadialPotential.constant(0.5)
+    near = twisted_grad_psi(psi, f, Point(np.array([1e-7, 0.0]), np.zeros(0)))
+    assert rel_vec_err(near, np.array([1.0, 1j])) <= 1e-12
+    with pytest.raises(OriginError):
+        twisted_grad_psi(psi, f, Point(np.zeros(2), np.zeros(0)))
 
 
 @pytest.mark.parametrize("real", [False, True], ids=["complex amplitude", "real amplitude"])

@@ -19,6 +19,7 @@ from maghardy.functions import (
     make_bump,
     random_test_function,
 )
+from maghardy.geometry import sphere_area
 from maghardy.reports import SuperweightParams, jsonable
 from maghardy.verifiers import check_twisted_polar_identity, verify_landau, verify_real_landau
 
@@ -356,6 +357,36 @@ def test_real_landau_hardy_dimensions():
     rep1 = verify_real_landau("hardy", 1, f, SPEC)
     assert rep1.sharp_constant == 0.0
     assert rep1.margin >= -rep1.tolerance()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_real_landau_hardy_on_a_real_pair_matches_its_closed_forms(a, k):
+    # n = 1, psi = 1/2, f = 2 r^k e^(-a r^2) cos(k phi) on the modes +-k:
+    # the cross terms of the two modes cancel, and each mode's twisted square
+    # (|g'|^2 + (k^2 / r^2 + r^2 / 4) |g|^2) r is
+    # 2 k^2 r^(2k-1) - 4 a k r^(2k+1) + (4 a^2 + 1/4) r^(2k+3) times
+    # e^(-2 a r^2); the constant is 0 (measured within 1.2e-14)
+    f = power_gaussian(k, a, (k, -k))
+    rep = verify_real_landau("hardy", 1, f, GAUSS_SPEC)
+    M = lambda p: gauss_moment(a, p)
+    want = {"lhs": 4.0 * math.pi * (2 * k * k * M(2 * k - 1) - 4.0 * a * k * M(2 * k + 1)
+                                    + (4.0 * a * a + 0.25) * M(2 * k + 3)),
+            "main": 0.0, "psi_potential": math.pi * M(2 * k + 3)}
+    assert {"lhs": rep.lhs, **rep.rhs_terms} == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_real_landau_hardy_on_the_gaussian_matches_its_closed_forms(a, n):
+    # on R^2n against S r^(2n-1) dr, S = |S^(2n-1)|: |f'|^2 + r^2 |f|^2 / 4
+    # is (4 a^2 + 1/4) r^2 e^(-2 a r^2), main takes (n - 1)^2 / r^2 and the
+    # psi term r^2 / 4 (measured within 1.2e-14)
+    rep = verify_real_landau("hardy", n, gaussian(a), GAUSS_SPEC)
+    S, M = sphere_area(2 * n), lambda p: gauss_moment(a, p)
+    want = {"lhs": S * (4.0 * a * a + 0.25) * M(2 * n + 1),
+            "main": S * (n - 1) ** 2 * M(2 * n - 3), "psi_potential": S * M(2 * n + 1) / 4.0}
+    assert {"lhs": rep.lhs, **rep.rhs_terms} == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_real_landau_hardy_rejects_spinning_for_high_n():

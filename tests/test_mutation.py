@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from maghardy.cli import _run_one
+from maghardy.cli import _run_one, main
 from maghardy.verifiers import FAMILY_FOR
 from maghardy.verifiers.catalogue import CHECKS
 
@@ -62,3 +62,19 @@ def test_an_inflated_constant_fails_its_shipped_sweep(monkeypatch, tid):
     assert not any(_run(run, i).passed() for i, run in runs)
     # the verifier reads the same record: its reported constant moves by 1 + DELTA
     assert _run(suite_run).sharp_constant == (1.0 + DELTA) * verified.sharp_constant
+
+
+def test_an_inflated_constant_fails_the_sweep_command(monkeypatch, tmp_path):
+    # sweep takes each run's verdict from the record verify writes, so the
+    # inflated radial_hardy run records passed false and the command exits 1
+    config = str(REPO / "scripts" / "sharpness_sweep.json")
+
+    def sweep(out):
+        code = main(["sweep", "--config", config, "--out-dir", str(tmp_path / out)])
+        results = json.loads((tmp_path / out / "sweep.json").read_text())["results"]
+        assert all(result["status"] == "ok" for result in results)
+        return code, {result["theorem_id"]: result["passed"] for result in results}
+
+    assert sweep("true") == (0, dict.fromkeys(FAMILY_FOR, True))
+    _inflate(monkeypatch, "radial_hardy")
+    assert sweep("inflated") == (1, {**dict.fromkeys(FAMILY_FOR, True), "radial_hardy": False})
