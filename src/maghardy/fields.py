@@ -5,10 +5,11 @@ from numerical differentiation — so the pointwise identities they satisfy
 (norm formulas, real-function splits) hold to machine precision.
 
 Each magnetic gradient is written once, vectorised on grid arrays in the
-quadrature convention (r (n_r, 1), y (1, n_flat, k), plus rho on that grid)
-from the values and polar partials of the test function at one angle or on
-one angular mode at phase 1 (TestFunction.on_grid), in which each component
-is linear with phi-independent factors.  All three, grushin_components,
+quadrature convention (r (n_r, 1), y (1, n_flat, k), plus the gauge power
+X = rho^(2 gamma + 2) on that grid, geometry.rho_power_rs) from the values
+and polar partials of the test function at one angle or on one angular mode
+at phase 1 (TestFunction.on_grid), in which each component is linear with
+phi-independent factors.  All three, grushin_components,
 tilde_components and twisted_components, work in one polar frame and in
 two steps, like the densities that call them: given the grid they form the
 phi-independent field factors once and return a closure that maps the test
@@ -43,6 +44,7 @@ from .functions import TestFunction, _polar_of_point
 from .geometry import (
     GrushinGeometry,
     Point,
+    _check_dims,
     drho_dr_over_rho,
     grad_rho,
     grad_y_rho_over_rho,
@@ -145,18 +147,19 @@ def ab_potential(geom: GrushinGeometry, p: Point) -> np.ndarray:
 # Magnetic gradients on grid arrays
 # ---------------------------------------------------------------------------
 
-def grushin_components(beta: float, gamma: float, r, y, rho_pow):
+def grushin_components(beta: float, gamma: float, r, y, X):
     """Closure parts -> polar-frame (c_r, c_phi, c_y) of (grad_g + i beta grad(rho)/rho) f.
 
     The real field factors d(rho)/dr / rho, r^gamma and r^gamma grad_y(rho)/rho
-    are formed here, once for the grid (r, y), on its rho_pow = rho^(2 gamma + 2)
-    (geometry.rho_power_rs).  parts is (f, df/dr, df/dphi, grad_y f) on that
-    grid at an angle or on one mode, as TestFunction.on_grid gives them; c_y
-    carries the trailing y axis.
+    are formed here, once for the grid (r, y), on its gauge power
+    X = rho^(2 gamma + 2) (geometry.rho_power_rs), with no power of X.
+    parts is (f, df/dr, df/dphi, grad_y f) on that grid at an angle or on
+    one mode, as TestFunction.on_grid gives them; c_y carries the trailing
+    y axis.
     """
-    ar = drho_dr_over_rho(gamma, r, rho_pow)
+    ar = drho_dr_over_rho(gamma, r, X)
     rg = r[..., None] ** gamma
-    ay = rg * grad_y_rho_over_rho(gamma, y, rho_pow[..., None])
+    ay = rg * grad_y_rho_over_rho(gamma, y, X[..., None])
 
     def components(parts):
         val, fr, fphi, fy = parts
@@ -167,7 +170,7 @@ def grushin_components(beta: float, gamma: float, r, y, rho_pow):
     return components
 
 
-def tilde_components(beta: float, gamma: float, r, y, rho_pow):
+def tilde_components(beta: float, gamma: float, r, y, X):
     """Closure parts -> polar-frame (c_r, c_phi, c_y-, c_y+) of (tilde grad + i beta Atilde) f.
 
     Lives on m = 2.  The rotated potential is purely angular in x; its y part
@@ -177,9 +180,9 @@ def tilde_components(beta: float, gamma: float, r, y, rho_pow):
     of their complex products, and i beta A val is formed once per node for
     both y blocks.
     """
-    aphi = drho_dr_over_rho(gamma, r, rho_pow)
+    aphi = drho_dr_over_rho(gamma, r, X)
     rg = r[..., None] ** gamma
-    ay = rg * grad_y_rho_over_rho(gamma, y, rho_pow[..., None]) * math.sqrt(0.5)
+    ay = rg * grad_y_rho_over_rho(gamma, y, X[..., None]) * math.sqrt(0.5)
 
     def components(parts):
         val, fr, fphi, fy = parts
@@ -245,11 +248,11 @@ def magnetic_grad(grad_kind: str, flux: FluxParam, geom: GrushinGeometry,
         components = tilde_components
     else:
         raise DomainError(f"unknown grad_kind {grad_kind!r}")
-    rho_val = np.full((1, 1), rho(geom, p))  # also checks the point's dimensions
+    _check_dims(geom, p)
     r, phi, y = _node(f, p)
     parts = f.on_grid(r, y)(phi)
-    rho_pow = rho_power_rs(geom.gamma, rho_val)
-    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, rho_pow)(parts)
+    X = rho_power_rs(geom.gamma, r, np.linalg.norm(y, axis=-1))
+    cr, cphi, *yblocks = components(flux.beta, geom.gamma, r, y, X)(parts)
     blocks = [_cartesian_x(p, r, phi, cr, cphi)] + [b.reshape(-1) for b in yblocks]
     return np.concatenate(blocks).astype(complex)
 

@@ -22,7 +22,9 @@ exponentials, taken only on the nodes of its ramp, _plateau gives the bump
 and its derivative from its two edges, and each factor's both(t) returns
 (value, derivative) together.  On its own three Gauss panels the bump is
 one cached table per node count (plateau_panels), which plateau_rule hands
-out with those panels only.
+out with those panels only to the sharpness engine, and which a plateau
+factor's on_rule reads on the main engine's rule when the rule's panels are
+the factor's own.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y),
 whose closure gives f and its polar partials on one angular mode at phase
@@ -35,7 +37,10 @@ call at an angle multiplies every mode's by e^(i mode phi), mode 0's too,
 and adds the modes.  verifiers._grids makes one closure per row block and
 hands its parts to a check's density once per mode on the main engine,
 never at an angle, and once per angular node on the oracle; the pointwise
-value_polar, partials_polar and evaluate call it once.
+value_polar, partials_polar and evaluate call it once.  On the main engine
+the 1-D factors run even less often: TestFunction.factors_on_rule
+evaluates each once per integration on the engine's whole rules, and each
+row block's closure takes its rows of them from a pre-filled memo.
 
 Parity in y and realness are declared, never sampled.  A profile's y_even
 says it is even in every y_j, and a TestFunction is y_even when every mode's
@@ -137,6 +142,9 @@ def plateau_panels(n: int):
     by q = (hi - lo) / 4 for dp/du.  The middle panel is exactly 1 and 0, and
     the last is the first mirrored, since the reference nodes are symmetric
     about 0.  It agrees with _plateau on those nodes up to the roundoff of t.
+    The sharpness windows read it through plateau_rule, and the plateau
+    factors of the verifier grid through _plateau_read, whole or, on a
+    folded y axis, its tail of nodes u >= 0.
     """
     xi, _ = _reference_rule(n)
     s, ds = _step(0.5 * (1.0 + xi))
@@ -160,6 +168,23 @@ def plateau_rule(lo, hi, n: int):
     return u, w, p, dp / (0.25 * (hi - lo))
 
 
+def _plateau_read(lo, hi, n: int, size: int):
+    """The plateau bump on [lo, hi] and its u-derivative on the last size
+    nodes of its own three n-node panels, read from plateau_panels(n): all
+    3 n of them, or the nodes u >= 0 that a folded y axis keeps.  dp/du is
+    scaled by q = (hi - lo) / 4 as in plateau_rule."""
+    p, dp = plateau_panels(n)
+    return p[p.size - size:], dp[dp.size - size:] / (0.25 * (hi - lo))
+
+
+def _on_rule(factor, t, panels, n: int):
+    """(value, derivative) of a 1-D factor on the nodes t of the main
+    engine's n-node rule over panels: factor.on_rule where the factor has
+    one, else factor.both(t)."""
+    on_rule = getattr(factor, "on_rule", None)
+    return factor.both(t) if on_rule is None else on_rule(t, panels, n)
+
+
 # ---------------------------------------------------------------------------
 # Radial factors: both(r) -> (value, d/dr), plus panel breakpoints
 # ---------------------------------------------------------------------------
@@ -178,6 +203,15 @@ class PlateauLogBump:
         p, dp = _plateau(np.log(r), self._a, self._b)
         return p, dp / r
 
+    def on_rule(self, r, panels, n: int):
+        """both(r) on the whole n-node log-radial rule r over panels, a
+        domain's (r_lo, r_hi, r_breaks): read from the plateau table when
+        they are the bump's own, so r's panels are the bump's three."""
+        if panels != (self.r_lo, self.r_hi, self.breaks):
+            return self.both(r)
+        p, dp = _plateau_read(self._a, self._b, n, r.size)
+        return p, dp / r
+
     @property
     def breaks(self):
         return tuple(math.exp(u) for u in plateau_breaks(self._a, self._b))
@@ -192,7 +226,13 @@ class PowerLogWindow:
         self.r_lo, self.r_hi = self.window.r_lo, self.window.r_hi
 
     def both(self, r):
-        wv, wd = self.window.both(r)
+        return self._times(r, *self.window.both(r))
+
+    def on_rule(self, r, panels, n: int):
+        """both(r) on a rule, its window as PlateauLogBump.on_rule reads it."""
+        return self._times(r, *self.window.on_rule(r, panels, n))
+
+    def _times(self, r, wv, wd):
         return r**self.sigma * wv, r ** (self.sigma - 1.0) * (self.sigma * wv + r * wd)
 
     @property
@@ -280,6 +320,14 @@ class PlateauBumpY:
     def both(self, t):
         return _plateau(t, self.lo, self.hi)
 
+    def on_rule(self, t, panels, n: int):
+        """both(t) on the nodes t of an n-node y axis rule over the box
+        panels = (lo, hi), whole or folded: read from the plateau table when
+        the box is the bump's own, whose plateau panels the axis rule uses."""
+        if panels != (self.lo, self.hi):
+            return self.both(t)
+        return _plateau_read(self.lo, self.hi, n, t.size)
+
 
 class GaussBumpY:
     """Gaussian times plateau bump: exp(-a (t-c)^2) * plateau(t) on [lo, hi].
@@ -298,8 +346,17 @@ class GaussBumpY:
         self.c = 0.5 * (lo + hi)
 
     def both(self, t):
+        return self._times(t, *_plateau(t, self.lo, self.hi))
+
+    def on_rule(self, t, panels, n: int):
+        """both(t) on a y axis rule, the plateau read as PlateauBumpY.on_rule
+        reads it."""
+        if panels != (self.lo, self.hi):
+            return self.both(t)
+        return self._times(t, *_plateau_read(self.lo, self.hi, n, t.size))
+
+    def _times(self, t, p, dp):
         g = np.exp(-self.a * (t - self.c) ** 2)
-        p, dp = _plateau(t, self.lo, self.hi)
         return g * p, g * (dp - 2.0 * self.a * (t - self.c) * p)
 
 
@@ -338,6 +395,12 @@ class ProductProfile:
     @property
     def k(self):
         return len(self.y_factors)
+
+    @property
+    def factors(self):
+        """(factor, coordinate) of each 1-D factor: the radial one on "r",
+        each y factor on its axis j."""
+        return ((self.radial, "r"), *((yf, j) for j, yf in enumerate(self.y_factors)))
 
     def on_grid(self, r, y, memo=None):
         """(g, dg/dr, grad_y g) on the grid (r, y), grad_y g in one (..., k) array.
@@ -522,7 +585,47 @@ class TestFunction:
 
     # --- evaluation -------------------------------------------------------
 
-    def on_grid(self, r, y):
+    def factors_on_rule(self, r, Y, domain, spec):
+        """Closure r_block -> memo for on_grid(r_block, y, memo) on a row
+        block (consecutive rows of r, shape (rows, 1)) of the main engine's
+        grid r (n,), Y (n_flat, k) (quadrature.tensor_grid: k axes of one
+        length in meshgrid "ij" order).  Each distinct (factor, coordinate)
+        of f's ProductProfiles runs once here, by _on_rule: a radial factor
+        on all of r, a y factor on its own axis's nodes, then spread over
+        the flat grid; each memo holds the block's rows of the former and
+        the shared (1, n_flat) arrays of the latter."""
+        radial, flat = {}, {}
+        k = Y.shape[-1]
+        side = round(len(Y) ** (1.0 / k)) if k else 1   # nodes per y axis
+        for m in self.modes:
+            for factor, axis in getattr(m.profile, "factors", ()):
+                key = (id(factor), axis)
+                if key in radial or key in flat:
+                    continue
+                if axis == "r":
+                    radial[key] = _on_rule(factor, r, (domain.r_lo, domain.r_hi,
+                                                       domain.r_breaks), spec.n_r)
+                    continue
+                stride = side ** (k - 1 - axis)
+                parts = _on_rule(factor, Y[:stride * side:stride, axis], domain.y_box[axis],
+                                 spec.n_y)
+                if k > 1:   # each node of the axis at every node of the others
+                    shape = [1] * k
+                    shape[axis] = side
+                    parts = [np.broadcast_to(a.reshape(shape), (side,) * k) for a in parts]
+                flat[key] = tuple(a.reshape(1, -1) for a in parts)
+
+        def memo(r_block):
+            a = int(np.searchsorted(r, r_block[0, 0]))
+            rows = slice(a, a + len(r_block))
+            out = dict(flat)
+            for key, (v, d) in radial.items():
+                out[key] = (v[rows, None], d[rows, None])
+            return out
+
+        return memo
+
+    def on_grid(self, r, y, memo=None):
         """Closure x -> (f, df/dr, df/dphi, grad_y f) on the grid (r, y).
 
         The first call of the closure, or of its mode_zero, evaluates each
@@ -532,10 +635,12 @@ class TestFunction:
         x (3 + k) arrays on the grid.  Every profile is called as
         on_grid(r, y, memo) with the one memo of that first call, so each
         distinct 1-D factor of a ProductProfile runs once on the grid
-        however many profiles carry it.  x is one of f's modes (an
-        AngularMode of self.modes), on which the call returns the mode's
-        kept arrays, its parts at phase 1, as the main quadrature engine
-        takes them; or x is an angle, a float, at which it returns
+        however many profiles carry it; memo, if given, is that dict,
+        filled beforehand (factors_on_rule), which the call may add to.  x
+        is one of f's modes (an AngularMode of self.modes), on which the
+        call returns the mode's kept arrays, its parts at phase 1, as the
+        main quadrature engine takes them; or x is an angle, a float, at
+        which it returns
         sum_k parts_k * e^(i k x) over the modes in sorted order, new
         complex arrays, as the oracle and the pointwise API take them.
         The caller writes to no array the closure returns.  A profile of
@@ -548,13 +653,14 @@ class TestFunction:
         in use.
         """
         held = {}
+        memo = {} if memo is None else memo
 
         def products():
             """mode -> (g, dg/dr, 1j * mode * g, grad_y g), in sorted mode
             order, formed on the first call and kept while the closure
             lives; nothing writes to them."""
             if not held:
-                memo, formed = {}, {}
+                formed = {}
                 for m in self.modes:
                     p = m.profile
                     if id(p) not in formed:

@@ -17,7 +17,11 @@ Q = m + (1+g) k.  The gauge distance from the origin,
 is 1-homogeneous under dil_lam and satisfies |grad_g rho| = |x|^g / rho^g.
 All quantities below are closed forms in r = |x| and y; the module is the
 single source of truth for them, shared by the pointwise API and the
-vectorized grid evaluations used in quadrature.
+vectorized grid evaluations used in quadrature.  Each is written in the
+gauge power X = rho^(2+2g) = |x|^(2+2g) + (1+g)^2 |y|^2, a polynomial in
+|y| (Garofalo, J. Differential Equations 104, 1993; D'Ambrosio, Proc. AMS
+132, 2004): a weight is a power of r times one power of X, and a field
+factor a power of r over X, so no root of X is taken on its way.
 """
 
 from __future__ import annotations
@@ -121,41 +125,45 @@ def s_of(y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(y * y, axis=-1))
 
 
-def rho_rs(gamma, r, s):
-    """Gauge distance from r = |x|, s = |y|."""
+def rho_power_rs(gamma, r, s):
+    """X = rho^(2g+2) = r^(2+2g) + (1+g)^2 s^2, the gauge power in closed form.
+
+    It is a polynomial in s, so it is rounded once, not through a root and
+    a power.  rho is its (2+2g)-th root (rho_rs), and the forms below take
+    X as an argument (B as one power of it, grad(rho)/rho and the Hardy
+    weight over it), so a grid forms it once for all of them."""
     q = 2.0 * (1.0 + gamma)
-    return (r ** q + (1.0 + gamma) ** 2 * s * s) ** (1.0 / q)
+    return r ** q + (1.0 + gamma) ** 2 * s * s
 
 
-def rho_power_rs(gamma, rho_val):
-    """rho^(2g+2), the denominator of grad(rho)/rho and of the Hardy weight.
-
-    The three closed forms below take it as rho_pow, so a grid forms the
-    power once for all of them."""
-    return rho_val ** (2.0 * gamma + 2.0)
+def rho_rs(gamma, r, s):
+    """Gauge distance from r = |x|, s = |y|: the (2+2g)-th root of X."""
+    return rho_power_rs(gamma, r, s) ** (1.0 / (2.0 * (1.0 + gamma)))
 
 
-def drho_dr_over_rho(gamma, r, rho_pow):
-    """d(rho)/dr / rho = r^(2g+1) / rho^(2g+2) (radial-in-x derivative)."""
-    return r ** (2.0 * gamma + 1.0) / rho_pow
+def drho_dr_over_rho(gamma, r, X):
+    """d(rho)/dr / rho = r^(2g+1) / X (radial-in-x derivative)."""
+    return r ** (2.0 * gamma + 1.0) / X
 
 
-def grad_y_rho_over_rho(gamma, y, rho_pow):
-    """Plain y-gradient of rho over rho: (1+g) y / rho^(2g+2), componentwise."""
-    return (1.0 + gamma) * y / rho_pow
+def grad_y_rho_over_rho(gamma, y, X):
+    """Plain y-gradient of rho over rho: (1+g) y / X, componentwise."""
+    return (1.0 + gamma) * y / X
 
 
-def hardy_density_rs(gamma, r, rho_pow):
-    """w = |grad_g rho|^2 / rho^2 = r^(2g) / rho^(2g+2), the Hardy weight."""
-    return r ** (2.0 * gamma) / rho_pow
+def hardy_density_rs(gamma, r, X):
+    """w = |grad_g rho|^2 / rho^2 = r^(2g) / X, the Hardy weight."""
+    return r ** (2.0 * gamma) / X
 
 
-def weight_B_rs(gamma, alpha1, alpha2, r, rho_val):
-    """B = rho^a1 |grad_g rho|^a2 = r^(a2 g) rho^(a1 - a2 g)."""
+def weight_B_rs(gamma, alpha1, alpha2, r, X):
+    """B = rho^a1 |grad_g rho|^a2 = r^(a2 g) X^((a1 - a2 g) / (2+2g)): one
+    power of X, and one of the column r where a2 g is not 0."""
     p = alpha2 * gamma
+    e = (alpha1 - p) / (2.0 * (1.0 + gamma))
     if p == 0.0:
-        return rho_val ** alpha1
-    return r ** p * rho_val ** (alpha1 - p)
+        return X ** e
+    return r ** p * X ** e
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +212,8 @@ def weight_B(geom: GrushinGeometry, exps: WeightExponents, p: Point) -> float:
         raise SingularWeightError(
             "weight_B has a negative power of |x| and blows up on {x = 0}"
         )
-    rv = rho_rs(g, r, float(np.linalg.norm(p.y)))
-    return float(weight_B_rs(g, exps.alpha1, exps.alpha2, r, rv))
+    X = rho_power_rs(g, r, float(np.linalg.norm(p.y)))
+    return float(weight_B_rs(g, exps.alpha1, exps.alpha2, r, X))
 
 
 def _check_dims(geom: GrushinGeometry, p: Point) -> None:

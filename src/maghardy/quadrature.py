@@ -47,6 +47,10 @@ block.  at(x) then yields every integrand of the check on that block in a
 fixed order, one array at a time.  The main engine calls it on each of the
 modes it is given (the verifiers pass their test function's AngularModes),
 never at an angle; the oracle calls it at each of its angles, a float.
+The main engine also takes an optional prepare(r, Y), which it calls once
+per integration on its whole radial rule and flat y nodes before the first
+block, so what depends on one axis only is evaluated once, not per block
+(verifiers._grids evaluates f's 1-D factors there).
 Every integrand is a real float array broadcastable to the block: each
 quantity the checks integrate is a real quadratic form (a squared modulus,
 a weighted |f|^2 or |f|^p), and each integral is returned as a float; both
@@ -319,10 +323,12 @@ def _check_finite(values) -> None:
 
 
 def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
-                 power, modes) -> list:
+                 power, modes, prepare: Callable | None = None) -> list:
     """Per integrand of density: its values on the modes added node by node,
     weighted by w_r * r^power * w_y and summed over the (r, y) grid of the
     domain.  The one tensor pass of integrate_polar and integrate_radial.
+    prepare, if given, is called as prepare(r, Y) on the whole radial rule
+    and flat y nodes before the first block (see Density protocol).
 
     The grid runs in blocks of max(1, BLOCK_NODES // n_flat) consecutive
     whole rows, one block at a time.  A block runs density once and calls at
@@ -338,6 +344,8 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
     NonFiniteError at its block.
     """
     r, w_r, Y, w_y = tensor_grid(spec, domain)
+    if prepare is not None:
+        prepare(r, Y)
     radial = w_r * r ** power
     rows = max(1, BLOCK_NODES // len(Y))
 
@@ -364,7 +372,7 @@ def _tensor_sums(density: Callable, spec: QuadratureSpec, domain: Domain,
 
 
 def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain,
-                    modes: Sequence) -> list:
+                    modes: Sequence, prepare: Callable | None = None) -> list:
     """Integrals of every integrand of density over r dr dphi dy on the
     domain: 2 pi times the sum over modes of at(mode), Parseval's form of
     the phi integral.
@@ -372,20 +380,20 @@ def integrate_polar(density: Callable, spec: QuadratureSpec, domain: Domain,
     density(r, y) runs once per row block, one block at a time
     (_tensor_sums), so memory stays at about max(BLOCK_NODES, one row)
     nodes per integrand and mode plus the 1-D rules, however many rows the
-    grid has.  Returns one float per integrand.
+    grid has.  prepare is _tensor_sums's.  Returns one float per integrand.
     """
-    return [TWO_PI * total
-            for total in _tensor_sums(density, spec, domain, 1, modes)]  # Jacobian r
+    return [TWO_PI * total   # Jacobian r
+            for total in _tensor_sums(density, spec, domain, 1, modes, prepare)]
 
 
 def integrate_radial(density: Callable, spec: QuadratureSpec, domain: Domain,
-                     modes: Sequence, power) -> list:
+                     modes: Sequence, power, prepare: Callable | None = None) -> list:
     """Integrals of every integrand of density, added over the modes, over
     r^power dr dy on the domain: the tensor pass of integrate_polar at
     another power, without the factor 2 pi.  On k = 0 a plain radial
     integral (the y rule is one node of weight 1).
     """
-    return _tensor_sums(density, spec, domain, power, modes)
+    return _tensor_sums(density, spec, domain, power, modes, prepare)
 
 
 # ---------------------------------------------------------------------------

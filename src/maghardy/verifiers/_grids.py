@@ -25,18 +25,23 @@ order from f's parts (f, df/dr, df/dphi, grad_y f) and f0, the part of f
 that mode 0 carries.  _on_f makes it a density of the quadrature protocol:
 one TestFunction.on_grid closure per block hands at the parts and mode_zero
 on each of f's modes (the main engine) or angles (the oracle), so a
-density reads neither a mode nor an angle and serves both engines.  Every
-integrand is a real float array, built from abs2, components_sq, grad_y_sq
-or |.|^p, and a Hermitian form in f's parts, whose phi integral is 2 pi
-times its sum over the modes; f0 is 0 on every mode but mode 0, so the
-mode defect |f|^2 - |f0|^2 integrates sum_(k != 0) |g_k|^2 on the main
-engine.  Each check makes one integration call.
+density reads neither a mode nor an angle and serves both engines.  On the
+main engine each 1-D factor of f runs once per integration, not once per
+block: _on_f's prepare hook, which the tensor pass calls once on its whole
+rules, evaluates them there (TestFunction.factors_on_rule; a plateau factor
+on its own panels reads its table, functions.plateau_panels), and each
+block's closure takes its rows of them.  Every integrand is a real float
+array, built from abs2, components_sq, grad_y_sq or |.|^p, and a Hermitian
+form in f's parts, whose phi integral is 2 pi times its sum over the modes;
+f0 is 0 on every mode but mode 0, so the mode defect |f|^2 - |f0|^2
+integrates sum_(k != 0) |g_k|^2 on the main engine.  Each check makes one
+integration call.
 
 y parity: when f is even in every y_j (TestFunction.y_even, declared by its
 profiles), support_domain marks the domain y_even and the main engine takes
 the y rule's nodes y_j >= 0 only, each node off 0 at twice its weight.  So
 every density must be even in every y_j whenever f is.  The Grushin
-densities are: B, the Hardy weight and rho depend on y through |y|, and
+densities are: B, the Hardy weight and X depend on y through |y|, and
 the field factors grad_y(rho)/rho and Atilde's y block, odd in y_j, enter
 only beside the odd grad_y f, inside a squared modulus.  The oracle
 integrates the whole box.
@@ -101,13 +106,23 @@ def require_phi_resolution(f: TestFunction, spec: QuadratureSpec) -> None:
         )
 
 
-def _on_f(density, f: TestFunction):
-    """density in the quadrature protocol: at(x) on f's parts at x."""
+def _on_f(density, f: TestFunction, spec: QuadratureSpec, domain: Domain):
+    """(block, prepare): density in the quadrature protocol, at(x) on f's
+    parts at x, and the main engine's prepare hook, which evaluates f's
+    1-D factors once per integration for every block's on_grid
+    (TestFunction.factors_on_rule).  The oracle takes block alone."""
+    factors = None
+
+    def prepare(r, Y):
+        nonlocal factors
+        factors = f.factors_on_rule(r, Y, domain, spec)
+
     def block(r, y):
-        on, at = f.on_grid(r, y), density(r, y)
+        on = f.on_grid(r, y, None if factors is None else factors(r))
+        at = density(r, y)
         return lambda x: at(on(x), on.mode_zero(x))
 
-    return block
+    return block, prepare
 
 
 def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
@@ -118,12 +133,13 @@ def polar_integral(density, f: TestFunction, spec: QuadratureSpec) -> list:
     the oracle would refuse is refused on the main engine too.
     """
     require_phi_resolution(f, spec)
-    domain, density = support_domain(f), _on_f(density, f)
+    domain = support_domain(f)
+    density, prepare = _on_f(density, f, spec, domain)
     if spec.oracle:
         return oracle_integrate(
             density, domain, resolution=(ORACLE_N_R, max(spec.n_phi, 4), ORACLE_N_Y)
         )
-    return integrate_polar(density, spec, domain, f.modes)
+    return integrate_polar(density, spec, domain, f.modes, prepare)
 
 
 def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> list:
@@ -135,9 +151,10 @@ def radial_integral(density, f: TestFunction, spec: QuadratureSpec, power) -> li
     integrates over r dr dphi on one angular node, so each integrand is
     folded by r^(power-1) / (2 pi).
     """
-    domain, density = support_domain(f), _on_f(density, f)
+    domain = support_domain(f)
+    density, prepare = _on_f(density, f, spec, domain)
     if not spec.oracle:
-        return integrate_radial(density, spec, domain, f.modes, power)
+        return integrate_radial(density, spec, domain, f.modes, power, prepare)
 
     def folded(r, y):
         at = density(r, y)

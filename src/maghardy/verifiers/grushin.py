@@ -14,19 +14,23 @@ proofs are recomputed separately and reported as identities.
 
 Each check writes one density in the verifier protocol of _grids:
 density(r, y) forms the phi-independent quantities of the check once per
-row block of the grid (the weights B, B*w and rho^(2 gamma + 2), the field
-factors of the fields components), and at(parts, f0) yields the integrand
-of every term of the displayed inequality in turn from the parts of f that
-_grids hands it, on one angular mode of f (the main engine) or at an angle
-(the oracle), so the check makes one integration call.  x-radial functions
-use the reduced tensor path on their one mode 0 with the closed-form sphere
-factor; genuinely angular functions require m = 2 and run through the
-polar engine, mode by mode.
+row block of the grid (the gauge power X = rho^(2 gamma + 2) in its closed
+form, the weights B and B*w from it with one full-grid power of X, and the
+field factors of the fields components, which take X too), and
+at(parts, f0) yields the integrand of every term of the displayed
+inequality in turn from the parts of f that _grids hands it, on one
+angular mode of f (the main engine) or at an angle (the oracle), so the
+check makes one integration call.  x-radial functions use the reduced
+tensor path on their one mode 0 with the closed-form sphere factor;
+genuinely angular functions require m = 2 and run through the polar
+engine, mode by mode.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from ..errors import AdmissibilityError, DomainError, RealnessError, require_param
 from ..fields import (
@@ -44,7 +48,6 @@ from ..geometry import (
     grad_y_rho_over_rho,
     hardy_density_rs,
     rho_power_rs,
-    rho_rs,
     s_of,
     weight_B_rs,
 )
@@ -103,17 +106,16 @@ def _require_radial(f: TestFunction, what: str) -> None:
 
 
 def _weight_B(geom: GrushinGeometry, exps: WeightExponents, r, y):
-    """(B, rho) on the grid (r, y)."""
-    rho = rho_rs(geom.gamma, r, s_of(y))
-    return weight_B_rs(geom.gamma, exps.alpha1, exps.alpha2, r, rho), rho
+    """(B, X) on the grid (r, y), X = rho^(2 gamma + 2) in closed form."""
+    X = rho_power_rs(geom.gamma, r, s_of(y))
+    return weight_B_rs(geom.gamma, exps.alpha1, exps.alpha2, r, X), X
 
 
 def _weights(geom: GrushinGeometry, exps: WeightExponents, r, y):
-    """(B, B*w, rho^(2 gamma + 2)) on the grid (r, y), w the Hardy weight;
-    the power is formed once, for w and for the field factors."""
-    B, rho = _weight_B(geom, exps, r, y)
-    rho_pow = rho_power_rs(geom.gamma, rho)
-    return B, B * hardy_density_rs(geom.gamma, r, rho_pow), rho_pow
+    """(B, B*w, X) on the grid (r, y), w the Hardy weight: X is formed once,
+    for B, for w and for the field factors, and B is its one power."""
+    B, X = _weight_B(geom, exps, r, y)
+    return B, B * hardy_density_rs(geom.gamma, r, X), X
 
 
 def _first_kind(geom: GrushinGeometry, exps: WeightExponents) -> float:
@@ -196,12 +198,12 @@ def check_grushin_ibp_identity(geom: GrushinGeometry, exps: WeightExponents,
     g = geom.gamma
 
     def density(r, y):
-        B, Bw, rho_pow = _weights(geom, exps, r, y)
+        B, Bw, X = _weights(geom, exps, r, y)
 
         def at(parts, f0):
             val, fr, _, fy = parts
-            cr = fr + a * drho_dr_over_rho(g, r, rho_pow) * val
-            cy = fy + a * grad_y_rho_over_rho(g, y, rho_pow[..., None]) * val[..., None]
+            cr = fr + a * drho_dr_over_rho(g, r, X) * val
+            cy = fy + a * grad_y_rho_over_rho(g, y, X[..., None]) * val[..., None]
             yield B * (abs2(cr) + r ** (2.0 * g) * grad_y_sq(cy))
             yield B * _plain_sq(g, r, parts)
             yield Bw * abs2(val)
@@ -234,8 +236,8 @@ def verify_magnetic_grushin(geom: GrushinGeometry, exps: WeightExponents,
     params = {**_geom_params(geom, exps), "beta": beta}
 
     def density(r, y):
-        B, Bw, rho_pow = _weights(geom, exps, r, y)
-        components = grushin_components(beta, geom.gamma, r, y, rho_pow)
+        B, Bw, X = _weights(geom, exps, r, y)
+        components = grushin_components(beta, geom.gamma, r, y, X)
 
         def at(parts, f0):
             yield B * components_sq(components(parts))
@@ -270,8 +272,8 @@ def verify_ab_hardy(geom: GrushinGeometry, exps: WeightExponents, flux: FluxPara
               "admissibility": admissibility}
 
     def density(r, y):
-        B, Bw, rho_pow = _weights(geom, exps, r, y)
-        components = tilde_components(beta, geom.gamma, r, y, rho_pow)
+        B, Bw, X = _weights(geom, exps, r, y)
+        components = tilde_components(beta, geom.gamma, r, y, X)
 
         def at(parts, f0):
             yield B * components_sq(components(parts))
@@ -341,12 +343,12 @@ def verify_uncertainty_grushin(geom: GrushinGeometry, exps: WeightExponents,
     g, a1, a2 = geom.gamma, exps.alpha1, exps.alpha2
 
     def density(r, y):
-        B, rho = _weight_B(geom, exps, r, y)
-        # the half-exponent weight of the cross norm
-        half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, rho)
-        half_w = r**g / rho ** (g + 1.0)
-        cross_weight = half_B * half_w
-        field = components(beta, g, r, y, rho_power_rs(g, rho))
+        B, X = _weight_B(geom, exps, r, y)
+        # the half-exponent weight of the cross norm times the root of the
+        # Hardy weight, r^g / rho^(g + 1) = r^g / sqrt(X)
+        half_B = weight_B_rs(g, 0.5 * a1, 0.5 * a2, r, X)
+        cross_weight = half_B * (r**g / np.sqrt(X))
+        field = components(beta, g, r, y, X)
 
         def at(parts, f0):
             yield B * components_sq(field(parts))

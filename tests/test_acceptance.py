@@ -102,10 +102,10 @@ def test_01_pointwise_split_identity():
             r = p.r
             s = float(np.linalg.norm(p.y))
             rv = rho_rs(g, r, s)
-            rp = rho_power_rs(g, rv)
-            radial_part = drho_dr_over_rho(g, r, rp) ** 2
+            X = rho_power_rs(g, r, s)
+            radial_part = drho_dr_over_rho(g, r, X) ** 2
             # the y-block is linear in y, so its norm only needs s = |y|
-            trans_part = r ** (2 * g) * grad_y_rho_over_rho(g, s, rp) ** 2
+            trans_part = r ** (2 * g) * grad_y_rho_over_rho(g, s, X) ** 2
             lhs = radial_part + trans_part
             rhs = (np.linalg.norm(grad_rho(geom, p)) / rv) ** 2
             worst = max(worst, abs(lhs - rhs) / rhs)

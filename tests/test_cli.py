@@ -1068,7 +1068,7 @@ def test_every_check_runs_once_per_mode_and_matches_one_block(monkeypatch):
     assert len(set(ids)) == len(ids) == 20
     tensor_sums, seen = quadrature._tensor_sums, []
 
-    def spy(density, spec, domain, power, modes):  # records each block's calls of at
+    def spy(density, spec, domain, power, modes, prepare):  # records each block's calls of at
         def recorded(r, y):
             at = density(r, y)
             seen[-1].append([])
@@ -1077,7 +1077,7 @@ def test_every_check_runs_once_per_mode_and_matches_one_block(monkeypatch):
                 seen[-1][-1].append(x)
                 return at(x)
             return each
-        return tensor_sums(recorded, spec, domain, power, modes)
+        return tensor_sums(recorded, spec, domain, power, modes, prepare)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", spy)
 
@@ -1105,10 +1105,10 @@ def test_every_check_runs_once_per_mode_and_matches_one_block(monkeypatch):
     assert max(len(blocks[0]) for blocks in seen) > 2  # and some f has several modes
     seen.clear()
 
-    def one_block(density, spec, domain, power, modes):  # the whole grid one block
+    def one_block(density, spec, domain, power, modes, prepare):  # the whole grid one block
         r, _, Y, _ = quadrature.tensor_grid(spec, domain)
         monkeypatch.setattr(quadrature, "BLOCK_NODES", r.size * len(Y))
-        return spy(density, spec, domain, power, modes)
+        return spy(density, spec, domain, power, modes, prepare)
 
     monkeypatch.setattr(quadrature, "_tensor_sums", one_block)
     for want, got in zip(reports(), blocked, strict=True):

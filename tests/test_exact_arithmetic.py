@@ -14,9 +14,10 @@
   * |i a|^2 is |a|^2: i (a + bi) is exactly -b + ai, and abs2 adds the two
     rounded squares, so verify_constant_field squares its parts without
     the i of the printed gradient, float or complex.
-  * rho^(2 gamma + 2), formed once per block and divided by in the Hardy
-    weight and in grad(rho)/rho, is the power each of them formed apart:
-    the same IEEE operation on the same operands.
+  * X = rho^(2 gamma + 2), formed once per block in closed form and divided
+    by in the Hardy weight and in grad(rho)/rho, is the closed form each of
+    them formed apart, and rho and B are powers of that X: the same IEEE
+    operations on the same operands.
 
 Each holds in IEEE arithmetic whatever numpy's SIMD dispatch or its use of
 fused multiply-add; only the sign of an exact zero may differ, which no
@@ -49,6 +50,7 @@ from maghardy.geometry import (
     rho_power_rs,
     rho_rs,
     s_of,
+    weight_B_rs,
 )
 from maghardy.reports import jsonable
 from maghardy.verifiers._grids import abs2, grad_y_sq
@@ -164,23 +166,37 @@ def test_mode_zero_adds_what_its_phase_product_would(modes):
             assert _equal_up_to_zero_signs(np.broadcast_to(u, v.shape), v)
 
 
+def _gauge_power(gamma, r, s):
+    """rho^(2 gamma + 2) written out: r^(2 + 2 gamma) + (1 + gamma)^2 s^2."""
+    return r ** (2.0 + 2.0 * gamma) + (1.0 + gamma) ** 2 * s * s
+
+
 @pytest.mark.parametrize("gamma", [0.0, 0.37, 1.0, 2.5])
-def test_one_power_of_rho_gives_the_bits_of_one_power_per_factor(gamma):
+def test_one_gauge_power_gives_the_bits_of_its_closed_form_per_factor(gamma):
     # a k = 2 row block of 9 rows x 1296 y nodes, rho over 6 decades
     rng = np.random.default_rng(32)
     r = np.geomspace(1e-3, 30.0, 9)[:, None]
     y = rng.uniform(-40.0, 40.0, (1, 1296, 2)) * 10.0 ** rng.uniform(-3.0, 0.0, (1, 1296, 1))
-    rho = rho_rs(gamma, r, s_of(y))
-    p = 2.0 * gamma + 2.0
-    rho_pow = rho_power_rs(gamma, rho)
-    assert rho_pow.tobytes() == (rho ** p).tobytes()
-    assert rho_pow[..., None].tobytes() == (rho[..., None] ** p).tobytes()
-    pairs = [(hardy_density_rs(gamma, r, rho_pow), r ** (2.0 * gamma) / rho ** p),
-             (drho_dr_over_rho(gamma, r, rho_pow), r ** (2.0 * gamma + 1.0) / rho ** p),
-             (grad_y_rho_over_rho(gamma, y, rho_pow[..., None]),
-              (1.0 + gamma) * y / rho[..., None] ** p)]
+    s = s_of(y)
+    q = 2.0 * gamma + 2.0
+    X = rho_power_rs(gamma, r, s)
+    assert X.tobytes() == _gauge_power(gamma, r, s).tobytes()
+    assert X[..., None].tobytes() == _gauge_power(gamma, r[..., None], s[..., None]).tobytes()
+    a1, a2 = 0.7, -0.3
+    pairs = [(hardy_density_rs(gamma, r, X), r ** (2.0 * gamma) / _gauge_power(gamma, r, s)),
+             (drho_dr_over_rho(gamma, r, X),
+              r ** (2.0 * gamma + 1.0) / _gauge_power(gamma, r, s)),
+             (grad_y_rho_over_rho(gamma, y, X[..., None]),
+              (1.0 + gamma) * y / _gauge_power(gamma, r[..., None], s[..., None])),
+             # rho and B read X by one power each, never through a root of it
+             (rho_rs(gamma, r, s), _gauge_power(gamma, r, s) ** (1.0 / q)),
+             (weight_B_rs(gamma, a1, a2, r, X),
+              r ** (a2 * gamma) * _gauge_power(gamma, r, s) ** ((a1 - a2 * gamma) / q))]
     for got, want in pairs:
         assert got.tobytes() == want.tobytes()
+    # X rounds its closed form once; rho ** q rounds it through a root too
+    rho = rho_rs(gamma, r, s)
+    assert np.all(np.abs(rho ** q - X) <= 8 * q * np.finfo(float).eps * X)
 
 
 class _AsComplex:
@@ -192,6 +208,10 @@ class _AsComplex:
         for name in ("r_lo", "r_hi", "y_box", "r_breaks", "reaches_origin", "y_even",
                      "real_valued", "k"):
             setattr(self, name, getattr(profile, name))
+        # the 1-D factors too, so the main engine evaluates them once per
+        # integration for the wrapped profile as for the profile itself
+        if hasattr(profile, "factors"):
+            self.factors = profile.factors
 
     def on_grid(self, r, y, memo=None):
         return tuple(np.asarray(a, complex) for a in self.inner.on_grid(r, y, memo))

@@ -32,7 +32,14 @@ from maghardy.functions import (
     plateau_rule,
     random_test_function,
 )
-from maghardy.quadrature import _reference_rule, gauss_panels, log_radial_rule
+from maghardy.quadrature import (
+    QuadratureSpec,
+    _reference_rule,
+    gauss_panels,
+    log_radial_rule,
+    tensor_grid,
+)
+from maghardy.verifiers._grids import support_domain
 from maghardy.verifiers.sharpness import DEFAULT_SCHEDULE, _PANEL_N
 
 
@@ -204,6 +211,174 @@ def test_plateau_table_panels(n):
     s, ds = _step(0.5 * (1.0 - xi))
     assert np.array_equal(p[2 * n:], s) and np.array_equal(dp[2 * n:], -ds)
     assert np.array_equal(p[2 * n:], p[:n][::-1])
+
+
+# --- plateau factors on the main engine's rule read the table ----------------
+
+def _rule_cases():
+    """(name, f) of every kind of plateau factor on its own panels: the
+    radial bump and power window on the r rule, and the plateau and
+    Gaussian y bumps on whole (off-centre) and folded (symmetric) boxes,
+    at k = 1 and k = 2."""
+    def gauss_f(radial, boxes, a=0.6):
+        return TestFunction([AngularMode(0, ProductProfile(
+            radial, tuple(GaussBumpY(lo, hi, a=a) for lo, hi in boxes)))])
+
+    bump = PlateauLogBump(0.4, 1.3)
+    return {
+        "radial bump": make_bump(0.5, 2.0),
+        "power window": make_trial(TrialFamily("power", 0.1, (0.3, 3.0), exponent=-0.7)),
+        "plateau k=1 folded": make_bump(0.5, 2.0, [(-1.0, 1.0)]),
+        # off-centre, which no workload draws: the whole box
+        "plateau k=1 off-centre": make_bump(0.5, 2.0, [(-1.0, 2.0)]),
+        "plateau k=2 folded": make_bump(0.5, 2.0, [(-1.0, 1.0), (-2.5, 2.5)]),
+        "plateau k=2 off-centre": make_bump(0.5, 2.0, [(-1.0, 2.0), (-1.5, 0.5)]),
+        "gauss k=1 folded": gauss_f(bump, [(-1.5, 1.5)]),
+        "gauss k=1 off-centre": gauss_f(bump, [(0.2, 2.2)]),
+        "gauss k=2 folded": gauss_f(bump, [(-1.5, 1.5), (-0.5, 0.5)]),
+        "gauss k=2 off-centre": gauss_f(bump, [(-3.0, 1.0), (-0.5, 0.5)]),
+        "random k=2": random_test_function(np.random.default_rng(4), k=2, modes=(-1, 0, 2)),
+    }
+
+
+_RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("n_r, n_y", [(48, 12), (16, 7)], ids=["margins", "odd n_y"])
+@pytest.mark.parametrize("case", sorted(_RULE_CASES))
+def test_factors_on_their_own_panels_read_the_table(monkeypatch, case, n_r, n_y):
+    # each factor as factors_on_rule gives it on the main engine's grid,
+    # against its both on the same nodes, within plateau_rule's bound
+    from maghardy import functions
+    f = _RULE_CASES[case]
+    spec, domain = QuadratureSpec(n_r=n_r, n_y=n_y), support_domain(f)
+    assert domain.y_even == ("off-centre" not in case)   # k = 0 counts as even
+    r, _, Y, _ = tensor_grid(spec, domain)
+    plateaus = []
+    plateau = functions._plateau
+    monkeypatch.setattr(functions, "_plateau", lambda *a: plateaus.append(1) or plateau(*a))
+    memo = f.factors_on_rule(r, Y, domain, spec)(r[:, None])
+    assert plateaus == []   # every factor read its table
+    monkeypatch.undo()
+    factors = {(id(factor), axis): factor for m in f.modes for factor, axis in m.profile.factors}
+    assert memo.keys() == factors.keys()
+    for (key, axis), factor in factors.items():
+        t = r[:, None] if axis == "r" else Y[None, :, axis]
+        for got, want in zip(memo[key, axis], factor.both(t), strict=True):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= _TABLE_REL * np.max(np.abs(want))
+
+
+def test_a_plateau_factor_reads_the_table_itself():
+    # the values are the table's own entries: all 3 n on the r rule and an
+    # off-centre box, the nonnegative tail on a folded axis
+    n = 12
+    table = plateau_panels(n)[0]
+    for f, axis, size in ((make_bump(0.5, 2.0), "r", 3 * n),
+                          (make_bump(0.5, 2.0, [(-1.0, 2.0)]), 0, 3 * n),
+                          (make_bump(0.5, 2.0, [(-1.0, 1.0)]), 0, 3 * n // 2)):
+        domain = support_domain(f)
+        spec = QuadratureSpec(n_r=n, n_y=n)
+        r, _, Y, _ = tensor_grid(spec, domain)
+        factor = dict((a, fa) for fa, a in f.modes[0].profile.factors)[axis]
+        t = r if axis == "r" else Y[:, axis]
+        value = factor.on_rule(t, (domain.r_lo, domain.r_hi, domain.r_breaks)
+                               if axis == "r" else domain.y_box[axis], n)[0]
+        assert value.size == size and np.shares_memory(value, table)
+        assert np.array_equal(value, table[3 * n - size:])
+
+
+def test_a_factor_off_its_own_panels_keeps_both():
+    # a two-mode f with different radial bumps: the domain's panels are the
+    # union's, so neither bump reads the table, and each runs both on the
+    # whole rule once; a y box wider than the factor's own does the same
+    inner, outer = PlateauLogBump(0.5, 2.0), PlateauLogBump(0.7, 3.0)
+    narrow, wide = PlateauBumpY(-1.0, 1.0), PlateauBumpY(-2.0, 2.0)
+    f = TestFunction([AngularMode(0, ProductProfile(inner, (narrow,))),
+                      AngularMode(1, ProductProfile(outer, (wide,)))])
+    spec, domain = QuadratureSpec(n_r=16, n_y=8), support_domain(f)
+    r, _, Y, _ = tensor_grid(spec, domain)
+    memo = f.factors_on_rule(r, Y, domain, spec)(r[:, None])
+    for factor, axis in ((inner, "r"), (outer, "r"), (narrow, 0)):
+        t = r[:, None] if axis == "r" else Y[None, :, axis]
+        for got, want in zip(memo[id(factor), axis], factor.both(t), strict=True):
+            assert np.array_equal(got, want)
+    # the wide y bump's box is the domain's: it reads the table
+    assert np.shares_memory(memo[id(wide), 0][0], plateau_panels(8)[0])
+    assert np.max(np.abs(memo[id(wide), 0][0] - wide.both(Y[None, :, 0])[0])) <= _TABLE_REL
+
+
+def test_a_margins_pass_steps_no_plateau_edge_but_the_gauss_tail(monkeypatch, tmp_path):
+    # every margins draw is a plateau factor on its own panels, so once the
+    # tables are built a pass evaluates no plateau edge: only GaussTail's
+    # rolloff (real_landau_identity) still runs _step, as the sharpness
+    # engine's schedules run none (tests/test_sharpness.py)
+    import json
+    import sys
+    from pathlib import Path
+
+    from maghardy import functions
+    from maghardy.cli import main
+
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    paths = []
+    for index in (0, 1):   # pass 0 carries the k = 2 draws
+        paths.append(tmp_path / f"margins{index}.json")
+        paths[-1].write_text(json.dumps(workloads.margins_config(1000 + index, index)))
+
+    def run():
+        for path in paths:
+            assert main(["verify", "--config", str(path),
+                         "--out", str(tmp_path / "report.json")]) in (0, 1)
+
+    run()   # builds each node count's table
+    plateaus, steps, in_tail = [], [], []
+    plateau, step, tail = functions._plateau, functions._step, GaussTail.both
+    monkeypatch.setattr(functions, "_plateau", lambda *a: plateaus.append(1) or plateau(*a))
+    monkeypatch.setattr(functions, "_step", lambda t: steps.append(bool(in_tail)) or step(t))
+
+    def tail_both(self, r):
+        in_tail.append(1)
+        try:
+            return tail(self, r)
+        finally:
+            in_tail.pop()
+
+    monkeypatch.setattr(GaussTail, "both", tail_both)
+    run()
+    assert plateaus == []
+    assert steps and all(steps)   # the one GaussTail integration of each pass
+
+
+def test_a_two_mode_f_on_different_bumps_keeps_the_plateau_and_its_bytes(monkeypatch):
+    # the bumps' panels are not the domain's, so the main engine runs their
+    # both, now once per integration on the whole rule, with the bits of
+    # the per-block evaluation (factors_on_rule giving nothing to prefill)
+    from maghardy import functions
+    from maghardy.fields import RadialPotential as Psi
+    from maghardy.verifiers.landau import verify_landau
+
+    f = TestFunction([
+        AngularMode(0, ProductProfile(PlateauLogBump(0.5, 2.0), amplitude=0.8)),
+        AngularMode(2, ProductProfile(PlateauLogBump(0.7, 3.0), amplitude=0.3 - 0.4j)),
+    ])
+
+    def report():
+        return verify_landau("hardy_sobolev", Psi.power(0.6, 0.8), -0.4, f,
+                             QuadratureSpec(n_r=48, n_phi=12)).to_dict()
+
+    plateaus, plateau = [], functions._plateau
+    monkeypatch.setattr(functions, "_plateau", lambda *a: plateaus.append(1) or plateau(*a))
+    rule_read = report()
+    assert len(plateaus) == 2   # each bump once, on the whole rule
+    monkeypatch.setattr(TestFunction, "factors_on_rule",
+                        lambda self, *args: lambda r_block: {})
+    per_block = report()
+    assert rule_read == per_block and len(plateaus) == 4   # one block of the grid
 
 
 def test_power_window_is_power_times_plateau():

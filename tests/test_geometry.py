@@ -57,8 +57,8 @@ def test_derivative_split_identity_bulk():
         r = rng.uniform(0.05, 20.0, size=1000)
         s = rng.uniform(0.0, 20.0, size=1000)
         rv = rho_rs(g, r, s)
-        rp = rho_power_rs(g, rv)
-        lhs = drho_dr_over_rho(g, r, rp) ** 2 + r ** (2 * g) * grad_y_rho_over_rho(g, s, rp) ** 2
+        X = rho_power_rs(g, r, s)
+        lhs = drho_dr_over_rho(g, r, X) ** 2 + r ** (2 * g) * grad_y_rho_over_rho(g, s, X) ** 2
         rhs = (grad_rho_norm(g, r, s, rng) / rv) ** 2
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
     assert worst <= 1e-12
@@ -71,7 +71,7 @@ def test_hardy_density_matches_split():
         r = rng.uniform(0.01, 30.0, size=200)
         s = rng.uniform(0.0, 30.0, size=200)
         rv = rho_rs(g, r, s)
-        w = hardy_density_rs(g, r, rho_power_rs(g, rv))
+        w = hardy_density_rs(g, r, rho_power_rs(g, r, s))
         expect = (grad_rho_norm(g, r, s, rng) / rv) ** 2
         np.testing.assert_allclose(w, expect, rtol=1e-13)
 
@@ -136,14 +136,15 @@ def test_weight_closed_form():
         assert math.isclose(weight_B(geom, exps, p), direct, rel_tol=1e-13)
         assert math.isclose(
             weight_B_rs(geom.gamma, exps.alpha1, exps.alpha2, p.r,
-                        rho_rs(geom.gamma, p.r, abs(p.y[0]))),
+                        rho_power_rs(geom.gamma, p.r, abs(p.y[0]))),
             direct, rel_tol=1e-13)
 
 
 def test_weight_reduces_to_pure_rho_power():
-    # alpha2 = 0 must not touch r at all, even at r = 0
-    rv = rho_rs(1.0, 0.0, 2.0)
-    assert weight_B_rs(1.0, 3.0, 0.0, 0.0, rv) == rv ** 3.0
+    # alpha2 = 0 must not touch r at all, even at r = 0: one power of X
+    X = rho_power_rs(1.0, 0.0, 2.0)
+    assert X == 16.0  # (1 + gamma)^2 s^2 at r = 0, so rho = 2
+    assert weight_B_rs(1.0, 3.0, 0.0, 0.0, X) == X ** 0.75 == 8.0
 
 
 def test_bad_parameters_rejected():

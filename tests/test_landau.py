@@ -23,7 +23,7 @@ from maghardy.geometry import sphere_area
 from maghardy.reports import SuperweightParams, jsonable
 from maghardy.verifiers import check_twisted_polar_identity, verify_landau, verify_real_landau
 
-from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian, power_gaussian
+from _closed_forms import GAUSS_SPEC, gauss_moment, gaussian, log_integral, power_gaussian
 from _tolerance import assert_reports_close
 
 SPEC = QuadratureSpec(n_r=128, n_phi=16)
@@ -387,6 +387,70 @@ def test_real_landau_hardy_on_the_gaussian_matches_its_closed_forms(a, n):
     want = {"lhs": S * (4.0 * a * a + 0.25) * M(2 * n + 1),
             "main": S * (n - 1) ** 2 * M(2 * n - 3), "psi_potential": S * M(2 * n + 1) / 4.0}
     assert {"lhs": rep.lhs, **rep.rhs_terms} == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# --- weights that are not powers of r, against a 1-D rule in log r ------------
+
+# The reference integrates the profile's closed form r^j e^(-a r^2) on its
+# own Gauss-Legendre rule in log r (_closed_forms.log_integral, 48 panels of
+# 32 nodes: 1536 nodes, 4x the engine's two panels of 192) over the engine's
+# [r_lo, fall]; the rolloff past fall holds e^(-2 a fall^2) of |f|^2, below
+# 1e-15 here.  Measured within 1.2e-14.
+_LOG_REL = 1e-12
+
+
+def _log_reference(weight, j, a, lo, hi):
+    """int_lo^hi weight(r) r^(2j) e^(-2 a r^2) r dr on the reference rule."""
+    return log_integral(lambda r: weight(r) * r ** (2 * j + 1) * np.exp(-2.0 * a * r * r),
+                        lo, hi, panels=48, n=32)
+
+
+@pytest.mark.parametrize("f_kind", ["gaussian", "real pair k=1", "real pair k=2"])
+@pytest.mark.parametrize("a", [0.5, 0.8])
+def test_real_landau_critical_main_weight_matches_a_1d_reference(a, f_kind):
+    # main = C int |f|^2 / (r^2 log^2(R / r)), R = e sup|z| by default: on
+    # the Gaussian 2 pi times the radial integral, on a real pair
+    # 2 r^k e^(-a r^2) cos(k phi) 4 pi times it
+    if f_kind == "gaussian":
+        f, j, modes_factor, fall = gaussian(a), 0, 2.0, 6.0
+    else:
+        j = int(f_kind[-1])
+        f, modes_factor, fall = power_gaussian(j, a, (j, -j)), 4.0, 8.0
+    rep = verify_real_landau("critical", 1, f, GAUSS_SPEC)
+    R = rep.params["R"]
+    assert R == math.e * f.support()[1]
+    main = modes_factor * math.pi * _log_reference(
+        lambda r: 1.0 / (r * r * np.log(R / r) ** 2), j, a, f.support()[0], fall)
+    assert rep.rhs_terms["main"] == pytest.approx(rep.sharp_constant * main, rel=_LOG_REL, abs=0.0)
+
+
+# inside the unit disc, as landau_log needs: the rolloff on [0.9, 1] at
+# a = 30 holds e^(-48.6) of |f|^2
+_DISC = {"fall": 0.9, "r_hi": 1.0}
+
+
+@pytest.mark.parametrize("modes, j", [((0,), 0), ((0, 1), 1), ((-2, 2), 2)],
+                         ids=["gaussian", "modes 0 and 1", "real pair k=2"])
+@pytest.mark.parametrize("c, s", [(0.7, 0.0), (-1.3, 0.8)])
+def test_landau_log_weights_match_a_1d_reference(modes, j, c, s):
+    # the psi term int psi^2 r^2 log^2(r) |f|^2 over every mode, and the
+    # mode defect int log^2(r) / r^2 (|f|^2 - |f0|^2) over the modes k != 0,
+    # each 2 pi times its radial integral per mode of r^j e^(-a r^2)
+    a = 30.0
+    if j == 0:
+        f = TestFunction([AngularMode(0, ProductProfile(GaussTail(a=a, r_lo=1e-8, **_DISC)))])
+    else:
+        f = power_gaussian(j, a, modes, **_DISC)
+    psi = RadialPotential.power(c, s)
+    rep = verify_landau("log", psi, None, f, GAUSS_SPEC)
+    lo = f.support()[0]
+    psi_term = 2.0 * math.pi * len(modes) * _log_reference(
+        lambda r: c * c * r ** (2.0 * s) * r * r * np.log(r) ** 2, j, a, lo, 0.9)
+    defect = 2.0 * math.pi * sum(m != 0 for m in modes) * _log_reference(
+        lambda r: np.log(r) ** 2 / (r * r), j, a, lo, 0.9)
+    assert rep.rhs_terms["psi_potential"] == pytest.approx(psi_term, rel=_LOG_REL, abs=0.0)
+    assert rep.rhs_terms["mode_defect"] == pytest.approx(defect, rel=_LOG_REL, abs=0.0)
+    assert (defect == 0.0) == (modes == (0,))
 
 
 def test_real_landau_hardy_rejects_spinning_for_high_n():

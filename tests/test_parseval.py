@@ -39,11 +39,12 @@ POLAR_IDS = {"ab_hardy", "magnetic_grushin", "uncertainty_grushin", "uncertainty
              "real_landau_critical", "real_landau_uncertainty"}
 
 
-def _trapezoid(density, spec, domain):
-    """The integrals of density by the trapezoid on n_phi uniform angles."""
+def _trapezoid(density, spec, domain, prepare):
+    """The integrals of density by the trapezoid on n_phi uniform angles,
+    f's factors evaluated once on the grid as on the main engine."""
     phis, w_phi = phi_rule(spec.n_phi)
-    return [w_phi * total
-            for total in quadrature._tensor_sums(density, spec, domain, 1, phis.tolist())]
+    return [w_phi * total for total in quadrature._tensor_sums(
+        density, spec, domain, 1, phis.tolist(), prepare)]
 
 
 def _default_suite():
@@ -78,9 +79,9 @@ SOURCES = {
 def test_per_mode_integrals_equal_the_phi_trapezoid(monkeypatch, source):
     per_mode, pairs = _grids.integrate_polar, []
 
-    def both(density, spec, domain, modes):
-        got = per_mode(density, spec, domain, modes)
-        pairs.append((tid, modes, got, _trapezoid(density, spec, domain)))
+    def both(density, spec, domain, modes, prepare):
+        got = per_mode(density, spec, domain, modes, prepare)
+        pairs.append((tid, modes, got, _trapezoid(density, spec, domain, prepare)))
         return got
 
     monkeypatch.setattr(_grids, "integrate_polar", both)

@@ -168,12 +168,14 @@ def test_non_finite_inputs_are_refused_before_integrating(monkeypatch, variant, 
 
 def _reference_radial_p(variant, Q, p, params, f, spec):
     """(lhs, main term) of a check, each side integrated on its own over
-    the log-radial rule, f and df/dr taken pointwise on 1-D nodes."""
+    the log-radial rule, f and df/dr taken at the angle 0 on the 1-D nodes,
+    its radial factor read on the whole rule as the main engine reads it
+    (TestFunction.factors_on_rule)."""
     r_lo, r_hi, _, breaks = f.support()
     r, w_r = log_radial_rule(r_lo, r_hi, spec.n_r, breaks)
-    no_y = np.zeros(r.shape + (0,))
-    fval = f.value_polar(r, 0.0, no_y)
-    fder = f.partials_polar(r, 0.0, no_y)[0]
+    no_y = np.zeros((1, 1, 0))
+    memo = f.factors_on_rule(r, no_y[0], _grids.support_domain(f), spec)
+    fval, fder = (part[:, 0] for part in f.on_grid(r[:, None], no_y, memo(r[:, None]))(0.0)[:2])
 
     def norm(dens, w):
         vals = np.asarray(dens) * r ** (Q - 1.0 - w)
@@ -235,9 +237,9 @@ def test_one_integration_and_one_evaluation_per_check(monkeypatch, variant, orac
         counts["integrals"] += 1
         return integral(*args, **kwargs)
 
-    def counting_on_grid(self, r, y):
+    def counting_on_grid(self, r, y, memo=None):
         counts["on_grid"] += 1
-        return on_grid(self, r, y)
+        return on_grid(self, r, y, memo)
 
     monkeypatch.setattr(_grids, engine, counting_integral)
     monkeypatch.setattr(TestFunction, "on_grid", counting_on_grid)

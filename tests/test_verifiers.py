@@ -48,6 +48,7 @@ from maghardy.verifiers import (
 )
 from maghardy.verifiers._grids import abs2, grad_y_sq
 
+from _closed_forms import GaugeGauss, gauge_polar_factor, log_integral
 from _tolerance import assert_reports_close
 
 SPEC = QuadratureSpec(n_r=96, n_phi=16, n_y=24)
@@ -523,14 +524,26 @@ def test_constant_field_rejects_complex():
 
 # --- phi-independent work once per check ---------------------------------------
 
-class _CountingBump(PlateauLogBump):
-    """Plateau bump that counts the calls of its (value, derivative) factor."""
+class _Counting:
+    """A factor that counts its evaluations: each call of both, and each of
+    on_rule, the main engine's once per integration (one that falls back to
+    both counts once)."""
 
     calls = 0
 
-    def both(self, r):
+    def both(self, t):
         self.calls += 1
-        return super().both(r)
+        return super().both(t)
+
+    def on_rule(self, t, panels, n):
+        calls = self.calls
+        out = super().on_rule(t, panels, n)
+        self.calls = calls + 1
+        return out
+
+
+class _CountingBump(_Counting, PlateauLogBump):
+    """Plateau bump in log r that counts its evaluations."""
 
 
 def _real_cos_pair(radial):
@@ -701,17 +714,17 @@ def test_weights_run_once_per_check(monkeypatch, check):
     import maghardy.verifiers.grushin as grushin
 
     counts = {"rho": 0, "integrals": 0}
-    rho_rs, polar_integral = grushin.rho_rs, grushin.polar_integral
+    rho_power_rs, polar_integral = grushin.rho_power_rs, grushin.polar_integral
 
     def counting_rho(*args):
         counts["rho"] += 1
-        return rho_rs(*args)
+        return rho_power_rs(*args)
 
     def counting_integral(*args):
         counts["integrals"] += 1
         return polar_integral(*args)
 
-    monkeypatch.setattr(grushin, "rho_rs", counting_rho)
+    monkeypatch.setattr(grushin, "rho_power_rs", counting_rho)
     # magnetic_grushin reaches it through _grids.integrate, ab_hardy directly
     monkeypatch.setattr(grids, "polar_integral", counting_integral)
     monkeypatch.setattr(grushin, "polar_integral", counting_integral)
@@ -763,17 +776,31 @@ def test_blocked_reports_match_single_block(monkeypatch):
         assert_reports_close(want, got)
 
 
-def test_radial_factor_runs_once_per_row_block():
-    radial = _CountingBump(0.5, 2.0)
+class _CountingGaussY(_Counting, GaussBumpY):
+    """Gaussian y bump that counts its evaluations."""
+
+
+def test_factors_run_once_per_integration_across_its_row_blocks(monkeypatch):
+    import maghardy.quadrature as quadrature
+
+    radial, gauss = _CountingBump(0.5, 2.0), _CountingGaussY(-1.0, 1.0)
     f = TestFunction([
-        AngularMode(0, ProductProfile(radial, (GaussBumpY(-1.0, 1.0),) * 2)),
+        AngularMode(0, ProductProfile(radial, (gauss,) * 2)),
         AngularMode(2, ProductProfile(PlateauLogBump(0.5, 2.0), (GaussBumpY(-1.0, 1.0),) * 2,
                                       amplitude=0.5j)),
     ])
-    # two modes, so once per block is not once per mode
+    blocks, tensor_sums = [], quadrature._tensor_sums
+
+    def counting_blocks(density, *args):
+        return tensor_sums(lambda r, y: blocks.append(r.shape) or density(r, y), *args)
+
+    monkeypatch.setattr(quadrature, "_tensor_sums", counting_blocks)
+    # two modes, so once per block would not be once per mode either
     rep = _heavy_ab_hardy(f, QuadratureSpec(n_r=48, n_phi=16, n_y=12))
     assert rep.margin >= -rep.tolerance()
-    assert radial.calls == HEAVY_BLOCKS
+    assert len(blocks) == HEAVY_BLOCKS
+    # the radial factor once on the whole rule, the y factor once per axis
+    assert (radial.calls, gauss.calls) == (1, 2)
 
 
 def test_every_mode_forms_its_products_once_per_row_block():
@@ -853,3 +880,58 @@ def test_grad_y_sq_is_bitwise_the_trailing_axis_sum(k):
         dy = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
             * 10.0 ** rng.uniform(-4.0, 4.0, shape)
         assert np.array_equal(grad_y_sq(dy), np.sum(abs2(dy), axis=-1))
+
+
+# --- Grushin terms on rho-radial f against gauge-polar references -------------
+
+# On f = F(rho) each term is the Beta factor of _closed_forms times a 1-D
+# integral in rho of its own rule, sharing no code with the weights B and
+# w = |grad_g rho|^2 / rho^2 or with the tensor path.  F = X^3 e^(-X), X =
+# rho^(2+2 gamma), vanishes to order 6 (1 + gamma) at the gauge origin, where
+# the weights' fractional powers of X sit, so the engine converges fast: at
+# (n_r, n_y) = (96, 48) the worst relative error of the terms below measured
+# 4.8e-11 at (m, k, gamma) = (2, 1, 0) and 1.6e-11 at (3, 2, 0.5), against
+# 3.8e-8 and 1.6e-8 at (64, 32).
+_GAUGE_TOL = 2e-10
+_GAUGE_CASES = {"(2, 1, 0)": (GrushinGeometry(2, 1, 0.0), WeightExponents(0.5, 0.3)),
+                "(3, 2, 0.5)": (GrushinGeometry(3, 2, 0.5), WeightExponents(-1.0, 0.4))}
+
+
+def _gauge_references(geom, exps, profile, alpha):
+    """(shifted lhs, gradient, Hardy) integrals of grushin_ibp on F(rho):
+    each a power of |x| / rho, c = gamma alpha2 + 2 gamma, times
+    int rho^(alpha1 + Q - 1) (F' + alpha F / rho)^2, alpha = 0 for the
+    gradient, and int rho^(alpha1 + Q - 3) F^2 for the Hardy integral."""
+    g, s = geom.gamma, exps.alpha1 + geom.hom_dim
+    K = gauge_polar_factor(geom.m, geom.k, g, g * exps.alpha2 + 2.0 * g)
+    hi = 2.0 * profile.r_hi
+
+    def energy(a):
+        def fn(rho):
+            F, dF = profile.F(rho)
+            return rho ** (s - 1.0) * (dF + a * F / rho) ** 2
+        return K * log_integral(fn, 1e-6, hi)
+
+    hardy = K * log_integral(lambda rho: rho ** (s - 3.0) * profile.F(rho)[0] ** 2, 1e-6, hi)
+    return energy(alpha), energy(0.0), hardy
+
+
+@pytest.mark.parametrize("case", sorted(_GAUGE_CASES))
+def test_grushin_terms_on_rho_radial_f_match_the_gauge_polar_reference(monkeypatch, case):
+    geom, exps = _GAUGE_CASES[case]
+    profile = GaugeGauss(geom, 3)
+    f, spec, alpha = TestFunction([AngularMode(0, profile)]), QuadratureSpec(n_r=96, n_y=48), 0.7
+    want = _gauge_references(geom, exps, profile, alpha)
+    got, rx_integral = [], grushin.rx_integral
+    monkeypatch.setattr(grushin, "rx_integral", lambda *a: got.append(rx_integral(*a)) or got[-1])
+    identity = check_grushin_ibp_identity(geom, exps, f, alpha, spec)
+    hardy = verify_radial_hardy(geom, exps, f, spec)
+    # the identity's three integrals, then radial_hardy's lhs and main
+    pairs = list(zip(got[0], want)) + [(hardy.lhs, want[1]),
+                                      (hardy.rhs_terms["main"], hardy.sharp_constant * want[2])]
+    for value, reference in pairs:
+        assert abs(value - reference) <= _GAUGE_TOL * abs(reference), (value, reference)
+    # and the reference meets the identity: lhs = grad - ((Q + a1 - 2) a - a^2) hardy
+    s_hom = geom.hom_dim + exps.alpha1 - 2.0
+    assert want[0] == pytest.approx(want[1] - (s_hom * alpha - alpha ** 2) * want[2], rel=1e-13)
+    assert identity.rel_err <= _GAUGE_TOL

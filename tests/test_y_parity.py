@@ -176,6 +176,31 @@ def test_tensor_grid_folds_a_y_even_domain_only():
         assert (len(Y), len(Yh)) == (18 ** k, 9 ** k)
 
 
+@pytest.mark.parametrize("n_y", [12, 7])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("gaussian_y", [True, False], ids=["gauss", "plateau"])
+def test_folded_table_reads_are_the_whole_box_reads_bitwise(k, n_y, gaussian_y):
+    # each y factor read from its plateau table on the folded axis has the
+    # bits of its whole-box read at the nodes y >= 0: the fold keeps the
+    # table's nonnegative tail, on nodes that are the whole rule's
+    f = random_test_function(np.random.default_rng(50 + k), k=k, modes=(-1, 0, 2),
+                             gaussian_y=gaussian_y)
+    spec, folded = QuadratureSpec(n_r=12, n_y=n_y), _grids.support_domain(f)
+    whole = dataclasses.replace(folded, y_even=False)
+    r, _, Y, _ = tensor_grid(spec, whole)
+    _, _, Yh, _ = tensor_grid(spec, folded)
+    kept = (Y >= 0.0).all(axis=1)
+    assert np.array_equal(Yh, Y[kept])
+    half = f.factors_on_rule(r, Yh, folded, spec)(r[:, None])
+    full = f.factors_on_rule(r, Y, whole, spec)(r[:, None])
+    assert half.keys() == full.keys()
+    y_keys = [key for key in full if key[1] != "r"]
+    assert len(y_keys) == k * (3 if gaussian_y else 1)
+    for key in y_keys:
+        for a, b in zip(half[key], full[key], strict=True):
+            assert a.shape == (1, len(Yh)) and np.array_equal(a, b[:, kept])
+
+
 def test_a_y_even_domain_needs_a_box_symmetric_about_zero():
     with pytest.raises(DomainError):
         Domain(0.5, 2.0, ((-1.0, 2.0),), y_even=True)
