@@ -18,13 +18,19 @@ built from exp(-1/t), which is C-infinity with all derivatives vanishing at
 the junctions, keeping every profile in the compactly-supported smooth class
 required by the inequalities.  Every consumer wants an edge's value and its
 derivative at the same nodes, so _step gives both from one pair of
-exponentials, taken only on the nodes of its ramp, _plateau gives the bump
-and its derivative from its two edges, and each factor's both(t) returns
-(value, derivative) together.  On its own three Gauss panels the bump is
-one cached table per node count (plateau_panels), which plateau_rule hands
-out with those panels only to the sharpness engine, and which a plateau
-factor's on_rule reads on the main engine's rule when the rule's panels are
-the factor's own.
+exponentials, taken only on the nodes of its ramp, and _plateau gives the
+bump and its derivative from its two edges.  Each factor built on one bump
+(PlateauLogBump, PowerLogWindow, AbsLogPowerWindow, PlateauBumpY,
+GaussBumpY) has one arithmetic, shape(t, p, dp/du), which turns the bump p
+in its coordinate u(t) (log r, log(-log r) or t) into the factor's
+(value, derivative); its both(t) applies shape to _plateau.  On its own
+three Gauss panels the bump is one cached table per node count
+(plateau_panels), which plateau_rule hands out with those panels only to
+the sharpness engine.  On the main engine _on_rule is the one place that
+picks the table or the smoothstep: on a rule whose panels are a factor's
+own (its panels) it applies the factor's shape to the table.
+RhoShellProfile is the power window at the gauge distance rho, chained
+through geometry's d(rho)/dr and grad_y(rho) over one gauge power X.
 
 Evaluation on a quadrature grid goes through TestFunction.on_grid(r, y),
 whose closure gives f and its polar partials on one angular mode at phase
@@ -62,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AdmissibilityError, DomainError, require_param, require_reals
-from .geometry import GrushinGeometry, Point, WeightExponents, _first_kind_exponent, rho_rs, s_of
+from .geometry import (GrushinGeometry, Point, WeightExponents, _first_kind_exponent,
+                       drho_dr_over_rho, grad_y_rho_over_rho, rho_power_rs, rho_rs, s_of)
 from .quadrature import _reference_rule, gauss_panels
 
 __all__ = [
@@ -142,9 +149,10 @@ def plateau_panels(n: int):
     by q = (hi - lo) / 4 for dp/du.  The middle panel is exactly 1 and 0, and
     the last is the first mirrored, since the reference nodes are symmetric
     about 0.  It agrees with _plateau on those nodes up to the roundoff of t.
-    The sharpness windows read it through plateau_rule, and the plateau
-    factors of the verifier grid through _plateau_read, whole or, on a
-    folded y axis, its tail of nodes u >= 0.
+    The sharpness windows read it through plateau_rule, and _on_rule,
+    through _plateau_read, hands it to the shape of a plateau factor on its
+    own panels of the verifier grid: whole or, on a folded y axis, its tail
+    of nodes u >= 0.
     """
     xi, _ = _reference_rule(n)
     s, ds = _step(0.5 * (1.0 + xi))
@@ -179,17 +187,39 @@ def _plateau_read(lo, hi, n: int, size: int):
 
 def _on_rule(factor, t, panels, n: int):
     """(value, derivative) of a 1-D factor on the nodes t of the main
-    engine's n-node rule over panels: factor.on_rule where the factor has
-    one, else factor.both(t)."""
-    on_rule = getattr(factor, "on_rule", None)
-    return factor.both(t) if on_rule is None else on_rule(t, panels, n)
+    engine's n-node rule over panels, the one place that picks the plateau
+    table or the smoothstep: a plateau factor whose own panels these are
+    applies its shape to the table (_plateau_read), and any other factor
+    runs both(t)."""
+    if isinstance(factor, _PlateauFactor) and panels == factor.panels:
+        return factor.shape(t, *_plateau_read(*factor._edges, n, t.size))
+    return factor.both(t)
 
 
 # ---------------------------------------------------------------------------
-# Radial factors: both(r) -> (value, d/dr), plus panel breakpoints
+# 1-D factors: both(t) -> (value, d/dt); radial ones declare their breaks
 # ---------------------------------------------------------------------------
 
-class PlateauLogBump:
+class _PlateauFactor:
+    """A 1-D factor on one plateau bump p(u) over _edges = (lo, hi) in its
+    coordinate u(t): its value and t-derivative are shape(t, p, dp/du).
+    panels are the main engine's panels on whose rule the bump's nodes are
+    its own (_on_rule reads the table there), or None where there are none."""
+
+    panels = None
+
+    def u(self, t):
+        return t
+
+    def shape(self, t, p, dp):
+        return p, dp
+
+    def both(self, t):
+        """(value, d/dt) at t, the bump from its smoothstep edges."""
+        return self.shape(t, *_plateau(self.u(t), *self._edges))
+
+
+class PlateauLogBump(_PlateauFactor):
     """Plateau bump in log r on [r_lo, r_hi]."""
 
     def __init__(self, r_lo: float, r_hi: float):
@@ -197,47 +227,27 @@ class PlateauLogBump:
         if not (0.0 < r_lo < r_hi):
             raise DomainError(f"need 0 < r_lo < r_hi, got [{r_lo}, {r_hi}]")
         self.r_lo, self.r_hi = r_lo, r_hi
-        self._a, self._b = math.log(r_lo), math.log(r_hi)
+        self._edges = (math.log(r_lo), math.log(r_hi))
+        self.breaks = tuple(math.exp(u) for u in plateau_breaks(*self._edges))
+        self.panels = (r_lo, r_hi, self.breaks)
 
-    def both(self, r):
-        p, dp = _plateau(np.log(r), self._a, self._b)
+    def u(self, r):
+        return np.log(r)
+
+    def shape(self, r, p, dp):
         return p, dp / r
 
-    def on_rule(self, r, panels, n: int):
-        """both(r) on the whole n-node log-radial rule r over panels, a
-        domain's (r_lo, r_hi, r_breaks): read from the plateau table when
-        they are the bump's own, so r's panels are the bump's three."""
-        if panels != (self.r_lo, self.r_hi, self.breaks):
-            return self.both(r)
-        p, dp = _plateau_read(self._a, self._b, n, r.size)
-        return p, dp / r
 
-    @property
-    def breaks(self):
-        return tuple(math.exp(u) for u in plateau_breaks(self._a, self._b))
-
-
-class PowerLogWindow:
+class PowerLogWindow(PlateauLogBump):
     """r^sigma times a plateau window in log r — power-law trial factor."""
 
     def __init__(self, sigma: float, r_lo: float, r_hi: float):
         self.sigma = require_param("the power window", "sigma", sigma)
-        self.window = PlateauLogBump(r_lo, r_hi)
-        self.r_lo, self.r_hi = self.window.r_lo, self.window.r_hi
+        super().__init__(r_lo, r_hi)
 
-    def both(self, r):
-        return self._times(r, *self.window.both(r))
-
-    def on_rule(self, r, panels, n: int):
-        """both(r) on a rule, its window as PlateauLogBump.on_rule reads it."""
-        return self._times(r, *self.window.on_rule(r, panels, n))
-
-    def _times(self, r, wv, wd):
-        return r**self.sigma * wv, r ** (self.sigma - 1.0) * (self.sigma * wv + r * wd)
-
-    @property
-    def breaks(self):
-        return self.window.breaks
+    def shape(self, r, p, dp):
+        p, d = super().shape(r, p, dp)
+        return r**self.sigma * p, r ** (self.sigma - 1.0) * (self.sigma * p + r * d)
 
 
 class GaussTail:
@@ -257,6 +267,7 @@ class GaussTail:
             "the Gaussian tail", a=a, fall=fall, r_hi=r_hi, r_lo=r_lo)
         if not (0.0 < self.r_lo < self.fall < self.r_hi):
             raise DomainError("need 0 < r_lo < fall < r_hi")
+        self.breaks = (self.fall,)
 
     def both(self, r):
         r = np.asarray(r, dtype=float)
@@ -265,17 +276,14 @@ class GaussTail:
         g = np.exp(-self.a * r * r)
         return g * cut, g * (-2.0 * self.a * r * cut - dcut / span)
 
-    @property
-    def breaks(self):
-        return (self.fall,)
 
-
-class AbsLogPowerWindow:
+class AbsLogPowerWindow(_PlateauFactor):
     """|log r|^c times a plateau window in log|log r|, for supports inside (0,1).
 
     Writing t = -log r (positive on the support), the factor is t^c with a
     smooth window in w = log t; this is the natural shape for logarithmic
     Hardy trials.  Supports with r_hi >= 1 are rejected (t must stay positive).
+    The log-radial rule's nodes are not the window's, so it has no panels.
     """
 
     def __init__(self, c: float, r_lo: float, r_hi: float):
@@ -284,31 +292,23 @@ class AbsLogPowerWindow:
             raise DomainError("log-power factor needs 0 < r_lo < r_hi < 1")
         self.c, self.r_lo, self.r_hi = c, r_lo, r_hi
         # window in w = log t, t = -log r: note r_lo gives the LARGER t
-        self._w_lo = math.log(-math.log(r_hi))
-        self._w_hi = math.log(-math.log(r_lo))
-        if not (self._w_lo < self._w_hi):
+        self._edges = (math.log(-math.log(r_hi)), math.log(-math.log(r_lo)))
+        if not (self._edges[0] < self._edges[1]):
             raise DomainError("degenerate log-log window")
+        self.breaks = tuple(math.exp(-math.exp(w)) for w in plateau_breaks(*self._edges))
 
-    def both(self, r):
+    def u(self, r):
+        return np.log(-np.log(r))
+
+    def shape(self, r, p, dp):
         t = -np.log(r)
-        p, dp = _plateau(np.log(t), self._w_lo, self._w_hi)
         # d/dr = -(1/r) d/dt applied to t^c * window(log t)
         return t**self.c * p, -(t ** (self.c - 1.0)) * (self.c * p + dp) / r
 
-    @property
-    def breaks(self):
-        return tuple(
-            math.exp(-math.exp(w)) for w in plateau_breaks(self._w_lo, self._w_hi)
-        )
 
-
-# ---------------------------------------------------------------------------
-# y-direction factors: both(t) -> (value, d/dt) in one y coordinate
-# ---------------------------------------------------------------------------
-
-class PlateauBumpY:
+class PlateauBumpY(_PlateauFactor):
     """Plateau bump on [lo, hi] in one y coordinate (linear scale), even
-    about the midpoint of [lo, hi]."""
+    about the midpoint of [lo, hi]; its panels are that box."""
 
     midpoint_even = True
 
@@ -316,46 +316,24 @@ class PlateauBumpY:
         self.lo, self.hi = require_reals("the y bump", lo=lo, hi=hi)
         if not (self.lo < self.hi):
             raise DomainError(f"bad y interval ({lo}, {hi})")
-
-    def both(self, t):
-        return _plateau(t, self.lo, self.hi)
-
-    def on_rule(self, t, panels, n: int):
-        """both(t) on the nodes t of an n-node y axis rule over the box
-        panels = (lo, hi), whole or folded: read from the plateau table when
-        the box is the bump's own, whose plateau panels the axis rule uses."""
-        if panels != (self.lo, self.hi):
-            return self.both(t)
-        return _plateau_read(self.lo, self.hi, n, t.size)
+        self._edges = self.panels = (self.lo, self.hi)
 
 
-class GaussBumpY:
+class GaussBumpY(PlateauBumpY):
     """Gaussian times plateau bump: exp(-a (t-c)^2) * plateau(t) on [lo, hi].
 
     The Gaussian is centred at the midpoint c = (lo + hi) / 2, so the
-    factor is even about c.
+    factor is even about c; its panels are the box [lo, hi].
     """
-
-    midpoint_even = True
 
     def __init__(self, lo: float, hi: float, a: float = 1.0):
         lo, hi, self.a = require_reals("the Gaussian y bump", lo=lo, hi=hi, a=a)
         if not (lo < hi) or self.a < 0.0:
             raise DomainError("bad Gaussian-bump parameters")
-        self.lo, self.hi = lo, hi
+        super().__init__(lo, hi)
         self.c = 0.5 * (lo + hi)
 
-    def both(self, t):
-        return self._times(t, *_plateau(t, self.lo, self.hi))
-
-    def on_rule(self, t, panels, n: int):
-        """both(t) on a y axis rule, the plateau read as PlateauBumpY.on_rule
-        reads it."""
-        if panels != (self.lo, self.hi):
-            return self.both(t)
-        return self._times(t, *_plateau_read(self.lo, self.hi, n, t.size))
-
-    def _times(self, t, p, dp):
+    def shape(self, t, p, dp):
         g = np.exp(-self.a * (t - self.c) ** 2)
         return g * p, g * (dp - 2.0 * self.a * (t - self.c) * p)
 
@@ -466,7 +444,7 @@ class RhoShellProfile:
         self.sigma, self.rho_lo, self.rho_hi = sigma, rho_lo, rho_hi
         self.amplitude = _amplitude("the rho shell", amplitude)
         self.real_valued = self.amplitude.imag == 0.0
-        self._a, self._b = math.log(rho_lo), math.log(rho_hi)
+        self._window = PowerLogWindow(sigma, rho_lo, rho_hi)
         self.r_lo = rho_lo * 1e-8
         self.r_hi = rho_hi
         g = geom.gamma
@@ -479,20 +457,21 @@ class RhoShellProfile:
         return self.geom.k
 
     def on_grid(self, r, y, memo=None):
-        """(g, dg/dr, grad_y g) on the grid (r, y); every factor depends on
-        rho, a full-grid array, so memo, taken for the call of
-        TestFunction.on_grid, is not used.  Float arrays when real_valued,
-        complex ones otherwise; dg/dr multiplies by 1 / rho^(2 gamma + 1),
-        as numpy's complex division by a real does."""
+        """(g, dg/dr, grad_y g) on the grid (r, y): the power window h at
+        rho, its rho h'(rho) chained through d(rho)/dr / rho and
+        grad_y(rho) / rho (geometry), all three over one gauge power X.
+        Every factor depends on rho, a full-grid array, so memo, taken for
+        the call of TestFunction.on_grid, is not used.  Float arrays when
+        real_valued, complex ones otherwise, whose real parts they are bit
+        for bit: the amplitude only multiplies real arrays."""
         g = self.geom.gamma
         amp = self.amplitude.real if self.real_valued else self.amplitude
-        rho = rho_rs(g, r, s_of(y))
-        win, dwin = _plateau(np.log(rho), self._a, self._b)
-        h = rho**self.sigma * win
-        dh = rho ** (self.sigma - 1.0) * (self.sigma * win + dwin)
-        dr = amp * dh * r ** (2.0 * g + 1.0) * (1.0 / rho ** (2.0 * g + 1.0))
-        grad = (1.0 + g) * y / rho[..., None] ** (2.0 * g + 1.0)
-        return amp * h, dr, amp * dh[..., None] * grad
+        X = rho_power_rs(g, r, s_of(y))
+        rho = X ** (1.0 / (2.0 * (1.0 + g)))
+        h, dh = self._window.both(rho)
+        dh = amp * (rho * dh)
+        return (amp * h, dh * drho_dr_over_rho(g, r, X),
+                dh[..., None] * grad_y_rho_over_rho(g, y, X[..., None]))
 
 
 # ---------------------------------------------------------------------------

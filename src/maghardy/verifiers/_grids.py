@@ -28,14 +28,15 @@ on each of f's modes (the main engine) or angles (the oracle), so a
 density reads neither a mode nor an angle and serves both engines.  On the
 main engine each 1-D factor of f runs once per integration, not once per
 block: _on_f's prepare hook, which the tensor pass calls once on its whole
-rules, evaluates them there (TestFunction.factors_on_rule; a plateau factor
-on its own panels reads its table, functions.plateau_panels), and each
-block's closure takes its rows of them.  Every integrand is a real float
-array, built from abs2, components_sq, grad_y_sq or |.|^p, and a Hermitian
-form in f's parts, whose phi integral is 2 pi times its sum over the modes;
-f0 is 0 on every mode but mode 0, so the mode defect |f|^2 - |f0|^2
-integrates sum_(k != 0) |g_k|^2 on the main engine.  Each check makes one
-integration call.
+rules, evaluates them there (TestFunction.factors_on_rule; functions._on_rule
+applies a plateau factor's shape to the table functions.plateau_panels where
+the rule's panels are the factor's own, and runs its smoothstep elsewhere),
+and each block's closure takes its rows of them.  Every integrand is a real
+float array, built from abs2, components_sq, grad_y_sq or |.|^p, and a
+Hermitian form in f's parts, whose phi integral is 2 pi times its sum over
+the modes; f0 is 0 on every mode but mode 0, so the mode defect
+|f|^2 - |f0|^2 integrates sum_(k != 0) |g_k|^2 on the main engine.  Each
+check makes one integration call.
 
 y parity: when f is even in every y_j (TestFunction.y_even, declared by its
 profiles), support_domain marks the domain y_even and the main engine takes

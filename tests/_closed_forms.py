@@ -5,7 +5,8 @@ M(p) = int_0^inf r^p e^(-2 a r^2) dr, so a test pins it against
 math.gamma instead of another engine of this code.  A weight that is not a
 power of r is pinned against log_integral, a 1-D Gauss-Legendre rule in
 log r of its own; a Grushin term on a rho-radial f against the
-gauge-polar Beta factor times such a 1-D integral in rho.
+gauge-polar Beta factor times such a 1-D integral in rho, of a smooth
+profile (GaugeGauss) or of a plateau shell written out here (PlateauShell).
 """
 
 import math
@@ -128,3 +129,33 @@ class GaugeGauss:
         F, dF = self._of_X(r ** (2.0 + 2.0 * g) + (1.0 + g) ** 2 * np.sum(y * y, axis=-1))
         return (F, dF * (2.0 + 2.0 * g) * r ** (1.0 + 2.0 * g),
                 (dF * 2.0 * (1.0 + g) ** 2)[..., None] * y)
+
+
+class PlateauShell:
+    """F(rho) = rho^sigma p(log rho) on [lo, hi], written out here and not
+    read from maghardy.functions: p is 1 on the middle half of
+    [log lo, log hi] and, on each outer quarter, S(t) of the distance t to
+    its edge in quarters, S(t) = e^(-1/t) / (e^(-1/t) + e^(-1/(1-t))) with
+    S' = S (1 - S) (1/t^2 + 1/(1-t)^2).  panels are lo, the two quarter
+    points and hi, between which F is smooth."""
+
+    def __init__(self, sigma, lo, hi):
+        self.sigma = sigma
+        self.a, self.b = math.log(lo), math.log(hi)
+        self.q = 0.25 * (self.b - self.a)
+        self.panels = (lo, math.exp(self.a + self.q), math.exp(self.b - self.q), hi)
+
+    def F(self, rho):
+        """(F, dF/drho) at rho, every node inside one panel."""
+        u = np.log(rho)
+        rise, fall = (u - self.a) / self.q, (self.b - u) / self.q
+        t = np.minimum(rise, fall)
+        p, dp = np.ones(t.shape), np.zeros(t.shape)
+        ramp = t < 1.0
+        tr = t[ramp]
+        e0, e1 = np.exp(-1.0 / tr), np.exp(-1.0 / (1.0 - tr))
+        S = e0 / (e0 + e1)
+        p[ramp] = S
+        slope = S * (1.0 - S) * (1.0 / tr**2 + 1.0 / (1.0 - tr) ** 2) / self.q
+        dp[ramp] = np.where(rise[ramp] < fall[ramp], slope, -slope)
+        return rho**self.sigma * p, rho ** (self.sigma - 1.0) * (self.sigma * p + dp)

@@ -12,6 +12,7 @@ from maghardy.errors import AdmissibilityError, DomainError
 from maghardy.fields import RadialPotential
 from maghardy.functions import (
     _EDGE_EPS,
+    _on_rule,
     _plateau,
     _step,
     AbsLogPowerWindow,
@@ -282,8 +283,8 @@ def test_a_plateau_factor_reads_the_table_itself():
         r, _, Y, _ = tensor_grid(spec, domain)
         factor = dict((a, fa) for fa, a in f.modes[0].profile.factors)[axis]
         t = r if axis == "r" else Y[:, axis]
-        value = factor.on_rule(t, (domain.r_lo, domain.r_hi, domain.r_breaks)
-                               if axis == "r" else domain.y_box[axis], n)[0]
+        value = _on_rule(factor, t, (domain.r_lo, domain.r_hi, domain.r_breaks)
+                         if axis == "r" else domain.y_box[axis], n)[0]
         assert value.size == size and np.shares_memory(value, table)
         assert np.array_equal(value, table[3 * n - size:])
 
